@@ -29,7 +29,8 @@ from nontrap import flow as fl
 from nontrap import geometry as geo
 from nontrap import quantize as qz
 from nontrap import resolvent as rv
-from nontrap.errors import ConfigurationError, ConstructionError
+from nontrap.errors import (ConfigurationError, ConstructionError,
+                            ConvergenceError, IntegrationError)
 
 COMMANDS = ("flow-scan", "escape-build", "escape-verify", "calculus-tests",
             "resolvent-sweep", "full-report")
@@ -126,6 +127,12 @@ def effective_config(params):
         raise ConfigurationError(
             f"unknown command {cfg['command']!r}; expected one of {COMMANDS}"
         )
+    discretizes = cfg["command"] in ("resolvent-sweep", "full-report")
+    if discretizes and cfg["dimension"] != 1:
+        raise ConfigurationError(
+            f"{cfg['command']} needs dimension = 1 (the resolvent "
+            f"discretization is one-dimensional), got {cfg['dimension']}"
+        )
     if cfg["t_rule"] not in ("cap", "dirichlet"):
         raise ConfigurationError("t_rule must be 'cap' or 'dirichlet'")
     for key, (lo, hi) in _RANGES.items():
@@ -160,11 +167,11 @@ def config_hash(cfg):
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
+    # np.float64 subclasses float, and its repr under numpy 2 is
+    # 'np.float64(...)': render every float through the builtin
+    if isinstance(v, (float, np.floating)):
         return repr(float(v))
-    if isinstance(v, (np.integer,)):
+    if isinstance(v, np.integer):
         return repr(int(v))
     return str(v)
 
@@ -232,12 +239,17 @@ def _model_from(cfg):
 # command implementations
 # ---------------------------------------------------------------------------
 
-def cmd_flow_scan(cfg, rep: Reporter):
-    model = _model_from(cfg)
-    verdict = fl.nontrapping_scan(
+def _scan(cfg, model):
+    """The run's one non-trapping verdict, from the scan keys."""
+    return fl.nontrapping_scan(
         model, n_samples=cfg["flow_samples"], T_max=cfg["scan_t_max"],
         R_esc=cfg["r_escape"],
     )
+
+
+def cmd_flow_scan(cfg, rep: Reporter):
+    model = _model_from(cfg)
+    verdict = _scan(cfg, model)
     rep.write_csv("scan_summary.csv",
                   ["window_lo", "window_hi", "sampled", "trapped",
                    "nontrapping"],
@@ -264,9 +276,10 @@ def cmd_flow_scan(cfg, rep: Reporter):
 
 def _assemble(cfg, rep: Reporter, verdict=None):
     model = _model_from(cfg)
-    e = esc.assemble_escape(model, cfg["epsilon"], verdict=verdict,
-                            seed_spacing=cfg["seed_spacing"],
-                            scan_samples=cfg["flow_samples"])
+    if verdict is None:
+        verdict = _scan(cfg, model)
+    e = esc.assemble_escape(model, cfg["epsilon"], verdict,
+                            seed_spacing=cfg["seed_spacing"])
     body = [
         "escape function constants",
         f"epsilon = {e.eps!r}",
@@ -308,8 +321,8 @@ def cmd_escape_build(cfg, rep: Reporter):
     return e
 
 
-def cmd_escape_verify(cfg, rep: Reporter):
-    e = _assemble(cfg, rep)
+def cmd_escape_verify(cfg, rep: Reporter, verdict=None):
+    e = _assemble(cfg, rep, verdict)
     _dump_q_slice(e, rep)
     report = esc.verify_proposition(
         e, n_x=cfg["verify_x"], n_interior=cfg["verify_interior"],
@@ -376,10 +389,7 @@ def cmd_calculus_tests(cfg, rep: Reporter):
 def cmd_resolvent_sweep(cfg, rep: Reporter, verdict=None):
     model = _model_from(cfg)
     if verdict is None:
-        verdict = fl.nontrapping_scan(
-            model, n_samples=min(cfg["flow_samples"], 200),
-            T_max=min(cfg["scan_t_max"], 100.0), R_esc=cfg["r_escape"],
-        )
+        verdict = _scan(cfg, model)
     trapping = not verdict.is_nontrapping_empirical
     report = rv.h_sweep(
         model, h_list=cfg["h_list"], t_rule=cfg["t_rule"], s=cfg["s_weight"],
@@ -436,7 +446,7 @@ def cmd_full_report(cfg, rep: Reporter):
     verdict = cmd_flow_scan(cfg, rep)
     ok = True
     if verdict.is_nontrapping_empirical:
-        report = cmd_escape_verify(cfg, rep)
+        report = cmd_escape_verify(cfg, rep, verdict)
         ok &= report.passed
     else:
         rep.check("escape_certificate", True,
@@ -522,7 +532,7 @@ def main(argv=None):
     except ConfigurationError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
-    except (ConstructionError, Exception) as e:  # noqa: BLE001
+    except (ConstructionError, ConvergenceError, IntegrationError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

@@ -255,7 +255,7 @@ def _angular_band_floor(model, eps1, delta1, n_x, n_tau, n_y=65):
     Z = r[:, None] * np.stack([np.cos(y), np.sin(y)], axis=-1)
     V = model.potential.value(Z)
     h = model.metric.h(y)
-    dm = model._metric_defect(r, y)
+    dm = model.metric_defect(r, y)
     top = lam2 + delta1 - tau**2 - V    # window present iff > 0
     lo = lam2 - delta1 - tau**2 - V     # lowest-window angular energy
     present = top > 0
@@ -410,48 +410,21 @@ def _phase_state(Z, ZETA):
 def _k_region_seeds(model, consts, spacing):
     """Seed grid on K = supp psi(p) & {x >= x0/4} (one seed per position
     cell and momentum branch/direction, at the window center energy)."""
-    lam2 = model.lambda2
     r_max = 4.0 / consts.x0
     zs = np.arange(-r_max, r_max + 0.5 * spacing, spacing)
-    seeds = []
     if model.dimension == 1:
-        for z in zs:
-            v = model.potential.value(np.array([[z]]))[0]
-            k2 = lam2 - v
-            if k2 <= 0:
-                continue
-            for sgn in (1.0, -1.0):
-                seeds.append((np.array([z]), np.array([sgn * math.sqrt(k2)])))
-        return seeds
-    n_dir = 8
-    for zx in zs:
-        for zy in zs:
-            if math.hypot(zx, zy) > r_max + 0.5 * spacing:
-                continue
-            z = np.array([zx, zy])
-            for d in range(n_dir):
-                ang = 2.0 * np.pi * (d + 0.5) / n_dir
-                direction = np.array([math.cos(ang), math.sin(ang)])
-                kappa = _shell_momentum(model, z, direction, lam2)
-                if kappa is None:
-                    continue
-                seeds.append((z, kappa * direction))
-    return seeds
-
-
-def _shell_momentum(model, z, direction, p_target):
-    """|zeta| with p(z, kappa * direction) = p_target (metric-corrected)."""
-    v = model.potential.value(z[None, :])[0]
-    if p_target - v <= 0:
-        return None
-    if model.dimension == 1 or model.metric.is_flat:
-        return math.sqrt(p_target - v)
-    r = float(np.hypot(z[0], z[1]))
-    y = math.atan2(z[1], z[0])
-    Ldir = z[0] * direction[1] - z[1] * direction[0]
-    dm = float(model._metric_defect(np.array([r]), np.array([y]))[0])
-    m_eff = 1.0 + (dm * Ldir**2 / r**2 if r > 0 else 0.0)
-    return math.sqrt((p_target - v) / m_eff)
+        Z = np.repeat(zs, 2)[:, None]
+        D = np.tile([1.0, -1.0], zs.size)[:, None]
+    else:
+        n_dir = 8
+        ang = 2.0 * np.pi * (np.arange(n_dir) + 0.5) / n_dir
+        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        cells = [(zx, zy) for zx in zs for zy in zs
+                 if math.hypot(zx, zy) <= r_max + 0.5 * spacing]
+        Z = np.repeat(np.array(cells, dtype=float).reshape(-1, 2), n_dir, axis=0)
+        D = np.tile(dirs, (len(cells), 1))
+    kappa, allowed = geo.shell_momentum(model, Z, D, model.lambda2)
+    return [(Z[i], kappa[i] * D[i]) for i in np.flatnonzero(allowed)]
 
 
 def _disc_frame(normal, u_p, r_mom, r_pos):
@@ -593,18 +566,14 @@ def _certify_covering(model, coll: TubeCollection, consts, spacing, attempt):
     """Every point of a 2x finer K grid, widened across the window, must
     lie in some tube's interior zone."""
     test = _k_region_seeds(model, consts, 0.5 * spacing)
-    Z0, C0 = [], []
-    for z, zeta in test:
-        direction = zeta / np.linalg.norm(zeta)
-        for off in (-0.9, 0.0, 0.9):
-            kap = _shell_momentum(model, z, direction,
-                                  model.lambda2 + off * model.delta)
-            if kap is None:
-                continue
-            Z0.append(z)
-            C0.append(kap * direction)
-    Z0 = np.array(Z0)
-    C0 = np.array(C0)
+    offs = np.array([-0.9, 0.0, 0.9])
+    Z = np.repeat(np.array([z for z, _ in test]), offs.size, axis=0)
+    D = np.repeat(np.array([zeta / np.linalg.norm(zeta) for _, zeta in test]),
+                  offs.size, axis=0)
+    energy = np.tile(model.lambda2 + offs * model.delta, len(test))
+    kappa, allowed = geo.shell_momentum(model, Z, D, energy)
+    Z0 = Z[allowed]
+    C0 = kappa[allowed, None] * D[allowed]
     qv, _ = eval_q_circ(model, coll, Z0, C0, covering_mode=True)
     bad = qv <= 0.0
     uncovered = [np.concatenate([Z0[i], C0[i]]) for i in np.flatnonzero(bad)[:16]]
@@ -804,15 +773,8 @@ def phase_grid(model, x_min=1e-3, n_x=600, n_interior=80, n_energy=40,
     r, y, e, d = R.ravel(), Y.ravel(), E.ravel(), D.ravel()
     Z = np.stack([r * np.cos(y), r * np.sin(y)], axis=-1)
     direction = np.stack([np.cos(d), np.sin(d)], axis=-1)
-    v = model.potential.value(Z)
-    p_req = lam2 + delta * e
-    Ldir = Z[:, 0] * direction[:, 1] - Z[:, 1] * direction[:, 0]
-    dm = model._metric_defect(r, y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m_eff = 1.0 + np.where(r > 0, dm * Ldir**2 / np.maximum(r, 1e-300) ** 2, 0.0)
-    k2 = (p_req - v) / m_eff
-    keep = k2 > 0
-    ZETA = np.sqrt(np.clip(k2, 0, None))[:, None] * direction
+    kappa, keep = geo.shell_momentum(model, Z, direction, lam2 + delta * e)
+    ZETA = kappa[:, None] * direction
     return Z[keep], ZETA[keep]
 
 
@@ -903,22 +865,19 @@ def hpq_finite_difference(esc: EscapeFunction, Z, ZETA, delta=1e-5):
     return (qp - qm) / (2.0 * delta)
 
 
-def assemble_escape(model, eps, verdict=None, seed_spacing=1.0,
-                    grid_kwargs=None, max_halvings=60,
-                    scan_samples=300) -> EscapeFunction:
+def assemble_escape(model, eps, verdict, seed_spacing=1.0,
+                    grid_kwargs=None, max_halvings=60) -> EscapeFunction:
     """Build the escape function by the halving cascade.
 
-    eps must lie in (0, 1/4).  Non-trapping is a precondition: pass a scan
-    verdict or one is run here (coarse).  The cascade floors are measured
-    on a construction grid; verify_proposition re-certifies on the finer
-    verification grid.
+    eps must lie in (0, 1/4).  Non-trapping is a precondition: `verdict`
+    is the model's flow.nontrapping_scan result, and a trapping verdict is
+    rejected.  The cascade floors are measured on a construction grid;
+    verify_proposition re-certifies on the finer verification grid.
     """
     if not 0.0 < eps < 0.25:
         raise ConfigurationError(
             f"escape weight eps must lie in (0, 1/4), got {eps}"
         )
-    if verdict is None:
-        verdict = fl.nontrapping_scan(model, n_samples=scan_samples, T_max=150.0)
     if not verdict.is_nontrapping_empirical:
         raise ConstructionError(
             f"model is empirically trapping "

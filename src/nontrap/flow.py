@@ -71,10 +71,6 @@ class Trajectory:
     energy_drift: float
     success: bool
     message: str = ""
-    verdict_fwd: Optional[str] = None
-    verdict_bwd: Optional[str] = None
-    escape_time_fwd: Optional[float] = None
-    escape_time_bwd: Optional[float] = None
 
     def radius(self):
         return np.sqrt(np.sum(self.Z**2, axis=-1))
@@ -246,34 +242,20 @@ def shell_slab_samples(model, n_samples, R_max, lambda2=None, delta=None):
     """
     lam2 = model.lambda2 if lambda2 is None else lambda2
     dlt = model.delta if delta is None else delta
-    n = model.dimension
-    if n == 1:
+    if model.dimension == 1:
         u = halton(n_samples, 3)
-        z = (2.0 * u[:, 0] - 1.0) * R_max
-        Z = z[:, None]
+        Z = ((2.0 * u[:, 0] - 1.0) * R_max)[:, None]
+        direction = np.where(u[:, 2] >= 0.5, 1.0, -1.0)[:, None]
         p = lam2 - dlt + 2.0 * dlt * u[:, 1]
-        v = model.potential.value(Z)
-        keep = p - v > 0
-        sgn = np.where(u[:, 2] >= 0.5, 1.0, -1.0)
-        ZETA = (sgn * np.sqrt(np.clip(p - v, 0.0, None)))[:, None]
-        return Z[keep], ZETA[keep]
-    u = halton(n_samples, 4)
-    ang = 2.0 * np.pi * u[:, 0]
-    rad = R_max * np.sqrt(u[:, 1])
-    Z = rad[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    p = lam2 - dlt + 2.0 * dlt * u[:, 2]
-    v = model.potential.value(Z)
-    keep = p - v > 0
-    phi = 2.0 * np.pi * u[:, 3]
-    direction = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    # account for the metric defect: |zeta|_g^2 = kappa^2 * m_eff
-    r = np.sqrt(np.sum(Z**2, axis=-1))
-    y = np.arctan2(Z[:, 1], Z[:, 0])
-    Ldir = Z[:, 0] * direction[:, 1] - Z[:, 1] * direction[:, 0]
-    dm = model._metric_defect(r, y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m_eff = 1.0 + np.where(r > 0, dm * Ldir**2 / np.maximum(r, 1e-300) ** 2, 0.0)
-    kappa = np.sqrt(np.clip(p - v, 0.0, None) / m_eff)
+    else:
+        u = halton(n_samples, 4)
+        ang = 2.0 * np.pi * u[:, 0]
+        rad = R_max * np.sqrt(u[:, 1])
+        Z = rad[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        phi = 2.0 * np.pi * u[:, 3]
+        direction = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        p = lam2 - dlt + 2.0 * dlt * u[:, 2]
+    kappa, keep = geo.shell_momentum(model, Z, direction, p)
     ZETA = kappa[:, None] * direction
     return Z[keep], ZETA[keep]
 

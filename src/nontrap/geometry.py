@@ -64,13 +64,6 @@ def boundary_x(r):
     return 1.0 / radius_surrogate(r)
 
 
-def boundary_x_from_position(z):
-    z = np.asarray(z, dtype=float)
-    r = np.sqrt(np.sum(np.atleast_2d(z) ** 2, axis=-1))
-    x = boundary_x(r)
-    return x if z.ndim > 1 else float(x[0])
-
-
 # ---------------------------------------------------------------------------
 # boundary metric (n = 2)
 # ---------------------------------------------------------------------------
@@ -294,7 +287,7 @@ class ModelProblem:
 
     # -- metric interpolation: dual metric = |zeta|^2 + dm(r,y) L^2/r^2 ----
 
-    def _metric_defect(self, r, y):
+    def metric_defect(self, r, y):
         """dm(r, y) = phi(r) (1/h(y) - 1); identically 0 for r <= 1 and for
         flat boundary metrics, equal to 1/h - 1 for r >= 2."""
         phi = smoothstep(np.asarray(r, dtype=float) - 1.0)
@@ -332,11 +325,34 @@ def symbol_p(model: ModelProblem, Z, ZETA):
         r = np.sqrt(np.sum(Z**2, axis=-1))
         y = np.arctan2(Z[:, 1], Z[:, 0])
         L = Z[:, 0] * ZETA[:, 1] - Z[:, 1] * ZETA[:, 0]
-        dm = model._metric_defect(r, y)
+        dm = model.metric_defect(r, y)
         with np.errstate(invalid="ignore", divide="ignore"):
             kin = kin + np.where(dm != 0.0, dm * L**2 / np.maximum(r, 1e-300) ** 2, 0.0)
     p = kin + model.potential.value(Z)
     return float(p[0]) if single else p
+
+
+def shell_momentum(model: ModelProblem, Z, direction, energy):
+    """Momentum length on an energy shell, vectorized over rows.
+
+    For unit directions (rows of shape (m, n)) returns (kappa, allowed)
+    with p(z, kappa * direction) = energy on the allowed rows, those where
+    energy > V(z); kappa is 0 on the classically forbidden rows.  The
+    metric defect enters as |zeta|_g^2 = kappa^2 (1 + dm L_dir^2 / r^2),
+    L_dir = z ^ direction."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    direction = np.atleast_2d(np.asarray(direction, dtype=float))
+    gap = energy - model.potential.value(Z)
+    kin = np.clip(gap, 0.0, None)
+    if model.dimension == 2:
+        r = np.sqrt(np.sum(Z**2, axis=-1))
+        y = np.arctan2(Z[:, 1], Z[:, 0])
+        Ldir = Z[:, 0] * direction[:, 1] - Z[:, 1] * direction[:, 0]
+        dm = model.metric_defect(r, y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m_eff = 1.0 + np.where(r > 0, dm * Ldir**2 / np.maximum(r, 1e-300) ** 2, 0.0)
+        kin = kin / m_eff
+    return np.sqrt(kin), gap > 0
 
 
 def hamilton_field(model: ModelProblem, Z, ZETA):
@@ -407,11 +423,6 @@ class PhasePoint:
         x, y, tau, mu = scattering_coords(z, zeta)
         return cls(z=z, zeta=zeta, x=float(x), y=float(y), tau=float(tau), mu=float(mu))
 
-    @classmethod
-    def from_scattering(cls, x, y, tau, mu=0.0, dim=1):
-        z, zeta = euclidean_coords(x, y, tau, mu, dim)
-        return cls(z=z, zeta=zeta, x=float(x), y=float(y), tau=float(tau), mu=float(mu))
-
 
 def scattering_coords(Z, ZETA):
     """(x, y, tau, mu) from Euclidean data; vectorized over (m, n) batches."""
@@ -474,7 +485,7 @@ def symbol_p_scattering(model: ModelProblem, x, y, tau, mu=0.0):
     Z = r[..., None] * omega
     V = model.potential.value(Z.reshape(-1, 2)).reshape(x.shape)
     h = model.metric.h(y)
-    dm = model._metric_defect(r, y)
+    dm = model.metric_defect(r, y)
     # kinetic part tau^2 + mu^2 (1 + dm) = tau^2 + g_b + mu^2 (1 + dm - 1/h)
     return tau**2 + mu**2 / h + (V + mu**2 * (1.0 + dm - 1.0 / h))
 
@@ -490,17 +501,6 @@ class ScatteringVelocity:
     x: np.ndarray
     tau: np.ndarray
     mu: np.ndarray
-
-    @property
-    def coeff_x_dx(self):
-        """Coefficient of the vector x d/dx, i.e. xdot / x."""
-        return self.xdot / self.x
-
-    @property
-    def coeff_mu_dmu(self):
-        """Coefficient of mu d/dmu where mu != 0 (nan elsewhere)."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(self.mu != 0.0, self.mudot / self.mu, np.nan)
 
 
 def hamilton_field_scattering(model: ModelProblem, Z, ZETA) -> ScatteringVelocity:

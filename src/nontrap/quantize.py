@@ -9,8 +9,8 @@ measurable.  Standard (left) quantization
 
 is realized by momentum-space multiplication for separable symbols and by
 the discrete oscillatory sum (a circulant-indexed inverse FFT) in general.
-Operator norms come from power iteration on A*A with a deterministic start
-vector.
+Operator norms come from resolvent.power_norm (power iteration on A*A from
+a fixed start vector).
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from nontrap.errors import ConfigurationError, ConvergenceError
+from nontrap.errors import ConfigurationError
+from nontrap.resolvent import power_norm
 
 
 @dataclass(frozen=True)
@@ -134,33 +135,6 @@ def symmetrize(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.conj().T)
 
 
-def operator_norm(A: np.ndarray, tol=1e-6, maxiter=500) -> float:
-    """Largest singular value via power iteration on A*A.
-
-    Deterministic start vector; raises ConvergenceError if the relative
-    change has not fallen below tol by maxiter."""
-    n = A.shape[0]
-    rng = np.random.default_rng(2024)  # fixed seed: deterministic start
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    AH = A.conj().T
-    sigma_old = 0.0
-    for it in range(maxiter):
-        w = AH @ (A @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        sigma = math.sqrt(nw)
-        if it > 1 and abs(sigma - sigma_old) <= tol * max(sigma, 1e-300):
-            return sigma
-        sigma_old = sigma
-    raise ConvergenceError(
-        f"operator norm power iteration: no convergence in {maxiter} iterations "
-        f"(last sigma={sigma_old})"
-    )
-
-
 def band_projector(q: GridQuantization, band: float) -> np.ndarray:
     """Sharp momentum projector onto |zeta| <= band (real symmetric)."""
     mask = (np.abs(q.zeta) <= band).astype(float)
@@ -185,7 +159,9 @@ def commutator_defect(a: Symbol, b: Symbol, q: GridQuantization,
     P = quantize(poisson_bracket(a, b), q)
     D = (1j / q.h) * (A @ B - B @ A) - P
     Q = band_projector(q, 0.5 * q.zeta_max if band is None else band)
-    return operator_norm(Q @ D @ Q)
+    M = Q @ D @ Q
+    MH = M.conj().T
+    return power_norm(lambda v: M @ v, lambda v: MH @ v, q.N).value
 
 
 def garding_floor(a: Symbol, q: GridQuantization) -> float:
@@ -198,15 +174,6 @@ def garding_floor(a: Symbol, q: GridQuantization) -> float:
     A = symmetrize(quantize(a, q))
     w = np.linalg.eigvalsh(A)
     return float(w[0])
-
-
-@dataclass(frozen=True)
-class WeightedNorm:
-    """Sobolev-style norm ||<hD>^m <z>^s u||_{L^2}: smoothness order m,
-    decay order s; coincides with the plain L^2 norm at (0, 0)."""
-
-    m: float = 0.0
-    s: float = 0.0
 
 
 def weighted_norm(u, m, s, q: GridQuantization) -> float:

@@ -82,43 +82,30 @@ class DiscreteOperator:
     V: np.ndarray
     boundary: str               # 'dirichlet' | 'cap'
     W: Optional[np.ndarray]     # absorbing profile (cap only)
-    order: int = 2
     extra_diagonal: Optional[np.ndarray] = None  # e.g. centrifugal term
 
     @property
     def size(self):
         return self.grid.size
 
-    @property
-    def bandwidth(self):
-        return 1 if self.order == 2 else 2
-
     def diagonals(self):
-        """(offsets, bands) of the symmetric banded matrix (complex)."""
-        n = self.size
-        dz2 = self.grid.dz**2
-        c = self.h**2 / dz2
+        """(diagonal, off-diagonal) of the symmetric tridiagonal matrix
+        (complex; second-order central differences)."""
+        c = self.h**2 / self.grid.dz**2
         diag = np.asarray(self.V, dtype=complex).copy()
         if self.extra_diagonal is not None:
             diag += self.extra_diagonal
         if self.boundary == "cap":
             diag -= 1j * self.W
-        if self.order == 2:
-            diag += 2.0 * c
-            off1 = np.full(n - 1, -c, dtype=complex)
-            return [0, 1], [diag, off1]
-        diag += 2.5 * c
-        off1 = np.full(n - 1, -4.0 / 3.0 * c, dtype=complex)
-        off2 = np.full(n - 2, c / 12.0, dtype=complex)
-        return [0, 1, 2], [diag, off1, off2]
+        diag += 2.0 * c
+        return diag, np.full(self.size - 1, -c, dtype=complex)
 
     def apply(self, u):
         """Matrix-vector product P u."""
-        offsets, bands = self.diagonals()
-        out = bands[0] * u
-        for off, band in zip(offsets[1:], bands[1:]):
-            out[:-off] += band * u[off:]
-            out[off:] += band * u[:-off]
+        diag, off = self.diagonals()
+        out = diag * u
+        out[:-1] += off * u[1:]
+        out[1:] += off * u[:-1]
         return out
 
     def shifted_solver(self, w: complex) -> "BandedSolver":
@@ -126,15 +113,15 @@ class DiscreteOperator:
         return BandedSolver(self, w)
 
     def real_tridiagonal(self):
-        """(diag, offdiag) of the real symmetric operator (dirichlet,
-        order 2); used by dense spectral routines."""
-        if self.boundary != "dirichlet" or self.order != 2:
+        """(diag, offdiag) of the real symmetric operator (dirichlet);
+        used by dense spectral routines."""
+        if self.boundary != "dirichlet":
             raise ConfigurationError(
                 "spectral routines need a real symmetric tridiagonal operator "
-                "(dirichlet boundary, order 2)"
+                "(dirichlet boundary)"
             )
-        offsets, bands = self.diagonals()
-        return np.real(bands[0]), np.real(bands[1])
+        diag, off = self.diagonals()
+        return np.real(diag), np.real(off)
 
 
 class BandedSolver:
@@ -147,16 +134,13 @@ class BandedSolver:
     def __init__(self, op: DiscreteOperator, w: complex):
         self.op = op
         self.w = complex(w)
-        n = op.size
-        kl = ku = op.bandwidth
-        offsets, bands = op.diagonals()
-        ab = np.zeros((2 * kl + ku + 1, n), dtype=complex)
+        kl = ku = 1
+        diag, off = op.diagonals()
+        ab = np.zeros((2 * kl + ku + 1, op.size), dtype=complex)
         # LAPACK banded storage: ab[kl + ku + i - j, j] = M[i, j]
-        diag = bands[0] - self.w
-        ab[kl + ku, :] = diag
-        for off, band in zip(offsets[1:], bands[1:]):
-            ab[kl + ku - off, off:] = band      # superdiagonal
-            ab[kl + ku + off, :-off] = band     # subdiagonal
+        ab[kl + ku, :] = diag - self.w
+        ab[kl + ku - 1, 1:] = off      # superdiagonal
+        ab[kl + ku + 1, :-1] = off     # subdiagonal
         gbtrf, = get_lapack_funcs(("gbtrf",), (ab,))
         lu, ipiv, info = gbtrf(ab, kl, ku)
         if info < 0:
@@ -209,7 +193,7 @@ class BandedSolver:
         return np.conj(self.solve_uncertified(np.conj(np.asarray(f, dtype=complex))))
 
 
-def discretize(model, h, L=200.0, N=2**15, boundary="cap", order=2,
+def discretize(model, h, L=200.0, N=2**15, boundary="cap",
                cap_strength=0.5, cap_fraction=0.2,
                extra_diagonal=None) -> DiscreteOperator:
     """Banded discretization of P for a 1D model.
@@ -224,8 +208,6 @@ def discretize(model, h, L=200.0, N=2**15, boundary="cap", order=2,
         )
     if boundary not in ("dirichlet", "cap"):
         raise ConfigurationError(f"unknown boundary treatment {boundary!r}")
-    if order not in (2, 4):
-        raise ConfigurationError("finite-difference order must be 2 or 4")
     if L < 40.0:
         raise ConfigurationError(f"box must contain the weight's mass: L >= 40, got {L}")
     grid = Grid1D(L=float(L), N=int(N))
@@ -247,13 +229,13 @@ def discretize(model, h, L=200.0, N=2**15, boundary="cap", order=2,
                 "cap onset too close to the weighted region; enlarge L"
             )
     return DiscreteOperator(
-        grid=grid, h=float(h), V=V, boundary=boundary, W=W, order=order,
+        grid=grid, h=float(h), V=V, boundary=boundary, W=W,
         extra_diagonal=extra_diagonal,
     )
 
 
-def small_box_operator(model, h, L=60.0, N=512, boundary="dirichlet",
-                       order=2) -> DiscreteOperator:
+def small_box_operator(model, h, L=60.0, N=512,
+                       boundary="dirichlet") -> DiscreteOperator:
     """Small dense-solvable operator for spectral-identity work
     (functional calculus, spectral-mapping bounds).
 
@@ -264,7 +246,7 @@ def small_box_operator(model, h, L=60.0, N=512, boundary="dirichlet",
     V = model.potential.value(grid.z[:, None])
     W = default_cap_profile(grid, model.lambda2) if boundary == "cap" else None
     return DiscreteOperator(grid=grid, h=float(h), V=V, boundary=boundary,
-                            W=W, order=order)
+                            W=W)
 
 
 def solve_shifted(op: DiscreteOperator, w: complex, f):
@@ -284,12 +266,16 @@ def solve_shifted(op: DiscreteOperator, w: complex, f):
 class NormResult:
     value: float
     iterations: int
-    converged: bool
-    history: Tuple[float, ...] = ()
 
 
-def _power_norm(apply_A: Callable, apply_AH: Callable, n: int,
-                tol=1e-6, maxiter=500, fail_tol=1e-4) -> NormResult:
+def power_norm(apply_A: Callable, apply_AH: Callable, n: int,
+               tol=1e-6, maxiter=500, fail_tol=1e-4) -> NormResult:
+    """Largest singular value of A by power iteration on A^H A.
+
+    The start vector is drawn from a fixed seed, so results are
+    deterministic.  Stops once the relative change of the estimate falls
+    below tol; at maxiter a last change below fail_tol is accepted,
+    otherwise ConvergenceError is raised."""
     rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -299,46 +285,46 @@ def _power_norm(apply_A: Callable, apply_AH: Callable, n: int,
         w = apply_AH(apply_A(v))
         nw = np.linalg.norm(w)
         if nw == 0.0:
-            return NormResult(0.0, it, True)
+            return NormResult(0.0, it)
         sigma = math.sqrt(nw)
         hist.append(sigma)
         rel = abs(sigma - sigma_old) / max(sigma, 1e-300)
         v = w / nw
         if it > 2 and rel <= tol:
-            return NormResult(sigma, it, True, tuple(hist[-4:]))
+            return NormResult(sigma, it)
         sigma_old = sigma
     if hist and abs(hist[-1] - hist[-2]) / max(hist[-1], 1e-300) <= fail_tol:
-        return NormResult(hist[-1], maxiter, True, tuple(hist[-4:]))
+        return NormResult(hist[-1], maxiter)
     raise ConvergenceError(
-        f"weighted norm power iteration: no convergence in {maxiter} "
+        f"power iteration: no convergence in {maxiter} "
         f"iterations; last values {hist[-4:]}"
     )
 
 
-def weighted_resolvent_norm(op: DiscreteOperator, lambda2: float, t: float,
-                            s: float, s_source: Optional[float] = None,
-                            tol=1e-6, maxiter=500) -> NormResult:
-    """|| <z>^-s R(lambda2 + it) <z>^-s_source || by power iteration.
-
-    Default is the symmetric weight of the uniform estimate (s_source = s);
-    the asymmetric variant (source side 1/2 + 3 eps) is available through
-    s_source.
-    """
-    if op.boundary == "dirichlet" and t == 0.0:
-        raise ConfigurationError("dirichlet boundary requires t != 0")
-    w = complex(lambda2, t)
-    solver = op.shifted_solver(w)
-    z = op.grid.z
-    wr = (1.0 + z**2) ** (-0.5 * s)
-    wc = wr if s_source is None else (1.0 + z**2) ** (-0.5 * s_source)
+def _weighted_solve_norm(solver: BandedSolver, weight, tol=1e-6,
+                         maxiter=500) -> NormResult:
+    """|| W (P - w)^{-1} W || with W = diag(weight), by power iteration
+    with forward and adjoint solves on one factorization."""
 
     def apply_A(v):
-        return wr * solver.solve_uncertified(wc * v)
+        return weight * solver.solve_uncertified(weight * v)
 
     def apply_AH(v):
-        return wc * solver.solve_adjoint(wr * v)
+        return weight * solver.solve_adjoint(weight * v)
 
-    return _power_norm(apply_A, apply_AH, op.size, tol=tol, maxiter=maxiter)
+    return power_norm(apply_A, apply_AH, weight.shape[0], tol=tol,
+                      maxiter=maxiter)
+
+
+def weighted_resolvent_norm(op: DiscreteOperator, lambda2: float, t: float,
+                            s: float, tol=1e-6, maxiter=500) -> NormResult:
+    """|| <z>^-s R(lambda2 + it) <z>^-s || by power iteration (the
+    symmetric weight of the uniform estimate)."""
+    if op.boundary == "dirichlet" and t == 0.0:
+        raise ConfigurationError("dirichlet boundary requires t != 0")
+    solver = op.shifted_solver(complex(lambda2, t))
+    weight = (1.0 + op.grid.z**2) ** (-0.5 * s)
+    return _weighted_solve_norm(solver, weight, tol=tol, maxiter=maxiter)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +335,7 @@ class FreeKernelOperator:
     """Weighted free resolvent on a fine grid, applied via one-sided
     exponential recurrences (O(M) per matvec)."""
 
-    def __init__(self, lambda2, t, h, s, L=200.0, M=2**16, s_source=None):
+    def __init__(self, lambda2, t, h, s, L=200.0, M=2**16):
         if t <= 0:
             raise ConfigurationError("the analytic oracle needs t > 0")
         self.w = complex(lambda2, t)
@@ -364,7 +350,6 @@ class FreeKernelOperator:
         self.dzg = self.z[1] - self.z[0]
         self.q = np.exp(1j * self.kappa * self.dzg)  # |q| < 1
         self.wr = (1.0 + self.z**2) ** (-0.5 * s)
-        self.wc = self.wr if s_source is None else (1.0 + self.z**2) ** (-0.5 * s_source)
 
     def _sum_same(self, u, q):
         """S_i = sum_{j <= i} q^{i-j} u_j (stable: |q| <= 1)."""
@@ -385,11 +370,11 @@ class FreeKernelOperator:
         return pref * self.dzg * total
 
     def apply(self, v):
-        return self.wr * self._kernel_apply(self.wc * v)
+        return self.wr * self._kernel_apply(self.wr * v)
 
     def apply_adjoint(self, v):
-        # kernel is complex symmetric; adjoint = conjugate kernel, weights swapped
-        return self.wc * np.conj(self._kernel_apply(np.conj(self.wr * v)))
+        # kernel is complex symmetric; adjoint = conjugate kernel
+        return self.wr * np.conj(self._kernel_apply(np.conj(self.wr * v)))
 
     def dense_matrix(self):
         """Explicit weighted kernel matrix (small M only; test oracle)."""
@@ -397,23 +382,23 @@ class FreeKernelOperator:
             raise ConfigurationError("dense_matrix is for small grids")
         dz = np.abs(self.z[:, None] - self.z[None, :])
         K = self.pref * np.exp(1j * self.kappa * dz) * self.dzg
-        return self.wr[:, None] * K * self.wc[None, :]
+        return self.wr[:, None] * K * self.wr[None, :]
 
     def norm(self, tol=1e-6, maxiter=500) -> NormResult:
-        return _power_norm(self.apply, self.apply_adjoint, self.M,
-                           tol=tol, maxiter=maxiter)
+        return power_norm(self.apply, self.apply_adjoint, self.M,
+                          tol=tol, maxiter=maxiter)
 
 
 def analytic_free_resolvent_norm(lambda2, t, h, s, L=200.0, M=2**16,
-                                 s_source=None, certify=True) -> float:
+                                 certify=True) -> float:
     """Weighted free resolvent norm from the explicit kernel.
 
     With certify=True the value is recomputed at double resolution and the
     two must agree within 0.5% (the oracle's own convergence certificate).
     """
-    base = FreeKernelOperator(lambda2, t, h, s, L=L, M=M, s_source=s_source).norm().value
+    base = FreeKernelOperator(lambda2, t, h, s, L=L, M=M).norm().value
     if certify:
-        fine = FreeKernelOperator(lambda2, t, h, s, L=L, M=2 * M, s_source=s_source).norm().value
+        fine = FreeKernelOperator(lambda2, t, h, s, L=L, M=2 * M).norm().value
         if abs(fine - base) > 5e-3 * fine:
             raise ConvergenceError(
                 f"oracle not grid-converged: {base} vs {fine} at doubled M"
@@ -454,12 +439,6 @@ class ScalingReport:
     def max_uniformity_ratio(self):
         return max(self.uniformity.values()) if self.uniformity else math.inf
 
-    def center_norms(self):
-        lam0 = self.lambda_probes[len(self.lambda_probes) // 2]
-        return {
-            c.h: c.norm for c in self.cells if c.lambda2 == lam0
-        }
-
 
 def _t_for(t_rule, h):
     if t_rule == "cap":
@@ -469,17 +448,17 @@ def _t_for(t_rule, h):
     raise ConfigurationError(f"unknown t_rule {t_rule!r} (cap|dirichlet)")
 
 
-def _sweep_cell(model, h, lam2, t_rule, s, L, N, order) -> SweepCell:
+def _sweep_cell(model, h, lam2, t_rule, s, L, N) -> SweepCell:
     boundary = "cap" if t_rule == "cap" else "dirichlet"
     t = _t_for(t_rule, h)
-    op = discretize(model, h, L=L, N=N, boundary=boundary, order=order)
+    op = discretize(model, h, L=L, N=N, boundary=boundary)
     res = weighted_resolvent_norm(op, lam2, t, s)
     return SweepCell(h=h, lambda2=lam2, t=t, s=s, norm=res.value,
                      iterations=res.iterations, mode=boundary)
 
 
 def h_sweep(model, lambda2=None, h_list=(0.2, 0.14, 0.1, 0.07, 0.05),
-            t_rule="cap", s=0.7, L=200.0, N=2**15, order=2,
+            t_rule="cap", s=0.7, L=200.0, N=2**15,
             lambda_probes=None, jobs=1, model_name="model") -> ScalingReport:
     """Sweep h, fit the scaling exponent, probe uniformity in lambda^2.
 
@@ -498,12 +477,12 @@ def h_sweep(model, lambda2=None, h_list=(0.2, 0.14, 0.1, 0.07, 0.05),
 
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             futs = [
-                ex.submit(_sweep_cell, model, h, l2, t_rule, s, L, N, order)
+                ex.submit(_sweep_cell, model, h, l2, t_rule, s, L, N)
                 for (h, l2) in tasks
             ]
             cells = [f.result() for f in futs]
     else:
-        cells = [_sweep_cell(model, h, l2, t_rule, s, L, N, order) for (h, l2) in tasks]
+        cells = [_sweep_cell(model, h, l2, t_rule, s, L, N) for (h, l2) in tasks]
     by_h = {}
     for c in cells:
         by_h.setdefault(c.h, []).append(c.norm)
@@ -523,7 +502,7 @@ def h_sweep(model, lambda2=None, h_list=(0.2, 0.14, 0.1, 0.07, 0.05),
 
 
 def window_sup_norm(model, h, s=0.7, n_scan=81, t_rule="cap", L=200.0,
-                    N=2**15, order=2, lambda2=None) -> Tuple[float, float]:
+                    N=2**15, lambda2=None) -> Tuple[float, float]:
     """Sup of the weighted norm over a fine lambda^2 scan of the window
     plateau.  The uniform estimate is a statement about the whole window,
     so its failure under trapping is measured by the window sup (a pointwise
@@ -534,7 +513,7 @@ def window_sup_norm(model, h, s=0.7, n_scan=81, t_rule="cap", L=200.0,
     half = 0.5 * model.delta
     boundary = "cap" if t_rule == "cap" else "dirichlet"
     t = _t_for(t_rule, h)
-    op = discretize(model, h, L=L, N=N, boundary=boundary, order=order)
+    op = discretize(model, h, L=L, N=N, boundary=boundary)
     best, arg = -math.inf, lam2
     for l2 in np.linspace(lam2 - half, lam2 + half, n_scan):
         res = weighted_resolvent_norm(op, float(l2), t, s)
@@ -548,7 +527,7 @@ def window_sup_norm(model, h, s=0.7, n_scan=81, t_rule="cap", L=200.0,
 # ---------------------------------------------------------------------------
 
 def radial_mode_operators(model, h, L=200.0, N=2**15, boundary="cap",
-                          order=2, r_ref=1.0, cap_strength=0.5):
+                          r_ref=1.0, cap_strength=0.5):
     """Half-line operators for the angular modes of a radially symmetric 2D
     model (u = sum_l e^{i l y} v_l(r) / sqrt(r)).
 
@@ -580,7 +559,7 @@ def radial_mode_operators(model, h, L=200.0, N=2**15, boundary="cap",
         centrifugal = h**2 * (l**2 - 0.25) / r**2
         ops.append(
             (l, DiscreteOperator(grid=grid, h=h, V=Vr, boundary=boundary, W=W,
-                                 order=order, extra_diagonal=centrifugal))
+                                 extra_diagonal=centrifugal))
         )
     return ops, r
 
@@ -596,15 +575,8 @@ def weighted_resolvent_norm_2d(model, h, lambda2=None, t=0.0, s=0.7,
     wr = (1.0 + r**2) ** (-0.5 * s)
     best, arg = -math.inf, 0
     for l, op in ops:
-        solver = op.shifted_solver(complex(lam2, t))
-
-        def apply_A(v):
-            return wr * solver.solve_uncertified(wr * v)
-
-        def apply_AH(v):
-            return wr * solver.solve_adjoint(wr * v)
-
-        res = _power_norm(apply_A, apply_AH, op.size, tol=tol)
+        res = _weighted_solve_norm(op.shifted_solver(complex(lam2, t)), wr,
+                                   tol=tol)
         if res.value > best:
             best, arg = res.value, l
     if arg == len(ops) - 1:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from nontrap import escape
+from nontrap import flow
 from nontrap import geometry
 
 
@@ -27,6 +29,25 @@ def well_1d():
 @pytest.fixture(scope="session")
 def free_2d():
     return geometry.preset_model("zero", dimension=2)
+
+
+def _scan(model):
+    return flow.nontrapping_scan(model, n_samples=300, T_max=150.0)
+
+
+@pytest.fixture(scope="session")
+def verdict_free(free_1d):
+    return _scan(free_1d)
+
+
+@pytest.fixture(scope="session")
+def escape_free(free_1d, verdict_free):
+    return escape.assemble_escape(free_1d, 0.2, verdict_free)
+
+
+@pytest.fixture(scope="session")
+def escape_longrange(longrange_1d):
+    return escape.assemble_escape(longrange_1d, 0.2, _scan(longrange_1d))
 
 
 def shell_sample_1d(model, n, rmin=1.5, rmax=30.0, rng_seed=0):

@@ -8,7 +8,6 @@ contract.
 import time
 
 import numpy as np
-import pytest
 
 from nontrap import cli
 from nontrap import escape as esc
@@ -26,16 +25,6 @@ def _report(num, ok, detail):
     line = f"[criterion {num}] {'PASS' if ok else 'FAIL'} {detail}"
     print(line)
     assert ok, line
-
-
-@pytest.fixture(scope="module")
-def escape_free(free_1d):
-    return esc.assemble_escape(free_1d, 0.2)
-
-
-@pytest.fixture(scope="module")
-def escape_longrange(longrange_1d):
-    return esc.assemble_escape(longrange_1d, 0.2)
 
 
 def test_criterion_1_oracle_equivalence(free_1d):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from nontrap import cli
-from nontrap.errors import ConfigurationError
+from nontrap.errors import ConfigurationError, ConstructionError
 
 
 def read_bytes_map(outdir: Path):
@@ -59,6 +59,33 @@ def test_unknown_preset_rejected(tmp_path):
     assert code == 2
 
 
+def test_dimension_2_sweep_rejected_before_output(tmp_path):
+    conf = tmp_path / "c.conf"
+    conf.write_text("dimension = 2\nflow_samples = 5\nscan_t_max = 10\n")
+    for command in ("resolvent-sweep", "full-report"):
+        out = tmp_path / command
+        code = cli.main(["--preset", "zero", command, "--config", str(conf),
+                         "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+
+def test_only_package_errors_become_exit_1(tmp_path, monkeypatch):
+    def fail_with(exc):
+        def command(cfg, rep):
+            raise exc
+        return command
+
+    args = ["--preset", "zero", "calculus-tests", "--out", str(tmp_path / "o")]
+    monkeypatch.setattr(cli, "cmd_calculus_tests",
+                        fail_with(ConstructionError("no escape function")))
+    assert cli.main(args) == 1
+    monkeypatch.setattr(cli, "cmd_calculus_tests",
+                        fail_with(KeyError("not a package error")))
+    with pytest.raises(KeyError):
+        cli.main(args)
+
+
 def test_flow_scan_free_deterministic(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -83,6 +110,9 @@ def test_flow_scan_trapping_witnesses(tmp_path):
     lines = (out / "witnesses.csv").read_text().splitlines()
     data = [ln for ln in lines if not ln.startswith("#")]
     assert len(data) > 1  # header plus at least one witness
+    for row in data[1:]:
+        for value in row.split(","):
+            float(value)  # plain repr, not 'np.float64(...)'
 
 
 def test_provenance_stamps(tmp_path):

@@ -12,16 +12,6 @@ from nontrap.errors import ConfigurationError, ConstructionError, IntegrationErr
 
 
 @pytest.fixture(scope="module")
-def escape_free(free_1d):
-    return esc.assemble_escape(free_1d, 0.2)
-
-
-@pytest.fixture(scope="module")
-def escape_longrange(longrange_1d):
-    return esc.assemble_escape(longrange_1d, 0.2)
-
-
-@pytest.fixture(scope="module")
 def report_free(escape_free):
     return esc.verify_proposition(escape_free, n_x=300, n_interior=40, n_energy=16)
 
@@ -194,13 +184,13 @@ def test_tubes_fail_on_trapping(double_bump_1d):
 
 # -- assembly and certificate ------------------------------------------------
 
-def test_assemble_rejects_bad_eps(free_1d):
+def test_assemble_rejects_bad_eps(free_1d, verdict_free):
     with pytest.raises(ConfigurationError):
-        esc.assemble_escape(free_1d, 0.3)
+        esc.assemble_escape(free_1d, 0.3, verdict_free)
     with pytest.raises(ConfigurationError):
-        esc.assemble_escape(free_1d, 0.25)
+        esc.assemble_escape(free_1d, 0.25, verdict_free)
     with pytest.raises(ConfigurationError):
-        esc.assemble_escape(free_1d, 0.0)
+        esc.assemble_escape(free_1d, 0.0, verdict_free)
 
 
 def test_assemble_rejects_trapping(double_bump_1d):
@@ -253,7 +243,8 @@ def test_q_positivity_on_plateau(escape_free):
 
 def test_sabotaged_outgoing_constant_fails(escape_free):
     e = escape_free
-    e.C_prime *= 1e6
+    c_prime = e.C_prime
+    e.C_prime = c_prime * 1e6
     try:
         with pytest.raises(ConstructionError):
             esc.verify_proposition(e, n_x=200, n_interior=30, n_energy=10)
@@ -264,7 +255,7 @@ def test_sabotaged_outgoing_constant_fails(escape_free):
                          for w in rep.witnesses])
         assert np.all(taus < 0)  # witnesses live in the outgoing region
     finally:
-        e.C_prime /= 1e6
+        e.C_prime = c_prime
 
 
 def test_hpq_matches_flow_finite_difference(escape_free):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nontrap import quantize as qz
+from nontrap import resolvent as rv
 from nontrap.errors import ConfigurationError
 
 L = 3 * np.pi
@@ -172,4 +173,6 @@ def test_weighted_norm_second_derivative():
 def test_operator_norm_known_matrix():
     vals = np.concatenate([np.linspace(0.0, 2.0, N - 1), [3.0]])
     D = np.diag(vals).astype(complex)
-    assert qz.operator_norm(D) == pytest.approx(3.0, rel=1e-5)
+    DH = D.conj().T
+    norm = rv.power_norm(lambda v: D @ v, lambda v: DH @ v, N).value
+    assert norm == pytest.approx(3.0, rel=1e-5)
