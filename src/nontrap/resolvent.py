@@ -37,6 +37,9 @@ from nontrap.errors import ConfigurationError, ConvergenceError
 from nontrap.smooth import falling_step
 
 _POWER_SEED = 7
+# Helffer-Sjostrand: nodes per chunk of work arrays, rows per GEMM block
+_HS_NODE_CHUNK = 256
+_HS_ROW_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +269,7 @@ def solve_shifted(op: DiscreteOperator, w: complex, f):
 class NormResult:
     value: float
     iterations: int
+    converged: bool  # False when accepted by power_norm's maxiter fallback
 
 
 def power_norm(apply_A: Callable, apply_AH: Callable, n: int,
@@ -274,8 +278,8 @@ def power_norm(apply_A: Callable, apply_AH: Callable, n: int,
 
     The start vector is drawn from a fixed seed, so results are
     deterministic.  Stops once the relative change of the estimate falls
-    below tol; at maxiter a last change below fail_tol is accepted,
-    otherwise ConvergenceError is raised."""
+    below tol; at maxiter a last change below fail_tol is accepted with
+    converged=False, otherwise ConvergenceError is raised."""
     rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -285,16 +289,16 @@ def power_norm(apply_A: Callable, apply_AH: Callable, n: int,
         w = apply_AH(apply_A(v))
         nw = np.linalg.norm(w)
         if nw == 0.0:
-            return NormResult(0.0, it)
+            return NormResult(0.0, it, True)
         sigma = math.sqrt(nw)
         hist.append(sigma)
         rel = abs(sigma - sigma_old) / max(sigma, 1e-300)
         v = w / nw
         if it > 2 and rel <= tol:
-            return NormResult(sigma, it)
+            return NormResult(sigma, it, True)
         sigma_old = sigma
     if hist and abs(hist[-1] - hist[-2]) / max(hist[-1], 1e-300) <= fail_tol:
-        return NormResult(hist[-1], maxiter)
+        return NormResult(hist[-1], maxiter, False)
     raise ConvergenceError(
         f"power iteration: no convergence in {maxiter} "
         f"iterations; last values {hist[-4:]}"
@@ -637,8 +641,10 @@ def function_of_operator(op: DiscreteOperator, f: Callable, method="eigen",
     'eigen' is spectral mapping through a dense symmetric
     eigendecomposition.  'helffer_sjostrand' builds the almost-analytic
     extension f~(x+iy) = chi(y) sum_{k<=K} f^(k)(x) (iy)^k / k! and
-    integrates dbar f~ against shifted solves over a contour box; with
-    check=True the quadrature is re-run at half resolution and must agree.
+    integrates dbar f~ against the resolvent over a contour box, reading
+    only the tridiagonal of P (semiseparable resolvent recurrences, see
+    _resolvent_sum); with check=True the quadrature is re-run at half
+    resolution and must agree.
 
     Derivatives of f up to order K+1 are taken from `derivatives`
     (callables, preferred: exact) or by spectral differentiation of samples
@@ -664,7 +670,7 @@ def function_of_operator(op: DiscreteOperator, f: Callable, method="eigen",
     return val
 
 
-def _spectral_derivatives(f, lo, hi, K, sel_count):
+def _spectral_derivatives(f, lo, hi, K):
     """Sampled derivatives f^(0..K+1) with a smooth low-pass at the float
     noise crossing of the spectrum."""
     M = 4096
@@ -684,7 +690,10 @@ def _spectral_derivatives(f, lo, hi, K, sel_count):
     return xs, dxs, derivs
 
 
-def _hs_matrix(op, f, support, K, nx, ny, Y, derivatives=None):
+def _hs_nodes(f, support, K, nx, ny, Y, derivatives=None):
+    """Helffer-Sjostrand quadrature nodes z (Im z > 0) and weights w, such
+    that f(P) = Re sum_m w_m (P - z_m)^{-1} for real f and symmetric P (the
+    conjugate node's contribution is folded into the factor 2 of w)."""
     a, b = support
     pad = 0.5 * (b - a)
     lo, hi = a - pad, b + pad
@@ -697,7 +706,7 @@ def _hs_matrix(op, f, support, K, nx, ny, Y, derivatives=None):
         dx = (hi - lo) / nx
         dtab = [np.asarray(derivatives[j](x_nodes), dtype=float) for j in range(K + 2)]
     else:
-        xs, dxs, derivs = _spectral_derivatives(f, lo, hi, K, nx)
+        xs, dxs, derivs = _spectral_derivatives(f, lo, hi, K)
         stride = max(1, len(xs) // nx)
         sel = np.arange(0, len(xs), stride)
         x_nodes = xs[sel]
@@ -706,10 +715,8 @@ def _hs_matrix(op, f, support, K, nx, ny, Y, derivatives=None):
     y_nodes = (np.arange(ny) + 0.5) * (Y / ny)
     dy = Y / ny
     chi = falling_step(0.5 * Y, Y)
-    n = op.size
-    out = np.zeros((n, n), dtype=complex)
-    eye_f = np.asfortranarray(np.eye(n, dtype=complex))
     fac = [math.factorial(j) for j in range(K + 2)]
+    zs, ws = [], []
     for yv in y_nodes:
         cy = float(chi(yv))
         cyd = float(chi.d(yv))
@@ -721,23 +728,72 @@ def _hs_matrix(op, f, support, K, nx, ny, Y, derivatives=None):
         for j in range(K + 1):
             taylor += dtab[j] * iy**j / fac[j]
         dbar = 0.5 * cy * dtab[K + 1] * iy**K / fac[K] + 0.5j * cyd * taylor
-        cutoff = 1e-15 * np.max(np.abs(dbar))
-        for ix, xv in enumerate(x_nodes):
-            wgt = dbar[ix]
-            if abs(wgt) <= cutoff:
-                continue
-            solver = op.shifted_solver(complex(xv, yv))
-            B = eye_f.copy(order="F")
-            Rz, info = solver._gbtrs(
-                solver._lu, solver._kl, solver._ku, B, solver._ipiv,
-                overwrite_b=1,
-            )
-            if info != 0:
-                raise ConvergenceError(f"gbtrs failed with info={info}")
-            # real f, symmetric P: the conjugate node contributes 2 Re
-            Rz *= (2.0 / math.pi) * dx * dy * wgt
-            out += Rz
-    return np.real(out)
+        keep = np.abs(dbar) > 1e-15 * np.max(np.abs(dbar))
+        zs.append(x_nodes[keep] + iy)
+        ws.append(dbar[keep])
+    return np.concatenate(zs), (2.0 / math.pi) * dx * dy * np.concatenate(ws)
+
+
+def _hs_matrix(op, f, support, K, nx, ny, Y, derivatives=None):
+    diag, off = op.real_tridiagonal()
+    z, w = _hs_nodes(f, support, K, nx, ny, Y, derivatives)
+    return _resolvent_sum(diag, off, z, w)
+
+
+def _resolvent_sum(diag, off, z, w):
+    """Re sum_m w_m (T - z_m)^{-1} for the real symmetric tridiagonal T =
+    tridiag(off, diag, off), without factorizing or solving per node.
+
+    The inverse of a tridiagonal matrix is semiseparable (Meurant, SIAM J.
+    Matrix Anal. Appl. 13 (1992) 707-728).  With the forward and backward
+    Schur pivots
+
+        d_0 = a_0 - z,      d_i = a_i - z - b_{i-1}^2 / d_{i-1},
+        e_{n-1} = a_{n-1} - z,  e_i = a_i - z - b_i^2 / e_{i+1},
+
+    G = (T - z)^{-1} has G_jj = 1 / (d_j + e_j - (a_j - z)) and, for i < j,
+    G_ij = G_jj prod_{k=i}^{j-1} (-b_k / d_k).  Each row block [i0, i0 + B)
+    takes the cumulative product P from i0, so its upper-triangle entries
+    summed over the nodes are Re((1/P[rows]) @ (w G_jj P)^T): one GEMM per
+    row block.  Products restart at every block so that they stay in range;
+    the lower triangle follows by symmetry.  Nodes go through in chunks so
+    the n x chunk work arrays stay a few MB.
+
+    Raises ConvergenceError if the result is not finite (e.g. a real node
+    at which a forward pivot vanishes)."""
+    n = diag.size
+    b2 = off * off
+    acc = np.zeros((n, n))
+    with np.errstate(all="ignore"):
+        for c0 in range(0, z.size, _HS_NODE_CHUNK):
+            shifted = diag[:, None] - z[None, c0:c0 + _HS_NODE_CHUNK]
+            d = np.empty_like(shifted)
+            e = np.empty_like(shifted)
+            d[0] = shifted[0]
+            for i in range(1, n):
+                d[i] = shifted[i] - b2[i - 1] / d[i - 1]
+            e[-1] = shifted[-1]
+            for i in range(n - 2, -1, -1):
+                e[i] = shifted[i] - b2[i] / e[i + 1]
+            wG = w[c0:c0 + _HS_NODE_CHUNK] / (d + e - shifted)
+            ratio = -off[:, None] / d[:-1]
+            P = np.empty_like(shifted)
+            for i0 in range(0, n, _HS_ROW_BLOCK):
+                Pb = P[i0:]
+                Pb[0] = 1.0
+                np.cumprod(ratio[i0:], axis=0, out=Pb[1:])
+                rows = 1.0 / Pb[:_HS_ROW_BLOCK]
+                acc[i0:i0 + _HS_ROW_BLOCK, i0:] += (rows @ (wG[i0:] * Pb).T).real
+    # rows of a block also hold entries left of the diagonal, which are not
+    # G_ij: only the upper triangle is kept
+    out = np.triu(acc)
+    out += np.triu(out, 1).T
+    if not np.all(np.isfinite(out)):
+        raise ConvergenceError(
+            "Helffer-Sjostrand resolvent sum is not finite (a node on the "
+            "real spectrum?)"
+        )
+    return out
 
 
 def nonchar_bound(op: DiscreteOperator, psi: Callable, lambda2: float,

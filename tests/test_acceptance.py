@@ -183,7 +183,7 @@ def test_criterion_8_functional_calculus(free_1d):
         worst = max(worst, nb / sb)
         ok_nc &= nb <= 1.05 * sb
     elapsed = time.time() - t0
-    ok = ok_hs and ok_nc
+    ok = ok_hs and ok_nc and elapsed <= 60.0
     _report(8, ok, f"functional calculus: |eig-HS|={hs_err:.2e}, "
                    f"nonchar/scalar worst={worst:.3f} [{elapsed:.0f}s]")
 

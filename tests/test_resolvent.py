@@ -6,7 +6,7 @@ import pytest
 from nontrap import geometry as geo
 from nontrap import quantize as qz
 from nontrap import resolvent as rv
-from nontrap.errors import ConfigurationError
+from nontrap.errors import ConfigurationError, ConvergenceError
 from nontrap.smooth import plateau
 
 
@@ -176,8 +176,6 @@ def test_quantize_cross_check_fd(longrange_1d):
 
 def test_function_of_operator_identity(free_1d):
     op = rv.small_box_operator(free_1d, 0.3, L=40.0, N=256)
-    vals = rv.eigenvalues(op)
-    hi = float(vals.max()) + 1.0
     F = rv.function_of_operator(op, lambda s: np.ones_like(s), method="eigen")
     assert np.max(np.abs(F - np.eye(op.size))) <= 1e-10
 
@@ -199,6 +197,57 @@ def test_helffer_sjostrand_matches_eigen(free_1d):
         K=4, nx=100, ny=50, derivatives=derivs, check=False,
     )
     assert np.linalg.norm(A - B, 2) <= 1e-6
+
+
+def test_helffer_sjostrand_refinement_check(free_1d):
+    """check=True reruns the quadrature at half resolution; on the default
+    200 x 100 contour grid the two agree and the result matches eigen."""
+    op = rv.small_box_operator(free_1d, 0.3, L=40.0, N=256)
+    f, derivs = rv.gaussian_bump(1.0, 0.5)
+    A = rv.function_of_operator(op, f, method="eigen")
+    B = rv.function_of_operator(
+        op, f, method="helffer_sjostrand", support=(-0.5, 2.5),
+        K=4, derivatives=derivs, check=True,
+    )
+    assert np.linalg.norm(A - B, 2) <= 1e-6
+
+
+def test_helffer_sjostrand_matches_explicit_inverse(double_bump_1d):
+    """The semiseparable resolvent sum equals the explicit sum over the
+    quadrature nodes of w * inv(P - z)."""
+    op = rv.small_box_operator(double_bump_1d, 0.3, L=8.0, N=32)
+    f, derivs = rv.gaussian_bump(1.0, 0.5)
+    support, K, nx, ny, Y = (-0.5, 2.5), 4, 6, 4, 1.0
+    z, w = rv._hs_nodes(f, support, K, nx, ny, Y, derivs)
+    diag, off = op.real_tridiagonal()
+    assert np.ptp(diag) > 0.1  # the potential is felt, not only the free line
+    P = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    eye = np.eye(op.size)
+    ref = np.real(sum(wm * np.linalg.inv(P - zm * eye) for zm, wm in zip(z, w)))
+    got = rv._hs_matrix(op, f, support, K, nx, ny, Y, derivs)
+    assert np.linalg.norm(got - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+
+
+def test_resolvent_sum_rejects_nonfinite(double_bump_1d):
+    """A real node at which the first forward pivot a_0 - z vanishes makes
+    the products non-finite: an error, never a NaN matrix."""
+    op = rv.small_box_operator(double_bump_1d, 0.3, L=8.0, N=32)
+    diag, off = op.real_tridiagonal()
+    with pytest.raises(ConvergenceError):
+        rv._resolvent_sum(diag, off, np.array([complex(diag[0])]),
+                          np.array([1.0 + 0j]))
+
+
+def test_power_norm_fallback_not_converged():
+    """An estimate accepted through the maxiter fallback is marked."""
+    D = np.diag(np.concatenate([np.linspace(0.0, 0.5, 7), [1.0]])).astype(complex)
+    DH = D.conj().T
+    res = rv.power_norm(lambda v: D @ v, lambda v: DH @ v, 8)
+    assert res.converged and res.iterations < 500
+    capped = rv.power_norm(lambda v: D @ v, lambda v: DH @ v, 8, tol=1e-12,
+                           maxiter=6)
+    assert not capped.converged and capped.iterations == 6
+    assert capped.value == pytest.approx(1.0, rel=1e-4)
 
 
 def test_helffer_sjostrand_spectral_derivatives(free_1d):
