@@ -596,11 +596,28 @@ def eval_q_circ(model, coll: TubeCollection, Z, ZETA, dt=0.05,
     Summed contributions are chi_j(t) phi_j(sigma) and -chi'_j(t)
     phi_j(sigma).
 
+    Points are flowed in chunks of at most `chunk`, taken in order of their
+    flow span t_hi (the latest end of a candidate tube window), and each
+    chunk is integrated to its own largest t_hi.  Within a chunk the points
+    are sorted by their first and last bounding-box candidate tube, so the
+    candidates of tube j lie in one column range [c0, c1) that is usually
+    much narrower than the chunk.  Trajectories are stored component-major:
+    one contiguous (rows, m) array per phase-space coordinate.  The signed
+    distance to tube j's hyperplane is a sum of scaled views of those arrays
+    over j's row window and [c0, c1); sign changes are found there and
+    non-candidate columns dropped.
+
+    Reordering within a chunk cannot change a value: chunk membership and
+    the chunk's t_hi (hence every step size) do not depend on it, every
+    operation on a point's trajectory and crossings acts on that point
+    alone, and each point still receives its contributions tube by tube,
+    in increasing crossing time within a tube, whatever the column order.
+
     In covering_mode only the interior zone counts: crossings with t in
     [-t_cov, T_j + 0.6] (where the time cutoff has slope one and value at
-    least 1/2) and disc distance <= 1/2; the flow span is short.
+    least 1/2) and disc distance <= 1/2; the flow span is short.  Every
+    tube is a candidate for every point there, and no reordering is done.
     """
-    n = model.dimension
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     ZETA = np.atleast_2d(np.asarray(ZETA, dtype=float))
     m = Z.shape[0]
@@ -628,13 +645,20 @@ def eval_q_circ(model, coll: TubeCollection, Z, ZETA, dt=0.05,
         idx = order[pos: pos + chunk]
         pos += chunk
         t_hi = float(np.max(t_hi_pt[idx]))
+        cand_c = None
+        if cand is not None:
+            cand_c = cand[:, idx]
+            first = np.argmax(cand_c, axis=0)
+            last = cand_c.shape[0] - 1 - np.argmax(cand_c[::-1], axis=0)
+            perm = np.lexsort((last, first))
+            idx, cand_c = idx[perm], cand_c[:, perm]
         _eval_chunk(model, coll, Z[idx], ZETA[idx], idx, qv, hp,
-                    t_hi, dt, store_stride, cand, covering_mode)
+                    t_hi, dt, store_stride, cand_c, covering_mode)
     return qv, hp
 
 
 def _eval_chunk(model, coll, Zc, Cc, idx, qv, hp, t_hi, dt, store_stride,
-                cand, covering_mode):
+                cand_c, covering_mode):
     n = model.dimension
     t_lo = -(coll.t_cov + 0.1) if covering_mode else -1.1
     ts_b, Zb, Cb = fl.batched_flow(model, Zc, Cc, 0.0, t_lo, dt,
@@ -642,17 +666,23 @@ def _eval_chunk(model, coll, Zc, Cc, idx, qv, hp, t_hi, dt, store_stride,
     ts_f, Zf, Cf = fl.batched_flow(model, Zc, Cc, 0.0, t_hi, dt,
                                    store_stride=store_stride)
     ts = np.concatenate([ts_b[::-1], ts_f[1:]])
-    S = np.concatenate(
-        [np.concatenate([Zb, Cb], axis=-1)[::-1],
-         np.concatenate([Zf, Cf], axis=-1)[1:]], axis=0)
-    S = np.ascontiguousarray(S)
+    # component-major store: comps[k][row, col] is coordinate k of the
+    # phase-space state (z, zeta) of column col at time ts[row]; the flow
+    # output is released so only one copy of the trajectories stays alive
+    comps = [np.concatenate([b[::-1, :, k], f[1:, :, k]])
+             for b, f in ((Zb, Zf), (Cb, Cf)) for k in range(n)]
+    del Zb, Cb, Zf, Cf
     dt_det = dt * store_stride
-    dims = S.shape[-1]
     phi_shape = falling_step(0.5, 1.0)
     for j, tb in enumerate(coll.tubes):
-        colmask = None if covering_mode else cand[j][idx]
-        if colmask is not None and not np.any(colmask):
-            continue
+        if cand_c is None:
+            colmask, c0, c1 = None, 0, idx.size
+        else:
+            colmask = cand_c[j]
+            cols = np.flatnonzero(colmask)
+            if cols.size == 0:
+                continue
+            c0, c1 = int(cols[0]), int(cols[-1]) + 1
         # the tube parameter of a point IS the forward-flow time to the
         # transversal: pt = exp(-t H_p)(sigma)  <=>  exp(+t H_p)(pt) in Sigma
         if covering_mode:
@@ -663,24 +693,27 @@ def _eval_chunk(model, coll, Zc, Cc, idx, qv, hp, t_hi, dt, store_stride,
         row = np.flatnonzero((ts >= w_lo - 3 * dt_det) & (ts <= w_hi + 3 * dt_det))
         if row.size < 2:
             continue
-        k0, k1 = int(row[0]), int(row[-1])
-        block = S[k0:k1 + 1]
-        sv = (block.reshape(-1, dims) @ tb.normal).reshape(block.shape[:2])
+        k0, k1 = int(row[0]), int(row[-1]) + 1
+        sv = comps[0][k0:k1, c0:c1] * tb.normal[0]
+        for comp, nk in zip(comps[1:], tb.normal[1:]):
+            sv += comp[k0:k1, c0:c1] * nk
         sv -= float(tb.seed @ tb.normal)
-        sign_change = np.signbit(sv[:-1]) != np.signbit(sv[1:])
+        neg = np.signbit(sv)
+        ks, ms = np.divmod(np.flatnonzero(neg[:-1] != neg[1:]), c1 - c0)
+        ms += c0
         if colmask is not None:
-            sign_change &= colmask[None, :]
-        ks, ms = np.nonzero(sign_change)
+            keep = colmask[ms]
+            ks, ms = ks[keep], ms[keep]
         if ks.size == 0:
             continue
-        ks = ks + k0
+        ks += k0
         # distance prefilter at the bracketing sample
-        near = np.linalg.norm(S[ks, ms, :] - tb.seed, axis=1) \
+        near = np.linalg.norm(_gather(comps, ks, ms) - tb.seed, axis=1) \
             <= tb.max_radius * 1.5 + 0.2
         ks, ms = ks[near], ms[near]
         if ks.size == 0:
             continue
-        t_star, s_star = _refine_crossings(model, ts, S, ks, ms, tb)
+        t_star, s_star = _refine_crossings(model, ts, comps, ks, ms, tb)
         sigma = tb.disc_distance(s_star - tb.seed)
         rad_lim = 0.5 if covering_mode else 1.0
         ok = (sigma <= rad_lim) & (t_star >= w_lo) & (t_star <= w_hi)
@@ -698,11 +731,16 @@ def _eval_chunk(model, coll, Zc, Cc, idx, qv, hp, t_hi, dt, store_stride,
     return
 
 
-def _refine_crossings(model, ts, S, ks, cols, tb):
+def _gather(comps, ks, cols):
+    """Phase-space states (rows) at the stored samples (ks, cols)."""
+    return np.stack([c[ks, cols] for c in comps], axis=-1)
+
+
+def _refine_crossings(model, ts, comps, ks, cols, tb):
     """Vectorized Newton on the cubic Hermite interpolant of the signed
     distance over each bracketing interval."""
-    y0 = S[ks, cols, :]
-    y1 = S[ks + 1, cols, :]
+    y0 = _gather(comps, ks, cols)
+    y1 = _gather(comps, ks + 1, cols)
     t0 = ts[ks]
     t1 = ts[ks + 1]
     dt = (t1 - t0)[:, None]

@@ -85,15 +85,19 @@ def test_criterion_4_escape_certificate(escape_free, escape_longrange):
     details = []
     ok = True
     for name, e in [("zero", escape_free), ("longrange_pow", escape_longrange)]:
+        t_base = time.time()
         base = esc.verify_proposition(e, n_x=600, n_interior=80, n_energy=40)
+        t_fine = time.time()
         fine = esc.verify_proposition(e, n_x=850, n_interior=110, n_energy=56)
+        t_done = time.time()
         drift_p = abs(fine.c_prime - base.c_prime) / base.c_prime
         drift_d = abs(fine.c_dprime - base.c_dprime) / base.c_dprime
         good = (base.passed and base.n_points >= 1e5 and fine.passed
                 and drift_p <= 0.2 and drift_d <= 0.2 and base.b_floor > 0)
         ok &= good
         details.append(f"{name}: c'={base.c_prime:.3g} c''={base.c_dprime:.3g} "
-                       f"drift=({drift_p:.3f},{drift_d:.3f})")
+                       f"drift=({drift_p:.3f},{drift_d:.3f}) "
+                       f"base {t_fine - t_base:.1f}s fine {t_done - t_fine:.1f}s")
     elapsed = time.time() - t0
     ok = ok and elapsed <= 300.0
     _report(4, ok, "escape certificate: " + " | ".join(details) + f" [{elapsed:.0f}s]")

@@ -9,6 +9,7 @@ from nontrap import escape as esc
 from nontrap import flow as fl
 from nontrap import geometry as geo
 from nontrap.errors import ConfigurationError, ConstructionError, IntegrationError
+from nontrap.smooth import falling_step
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +173,151 @@ def test_tube_far_point_zero(escape_free):
     qv, hv = esc.eval_q_circ(escape_free.model, escape_free.tubes,
                              np.array([[900.0]]), np.array([[1.0]]))
     assert qv[0] == 0.0 and hv[0] == 0.0
+
+
+def _dense_eval_q_circ(model, coll, Z, ZETA, dt=0.05, store_stride=2,
+                       chunk=6000, covering_mode=False):
+    """Reference: the dense per-tube scan that projects every stored sample
+    of every chunk column onto each hyperplane, then masks by candidates."""
+    n = model.dimension
+    m = Z.shape[0]
+    qv, hp = np.zeros(m), np.zeros(m)
+    states = np.concatenate([Z, ZETA], axis=-1)
+    cand = None if covering_mode else coll.bbox_candidates(states)
+    if covering_mode:
+        t_hi_pt = np.full(m, coll.t_cov + coll.seed_spacing + 0.8)
+        active = np.arange(m)
+    else:
+        active = np.flatnonzero(cand.any(axis=0))
+        t_hi_pt = np.zeros(m)
+        for j, tb in enumerate(coll.tubes):
+            t_hi_pt[cand[j]] = np.maximum(t_hi_pt[cand[j]], tb.T + 2.1)
+    order = active[np.argsort(t_hi_pt[active])]
+    for pos in range(0, order.size, chunk):
+        idx = order[pos: pos + chunk]
+        t_hi = float(np.max(t_hi_pt[idx]))
+        t_lo = -(coll.t_cov + 0.1) if covering_mode else -1.1
+        ts_b, Zb, Cb = fl.batched_flow(model, Z[idx], ZETA[idx], 0.0, t_lo, dt,
+                                       store_stride=store_stride)
+        ts_f, Zf, Cf = fl.batched_flow(model, Z[idx], ZETA[idx], 0.0, t_hi, dt,
+                                       store_stride=store_stride)
+        ts = np.concatenate([ts_b[::-1], ts_f[1:]])
+        S = np.ascontiguousarray(np.concatenate(
+            [np.concatenate([Zb, Cb], axis=-1)[::-1],
+             np.concatenate([Zf, Cf], axis=-1)[1:]], axis=0))
+        dt_det = dt * store_stride
+        phi_shape = falling_step(0.5, 1.0)
+        for j, tb in enumerate(coll.tubes):
+            colmask = None if covering_mode else cand[j][idx]
+            if colmask is not None and not np.any(colmask):
+                continue
+            if covering_mode:
+                w_lo = -coll.t_cov
+                w_hi = min(tb.T + 0.6, coll.t_cov + coll.seed_spacing + 0.7)
+            else:
+                w_lo, w_hi = tb.window
+            row = np.flatnonzero((ts >= w_lo - 3 * dt_det)
+                                 & (ts <= w_hi + 3 * dt_det))
+            if row.size < 2:
+                continue
+            k0, k1 = int(row[0]), int(row[-1])
+            block = S[k0:k1 + 1]
+            sv = (block.reshape(-1, 2 * n) @ tb.normal).reshape(block.shape[:2])
+            sv -= float(tb.seed @ tb.normal)
+            sign_change = np.signbit(sv[:-1]) != np.signbit(sv[1:])
+            if colmask is not None:
+                sign_change &= colmask[None, :]
+            ks, ms = np.nonzero(sign_change)
+            ks = ks + k0
+            near = np.linalg.norm(S[ks, ms, :] - tb.seed, axis=1) \
+                <= tb.max_radius * 1.5 + 0.2
+            ks, ms = ks[near], ms[near]
+            if ks.size == 0:
+                continue
+            t_star, s_star = _dense_refine(model, ts, S, ks, ms, tb)
+            sigma = tb.disc_distance(s_star - tb.seed)
+            rad_lim = 0.5 if covering_mode else 1.0
+            ok = (sigma <= rad_lim) & (t_star >= w_lo) & (t_star <= w_hi)
+            tube_t, pts_idx = t_star[ok], ms[ok]
+            phi = phi_shape(sigma[ok])
+            if covering_mode:
+                np.add.at(qv, idx[pts_idx], 1.0)
+                continue
+            np.add.at(qv, idx[pts_idx], esc._chi_tube(tube_t, tb.T) * phi)
+            np.add.at(hp, idx[pts_idx], -esc._chi_tube_d(tube_t, tb.T) * phi)
+    return qv, hp
+
+
+def _dense_refine(model, ts, S, ks, cols, tb):
+    y0 = S[ks, cols, :]
+    y1 = S[ks + 1, cols, :]
+    t0 = ts[ks]
+    t1 = ts[ks + 1]
+    dt = (t1 - t0)[:, None]
+    n = model.dimension
+    dz0, dc0 = geo.hamilton_field(model, y0[:, :n], y0[:, n:])
+    dz1, dc1 = geo.hamilton_field(model, y1[:, :n], y1[:, n:])
+    f0 = np.concatenate([dz0, dc0], axis=-1) * dt
+    f1 = np.concatenate([dz1, dc1], axis=-1) * dt
+    u = np.full(ks.shape, 0.5)
+    for _ in range(12):
+        uu = u[:, None]
+        h00 = 2 * uu**3 - 3 * uu**2 + 1
+        h10 = uu**3 - 2 * uu**2 + uu
+        h01 = -2 * uu**3 + 3 * uu**2
+        h11 = uu**3 - uu**2
+        y = h00 * y0 + h10 * f0 + h01 * y1 + h11 * f1
+        d00 = 6 * uu**2 - 6 * uu
+        d10 = 3 * uu**2 - 4 * uu + 1
+        d01 = -6 * uu**2 + 6 * uu
+        d11 = 3 * uu**2 - 2 * uu
+        yd = d00 * y0 + d10 * f0 + d01 * y1 + d11 * f1
+        s = (y - tb.seed) @ tb.normal
+        sd = yd @ tb.normal
+        step = np.where(np.abs(sd) > 1e-14, s / np.where(sd == 0, 1.0, sd), 0.0)
+        u = np.clip(u - step, 0.0, 1.0)
+    uu = u[:, None]
+    h00 = 2 * uu**3 - 3 * uu**2 + 1
+    h10 = uu**3 - 2 * uu**2 + uu
+    h01 = -2 * uu**3 + 3 * uu**2
+    h11 = uu**3 - uu**2
+    y = h00 * y0 + h10 * f0 + h01 * y1 + h11 * f1
+    return t0 + u * (t1 - t0), y
+
+
+@pytest.mark.parametrize("which", ["escape_free", "escape_longrange"])
+def test_q_circ_matches_dense_scan(which, request):
+    """The candidate-column locator returns exactly the dense scan's
+    (q_circ, H_p q_circ), over several chunks and in covering mode."""
+    e = request.getfixturevalue(which)
+    Z, ZETA = esc.phase_grid(e.model, n_x=120, n_interior=20, n_energy=8)
+    n_active = int(e.tubes.bbox_candidates(np.concatenate([Z, ZETA], axis=-1))
+                   .any(axis=0).sum())
+    chunk = n_active // 3 - 1
+    assert chunk > 0
+    got = esc.eval_q_circ(e.model, e.tubes, Z, ZETA, chunk=chunk)
+    ref = _dense_eval_q_circ(e.model, e.tubes, Z, ZETA, chunk=chunk)
+    assert np.count_nonzero(ref[0]) > 0
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    sub = slice(None, None, 7)
+    got_c, _ = esc.eval_q_circ(e.model, e.tubes, Z[sub], ZETA[sub],
+                               covering_mode=True)
+    ref_c, _ = _dense_eval_q_circ(e.model, e.tubes, Z[sub], ZETA[sub],
+                                  covering_mode=True)
+    assert np.count_nonzero(ref_c) > 0
+    assert np.array_equal(got_c, ref_c)
+
+
+def test_q_circ_order_invariant(escape_longrange):
+    """Permuting the points of a single-chunk batch permutes the outputs
+    exactly."""
+    e = escape_longrange
+    Z, ZETA = esc.phase_grid(e.model, n_x=80, n_interior=16, n_energy=6)
+    perm = np.random.default_rng(3).permutation(Z.shape[0])
+    q, h = esc.eval_q_circ(e.model, e.tubes, Z, ZETA)
+    qp, hpp = esc.eval_q_circ(e.model, e.tubes, Z[perm], ZETA[perm])
+    assert np.count_nonzero(q) > 0
+    assert np.array_equal(qp, q[perm]) and np.array_equal(hpp, h[perm])
 
 
 def test_tubes_fail_on_trapping(double_bump_1d):
