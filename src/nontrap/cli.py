@@ -35,6 +35,13 @@ from nontrap.errors import (ConfigurationError, ConstructionError,
 COMMANDS = ("flow-scan", "escape-build", "escape-verify", "calculus-tests",
             "resolvent-sweep", "full-report")
 
+_TUBES_2D = "the tube construction's memory is not bounded in dimension 2"
+_RESOLVENT_1D = "the resolvent discretization is one-dimensional"
+#: commands that run only in dimension 1, with the reason given on rejection
+_ONE_DIMENSIONAL = {"escape-build": _TUBES_2D, "escape-verify": _TUBES_2D,
+                    "resolvent-sweep": _RESOLVENT_1D,
+                    "full-report": _RESOLVENT_1D}
+
 RUN_DEFAULTS = {
     "command": "full-report",
     "out": "out",
@@ -127,11 +134,10 @@ def effective_config(params):
         raise ConfigurationError(
             f"unknown command {cfg['command']!r}; expected one of {COMMANDS}"
         )
-    discretizes = cfg["command"] in ("resolvent-sweep", "full-report")
-    if discretizes and cfg["dimension"] != 1:
+    if cfg["dimension"] != 1 and cfg["command"] in _ONE_DIMENSIONAL:
         raise ConfigurationError(
-            f"{cfg['command']} needs dimension = 1 (the resolvent "
-            f"discretization is one-dimensional), got {cfg['dimension']}"
+            f"{cfg['command']} needs dimension = 1 "
+            f"({_ONE_DIMENSIONAL[cfg['command']]}), got {cfg['dimension']}"
         )
     if cfg["t_rule"] not in ("cap", "dirichlet"):
         raise ConfigurationError("t_rule must be 'cap' or 'dirichlet'")

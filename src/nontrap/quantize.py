@@ -9,8 +9,13 @@ measurable.  Standard (left) quantization
 
 is realized by momentum-space multiplication for separable symbols and by
 the discrete oscillatory sum (a circulant-indexed inverse FFT) in general.
-Operator norms come from resolvent.power_norm (power iteration on A*A from
-a fixed start vector).
+A real symbol whose table is even in zeta quantizes to a real matrix (its
+row kernels come from a real inverse FFT).  In the momentum basis Op(a) is
+the table T = fft_z(a)/N read along diagonals, F Op(a) F^{-1}[m, k] =
+T[(m - k) mod N, k], so the commutator defect is measured there, on the
+momentum band only, with no product of two N x N matrices.  Operator norms
+come from resolvent.power_norm (power iteration on A*A from a fixed start
+vector).
 """
 
 from __future__ import annotations
@@ -116,11 +121,17 @@ def quantize(a: Symbol, q: GridQuantization) -> np.ndarray:
     """Dense matrix of the left quantization of a on the grid.
 
     Identity symbols quantize to the identity exactly; z-only symbols to
-    diagonal multiplication; zeta-only symbols to Fourier multipliers.
+    diagonal multiplication; zeta-only symbols to Fourier multipliers.  A
+    table that is real and exactly even in zeta (tab[:, k] == tab[:, -k])
+    gives a real matrix: its row kernels are real, so they are built with
+    a real inverse FFT.  Any other symbol gives a complex matrix.
     """
     tab = a.table(q)
-    rows = np.fft.ifft(tab, axis=1)
     i = np.arange(q.N)
+    if not tab.imag.any() and np.array_equal(tab.real, tab.real[:, -i]):
+        rows = np.fft.irfft(tab.real[:, : q.N // 2 + 1], n=q.N, axis=1)
+    else:
+        rows = np.fft.ifft(tab, axis=1)
     idx = (i[:, None] - i[None, :]) % q.N
     return rows[i[:, None], idx]
 
@@ -135,11 +146,15 @@ def symmetrize(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.conj().T)
 
 
-def band_projector(q: GridQuantization, band: float) -> np.ndarray:
-    """Sharp momentum projector onto |zeta| <= band (real symmetric)."""
-    mask = (np.abs(q.zeta) <= band).astype(float)
-    F = np.fft.fft(np.eye(q.N), axis=0)
-    return np.real_if_close(np.fft.ifft(mask[:, None] * F, axis=0))
+def _momentum_table(a: Symbol, q: GridQuantization) -> np.ndarray:
+    """T = fft_z(a(., zeta_k)) / N: F Op(a) F^{-1} (F the DFT) has entry
+    T[(m - k) mod N, k] at [m, k]."""
+    return np.fft.fft(a.table(q), axis=0) / q.N
+
+
+def _momentum_block(T: np.ndarray, rows, cols) -> np.ndarray:
+    """The rows x cols block of F Op(a) F^{-1} from a's momentum table."""
+    return T[(rows[:, None] - cols[None, :]) % T.shape[0], cols[None, :]]
 
 
 def commutator_defect(a: Symbol, b: Symbol, q: GridQuantization,
@@ -153,22 +168,42 @@ def commutator_defect(a: Symbol, b: Symbol, q: GridQuantization,
     symbols (Nyquist wrap-around), and the grid invariants only protect the
     interior band.  The defect is O(h) as h decreases; it vanishes
     identically for a = b and up to grid error for symbols linear in zeta.
+
+    The projector is diagonal in the momentum basis, so the sandwiched
+    operator is the band block D[b, b] of the defect there, built from two
+    (band x N)(N x band) products.  The power iteration runs on the
+    position-space vector (fft to the band, the block, ifft back), so its
+    start vector and stopping rule are those of the dense operator.
     """
-    A = quantize(a, q)
-    B = quantize(b, q)
-    P = quantize(poisson_bracket(a, b), q)
-    D = (1j / q.h) * (A @ B - B @ A) - P
-    Q = band_projector(q, 0.5 * q.zeta_max if band is None else band)
-    M = Q @ D @ Q
-    MH = M.conj().T
-    return power_norm(lambda v: M @ v, lambda v: MH @ v, q.N).value
+    n = q.N
+    kb = np.flatnonzero(np.abs(q.zeta) <= (0.5 * q.zeta_max if band is None
+                                           else band))
+    every = np.arange(n)
+    ta, tb = _momentum_table(a, q), _momentum_table(b, q)
+    D = (1j / q.h) * (_momentum_block(ta, kb, every) @ _momentum_block(tb, every, kb)
+                      - _momentum_block(tb, kb, every) @ _momentum_block(ta, every, kb))
+    D -= _momentum_block(_momentum_table(poisson_bracket(a, b), q), kb, kb)
+    DH = D.conj().T
+    root_n = math.sqrt(n)
+
+    def apply_A(v):
+        return D @ (np.fft.fft(v)[kb] / root_n)
+
+    def apply_AH(u):
+        w = np.zeros(n, dtype=complex)
+        w[kb] = DH @ u
+        return root_n * np.fft.ifft(w)
+
+    return power_norm(apply_A, apply_AH, n).value
 
 
 def garding_floor(a: Symbol, q: GridQuantization) -> float:
     """Minimum eigenvalue of the symmetrized quantization of a.
 
     For pointwise nonnegative bounded symbols the floor is bounded below by
-    -C h (sharp Garding); the dense eigensolve restricts N to <= 2048."""
+    -C h (sharp Garding); the dense eigensolve restricts N to <= 2048.  A
+    real zeta-even symbol quantizes to a real matrix, so its eigensolve is
+    real symmetric."""
     if q.N > 2048:
         raise ConfigurationError("garding_floor uses a dense eigensolve; N <= 2048")
     A = symmetrize(quantize(a, q))

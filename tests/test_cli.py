@@ -62,7 +62,8 @@ def test_unknown_preset_rejected(tmp_path):
 def test_dimension_2_sweep_rejected_before_output(tmp_path):
     conf = tmp_path / "c.conf"
     conf.write_text("dimension = 2\nflow_samples = 5\nscan_t_max = 10\n")
-    for command in ("resolvent-sweep", "full-report"):
+    for command in ("escape-build", "escape-verify", "resolvent-sweep",
+                    "full-report"):
         out = tmp_path / command
         code = cli.main(["--preset", "zero", command, "--config", str(conf),
                          "--out", str(out)])

@@ -114,6 +114,89 @@ def test_commutator_defect_h_scaling():
     assert abs(slope - 1.0) <= 0.2
 
 
+def _complex_quantize(a, q):
+    """The general construction: complex row kernels by inverse FFT."""
+    rows = np.fft.ifft(a.table(q), axis=1)
+    i = np.arange(q.N)
+    return rows[i[:, None], (i[:, None] - i[None, :]) % q.N]
+
+
+def _dense_band_defect(a, b, q, band):
+    """Q D Q on the dense N x N matrices, D = (i/h)[A, B] - Op({a, b}) and
+    Q the sharp projector onto |zeta| <= band."""
+    A, B = _complex_quantize(a, q), _complex_quantize(b, q)
+    P = _complex_quantize(qz.poisson_bracket(a, b), q)
+    D = (1j / q.h) * (A @ B - B @ A) - P
+    mask = (np.abs(q.zeta) <= band).astype(float)
+    Q = np.fft.ifft(mask[:, None] * np.fft.fft(np.eye(q.N), axis=0), axis=0)
+    return Q @ D @ Q
+
+
+def sym_mixed_pair():
+    """A non-separable pair whose defect is not diagonal in either basis."""
+    a = qz.Symbol(
+        fn=lambda z, zeta: zeta**2 + 0.3 * np.sin(z) * zeta,
+        dz=lambda z, zeta: 0.3 * np.cos(z) * zeta,
+        dzeta=lambda z, zeta: 2.0 * zeta + 0.3 * np.sin(z),
+        name="mixed_a",
+    )
+    b = qz.Symbol(
+        fn=lambda z, zeta: np.exp(-(z**2)) * np.cos(zeta),
+        dz=lambda z, zeta: -2.0 * z * np.exp(-(z**2)) * np.cos(zeta),
+        dzeta=lambda z, zeta: -np.exp(-(z**2)) * np.sin(zeta),
+        name="mixed_b",
+    )
+    return a, b
+
+
+@pytest.mark.parametrize("pair,n,frac", [("shipped", N, None),
+                                         ("mixed", 256, None),
+                                         ("mixed", 256, 0.3),
+                                         ("mixed", 256, 0.9)])
+def test_commutator_defect_matches_dense_band_product(pair, n, frac):
+    """The momentum-band defect equals the power-iteration norm of the
+    dense Q D Q to 1e-12 relative, and the SVD norm to 1e-4.  The shipped
+    pair's defect -i h b'' is diagonal, so only the mixed pair exercises
+    the off-diagonal gather."""
+    a, b = (sym_zeta2(), sym_gauss()) if pair == "shipped" else sym_mixed_pair()
+    q = qz.GridQuantization(L=L, N=n, h=0.1)
+    band = None if frac is None else frac * q.zeta_max
+    M = _dense_band_defect(a, b, q, 0.5 * q.zeta_max if band is None else band)
+    MH = M.conj().T
+    ref = rv.power_norm(lambda v: M @ v, lambda v: MH @ v, q.N).value
+    got = qz.commutator_defect(a, b, q, band)
+    assert abs(got - ref) <= 1e-12 * ref
+    svd = np.linalg.norm(M, 2)
+    assert abs(got - svd) <= 1e-4 * svd
+
+
+def test_quantize_real_even_symbol_is_real():
+    q = grid(0.1)
+    a = qz.Symbol(fn=lambda z, zeta: np.exp(-(z**2)) * np.exp(-(zeta**2)))
+    A = qz.quantize(a, q)
+    assert A.dtype == np.float64
+    assert np.max(np.abs(A - _complex_quantize(a, q))) <= 1e-15
+
+
+def test_quantize_odd_or_complex_symbol_stays_complex():
+    q = grid(0.1)
+    odd = qz.Symbol(fn=lambda z, zeta: zeta * np.exp(-(zeta**2)) + 0.0 * z)
+    g = qz.Symbol(fn=lambda z, zeta: np.exp(1j * zeta) * np.exp(-(zeta**2)) + 0.0 * z)
+    f = qz.Symbol(fn=lambda z, zeta: (1.0 + 0.3j) * np.exp(-(z**2)) + 0.0 * zeta)
+    for sym in (odd, g, f):
+        A = qz.quantize(sym, q)
+        assert np.iscomplexobj(A)
+        assert np.array_equal(A, _complex_quantize(sym, q))
+
+
+@pytest.mark.parametrize("h", [0.2, 0.025])
+def test_garding_floor_real_path_matches_hermitian(h):
+    q = grid(h)
+    for sym in qz.garding_test_symbols() + [qz.smooth_example_symbol()]:
+        ref = np.linalg.eigvalsh(qz.symmetrize(_complex_quantize(sym, q)))[0]
+        assert abs(qz.garding_floor(sym, q) - ref) <= 1e-14, sym.name
+
+
 def test_garding_floor_zero_symbol():
     q = grid(0.1)
     zero = qz.Symbol(fn=lambda z, zeta: np.zeros_like(z))
