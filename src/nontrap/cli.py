@@ -35,13 +35,6 @@ from nontrap.errors import (ConfigurationError, ConstructionError,
 COMMANDS = ("flow-scan", "escape-build", "escape-verify", "calculus-tests",
             "resolvent-sweep", "full-report")
 
-_TUBES_2D = "the tube construction's memory is not bounded in dimension 2"
-_RESOLVENT_1D = "the resolvent discretization is one-dimensional"
-#: commands that run only in dimension 1, with the reason given on rejection
-_ONE_DIMENSIONAL = {"escape-build": _TUBES_2D, "escape-verify": _TUBES_2D,
-                    "resolvent-sweep": _RESOLVENT_1D,
-                    "full-report": _RESOLVENT_1D}
-
 RUN_DEFAULTS = {
     "command": "full-report",
     "out": "out",
@@ -65,11 +58,11 @@ RUN_DEFAULTS = {
 
 _INT_KEYS = {"jobs", "grid_exponent", "flow_samples", "verify_x",
              "verify_interior", "verify_energy", "dump_trajectories",
-             "contrast_scan", "dimension", "metric_mode"}
+             "contrast_scan"}
 _FLOAT_KEYS = {"epsilon", "s_weight", "box_half_length", "scan_t_max",
                "r_escape", "seed_spacing", "amplitude", "gamma", "separation",
-               "lambda2", "delta", "metric_amplitude"}
-_STR_KEYS = {"command", "out", "t_rule", "potential", "boundary_metric"}
+               "lambda2", "delta"}
+_STR_KEYS = {"command", "out", "t_rule", "potential"}
 
 _RANGES = {
     "jobs": (1, 64),
@@ -78,6 +71,10 @@ _RANGES = {
     "grid_exponent": (8, 20),
     "box_half_length": (40.0, 10000.0),
     "flow_samples": (1, 100000),
+    "scan_t_max": (1.0, 1e5),
+    "r_escape": (1.0, 1e4),  # the chart is exact from radius 1
+    "seed_spacing": (1e-3, 1e3),
+    "dump_trajectories": (0, 1000),
     "verify_x": (10, 100000),
     "verify_interior": (2, 100000),
     "verify_energy": (2, 10000),
@@ -112,17 +109,24 @@ def parse_config_text(text, source="<config>"):
 
 def _coerce(key, val):
     if key == "h_list":
-        items = tuple(float(v) for v in val.replace(",", " ").split())
+        items = tuple(_finite(v) for v in val.replace(",", " ").split())
         if not items or any(h <= 0 for h in items):
             raise ValueError("h_list needs positive floats")
         return items
     if key in _INT_KEYS:
         return int(val)
     if key in _FLOAT_KEYS:
-        return float(val)
+        return _finite(val)
     if key in _STR_KEYS or key in geo.MODEL_DEFAULTS:
         return val
     raise ValueError(f"no coercion rule for {key}")
+
+
+def _finite(val):
+    v = float(val)
+    if not math.isfinite(v):
+        raise ValueError(f"value {val!r} is not finite")
+    return v
 
 
 def effective_config(params):
@@ -133,11 +137,6 @@ def effective_config(params):
     if cfg["command"] not in COMMANDS:
         raise ConfigurationError(
             f"unknown command {cfg['command']!r}; expected one of {COMMANDS}"
-        )
-    if cfg["dimension"] != 1 and cfg["command"] in _ONE_DIMENSIONAL:
-        raise ConfigurationError(
-            f"{cfg['command']} needs dimension = 1 "
-            f"({_ONE_DIMENSIONAL[cfg['command']]}), got {cfg['dimension']}"
         )
     if cfg["t_rule"] not in ("cap", "dirichlet"):
         raise ConfigurationError("t_rule must be 'cap' or 'dirichlet'")
@@ -262,11 +261,8 @@ def cmd_flow_scan(cfg, rep: Reporter):
                   [[verdict.window[0], verdict.window[1],
                     verdict.sampled_points, len(verdict.trapped_witnesses),
                     int(verdict.is_nontrapping_empirical)]])
-    n = model.dimension
     wit_rows = [list(w[0]) + list(w[1]) for w in verdict.trapped_witnesses]
-    rep.write_csv("witnesses.csv",
-                  [f"z{i+1}" for i in range(n)] + [f"zeta{i+1}" for i in range(n)],
-                  wit_rows)
+    rep.write_csv("witnesses.csv", ["z1", "zeta1"], wit_rows)
     for k in range(cfg["dump_trajectories"]):
         Z, ZETA = fl.shell_slab_samples(model, 4 * (k + 1) + 1, cfg["r_escape"])
         if Z.shape[0] == 0:
@@ -308,13 +304,7 @@ def _dump_q_slice(e, rep: Reporter, n_x=80, n_tau=60):
     taus = np.linspace(-1.5 * lam, 1.5 * lam, n_tau)
     X, T = np.meshgrid(xs, taus, indexing="ij")
     x, t = X.ravel(), T.ravel()
-    if e.model.dimension == 1:
-        Z = (1.0 / x)[:, None]
-        ZETA = (-t)[:, None]
-    else:
-        Z = np.stack([1.0 / x, np.zeros_like(x)], axis=-1)
-        ZETA = np.stack([-t, np.zeros_like(t)], axis=-1)
-    pc = e.pieces(Z, ZETA)
+    pc = e.pieces((1.0 / x)[:, None], (-t)[:, None])
     qpp, hpp = e.combine(pc)
     rows = np.stack([x, t, qpp * pc.psi, hpp * pc.psi], axis=-1)
     rep.write_csv("q_slice.csv", ["x", "tau", "q", "hp_q"], rows.tolist())

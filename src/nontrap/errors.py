@@ -12,7 +12,7 @@ class ConfigurationError(ValueError):
 class ConstructionError(RuntimeError):
     """Raised when a certified construction step fails.
 
-    Examples: the near-boundary angular lower bound comes out non-positive,
+    Examples: the intermediate-band lower bound comes out non-positive,
     a tube covering cannot be certified after refinement, or a constant
     cascade exhausts its halving budget.  The message lists the violating
     data (witness points, uncovered samples) where available.

@@ -126,7 +126,7 @@ class BoundaryConstants:
 
     M: float          # 1.5x grid sup of the collar remainders |a| + |b|
     M_f: float        # same for the radial-ratio remainder f
-    c1: float         # angular (or 1D surrogate) lower bound
+    c1: float         # intermediate-band lower bound (radial surrogate)
     eps1: float       # collar threshold
     x0: float         # working collar width
     delta1: float     # energy width certificate (> delta)
@@ -137,39 +137,26 @@ class BoundaryConstants:
                 f"eps1={self.eps1:.6g} delta1={self.delta1:.6g} c0={self.c0:.6g}")
 
 
-def _collar_points(model, eps1, n_x, n_tau, n_y=17, n_mu=21, x_min=1e-4):
-    """Deterministic scattering-coordinate grid on the collar x < eps1,
-    converted to Euclidean points.  Returns (Z, ZETA)."""
+def _collar_points(model, eps1, n_x, n_tau, x_min=1e-4):
+    """Deterministic scattering-coordinate grid on the collar x < eps1 at
+    both ends, converted to Euclidean points.  Returns (Z, ZETA)."""
     lam = model.lam
     xs = np.geomspace(x_min, eps1 * 0.999, n_x)
     taus = np.linspace(-1.6 * lam, 1.6 * lam, n_tau)
-    if model.dimension == 1:
-        X, T, Y = np.meshgrid(xs, taus, np.array([1.0, -1.0]), indexing="ij")
-        x, t, y = X.ravel(), T.ravel(), Y.ravel()
-        r = 1.0 / x
-        Z = (r * y)[:, None]
-        ZETA = (-t * y)[:, None]
-        return Z, ZETA
-    ys = np.linspace(0.0, 2.0 * np.pi, n_y, endpoint=False)
-    hmax = float(np.max(model.metric.h(ys)))
-    mus = np.linspace(-1.6 * lam * math.sqrt(hmax), 1.6 * lam * math.sqrt(hmax), n_mu)
-    X, T, Yg, MU = np.meshgrid(xs, taus, ys, mus, indexing="ij")
-    x, t, y, mu = X.ravel(), T.ravel(), Yg.ravel(), MU.ravel()
+    X, T, Y = np.meshgrid(xs, taus, np.array([1.0, -1.0]), indexing="ij")
+    x, t, y = X.ravel(), T.ravel(), Y.ravel()
     r = 1.0 / x
-    omega = np.stack([np.cos(y), np.sin(y)], axis=-1)
-    eperp = np.stack([-np.sin(y), np.cos(y)], axis=-1)
-    Z = r[:, None] * omega
-    ZETA = -t[:, None] * omega + mu[:, None] * eperp
+    Z = (r * y)[:, None]
+    ZETA = (-t * y)[:, None]
     return Z, ZETA
 
 
 def boundary_constants(model, n_x=40, n_tau=41, refine=1) -> BoundaryConstants:
     """Estimate the collar constants from dense deterministic grids.
 
-    The remainder sup M is inflated by a 1.5 safety factor; c1 is the inf
-    of the angular energy over the intermediate band (2D), or the 1D
-    surrogate solving the self-consistent radial bound (the same inequality
-    the angular term enforces in higher dimension), both with a 5% margin.
+    The remainder sup M is inflated by a 1.5 safety factor; c1 is the
+    surrogate solving the self-consistent radial bound on the intermediate
+    band, with a 5% margin.
     """
     lam, lam2, gamma = model.lam, model.lambda2, model.gamma
     delta1 = 1.25 * model.delta
@@ -203,29 +190,17 @@ def boundary_constants(model, n_x=40, n_tau=41, refine=1) -> BoundaryConstants:
             "decrease eps1 (stronger potential decay needed)"
         )
 
-    if model.dimension == 1:
-        # 1D surrogate: on the intermediate band -x^{-1} H_p tau equals
-        # 2(p - tau^2) - x^gamma(remainder) >= 2 A - M x0^gamma with
-        # A = (15/64) lam^2 - delta1; the x0 formula gives
-        # M x0^gamma = M c1 / (2(M+1)), and solving the self-consistent
-        # bound c1 = 2A - M c1 / (2(M+1)) yields the factor below.
-        A = (15.0 / 64.0) * lam2 - delta1
-        c1 = 0.95 * 2.0 * A * (2.0 * M + 2.0) / (3.0 * M + 2.0)
-    else:
-        # slice-wise closed form: at fixed (x, y, tau) the window infimum
-        # of g_b is attained at the lowest energy,
-        #   g_b = (lam^2 - delta1 - tau^2 - V) / (h (1 + dm));
-        # the collar threshold shrinks until the band stays positive
-        c1 = -math.inf
-        for _ in range(8):
-            c1 = 0.95 * _angular_band_floor(model, eps1, delta1, n_x, n_tau)
-            if c1 > 0:
-                break
-            eps1 *= 0.5
+    # on the intermediate band -x^{-1} H_p tau equals
+    # 2(p - tau^2) - x^gamma(remainder) >= 2 A - M x0^gamma with
+    # A = (15/64) lam^2 - delta1; the x0 formula gives
+    # M x0^gamma = M c1 / (2(M+1)), and solving the self-consistent
+    # bound c1 = 2A - M c1 / (2(M+1)) yields the factor below.
+    A = (15.0 / 64.0) * lam2 - delta1
+    c1 = 0.95 * 2.0 * A * (2.0 * M + 2.0) / (3.0 * M + 2.0)
     if c1 <= 0:
         raise ConstructionError(
-            f"angular lower bound c1 = {c1:.3g} <= 0: energy window too wide "
-            "or collar too thick; reduce delta or eps1"
+            f"band lower bound c1 = {c1:.3g} <= 0: energy window too wide; "
+            "reduce delta"
         )
     # the band inequality needs the remainder below c1/2 on the collar
     eps1 = min(eps1, (c1 / (2.0 * (M + 1.0))) ** (1.0 / gamma))
@@ -237,32 +212,6 @@ def boundary_constants(model, n_x=40, n_tau=41, refine=1) -> BoundaryConstants:
     )
     return BoundaryConstants(M=M, M_f=M_f, c1=c1, eps1=eps1, x0=x0,
                              delta1=delta1, c0=c0)
-
-
-def _angular_band_floor(model, eps1, delta1, n_x, n_tau, n_y=65):
-    """inf over the collar band {x < eps1, |tau| < 7 lam/8} of the lowest
-    window value of g_b (closed form per slice; 2D only).  Slices whose
-    whole window lies below tau^2 + V are off the band and skipped; a slice
-    straddling the window floor forces a negative return (collar too
-    thick)."""
-    lam, lam2 = model.lam, model.lambda2
-    xs = np.geomspace(1e-4, eps1 * 0.999, n_x)
-    taus = np.linspace(-7 * lam / 8, 7 * lam / 8, n_tau) * (1.0 - 1e-9)
-    ys = np.linspace(0.0, 2.0 * np.pi, n_y, endpoint=False)
-    X, T, Y = np.meshgrid(xs, taus, ys, indexing="ij")
-    x, tau, y = X.ravel(), T.ravel(), Y.ravel()
-    r = 1.0 / x
-    Z = r[:, None] * np.stack([np.cos(y), np.sin(y)], axis=-1)
-    V = model.potential.value(Z)
-    h = model.metric.h(y)
-    dm = model.metric_defect(r, y)
-    top = lam2 + delta1 - tau**2 - V    # window present iff > 0
-    lo = lam2 - delta1 - tau**2 - V     # lowest-window angular energy
-    present = top > 0
-    if not np.any(present):
-        raise ConstructionError("intermediate band sample empty; widen grids")
-    gb_min = lo[present] / (h[present] * (1.0 + dm[present]))
-    return float(np.min(gb_min))
 
 
 # ---------------------------------------------------------------------------
@@ -347,17 +296,15 @@ class Tube:
     """One flow tube: a transversal disc through the seed swept by the
     backward flow over (-1, T+2).
 
-    The disc is anisotropic: the transversal hyperplane always contains the
-    energy gradient (grad p is orthogonal to H_p), and the disc must stay
-    inside the escaping-energy region, so its extent along grad p is sized
-    by the window width while the remaining (position-like) directions use
-    the seed-grid scale."""
+    The transversal line is spanned by the energy gradient (grad p is
+    orthogonal to H_p), and the disc must stay inside the escaping-energy
+    region, so its radius along grad p is sized by the window width."""
 
-    seed: np.ndarray          # phase-space point (2n,)
+    seed: np.ndarray          # phase-space point (z, zeta)
     T: float
-    normal: np.ndarray        # unit H_p direction at the seed (2n,)
-    basis: np.ndarray         # (2n-1, 2n) orthonormal disc basis
-    radii: np.ndarray         # per-direction disc radii
+    normal: np.ndarray        # unit H_p direction at the seed (2,)
+    basis: np.ndarray         # (1, 2) unit grad p direction
+    radii: np.ndarray         # (1,) disc radius
     bbox_lo: Optional[np.ndarray]   # sampled sweep bounding box, inflated
     bbox_hi: Optional[np.ndarray]
 
@@ -370,7 +317,7 @@ class Tube:
         return float(np.max(self.radii))
 
     def disc_distance(self, offsets):
-        """Anisotropic disc norm of phase-space offsets (rows)."""
+        """Disc norm of phase-space offsets (rows)."""
         comps = offsets @ self.basis.T
         return np.sqrt(np.sum((comps / self.radii) ** 2, axis=-1))
 
@@ -409,47 +356,19 @@ def _phase_state(Z, ZETA):
 
 def _k_region_seeds(model, consts, spacing):
     """Seed grid on K = supp psi(p) & {x >= x0/4} (one seed per position
-    cell and momentum branch/direction, at the window center energy)."""
+    cell and momentum branch, at the window center energy)."""
     r_max = 4.0 / consts.x0
     zs = np.arange(-r_max, r_max + 0.5 * spacing, spacing)
-    if model.dimension == 1:
-        Z = np.repeat(zs, 2)[:, None]
-        D = np.tile([1.0, -1.0], zs.size)[:, None]
-    else:
-        n_dir = 8
-        ang = 2.0 * np.pi * (np.arange(n_dir) + 0.5) / n_dir
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        cells = [(zx, zy) for zx in zs for zy in zs
-                 if math.hypot(zx, zy) <= r_max + 0.5 * spacing]
-        Z = np.repeat(np.array(cells, dtype=float).reshape(-1, 2), n_dir, axis=0)
-        D = np.tile(dirs, (len(cells), 1))
-    kappa, allowed = geo.shell_momentum(model, Z, D, model.lambda2)
+    Z = np.repeat(zs, 2)[:, None]
+    D = np.tile([1.0, -1.0], zs.size)[:, None]
+    kappa, allowed = geo.shell_momentum(model, Z, model.lambda2)
     return [(Z[i], kappa[i] * D[i]) for i in np.flatnonzero(allowed)]
 
 
-def _disc_frame(normal, u_p, r_mom, r_pos):
-    """Orthonormal disc basis led by the energy direction with its narrow
-    radius, completed by position-like directions at the grid radius."""
-    d = normal.shape[0]
-    basis = [u_p]
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = 1.0
-        v = e - np.dot(e, normal) * normal
-        for b in basis:
-            v = v - np.dot(v, b) * b
-        nv = np.linalg.norm(v)
-        if nv > 1e-8:
-            basis.append(v / nv)
-    basis = basis[: d - 1]
-    radii = np.array([r_mom] + [r_pos] * (len(basis) - 1))
-    return np.stack(basis), radii
-
-
-def _disc_offsets(tube: Tube, n):
+def _disc_offsets(tube: Tube):
     """Sample offsets spanning the transversal disc (center, half and full
     radius along each disc axis)."""
-    offs = [np.zeros(2 * n)]
+    offs = [np.zeros_like(tube.seed)]
     for e, rad in zip(tube.basis, tube.radii):
         for c in (0.5, 1.0):
             offs.append(c * rad * e)
@@ -458,14 +377,14 @@ def _disc_offsets(tube: Tube, n):
 
 
 def build_tubes(model, consts, cutoffs, seed_spacing=1.0, t_cov=0.5,
-                radius_factor=2.0, mom_factor=1.3, T_max=500.0,
-                max_refine=2, max_extend=6) -> TubeCollection:
+                mom_factor=1.3, T_max=500.0, max_refine=2,
+                max_extend=6) -> TubeCollection:
     """Tubes along backward bicharacteristic segments seeded on a grid of K.
 
     Per seed: T from the first certified incoming time (inflated for the
-    slowest disc member), a transversal hyperplane normal to H_p, an
-    anisotropic disc whose half-size images cover K (certified on a 2x
-    finer test grid), and a sampled certificate that the late tube portion
+    slowest disc member), a transversal line normal to H_p, a disc along
+    grad p whose half-size images cover K (certified on a 2x finer test
+    grid), and a sampled certificate that the late tube portion
     [T+1/2, T+2] stays inside {x < x0/2, tau > 2 lam/3}.
     """
     lam = model.lam
@@ -482,7 +401,6 @@ def build_tubes(model, consts, cutoffs, seed_spacing=1.0, t_cov=0.5,
         if kappa_min <= 0:
             raise ConstructionError("seed with vanishing momentum on K")
         r_mom = mom_factor * model.delta / kappa_min
-        r_pos = radius_factor * spacing
         tubes = []
         for z, zeta in seeds:
             T = fl.time_to_incoming(model, z, zeta, x_target, tau_target,
@@ -497,12 +415,12 @@ def build_tubes(model, consts, cutoffs, seed_spacing=1.0, t_cov=0.5,
             if n_norm == 0.0:
                 raise ConstructionError(f"stationary seed at {z}, {zeta}")
             n_vec = n_vec / n_norm
-            # grad p = (-zetadot, zdot) lies inside the transversal
+            # grad p = (-zetadot, zdot) spans the transversal
             grad_p = np.concatenate([-dzeta[0], dz[0]])
             u_p = grad_p / np.linalg.norm(grad_p)
-            basis, radii = _disc_frame(n_vec, u_p, r_mom, r_pos)
             tubes.append(Tube(seed=_phase_state(z, zeta), T=T,
-                              normal=n_vec, basis=basis, radii=radii,
+                              normal=n_vec, basis=u_p[None, :],
+                              radii=np.array([r_mom]),
                               bbox_lo=None, bbox_hi=None))
         _certify_tubes(model, tubes, consts, lam, max_extend)
         coll = TubeCollection(tubes=tubes, t_cov=t_cov,
@@ -525,29 +443,28 @@ def _certify_tubes(model, tubes: List[Tube], consts, lam, max_extend):
     """Sampled disc sweep for every tube in one batched backward flow:
     bounding boxes over the whole window, and the late-portion
     disjointness from K' (auto-extending T when the margin check fails)."""
-    n = model.dimension
     for round_ in range(max_extend + 1):
         pend = [tb for tb in tubes if tb.bbox_lo is None]
         if not pend:
             return
-        offs = [tb.seed[None, :] + _disc_offsets(tb, n) for tb in pend]
+        offs = [tb.seed[None, :] + _disc_offsets(tb) for tb in pend]
         counts = [o.shape[0] for o in offs]
         pts = np.concatenate(offs, axis=0)
         T_all = max(tb.T for tb in pend)
-        ts, Zs, Cs = fl.batched_flow(model, pts[:, :n], pts[:, n:], 0.0,
+        ts, Zs, Cs = fl.batched_flow(model, pts[:, :1], pts[:, 1:], 0.0,
                                      -(T_all + 2.2), 0.02, store_stride=5)
-        states = np.concatenate([Zs, Cs], axis=-1)  # (nt, sum counts, 2n)
+        states = np.concatenate([Zs, Cs], axis=-1)  # (nt, sum counts, 2)
         start = 0
         for tb, cnt in zip(pend, counts):
             sl = states[:, start:start + cnt, :]
             start += cnt
             window = (-ts <= tb.T + 2.2)
-            flat = sl[window].reshape(-1, 2 * n)
+            flat = sl[window].reshape(-1, 2)
             lo, hi = flat.min(axis=0), flat.max(axis=0)
             pad = 0.25 * tb.max_radius + 0.05 * (np.abs(lo) + np.abs(hi))
             late = (-ts >= tb.T + 0.5) & (-ts <= tb.T + 2.0 + 1e-9)
-            Zl = sl[late][..., :n].reshape(-1, n)
-            Cl = sl[late][..., n:].reshape(-1, n)
+            Zl = sl[late][..., :1].reshape(-1, 1)
+            Cl = sl[late][..., 1:].reshape(-1, 1)
             x, _, tau, _ = geo.scattering_coords(Zl, Cl)
             if np.all(x < consts.x0 / 2.0) and np.all(tau > 2.0 * lam / 3.0):
                 tb.bbox_lo = lo - pad
@@ -571,7 +488,7 @@ def _certify_covering(model, coll: TubeCollection, consts, spacing, attempt):
     D = np.repeat(np.array([zeta / np.linalg.norm(zeta) for _, zeta in test]),
                   offs.size, axis=0)
     energy = np.tile(model.lambda2 + offs * model.delta, len(test))
-    kappa, allowed = geo.shell_momentum(model, Z, D, energy)
+    kappa, allowed = geo.shell_momentum(model, Z, energy)
     Z0 = Z[allowed]
     C0 = kappa[allowed, None] * D[allowed]
     qv, _ = eval_q_circ(model, coll, Z0, C0, covering_mode=True)
@@ -659,7 +576,6 @@ def eval_q_circ(model, coll: TubeCollection, Z, ZETA, dt=0.05,
 
 def _eval_chunk(model, coll, Zc, Cc, idx, qv, hp, t_hi, dt, store_stride,
                 cand_c, covering_mode):
-    n = model.dimension
     t_lo = -(coll.t_cov + 0.1) if covering_mode else -1.1
     ts_b, Zb, Cb = fl.batched_flow(model, Zc, Cc, 0.0, t_lo, dt,
                                    store_stride=store_stride)
@@ -669,8 +585,8 @@ def _eval_chunk(model, coll, Zc, Cc, idx, qv, hp, t_hi, dt, store_stride,
     # component-major store: comps[k][row, col] is coordinate k of the
     # phase-space state (z, zeta) of column col at time ts[row]; the flow
     # output is released so only one copy of the trajectories stays alive
-    comps = [np.concatenate([b[::-1, :, k], f[1:, :, k]])
-             for b, f in ((Zb, Zf), (Cb, Cf)) for k in range(n)]
+    comps = [np.concatenate([b[::-1, :, 0], f[1:, :, 0]])
+             for b, f in ((Zb, Zf), (Cb, Cf))]
     del Zb, Cb, Zf, Cf
     dt_det = dt * store_stride
     phi_shape = falling_step(0.5, 1.0)
@@ -744,9 +660,8 @@ def _refine_crossings(model, ts, comps, ks, cols, tb):
     t0 = ts[ks]
     t1 = ts[ks + 1]
     dt = (t1 - t0)[:, None]
-    n = model.dimension
-    dz0, dc0 = geo.hamilton_field(model, y0[:, :n], y0[:, n:])
-    dz1, dc1 = geo.hamilton_field(model, y1[:, :n], y1[:, n:])
+    dz0, dc0 = geo.hamilton_field(model, y0[:, :1], y0[:, 1:])
+    dz1, dc1 = geo.hamilton_field(model, y1[:, :1], y1[:, 1:])
     f0 = np.concatenate([dz0, dc0], axis=-1) * dt
     f1 = np.concatenate([dz1, dc1], axis=-1) * dt
     u = np.full(ks.shape, 0.5)
@@ -781,39 +696,27 @@ def _refine_crossings(model, ts, comps, ks, cols, tb):
 # ---------------------------------------------------------------------------
 
 def phase_grid(model, x_min=1e-3, n_x=600, n_interior=80, n_energy=40,
-               inset=0.999, n_y=24, n_dir=12):
+               inset=0.999):
     """Deterministic grid covering supp psi(p) up to x >= x_min.
 
     Positions combine a log grid in x on each end (resolving the collar
     scales) with a linear interior block; at every position the window is
-    sampled at n_energy energies and both momentum branches (1D) or n_dir
-    directions (2D).  Returns (Z, ZETA)."""
+    sampled at n_energy energies and both momentum branches.  Returns
+    (Z, ZETA)."""
     lam2, delta = model.lambda2, model.delta
     offsets = inset * np.linspace(-1.0, 1.0, n_energy)
-    if model.dimension == 1:
-        xs = np.geomspace(x_min, 0.999, n_x)
-        zs_out = 1.0 / xs
-        zs = np.concatenate([-zs_out, np.linspace(-0.999, 0.999, n_interior), zs_out])
-        Z0 = zs[:, None]
-        V = model.potential.value(Z0)
-        P = lam2 + delta * offsets
-        k2 = P[None, :] - V[:, None]            # (pos, energy)
-        pos, en = np.nonzero(k2 > 0)
-        kap = np.sqrt(k2[pos, en])
-        Z = np.repeat(zs[pos], 2)[:, None]
-        ZETA = np.stack([kap, -kap], axis=-1).reshape(-1)[:, None]
-        return Z, ZETA
     xs = np.geomspace(x_min, 0.999, n_x)
-    rs = np.concatenate([1.0 / xs, np.linspace(0.05, 0.999, n_interior)])
-    ys = np.linspace(0.0, 2.0 * np.pi, n_y, endpoint=False)
-    dirs = np.linspace(0.0, 2.0 * np.pi, n_dir, endpoint=False)
-    R, Y, E, D = np.meshgrid(rs, ys, offsets, dirs, indexing="ij")
-    r, y, e, d = R.ravel(), Y.ravel(), E.ravel(), D.ravel()
-    Z = np.stack([r * np.cos(y), r * np.sin(y)], axis=-1)
-    direction = np.stack([np.cos(d), np.sin(d)], axis=-1)
-    kappa, keep = geo.shell_momentum(model, Z, direction, lam2 + delta * e)
-    ZETA = kappa[:, None] * direction
-    return Z[keep], ZETA[keep]
+    zs_out = 1.0 / xs
+    zs = np.concatenate([-zs_out, np.linspace(-0.999, 0.999, n_interior), zs_out])
+    Z0 = zs[:, None]
+    V = model.potential.value(Z0)
+    P = lam2 + delta * offsets
+    k2 = P[None, :] - V[:, None]            # (pos, energy)
+    pos, en = np.nonzero(k2 > 0)
+    kap = np.sqrt(k2[pos, en])
+    Z = np.repeat(zs[pos], 2)[:, None]
+    ZETA = np.stack([kap, -kap], axis=-1).reshape(-1)[:, None]
+    return Z, ZETA
 
 
 # ---------------------------------------------------------------------------

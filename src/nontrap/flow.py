@@ -65,8 +65,8 @@ class Trajectory:
     """Time-ordered samples of one integral curve with drift diagnostics."""
 
     t: np.ndarray
-    Z: np.ndarray        # (nt, n)
-    ZETA: np.ndarray     # (nt, n)
+    Z: np.ndarray        # (nt, 1)
+    ZETA: np.ndarray     # (nt, 1)
     p0: float
     energy_drift: float
     success: bool
@@ -76,28 +76,18 @@ class Trajectory:
         return np.sqrt(np.sum(self.Z**2, axis=-1))
 
     def table(self, model) -> Tuple[List[str], np.ndarray]:
-        """CSV dump columns: t, z..., zeta..., x, tau, p."""
+        """CSV dump columns: t, z1, zeta1, x, tau, p."""
         x, _, tau, _ = geo.scattering_coords(self.Z, self.ZETA)
         p = geo.symbol_p(model, self.Z, self.ZETA)
-        n = self.Z.shape[1]
-        header = (
-            ["t"]
-            + [f"z{i+1}" for i in range(n)]
-            + [f"zeta{i+1}" for i in range(n)]
-            + ["x", "tau", "p"]
-        )
-        cols = [self.t] + [self.Z[:, i] for i in range(n)] + [
-            self.ZETA[:, i] for i in range(n)
-        ] + [x, tau, p]
+        header = ["t", "z1", "zeta1", "x", "tau", "p"]
+        cols = [self.t, self.Z[:, 0], self.ZETA[:, 0], x, tau, p]
         return header, np.stack(cols, axis=-1)
 
 
 def _rhs(model):
-    n = model.dimension
-
     def fun(t, y):
-        z = y[:n][None, :]
-        zeta = y[n:][None, :]
+        z = y[:1][None, :]
+        zeta = y[1:][None, :]
         dz, dzeta = geo.hamilton_field(model, z, zeta)
         return np.concatenate([dz[0], dzeta[0]])
 
@@ -128,9 +118,8 @@ def integrate_flow(model, z0, zeta0, t_span, tol=1e-10, max_samples=4000) -> Tra
         t_eval=t_eval,
         dense_output=False,
     )
-    n = model.dimension
-    Z = sol.y[:n].T
-    ZETA = sol.y[n:].T
+    Z = sol.y[:1].T
+    ZETA = sol.y[1:].T
     p = geo.symbol_p(model, Z, ZETA)
     drift = float(np.max(np.abs(p - p0))) if len(p) else math.inf
     traj = Trajectory(
@@ -163,10 +152,9 @@ class ClassifyResult:
 def _classify_one_direction(model, z0, zeta0, T_max, R_esc, tol):
     """Escape certificate in one time direction (T_max < 0 = backward).
 
-    A crossing of the check radius without the tau^2 condition (large
-    angular momentum) is not yet an escape; the check radius is enlarged
-    and integration resumes, since mu decays like 1/r."""
-    n = model.dimension
+    A crossing of the check radius without the outward or tau^2 condition
+    is not yet an escape; the check radius is enlarged and integration
+    resumes."""
     lam2 = model.lambda2
     fun = _rhs(model)
 
@@ -178,7 +166,7 @@ def _classify_one_direction(model, z0, zeta0, T_max, R_esc, tol):
     for _ in range(8):
 
         def crossing(t, y, R=R_check):
-            return float(np.sqrt(np.sum(y[:n] ** 2)) - R)
+            return float(np.sqrt(np.sum(y[:1] ** 2)) - R)
 
         crossing.terminal = True
         crossing.direction = 1.0  # r growing along the integration
@@ -193,7 +181,7 @@ def _classify_one_direction(model, z0, zeta0, T_max, R_esc, tol):
             return UNDETERMINED, None
         t_ev = float(sol.t_events[0][0])
         y_ev = sol.y_events[0][0]
-        z, zeta = y_ev[:n], y_ev[n:]
+        z, zeta = y_ev[:1], y_ev[1:]
         dz, _ = geo.hamilton_field(model, z[None, :], zeta[None, :])
         r = float(np.sqrt(np.sum(z**2)))
         rdot = float(np.sum(z * dz[0]) / r)
@@ -242,20 +230,11 @@ def shell_slab_samples(model, n_samples, R_max, lambda2=None, delta=None):
     """
     lam2 = model.lambda2 if lambda2 is None else lambda2
     dlt = model.delta if delta is None else delta
-    if model.dimension == 1:
-        u = halton(n_samples, 3)
-        Z = ((2.0 * u[:, 0] - 1.0) * R_max)[:, None]
-        direction = np.where(u[:, 2] >= 0.5, 1.0, -1.0)[:, None]
-        p = lam2 - dlt + 2.0 * dlt * u[:, 1]
-    else:
-        u = halton(n_samples, 4)
-        ang = 2.0 * np.pi * u[:, 0]
-        rad = R_max * np.sqrt(u[:, 1])
-        Z = rad[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        phi = 2.0 * np.pi * u[:, 3]
-        direction = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-        p = lam2 - dlt + 2.0 * dlt * u[:, 2]
-    kappa, keep = geo.shell_momentum(model, Z, direction, p)
+    u = halton(n_samples, 3)
+    Z = ((2.0 * u[:, 0] - 1.0) * R_max)[:, None]
+    direction = np.where(u[:, 2] >= 0.5, 1.0, -1.0)[:, None]
+    p = lam2 - dlt + 2.0 * dlt * u[:, 1]
+    kappa, keep = geo.shell_momentum(model, Z, p)
     ZETA = kappa[:, None] * direction
     return Z[keep], ZETA[keep]
 
@@ -305,7 +284,6 @@ def time_to_incoming(model, z0, zeta0, x_target, tau_target, T_max=500.0,
         return -fwd(t, y)
 
     state = np.concatenate([z0, zeta0])
-    n = model.dimension
     chunk = max(8.0 * margin, 16.0)
     t_done = 0.0
     ts_all, ok_all = [], []
@@ -319,8 +297,8 @@ def time_to_incoming(model, z0, zeta0, x_target, tau_target, T_max=500.0,
         )
         if not sol.success:
             raise IntegrationError(f"backward flow failed: {sol.message}")
-        Z = sol.y[:n].T
-        ZETA = sol.y[n:].T
+        Z = sol.y[:1].T
+        ZETA = sol.y[1:].T
         x, _, tau, _ = geo.scattering_coords(Z, ZETA)
         ok = (tau > tau_target) & (x < x_target)
         ts_all.append(sol.t)
@@ -360,7 +338,7 @@ def rk4_step(model, Z, ZETA, dt):
 def batched_flow(model, Z0, ZETA0, t0, t1, dt, store_stride=1):
     """Fixed-step RK4 flow of a batch of points from t0 to t1.
 
-    Returns (ts, Zs, ZETAs) with Zs of shape (n_stored, m, n); index 0 holds
+    Returns (ts, Zs, ZETAs) with Zs of shape (n_stored, m, 1); index 0 holds
     the initial state at t0.  dt carries the sign of (t1 - t0) internally.
     """
     span = t1 - t0

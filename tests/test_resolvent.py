@@ -289,17 +289,6 @@ def test_nonchar_bound_h_drift(free_1d):
     assert (b.max() - b.min()) / b.max() < 0.10
 
 
-def test_radial_modes_2d(free_2d):
-    norm, mode = rv.weighted_resolvent_norm_2d(
-        free_2d, 0.2, t=0.0, s=0.7, L=200.0, N=2**14
-    )
-    assert norm > 0 and mode >= 0
-    # the 1D free norm at the same h has the same h^-1 scale
-    op = rv.discretize(geo.preset_model("zero"), 0.2, L=200.0, N=2**14, boundary="cap")
-    n1 = rv.weighted_resolvent_norm(op, 1.0, 0.0, 0.7).value
-    assert 0.2 * n1 <= norm <= 5.0 * n1
-
-
 def test_cap_vs_dirichlet_cross_mode(free_1d):
     """Cap-mode t=0 and dirichlet t=h/10 norms agree within a factor 2."""
     h = 0.1
