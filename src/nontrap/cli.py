@@ -130,7 +130,10 @@ def _finite(val):
 
 
 def effective_config(params):
-    """Merge defaults, validate ranges, split model/run parts."""
+    """Merge defaults, validate keys and ranges, split model/run parts."""
+    unknown = sorted(set(params) - set(RUN_DEFAULTS) - set(geo.MODEL_DEFAULTS))
+    if unknown:
+        raise ConfigurationError(f"unknown key(s) {unknown}")
     cfg = dict(RUN_DEFAULTS)
     cfg.update({k: geo.MODEL_DEFAULTS[k] for k in geo.MODEL_DEFAULTS})
     cfg.update(params)

@@ -401,22 +401,23 @@ def build_tubes(model, consts, cutoffs, seed_spacing=1.0, t_cov=0.5,
         if kappa_min <= 0:
             raise ConstructionError("seed with vanishing momentum on K")
         r_mom = mom_factor * model.delta / kappa_min
+        Zs, Cs = (np.array(c) for c in zip(*seeds))
+        T_in = fl.time_to_incoming(model, Zs, Cs, x_target, tau_target,
+                                   T_max=T_max)
+        dZ, dC = geo.hamilton_field(model, Zs, Cs)
         tubes = []
-        for z, zeta in seeds:
-            T = fl.time_to_incoming(model, z, zeta, x_target, tau_target,
-                                    T_max=T_max)
+        for (z, zeta), T, dz, dzeta in zip(seeds, T_in.tolist(), dZ, dC):
             # the slowest disc member (lowest shell energy on the disc)
             # lags the center trajectory; size the segment for it
             kappa = float(np.linalg.norm(zeta))
             T = T * (1.0 + 2.0 * mom_factor * model.delta / kappa**2) + 0.5
-            dz, dzeta = geo.hamilton_field(model, z[None, :], zeta[None, :])
-            n_vec = _phase_state(dz[0], dzeta[0])
+            n_vec = _phase_state(dz, dzeta)
             n_norm = float(np.linalg.norm(n_vec))
             if n_norm == 0.0:
                 raise ConstructionError(f"stationary seed at {z}, {zeta}")
             n_vec = n_vec / n_norm
             # grad p = (-zetadot, zdot) spans the transversal
-            grad_p = np.concatenate([-dzeta[0], dz[0]])
+            grad_p = np.concatenate([-dzeta, dz])
             u_p = grad_p / np.linalg.norm(grad_p)
             tubes.append(Tube(seed=_phase_state(z, zeta), T=T,
                               normal=n_vec, basis=u_p[None, :],
@@ -799,10 +800,12 @@ class EscapeFunction:
 def hpq_finite_difference(esc: EscapeFunction, Z, ZETA, delta=1e-5):
     """Flow finite difference of q/psi along H_p (equals H_p q / psi since
     psi(p) is flow-invariant); the oracle for the analytic derivative."""
-    Zp, Cp = fl.flow_displace(esc.model, np.atleast_2d(Z), np.atleast_2d(ZETA), delta)
-    Zm, Cm = fl.flow_displace(esc.model, np.atleast_2d(Z), np.atleast_2d(ZETA), -delta)
-    qp, _ = esc.combine(esc.pieces(Zp, Cp))
-    qm, _ = esc.combine(esc.pieces(Zm, Cm))
+    Z, ZETA = np.atleast_2d(Z), np.atleast_2d(ZETA)
+    # one RK4 step of size +-delta each
+    _, Zp, Cp = fl.batched_flow(esc.model, Z, ZETA, 0.0, delta, delta)
+    _, Zm, Cm = fl.batched_flow(esc.model, Z, ZETA, 0.0, -delta, delta)
+    qp, _ = esc.combine(esc.pieces(Zp[-1], Cp[-1]))
+    qm, _ = esc.combine(esc.pieces(Zm[-1], Cm[-1]))
     return (qp - qm) / (2.0 * delta)
 
 

@@ -1,23 +1,22 @@
 """Hamiltonian flow: integration, escape classification, non-trapping scans.
 
-Trajectories are integrated with an adaptive embedded Runge-Kutta scheme
-(scipy's DOP853); there is no stiffness in these Hamiltonians and energy
-drift is monitored directly instead of enforcing symplecticity.  A point is
-certified as escaped once |z| > R_esc with d|z|/dt > 0 and tau^2 at least
-half the shell energy; for small x the radial momentum ratio tau/x is
-monotone along the flow, so these conditions persist and the verdict is a
-certificate rather than a guess.  Everything undetermined by T_max is
-reported honestly as such.
-
-A fixed-step batched RK4 integrator is provided for the escape-function
-machinery, which needs many short trajectories evaluated simultaneously.
+Escape verdicts and the tubes' incoming times come from one integrator,
+`batched_flow` (fixed-step RK4 over a batch), run in segments so that
+decided points retire.  A point is certified as escaped at the first sample
+with |z| > R_esc, d|z|/dt > 0 and tau^2 at least half the shell energy; for
+small x the radial momentum ratio tau/x is monotone along the flow, so these
+conditions persist and the verdict is a certificate rather than a guess.
+An escaped verdict whose energy drift max |p(t) - p(0)| exceeds
+1e-5 (1 + |p0|) raises instead of being accepted; everything undetermined
+by T_max is reported honestly as such.  `integrate_flow` keeps scipy's
+adaptive DOP853 as the reference trajectory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -25,8 +24,10 @@ from scipy.integrate import solve_ivp
 from nontrap import geometry as geo
 from nontrap.errors import ConfigurationError, IntegrationError
 
-ESCAPED = "escaped"
-UNDETERMINED = "undetermined-at-Tmax"
+CLASSIFY_DT = 0.02      # RK4 step of the verdicts (as in the tube certificate)
+_SEGMENT = 16.0         # flow time per batched_flow call between retirements
+_CLASSIFY_CHUNK = 1000  # points flowed together (bounds the stored samples)
+_DRIFT_BOUND = 1e-5     # relative energy drift that rejects an escaped verdict
 
 
 # ---------------------------------------------------------------------------
@@ -134,77 +135,126 @@ def integrate_flow(model, z0, zeta0, t_span, tol=1e-10, max_samples=4000) -> Tra
 
 
 # ---------------------------------------------------------------------------
+# batched fixed-step integration
+# ---------------------------------------------------------------------------
+
+def rk4_step(model, Z, ZETA, dt):
+    k1z, k1c = geo.hamilton_field(model, Z, ZETA)
+    k2z, k2c = geo.hamilton_field(model, Z + 0.5 * dt * k1z, ZETA + 0.5 * dt * k1c)
+    k3z, k3c = geo.hamilton_field(model, Z + 0.5 * dt * k2z, ZETA + 0.5 * dt * k2c)
+    k4z, k4c = geo.hamilton_field(model, Z + dt * k3z, ZETA + dt * k3c)
+    Zn = Z + dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z)
+    Cn = ZETA + dt / 6.0 * (k1c + 2 * k2c + 2 * k3c + k4c)
+    return Zn, Cn
+
+
+def batched_flow(model, Z0, ZETA0, t0, t1, dt, store_stride=1):
+    """Fixed-step RK4 flow of a batch of points from t0 to t1.
+
+    Returns (ts, Zs, ZETAs) with Zs of shape (n_stored, m, 1); index 0 holds
+    the initial state at t0.  dt carries the sign of (t1 - t0) internally;
+    dt = |t1 - t0| takes exactly one step.
+    """
+    span = t1 - t0
+    n_steps = max(1, int(math.ceil(abs(span) / dt)))
+    step = span / n_steps
+    Z = np.array(Z0, dtype=float, copy=True)
+    ZETA = np.array(ZETA0, dtype=float, copy=True)
+    ts = [t0]
+    Zs = [Z.copy()]
+    Cs = [ZETA.copy()]
+    for k in range(1, n_steps + 1):
+        Z, ZETA = rk4_step(model, Z, ZETA, step)
+        if k % store_stride == 0 or k == n_steps:
+            ts.append(t0 + k * step)
+            Zs.append(Z.copy())
+            Cs.append(ZETA.copy())
+    return np.array(ts), np.stack(Zs), np.stack(Cs)
+
+
+def _flow_segments(model, Z, ZETA, t_end, dt, visit):
+    """Flow the rows of (Z, ZETA) from t = 0 to t_end (either sign) with
+    batched_flow, _SEGMENT time units per call.  visit(rows, ts, Zs, Cs)
+    gets the live rows' indices and the segment's new samples (the first
+    segment's include t = 0) and returns a mask of decided rows, which
+    retire."""
+    rows = np.arange(Z.shape[0])
+    sgn = math.copysign(1.0, t_end)
+    done, first = 0.0, 0
+    while rows.size and done < abs(t_end):
+        nxt = min(done + _SEGMENT, abs(t_end))
+        ts, Zs, Cs = batched_flow(model, Z, ZETA, sgn * done, sgn * nxt, dt)
+        keep = ~visit(rows, ts[first:], Zs[first:], Cs[first:])
+        rows, Z, ZETA = rows[keep], Zs[-1, keep], Cs[-1, keep]
+        done, first = nxt, 1
+
+
+# ---------------------------------------------------------------------------
 # escape classification
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ClassifyResult:
-    verdict_fwd: str
-    verdict_bwd: str
-    escape_time_fwd: Optional[float]
-    escape_time_bwd: Optional[float]
+    """Per-point verdicts: escape times are NaN where undetermined at T_max;
+    energy_drift is max |p(t) - p(0)| over both directions' samples."""
+
+    escape_time_fwd: np.ndarray
+    escape_time_bwd: np.ndarray
+    energy_drift: np.ndarray
 
     @property
     def escaped_both(self):
-        return self.verdict_fwd == ESCAPED and self.verdict_bwd == ESCAPED
+        return np.isfinite(self.escape_time_fwd) & np.isfinite(self.escape_time_bwd)
 
 
-def _classify_one_direction(model, z0, zeta0, T_max, R_esc, tol):
-    """Escape certificate in one time direction (T_max < 0 = backward).
+def _escape_times(model, Z, ZETA, T_end, R_esc):
+    """First sampled time of the escape certificate along the flow from 0 to
+    T_end (T_end < 0 = backward), NaN if none, and the energy drift over the
+    samples flowed.  An escape that drifted past the bound raises."""
+    sgn = math.copysign(1.0, T_end)
+    p0 = geo.symbol_p(model, Z, ZETA)
+    t_esc = np.full(Z.shape[0], np.nan)
+    drift = np.zeros(Z.shape[0])
 
-    A crossing of the check radius without the outward or tau^2 condition
-    is not yet an escape; the check radius is enlarged and integration
-    resumes."""
-    lam2 = model.lambda2
-    fun = _rhs(model)
+    def visit(rows, ts, Zs, Cs):
+        shape = Zs.shape[:2]
+        Zf, Cf = Zs.reshape(-1, 1), Cs.reshape(-1, 1)
+        dz, _ = geo.hamilton_field(model, Zf, Cf)
+        _, _, tau, _ = geo.scattering_coords(Zf, Cf)
+        # d|z|/dt has the sign of z . zdot; it must grow along the integration
+        outward = sgn * np.sum(Zf * dz, axis=-1) > 0
+        escaped = ((np.abs(Zf[:, 0]) > R_esc) & outward
+                   & (tau**2 >= 0.5 * model.lambda2)).reshape(shape)
+        hit = escaped.any(axis=0)
+        t_esc[rows[hit]] = np.abs(ts[escaped.argmax(axis=0)[hit]])
+        dev = np.abs(geo.symbol_p(model, Zf, Cf).reshape(shape) - p0[rows])
+        drift[rows] = np.maximum(drift[rows], dev.max(axis=0))
+        return hit
 
-    t_lo = 0.0
-    state = np.concatenate(
-        [np.atleast_1d(np.asarray(z0, float)), np.atleast_1d(np.asarray(zeta0, float))]
-    )
-    R_check = R_esc
-    for _ in range(8):
-
-        def crossing(t, y, R=R_check):
-            return float(np.sqrt(np.sum(y[:1] ** 2)) - R)
-
-        crossing.terminal = True
-        crossing.direction = 1.0  # r growing along the integration
-
-        sol = solve_ivp(
-            fun, (t_lo, T_max), state, method="DOP853", rtol=tol, atol=tol,
-            events=crossing,
+    _flow_segments(model, Z, ZETA, T_end, CLASSIFY_DT, visit)
+    bad = np.flatnonzero(np.isfinite(t_esc)
+                         & (drift > _DRIFT_BOUND * (1.0 + np.abs(p0))))
+    if bad.size:
+        i = bad[0]
+        raise IntegrationError(
+            f"escaped verdict at z={Z[i, 0]!r}, zeta={ZETA[i, 0]!r} drifted "
+            f"{drift[i]:.3g} in energy; step {CLASSIFY_DT} is too coarse"
         )
-        if not sol.success:
-            raise IntegrationError(f"classification integration failed: {sol.message}")
-        if sol.t_events[0].size == 0:
-            return UNDETERMINED, None
-        t_ev = float(sol.t_events[0][0])
-        y_ev = sol.y_events[0][0]
-        z, zeta = y_ev[:1], y_ev[1:]
-        dz, _ = geo.hamilton_field(model, z[None, :], zeta[None, :])
-        r = float(np.sqrt(np.sum(z**2)))
-        rdot = float(np.sum(z * dz[0]) / r)
-        outward = rdot > 0 if T_max > 0 else rdot < 0
-        tau = geo.scattering_coords(z, zeta)[2]
-        if outward and tau**2 >= 0.5 * lam2:
-            return ESCAPED, abs(t_ev)
-        t_lo, state = t_ev, y_ev
-        R_check *= 1.4
-        if abs(T_max - t_lo) < 1e-9:
-            return UNDETERMINED, None
-    return UNDETERMINED, None
+    return t_esc, drift
 
 
-def classify_point(model, z0, zeta0, T_max=500.0, R_esc=40.0, tol=1e-8) -> ClassifyResult:
-    """Forward/backward escape verdicts for one phase point.
-
-    'escaped' requires |z| > R_esc, outward radial speed and tau^2 at least
-    lambda^2/2 at the crossing; anything else is 'undetermined-at-Tmax'.
-    """
-    vf, tf = _classify_one_direction(model, z0, zeta0, T_max, R_esc, tol)
-    vb, tb = _classify_one_direction(model, z0, zeta0, -T_max, R_esc, tol)
-    return ClassifyResult(vf, vb, tf, tb)
+def classify_point(model, Z0, ZETA0, T_max=500.0, R_esc=40.0) -> ClassifyResult:
+    """Forward/backward escape verdicts for an (m, 1) batch or one point:
+    the first sample with |z| > R_esc, outward radial speed and tau^2 at
+    least lambda^2/2 gives the escape time |t|.  IntegrationError when an
+    escaped verdict drifted more than 1e-5 (1 + |p0|) in energy."""
+    Z0, ZETA0 = (np.asarray(a, dtype=float).reshape(-1, 1) for a in (Z0, ZETA0))
+    out = np.empty((4, Z0.shape[0]))  # time and drift, forward then backward
+    for c in range(0, Z0.shape[0], _CLASSIFY_CHUNK):
+        sl = slice(c, c + _CLASSIFY_CHUNK)
+        out[:2, sl] = _escape_times(model, Z0[sl], ZETA0[sl], T_max, R_esc)
+        out[2:, sl] = _escape_times(model, Z0[sl], ZETA0[sl], -T_max, R_esc)
+    return ClassifyResult(out[0], out[2], np.maximum(out[1], out[3]))
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +266,7 @@ class NonTrappingVerdict:
     window: Tuple[float, float]
     sampled_points: int
     trapped_witnesses: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    max_energy_drift: float = 0.0
 
     @property
     def is_nontrapping_empirical(self):
@@ -240,7 +291,7 @@ def shell_slab_samples(model, n_samples, R_max, lambda2=None, delta=None):
 
 
 def nontrapping_scan(model, n_samples=1000, R_max=None, T_max=150.0, R_esc=40.0,
-                     tol=1e-8, lambda2=None, delta=None) -> NonTrappingVerdict:
+                     lambda2=None, delta=None) -> NonTrappingVerdict:
     """Classify a deterministic sample of the energy-shell slab.
 
     Outside the compact scan region escape is automatic (tau/x is monotone
@@ -253,15 +304,13 @@ def nontrapping_scan(model, n_samples=1000, R_max=None, T_max=150.0, R_esc=40.0,
     lam2 = model.lambda2 if lambda2 is None else lambda2
     dlt = model.delta if delta is None else delta
     Z, ZETA = shell_slab_samples(model, n_samples, R_max, lam2, dlt)
-    witnesses = []
-    for i in range(Z.shape[0]):
-        res = classify_point(model, Z[i], ZETA[i], T_max=T_max, R_esc=R_esc, tol=tol)
-        if not res.escaped_both:
-            witnesses.append((Z[i].copy(), ZETA[i].copy()))
+    res = classify_point(model, Z, ZETA, T_max=T_max, R_esc=R_esc)
     return NonTrappingVerdict(
         window=(lam2 - dlt, lam2 + dlt),
         sampled_points=int(Z.shape[0]),
-        trapped_witnesses=witnesses,
+        trapped_witnesses=[(Z[i].copy(), ZETA[i].copy())
+                           for i in np.flatnonzero(~res.escaped_both)],
+        max_energy_drift=float(np.max(res.energy_drift, initial=0.0)),
     )
 
 
@@ -269,98 +318,42 @@ def nontrapping_scan(model, n_samples=1000, R_max=None, T_max=150.0, R_esc=40.0,
 # first incoming time (the tube construction's T_xi)
 # ---------------------------------------------------------------------------
 
-def time_to_incoming(model, z0, zeta0, x_target, tau_target, T_max=500.0,
-                     dt_sample=0.05, margin=2.0, tol=1e-10) -> float:
-    """Smallest sampled T with tau(exp(-T H_p) xi) > tau_target and
-    x < x_target, certified to persist over [T, T + margin].
+def time_to_incoming(model, Z0, ZETA0, x_target, tau_target, T_max=500.0,
+                     dt_sample=0.05, margin=2.0) -> np.ndarray:
+    """Per row: the smallest sampled T <= T_max with
+    tau(exp(-T H_p) xi) > tau_target and x < x_target, certified to persist
+    over [T, T + margin].  Samples are the RK4 steps of size dt_sample.
 
-    Raises IntegrationError when no such time exists by T_max (trapping, or
-    T_max too small)."""
-    z0 = np.atleast_1d(np.asarray(z0, dtype=float))
-    zeta0 = np.atleast_1d(np.asarray(zeta0, dtype=float))
-    fwd = _rhs(model)
+    Raises IntegrationError when a row has no such time by T_max (trapping,
+    or T_max too small)."""
+    Z0, ZETA0 = (np.asarray(a, dtype=float).reshape(-1, 1) for a in (Z0, ZETA0))
+    m = Z0.shape[0]
+    T_in = np.full(m, np.nan)
+    t_hist, ok_hist = [], []  # all rows flow on the same time grid
 
-    def bwd(t, y):  # state(T) = exp(-T H_p) xi
-        return -fwd(t, y)
+    def visit(rows, ts, Zs, Cs):
+        x, _, tau, _ = geo.scattering_coords(Zs.reshape(-1, 1), Cs.reshape(-1, 1))
+        ok = np.zeros((ts.size, m), dtype=bool)
+        ok[:, rows] = ((tau > tau_target) & (x < x_target)).reshape(ts.size, -1)
+        t_hist.append(-ts)  # backward flow: T = -t
+        ok_hist.append(ok)
+        t = np.concatenate(t_hist)
+        oks = np.concatenate(ok_hist)[:, rows]
+        # samples [i, end[i]) of the history are the window [t_i, t_i + margin]
+        end = np.searchsorted(t, t + margin, side="right")
+        bad = np.pad(np.cumsum(~oks, axis=0), ((1, 0), (0, 0)))
+        complete = (t <= T_max) & (t[-1] >= t + margin)
+        good = complete[:, None] & (bad[end] == bad[:-1])
+        hit = good.any(axis=0)
+        T_in[rows[hit]] = t[good.argmax(axis=0)[hit]]
+        return hit
 
-    state = np.concatenate([z0, zeta0])
-    chunk = max(8.0 * margin, 16.0)
-    t_done = 0.0
-    ts_all, ok_all = [], []
-    while t_done < T_max + margin:
-        t_next = min(t_done + chunk, T_max + margin)
-        n_pts = max(1, int(round((t_next - t_done) / dt_sample)))
-        t_eval = np.linspace(t_done, t_next, n_pts + 1)
-        sol = solve_ivp(
-            bwd, (t_done, t_next), state,
-            method="DOP853", rtol=tol, atol=tol, t_eval=t_eval,
-        )
-        if not sol.success:
-            raise IntegrationError(f"backward flow failed: {sol.message}")
-        Z = sol.y[:1].T
-        ZETA = sol.y[1:].T
-        x, _, tau, _ = geo.scattering_coords(Z, ZETA)
-        ok = (tau > tau_target) & (x < x_target)
-        ts_all.append(sol.t)
-        ok_all.append(ok)
-        t_done, state = t_next, sol.y[:, -1]
-        ts = np.concatenate(ts_all)
-        oks = np.concatenate(ok_all)
-        for idx in np.flatnonzero(oks):
-            T = ts[idx]
-            if T > T_max:
-                break
-            if ts[-1] < T + margin:
-                break  # need more integration to certify persistence
-            window = (ts >= T) & (ts <= T + margin)
-            if np.all(oks[window]):
-                return float(T)
-    raise IntegrationError(
-        "incoming conditions never certified by T_max "
-        f"(T_max={T_max}); the model may be trapping or T_max too small"
-    )
-
-
-# ---------------------------------------------------------------------------
-# batched fixed-step integration (escape machinery fast path)
-# ---------------------------------------------------------------------------
-
-def rk4_step(model, Z, ZETA, dt):
-    k1z, k1c = geo.hamilton_field(model, Z, ZETA)
-    k2z, k2c = geo.hamilton_field(model, Z + 0.5 * dt * k1z, ZETA + 0.5 * dt * k1c)
-    k3z, k3c = geo.hamilton_field(model, Z + 0.5 * dt * k2z, ZETA + 0.5 * dt * k2c)
-    k4z, k4c = geo.hamilton_field(model, Z + dt * k3z, ZETA + dt * k3c)
-    Zn = Z + dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z)
-    Cn = ZETA + dt / 6.0 * (k1c + 2 * k2c + 2 * k3c + k4c)
-    return Zn, Cn
-
-
-def batched_flow(model, Z0, ZETA0, t0, t1, dt, store_stride=1):
-    """Fixed-step RK4 flow of a batch of points from t0 to t1.
-
-    Returns (ts, Zs, ZETAs) with Zs of shape (n_stored, m, 1); index 0 holds
-    the initial state at t0.  dt carries the sign of (t1 - t0) internally.
-    """
-    span = t1 - t0
-    n_steps = max(1, int(math.ceil(abs(span) / dt)))
-    step = span / n_steps
-    Z = np.array(Z0, dtype=float, copy=True)
-    ZETA = np.array(ZETA0, dtype=float, copy=True)
-    ts = [t0]
-    Zs = [Z.copy()]
-    Cs = [ZETA.copy()]
-    for k in range(1, n_steps + 1):
-        Z, ZETA = rk4_step(model, Z, ZETA, step)
-        if k % store_stride == 0 or k == n_steps:
-            ts.append(t0 + k * step)
-            Zs.append(Z.copy())
-            Cs.append(ZETA.copy())
-    return np.array(ts), np.stack(Zs), np.stack(Cs)
-
-
-def flow_displace(model, Z, ZETA, s, n_steps=1):
-    """exp(s H_p) applied to a batch by n_steps RK4 steps (tiny |s| only)."""
-    dt = s / n_steps
-    for _ in range(n_steps):
-        Z, ZETA = rk4_step(model, Z, ZETA, dt)
-    return Z, ZETA
+    _flow_segments(model, Z0, ZETA0, -(T_max + margin), dt_sample, visit)
+    missing = np.flatnonzero(np.isnan(T_in))
+    if missing.size:
+        i = missing[0]
+        raise IntegrationError(
+            f"incoming conditions never certified by T_max={T_max} for "
+            f"{missing.size} of {m} points (first z={Z0[i, 0]!r}, zeta="
+            f"{ZETA0[i, 0]!r}); the model may be trapping or T_max too small")
+    return T_in

@@ -89,6 +89,28 @@ def test_unrunnable_values_rejected_before_output(tmp_path, line):
     assert not out.exists()
 
 
+def test_library_config_unknown_key_rejected_before_output(tmp_path):
+    """Keys reach cli.run from library callers without parse_config_text;
+    they are checked there too."""
+    out = tmp_path / "o"
+    with pytest.raises(ConfigurationError, match="unknown key"):
+        cli.run({"dimension": 2, "command": "flow-scan"}, out_override=str(out))
+    assert not out.exists()
+
+
+def test_escape_verify_well_certified(tmp_path):
+    """The well is non-trapping: at the default scan size its verdict has no
+    witness and the escape certificate passes."""
+    conf = tmp_path / "c.conf"
+    conf.write_text("verify_x = 60\nverify_interior = 10\nverify_energy = 4\n")
+    out = tmp_path / "o"
+    code = cli.main(["--preset", "well", "escape-verify", "--config",
+                     str(conf), "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"]["escape_certificate"]["passed"]
+
+
 def test_only_package_errors_become_exit_1(tmp_path, monkeypatch):
     def fail_with(exc):
         def command(cfg, rep):

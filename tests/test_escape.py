@@ -105,7 +105,8 @@ def test_boundary_piece_flow_finite_difference():
     Z, ZETA = np.array([[20.0]]), np.array([[-0.9]])
     val, hpq = esc.eval_boundary_piece("minus", model, consts, cutoffs, 0.2, Z, ZETA)
     d = 1e-6
-    Zp, Cp = fl.flow_displace(model, Z, ZETA, d)
+    _, Zs, Cs = fl.batched_flow(model, Z, ZETA, 0.0, d, d)
+    Zp, Cp = Zs[-1], Cs[-1]
     vp, _ = esc.eval_boundary_piece("minus", model, consts, cutoffs, 0.2, Zp, Cp)
     fd = (vp[0] - val[0]) / d
     assert abs(fd - hpq[0]) <= 1e-5 * (1 + abs(hpq[0]))

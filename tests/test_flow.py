@@ -52,34 +52,79 @@ def test_trajectory_table(free_1d):
 
 
 def test_classify_free_escapes(free_1d):
-    res = flow.classify_point(free_1d, [0.0], [1.0], T_max=100.0)
-    assert res.verdict_fwd == flow.ESCAPED
-    assert res.verdict_bwd == flow.ESCAPED
-    assert res.escape_time_fwd == pytest.approx(20.0, rel=1e-3)
+    res = flow.classify_point(free_1d, [[0.0]], [[1.0]], T_max=100.0)
+    assert res.escaped_both.tolist() == [True]
+    assert res.escape_time_fwd[0] == pytest.approx(20.0, rel=1e-3)
+    assert res.escape_time_bwd[0] == pytest.approx(20.0, rel=1e-3)
 
 
 def test_classify_double_bump_interior(double_bump_1d):
-    res = flow.classify_point(double_bump_1d, [0.0], [1.0], T_max=200.0)
-    assert res.verdict_fwd == flow.UNDETERMINED
-    assert res.verdict_bwd == flow.UNDETERMINED
+    res = flow.classify_point(double_bump_1d, [[0.0]], [[1.0]], T_max=200.0)
+    assert np.isnan(res.escape_time_fwd[0])
+    assert np.isnan(res.escape_time_bwd[0])
+    assert not res.escaped_both[0]
 
 
 def test_classify_longrange_outgoing():
     model = geo.preset_model("longrange_pow", amplitude=1.0)
     v5 = model.potential.value(np.array([[5.0]]))[0]
     zeta = np.sqrt(1.0 - v5)
-    res = flow.classify_point(model, [5.0], [zeta], T_max=120.0)
-    assert res.verdict_fwd == flow.ESCAPED
+    res = flow.classify_point(model, [[5.0]], [[zeta]], T_max=120.0)
+    assert np.isfinite(res.escape_time_fwd[0])
 
 
-def test_classify_verdict_stable_under_tol_halving(double_bump_1d, free_1d):
-    for model, pt in [
-        (double_bump_1d, ([0.5], [0.9])),
-        (free_1d, ([3.0], [-1.0])),
-    ]:
-        a = flow.classify_point(model, *pt, T_max=80.0, tol=1e-8)
-        b = flow.classify_point(model, *pt, T_max=80.0, tol=5e-9)
-        assert (a.verdict_fwd, a.verdict_bwd) == (b.verdict_fwd, b.verdict_bwd)
+def test_classify_batch_matches_single_points(double_bump_1d):
+    """A batch classifies each row as it would alone (retiring rows early
+    cannot change the others)."""
+    Z = np.array([[0.0], [0.5], [5.0], [-7.0]])
+    C = np.array([[1.0], [0.9], [-1.0], [1.0]])
+    batch = flow.classify_point(double_bump_1d, Z, C, T_max=80.0)
+    for i in range(Z.shape[0]):
+        one = flow.classify_point(double_bump_1d, Z[i], C[i], T_max=80.0)
+        for name in ("escape_time_fwd", "escape_time_bwd", "energy_drift"):
+            np.testing.assert_array_equal(getattr(one, name),
+                                          getattr(batch, name)[i:i + 1])
+
+
+@pytest.fixture(scope="module")
+def double_bump_scan(double_bump_1d):
+    return flow.nontrapping_scan(double_bump_1d, n_samples=300, T_max=150.0)
+
+
+def _witness_zs(verdict):
+    return [float(w[0][0]) for w in verdict.trapped_witnesses]
+
+
+def test_classify_verdict_stable_under_step_halving(double_bump_1d,
+                                                    double_bump_scan,
+                                                    monkeypatch):
+    """Halving the RK4 step leaves the double_bump witness set unchanged."""
+    monkeypatch.setattr(flow, "CLASSIFY_DT", flow.CLASSIFY_DT / 2)
+    half = flow.nontrapping_scan(double_bump_1d, n_samples=300, T_max=150.0)
+    assert _witness_zs(half) == _witness_zs(double_bump_scan)
+    assert len(_witness_zs(half)) == 16
+
+
+@pytest.mark.parametrize("preset, z, zeta", [
+    ("well", 30.9375, 0.98903453),
+    ("double_bump", 28.90625, -0.9591806059560679),
+])
+def test_classify_former_false_witnesses_escape(preset, z, zeta):
+    """Points an adaptive integrator without a step cap reported as
+    trapped: both ends escape, with a small energy drift."""
+    model = geo.preset_model(preset)
+    res = flow.classify_point(model, [[z]], [[zeta]], T_max=150.0)
+    assert res.escaped_both.tolist() == [True]
+    p0 = geo.symbol_p(model, np.array([[z]]), np.array([[zeta]]))[0]
+    assert res.energy_drift[0] <= 1e-5 * (1 + abs(p0))
+
+
+def test_classify_rejects_drifting_escape(monkeypatch):
+    """An escaped verdict whose energy drifts past the bound raises."""
+    monkeypatch.setattr(flow, "_DRIFT_BOUND", 0.0)
+    model = geo.preset_model("longrange_pow")
+    with pytest.raises(IntegrationError, match="drifted"):
+        flow.classify_point(model, [[5.0]], [[0.9]], T_max=100.0)
 
 
 def test_nontrapping_scan_free(free_1d):
@@ -102,6 +147,21 @@ def test_nontrapping_scan_double_bump(double_bump_1d):
 def test_nontrapping_scan_longrange(longrange_1d):
     verdict = flow.nontrapping_scan(longrange_1d, n_samples=200, T_max=150.0)
     assert verdict.is_nontrapping_empirical
+    assert verdict.max_energy_drift <= 1e-5
+
+
+def test_nontrapping_scan_well_has_no_witness(well_1d):
+    """Every window orbit of the well escapes (p - V >= 0.9)."""
+    verdict = flow.nontrapping_scan(well_1d, n_samples=300, T_max=150.0)
+    assert verdict.sampled_points > 0
+    assert verdict.trapped_witnesses == []
+
+
+def test_nontrapping_scan_double_bump_witnesses_between_bumps(double_bump_scan):
+    """Only the well between the bumps (|z| < 3) traps."""
+    zs = np.array(_witness_zs(double_bump_scan))
+    assert zs.size > 0
+    assert np.all(np.abs(zs) < 3.0)
 
 
 def test_monotone_incoming_radial_ratio(longrange_1d):
@@ -117,17 +177,17 @@ def test_monotone_incoming_radial_ratio(longrange_1d):
 
 def test_time_to_incoming_free_closed_form(free_1d):
     x0 = 1.0 / 6.0
-    T = flow.time_to_incoming(free_1d, [0.0], [1.0], x0 / 2, 2.0 / 3.0, T_max=100.0)
-    assert 6.0 <= T <= 6.1
-
-    T2 = flow.time_to_incoming(free_1d, [20.0], [1.0], x0 / 2, 2.0 / 3.0, T_max=100.0)
-    assert 16.0 <= T2 <= 16.1
+    T = flow.time_to_incoming(free_1d, [[0.0], [20.0]], [[1.0], [1.0]],
+                              x0 / 2, 2.0 / 3.0, T_max=100.0)
+    assert T.shape == (2,)
+    assert 6.0 <= T[0] <= 6.1
+    assert 16.0 <= T[1] <= 16.1
 
 
 def test_time_to_incoming_trapped_fails(double_bump_1d):
     with pytest.raises(IntegrationError):
         flow.time_to_incoming(
-            double_bump_1d, [0.0], [1.0], 0.05, 2.0 / 3.0, T_max=60.0
+            double_bump_1d, [[0.0]], [[1.0]], 0.05, 2.0 / 3.0, T_max=60.0
         )
 
 
@@ -150,12 +210,14 @@ def test_batched_flow_matches_adaptive(longrange_1d):
         assert abs(Cs[-1, i, 0] - traj.ZETA[-1, 0]) <= 1e-6
 
 
-def test_flow_displace_small_step(free_1d):
+def test_batched_flow_single_step(free_1d):
+    """dt = |t1 - t0| takes exactly one RK4 step."""
     Z = np.array([[1.0]])
     C = np.array([[0.7]])
-    Z2, C2 = flow.flow_displace(free_1d, Z, C, 1e-5)
-    assert Z2[0, 0] == pytest.approx(1.0 + 2 * 0.7 * 1e-5, rel=1e-12)
-    assert C2[0, 0] == pytest.approx(0.7)
+    ts, Zs, Cs = flow.batched_flow(free_1d, Z, C, 0.0, 1e-5, 1e-5)
+    assert ts.tolist() == [0.0, 1e-5]
+    assert Zs[-1, 0, 0] == pytest.approx(1.0 + 2 * 0.7 * 1e-5, rel=1e-12)
+    assert Cs[-1, 0, 0] == pytest.approx(0.7)
 
 
 def test_escaped_radius_monotone(longrange_1d):
