@@ -264,13 +264,13 @@ def cmd_flow_scan(cfg, rep: Reporter):
                   [[verdict.window[0], verdict.window[1],
                     verdict.sampled_points, len(verdict.trapped_witnesses),
                     int(verdict.is_nontrapping_empirical)]])
-    wit_rows = [list(w[0]) + list(w[1]) for w in verdict.trapped_witnesses]
+    wit_rows = [list(w) for w in verdict.trapped_witnesses]
     rep.write_csv("witnesses.csv", ["z1", "zeta1"], wit_rows)
     for k in range(cfg["dump_trajectories"]):
-        Z, ZETA = fl.shell_slab_samples(model, 4 * (k + 1) + 1, cfg["r_escape"])
-        if Z.shape[0] == 0:
+        z, zeta = fl.shell_slab_samples(model, 4 * (k + 1) + 1, cfg["r_escape"])
+        if z.size == 0:
             continue
-        traj = fl.integrate_flow(model, Z[-1], ZETA[-1], (0.0, 30.0))
+        traj = fl.integrate_flow(model, z[-1], zeta[-1], (0.0, 30.0))
         header, table = traj.table(model)
         rep.write_csv(f"trajectory_{k:03d}.csv", header, table.tolist())
     rep.check("flow_scan_completed", True,
@@ -307,7 +307,7 @@ def _dump_q_slice(e, rep: Reporter, n_x=80, n_tau=60):
     taus = np.linspace(-1.5 * lam, 1.5 * lam, n_tau)
     X, T = np.meshgrid(xs, taus, indexing="ij")
     x, t = X.ravel(), T.ravel()
-    pc = e.pieces((1.0 / x)[:, None], (-t)[:, None])
+    pc = e.pieces(1.0 / x, -t)
     qpp, hpp = e.combine(pc)
     rows = np.stack([x, t, qpp * pc.psi, hpp * pc.psi], axis=-1)
     rep.write_csv("q_slice.csv", ["x", "tau", "q", "hp_q"], rows.tolist())

@@ -139,16 +139,14 @@ class BoundaryConstants:
 
 def _collar_points(model, eps1, n_x, n_tau, x_min=1e-4):
     """Deterministic scattering-coordinate grid on the collar x < eps1 at
-    both ends, converted to Euclidean points.  Returns (Z, ZETA)."""
+    both ends, converted to Euclidean points.  Returns (z, zeta)."""
     lam = model.lam
     xs = np.geomspace(x_min, eps1 * 0.999, n_x)
     taus = np.linspace(-1.6 * lam, 1.6 * lam, n_tau)
     X, T, Y = np.meshgrid(xs, taus, np.array([1.0, -1.0]), indexing="ij")
     x, t, y = X.ravel(), T.ravel(), Y.ravel()
     r = 1.0 / x
-    Z = (r * y)[:, None]
-    ZETA = (-t * y)[:, None]
-    return Z, ZETA
+    return r * y, -t * y
 
 
 def boundary_constants(model, n_x=40, n_tau=41, refine=1) -> BoundaryConstants:
@@ -163,12 +161,12 @@ def boundary_constants(model, n_x=40, n_tau=41, refine=1) -> BoundaryConstants:
     n_x, n_tau = n_x * refine, (n_tau - 1) * refine + 1
 
     # provisional collar for the remainder sup: x < 1/2
-    Z, ZETA = _collar_points(model, 0.5, n_x, n_tau)
-    p = geo.symbol_p(model, Z, ZETA)
+    z, zeta = _collar_points(model, 0.5, n_x, n_tau)
+    p = geo.symbol_p(model, z, zeta)
     sub = p <= 2.0 * lam2
     if not np.any(sub):
         raise ConstructionError("empty collar sample; model badly scaled")
-    a, b, f = geo.collar_remainders(model, Z[sub], ZETA[sub])
+    a, b, f = geo.collar_remainders(model, z[sub], zeta[sub])
     snap = 1e-9 * (1.0 + lam2)
     M_raw = float(np.max(np.abs(a) + np.abs(b)))
     M = 0.0 if M_raw < snap else 1.5 * M_raw
@@ -178,10 +176,10 @@ def boundary_constants(model, n_x=40, n_tau=41, refine=1) -> BoundaryConstants:
     eps1 = min(0.5, (lam2 / (2.0 * (M_f + 1.0))) ** (1.0 / gamma))
 
     # measured floor of -H_p(tau/x) on the collar energy shell
-    Zc, ZEc = _collar_points(model, eps1, n_x, n_tau)
-    pc = geo.symbol_p(model, Zc, ZEc)
+    zc, zetac = _collar_points(model, eps1, n_x, n_tau)
+    pc = geo.symbol_p(model, zc, zetac)
     shell = (pc > 0.5 * lam2) & (pc < 2.0 * lam2)
-    vel = geo.hamilton_field_scattering(model, Zc[shell], ZEc[shell])
+    vel = geo.hamilton_field_scattering(model, zc[shell], zetac[shell])
     hp_ratio = vel.taudot / vel.x - vel.tau * vel.xdot / vel.x**2
     c0 = float(np.min(-hp_ratio))
     if c0 <= 0:
@@ -218,7 +216,7 @@ def boundary_constants(model, n_x=40, n_tau=41, refine=1) -> BoundaryConstants:
 # boundary pieces
 # ---------------------------------------------------------------------------
 
-def eval_boundary_piece(kind, model, consts, cutoffs, eps, Z, ZETA):
+def eval_boundary_piece(kind, model, consts, cutoffs, eps, z, zeta):
     """(q/psi, H_p q/psi) for one boundary piece on a batch of points.
 
     kind in {'minus', 'plus', 'partial'}.  The derivative uses the exact
@@ -233,9 +231,8 @@ def eval_boundary_piece(kind, model, consts, cutoffs, eps, Z, ZETA):
         chi, alpha = cutoffs.chi_partial, -eps
     else:
         raise ConfigurationError(f"unknown boundary piece {kind!r}")
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    ZETA = np.atleast_2d(np.asarray(ZETA, dtype=float))
-    x, _, tau, _ = geo.scattering_coords(Z, ZETA)
+    z, zeta = np.asarray(z, dtype=float), np.asarray(zeta, dtype=float)
+    x, tau = geo.scattering_coords(z, zeta)
     x0 = consts.x0
     rho_v = cutoffs.rho(x / x0)
     chi_v = chi(tau)
@@ -245,7 +242,7 @@ def eval_boundary_piece(kind, model, consts, cutoffs, eps, Z, ZETA):
     live = (chi_v != 0.0) | (chi.d(tau) != 0.0)
     live &= (rho_v != 0.0) | (cutoffs.rho.d(x / x0) != 0.0)
     if np.any(live):
-        vel = geo.hamilton_field_scattering(model, Z[live], ZETA[live])
+        vel = geo.hamilton_field_scattering(model, z[live], zeta[live])
         xl, taul = x[live], tau[live]
         rv, rd = cutoffs.rho(xl / x0), cutoffs.rho.d(xl / x0)
         cv, cd = chi(taul), chi.d(taul)
@@ -257,16 +254,14 @@ def eval_boundary_piece(kind, model, consts, cutoffs, eps, Z, ZETA):
     return val, hpq
 
 
-def eval_boundary_q(kind, model, consts, cutoffs, eps, Z, ZETA):
+def eval_boundary_q(kind, model, consts, cutoffs, eps, z, zeta):
     """(q_kind, H_p q_kind) including the psi(p) factor.
 
     The certificates work with the psi-stripped eval_boundary_piece; this
     wrapper is the plain evaluator (H_p psi(p) = 0, so both components just
     scale by psi)."""
-    val, hpq = eval_boundary_piece(kind, model, consts, cutoffs, eps, Z, ZETA)
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    ZETA = np.atleast_2d(np.asarray(ZETA, dtype=float))
-    psi = cutoffs.psi(geo.symbol_p(model, Z, ZETA))
+    val, hpq = eval_boundary_piece(kind, model, consts, cutoffs, eps, z, zeta)
+    psi = cutoffs.psi(geo.symbol_p(model, z, zeta))
     return val * psi, hpq * psi
 
 
@@ -303,8 +298,8 @@ class Tube:
     seed: np.ndarray          # phase-space point (z, zeta)
     T: float
     normal: np.ndarray        # unit H_p direction at the seed (2,)
-    basis: np.ndarray         # (1, 2) unit grad p direction
-    radii: np.ndarray         # (1,) disc radius
+    u_p: np.ndarray           # unit grad p direction at the seed (2,)
+    radius: float             # disc radius along u_p
     bbox_lo: Optional[np.ndarray]   # sampled sweep bounding box, inflated
     bbox_hi: Optional[np.ndarray]
 
@@ -312,14 +307,9 @@ class Tube:
     def window(self):
         return (-1.0, self.T + 2.0)
 
-    @property
-    def max_radius(self):
-        return float(np.max(self.radii))
-
     def disc_distance(self, offsets):
         """Disc norm of phase-space offsets (rows)."""
-        comps = offsets @ self.basis.T
-        return np.sqrt(np.sum((comps / self.radii) ** 2, axis=-1))
+        return np.abs(offsets @ self.u_p) / self.radius
 
 
 @dataclass
@@ -350,30 +340,28 @@ class TubeCollection:
         return out
 
 
-def _phase_state(Z, ZETA):
-    return np.concatenate([Z, ZETA], axis=-1)
+def _phase_state(z, zeta):
+    """Phase-space states (z, zeta) as rows of an (..., 2) array."""
+    return np.stack([z, zeta], axis=-1)
 
 
 def _k_region_seeds(model, consts, spacing):
     """Seed grid on K = supp psi(p) & {x >= x0/4} (one seed per position
-    cell and momentum branch, at the window center energy)."""
+    cell and momentum branch, at the window center energy).  Returns
+    (z, zeta)."""
     r_max = 4.0 / consts.x0
     zs = np.arange(-r_max, r_max + 0.5 * spacing, spacing)
-    Z = np.repeat(zs, 2)[:, None]
-    D = np.tile([1.0, -1.0], zs.size)[:, None]
-    kappa, allowed = geo.shell_momentum(model, Z, model.lambda2)
-    return [(Z[i], kappa[i] * D[i]) for i in np.flatnonzero(allowed)]
+    z = np.repeat(zs, 2)
+    d = np.tile([1.0, -1.0], zs.size)
+    kappa, allowed = geo.shell_momentum(model, z, model.lambda2)
+    return z[allowed], kappa[allowed] * d[allowed]
 
 
 def _disc_offsets(tube: Tube):
-    """Sample offsets spanning the transversal disc (center, half and full
-    radius along each disc axis)."""
-    offs = [np.zeros_like(tube.seed)]
-    for e, rad in zip(tube.basis, tube.radii):
-        for c in (0.5, 1.0):
-            offs.append(c * rad * e)
-            offs.append(-c * rad * e)
-    return np.stack(offs)
+    """Sample offsets across the transversal disc: the center, and half and
+    full radius either way along u_p."""
+    half, full = 0.5 * tube.radius * tube.u_p, tube.radius * tube.u_p
+    return np.stack([np.zeros(2), half, -half, full, -full])
 
 
 def build_tubes(model, consts, cutoffs, seed_spacing=1.0, t_cov=0.5,
@@ -394,22 +382,21 @@ def build_tubes(model, consts, cutoffs, seed_spacing=1.0, t_cov=0.5,
     spacing = max(seed_spacing, (4.0 / consts.x0) / 40.0)
     last_report = None
     for attempt in range(max_refine + 1):
-        seeds = _k_region_seeds(model, consts, spacing)
-        if not seeds:
+        z_s, zeta_s = _k_region_seeds(model, consts, spacing)
+        if not z_s.size:
             raise ConstructionError("no seeds found on K; check the window")
-        kappa_min = min(float(np.linalg.norm(zeta)) for _, zeta in seeds)
+        kappa_min = float(np.min(np.abs(zeta_s)))
         if kappa_min <= 0:
             raise ConstructionError("seed with vanishing momentum on K")
         r_mom = mom_factor * model.delta / kappa_min
-        Zs, Cs = (np.array(c) for c in zip(*seeds))
-        T_in = fl.time_to_incoming(model, Zs, Cs, x_target, tau_target,
+        T_in = fl.time_to_incoming(model, z_s, zeta_s, x_target, tau_target,
                                    T_max=T_max)
-        dZ, dC = geo.hamilton_field(model, Zs, Cs)
+        dZ, dC = geo.hamilton_field(model, z_s, zeta_s)
         tubes = []
-        for (z, zeta), T, dz, dzeta in zip(seeds, T_in.tolist(), dZ, dC):
+        for z, zeta, T, dz, dzeta in zip(z_s, zeta_s, T_in.tolist(), dZ, dC):
             # the slowest disc member (lowest shell energy on the disc)
             # lags the center trajectory; size the segment for it
-            kappa = float(np.linalg.norm(zeta))
+            kappa = abs(float(zeta))
             T = T * (1.0 + 2.0 * mom_factor * model.delta / kappa**2) + 0.5
             n_vec = _phase_state(dz, dzeta)
             n_norm = float(np.linalg.norm(n_vec))
@@ -417,11 +404,10 @@ def build_tubes(model, consts, cutoffs, seed_spacing=1.0, t_cov=0.5,
                 raise ConstructionError(f"stationary seed at {z}, {zeta}")
             n_vec = n_vec / n_norm
             # grad p = (-zetadot, zdot) spans the transversal
-            grad_p = np.concatenate([-dzeta, dz])
+            grad_p = _phase_state(-dzeta, dz)
             u_p = grad_p / np.linalg.norm(grad_p)
             tubes.append(Tube(seed=_phase_state(z, zeta), T=T,
-                              normal=n_vec, basis=u_p[None, :],
-                              radii=np.array([r_mom]),
+                              normal=n_vec, u_p=u_p, radius=r_mom,
                               bbox_lo=None, bbox_hi=None))
         _certify_tubes(model, tubes, consts, lam, max_extend)
         coll = TubeCollection(tubes=tubes, t_cov=t_cov,
@@ -448,13 +434,13 @@ def _certify_tubes(model, tubes: List[Tube], consts, lam, max_extend):
         pend = [tb for tb in tubes if tb.bbox_lo is None]
         if not pend:
             return
-        offs = [tb.seed[None, :] + _disc_offsets(tb) for tb in pend]
+        offs = [tb.seed + _disc_offsets(tb) for tb in pend]
         counts = [o.shape[0] for o in offs]
         pts = np.concatenate(offs, axis=0)
         T_all = max(tb.T for tb in pend)
-        ts, Zs, Cs = fl.batched_flow(model, pts[:, :1], pts[:, 1:], 0.0,
+        ts, zs, cs = fl.batched_flow(model, pts[:, 0], pts[:, 1], 0.0,
                                      -(T_all + 2.2), 0.02, store_stride=5)
-        states = np.concatenate([Zs, Cs], axis=-1)  # (nt, sum counts, 2)
+        states = _phase_state(zs, cs)  # (nt, sum counts, 2)
         start = 0
         for tb, cnt in zip(pend, counts):
             sl = states[:, start:start + cnt, :]
@@ -462,11 +448,11 @@ def _certify_tubes(model, tubes: List[Tube], consts, lam, max_extend):
             window = (-ts <= tb.T + 2.2)
             flat = sl[window].reshape(-1, 2)
             lo, hi = flat.min(axis=0), flat.max(axis=0)
-            pad = 0.25 * tb.max_radius + 0.05 * (np.abs(lo) + np.abs(hi))
+            pad = 0.25 * tb.radius + 0.05 * (np.abs(lo) + np.abs(hi))
             late = (-ts >= tb.T + 0.5) & (-ts <= tb.T + 2.0 + 1e-9)
-            Zl = sl[late][..., :1].reshape(-1, 1)
-            Cl = sl[late][..., 1:].reshape(-1, 1)
-            x, _, tau, _ = geo.scattering_coords(Zl, Cl)
+            tail = sl[late]
+            x, tau = geo.scattering_coords(tail[..., 0].ravel(),
+                                           tail[..., 1].ravel())
             if np.all(x < consts.x0 / 2.0) and np.all(tau > 2.0 * lam / 3.0):
                 tb.bbox_lo = lo - pad
                 tb.bbox_hi = hi + pad
@@ -483,19 +469,18 @@ def _certify_tubes(model, tubes: List[Tube], consts, lam, max_extend):
 def _certify_covering(model, coll: TubeCollection, consts, spacing, attempt):
     """Every point of a 2x finer K grid, widened across the window, must
     lie in some tube's interior zone."""
-    test = _k_region_seeds(model, consts, 0.5 * spacing)
+    z_t, zeta_t = _k_region_seeds(model, consts, 0.5 * spacing)
     offs = np.array([-0.9, 0.0, 0.9])
-    Z = np.repeat(np.array([z for z, _ in test]), offs.size, axis=0)
-    D = np.repeat(np.array([zeta / np.linalg.norm(zeta) for _, zeta in test]),
-                  offs.size, axis=0)
-    energy = np.tile(model.lambda2 + offs * model.delta, len(test))
-    kappa, allowed = geo.shell_momentum(model, Z, energy)
-    Z0 = Z[allowed]
-    C0 = kappa[allowed, None] * D[allowed]
-    qv, _ = eval_q_circ(model, coll, Z0, C0, covering_mode=True)
+    z = np.repeat(z_t, offs.size)
+    d = np.repeat(np.sign(zeta_t), offs.size)
+    energy = np.tile(model.lambda2 + offs * model.delta, z_t.size)
+    kappa, allowed = geo.shell_momentum(model, z, energy)
+    z0 = z[allowed]
+    c0 = kappa[allowed] * d[allowed]
+    qv, _ = eval_q_circ(model, coll, z0, c0, covering_mode=True)
     bad = qv <= 0.0
-    uncovered = [np.concatenate([Z0[i], C0[i]]) for i in np.flatnonzero(bad)[:16]]
-    return CoveringReport(n_test=len(Z0), n_uncovered=int(np.sum(bad)),
+    uncovered = [_phase_state(z0[i], c0[i]) for i in np.flatnonzero(bad)[:16]]
+    return CoveringReport(n_test=z0.size, n_uncovered=int(np.sum(bad)),
                           uncovered=uncovered, refinements=attempt)
 
 
@@ -503,7 +488,7 @@ def _certify_covering(model, coll: TubeCollection, consts, spacing, attempt):
 # tube evaluation (flow coordinates by crossing detection)
 # ---------------------------------------------------------------------------
 
-def eval_q_circ(model, coll: TubeCollection, Z, ZETA, dt=0.05,
+def eval_q_circ(model, coll: TubeCollection, z, zeta, dt=0.05,
                 store_stride=2, chunk=6000, covering_mode=False):
     """(q_circ/psi, H_p q_circ/psi) on a batch of points.
 
@@ -536,14 +521,13 @@ def eval_q_circ(model, coll: TubeCollection, Z, ZETA, dt=0.05,
     least 1/2) and disc distance <= 1/2; the flow span is short.  Every
     tube is a candidate for every point there, and no reordering is done.
     """
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    ZETA = np.atleast_2d(np.asarray(ZETA, dtype=float))
-    m = Z.shape[0]
+    z, zeta = np.asarray(z, dtype=float), np.asarray(zeta, dtype=float)
+    m = z.size
     qv = np.zeros(m)
     hp = np.zeros(m)
     if not coll.tubes:
         return qv, hp
-    states = _phase_state(Z, ZETA)
+    states = _phase_state(z, zeta)
     cand = None if covering_mode else coll.bbox_candidates(states)
     if covering_mode:
         t_hi_pt = np.full(m, coll.t_cov + coll.seed_spacing + 0.8)
@@ -570,25 +554,31 @@ def eval_q_circ(model, coll: TubeCollection, Z, ZETA, dt=0.05,
             last = cand_c.shape[0] - 1 - np.argmax(cand_c[::-1], axis=0)
             perm = np.lexsort((last, first))
             idx, cand_c = idx[perm], cand_c[:, perm]
-        _eval_chunk(model, coll, Z[idx], ZETA[idx], idx, qv, hp,
+        _eval_chunk(model, coll, z[idx], zeta[idx], idx, qv, hp,
                     t_hi, dt, store_stride, cand_c, covering_mode)
     return qv, hp
 
 
-def _eval_chunk(model, coll, Zc, Cc, idx, qv, hp, t_hi, dt, store_stride,
+def _eval_chunk(model, coll, zc, cc, idx, qv, hp, t_hi, dt, store_stride,
                 cand_c, covering_mode):
     t_lo = -(coll.t_cov + 0.1) if covering_mode else -1.1
-    ts_b, Zb, Cb = fl.batched_flow(model, Zc, Cc, 0.0, t_lo, dt,
+    ts_b, zb, cb = fl.batched_flow(model, zc, cc, 0.0, t_lo, dt,
                                    store_stride=store_stride)
-    ts_f, Zf, Cf = fl.batched_flow(model, Zc, Cc, 0.0, t_hi, dt,
+    ts_f, zf, cf = fl.batched_flow(model, zc, cc, 0.0, t_hi, dt,
                                    store_stride=store_stride)
     ts = np.concatenate([ts_b[::-1], ts_f[1:]])
     # component-major store: comps[k][row, col] is coordinate k of the
-    # phase-space state (z, zeta) of column col at time ts[row]; the flow
-    # output is released so only one copy of the trajectories stays alive
-    comps = [np.concatenate([b[::-1, :, 0], f[1:, :, 0]])
-             for b, f in ((Zb, Zf), (Cb, Cf))]
-    del Zb, Cb, Zf, Cf
+    # phase-space state (z, zeta) of column col at time ts[row]; each flow
+    # output is released once copied, so at most three (rows, m) arrays are
+    # alive at a time
+    comps = [np.concatenate([zb[::-1], zf[1:]])]
+    del zb, zf
+    comps.append(np.concatenate([cb[::-1], cf[1:]]))
+    del cb, cf
+    # every tube's signed distances are computed in these two blocks, so the
+    # tube loop allocates no trajectory-sized array per tube (such per-tube
+    # allocations left the peak RSS at the mercy of heap fragmentation)
+    sv_buf, prod_buf = np.empty_like(comps[0]), np.empty_like(comps[0])
     dt_det = dt * store_stride
     phi_shape = falling_step(0.5, 1.0)
     for j, tb in enumerate(coll.tubes):
@@ -611,9 +601,9 @@ def _eval_chunk(model, coll, Zc, Cc, idx, qv, hp, t_hi, dt, store_stride,
         if row.size < 2:
             continue
         k0, k1 = int(row[0]), int(row[-1]) + 1
-        sv = comps[0][k0:k1, c0:c1] * tb.normal[0]
-        for comp, nk in zip(comps[1:], tb.normal[1:]):
-            sv += comp[k0:k1, c0:c1] * nk
+        blk = (slice(0, k1 - k0), slice(0, c1 - c0))
+        sv = np.multiply(comps[0][k0:k1, c0:c1], tb.normal[0], out=sv_buf[blk])
+        sv += np.multiply(comps[1][k0:k1, c0:c1], tb.normal[1], out=prod_buf[blk])
         sv -= float(tb.seed @ tb.normal)
         neg = np.signbit(sv)
         ks, ms = np.divmod(np.flatnonzero(neg[:-1] != neg[1:]), c1 - c0)
@@ -626,7 +616,7 @@ def _eval_chunk(model, coll, Zc, Cc, idx, qv, hp, t_hi, dt, store_stride,
         ks += k0
         # distance prefilter at the bracketing sample
         near = np.linalg.norm(_gather(comps, ks, ms) - tb.seed, axis=1) \
-            <= tb.max_radius * 1.5 + 0.2
+            <= tb.radius * 1.5 + 0.2
         ks, ms = ks[near], ms[near]
         if ks.size == 0:
             continue
@@ -661,10 +651,8 @@ def _refine_crossings(model, ts, comps, ks, cols, tb):
     t0 = ts[ks]
     t1 = ts[ks + 1]
     dt = (t1 - t0)[:, None]
-    dz0, dc0 = geo.hamilton_field(model, y0[:, :1], y0[:, 1:])
-    dz1, dc1 = geo.hamilton_field(model, y1[:, :1], y1[:, 1:])
-    f0 = np.concatenate([dz0, dc0], axis=-1) * dt
-    f1 = np.concatenate([dz1, dc1], axis=-1) * dt
+    f0 = _phase_state(*geo.hamilton_field(model, y0[:, 0], y0[:, 1])) * dt
+    f1 = _phase_state(*geo.hamilton_field(model, y1[:, 0], y1[:, 1])) * dt
     u = np.full(ks.shape, 0.5)
     for _ in range(12):
         uu = u[:, None]
@@ -703,21 +691,18 @@ def phase_grid(model, x_min=1e-3, n_x=600, n_interior=80, n_energy=40,
     Positions combine a log grid in x on each end (resolving the collar
     scales) with a linear interior block; at every position the window is
     sampled at n_energy energies and both momentum branches.  Returns
-    (Z, ZETA)."""
+    (z, zeta)."""
     lam2, delta = model.lambda2, model.delta
     offsets = inset * np.linspace(-1.0, 1.0, n_energy)
     xs = np.geomspace(x_min, 0.999, n_x)
     zs_out = 1.0 / xs
     zs = np.concatenate([-zs_out, np.linspace(-0.999, 0.999, n_interior), zs_out])
-    Z0 = zs[:, None]
-    V = model.potential.value(Z0)
+    V = model.potential.value(zs)
     P = lam2 + delta * offsets
     k2 = P[None, :] - V[:, None]            # (pos, energy)
     pos, en = np.nonzero(k2 > 0)
     kap = np.sqrt(k2[pos, en])
-    Z = np.repeat(zs[pos], 2)[:, None]
-    ZETA = np.stack([kap, -kap], axis=-1).reshape(-1)[:, None]
-    return Z, ZETA
+    return np.repeat(zs[pos], 2), np.stack([kap, -kap], axis=-1).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -759,19 +744,17 @@ class EscapeFunction:
     c4: float
     cascade: Dict[str, float] = field(default_factory=dict)
 
-    def pieces(self, Z, ZETA) -> PieceArrays:
+    def pieces(self, z, zeta) -> PieceArrays:
         model = self.model
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        ZETA = np.atleast_2d(np.asarray(ZETA, dtype=float))
-        x, _, tau, _ = geo.scattering_coords(Z, ZETA)
-        psi = self.cutoffs.psi(geo.symbol_p(model, Z, ZETA))
+        x, tau = geo.scattering_coords(z, zeta)
+        psi = self.cutoffs.psi(geo.symbol_p(model, z, zeta))
         qm, hm = eval_boundary_piece("minus", model, self.constants,
-                                     self.cutoffs, self.eps, Z, ZETA)
+                                     self.cutoffs, self.eps, z, zeta)
         qp, hplus = eval_boundary_piece("plus", model, self.constants,
-                                        self.cutoffs, self.eps, Z, ZETA)
+                                        self.cutoffs, self.eps, z, zeta)
         qd, hd = eval_boundary_piece("partial", model, self.constants,
-                                     self.cutoffs, self.eps, Z, ZETA)
-        qc, hc = eval_q_circ(model, self.tubes, Z, ZETA)
+                                     self.cutoffs, self.eps, z, zeta)
+        qc, hc = eval_q_circ(model, self.tubes, z, zeta)
         return PieceArrays(x=x, tau=tau, psi=psi, q_minus=qm, hp_minus=hm,
                            q_plus=qp, hp_plus=hplus, q_partial=qd,
                            hp_partial=hd, q_circ=qc, hp_circ=hc)
@@ -784,29 +767,42 @@ class EscapeFunction:
               + self.C * pc.hp_circ + self.C_prime * pc.hp_plus)
         return q, hp
 
-    def q(self, Z, ZETA):
+    def q(self, z, zeta):
         """Actual q values (psi factor included)."""
-        pc = self.pieces(Z, ZETA)
+        pc = self.pieces(z, zeta)
         qpp, _ = self.combine(pc)
         return qpp * pc.psi
 
-    def hp_q(self, Z, ZETA):
+    def hp_q(self, z, zeta):
         """Actual H_p q values (psi factor included)."""
-        pc = self.pieces(Z, ZETA)
+        pc = self.pieces(z, zeta)
         _, hp = self.combine(pc)
         return hp * pc.psi
 
 
-def hpq_finite_difference(esc: EscapeFunction, Z, ZETA, delta=1e-5):
+def hpq_finite_difference(esc: EscapeFunction, z, zeta, delta=1e-5):
     """Flow finite difference of q/psi along H_p (equals H_p q / psi since
     psi(p) is flow-invariant); the oracle for the analytic derivative."""
-    Z, ZETA = np.atleast_2d(Z), np.atleast_2d(ZETA)
     # one RK4 step of size +-delta each
-    _, Zp, Cp = fl.batched_flow(esc.model, Z, ZETA, 0.0, delta, delta)
-    _, Zm, Cm = fl.batched_flow(esc.model, Z, ZETA, 0.0, -delta, delta)
-    qp, _ = esc.combine(esc.pieces(Zp[-1], Cp[-1]))
-    qm, _ = esc.combine(esc.pieces(Zm[-1], Cm[-1]))
+    _, zp, cp = fl.batched_flow(esc.model, z, zeta, 0.0, delta, delta)
+    _, zm, cm = fl.batched_flow(esc.model, z, zeta, 0.0, -delta, delta)
+    qp, _ = esc.combine(esc.pieces(zp[-1], cp[-1]))
+    qm, _ = esc.combine(esc.pieces(zm[-1], cm[-1]))
     return (qp - qm) / (2.0 * delta)
+
+
+def _halve(short, C, max_halvings, stage, worst=None):
+    """Halve the constant C while short(C) holds; returns (C, halvings).
+    Raises ConstructionError after max_halvings halvings, naming the stage
+    and, if given, worst(C)."""
+    halvings = 0
+    while short(C):
+        C *= 0.5
+        halvings += 1
+        if halvings > max_halvings:
+            where = f"; worst at {worst(C)}" if worst else ""
+            raise ConstructionError(f"{stage}-stage cascade exhausted{where}")
+    return C, halvings
 
 
 def assemble_escape(model, eps, verdict, seed_spacing=1.0,
@@ -833,12 +829,12 @@ def assemble_escape(model, eps, verdict, seed_spacing=1.0,
 
     gkw = {"n_x": 220, "n_interior": 40, "n_energy": 14}
     gkw.update(grid_kwargs or {})
-    Z, ZETA = phase_grid(model, **gkw)
+    z, zeta = phase_grid(model, **gkw)
     esc = EscapeFunction(model=model, eps=eps, constants=consts,
                          cutoffs=cutoffs, tubes=tubes,
                          C=1.0, C_prime=1.0, C_dprime=1.0,
                          c2=0.0, c3=0.0, c4=math.inf)
-    pc = esc.pieces(Z, ZETA)
+    pc = esc.pieces(z, zeta)
     x, tau = pc.x, pc.tau
     lam = model.lam
     x0 = consts.x0
@@ -865,15 +861,10 @@ def assemble_escape(model, eps, verdict, seed_spacing=1.0,
 
     cascade = {"c2": c2, "c3": c3, "c4": c4}
 
-    C = 1.0
-    halv = 0
-    while np.min(A_minus[D1] + C * A_circ[D1]) < 0.5 * c2:
-        C *= 0.5
-        halv += 1
-        if halv > max_halvings:
-            bad = Z[D1][np.argsort(A_minus[D1] + C * A_circ[D1])[:8]]
-            raise ConstructionError(f"tube-stage cascade exhausted; worst at {bad}")
-    cascade["halvings_C"] = halv
+    C, cascade["halvings_C"] = _halve(
+        lambda C: np.min(A_minus[D1] + C * A_circ[D1]) < 0.5 * c2,
+        1.0, max_halvings, "tube",
+        worst=lambda C: z[D1][np.argsort(A_minus[D1] + C * A_circ[D1])[:8]])
 
     floor2 = float(np.min(A_minus[D2pos] + C * A_circ[D2pos]))
     if floor2 <= 0:
@@ -881,19 +872,14 @@ def assemble_escape(model, eps, verdict, seed_spacing=1.0,
         raise ConstructionError(
             "no positive floor on the covered region after the tube stage "
             f"(floor {floor2:.3g}); covering margin too thin near "
-            f"{Z[D2pos][worst]}"
+            f"{z[D2pos][worst]}"
         )
     cascade["floor2"] = floor2
 
-    Cpp = 1.0
-    halv = 0
-    while np.min(A_minus[D2pos] + C * A_circ[D2pos] + Cpp * A_partial[D2pos]) \
-            < 0.5 * floor2:
-        Cpp *= 0.5
-        halv += 1
-        if halv > max_halvings:
-            raise ConstructionError("intermediate-stage cascade exhausted")
-    cascade["halvings_Cpp"] = halv
+    Cpp, cascade["halvings_Cpp"] = _halve(
+        lambda Cpp: np.min(A_minus[D2pos] + C * A_circ[D2pos]
+                           + Cpp * A_partial[D2pos]) < 0.5 * floor2,
+        1.0, max_halvings, "intermediate")
 
     three = A_minus + C * A_circ + Cpp * A_partial
     floor3 = float(np.min(three[D2full]))
@@ -905,14 +891,9 @@ def assemble_escape(model, eps, verdict, seed_spacing=1.0,
 
     # final stage: the outgoing piece enters with the stronger weight
     base = x ** (-2.0 * eps) * three
-    Cp = min(1.0, Cpp)
-    halv = 0
-    while np.min(base + Cp * A_plus) <= 0.0:
-        Cp *= 0.5
-        halv += 1
-        if halv > max_halvings:
-            raise ConstructionError("outgoing-stage cascade exhausted")
-    cascade["halvings_Cp"] = halv
+    Cp, cascade["halvings_Cp"] = _halve(
+        lambda Cp: np.min(base + Cp * A_plus) <= 0.0,
+        min(1.0, Cpp), max_halvings, "outgoing")
     cascade["c_dprime_construction"] = float(np.min(base + Cp * A_plus))
 
     esc.C, esc.C_prime, esc.C_dprime = C, Cp, Cpp
@@ -931,8 +912,8 @@ class VerifyReport:
     c_dprime: float
     b_floor: float
     n_points: int
-    argmin_q: Tuple[np.ndarray, np.ndarray]
-    argmin_hpq: Tuple[np.ndarray, np.ndarray]
+    argmin_q: Tuple[float, float]
+    argmin_hpq: Tuple[float, float]
     witnesses: List[np.ndarray]
 
     @property
@@ -953,9 +934,9 @@ def verify_proposition(esc: EscapeFunction, x_min=1e-3, n_x=600,
 
     The default grid has >= 1e5 points over supp psi(p) down to x = x_min.
     """
-    Z, ZETA = phase_grid(esc.model, x_min=x_min, n_x=n_x,
+    z, zeta = phase_grid(esc.model, x_min=x_min, n_x=n_x,
                          n_interior=n_interior, n_energy=n_energy)
-    pc = esc.pieces(Z, ZETA)
+    pc = esc.pieces(z, zeta)
     q, hp = esc.combine(pc)
     x = pc.x
     eps = esc.eps
@@ -973,16 +954,16 @@ def verify_proposition(esc: EscapeFunction, x_min=1e-3, n_x=600,
         b_floor = math.inf
     witnesses = []
     if c_prime <= 0:
-        witnesses += [np.concatenate([Z[i], ZETA[i]])
+        witnesses += [_phase_state(z[i], zeta[i])
                       for i in np.argsort(ratio_q)[:8]]
     if c_dprime <= 0:
-        witnesses += [np.concatenate([Z[i], ZETA[i]])
+        witnesses += [_phase_state(z[i], zeta[i])
                       for i in np.argsort(ratio_h)[:8]]
     report = VerifyReport(
         c_prime=c_prime, c_dprime=c_dprime, b_floor=b_floor,
-        n_points=int(Z.shape[0]),
-        argmin_q=(Z[i_q].copy(), ZETA[i_q].copy()),
-        argmin_hpq=(Z[i_h].copy(), ZETA[i_h].copy()),
+        n_points=int(z.size),
+        argmin_q=(float(z[i_q]), float(zeta[i_q])),
+        argmin_hpq=(float(z[i_h]), float(zeta[i_h])),
         witnesses=witnesses,
     )
     if raise_on_failure and not report.passed:

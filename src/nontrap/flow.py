@@ -10,6 +10,9 @@ An escaped verdict whose energy drift max |p(t) - p(0)| exceeds
 1e-5 (1 + |p0|) raises instead of being accepted; everything undetermined
 by T_max is reported honestly as such.  `integrate_flow` keeps scipy's
 adaptive DOP853 as the reference trajectory.
+
+A batch of phase points is two equal-length 1-D arrays z, zeta; a stored
+batch trajectory is two (n_stored, m) arrays.
 """
 
 from __future__ import annotations
@@ -66,65 +69,62 @@ class Trajectory:
     """Time-ordered samples of one integral curve with drift diagnostics."""
 
     t: np.ndarray
-    Z: np.ndarray        # (nt, 1)
-    ZETA: np.ndarray     # (nt, 1)
+    z: np.ndarray        # (nt,)
+    zeta: np.ndarray     # (nt,)
     p0: float
     energy_drift: float
     success: bool
     message: str = ""
 
     def radius(self):
-        return np.sqrt(np.sum(self.Z**2, axis=-1))
+        return np.abs(self.z)
 
     def table(self, model) -> Tuple[List[str], np.ndarray]:
         """CSV dump columns: t, z1, zeta1, x, tau, p."""
-        x, _, tau, _ = geo.scattering_coords(self.Z, self.ZETA)
-        p = geo.symbol_p(model, self.Z, self.ZETA)
+        x, tau = geo.scattering_coords(self.z, self.zeta)
+        p = geo.symbol_p(model, self.z, self.zeta)
         header = ["t", "z1", "zeta1", "x", "tau", "p"]
-        cols = [self.t, self.Z[:, 0], self.ZETA[:, 0], x, tau, p]
+        cols = [self.t, self.z, self.zeta, x, tau, p]
         return header, np.stack(cols, axis=-1)
 
 
 def _rhs(model):
     def fun(t, y):
-        z = y[:1][None, :]
-        zeta = y[1:][None, :]
-        dz, dzeta = geo.hamilton_field(model, z, zeta)
-        return np.concatenate([dz[0], dzeta[0]])
+        dz, dzeta = geo.hamilton_field(model, y[:1], y[1:])
+        return np.concatenate([dz, dzeta])
 
     return fun
 
 
 def integrate_flow(model, z0, zeta0, t_span, tol=1e-10, max_samples=4000) -> Trajectory:
-    """Integrate the Hamilton flow over t_span (either time direction).
+    """Integrate the Hamilton flow of the point (z0, zeta0) over t_span
+    (either time direction).
 
     Samples are returned on a uniform grid fine enough for drift and
     monotonicity checks; energy drift is |p(t) - p(0)| over the samples.
     """
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
-    z0 = np.atleast_1d(np.asarray(z0, dtype=float))
-    zeta0 = np.atleast_1d(np.asarray(zeta0, dtype=float))
+    y0 = np.array([z0, zeta0], dtype=float)
     t0, t1 = float(t_span[0]), float(t_span[1])
-    p0 = geo.symbol_p(model, z0, zeta0)
+    p0 = geo.symbol_p(model, y0[:1], y0[1:])[0]
     nt = min(max_samples, max(200, int(abs(t1 - t0) / 0.25) + 2))
     t_eval = np.linspace(t0, t1, nt)
     sol = solve_ivp(
         _rhs(model),
         (t0, t1),
-        np.concatenate([z0, zeta0]),
+        y0,
         method="DOP853",
         rtol=tol,
         atol=tol,
         t_eval=t_eval,
         dense_output=False,
     )
-    Z = sol.y[:1].T
-    ZETA = sol.y[1:].T
-    p = geo.symbol_p(model, Z, ZETA)
+    z, zeta = sol.y
+    p = geo.symbol_p(model, z, zeta)
     drift = float(np.max(np.abs(p - p0))) if len(p) else math.inf
     traj = Trajectory(
-        t=sol.t, Z=Z, ZETA=ZETA, p0=float(p0), energy_drift=drift,
+        t=sol.t, z=z, zeta=zeta, p0=float(p0), energy_drift=drift,
         success=sol.success, message=sol.message or "",
     )
     if not sol.success:
@@ -138,54 +138,56 @@ def integrate_flow(model, z0, zeta0, t_span, tol=1e-10, max_samples=4000) -> Tra
 # batched fixed-step integration
 # ---------------------------------------------------------------------------
 
-def rk4_step(model, Z, ZETA, dt):
-    k1z, k1c = geo.hamilton_field(model, Z, ZETA)
-    k2z, k2c = geo.hamilton_field(model, Z + 0.5 * dt * k1z, ZETA + 0.5 * dt * k1c)
-    k3z, k3c = geo.hamilton_field(model, Z + 0.5 * dt * k2z, ZETA + 0.5 * dt * k2c)
-    k4z, k4c = geo.hamilton_field(model, Z + dt * k3z, ZETA + dt * k3c)
-    Zn = Z + dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z)
-    Cn = ZETA + dt / 6.0 * (k1c + 2 * k2c + 2 * k3c + k4c)
-    return Zn, Cn
+def rk4_step(model, z, zeta, dt):
+    k1z, k1c = geo.hamilton_field(model, z, zeta)
+    k2z, k2c = geo.hamilton_field(model, z + 0.5 * dt * k1z, zeta + 0.5 * dt * k1c)
+    k3z, k3c = geo.hamilton_field(model, z + 0.5 * dt * k2z, zeta + 0.5 * dt * k2c)
+    k4z, k4c = geo.hamilton_field(model, z + dt * k3z, zeta + dt * k3c)
+    zn = z + dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z)
+    cn = zeta + dt / 6.0 * (k1c + 2 * k2c + 2 * k3c + k4c)
+    return zn, cn
 
 
-def batched_flow(model, Z0, ZETA0, t0, t1, dt, store_stride=1):
+def batched_flow(model, z0, zeta0, t0, t1, dt, store_stride=1):
     """Fixed-step RK4 flow of a batch of points from t0 to t1.
 
-    Returns (ts, Zs, ZETAs) with Zs of shape (n_stored, m, 1); index 0 holds
-    the initial state at t0.  dt carries the sign of (t1 - t0) internally;
-    dt = |t1 - t0| takes exactly one step.
+    Returns (ts, zs, zetas) with zs of shape (n_stored, m); index 0 holds
+    the initial state at t0, then every store_stride-th step and the last.
+    dt carries the sign of (t1 - t0) internally; dt = |t1 - t0| takes
+    exactly one step.
     """
     span = t1 - t0
     n_steps = max(1, int(math.ceil(abs(span) / dt)))
     step = span / n_steps
-    Z = np.array(Z0, dtype=float, copy=True)
-    ZETA = np.array(ZETA0, dtype=float, copy=True)
-    ts = [t0]
-    Zs = [Z.copy()]
-    Cs = [ZETA.copy()]
+    z = np.asarray(z0, dtype=float)
+    zeta = np.asarray(zeta0, dtype=float)
+    ts = np.empty(1 + n_steps // store_stride + (n_steps % store_stride > 0))
+    zs = np.empty((ts.size,) + z.shape)
+    cs = np.empty_like(zs)
+    ts[0], zs[0], cs[0] = t0, z, zeta
+    i = 1
     for k in range(1, n_steps + 1):
-        Z, ZETA = rk4_step(model, Z, ZETA, step)
+        z, zeta = rk4_step(model, z, zeta, step)
         if k % store_stride == 0 or k == n_steps:
-            ts.append(t0 + k * step)
-            Zs.append(Z.copy())
-            Cs.append(ZETA.copy())
-    return np.array(ts), np.stack(Zs), np.stack(Cs)
+            ts[i], zs[i], cs[i] = t0 + k * step, z, zeta
+            i += 1
+    return ts, zs, cs
 
 
-def _flow_segments(model, Z, ZETA, t_end, dt, visit):
-    """Flow the rows of (Z, ZETA) from t = 0 to t_end (either sign) with
-    batched_flow, _SEGMENT time units per call.  visit(rows, ts, Zs, Cs)
-    gets the live rows' indices and the segment's new samples (the first
-    segment's include t = 0) and returns a mask of decided rows, which
+def _flow_segments(model, z, zeta, t_end, dt, visit):
+    """Flow the points (z, zeta) from t = 0 to t_end (either sign) with
+    batched_flow, _SEGMENT time units per call.  visit(rows, ts, zs, cs)
+    gets the live points' indices and the segment's new samples (the first
+    segment's include t = 0) and returns a mask of decided points, which
     retire."""
-    rows = np.arange(Z.shape[0])
+    rows = np.arange(z.size)
     sgn = math.copysign(1.0, t_end)
     done, first = 0.0, 0
     while rows.size and done < abs(t_end):
         nxt = min(done + _SEGMENT, abs(t_end))
-        ts, Zs, Cs = batched_flow(model, Z, ZETA, sgn * done, sgn * nxt, dt)
-        keep = ~visit(rows, ts[first:], Zs[first:], Cs[first:])
-        rows, Z, ZETA = rows[keep], Zs[-1, keep], Cs[-1, keep]
+        ts, zs, cs = batched_flow(model, z, zeta, sgn * done, sgn * nxt, dt)
+        keep = ~visit(rows, ts[first:], zs[first:], cs[first:])
+        rows, z, zeta = rows[keep], zs[-1, keep], cs[-1, keep]
         done, first = nxt, 1
 
 
@@ -207,53 +209,53 @@ class ClassifyResult:
         return np.isfinite(self.escape_time_fwd) & np.isfinite(self.escape_time_bwd)
 
 
-def _escape_times(model, Z, ZETA, T_end, R_esc):
+def _escape_times(model, z, zeta, T_end, R_esc):
     """First sampled time of the escape certificate along the flow from 0 to
     T_end (T_end < 0 = backward), NaN if none, and the energy drift over the
     samples flowed.  An escape that drifted past the bound raises."""
     sgn = math.copysign(1.0, T_end)
-    p0 = geo.symbol_p(model, Z, ZETA)
-    t_esc = np.full(Z.shape[0], np.nan)
-    drift = np.zeros(Z.shape[0])
+    p0 = geo.symbol_p(model, z, zeta)
+    t_esc = np.full(z.size, np.nan)
+    drift = np.zeros(z.size)
 
-    def visit(rows, ts, Zs, Cs):
-        shape = Zs.shape[:2]
-        Zf, Cf = Zs.reshape(-1, 1), Cs.reshape(-1, 1)
-        dz, _ = geo.hamilton_field(model, Zf, Cf)
-        _, _, tau, _ = geo.scattering_coords(Zf, Cf)
-        # d|z|/dt has the sign of z . zdot; it must grow along the integration
-        outward = sgn * np.sum(Zf * dz, axis=-1) > 0
-        escaped = ((np.abs(Zf[:, 0]) > R_esc) & outward
-                   & (tau**2 >= 0.5 * model.lambda2)).reshape(shape)
+    def visit(rows, ts, zs, cs):
+        zf, cf = zs.ravel(), cs.ravel()
+        dz, _ = geo.hamilton_field(model, zf, cf)
+        _, tau = geo.scattering_coords(zf, cf)
+        # d|z|/dt has the sign of z zdot; it must grow along the integration
+        outward = sgn * (zf * dz) > 0
+        escaped = ((np.abs(zf) > R_esc) & outward
+                   & (tau**2 >= 0.5 * model.lambda2)).reshape(zs.shape)
         hit = escaped.any(axis=0)
         t_esc[rows[hit]] = np.abs(ts[escaped.argmax(axis=0)[hit]])
-        dev = np.abs(geo.symbol_p(model, Zf, Cf).reshape(shape) - p0[rows])
+        dev = np.abs(geo.symbol_p(model, zf, cf).reshape(zs.shape) - p0[rows])
         drift[rows] = np.maximum(drift[rows], dev.max(axis=0))
         return hit
 
-    _flow_segments(model, Z, ZETA, T_end, CLASSIFY_DT, visit)
+    _flow_segments(model, z, zeta, T_end, CLASSIFY_DT, visit)
     bad = np.flatnonzero(np.isfinite(t_esc)
                          & (drift > _DRIFT_BOUND * (1.0 + np.abs(p0))))
     if bad.size:
         i = bad[0]
         raise IntegrationError(
-            f"escaped verdict at z={Z[i, 0]!r}, zeta={ZETA[i, 0]!r} drifted "
+            f"escaped verdict at z={z[i]!r}, zeta={zeta[i]!r} drifted "
             f"{drift[i]:.3g} in energy; step {CLASSIFY_DT} is too coarse"
         )
     return t_esc, drift
 
 
-def classify_point(model, Z0, ZETA0, T_max=500.0, R_esc=40.0) -> ClassifyResult:
-    """Forward/backward escape verdicts for an (m, 1) batch or one point:
-    the first sample with |z| > R_esc, outward radial speed and tau^2 at
-    least lambda^2/2 gives the escape time |t|.  IntegrationError when an
-    escaped verdict drifted more than 1e-5 (1 + |p0|) in energy."""
-    Z0, ZETA0 = (np.asarray(a, dtype=float).reshape(-1, 1) for a in (Z0, ZETA0))
-    out = np.empty((4, Z0.shape[0]))  # time and drift, forward then backward
-    for c in range(0, Z0.shape[0], _CLASSIFY_CHUNK):
+def classify_point(model, z0, zeta0, T_max=500.0, R_esc=40.0) -> ClassifyResult:
+    """Forward/backward escape verdicts for a batch of points (1-D arrays)
+    or one point (scalars): the first sample with |z| > R_esc, outward
+    radial speed and tau^2 at least lambda^2/2 gives the escape time |t|.
+    IntegrationError when an escaped verdict drifted more than
+    1e-5 (1 + |p0|) in energy."""
+    z0, zeta0 = np.atleast_1d(z0, zeta0)
+    out = np.empty((4, z0.size))  # time and drift, forward then backward
+    for c in range(0, z0.size, _CLASSIFY_CHUNK):
         sl = slice(c, c + _CLASSIFY_CHUNK)
-        out[:2, sl] = _escape_times(model, Z0[sl], ZETA0[sl], T_max, R_esc)
-        out[2:, sl] = _escape_times(model, Z0[sl], ZETA0[sl], -T_max, R_esc)
+        out[:2, sl] = _escape_times(model, z0[sl], zeta0[sl], T_max, R_esc)
+        out[2:, sl] = _escape_times(model, z0[sl], zeta0[sl], -T_max, R_esc)
     return ClassifyResult(out[0], out[2], np.maximum(out[1], out[3]))
 
 
@@ -265,7 +267,7 @@ def classify_point(model, Z0, ZETA0, T_max=500.0, R_esc=40.0) -> ClassifyResult:
 class NonTrappingVerdict:
     window: Tuple[float, float]
     sampled_points: int
-    trapped_witnesses: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    trapped_witnesses: List[Tuple[float, float]] = field(default_factory=list)
     max_energy_drift: float = 0.0
 
     @property
@@ -276,18 +278,18 @@ class NonTrappingVerdict:
 def shell_slab_samples(model, n_samples, R_max, lambda2=None, delta=None):
     """Deterministic Halton sample of {p in window, |z| <= R_max}.
 
-    Returns (Z, ZETA) arrays; points where the requested energy is below the
+    Returns (z, zeta) arrays; points where the requested energy is below the
     potential (classically forbidden) are dropped.
     """
     lam2 = model.lambda2 if lambda2 is None else lambda2
     dlt = model.delta if delta is None else delta
     u = halton(n_samples, 3)
-    Z = ((2.0 * u[:, 0] - 1.0) * R_max)[:, None]
-    direction = np.where(u[:, 2] >= 0.5, 1.0, -1.0)[:, None]
+    z = (2.0 * u[:, 0] - 1.0) * R_max
+    direction = np.where(u[:, 2] >= 0.5, 1.0, -1.0)
     p = lam2 - dlt + 2.0 * dlt * u[:, 1]
-    kappa, keep = geo.shell_momentum(model, Z, p)
-    ZETA = kappa[:, None] * direction
-    return Z[keep], ZETA[keep]
+    kappa, keep = geo.shell_momentum(model, z, p)
+    zeta = kappa * direction
+    return z[keep], zeta[keep]
 
 
 def nontrapping_scan(model, n_samples=1000, R_max=None, T_max=150.0, R_esc=40.0,
@@ -303,12 +305,12 @@ def nontrapping_scan(model, n_samples=1000, R_max=None, T_max=150.0, R_esc=40.0,
         raise ConfigurationError("scan region must satisfy R_max <= R_esc")
     lam2 = model.lambda2 if lambda2 is None else lambda2
     dlt = model.delta if delta is None else delta
-    Z, ZETA = shell_slab_samples(model, n_samples, R_max, lam2, dlt)
-    res = classify_point(model, Z, ZETA, T_max=T_max, R_esc=R_esc)
+    z, zeta = shell_slab_samples(model, n_samples, R_max, lam2, dlt)
+    res = classify_point(model, z, zeta, T_max=T_max, R_esc=R_esc)
     return NonTrappingVerdict(
         window=(lam2 - dlt, lam2 + dlt),
-        sampled_points=int(Z.shape[0]),
-        trapped_witnesses=[(Z[i].copy(), ZETA[i].copy())
+        sampled_points=int(z.size),
+        trapped_witnesses=[(float(z[i]), float(zeta[i]))
                            for i in np.flatnonzero(~res.escaped_both)],
         max_energy_drift=float(np.max(res.energy_drift, initial=0.0)),
     )
@@ -318,21 +320,22 @@ def nontrapping_scan(model, n_samples=1000, R_max=None, T_max=150.0, R_esc=40.0,
 # first incoming time (the tube construction's T_xi)
 # ---------------------------------------------------------------------------
 
-def time_to_incoming(model, Z0, ZETA0, x_target, tau_target, T_max=500.0,
+def time_to_incoming(model, z0, zeta0, x_target, tau_target, T_max=500.0,
                      dt_sample=0.05, margin=2.0) -> np.ndarray:
-    """Per row: the smallest sampled T <= T_max with
-    tau(exp(-T H_p) xi) > tau_target and x < x_target, certified to persist
-    over [T, T + margin].  Samples are the RK4 steps of size dt_sample.
+    """Per point (1-D arrays, or scalars for one point): the smallest
+    sampled T <= T_max with tau(exp(-T H_p) xi) > tau_target and
+    x < x_target, certified to persist over [T, T + margin].  Samples are
+    the RK4 steps of size dt_sample.
 
-    Raises IntegrationError when a row has no such time by T_max (trapping,
-    or T_max too small)."""
-    Z0, ZETA0 = (np.asarray(a, dtype=float).reshape(-1, 1) for a in (Z0, ZETA0))
-    m = Z0.shape[0]
+    Raises IntegrationError when a point has no such time by T_max
+    (trapping, or T_max too small)."""
+    z0, zeta0 = np.atleast_1d(z0, zeta0)
+    m = z0.size
     T_in = np.full(m, np.nan)
-    t_hist, ok_hist = [], []  # all rows flow on the same time grid
+    t_hist, ok_hist = [], []  # all points flow on the same time grid
 
-    def visit(rows, ts, Zs, Cs):
-        x, _, tau, _ = geo.scattering_coords(Zs.reshape(-1, 1), Cs.reshape(-1, 1))
+    def visit(rows, ts, zs, cs):
+        x, tau = geo.scattering_coords(zs.ravel(), cs.ravel())
         ok = np.zeros((ts.size, m), dtype=bool)
         ok[:, rows] = ((tau > tau_target) & (x < x_target)).reshape(ts.size, -1)
         t_hist.append(-ts)  # backward flow: T = -t
@@ -348,12 +351,12 @@ def time_to_incoming(model, Z0, ZETA0, x_target, tau_target, T_max=500.0,
         T_in[rows[hit]] = t[good.argmax(axis=0)[hit]]
         return hit
 
-    _flow_segments(model, Z0, ZETA0, -(T_max + margin), dt_sample, visit)
+    _flow_segments(model, z0, zeta0, -(T_max + margin), dt_sample, visit)
     missing = np.flatnonzero(np.isnan(T_in))
     if missing.size:
         i = missing[0]
         raise IntegrationError(
             f"incoming conditions never certified by T_max={T_max} for "
-            f"{missing.size} of {m} points (first z={Z0[i, 0]!r}, zeta="
-            f"{ZETA0[i, 0]!r}); the model may be trapping or T_max too small")
+            f"{missing.size} of {m} points (first z={z0[i]!r}, zeta="
+            f"{zeta0[i]!r}); the model may be trapping or T_max too small")
     return T_in

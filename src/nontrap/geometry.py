@@ -10,18 +10,18 @@ with theta smoothly capped at 1 inside the unit ball (single C-infinity
 blend, no seams; only small x ever matters to the constructions built on
 top).  Near infinity the phase-space chart is
 
-    (x, y, tau, mu),  tau = -z zeta / |z|,  y = sign(z),  mu = 0,
+    (x, tau),  tau = -z zeta / |z|,
 
-so that outgoing trajectories (|z| increasing) carry tau < 0 and incoming
-ones tau > 0.  The boundary has no angular directions: mu is stored as 0
-and the boundary metric term vanishes.
+one copy at each end sign(z) = +-1, so that outgoing trajectories (|z|
+increasing) carry tau < 0 and incoming ones tau > 0.  The boundary has no
+angular directions, hence no boundary metric term.
 
 The classical symbol is p(z, zeta) = zeta^2 + V(z); in the chart it reads
 tau^2 + O(x^gamma).  Potentials carry a certified decay exponent gamma > 0
 rather than a factored representation.
 
-All evaluators are pure and vectorized: positions/momenta are arrays of
-shape (m, 1) (or (1,) for a single point) and model data is immutable.
+All evaluators are pure and vectorized: a batch of phase points is two
+equal-length 1-D arrays z, zeta of shape (m,), and model data is immutable.
 """
 
 from __future__ import annotations
@@ -76,10 +76,10 @@ class Potential:
     amplitude = 0.0
     lower_bound = 0.0  # certified inf of V
 
-    def value(self, Z):
+    def value(self, z):
         raise NotImplementedError
 
-    def gradient(self, Z):
+    def gradient(self, z):
         raise NotImplementedError
 
     def params(self):
@@ -92,11 +92,11 @@ class ZeroPotential(Potential):
     def __init__(self, gamma=1.0):
         self.gamma = float(gamma)
 
-    def value(self, Z):
-        return np.zeros(Z.shape[0])
+    def value(self, z):
+        return np.zeros(np.shape(z))
 
-    def gradient(self, Z):
-        return np.zeros_like(Z)
+    def gradient(self, z):
+        return np.zeros(np.shape(z))
 
 
 class PowerLawPotential(Potential):
@@ -111,14 +111,12 @@ class PowerLawPotential(Potential):
         self.gamma = float(gamma)
         self.lower_bound = min(0.0, self.amplitude)
 
-    def value(self, Z):
-        r2 = np.sum(Z**2, axis=-1)
-        return self.amplitude * (1.0 + r2) ** (-self.gamma / 2.0)
+    def value(self, z):
+        return self.amplitude * (1.0 + z**2) ** (-self.gamma / 2.0)
 
-    def gradient(self, Z):
-        r2 = np.sum(Z**2, axis=-1)
-        coef = -self.amplitude * self.gamma * (1.0 + r2) ** (-self.gamma / 2.0 - 1.0)
-        return coef[:, None] * Z
+    def gradient(self, z):
+        coef = -self.amplitude * self.gamma * (1.0 + z**2) ** (-self.gamma / 2.0 - 1.0)
+        return coef * z
 
     def params(self):
         return {"amplitude": self.amplitude, "gamma": self.gamma}
@@ -136,19 +134,16 @@ class DoubleBumpPotential(Potential):
         self.separation = float(separation)
         self.lower_bound = min(0.0, self.amplitude)
 
-    def value(self, Z):
-        q = Z[:, 0]
+    def value(self, z):
         d = self.separation
-        return self.amplitude * (np.exp(-((q - d) ** 2)) + np.exp(-((q + d) ** 2)))
+        return self.amplitude * (np.exp(-((z - d) ** 2)) + np.exp(-((z + d) ** 2)))
 
-    def gradient(self, Z):
-        q = Z[:, 0]
+    def gradient(self, z):
         d = self.separation
-        dVdq = self.amplitude * (
-            -2.0 * (q - d) * np.exp(-((q - d) ** 2))
-            - 2.0 * (q + d) * np.exp(-((q + d) ** 2))
+        return self.amplitude * (
+            -2.0 * (z - d) * np.exp(-((z - d) ** 2))
+            - 2.0 * (z + d) * np.exp(-((z + d) ** 2))
         )
-        return dVdq[:, None]
 
     def params(self):
         return {"amplitude": self.amplitude, "separation": self.separation}
@@ -164,12 +159,12 @@ class WellPotential(Potential):
         self.amplitude = float(amplitude)
         self.lower_bound = -abs(self.amplitude)
 
-    def value(self, Z):
-        return -self.amplitude * np.exp(-np.sum(Z**2, axis=-1))
+    def value(self, z):
+        return -self.amplitude * np.exp(-(z**2))
 
-    def gradient(self, Z):
-        v = self.value(Z)  # dV/dz = -2 z V
-        return -2.0 * v[:, None] * Z
+    def gradient(self, z):
+        v = self.value(z)  # dV/dz = -2 z V
+        return -2.0 * v * z
 
     def params(self):
         return {"amplitude": self.amplitude}
@@ -236,127 +231,77 @@ class ModelProblem:
         return math.sqrt(max(energy - self.potential.lower_bound, 0.0))
 
 
-def _as_batch(Z, ZETA):
-    Z = np.asarray(Z, dtype=float)
-    ZETA = np.asarray(ZETA, dtype=float)
-    single = Z.ndim == 1
-    Z = np.atleast_2d(Z)
-    ZETA = np.atleast_2d(ZETA)
-    if Z.shape[1] != 1 or ZETA.shape != Z.shape:
+def _as_batch(z, zeta):
+    z = np.asarray(z, dtype=float)
+    zeta = np.asarray(zeta, dtype=float)
+    if z.ndim != 1 or zeta.shape != z.shape:
         raise ConfigurationError(
-            f"phase point batch must have shape (m, 1), got {Z.shape}/{ZETA.shape}"
+            "phase point batch must be two equal-length 1-D arrays, "
+            f"got {z.shape}/{zeta.shape}"
         )
-    return Z, ZETA, single
+    return z, zeta
 
 
 # ---------------------------------------------------------------------------
 # symbol and Hamilton field, Euclidean chart
 # ---------------------------------------------------------------------------
 
-def symbol_p(model: ModelProblem, Z, ZETA):
+def symbol_p(model: ModelProblem, z, zeta):
     """Classical symbol p = zeta^2 + V(z), vectorized."""
-    Z, ZETA, single = _as_batch(Z, ZETA)
-    kin = np.sum(ZETA**2, axis=-1)
-    p = kin + model.potential.value(Z)
-    return float(p[0]) if single else p
+    z, zeta = _as_batch(z, zeta)
+    return zeta**2 + model.potential.value(z)
 
 
-def shell_momentum(model: ModelProblem, Z, energy):
-    """Momentum length on an energy shell, vectorized over rows of Z.
+def shell_momentum(model: ModelProblem, z, energy):
+    """Momentum length on an energy shell, vectorized over z.
 
-    Returns (kappa, allowed) with p(z, +-kappa) = energy on the allowed
-    rows, those where energy > V(z); kappa is 0 on the classically
-    forbidden rows."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    gap = energy - model.potential.value(Z)
+    Returns (kappa, allowed) with p(z, +-kappa) = energy where allowed,
+    i.e. where energy > V(z); kappa is 0 where the shell is classically
+    forbidden."""
+    gap = energy - model.potential.value(np.asarray(z, dtype=float))
     return np.sqrt(np.clip(gap, 0.0, None)), gap > 0
 
 
-def hamilton_field(model: ModelProblem, Z, ZETA):
+def hamilton_field(model: ModelProblem, z, zeta):
     """Hamilton vector field of p in the Euclidean chart:
-    zdot = dp/dzeta, zetadot = -dp/dz.  Vectorized; returns arrays shaped
-    like the inputs."""
-    Z, ZETA, single = _as_batch(Z, ZETA)
-    dZ = 2.0 * ZETA
-    dZETA = -model.potential.gradient(Z)
-    if single:
-        return dZ[0], dZETA[0]
-    return dZ, dZETA
+    zdot = dp/dzeta, zetadot = -dp/dz, vectorized over the batch."""
+    z, zeta = _as_batch(z, zeta)
+    return 2.0 * zeta, -model.potential.gradient(z)
 
 
 # ---------------------------------------------------------------------------
 # scattering chart
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """A phase-space point carried in both charts.
-
-    z, zeta are the Euclidean coordinates; x, y, tau, mu the scattering
-    ones (exact for |z| >= 1, smooth surrogate inside); y is the sign of z
-    and mu = 0.
-    """
-
-    z: np.ndarray
-    zeta: np.ndarray
-    x: float
-    y: float
-    tau: float
-    mu: float
-
-    @property
-    def r(self):
-        return float(np.sqrt(np.sum(self.z**2)))
-
-    @classmethod
-    def from_euclidean(cls, z, zeta):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-        x, y, tau, mu = scattering_coords(z, zeta)
-        return cls(z=z, zeta=zeta, x=float(x), y=float(y), tau=float(tau), mu=float(mu))
+def scattering_coords(z, zeta):
+    """(x, tau) from Euclidean data (exact for |z| >= 1, smooth surrogate
+    inside); the end is sign(z)."""
+    z, zeta = _as_batch(z, zeta)
+    th = radius_surrogate(np.abs(z))
+    return 1.0 / th, -(z * zeta) / th
 
 
-def scattering_coords(Z, ZETA):
-    """(x, y, tau, mu) from Euclidean data; vectorized over (m, 1) batches."""
-    single = np.asarray(Z).ndim == 1
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    ZETA = np.atleast_2d(np.asarray(ZETA, dtype=float))
-    r = np.sqrt(np.sum(Z**2, axis=-1))
-    th = radius_surrogate(r)
-    x = 1.0 / th
-    tau = -np.sum(Z * ZETA, axis=-1) / th
-    y = np.where(Z[:, 0] >= 0.0, 1.0, -1.0)
-    mu = np.zeros_like(tau)
-    if single:
-        return float(x[0]), float(y[0]), float(tau[0]), float(mu[0])
-    return x, y, tau, mu
-
-
-def euclidean_coords(x, y, tau, mu=0.0):
-    """Inverse chart, valid on the exact region x <= 1 (i.e. r >= 1)."""
+def euclidean_coords(x, tau, end):
+    """Inverse chart at the end sign(z) = end (+-1), valid on the exact
+    region x <= 1 (i.e. r >= 1)."""
     x = float(x)
     if not 0.0 < x <= 1.0:
         raise ConfigurationError(
             f"inverse chart requires 0 < x <= 1 (r >= {CHART_RADIUS}), got x={x}"
         )
-    r = 1.0 / x
-    sgn = 1.0 if y >= 0 else -1.0
-    return np.array([r * sgn]), np.array([-tau * sgn])
+    if end not in (1, -1):
+        raise ConfigurationError(f"chart end must be +1 or -1, got {end!r}")
+    return end / x, -tau * end
 
 
-def symbol_p_scattering(model: ModelProblem, x, y, tau, mu=0.0):
-    """Symbol evaluated from scattering data only: tau^2 + V(y / x).
+def symbol_p_scattering(model: ModelProblem, x, tau, end):
+    """Symbol evaluated from scattering data only: tau^2 + V(end / x).
 
     Independent arithmetic path from symbol_p; the two agree wherever the
     chart is exact (this is the chart-consistency certificate)."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    r = 1.0 / x
-    sgn = np.where(y >= 0, 1.0, -1.0)
-    Z = (r * sgn)[..., None].reshape(-1, 1)
-    V = model.potential.value(Z).reshape(x.shape)
-    return tau**2 + V
+    return tau**2 + model.potential.value(end / x)
 
 
 @dataclass(frozen=True)
@@ -369,35 +314,29 @@ class ScatteringVelocity:
     tau: np.ndarray
 
 
-def hamilton_field_scattering(model: ModelProblem, Z, ZETA) -> ScatteringVelocity:
+def hamilton_field_scattering(model: ModelProblem, z, zeta) -> ScatteringVelocity:
     """Exact chart components (xdot, taudot) of the Hamilton field,
     obtained by differentiating the global chart formulas along the
-    Euclidean field (no expansion in x is used); y = sign(z) and mu = 0
-    have zero derivative."""
-    Z, ZETA, single = _as_batch(Z, ZETA)
-    dZ, dZETA = hamilton_field(model, Z, ZETA)
-    dZ = np.atleast_2d(dZ)
-    dZETA = np.atleast_2d(dZETA)
-    r = np.sqrt(np.sum(Z**2, axis=-1))
+    Euclidean field (no expansion in x is used); the end sign(z) has zero
+    derivative."""
+    z, zeta = _as_batch(z, zeta)
+    dz, dzeta = hamilton_field(model, z, zeta)
+    r = np.abs(z)
     if np.any(r <= 0):
         raise ConfigurationError("scattering chart derivatives need |z| > 0")
     th = radius_surrogate(r)
     thd = radius_surrogate_d(r)
-    omega = Z / r[:, None]
-    rdot = np.sum(omega * dZ, axis=-1)
+    rdot = z / r * dz
     x = 1.0 / th
     xdot = -thd * rdot / th**2
-    q = np.sum(Z * ZETA, axis=-1)
-    qdot = np.sum(dZ * ZETA, axis=-1) + np.sum(Z * dZETA, axis=-1)
+    q = z * zeta
+    qdot = dz * zeta + z * dzeta
     tau = -q / th
     taudot = -qdot / th + q * thd * rdot / th**2
-    if single:
-        return ScatteringVelocity(float(xdot[0]), float(taudot[0]),
-                                  float(x[0]), float(tau[0]))
     return ScatteringVelocity(xdot, taudot, x, tau)
 
 
-def collar_remainders(model: ModelProblem, Z, ZETA):
+def collar_remainders(model: ModelProblem, z, zeta):
     """Numerically evaluated expansion remainders on the collar.
 
     Writing the field components as xdot = x^2 (2 tau + x^gamma a) and
@@ -405,8 +344,7 @@ def collar_remainders(model: ModelProblem, Z, ZETA):
     returns the arrays (a, b, f).  These are the only form in
     which the correction symbols exist here (the individual symbol-class
     memberships are not represented)."""
-    Z, ZETA, _ = _as_batch(Z, ZETA)
-    vel = hamilton_field_scattering(model, Z, ZETA)
+    vel = hamilton_field_scattering(model, z, zeta)
     x, tau = vel.x, vel.tau
     xg = x**model.gamma
     a = (vel.xdot / x**2 - 2.0 * tau) / xg

@@ -213,7 +213,7 @@ def discretize(model, h, L=200.0, N=2**15, boundary="cap",
             f"resolution violation: {ppw:.1f} points per wavelength at "
             f"h={h}, need >= 10 (increase N)"
         )
-    V = model.potential.value(grid.z[:, None])
+    V = model.potential.value(grid.z)
     W = default_cap_profile(grid, model.lambda2, cap_strength, cap_fraction) \
         if boundary == "cap" else None
     if W is not None:
@@ -236,7 +236,7 @@ def small_box_operator(model, h, L=60.0, N=512,
     self-adjoint matrix whatever the dispersion error; resolvent-norm
     measurements must use discretize() instead."""
     grid = Grid1D(L=float(L), N=int(N))
-    V = model.potential.value(grid.z[:, None])
+    V = model.potential.value(grid.z)
     W = default_cap_profile(grid, model.lambda2) if boundary == "cap" else None
     return DiscreteOperator(grid=grid, h=float(h), V=V, boundary=boundary,
                             W=W)

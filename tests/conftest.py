@@ -50,10 +50,10 @@ def shell_sample_1d(model, n, rmin=1.5, rmax=30.0, rng_seed=0):
     rng = np.random.default_rng(rng_seed)
     r = rng.uniform(rmin, rmax, size=n)
     sign = rng.choice([-1.0, 1.0], size=n)
-    z = (r * sign)[:, None]
+    z = r * sign
     lo, hi = model.energy_window
     p = rng.uniform(lo, hi, size=n)
     v = model.potential.value(z)
     keep = p - v > 0
-    zeta = (rng.choice([-1.0, 1.0], size=n) * np.sqrt(np.clip(p - v, 0, None)))[:, None]
+    zeta = rng.choice([-1.0, 1.0], size=n) * np.sqrt(np.clip(p - v, 0, None))
     return z[keep], zeta[keep]

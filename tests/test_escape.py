@@ -91,8 +91,8 @@ def test_boundary_piece_plateau_value():
     """x = 0.05, tau = 0.9 with all cutoffs at plateau: q_-/psi equals
     x^(-0.2) ~= 1.8206."""
     model, consts, cutoffs = _demo_setup()
-    Z, ZETA = np.array([[20.0]]), np.array([[-0.9]])
-    val, hpq = esc.eval_boundary_piece("minus", model, consts, cutoffs, 0.2, Z, ZETA)
+    z, zeta = np.array([20.0]), np.array([-0.9])
+    val, hpq = esc.eval_boundary_piece("minus", model, consts, cutoffs, 0.2, z, zeta)
     assert val[0] == pytest.approx(0.05 ** (-0.2), rel=1e-12)
     assert val[0] == pytest.approx(1.8206, abs=2e-4)
     assert hpq[0] < 0.0
@@ -102,28 +102,28 @@ def test_boundary_piece_plateau_value():
 
 def test_boundary_piece_flow_finite_difference():
     model, consts, cutoffs = _demo_setup()
-    Z, ZETA = np.array([[20.0]]), np.array([[-0.9]])
-    val, hpq = esc.eval_boundary_piece("minus", model, consts, cutoffs, 0.2, Z, ZETA)
+    z, zeta = np.array([20.0]), np.array([-0.9])
+    val, hpq = esc.eval_boundary_piece("minus", model, consts, cutoffs, 0.2, z, zeta)
     d = 1e-6
-    _, Zs, Cs = fl.batched_flow(model, Z, ZETA, 0.0, d, d)
-    Zp, Cp = Zs[-1], Cs[-1]
-    vp, _ = esc.eval_boundary_piece("minus", model, consts, cutoffs, 0.2, Zp, Cp)
+    _, zs, cs = fl.batched_flow(model, z, zeta, 0.0, d, d)
+    vp, _ = esc.eval_boundary_piece("minus", model, consts, cutoffs, 0.2,
+                                    zs[-1], cs[-1])
     fd = (vp[0] - val[0]) / d
     assert abs(fd - hpq[0]) <= 1e-5 * (1 + abs(hpq[0]))
 
 
 def test_boundary_piece_outside_support():
     model, consts, cutoffs = _demo_setup()
-    Z, ZETA = np.array([[20.0]]), np.array([[0.0]])  # tau = 0
-    val, hpq = esc.eval_boundary_piece("minus", model, consts, cutoffs, 0.2, Z, ZETA)
+    z, zeta = np.array([20.0]), np.array([0.0])  # tau = 0
+    val, hpq = esc.eval_boundary_piece("minus", model, consts, cutoffs, 0.2, z, zeta)
     assert val[0] == 0.0 and hpq[0] == 0.0
 
 
 def test_boundary_piece_incoming_sign_everywhere(escape_free):
     """x^{-1+eps} H_p q_- <= 0 at every verification grid point."""
     e = escape_free
-    Z, ZETA = esc.phase_grid(e.model, n_x=250, n_interior=40, n_energy=12)
-    pc = e.pieces(Z, ZETA)
+    z, zeta = esc.phase_grid(e.model, n_x=250, n_interior=40, n_energy=12)
+    pc = e.pieces(z, zeta)
     weighted = pc.x ** (-1.0 + e.eps) * pc.hp_minus
     assert np.max(weighted) <= 1e-12
 
@@ -154,26 +154,32 @@ def test_tube_seed_value(escape_free):
     """At a tube seed the flow coordinates are (t, sigma) = (0, 0), so
     q_circ/psi >= chi(0) phi(0) = 1 there."""
     tb = escape_free.tubes.tubes[3]
-    n = 1
     qv, hv = esc.eval_q_circ(escape_free.model, escape_free.tubes,
-                             tb.seed[None, :n], tb.seed[None, n:])
+                             tb.seed[:1], tb.seed[1:])
     assert qv[0] >= 1.0 - 1e-8
 
 
 def test_tube_far_point_zero(escape_free):
     qv, hv = esc.eval_q_circ(escape_free.model, escape_free.tubes,
-                             np.array([[900.0]]), np.array([[1.0]]))
+                             np.array([900.0]), np.array([1.0]))
     assert qv[0] == 0.0 and hv[0] == 0.0
 
 
-def _dense_eval_q_circ(model, coll, Z, ZETA, dt=0.05, store_stride=2,
+def _dense_disc_distance(tb, offsets):
+    """The disc norm as computed from an explicit (1, 2) disc basis and
+    (1,) radius array."""
+    basis, radii = tb.u_p[None, :], np.array([tb.radius])
+    return np.sqrt(np.sum(((offsets @ basis.T) / radii) ** 2, axis=-1))
+
+
+def _dense_eval_q_circ(model, coll, z, zeta, dt=0.05, store_stride=2,
                        chunk=6000, covering_mode=False):
     """Reference: the dense per-tube scan that projects every stored sample
     of every chunk column onto each hyperplane, then masks by candidates."""
     n = 1
-    m = Z.shape[0]
+    m = z.size
     qv, hp = np.zeros(m), np.zeros(m)
-    states = np.concatenate([Z, ZETA], axis=-1)
+    states = np.stack([z, zeta], axis=-1)
     cand = None if covering_mode else coll.bbox_candidates(states)
     if covering_mode:
         t_hi_pt = np.full(m, coll.t_cov + coll.seed_spacing + 0.8)
@@ -188,14 +194,14 @@ def _dense_eval_q_circ(model, coll, Z, ZETA, dt=0.05, store_stride=2,
         idx = order[pos: pos + chunk]
         t_hi = float(np.max(t_hi_pt[idx]))
         t_lo = -(coll.t_cov + 0.1) if covering_mode else -1.1
-        ts_b, Zb, Cb = fl.batched_flow(model, Z[idx], ZETA[idx], 0.0, t_lo, dt,
+        ts_b, zb, cb = fl.batched_flow(model, z[idx], zeta[idx], 0.0, t_lo, dt,
                                        store_stride=store_stride)
-        ts_f, Zf, Cf = fl.batched_flow(model, Z[idx], ZETA[idx], 0.0, t_hi, dt,
+        ts_f, zf, cf = fl.batched_flow(model, z[idx], zeta[idx], 0.0, t_hi, dt,
                                        store_stride=store_stride)
         ts = np.concatenate([ts_b[::-1], ts_f[1:]])
         S = np.ascontiguousarray(np.concatenate(
-            [np.concatenate([Zb, Cb], axis=-1)[::-1],
-             np.concatenate([Zf, Cf], axis=-1)[1:]], axis=0))
+            [np.stack([zb, cb], axis=-1)[::-1],
+             np.stack([zf, cf], axis=-1)[1:]], axis=0))
         dt_det = dt * store_stride
         phi_shape = falling_step(0.5, 1.0)
         for j, tb in enumerate(coll.tubes):
@@ -221,12 +227,12 @@ def _dense_eval_q_circ(model, coll, Z, ZETA, dt=0.05, store_stride=2,
             ks, ms = np.nonzero(sign_change)
             ks = ks + k0
             near = np.linalg.norm(S[ks, ms, :] - tb.seed, axis=1) \
-                <= tb.max_radius * 1.5 + 0.2
+                <= tb.radius * 1.5 + 0.2
             ks, ms = ks[near], ms[near]
             if ks.size == 0:
                 continue
             t_star, s_star = _dense_refine(model, ts, S, ks, ms, tb)
-            sigma = tb.disc_distance(s_star - tb.seed)
+            sigma = _dense_disc_distance(tb, s_star - tb.seed)
             rad_lim = 0.5 if covering_mode else 1.0
             ok = (sigma <= rad_lim) & (t_star >= w_lo) & (t_star <= w_hi)
             tube_t, pts_idx = t_star[ok], ms[ok]
@@ -245,11 +251,8 @@ def _dense_refine(model, ts, S, ks, cols, tb):
     t0 = ts[ks]
     t1 = ts[ks + 1]
     dt = (t1 - t0)[:, None]
-    n = 1
-    dz0, dc0 = geo.hamilton_field(model, y0[:, :n], y0[:, n:])
-    dz1, dc1 = geo.hamilton_field(model, y1[:, :n], y1[:, n:])
-    f0 = np.concatenate([dz0, dc0], axis=-1) * dt
-    f1 = np.concatenate([dz1, dc1], axis=-1) * dt
+    f0 = np.stack(geo.hamilton_field(model, y0[:, 0], y0[:, 1]), axis=-1) * dt
+    f1 = np.stack(geo.hamilton_field(model, y1[:, 0], y1[:, 1]), axis=-1) * dt
     u = np.full(ks.shape, 0.5)
     for _ in range(12):
         uu = u[:, None]
@@ -281,19 +284,19 @@ def test_q_circ_matches_dense_scan(which, request):
     """The candidate-column locator returns exactly the dense scan's
     (q_circ, H_p q_circ), over several chunks and in covering mode."""
     e = request.getfixturevalue(which)
-    Z, ZETA = esc.phase_grid(e.model, n_x=120, n_interior=20, n_energy=8)
-    n_active = int(e.tubes.bbox_candidates(np.concatenate([Z, ZETA], axis=-1))
+    z, zeta = esc.phase_grid(e.model, n_x=120, n_interior=20, n_energy=8)
+    n_active = int(e.tubes.bbox_candidates(np.stack([z, zeta], axis=-1))
                    .any(axis=0).sum())
     chunk = n_active // 3 - 1
     assert chunk > 0
-    got = esc.eval_q_circ(e.model, e.tubes, Z, ZETA, chunk=chunk)
-    ref = _dense_eval_q_circ(e.model, e.tubes, Z, ZETA, chunk=chunk)
+    got = esc.eval_q_circ(e.model, e.tubes, z, zeta, chunk=chunk)
+    ref = _dense_eval_q_circ(e.model, e.tubes, z, zeta, chunk=chunk)
     assert np.count_nonzero(ref[0]) > 0
     assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
     sub = slice(None, None, 7)
-    got_c, _ = esc.eval_q_circ(e.model, e.tubes, Z[sub], ZETA[sub],
+    got_c, _ = esc.eval_q_circ(e.model, e.tubes, z[sub], zeta[sub],
                                covering_mode=True)
-    ref_c, _ = _dense_eval_q_circ(e.model, e.tubes, Z[sub], ZETA[sub],
+    ref_c, _ = _dense_eval_q_circ(e.model, e.tubes, z[sub], zeta[sub],
                                   covering_mode=True)
     assert np.count_nonzero(ref_c) > 0
     assert np.array_equal(got_c, ref_c)
@@ -303,10 +306,10 @@ def test_q_circ_order_invariant(escape_longrange):
     """Permuting the points of a single-chunk batch permutes the outputs
     exactly."""
     e = escape_longrange
-    Z, ZETA = esc.phase_grid(e.model, n_x=80, n_interior=16, n_energy=6)
-    perm = np.random.default_rng(3).permutation(Z.shape[0])
-    q, h = esc.eval_q_circ(e.model, e.tubes, Z, ZETA)
-    qp, hpp = esc.eval_q_circ(e.model, e.tubes, Z[perm], ZETA[perm])
+    z, zeta = esc.phase_grid(e.model, n_x=80, n_interior=16, n_energy=6)
+    perm = np.random.default_rng(3).permutation(z.size)
+    q, h = esc.eval_q_circ(e.model, e.tubes, z, zeta)
+    qp, hpp = esc.eval_q_circ(e.model, e.tubes, z[perm], zeta[perm])
     assert np.count_nonzero(q) > 0
     assert np.array_equal(qp, q[perm]) and np.array_equal(hpp, h[perm])
 
@@ -370,8 +373,8 @@ def test_certificate_refinement_stability(escape_free, report_free):
 
 def test_q_positivity_on_plateau(escape_free):
     e = escape_free
-    Z, ZETA = esc.phase_grid(e.model, n_x=250, n_interior=40, n_energy=12)
-    pc = e.pieces(Z, ZETA)
+    z, zeta = esc.phase_grid(e.model, n_x=250, n_interior=40, n_energy=12)
+    pc = e.pieces(z, zeta)
     q, _ = e.combine(pc)
     assert np.min(q) >= 0.0
     inner = (pc.psi == 1.0) & (pc.x <= 0.5 * e.constants.x0)
@@ -388,7 +391,7 @@ def test_sabotaged_outgoing_constant_fails(escape_free):
         rep = esc.verify_proposition(e, n_x=200, n_interior=30, n_energy=10,
                                      raise_on_failure=False)
         assert not rep.passed
-        taus = np.array([geo.scattering_coords(w[:1], w[1:])[2]
+        taus = np.array([geo.scattering_coords(w[:1], w[1:])[1]
                          for w in rep.witnesses])
         assert np.all(taus < 0)  # witnesses live in the outgoing region
     finally:
@@ -403,12 +406,12 @@ def test_hpq_matches_flow_finite_difference(escape_free):
     n = 1000
     r = np.exp(rng.uniform(np.log(1.2), np.log(60.0), n))
     sgn = rng.choice([-1.0, 1.0], n)
-    Z = (r * sgn)[:, None]
+    z = r * sgn
     p = rng.uniform(0.91, 1.09, n)
-    ZETA = (rng.choice([-1.0, 1.0], n) * np.sqrt(p))[:, None]
-    pc = e.pieces(Z, ZETA)
+    zeta = rng.choice([-1.0, 1.0], n) * np.sqrt(p)
+    pc = e.pieces(z, zeta)
     _, hp = e.combine(pc)
-    fd = esc.hpq_finite_difference(e, Z, ZETA, delta=1e-5)
+    fd = esc.hpq_finite_difference(e, z, zeta, delta=1e-5)
     rel = np.abs(hp - fd) / (np.abs(hp) + np.abs(fd) + 1e-8)
     assert np.max(rel) <= 1e-4
 
@@ -424,10 +427,10 @@ def test_measured_collar_floors(escape_free):
 
 def test_eval_boundary_q_includes_psi():
     model, consts, cutoffs = _demo_setup()
-    Z, ZETA = np.array([[20.0]]), np.array([[-0.9]])
-    v_psi, h_psi = esc.eval_boundary_q("minus", model, consts, cutoffs, 0.2, Z, ZETA)
-    v, h = esc.eval_boundary_piece("minus", model, consts, cutoffs, 0.2, Z, ZETA)
-    p = geo.symbol_p(model, Z, ZETA)
+    z, zeta = np.array([20.0]), np.array([-0.9])
+    v_psi, h_psi = esc.eval_boundary_q("minus", model, consts, cutoffs, 0.2, z, zeta)
+    v, h = esc.eval_boundary_piece("minus", model, consts, cutoffs, 0.2, z, zeta)
+    p = geo.symbol_p(model, z, zeta)
     psi = cutoffs.psi(p)
     assert v_psi[0] == pytest.approx(v[0] * psi[0])
     assert h_psi[0] == pytest.approx(h[0] * psi[0])

@@ -10,39 +10,54 @@ from conftest import shell_sample_1d
 
 
 def test_symbol_free_particle(free_1d):
-    assert geo.symbol_p(free_1d, [2.0], [1.0]) == pytest.approx(1.0)
+    assert geo.symbol_p(free_1d, [2.0], [1.0])[0] == pytest.approx(1.0)
 
 
 def test_symbol_potential_at_origin():
     m = geo.preset_model("longrange_pow", amplitude=1.0, gamma=1.0)
-    assert geo.symbol_p(m, [0.0], [0.0]) == pytest.approx(1.0)
+    assert geo.symbol_p(m, [0.0], [0.0])[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda m, z, zeta: geo.symbol_p(m, z, zeta),
+    lambda m, z, zeta: geo.hamilton_field(m, z, zeta),
+    lambda m, z, zeta: geo.scattering_coords(z, zeta),
+], ids=["symbol_p", "hamilton_field", "scattering_coords"])
+def test_phase_batch_shape_guard(longrange_1d, evaluate):
+    """A phase-point batch is two equal-length 1-D arrays; a column batch
+    would otherwise broadcast to (m, m) against the potential."""
+    col, flat = np.ones((3, 1)), np.ones(3)
+    for z, zeta in [(col, col), (flat, col), (flat, np.ones(2))]:
+        with pytest.raises(ConfigurationError, match="1-D"):
+            evaluate(longrange_1d, z, zeta)
 
 
 def test_chart_sign_convention():
-    pt = geo.PhasePoint.from_euclidean([4.0], [1.0])
-    assert pt.x == pytest.approx(0.25)
-    assert pt.tau == pytest.approx(-1.0)
-    pt = geo.PhasePoint.from_euclidean([-4.0], [1.0])
-    assert pt.x == pytest.approx(0.25)
-    assert pt.tau == pytest.approx(1.0)
+    x, tau = geo.scattering_coords([4.0, -4.0], [1.0, 1.0])
+    assert x.tolist() == pytest.approx([0.25, 0.25])
+    assert tau.tolist() == pytest.approx([-1.0, 1.0])
+    assert geo.euclidean_coords(0.25, -1.0, end=1) == pytest.approx((4.0, 1.0))
+    assert geo.euclidean_coords(0.25, 1.0, end=-1) == pytest.approx((-4.0, 1.0))
 
 
 def test_chart_round_trip():
     rng = np.random.default_rng(1)
     for _ in range(200):
         r = rng.uniform(2.0, 1e4)
-        z = np.array([r * rng.choice([-1.0, 1.0])])
+        end = rng.choice([-1.0, 1.0])
+        z = np.array([r * end])
         zeta = rng.normal(size=1)
-        x, y, tau, mu = geo.scattering_coords(z, zeta)
-        assert mu == 0.0
-        z2, zeta2 = geo.euclidean_coords(x, y, tau, mu)
+        x, tau = geo.scattering_coords(z, zeta)
+        z2, zeta2 = geo.euclidean_coords(x[0], tau[0], end)
         assert np.allclose(z2, z, rtol=1e-12, atol=1e-12 * r)
         assert np.allclose(zeta2, zeta, rtol=1e-12, atol=1e-12)
 
 
 def test_chart_validity_guard():
     with pytest.raises(ConfigurationError):
-        geo.euclidean_coords(1.5, 1.0, 0.0, 0.0)
+        geo.euclidean_coords(1.5, 0.0, 1)
+    with pytest.raises(ConfigurationError, match="end"):
+        geo.euclidean_coords(0.5, 0.0, 0)
 
 
 def test_boundary_x_positive_and_asymptotic():
@@ -61,11 +76,12 @@ def test_chart_consistency_bulk(preset):
     rng = np.random.default_rng(2)
     n = 10_000
     r = np.exp(rng.uniform(np.log(2.0), np.log(1e4), size=n))
-    Z = (r * rng.choice([-1.0, 1.0], size=n))[:, None]
-    ZETA = rng.normal(scale=1.0, size=(n, 1))
-    p = geo.symbol_p(model, Z, ZETA)
-    x, y, tau, mu = geo.scattering_coords(Z, ZETA)
-    p_sc = geo.symbol_p_scattering(model, x, y, tau, mu)
+    end = rng.choice([-1.0, 1.0], size=n)
+    z = r * end
+    zeta = rng.normal(scale=1.0, size=n)
+    p = geo.symbol_p(model, z, zeta)
+    x, tau = geo.scattering_coords(z, zeta)
+    p_sc = geo.symbol_p_scattering(model, x, tau, end)
     assert np.max(np.abs(p - p_sc) / (1.0 + np.abs(p))) <= 1e-10
 
 
@@ -79,7 +95,7 @@ def test_hamilton_radial_momentum_rate(free_1d):
     # free particle on the energy shell: d/dt (tau / x) = -2 tau^2
     v = geo.hamilton_field_scattering(free_1d, [2.0], [1.0])
     hp_tau_over_x = v.taudot / v.x - v.tau * v.xdot / v.x**2
-    assert hp_tau_over_x == pytest.approx(-2.0)
+    assert hp_tau_over_x[0] == pytest.approx(-2.0)
 
 
 def test_hamilton_gradient_finite_difference():
@@ -88,7 +104,7 @@ def test_hamilton_gradient_finite_difference():
     z, zeta = 1.0, 0.5
     _, dzeta = geo.hamilton_field(m, [z], [zeta])
     eps = 1e-6
-    dV = (geo.symbol_p(m, [z + eps], [zeta]) - geo.symbol_p(m, [z - eps], [zeta])) / (2 * eps)
+    dV = (geo.symbol_p(m, [z + eps], [zeta]) - geo.symbol_p(m, [z - eps], [zeta]))[0] / (2 * eps)
     assert abs(dzeta[0] + dV) <= 1e-8
     assert dzeta[0] == pytest.approx(4.0 * np.exp(-1.0), rel=1e-7)
 
@@ -98,25 +114,25 @@ def test_hamilton_field_matches_symbol_gradient():
         {"potential": "longrange_pow", "amplitude": 0.7, "gamma": 1.5}
     )
     rng = np.random.default_rng(4)
-    Z = rng.uniform(-8, 8, size=(50, 1))
-    ZETA = rng.normal(size=(50, 1))
-    dZ, dZETA = geo.hamilton_field(model, Z, ZETA)
+    z = rng.uniform(-8, 8, size=50)
+    zeta = rng.normal(size=50)
+    dz, dzeta = geo.hamilton_field(model, z, zeta)
     eps = 1e-6
-    dp_dzeta = (geo.symbol_p(model, Z, ZETA + eps) - geo.symbol_p(model, Z, ZETA - eps)) / (2 * eps)
-    dp_dz = (geo.symbol_p(model, Z + eps, ZETA) - geo.symbol_p(model, Z - eps, ZETA)) / (2 * eps)
-    assert np.max(np.abs(dZ[:, 0] - dp_dzeta)) <= 1e-7
-    assert np.max(np.abs(dZETA[:, 0] + dp_dz)) <= 1e-7
+    dp_dzeta = (geo.symbol_p(model, z, zeta + eps) - geo.symbol_p(model, z, zeta - eps)) / (2 * eps)
+    dp_dz = (geo.symbol_p(model, z + eps, zeta) - geo.symbol_p(model, z - eps, zeta)) / (2 * eps)
+    assert np.max(np.abs(dz - dp_dzeta)) <= 1e-7
+    assert np.max(np.abs(dzeta + dp_dz)) <= 1e-7
 
 
 def test_scattering_velocity_consistency(longrange_1d):
     """Analytic chart derivatives match finite differences of the chart
     composed with the Euclidean flow, to 1e-8 relative."""
-    Z, ZETA = shell_sample_1d(longrange_1d, 200, rmin=2.0)
-    vel = geo.hamilton_field_scattering(longrange_1d, Z, ZETA)
-    dZ, dZETA = geo.hamilton_field(longrange_1d, Z, ZETA)
+    z, zeta = shell_sample_1d(longrange_1d, 200, rmin=2.0)
+    vel = geo.hamilton_field_scattering(longrange_1d, z, zeta)
+    dz, dzeta = geo.hamilton_field(longrange_1d, z, zeta)
     eps = 1e-7
-    xp, _, taup, _ = geo.scattering_coords(Z + eps * dZ, ZETA + eps * dZETA)
-    xm, _, taum, _ = geo.scattering_coords(Z - eps * dZ, ZETA - eps * dZETA)
+    xp, taup = geo.scattering_coords(z + eps * dz, zeta + eps * dzeta)
+    xm, taum = geo.scattering_coords(z - eps * dz, zeta - eps * dzeta)
     scale = np.abs(vel.xdot) + np.abs(vel.taudot) + 1.0
     assert np.max(np.abs((xp - xm) / (2 * eps) - vel.xdot) / scale) <= 1e-8
     assert np.max(np.abs((taup - taum) / (2 * eps) - vel.taudot) / scale) <= 1e-8
@@ -124,9 +140,9 @@ def test_scattering_velocity_consistency(longrange_1d):
 
 def test_decay_certificate(longrange_1d):
     """|p - tau^2| <= C x^gamma on samples, with finite C."""
-    Z, ZETA = shell_sample_1d(longrange_1d, 500, rmin=1.5, rmax=1e3)
-    p = geo.symbol_p(longrange_1d, Z, ZETA)
-    x, _, tau, _ = geo.scattering_coords(Z, ZETA)
+    z, zeta = shell_sample_1d(longrange_1d, 500, rmin=1.5, rmax=1e3)
+    p = geo.symbol_p(longrange_1d, z, zeta)
+    x, tau = geo.scattering_coords(z, zeta)
     C = np.max(np.abs(p - tau**2) / x**longrange_1d.gamma)
     assert np.isfinite(C)
     assert C <= 2.0 * longrange_1d.potential.amplitude + 1e-9
@@ -136,9 +152,7 @@ def test_sign_law_outgoing_free(free_1d):
     """Along an outgoing free trajectory tau/x is strictly decreasing."""
     t = np.linspace(0.0, 10.0, 50)
     z = 2.0 + 2.0 * t  # z(t) for zeta = 1
-    Z = z[:, None]
-    ZETA = np.ones_like(Z)
-    x, _, tau, _ = geo.scattering_coords(Z, ZETA)
+    x, tau = geo.scattering_coords(z, np.ones_like(z))
     vals = tau / x
     assert np.all(np.diff(vals) < 0)
 
@@ -146,17 +160,17 @@ def test_sign_law_outgoing_free(free_1d):
 def test_sublevel_set_bounded(double_bump_1d):
     """|zeta| is bounded on samples of {p <= 2 lambda^2}."""
     rng = np.random.default_rng(6)
-    Z = rng.uniform(-50, 50, size=(5000, 1))
-    ZETA = rng.uniform(-3, 3, size=(5000, 1))
-    p = geo.symbol_p(double_bump_1d, Z, ZETA)
+    z = rng.uniform(-50, 50, size=5000)
+    zeta = rng.uniform(-3, 3, size=5000)
+    p = geo.symbol_p(double_bump_1d, z, zeta)
     sub = p <= 2.0 * double_bump_1d.lambda2
     bound = double_bump_1d.momentum_bound(2.0 * double_bump_1d.lambda2)
-    assert np.all(np.abs(ZETA[sub, 0]) <= bound + 1e-12)
+    assert np.all(np.abs(zeta[sub]) <= bound + 1e-12)
 
 
 def test_collar_remainders_vanish_free(free_1d):
-    Z, ZETA = shell_sample_1d(free_1d, 200, rmin=2.0, rmax=500.0)
-    a, b, f = geo.collar_remainders(free_1d, Z, ZETA)
+    z, zeta = shell_sample_1d(free_1d, 200, rmin=2.0, rmax=500.0)
+    a, b, f = geo.collar_remainders(free_1d, z, zeta)
     # zero up to float re-association; boundary_constants snaps this to 0
     assert np.max(np.abs(a)) <= 1e-9
     assert np.max(np.abs(b)) <= 1e-9

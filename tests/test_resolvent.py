@@ -26,7 +26,7 @@ def test_potential_adds_diagonal(free_1d, longrange_1d):
     op1 = rv.discretize(longrange_1d, 0.1, L=100.0, N=4096, boundary="dirichlet")
     d0, o0 = op0.real_tridiagonal()
     d1, o1 = op1.real_tridiagonal()
-    V = longrange_1d.potential.value(op0.grid.z[:, None])
+    V = longrange_1d.potential.value(op0.grid.z)
     assert np.allclose(d1 - d0, V, atol=1e-14)
     assert np.array_equal(o0, o1)
 
@@ -161,7 +161,7 @@ def test_quantize_cross_check_fd(longrange_1d):
         z = op.grid.z
         u = np.exp(-(z**2) / 4.0)
         upp = (z**2 / 4.0 - 0.5) * u
-        analytic = -(h**2) * upp + longrange_1d.potential.value(z[:, None]) * u
+        analytic = -(h**2) * upp + longrange_1d.potential.value(z) * u
         errs[N] = np.max(np.abs(op.apply(u.astype(complex)).real - analytic))
     assert errs[4096] <= errs[2048] / 3.0  # O(dz^2) convergence
     q = qz.GridQuantization(L=50.0, N=2048, h=h, zeta_support=1.0, energy_scale=0.3)
@@ -169,8 +169,8 @@ def test_quantize_cross_check_fd(longrange_1d):
     upp = (q.z**2 / 4.0 - 0.5) * u
     spec_apply = qz.apply_separable(
         lambda z: np.ones_like(z), lambda zeta: zeta**2, q, u
-    ).real + longrange_1d.potential.value(q.z[:, None]) * u
-    analytic = -(h**2) * upp + longrange_1d.potential.value(q.z[:, None]) * u
+    ).real + longrange_1d.potential.value(q.z) * u
+    analytic = -(h**2) * upp + longrange_1d.potential.value(q.z) * u
     assert np.max(np.abs(spec_apply - analytic)) <= 1e-8
 
 
