@@ -62,7 +62,8 @@ _INT_KEYS = {"jobs", "grid_exponent", "flow_samples", "verify_x",
 _FLOAT_KEYS = {"epsilon", "s_weight", "box_half_length", "scan_t_max",
                "r_escape", "seed_spacing", "amplitude", "gamma", "separation",
                "lambda2", "delta"}
-_STR_KEYS = {"command", "out", "t_rule", "potential"}
+#: size of the (x, tau) slice in q_slice.csv
+_SLICE_NX, _SLICE_NTAU = 80, 60
 
 _RANGES = {
     "jobs": (1, 64),
@@ -117,9 +118,7 @@ def _coerce(key, val):
         return int(val)
     if key in _FLOAT_KEYS:
         return _finite(val)
-    if key in _STR_KEYS or key in geo.MODEL_DEFAULTS:
-        return val
-    raise ValueError(f"no coercion rule for {key}")
+    return val  # command, out, t_rule, potential
 
 
 def _finite(val):
@@ -149,6 +148,11 @@ def effective_config(params):
             raise ConfigurationError(
                 f"field {key!r}: value {v} outside documented range [{lo}, {hi}]"
             )
+    if cfg["command"] in ("resolvent-sweep", "full-report"):
+        # the sweep's grid, checked before any output; the finest h needs
+        # the most points per wavelength
+        rv.check_resolution(_model_from(cfg), min(cfg["h_list"]),
+                            cfg["box_half_length"], 2 ** cfg["grid_exponent"])
     return cfg
 
 
@@ -300,11 +304,11 @@ def _assemble(cfg, rep: Reporter, verdict=None):
     return e
 
 
-def _dump_q_slice(e, rep: Reporter, n_x=80, n_tau=60):
+def _dump_q_slice(e, rep: Reporter):
     """q and H_p q on an (x, tau) slice of the right end (plot data)."""
-    xs = np.geomspace(1e-3, 0.999, n_x)
+    xs = np.geomspace(1e-3, 0.999, _SLICE_NX)
     lam = e.model.lam
-    taus = np.linspace(-1.5 * lam, 1.5 * lam, n_tau)
+    taus = np.linspace(-1.5 * lam, 1.5 * lam, _SLICE_NTAU)
     X, T = np.meshgrid(xs, taus, indexing="ij")
     x, t = X.ravel(), T.ravel()
     pc = e.pieces(1.0 / x, -t)
@@ -393,7 +397,7 @@ def cmd_resolvent_sweep(cfg, rep: Reporter, verdict=None):
     report = rv.h_sweep(
         model, h_list=cfg["h_list"], t_rule=cfg["t_rule"], s=cfg["s_weight"],
         L=cfg["box_half_length"], N=2 ** cfg["grid_exponent"],
-        jobs=cfg["jobs"], model_name=cfg["potential"],
+        jobs=cfg["jobs"],
     )
     rows = [[c.h, c.lambda2, c.t, c.s, c.norm, c.iterations, c.mode]
             for c in report.cells]

@@ -25,9 +25,4 @@ class ConvergenceError(RuntimeError):
 
 class IntegrationError(RuntimeError):
     """Raised when trajectory integration fails, a required flow condition
-    is never certified, or an escaped verdict drifts past its energy bound.
-    Partial data is attached when available."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    is never certified, or an escaped verdict drifts past its energy bound."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -39,6 +39,19 @@ from nontrap.smooth import SmoothFn, falling_step, plateau, rising_step
 # normalization point of the intermediate cutoff's exponential profile;
 # balances the two halving budgets of the assembly cascade
 _TAU_REF_FACTOR = 0.125
+_SLOPE_SAMPLES = 4000   # band samples of partial_slope_margin
+_COLLAR_X_MIN = 1e-4    # innermost x of the collar grids
+_COLLAR_NX = 40         # collar grid size (x, tau) at refine = 1
+_COLLAR_NTAU = 41
+_T_COV = 0.5            # covering zone starts at tube time -_T_COV
+_MOM_FACTOR = 1.3       # disc radius along grad p, in units of delta / kappa
+_MAX_REFINE = 2         # seed-spacing halvings allowed for the covering
+_MAX_EXTEND = 6         # T extensions allowed for a tube's late portion
+_Q_CIRC_DT = 0.05       # RK4 step of the q_circ flows
+_Q_CIRC_STRIDE = 2      # q_circ keeps every second step
+_GRID_X_MIN = 1e-3      # innermost x of the phase-space grids
+_GRID_INSET = 0.999     # energies sampled within this fraction of the window
+_MAX_HALVINGS = 60      # halving budget of each cascade stage
 
 
 # ---------------------------------------------------------------------------
@@ -58,15 +71,12 @@ class CutoffFamily:
     """
 
     lam: float
-    c1: float
-    delta: float
     chi_minus: SmoothFn
     chi_plus: SmoothFn
     chi_partial: SmoothFn
     rho: SmoothFn
     psi: SmoothFn
     slope: float
-    tau_ref: float
 
 
 def build_cutoffs(lam: float, c1: float, delta: float) -> CutoffFamily:
@@ -100,18 +110,17 @@ def build_cutoffs(lam: float, c1: float, delta: float) -> CutoffFamily:
     rho = falling_step(0.5, 1.0)
     psi = plateau(lam2 - delta, lam2 - 0.5 * delta, lam2 + 0.5 * delta, lam2 + delta)
     return CutoffFamily(
-        lam=lam, c1=c1, delta=delta,
-        chi_minus=chi_minus, chi_plus=chi_plus,
+        lam=lam, chi_minus=chi_minus, chi_plus=chi_plus,
         chi_partial=SmoothFn(chi_partial, chi_partial_d),
-        rho=rho, psi=psi, slope=k, tau_ref=tau_ref,
+        rho=rho, psi=psi, slope=k,
     )
 
 
-def partial_slope_margin(cutoffs: CutoffFamily, n=4000) -> float:
+def partial_slope_margin(cutoffs: CutoffFamily) -> float:
     """min of chi'_partial - (6 lam / c1) chi_partial over the enforced
     band (must be >= 0; equals e^{k(t-ref)} u'(t) analytically)."""
     lam = cutoffs.lam
-    t = np.linspace(-7 * lam / 8, 3 * lam / 4, n)
+    t = np.linspace(-7 * lam / 8, 3 * lam / 4, _SLOPE_SAMPLES)
     gap = cutoffs.chi_partial.d(t) - cutoffs.slope * cutoffs.chi_partial(t)
     return float(np.min(gap))
 
@@ -125,7 +134,6 @@ class BoundaryConstants:
     """Certified constants of the near-boundary construction."""
 
     M: float          # 1.5x grid sup of the collar remainders |a| + |b|
-    M_f: float        # same for the radial-ratio remainder f
     c1: float         # intermediate-band lower bound (radial surrogate)
     eps1: float       # collar threshold
     x0: float         # working collar width
@@ -137,11 +145,11 @@ class BoundaryConstants:
                 f"eps1={self.eps1:.6g} delta1={self.delta1:.6g} c0={self.c0:.6g}")
 
 
-def _collar_points(model, eps1, n_x, n_tau, x_min=1e-4):
+def _collar_points(model, eps1, n_x, n_tau):
     """Deterministic scattering-coordinate grid on the collar x < eps1 at
     both ends, converted to Euclidean points.  Returns (z, zeta)."""
     lam = model.lam
-    xs = np.geomspace(x_min, eps1 * 0.999, n_x)
+    xs = np.geomspace(_COLLAR_X_MIN, eps1 * 0.999, n_x)
     taus = np.linspace(-1.6 * lam, 1.6 * lam, n_tau)
     X, T, Y = np.meshgrid(xs, taus, np.array([1.0, -1.0]), indexing="ij")
     x, t, y = X.ravel(), T.ravel(), Y.ravel()
@@ -149,7 +157,7 @@ def _collar_points(model, eps1, n_x, n_tau, x_min=1e-4):
     return r * y, -t * y
 
 
-def boundary_constants(model, n_x=40, n_tau=41, refine=1) -> BoundaryConstants:
+def boundary_constants(model, refine=1) -> BoundaryConstants:
     """Estimate the collar constants from dense deterministic grids.
 
     The remainder sup M is inflated by a 1.5 safety factor; c1 is the
@@ -158,7 +166,7 @@ def boundary_constants(model, n_x=40, n_tau=41, refine=1) -> BoundaryConstants:
     """
     lam, lam2, gamma = model.lam, model.lambda2, model.gamma
     delta1 = 1.25 * model.delta
-    n_x, n_tau = n_x * refine, (n_tau - 1) * refine + 1
+    n_x, n_tau = _COLLAR_NX * refine, (_COLLAR_NTAU - 1) * refine + 1
 
     # provisional collar for the remainder sup: x < 1/2
     z, zeta = _collar_points(model, 0.5, n_x, n_tau)
@@ -208,8 +216,8 @@ def boundary_constants(model, n_x=40, n_tau=41, refine=1) -> BoundaryConstants:
         (c1 / (2.0 * (M + 1.0))) ** (1.0 / gamma),
         eps1,
     )
-    return BoundaryConstants(M=M, M_f=M_f, c1=c1, eps1=eps1, x0=x0,
-                             delta1=delta1, c0=c0)
+    return BoundaryConstants(M=M, c1=c1, eps1=eps1, x0=x0, delta1=delta1,
+                             c0=c0)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +325,6 @@ class CoveringReport:
     n_test: int
     n_uncovered: int
     uncovered: List[np.ndarray]
-    refinements: int
 
 
 @dataclass
@@ -364,9 +371,8 @@ def _disc_offsets(tube: Tube):
     return np.stack([np.zeros(2), half, -half, full, -full])
 
 
-def build_tubes(model, consts, cutoffs, seed_spacing=1.0, t_cov=0.5,
-                mom_factor=1.3, T_max=500.0, max_refine=2,
-                max_extend=6) -> TubeCollection:
+def build_tubes(model, consts, cutoffs, seed_spacing=1.0,
+                T_max=500.0) -> TubeCollection:
     """Tubes along backward bicharacteristic segments seeded on a grid of K.
 
     Per seed: T from the first certified incoming time (inflated for the
@@ -381,14 +387,14 @@ def build_tubes(model, consts, cutoffs, seed_spacing=1.0, t_cov=0.5,
     # keep the tube count roughly collar-independent
     spacing = max(seed_spacing, (4.0 / consts.x0) / 40.0)
     last_report = None
-    for attempt in range(max_refine + 1):
+    for _ in range(_MAX_REFINE + 1):
         z_s, zeta_s = _k_region_seeds(model, consts, spacing)
         if not z_s.size:
             raise ConstructionError("no seeds found on K; check the window")
         kappa_min = float(np.min(np.abs(zeta_s)))
         if kappa_min <= 0:
             raise ConstructionError("seed with vanishing momentum on K")
-        r_mom = mom_factor * model.delta / kappa_min
+        r_mom = _MOM_FACTOR * model.delta / kappa_min
         T_in = fl.time_to_incoming(model, z_s, zeta_s, x_target, tau_target,
                                    T_max=T_max)
         dZ, dC = geo.hamilton_field(model, z_s, zeta_s)
@@ -397,7 +403,7 @@ def build_tubes(model, consts, cutoffs, seed_spacing=1.0, t_cov=0.5,
             # the slowest disc member (lowest shell energy on the disc)
             # lags the center trajectory; size the segment for it
             kappa = abs(float(zeta))
-            T = T * (1.0 + 2.0 * mom_factor * model.delta / kappa**2) + 0.5
+            T = T * (1.0 + 2.0 * _MOM_FACTOR * model.delta / kappa**2) + 0.5
             n_vec = _phase_state(dz, dzeta)
             n_norm = float(np.linalg.norm(n_vec))
             if n_norm == 0.0:
@@ -409,28 +415,28 @@ def build_tubes(model, consts, cutoffs, seed_spacing=1.0, t_cov=0.5,
             tubes.append(Tube(seed=_phase_state(z, zeta), T=T,
                               normal=n_vec, u_p=u_p, radius=r_mom,
                               bbox_lo=None, bbox_hi=None))
-        _certify_tubes(model, tubes, consts, lam, max_extend)
-        coll = TubeCollection(tubes=tubes, t_cov=t_cov,
-                              covering=CoveringReport(0, 0, [], attempt),
+        _certify_tubes(model, tubes, consts, lam)
+        coll = TubeCollection(tubes=tubes, t_cov=_T_COV,
+                              covering=CoveringReport(0, 0, []),
                               seed_spacing=spacing)
-        report = _certify_covering(model, coll, consts, spacing, attempt)
+        report = _certify_covering(model, coll, consts, spacing)
         coll.covering = report
         last_report = report
         if report.n_uncovered == 0:
             return coll
         spacing *= 0.5
     raise ConstructionError(
-        f"tube covering failed after {max_refine} refinements: "
+        f"tube covering failed after {_MAX_REFINE} refinements: "
         f"{last_report.n_uncovered} uncovered test points, first few "
         f"{[u.tolist() for u in last_report.uncovered[:3]]}"
     )
 
 
-def _certify_tubes(model, tubes: List[Tube], consts, lam, max_extend):
+def _certify_tubes(model, tubes: List[Tube], consts, lam):
     """Sampled disc sweep for every tube in one batched backward flow:
     bounding boxes over the whole window, and the late-portion
     disjointness from K' (auto-extending T when the margin check fails)."""
-    for round_ in range(max_extend + 1):
+    for round_ in range(_MAX_EXTEND + 1):
         pend = [tb for tb in tubes if tb.bbox_lo is None]
         if not pend:
             return
@@ -456,7 +462,7 @@ def _certify_tubes(model, tubes: List[Tube], consts, lam, max_extend):
             if np.all(x < consts.x0 / 2.0) and np.all(tau > 2.0 * lam / 3.0):
                 tb.bbox_lo = lo - pad
                 tb.bbox_hi = hi + pad
-            elif round_ < max_extend:
+            elif round_ < _MAX_EXTEND:
                 tb.T += max(1.0, 0.1 * tb.T)  # retry with a longer segment
     bad = [tb for tb in tubes if tb.bbox_lo is None]
     if bad:
@@ -466,7 +472,7 @@ def _certify_tubes(model, tubes: List[Tube], consts, lam, max_extend):
         )
 
 
-def _certify_covering(model, coll: TubeCollection, consts, spacing, attempt):
+def _certify_covering(model, coll: TubeCollection, consts, spacing):
     """Every point of a 2x finer K grid, widened across the window, must
     lie in some tube's interior zone."""
     z_t, zeta_t = _k_region_seeds(model, consts, 0.5 * spacing)
@@ -481,15 +487,15 @@ def _certify_covering(model, coll: TubeCollection, consts, spacing, attempt):
     bad = qv <= 0.0
     uncovered = [_phase_state(z0[i], c0[i]) for i in np.flatnonzero(bad)[:16]]
     return CoveringReport(n_test=z0.size, n_uncovered=int(np.sum(bad)),
-                          uncovered=uncovered, refinements=attempt)
+                          uncovered=uncovered)
 
 
 # ---------------------------------------------------------------------------
 # tube evaluation (flow coordinates by crossing detection)
 # ---------------------------------------------------------------------------
 
-def eval_q_circ(model, coll: TubeCollection, z, zeta, dt=0.05,
-                store_stride=2, chunk=6000, covering_mode=False):
+def eval_q_circ(model, coll: TubeCollection, z, zeta, chunk=6000,
+                covering_mode=False):
     """(q_circ/psi, H_p q_circ/psi) on a batch of points.
 
     Each point is flowed once over the union of its candidate tube windows;
@@ -554,18 +560,18 @@ def eval_q_circ(model, coll: TubeCollection, z, zeta, dt=0.05,
             last = cand_c.shape[0] - 1 - np.argmax(cand_c[::-1], axis=0)
             perm = np.lexsort((last, first))
             idx, cand_c = idx[perm], cand_c[:, perm]
-        _eval_chunk(model, coll, z[idx], zeta[idx], idx, qv, hp,
-                    t_hi, dt, store_stride, cand_c, covering_mode)
+        _eval_chunk(model, coll, z[idx], zeta[idx], idx, qv, hp, t_hi, cand_c,
+                    covering_mode)
     return qv, hp
 
 
-def _eval_chunk(model, coll, zc, cc, idx, qv, hp, t_hi, dt, store_stride,
-                cand_c, covering_mode):
+def _eval_chunk(model, coll, zc, cc, idx, qv, hp, t_hi, cand_c,
+                covering_mode):
     t_lo = -(coll.t_cov + 0.1) if covering_mode else -1.1
-    ts_b, zb, cb = fl.batched_flow(model, zc, cc, 0.0, t_lo, dt,
-                                   store_stride=store_stride)
-    ts_f, zf, cf = fl.batched_flow(model, zc, cc, 0.0, t_hi, dt,
-                                   store_stride=store_stride)
+    ts_b, zb, cb = fl.batched_flow(model, zc, cc, 0.0, t_lo, _Q_CIRC_DT,
+                                   store_stride=_Q_CIRC_STRIDE)
+    ts_f, zf, cf = fl.batched_flow(model, zc, cc, 0.0, t_hi, _Q_CIRC_DT,
+                                   store_stride=_Q_CIRC_STRIDE)
     ts = np.concatenate([ts_b[::-1], ts_f[1:]])
     # component-major store: comps[k][row, col] is coordinate k of the
     # phase-space state (z, zeta) of column col at time ts[row]; each flow
@@ -579,7 +585,7 @@ def _eval_chunk(model, coll, zc, cc, idx, qv, hp, t_hi, dt, store_stride,
     # tube loop allocates no trajectory-sized array per tube (such per-tube
     # allocations left the peak RSS at the mercy of heap fragmentation)
     sv_buf, prod_buf = np.empty_like(comps[0]), np.empty_like(comps[0])
-    dt_det = dt * store_stride
+    dt_det = _Q_CIRC_DT * _Q_CIRC_STRIDE
     phi_shape = falling_step(0.5, 1.0)
     for j, tb in enumerate(coll.tubes):
         if cand_c is None:
@@ -684,17 +690,16 @@ def _refine_crossings(model, ts, comps, ks, cols, tb):
 # phase-space grids
 # ---------------------------------------------------------------------------
 
-def phase_grid(model, x_min=1e-3, n_x=600, n_interior=80, n_energy=40,
-               inset=0.999):
-    """Deterministic grid covering supp psi(p) up to x >= x_min.
+def phase_grid(model, n_x=600, n_interior=80, n_energy=40):
+    """Deterministic grid covering supp psi(p) up to x >= 1e-3.
 
     Positions combine a log grid in x on each end (resolving the collar
     scales) with a linear interior block; at every position the window is
     sampled at n_energy energies and both momentum branches.  Returns
     (z, zeta)."""
     lam2, delta = model.lambda2, model.delta
-    offsets = inset * np.linspace(-1.0, 1.0, n_energy)
-    xs = np.geomspace(x_min, 0.999, n_x)
+    offsets = _GRID_INSET * np.linspace(-1.0, 1.0, n_energy)
+    xs = np.geomspace(_GRID_X_MIN, 0.999, n_x)
     zs_out = 1.0 / xs
     zs = np.concatenate([-zs_out, np.linspace(-0.999, 0.999, n_interior), zs_out])
     V = model.potential.value(zs)
@@ -767,18 +772,6 @@ class EscapeFunction:
               + self.C * pc.hp_circ + self.C_prime * pc.hp_plus)
         return q, hp
 
-    def q(self, z, zeta):
-        """Actual q values (psi factor included)."""
-        pc = self.pieces(z, zeta)
-        qpp, _ = self.combine(pc)
-        return qpp * pc.psi
-
-    def hp_q(self, z, zeta):
-        """Actual H_p q values (psi factor included)."""
-        pc = self.pieces(z, zeta)
-        _, hp = self.combine(pc)
-        return hp * pc.psi
-
 
 def hpq_finite_difference(esc: EscapeFunction, z, zeta, delta=1e-5):
     """Flow finite difference of q/psi along H_p (equals H_p q / psi since
@@ -791,22 +784,21 @@ def hpq_finite_difference(esc: EscapeFunction, z, zeta, delta=1e-5):
     return (qp - qm) / (2.0 * delta)
 
 
-def _halve(short, C, max_halvings, stage, worst=None):
+def _halve(short, C, stage, worst=None):
     """Halve the constant C while short(C) holds; returns (C, halvings).
-    Raises ConstructionError after max_halvings halvings, naming the stage
+    Raises ConstructionError after _MAX_HALVINGS halvings, naming the stage
     and, if given, worst(C)."""
     halvings = 0
     while short(C):
         C *= 0.5
         halvings += 1
-        if halvings > max_halvings:
+        if halvings > _MAX_HALVINGS:
             where = f"; worst at {worst(C)}" if worst else ""
             raise ConstructionError(f"{stage}-stage cascade exhausted{where}")
     return C, halvings
 
 
-def assemble_escape(model, eps, verdict, seed_spacing=1.0,
-                    grid_kwargs=None, max_halvings=60) -> EscapeFunction:
+def assemble_escape(model, eps, verdict, seed_spacing=1.0) -> EscapeFunction:
     """Build the escape function by the halving cascade.
 
     eps must lie in (0, 1/4).  Non-trapping is a precondition: `verdict`
@@ -827,9 +819,7 @@ def assemble_escape(model, eps, verdict, seed_spacing=1.0,
     cutoffs = build_cutoffs(model.lam, consts.c1, model.delta)
     tubes = build_tubes(model, consts, cutoffs, seed_spacing=seed_spacing)
 
-    gkw = {"n_x": 220, "n_interior": 40, "n_energy": 14}
-    gkw.update(grid_kwargs or {})
-    z, zeta = phase_grid(model, **gkw)
+    z, zeta = phase_grid(model, n_x=220, n_interior=40, n_energy=14)
     esc = EscapeFunction(model=model, eps=eps, constants=consts,
                          cutoffs=cutoffs, tubes=tubes,
                          C=1.0, C_prime=1.0, C_dprime=1.0,
@@ -863,7 +853,7 @@ def assemble_escape(model, eps, verdict, seed_spacing=1.0,
 
     C, cascade["halvings_C"] = _halve(
         lambda C: np.min(A_minus[D1] + C * A_circ[D1]) < 0.5 * c2,
-        1.0, max_halvings, "tube",
+        1.0, "tube",
         worst=lambda C: z[D1][np.argsort(A_minus[D1] + C * A_circ[D1])[:8]])
 
     floor2 = float(np.min(A_minus[D2pos] + C * A_circ[D2pos]))
@@ -879,7 +869,7 @@ def assemble_escape(model, eps, verdict, seed_spacing=1.0,
     Cpp, cascade["halvings_Cpp"] = _halve(
         lambda Cpp: np.min(A_minus[D2pos] + C * A_circ[D2pos]
                            + Cpp * A_partial[D2pos]) < 0.5 * floor2,
-        1.0, max_halvings, "intermediate")
+        1.0, "intermediate")
 
     three = A_minus + C * A_circ + Cpp * A_partial
     floor3 = float(np.min(three[D2full]))
@@ -893,7 +883,7 @@ def assemble_escape(model, eps, verdict, seed_spacing=1.0,
     base = x ** (-2.0 * eps) * three
     Cp, cascade["halvings_Cp"] = _halve(
         lambda Cp: np.min(base + Cp * A_plus) <= 0.0,
-        min(1.0, Cpp), max_halvings, "outgoing")
+        min(1.0, Cpp), "outgoing")
     cascade["c_dprime_construction"] = float(np.min(base + Cp * A_plus))
 
     esc.C, esc.C_prime, esc.C_dprime = C, Cp, Cpp
@@ -912,8 +902,6 @@ class VerifyReport:
     c_dprime: float
     b_floor: float
     n_points: int
-    argmin_q: Tuple[float, float]
-    argmin_hpq: Tuple[float, float]
     witnesses: List[np.ndarray]
 
     @property
@@ -925,27 +913,24 @@ class VerifyReport:
                 f"b_floor={self.b_floor:.6g} on {self.n_points} points")
 
 
-def verify_proposition(esc: EscapeFunction, x_min=1e-3, n_x=600,
-                       n_interior=80, n_energy=40,
-                       raise_on_failure=True) -> VerifyReport:
+def verify_proposition(esc: EscapeFunction, n_x=600, n_interior=80,
+                       n_energy=40, raise_on_failure=True) -> VerifyReport:
     """Largest constants with q >= c' x^eps psi(p) and
     -H_p q >= c'' x^{1+eps} psi(p) at every grid point, plus the quadratic
     form b = -2 q H_p q / psi^2 >= b_floor x^{1+2 eps} where psi > 1/2.
 
-    The default grid has >= 1e5 points over supp psi(p) down to x = x_min.
+    The default grid has >= 1e5 points over supp psi(p) down to x = 1e-3.
     """
-    z, zeta = phase_grid(esc.model, x_min=x_min, n_x=n_x,
-                         n_interior=n_interior, n_energy=n_energy)
+    z, zeta = phase_grid(esc.model, n_x=n_x, n_interior=n_interior,
+                         n_energy=n_energy)
     pc = esc.pieces(z, zeta)
     q, hp = esc.combine(pc)
     x = pc.x
     eps = esc.eps
     ratio_q = q / x**eps
     ratio_h = -hp / x ** (1.0 + eps)
-    i_q = int(np.argmin(ratio_q))
-    i_h = int(np.argmin(ratio_h))
-    c_prime = float(ratio_q[i_q])
-    c_dprime = float(ratio_h[i_h])
+    c_prime = float(np.min(ratio_q))
+    c_dprime = float(np.min(ratio_h))
     plateau_mask = pc.psi > 0.5
     b = 2.0 * q * (-hp)
     if np.any(plateau_mask):
@@ -961,10 +946,7 @@ def verify_proposition(esc: EscapeFunction, x_min=1e-3, n_x=600,
                       for i in np.argsort(ratio_h)[:8]]
     report = VerifyReport(
         c_prime=c_prime, c_dprime=c_dprime, b_floor=b_floor,
-        n_points=int(z.size),
-        argmin_q=(float(z[i_q]), float(zeta[i_q])),
-        argmin_hpq=(float(z[i_h]), float(zeta[i_h])),
-        witnesses=witnesses,
+        n_points=int(z.size), witnesses=witnesses,
     )
     if raise_on_failure and not report.passed:
         raise ConstructionError(

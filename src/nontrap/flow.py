@@ -31,32 +31,31 @@ CLASSIFY_DT = 0.02      # RK4 step of the verdicts (as in the tube certificate)
 _SEGMENT = 16.0         # flow time per batched_flow call between retirements
 _CLASSIFY_CHUNK = 1000  # points flowed together (bounds the stored samples)
 _DRIFT_BOUND = 1e-5     # relative energy drift that rejects an escaped verdict
+_TRAJ_MAX_SAMPLES = 4000  # cap on integrate_flow's uniform sample grid
+_INCOMING_DT = 0.05     # RK4 step (and sample spacing) of time_to_incoming
+_INCOMING_MARGIN = 2.0  # flow time over which the incoming conditions persist
 
 
 # ---------------------------------------------------------------------------
 # deterministic low-discrepancy sampling
 # ---------------------------------------------------------------------------
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+_HALTON_BASES = (2, 3, 5)
+_HALTON_SKIP = 20  # prefix skipped to avoid the aligned initial block
 
 
-def halton(n: int, dims: int, skip: int = 20) -> np.ndarray:
-    """First n points of the Halton sequence in [0,1)^dims (deterministic,
-    no seed dependence).  A short prefix is skipped to avoid the aligned
-    initial block."""
-    if dims > len(_PRIMES):
-        raise ConfigurationError(f"halton supports up to {len(_PRIMES)} dims")
-    out = np.empty((n, dims))
-    for d in range(dims):
-        base = _PRIMES[d]
-        for i in range(n):
-            idx = i + 1 + skip
-            f, r = 1.0, 0.0
-            while idx > 0:
-                f /= base
-                r += f * (idx % base)
-                idx //= base
-            out[i, d] = r
+def halton(n: int) -> np.ndarray:
+    """First n points of the 3-dimensional Halton sequence in [0,1)^3
+    (deterministic, no seed dependence), all points at once per base."""
+    out = np.empty((n, len(_HALTON_BASES)))
+    for d, base in enumerate(_HALTON_BASES):
+        idx = np.arange(n) + 1 + _HALTON_SKIP
+        f, r = 1.0, np.zeros(n)
+        while idx.any():
+            f /= base
+            r += f * (idx % base)
+            idx //= base
+        out[:, d] = r
     return out
 
 
@@ -73,8 +72,6 @@ class Trajectory:
     zeta: np.ndarray     # (nt,)
     p0: float
     energy_drift: float
-    success: bool
-    message: str = ""
 
     def radius(self):
         return np.abs(self.z)
@@ -96,7 +93,7 @@ def _rhs(model):
     return fun
 
 
-def integrate_flow(model, z0, zeta0, t_span, tol=1e-10, max_samples=4000) -> Trajectory:
+def integrate_flow(model, z0, zeta0, t_span, tol=1e-10) -> Trajectory:
     """Integrate the Hamilton flow of the point (z0, zeta0) over t_span
     (either time direction).
 
@@ -108,7 +105,7 @@ def integrate_flow(model, z0, zeta0, t_span, tol=1e-10, max_samples=4000) -> Tra
     y0 = np.array([z0, zeta0], dtype=float)
     t0, t1 = float(t_span[0]), float(t_span[1])
     p0 = geo.symbol_p(model, y0[:1], y0[1:])[0]
-    nt = min(max_samples, max(200, int(abs(t1 - t0) / 0.25) + 2))
+    nt = min(_TRAJ_MAX_SAMPLES, max(200, int(abs(t1 - t0) / 0.25) + 2))
     t_eval = np.linspace(t0, t1, nt)
     sol = solve_ivp(
         _rhs(model),
@@ -120,18 +117,12 @@ def integrate_flow(model, z0, zeta0, t_span, tol=1e-10, max_samples=4000) -> Tra
         t_eval=t_eval,
         dense_output=False,
     )
+    if not sol.success:
+        raise IntegrationError(f"flow integration failed: {sol.message}")
     z, zeta = sol.y
     p = geo.symbol_p(model, z, zeta)
-    drift = float(np.max(np.abs(p - p0))) if len(p) else math.inf
-    traj = Trajectory(
-        t=sol.t, z=z, zeta=zeta, p0=float(p0), energy_drift=drift,
-        success=sol.success, message=sol.message or "",
-    )
-    if not sol.success:
-        raise IntegrationError(
-            f"flow integration failed: {sol.message}", partial=traj
-        )
-    return traj
+    return Trajectory(t=sol.t, z=z, zeta=zeta, p0=float(p0),
+                      energy_drift=float(np.max(np.abs(p - p0))))
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +266,15 @@ class NonTrappingVerdict:
         return len(self.trapped_witnesses) == 0
 
 
-def shell_slab_samples(model, n_samples, R_max, lambda2=None, delta=None):
+def shell_slab_samples(model, n_samples, R_max, delta=None):
     """Deterministic Halton sample of {p in window, |z| <= R_max}.
 
     Returns (z, zeta) arrays; points where the requested energy is below the
     potential (classically forbidden) are dropped.
     """
-    lam2 = model.lambda2 if lambda2 is None else lambda2
+    lam2 = model.lambda2
     dlt = model.delta if delta is None else delta
-    u = halton(n_samples, 3)
+    u = halton(n_samples)
     z = (2.0 * u[:, 0] - 1.0) * R_max
     direction = np.where(u[:, 2] >= 0.5, 1.0, -1.0)
     p = lam2 - dlt + 2.0 * dlt * u[:, 1]
@@ -292,20 +283,16 @@ def shell_slab_samples(model, n_samples, R_max, lambda2=None, delta=None):
     return z[keep], zeta[keep]
 
 
-def nontrapping_scan(model, n_samples=1000, R_max=None, T_max=150.0, R_esc=40.0,
-                     lambda2=None, delta=None) -> NonTrappingVerdict:
+def nontrapping_scan(model, n_samples=1000, T_max=150.0, R_esc=40.0,
+                     delta=None) -> NonTrappingVerdict:
     """Classify a deterministic sample of the energy-shell slab.
 
     Outside the compact scan region escape is automatic (tau/x is monotone
-    for small x), so the sample covers |z| <= R_max only.
+    for small x), so the sample covers |z| <= R_esc only.
     """
-    if R_max is None:
-        R_max = R_esc
-    if R_max > R_esc:
-        raise ConfigurationError("scan region must satisfy R_max <= R_esc")
-    lam2 = model.lambda2 if lambda2 is None else lambda2
+    lam2 = model.lambda2
     dlt = model.delta if delta is None else delta
-    z, zeta = shell_slab_samples(model, n_samples, R_max, lam2, dlt)
+    z, zeta = shell_slab_samples(model, n_samples, R_esc, dlt)
     res = classify_point(model, z, zeta, T_max=T_max, R_esc=R_esc)
     return NonTrappingVerdict(
         window=(lam2 - dlt, lam2 + dlt),
@@ -320,12 +307,12 @@ def nontrapping_scan(model, n_samples=1000, R_max=None, T_max=150.0, R_esc=40.0,
 # first incoming time (the tube construction's T_xi)
 # ---------------------------------------------------------------------------
 
-def time_to_incoming(model, z0, zeta0, x_target, tau_target, T_max=500.0,
-                     dt_sample=0.05, margin=2.0) -> np.ndarray:
+def time_to_incoming(model, z0, zeta0, x_target, tau_target,
+                     T_max=500.0) -> np.ndarray:
     """Per point (1-D arrays, or scalars for one point): the smallest
     sampled T <= T_max with tau(exp(-T H_p) xi) > tau_target and
-    x < x_target, certified to persist over [T, T + margin].  Samples are
-    the RK4 steps of size dt_sample.
+    x < x_target, certified to persist over [T, T + 2].  Samples are the
+    RK4 steps of size 0.05.
 
     Raises IntegrationError when a point has no such time by T_max
     (trapping, or T_max too small)."""
@@ -342,16 +329,17 @@ def time_to_incoming(model, z0, zeta0, x_target, tau_target, T_max=500.0,
         ok_hist.append(ok)
         t = np.concatenate(t_hist)
         oks = np.concatenate(ok_hist)[:, rows]
-        # samples [i, end[i]) of the history are the window [t_i, t_i + margin]
-        end = np.searchsorted(t, t + margin, side="right")
+        # samples [i, end[i]) of the history are the window [t_i, t_i + 2]
+        end = np.searchsorted(t, t + _INCOMING_MARGIN, side="right")
         bad = np.pad(np.cumsum(~oks, axis=0), ((1, 0), (0, 0)))
-        complete = (t <= T_max) & (t[-1] >= t + margin)
+        complete = (t <= T_max) & (t[-1] >= t + _INCOMING_MARGIN)
         good = complete[:, None] & (bad[end] == bad[:-1])
         hit = good.any(axis=0)
         T_in[rows[hit]] = t[good.argmax(axis=0)[hit]]
         return hit
 
-    _flow_segments(model, z0, zeta0, -(T_max + margin), dt_sample, visit)
+    _flow_segments(model, z0, zeta0, -(T_max + _INCOMING_MARGIN), _INCOMING_DT,
+                   visit)
     missing = np.flatnonzero(np.isnan(T_in))
     if missing.size:
         i = missing[0]

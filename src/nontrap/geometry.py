@@ -82,9 +82,6 @@ class Potential:
     def gradient(self, z):
         raise NotImplementedError
 
-    def params(self):
-        return {}
-
 
 class ZeroPotential(Potential):
     name = "zero"
@@ -118,9 +115,6 @@ class PowerLawPotential(Potential):
         coef = -self.amplitude * self.gamma * (1.0 + z**2) ** (-self.gamma / 2.0 - 1.0)
         return coef * z
 
-    def params(self):
-        return {"amplitude": self.amplitude, "gamma": self.gamma}
-
 
 class DoubleBumpPotential(Potential):
     """V = A (exp(-(z-d)^2) + exp(-(z+d)^2)).  Two barriers that trap an
@@ -145,9 +139,6 @@ class DoubleBumpPotential(Potential):
             - 2.0 * (z + d) * np.exp(-((z + d) ** 2))
         )
 
-    def params(self):
-        return {"amplitude": self.amplitude, "separation": self.separation}
-
 
 class WellPotential(Potential):
     """V = -A exp(-|z|^2), an attractive well (p can dip below zero)."""
@@ -165,9 +156,6 @@ class WellPotential(Potential):
     def gradient(self, z):
         v = self.value(z)  # dV/dz = -2 z V
         return -2.0 * v * z
-
-    def params(self):
-        return {"amplitude": self.amplitude}
 
 
 POTENTIAL_PRESETS = ("zero", "longrange_pow", "double_bump", "well")

@@ -35,8 +35,8 @@ class GridQuantization:
     """Periodic grid [-L, L) with N points and semiclassical parameter h.
 
     Invariants enforced at construction:
-    - no aliasing: the represented momentum range covers 4x the declared
-      momentum support of the symbols in play;
+    - no aliasing: the represented momentum range |zeta| <= zeta_max
+      reaches 4, four times the unit momentum scale of the symbols in play;
     - the grid resolves h-oscillation at the energy scale (>= 8 points per
       h-wavelength).
     """
@@ -44,7 +44,6 @@ class GridQuantization:
     L: float
     N: int
     h: float
-    zeta_support: float = 1.0
     energy_scale: float = 1.0
 
     def __post_init__(self):
@@ -52,11 +51,10 @@ class GridQuantization:
             raise ConfigurationError(f"grid size must be a power of two, got {self.N}")
         if self.h <= 0 or self.L <= 0:
             raise ConfigurationError("L and h must be positive")
-        if self.zeta_max < 4.0 * self.zeta_support:
+        if self.zeta_max < 4.0:
             raise ConfigurationError(
                 f"aliasing: represented |zeta| <= {self.zeta_max:.3f} but need "
-                f">= 4 * zeta_support = {4 * self.zeta_support:.3f}; "
-                "increase N or decrease L"
+                ">= 4; increase N or decrease L"
             )
         ppw = 2.0 * math.pi * self.h / (self.energy_scale * self.dz)
         if ppw < 8.0:
@@ -89,12 +87,11 @@ class GridQuantization:
 @dataclass(frozen=True)
 class Symbol:
     """A phase-space symbol a(z, zeta) with optional analytic partials
-    (needed for Poisson brackets) and an aliasing support scale."""
+    (needed for Poisson brackets)."""
 
     fn: Callable
     dz: Optional[Callable] = None
     dzeta: Optional[Callable] = None
-    zeta_support: float = 1.0
     name: str = ""
 
     def table(self, q: GridQuantization):
@@ -112,7 +109,6 @@ def poisson_bracket(a: Symbol, b: Symbol) -> Symbol:
     return Symbol(
         fn=lambda z, zeta: a.dzeta(z, zeta) * b.dz(z, zeta)
         - a.dz(z, zeta) * b.dzeta(z, zeta),
-        zeta_support=max(a.zeta_support, b.zeta_support),
         name=f"{{{a.name},{b.name}}}",
     )
 
@@ -235,12 +231,10 @@ def garding_test_symbols():
     return [
         Symbol(
             fn=lambda z, zeta: np.abs(np.sin(z)) * np.exp(-(zeta**2)),
-            zeta_support=1.0,
             name="abs_sin_gauss",
         ),
         Symbol(
             fn=lambda z, zeta: (1.0 - np.exp(-(z**2)) * np.exp(-(zeta**2))),
-            zeta_support=1.0,
             name="one_minus_gauss",
         ),
     ]
@@ -251,6 +245,5 @@ def smooth_example_symbol():
     measured floor is negative and o(h) (stronger than the sharp bound)."""
     return Symbol(
         fn=lambda z, zeta: np.sin(z) ** 2 * np.exp(-(zeta**2)),
-        zeta_support=1.0,
         name="sin2_gauss",
     )

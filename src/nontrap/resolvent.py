@@ -37,6 +37,13 @@ from nontrap.errors import ConfigurationError, ConvergenceError
 from nontrap.smooth import falling_step
 
 _POWER_SEED = 7
+_POWER_FALLBACK_TOL = 1e-4  # last relative change accepted at maxiter
+_CAP_STRENGTH = 0.5     # absorbing profile at the wall, in units of lambda2
+_CAP_FRACTION = 0.2     # outer fraction of the box that absorbs
+_HS_Y = 1.0             # height of the Helffer-Sjostrand contour box
+_HS_CHECK_TOL = 1e-6    # relative change allowed under contour refinement
+_BUMP_ORDER = 6         # derivatives returned by gaussian_bump
+_SCALAR_SAMPLES = 20001  # sigma grid of scalar_spectral_bound
 # Helffer-Sjostrand: nodes per chunk of work arrays, rows per GEMM block
 _HS_NODE_CHUNK = 256
 _HS_ROW_BLOCK = 32
@@ -67,13 +74,13 @@ class Grid1D:
         return self.N - 1
 
 
-def default_cap_profile(grid: Grid1D, lambda2: float, strength=0.5, fraction=0.2):
-    """Absorbing profile W >= 0 supported in the outer `fraction` of the box
-    (cubic ramp, strength*lambda2 at the wall)."""
+def default_cap_profile(grid: Grid1D, lambda2: float):
+    """Absorbing profile W >= 0 supported in the outer 20% of the box
+    (cubic ramp, lambda2 / 2 at the wall)."""
     z = grid.z
-    z0 = (1.0 - fraction) * grid.L
+    z0 = (1.0 - _CAP_FRACTION) * grid.L
     u = np.clip((np.abs(z) - z0) / (grid.L - z0), 0.0, 1.0)
-    return strength * lambda2 * u**3
+    return _CAP_STRENGTH * lambda2 * u**3
 
 
 @dataclass
@@ -193,43 +200,41 @@ class BandedSolver:
         return np.conj(self.solve_uncertified(np.conj(np.asarray(f, dtype=complex))))
 
 
-def discretize(model, h, L=200.0, N=2**15, boundary="cap",
-               cap_strength=0.5, cap_fraction=0.2) -> DiscreteOperator:
-    """Banded discretization of P.
-
-    Guards (configuration errors, never silent): the grid must resolve the
-    h-oscillation at the shell (>= 10 points per wavelength 2 pi h / lam)
-    and the box must contain the weight's mass (L >= 40).
-    """
-    if boundary not in ("dirichlet", "cap"):
-        raise ConfigurationError(f"unknown boundary treatment {boundary!r}")
-    if L < 40.0:
-        raise ConfigurationError(f"box must contain the weight's mass: L >= 40, got {L}")
-    grid = Grid1D(L=float(L), N=int(N))
+def check_resolution(model, h, L, N):
+    """ConfigurationError unless the grid of discretize(model, h, L, N)
+    resolves the h-oscillation at the shell (>= 10 points per wavelength
+    2 pi h / lam)."""
     lam = math.sqrt(model.lambda2)
-    ppw = 2.0 * math.pi * h / (lam * grid.dz)
+    ppw = 2.0 * math.pi * h / (lam * Grid1D(L=float(L), N=int(N)).dz)
     if ppw < 10.0:
         raise ConfigurationError(
             f"resolution violation: {ppw:.1f} points per wavelength at "
             f"h={h}, need >= 10 (increase N)"
         )
+
+
+def discretize(model, h, L=200.0, N=2**15, boundary="cap") -> DiscreteOperator:
+    """Banded discretization of P.
+
+    Guards (configuration errors, never silent): the grid must resolve the
+    h-oscillation at the shell (check_resolution) and the box must contain
+    the weight's mass (L >= 40; the cap then starts at |z| >= 32, where the
+    weight <z>^-1 is below 0.05).
+    """
+    if boundary not in ("dirichlet", "cap"):
+        raise ConfigurationError(f"unknown boundary treatment {boundary!r}")
+    if L < 40.0:
+        raise ConfigurationError(f"box must contain the weight's mass: L >= 40, got {L}")
+    check_resolution(model, h, L, N)
+    grid = Grid1D(L=float(L), N=int(N))
     V = model.potential.value(grid.z)
-    W = default_cap_profile(grid, model.lambda2, cap_strength, cap_fraction) \
-        if boundary == "cap" else None
-    if W is not None:
-        # absorption must live strictly outside the weight's effective region
-        onset = (1.0 - cap_fraction) * L
-        if (1.0 + onset**2) ** (-0.5) > 0.05:
-            raise ConfigurationError(
-                "cap onset too close to the weighted region; enlarge L"
-            )
+    W = default_cap_profile(grid, model.lambda2) if boundary == "cap" else None
     return DiscreteOperator(grid=grid, h=float(h), V=V, boundary=boundary,
                             W=W)
 
 
-def small_box_operator(model, h, L=60.0, N=512,
-                       boundary="dirichlet") -> DiscreteOperator:
-    """Small dense-solvable operator for spectral-identity work
+def small_box_operator(model, h, L=60.0, N=512) -> DiscreteOperator:
+    """Small dense-solvable Dirichlet operator for spectral-identity work
     (functional calculus, spectral-mapping bounds).
 
     No resolution guard: those identities hold exactly on the discrete
@@ -237,9 +242,8 @@ def small_box_operator(model, h, L=60.0, N=512,
     measurements must use discretize() instead."""
     grid = Grid1D(L=float(L), N=int(N))
     V = model.potential.value(grid.z)
-    W = default_cap_profile(grid, model.lambda2) if boundary == "cap" else None
-    return DiscreteOperator(grid=grid, h=float(h), V=V, boundary=boundary,
-                            W=W)
+    return DiscreteOperator(grid=grid, h=float(h), V=V, boundary="dirichlet",
+                            W=None)
 
 
 def solve_shifted(op: DiscreteOperator, w: complex, f):
@@ -263,13 +267,13 @@ class NormResult:
 
 
 def power_norm(apply_A: Callable, apply_AH: Callable, n: int,
-               tol=1e-6, maxiter=500, fail_tol=1e-4) -> NormResult:
+               tol=1e-6, maxiter=500) -> NormResult:
     """Largest singular value of A by power iteration on A^H A.
 
     The start vector is drawn from a fixed seed, so results are
     deterministic.  Stops once the relative change of the estimate falls
-    below tol; at maxiter a last change below fail_tol is accepted with
-    converged=False, otherwise ConvergenceError is raised."""
+    below tol; at maxiter a last relative change of at most 1e-4 is
+    accepted with converged=False, otherwise ConvergenceError is raised."""
     rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -287,7 +291,8 @@ def power_norm(apply_A: Callable, apply_AH: Callable, n: int,
         if it > 2 and rel <= tol:
             return NormResult(sigma, it, True)
         sigma_old = sigma
-    if hist and abs(hist[-1] - hist[-2]) / max(hist[-1], 1e-300) <= fail_tol:
+    if hist and abs(hist[-1] - hist[-2]) / max(hist[-1], 1e-300) \
+            <= _POWER_FALLBACK_TOL:
         return NormResult(hist[-1], maxiter, False)
     raise ConvergenceError(
         f"power iteration: no convergence in {maxiter} "
@@ -296,7 +301,7 @@ def power_norm(apply_A: Callable, apply_AH: Callable, n: int,
 
 
 def weighted_resolvent_norm(op: DiscreteOperator, lambda2: float, t: float,
-                            s: float, tol=1e-6, maxiter=500) -> NormResult:
+                            s: float) -> NormResult:
     """|| <z>^-s R(lambda2 + it) <z>^-s || by power iteration (the
     symmetric weight of the uniform estimate), with forward and adjoint
     solves on one factorization."""
@@ -311,8 +316,7 @@ def weighted_resolvent_norm(op: DiscreteOperator, lambda2: float, t: float,
     def apply_AH(v):
         return weight * solver.solve_adjoint(weight * v)
 
-    return power_norm(apply_A, apply_AH, weight.shape[0], tol=tol,
-                      maxiter=maxiter)
+    return power_norm(apply_A, apply_AH, weight.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +355,10 @@ class FreeKernelOperator:
         out[:-1] = acc[::-1]
         return out
 
-    def _kernel_apply(self, u, kappa_sign_conj=False):
-        q = np.conj(self.q) if kappa_sign_conj else self.q
-        pref = np.conj(self.pref) if kappa_sign_conj else self.pref
-        total = self._sum_same(u.astype(complex), q) + self._sum_above(u.astype(complex), q)
-        return pref * self.dzg * total
+    def _kernel_apply(self, u):
+        total = (self._sum_same(u.astype(complex), self.q)
+                 + self._sum_above(u.astype(complex), self.q))
+        return self.pref * self.dzg * total
 
     def apply(self, v):
         return self.wr * self._kernel_apply(self.wr * v)
@@ -372,9 +375,8 @@ class FreeKernelOperator:
         K = self.pref * np.exp(1j * self.kappa * dz) * self.dzg
         return self.wr[:, None] * K * self.wr[None, :]
 
-    def norm(self, tol=1e-6, maxiter=500) -> NormResult:
-        return power_norm(self.apply, self.apply_adjoint, self.M,
-                          tol=tol, maxiter=maxiter)
+    def norm(self) -> NormResult:
+        return power_norm(self.apply, self.apply_adjoint, self.M)
 
 
 def analytic_free_resolvent_norm(lambda2, t, h, s, L=200.0, M=2**16,
@@ -412,16 +414,11 @@ class SweepCell:
 
 @dataclass
 class ScalingReport:
-    model_name: str
-    s: float
-    t_rule: str
-    h_list: List[float]
     cells: List[SweepCell]
     slope: float
     intercept: float
     residual: float
     uniformity: dict            # h -> max/min over the lambda probes
-    lambda_probes: List[float]
 
     @property
     def max_uniformity_ratio(self):
@@ -445,20 +442,18 @@ def _sweep_cell(model, h, lam2, t_rule, s, L, N) -> SweepCell:
                      iterations=res.iterations, mode=boundary)
 
 
-def h_sweep(model, lambda2=None, h_list=(0.2, 0.14, 0.1, 0.07, 0.05),
-            t_rule="cap", s=0.7, L=200.0, N=2**15,
-            lambda_probes=None, jobs=1, model_name="model") -> ScalingReport:
+def h_sweep(model, h_list=(0.2, 0.14, 0.1, 0.07, 0.05), t_rule="cap",
+            s=0.7, L=200.0, N=2**15, jobs=1) -> ScalingReport:
     """Sweep h, fit the scaling exponent, probe uniformity in lambda^2.
 
-    The fitted slope is of log(norm) against log(1/h); the probes are three
-    energies across the window plateau and the per-h max/min ratio is the
-    uniformity certificate.
+    The fitted slope is of log(norm) against log(1/h) at the window center;
+    the probes are three energies across the window plateau and the per-h
+    max/min ratio is the uniformity certificate.
     """
-    lam2 = model.lambda2 if lambda2 is None else float(lambda2)
+    lam2 = model.lambda2
     h_list = sorted(set(float(h) for h in h_list), reverse=True)
-    if lambda_probes is None:
-        half = 0.5 * model.delta
-        lambda_probes = [lam2 - half, lam2, lam2 + half]
+    half = 0.5 * model.delta
+    lambda_probes = [lam2 - half, lam2, lam2 + half]
     tasks = [(h, l2) for h in h_list for l2 in lambda_probes]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -475,36 +470,32 @@ def h_sweep(model, lambda2=None, h_list=(0.2, 0.14, 0.1, 0.07, 0.05),
     for c in cells:
         by_h.setdefault(c.h, []).append(c.norm)
     uniformity = {h: max(v) / min(v) for h, v in by_h.items()}
-    center = [c.norm for c in cells if c.lambda2 == lambda_probes[len(lambda_probes) // 2]]
+    center = [c.norm for c in cells if c.lambda2 == lam2]
     hs = np.array(h_list)
     ns = np.array(center)
     coef = np.polyfit(np.log(1.0 / hs), np.log(ns), 1)
     slope, intercept = float(coef[0]), float(coef[1])
     fit = slope * np.log(1.0 / hs) + intercept
     residual = float(np.sqrt(np.mean((np.log(ns) - fit) ** 2)))
-    return ScalingReport(
-        model_name=model_name, s=s, t_rule=t_rule, h_list=list(h_list),
-        cells=cells, slope=slope, intercept=intercept, residual=residual,
-        uniformity=uniformity, lambda_probes=list(lambda_probes),
-    )
+    return ScalingReport(cells=cells, slope=slope, intercept=intercept,
+                         residual=residual, uniformity=uniformity)
 
 
-def window_sup_norm(model, h, s=0.7, n_scan=81, t_rule="cap", L=200.0,
-                    N=2**15, lambda2=None) -> Tuple[float, float]:
+def window_sup_norm(model, h, s=0.7, n_scan=81, L=200.0,
+                    N=2**15) -> Tuple[float, float]:
     """Sup of the weighted norm over a fine lambda^2 scan of the window
-    plateau.  The uniform estimate is a statement about the whole window,
-    so its failure under trapping is measured by the window sup (a pointwise
-    probe would be resonance-position roulette).
+    plateau, on the absorbing-profile operator at t = 0.  The uniform
+    estimate is a statement about the whole window, so its failure under
+    trapping is measured by the window sup (a pointwise probe would be
+    resonance-position roulette).
 
     Returns (sup_norm, argmax_lambda2)."""
-    lam2 = model.lambda2 if lambda2 is None else float(lambda2)
+    lam2 = model.lambda2
     half = 0.5 * model.delta
-    boundary = "cap" if t_rule == "cap" else "dirichlet"
-    t = _t_for(t_rule, h)
-    op = discretize(model, h, L=L, N=N, boundary=boundary)
+    op = discretize(model, h, L=L, N=N, boundary="cap")
     best, arg = -math.inf, lam2
     for l2 in np.linspace(lam2 - half, lam2 + half, n_scan):
-        res = weighted_resolvent_norm(op, float(l2), t, s)
+        res = weighted_resolvent_norm(op, float(l2), 0.0, s)
         if res.value > best:
             best, arg = res.value, float(l2)
     return best, arg
@@ -526,7 +517,7 @@ def eigenvalues(op: DiscreteOperator):
     return eigh_tridiagonal(diag, off, eigvals_only=True)
 
 
-def gaussian_bump(center: float, width: float, order=6):
+def gaussian_bump(center: float, width: float):
     """(f, derivatives) for f = exp(-((x-c)/w)^2) with analytic derivatives
     via the Hermite recurrence; the clean input family for the
     Helffer-Sjostrand quadrature."""
@@ -548,14 +539,14 @@ def gaussian_bump(center: float, width: float, order=6):
 
         return d
 
-    derivs = [deriv(j) for j in range(order + 1)]
+    derivs = [deriv(j) for j in range(_BUMP_ORDER + 1)]
     return derivs[0], derivs
 
 
 def function_of_operator(op: DiscreteOperator, f: Callable, method="eigen",
                          support: Optional[Tuple[float, float]] = None,
-                         K=4, nx=200, ny=100, Y=1.0, check=True,
-                         check_tol=1e-6, derivatives=None) -> np.ndarray:
+                         K=4, nx=200, ny=100, check=True,
+                         derivatives=None) -> np.ndarray:
     """Dense matrix of f(P) for compactly supported smooth f.
 
     'eigen' is spectral mapping through a dense symmetric
@@ -578,11 +569,11 @@ def function_of_operator(op: DiscreteOperator, f: Callable, method="eigen",
     if support is None:
         raise ConfigurationError("helffer_sjostrand needs the support of f")
 
-    val = _hs_matrix(op, f, support, K, nx, ny, Y, derivatives)
+    val = _hs_matrix(op, f, support, K, nx, ny, derivatives)
     if check:
-        coarse = _hs_matrix(op, f, support, K, nx // 2, ny // 2, Y, derivatives)
+        coarse = _hs_matrix(op, f, support, K, nx // 2, ny // 2, derivatives)
         diff = np.linalg.norm(val - coarse, 2)
-        if diff > check_tol * (1.0 + np.linalg.norm(val, 2)):
+        if diff > _HS_CHECK_TOL * (1.0 + np.linalg.norm(val, 2)):
             raise ConvergenceError(
                 f"Helffer-Sjostrand quadrature not converged: {diff:.2e} "
                 "change under refinement"
@@ -610,7 +601,7 @@ def _spectral_derivatives(f, lo, hi, K):
     return xs, dxs, derivs
 
 
-def _hs_nodes(f, support, K, nx, ny, Y, derivatives=None):
+def _hs_nodes(f, support, K, nx, ny, derivatives=None):
     """Helffer-Sjostrand quadrature nodes z (Im z > 0) and weights w, such
     that f(P) = Re sum_m w_m (P - z_m)^{-1} for real f and symmetric P (the
     conjugate node's contribution is folded into the factor 2 of w)."""
@@ -632,9 +623,9 @@ def _hs_nodes(f, support, K, nx, ny, Y, derivatives=None):
         x_nodes = xs[sel]
         dx = dxs * stride
         dtab = [d[sel] for d in derivs]
-    y_nodes = (np.arange(ny) + 0.5) * (Y / ny)
-    dy = Y / ny
-    chi = falling_step(0.5 * Y, Y)
+    y_nodes = (np.arange(ny) + 0.5) * (_HS_Y / ny)
+    dy = _HS_Y / ny
+    chi = falling_step(0.5 * _HS_Y, _HS_Y)
     fac = [math.factorial(j) for j in range(K + 2)]
     zs, ws = [], []
     for yv in y_nodes:
@@ -654,9 +645,9 @@ def _hs_nodes(f, support, K, nx, ny, Y, derivatives=None):
     return np.concatenate(zs), (2.0 / math.pi) * dx * dy * np.concatenate(ws)
 
 
-def _hs_matrix(op, f, support, K, nx, ny, Y, derivatives=None):
+def _hs_matrix(op, f, support, K, nx, ny, derivatives=None):
     diag, off = op.real_tridiagonal()
-    z, w = _hs_nodes(f, support, K, nx, ny, Y, derivatives)
+    z, w = _hs_nodes(f, support, K, nx, ny, derivatives)
     return _resolvent_sum(diag, off, z, w)
 
 
@@ -730,9 +721,9 @@ def nonchar_bound(op: DiscreteOperator, psi: Callable, lambda2: float,
 
 
 def scalar_spectral_bound(psi: Callable, lambda2: float, t_list,
-                          sigma_range, n=20001) -> float:
+                          sigma_range) -> float:
     """sup over t and a fine sigma grid of |1 - psi(sigma)| / |sigma - w|."""
-    sig = np.linspace(sigma_range[0], sigma_range[1], n)
+    sig = np.linspace(sigma_range[0], sigma_range[1], _SCALAR_SAMPLES)
     best = 0.0
     for t in t_list:
         best = max(best, float(np.max(

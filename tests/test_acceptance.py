@@ -53,7 +53,7 @@ def test_criterion_2_theorem_scaling(free_1d, longrange_1d):
     results = {}
     for name, model in [("zero", free_1d), ("longrange_pow", longrange_1d)]:
         rep = rv.h_sweep(model, h_list=H_SWEEP, s=S_WEIGHT, L=200.0,
-                         N=2**15, model_name=name)
+                         N=2**15)
         results[name] = (rep.slope, rep.max_uniformity_ratio)
     elapsed = time.time() - t0
     ok = all(0.85 <= s <= 1.15 and u <= 3.0 for s, u in results.values()) \

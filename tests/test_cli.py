@@ -74,19 +74,29 @@ def test_dimension_2_sweep_rejected_before_output(tmp_path):
             assert not out.exists()
 
 
-@pytest.mark.parametrize("line", [
+_UNRUNNABLE = [(line, ("flow-scan",)) for line in (
     "scan_t_max = 0", "scan_t_max = -5", "r_escape = 0", "amplitude = nan",
     "lambda2 = inf", "h_list = 0.2, inf", "seed_spacing = 0",
     "dump_trajectories = -1",
-], ids=lambda line: line.replace(" ", ""))
-def test_unrunnable_values_rejected_before_output(tmp_path, line):
+)] + [
+    # sweep grids that cannot resolve the finest h (< 10 points per
+    # wavelength); only the sweeping commands use them
+    (line, ("resolvent-sweep", "full-report"))
+    for line in ("h_list = 0.2, 0.001", "grid_exponent = 8")
+]
+
+
+@pytest.mark.parametrize("line, commands", _UNRUNNABLE,
+                         ids=[line.replace(" ", "") for line, _ in _UNRUNNABLE])
+def test_unrunnable_values_rejected_before_output(tmp_path, line, commands):
     conf = tmp_path / "c.conf"
     conf.write_text(line + "\n")
-    out = tmp_path / "o"
-    code = cli.main(["--preset", "zero", "flow-scan", "--config", str(conf),
-                     "--out", str(out)])
-    assert code == 2
-    assert not out.exists()
+    for command in commands:
+        out = tmp_path / command
+        code = cli.main(["--preset", "zero", command, "--config", str(conf),
+                         "--out", str(out)])
+        assert code == 2, command
+        assert not out.exists(), command
 
 
 def test_library_config_unknown_key_rejected_before_output(tmp_path):

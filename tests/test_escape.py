@@ -81,7 +81,7 @@ def test_cutoff_slope_overflow_guard():
 
 def _demo_setup():
     model = geo.preset_model("zero", delta=0.5)
-    consts = esc.BoundaryConstants(M=0.0, M_f=0.0, c1=0.4, eps1=0.5,
+    consts = esc.BoundaryConstants(M=0.0, c1=0.4, eps1=0.5,
                                    x0=1.0 / 6.0, delta1=0.625, c0=1.0)
     cutoffs = esc.build_cutoffs(1.0, consts.c1, 0.5)
     return model, consts, cutoffs
@@ -315,7 +315,7 @@ def test_q_circ_order_invariant(escape_longrange):
 
 
 def test_tubes_fail_on_trapping(double_bump_1d):
-    consts = esc.BoundaryConstants(M=0.0, M_f=0.0, c1=0.2, eps1=0.5,
+    consts = esc.BoundaryConstants(M=0.0, c1=0.2, eps1=0.5,
                                    x0=0.1, delta1=0.125, c0=1.0)
     cutoffs = esc.build_cutoffs(1.0, 0.2, 0.1)
     with pytest.raises(IntegrationError):

@@ -136,7 +136,7 @@ def test_large_t_resolvent_bound(free_1d):
 
 def test_h_sweep_free_slope(free_1d):
     rep = rv.h_sweep(
-        free_1d, h_list=(0.2, 0.14, 0.1), L=200.0, N=2**14, model_name="zero"
+        free_1d, h_list=(0.2, 0.14, 0.1), L=200.0, N=2**14
     )
     assert abs(rep.slope - 1.0) <= 0.05
     assert rep.max_uniformity_ratio <= 3.0
@@ -164,7 +164,7 @@ def test_quantize_cross_check_fd(longrange_1d):
         analytic = -(h**2) * upp + longrange_1d.potential.value(z) * u
         errs[N] = np.max(np.abs(op.apply(u.astype(complex)).real - analytic))
     assert errs[4096] <= errs[2048] / 3.0  # O(dz^2) convergence
-    q = qz.GridQuantization(L=50.0, N=2048, h=h, zeta_support=1.0, energy_scale=0.3)
+    q = qz.GridQuantization(L=50.0, N=2048, h=h, energy_scale=0.3)
     u = np.exp(-(q.z**2) / 4.0)
     upp = (q.z**2 / 4.0 - 0.5) * u
     spec_apply = qz.apply_separable(
@@ -217,14 +217,14 @@ def test_helffer_sjostrand_matches_explicit_inverse(double_bump_1d):
     quadrature nodes of w * inv(P - z)."""
     op = rv.small_box_operator(double_bump_1d, 0.3, L=8.0, N=32)
     f, derivs = rv.gaussian_bump(1.0, 0.5)
-    support, K, nx, ny, Y = (-0.5, 2.5), 4, 6, 4, 1.0
-    z, w = rv._hs_nodes(f, support, K, nx, ny, Y, derivs)
+    support, K, nx, ny = (-0.5, 2.5), 4, 6, 4
+    z, w = rv._hs_nodes(f, support, K, nx, ny, derivs)
     diag, off = op.real_tridiagonal()
     assert np.ptp(diag) > 0.1  # the potential is felt, not only the free line
     P = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     eye = np.eye(op.size)
     ref = np.real(sum(wm * np.linalg.inv(P - zm * eye) for zm, wm in zip(z, w)))
-    got = rv._hs_matrix(op, f, support, K, nx, ny, Y, derivs)
+    got = rv._hs_matrix(op, f, support, K, nx, ny, derivs)
     assert np.linalg.norm(got - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
 
 
