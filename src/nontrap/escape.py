@@ -330,9 +330,7 @@ class CoveringReport:
 @dataclass
 class TubeCollection:
     tubes: List[Tube]
-    t_cov: float
     covering: CoveringReport
-    seed_spacing: float
 
     @property
     def max_T(self):
@@ -386,7 +384,6 @@ def build_tubes(model, consts, cutoffs, seed_spacing=1.0,
     x_target = consts.x0 / 2.0
     # keep the tube count roughly collar-independent
     spacing = max(seed_spacing, (4.0 / consts.x0) / 40.0)
-    last_report = None
     for _ in range(_MAX_REFINE + 1):
         z_s, zeta_s = _k_region_seeds(model, consts, spacing)
         if not z_s.size:
@@ -416,19 +413,14 @@ def build_tubes(model, consts, cutoffs, seed_spacing=1.0,
                               normal=n_vec, u_p=u_p, radius=r_mom,
                               bbox_lo=None, bbox_hi=None))
         _certify_tubes(model, tubes, consts, lam)
-        coll = TubeCollection(tubes=tubes, t_cov=_T_COV,
-                              covering=CoveringReport(0, 0, []),
-                              seed_spacing=spacing)
-        report = _certify_covering(model, coll, consts, spacing)
-        coll.covering = report
-        last_report = report
+        report = _certify_covering(model, tubes, consts, spacing)
         if report.n_uncovered == 0:
-            return coll
+            return TubeCollection(tubes=tubes, covering=report)
         spacing *= 0.5
     raise ConstructionError(
         f"tube covering failed after {_MAX_REFINE} refinements: "
-        f"{last_report.n_uncovered} uncovered test points, first few "
-        f"{[u.tolist() for u in last_report.uncovered[:3]]}"
+        f"{report.n_uncovered} uncovered test points, first few "
+        f"{[u.tolist() for u in report.uncovered[:3]]}"
     )
 
 
@@ -472,9 +464,13 @@ def _certify_tubes(model, tubes: List[Tube], consts, lam):
         )
 
 
-def _certify_covering(model, coll: TubeCollection, consts, spacing):
+def _certify_covering(model, tubes: List[Tube], consts, spacing):
     """Every point of a 2x finer K grid, widened across the window, must
-    lie in some tube's interior zone."""
+    lie in some tube's interior zone: a crossing with disc distance <= 1/2
+    and t in [-_T_COV, T_j + 0.6], where the time cutoff has slope one and
+    value at least 1/2.  The test points are flowed only to
+    _T_COV + spacing + 0.8, so the zone is also cut at _T_COV + spacing + 0.7.
+    """
     z_t, zeta_t = _k_region_seeds(model, consts, 0.5 * spacing)
     offs = np.array([-0.9, 0.0, 0.9])
     z = np.repeat(z_t, offs.size)
@@ -483,10 +479,17 @@ def _certify_covering(model, coll: TubeCollection, consts, spacing):
     kappa, allowed = geo.shell_momentum(model, z, energy)
     z0 = z[allowed]
     c0 = kappa[allowed] * d[allowed]
-    qv, _ = eval_q_circ(model, coll, z0, c0, covering_mode=True)
-    bad = qv <= 0.0
-    uncovered = [_phase_state(z0[i], c0[i]) for i in np.flatnonzero(bad)[:16]]
-    return CoveringReport(n_test=z0.size, n_uncovered=int(np.sum(bad)),
+    ts, comps, bufs = _flow_store(model, z0, c0, -(_T_COV + 0.1),
+                                  _T_COV + spacing + 0.8)
+    covered = np.zeros(z0.size, dtype=bool)
+    for tb in tubes:
+        w_hi = min(tb.T + 0.6, _T_COV + spacing + 0.7)
+        _, sigma, col = _tube_crossings(model, ts, comps, bufs, tb, -_T_COV,
+                                        w_hi, None)
+        covered[col[sigma <= 0.5]] = True
+    bad = np.flatnonzero(~covered)
+    uncovered = [_phase_state(z0[i], c0[i]) for i in bad[:16]]
+    return CoveringReport(n_test=z0.size, n_uncovered=int(bad.size),
                           uncovered=uncovered)
 
 
@@ -494,8 +497,7 @@ def _certify_covering(model, coll: TubeCollection, consts, spacing):
 # tube evaluation (flow coordinates by crossing detection)
 # ---------------------------------------------------------------------------
 
-def eval_q_circ(model, coll: TubeCollection, z, zeta, chunk=6000,
-                covering_mode=False):
+def eval_q_circ(model, coll: TubeCollection, z, zeta, chunk=6000):
     """(q_circ/psi, H_p q_circ/psi) on a batch of points.
 
     Each point is flowed once over the union of its candidate tube windows;
@@ -510,138 +512,115 @@ def eval_q_circ(model, coll: TubeCollection, z, zeta, chunk=6000,
     chunk is integrated to its own largest t_hi.  Within a chunk the points
     are sorted by their first and last bounding-box candidate tube, so the
     candidates of tube j lie in one column range [c0, c1) that is usually
-    much narrower than the chunk.  Trajectories are stored component-major:
-    one contiguous (rows, m) array per phase-space coordinate.  The signed
-    distance to tube j's hyperplane is a sum of scaled views of those arrays
-    over j's row window and [c0, c1); sign changes are found there and
-    non-candidate columns dropped.
+    much narrower than the chunk (see _tube_crossings).
 
     Reordering within a chunk cannot change a value: chunk membership and
     the chunk's t_hi (hence every step size) do not depend on it, every
     operation on a point's trajectory and crossings acts on that point
     alone, and each point still receives its contributions tube by tube,
     in increasing crossing time within a tube, whatever the column order.
-
-    In covering_mode only the interior zone counts: crossings with t in
-    [-t_cov, T_j + 0.6] (where the time cutoff has slope one and value at
-    least 1/2) and disc distance <= 1/2; the flow span is short.  Every
-    tube is a candidate for every point there, and no reordering is done.
     """
     z, zeta = np.asarray(z, dtype=float), np.asarray(zeta, dtype=float)
     m = z.size
     qv = np.zeros(m)
     hp = np.zeros(m)
-    if not coll.tubes:
-        return qv, hp
-    states = _phase_state(z, zeta)
-    cand = None if covering_mode else coll.bbox_candidates(states)
-    if covering_mode:
-        t_hi_pt = np.full(m, coll.t_cov + coll.seed_spacing + 0.8)
-        active = np.arange(m)
-    else:
-        has = cand.any(axis=0)
-        active = np.flatnonzero(has)
-        if active.size == 0:
-            return qv, hp
-        t_hi_pt = np.zeros(m)
-        for j, tb in enumerate(coll.tubes):
-            sel = cand[j]
-            t_hi_pt[sel] = np.maximum(t_hi_pt[sel], tb.T + 2.0 + 0.1)
+    cand = coll.bbox_candidates(_phase_state(z, zeta))
+    active = np.flatnonzero(cand.any(axis=0))
+    t_hi_pt = np.zeros(m)
+    for j, tb in enumerate(coll.tubes):
+        sel = cand[j]
+        t_hi_pt[sel] = np.maximum(t_hi_pt[sel], tb.T + 2.0 + 0.1)
     order = active[np.argsort(t_hi_pt[active])]
-    pos = 0
-    while pos < order.size:
+    phi_shape = falling_step(0.5, 1.0)
+    for pos in range(0, order.size, chunk):
         idx = order[pos: pos + chunk]
-        pos += chunk
-        t_hi = float(np.max(t_hi_pt[idx]))
-        cand_c = None
-        if cand is not None:
-            cand_c = cand[:, idx]
-            first = np.argmax(cand_c, axis=0)
-            last = cand_c.shape[0] - 1 - np.argmax(cand_c[::-1], axis=0)
-            perm = np.lexsort((last, first))
-            idx, cand_c = idx[perm], cand_c[:, perm]
-        _eval_chunk(model, coll, z[idx], zeta[idx], idx, qv, hp, t_hi, cand_c,
-                    covering_mode)
+        cand_c = cand[:, idx]
+        first = np.argmax(cand_c, axis=0)
+        last = cand_c.shape[0] - 1 - np.argmax(cand_c[::-1], axis=0)
+        perm = np.lexsort((last, first))
+        idx, cand_c = idx[perm], cand_c[:, perm]
+        ts, comps, bufs = _flow_store(model, z[idx], zeta[idx], -1.1,
+                                      float(np.max(t_hi_pt[idx])))
+        for j, tb in enumerate(coll.tubes):
+            t, sigma, col = _tube_crossings(model, ts, comps, bufs, tb,
+                                            *tb.window, cand_c[j])
+            ok = sigma <= 1.0
+            phi = phi_shape(sigma[ok])
+            np.add.at(qv, idx[col[ok]], _chi_tube(t[ok], tb.T) * phi)
+            np.add.at(hp, idx[col[ok]], -_chi_tube_d(t[ok], tb.T) * phi)
+        # release this chunk's store before the next chunk is flowed
+        del ts, comps, bufs
     return qv, hp
 
 
-def _eval_chunk(model, coll, zc, cc, idx, qv, hp, t_hi, cand_c,
-                covering_mode):
-    t_lo = -(coll.t_cov + 0.1) if covering_mode else -1.1
-    ts_b, zb, cb = fl.batched_flow(model, zc, cc, 0.0, t_lo, _Q_CIRC_DT,
+def _flow_store(model, z, zeta, t_lo, t_hi):
+    """Flow the points backward to t_lo and forward to t_hi.
+
+    Returns (ts, comps, bufs).  The store is component-major: comps[k][row,
+    col] is coordinate k of the phase-space state (z, zeta) of column col
+    at time ts[row].  bufs are two scratch blocks of the same shape, in
+    which _tube_crossings computes every tube's signed distances, so the
+    tube loops allocate no trajectory-sized array per tube (such per-tube
+    allocations left the peak RSS at the mercy of heap fragmentation)."""
+    ts_b, zb, cb = fl.batched_flow(model, z, zeta, 0.0, t_lo, _Q_CIRC_DT,
                                    store_stride=_Q_CIRC_STRIDE)
-    ts_f, zf, cf = fl.batched_flow(model, zc, cc, 0.0, t_hi, _Q_CIRC_DT,
+    ts_f, zf, cf = fl.batched_flow(model, z, zeta, 0.0, t_hi, _Q_CIRC_DT,
                                    store_stride=_Q_CIRC_STRIDE)
     ts = np.concatenate([ts_b[::-1], ts_f[1:]])
-    # component-major store: comps[k][row, col] is coordinate k of the
-    # phase-space state (z, zeta) of column col at time ts[row]; each flow
-    # output is released once copied, so at most three (rows, m) arrays are
-    # alive at a time
+    # each flow output is released once copied, so at most three (rows, m)
+    # arrays are alive at a time
     comps = [np.concatenate([zb[::-1], zf[1:]])]
     del zb, zf
     comps.append(np.concatenate([cb[::-1], cf[1:]]))
     del cb, cf
-    # every tube's signed distances are computed in these two blocks, so the
-    # tube loop allocates no trajectory-sized array per tube (such per-tube
-    # allocations left the peak RSS at the mercy of heap fragmentation)
-    sv_buf, prod_buf = np.empty_like(comps[0]), np.empty_like(comps[0])
+    return ts, comps, (np.empty_like(comps[0]), np.empty_like(comps[0]))
+
+
+_NO_CROSSINGS = (np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
+
+
+def _tube_crossings(model, ts, comps, bufs, tb: Tube, w_lo, w_hi, colmask):
+    """(t, sigma, col) of every crossing of tube tb's transversal with t in
+    [w_lo, w_hi]: crossing time, disc distance of the crossing state and
+    store column.  colmask (or None for all columns) selects the columns.
+
+    The tube parameter of a point IS the forward-flow time to the
+    transversal: pt = exp(-t H_p)(sigma)  <=>  exp(+t H_p)(pt) in Sigma.
+    The signed distance to the hyperplane is a sum of scaled views of the
+    store over the window's rows and the column range [c0, c1) of colmask;
+    sign changes are found there and the columns outside colmask dropped."""
+    if colmask is None:
+        c0, c1 = 0, comps[0].shape[1]
+    else:
+        cols = np.flatnonzero(colmask)
+        if cols.size == 0:
+            return _NO_CROSSINGS
+        c0, c1 = int(cols[0]), int(cols[-1]) + 1
     dt_det = _Q_CIRC_DT * _Q_CIRC_STRIDE
-    phi_shape = falling_step(0.5, 1.0)
-    for j, tb in enumerate(coll.tubes):
-        if cand_c is None:
-            colmask, c0, c1 = None, 0, idx.size
-        else:
-            colmask = cand_c[j]
-            cols = np.flatnonzero(colmask)
-            if cols.size == 0:
-                continue
-            c0, c1 = int(cols[0]), int(cols[-1]) + 1
-        # the tube parameter of a point IS the forward-flow time to the
-        # transversal: pt = exp(-t H_p)(sigma)  <=>  exp(+t H_p)(pt) in Sigma
-        if covering_mode:
-            w_lo = -coll.t_cov
-            w_hi = min(tb.T + 0.6, coll.t_cov + coll.seed_spacing + 0.7)
-        else:
-            w_lo, w_hi = tb.window
-        row = np.flatnonzero((ts >= w_lo - 3 * dt_det) & (ts <= w_hi + 3 * dt_det))
-        if row.size < 2:
-            continue
-        k0, k1 = int(row[0]), int(row[-1]) + 1
-        blk = (slice(0, k1 - k0), slice(0, c1 - c0))
-        sv = np.multiply(comps[0][k0:k1, c0:c1], tb.normal[0], out=sv_buf[blk])
-        sv += np.multiply(comps[1][k0:k1, c0:c1], tb.normal[1], out=prod_buf[blk])
-        sv -= float(tb.seed @ tb.normal)
-        neg = np.signbit(sv)
-        ks, ms = np.divmod(np.flatnonzero(neg[:-1] != neg[1:]), c1 - c0)
-        ms += c0
-        if colmask is not None:
-            keep = colmask[ms]
-            ks, ms = ks[keep], ms[keep]
-        if ks.size == 0:
-            continue
-        ks += k0
-        # distance prefilter at the bracketing sample
-        near = np.linalg.norm(_gather(comps, ks, ms) - tb.seed, axis=1) \
-            <= tb.radius * 1.5 + 0.2
-        ks, ms = ks[near], ms[near]
-        if ks.size == 0:
-            continue
-        t_star, s_star = _refine_crossings(model, ts, comps, ks, ms, tb)
-        sigma = tb.disc_distance(s_star - tb.seed)
-        rad_lim = 0.5 if covering_mode else 1.0
-        ok = (sigma <= rad_lim) & (t_star >= w_lo) & (t_star <= w_hi)
-        if not np.any(ok):
-            continue
-        tube_t, pts_idx = t_star[ok], ms[ok]
-        phi = phi_shape(sigma[ok])
-        if covering_mode:
-            np.add.at(qv, idx[pts_idx], 1.0)
-            continue
-        ch = _chi_tube(tube_t, tb.T)
-        chd = _chi_tube_d(tube_t, tb.T)
-        np.add.at(qv, idx[pts_idx], ch * phi)
-        np.add.at(hp, idx[pts_idx], -chd * phi)
-    return
+    # both callers flow past either end of the window, so it holds rows
+    row = np.flatnonzero((ts >= w_lo - 3 * dt_det) & (ts <= w_hi + 3 * dt_det))
+    k0, k1 = int(row[0]), int(row[-1]) + 1
+    blk = (slice(0, k1 - k0), slice(0, c1 - c0))
+    sv = np.multiply(comps[0][k0:k1, c0:c1], tb.normal[0], out=bufs[0][blk])
+    sv += np.multiply(comps[1][k0:k1, c0:c1], tb.normal[1], out=bufs[1][blk])
+    sv -= float(tb.seed @ tb.normal)
+    neg = np.signbit(sv)
+    ks, ms = np.divmod(np.flatnonzero(neg[:-1] != neg[1:]), c1 - c0)
+    ms += c0
+    if colmask is not None:
+        keep = colmask[ms]
+        ks, ms = ks[keep], ms[keep]
+    ks += k0
+    # distance prefilter at the bracketing sample
+    near = np.linalg.norm(_gather(comps, ks, ms) - tb.seed, axis=1) \
+        <= tb.radius * 1.5 + 0.2
+    ks, ms = ks[near], ms[near]
+    if ks.size == 0:
+        return _NO_CROSSINGS
+    t_star, s_star = _refine_crossings(model, ts, comps, ks, ms, tb)
+    sigma = tb.disc_distance(s_star - tb.seed)
+    ok = (t_star >= w_lo) & (t_star <= w_hi)
+    return t_star[ok], sigma[ok], ms[ok]
 
 
 def _gather(comps, ks, cols):
@@ -661,29 +640,30 @@ def _refine_crossings(model, ts, comps, ks, cols, tb):
     f1 = _phase_state(*geo.hamilton_field(model, y1[:, 0], y1[:, 1])) * dt
     u = np.full(ks.shape, 0.5)
     for _ in range(12):
-        uu = u[:, None]
-        h00 = 2 * uu**3 - 3 * uu**2 + 1
-        h10 = uu**3 - 2 * uu**2 + uu
-        h01 = -2 * uu**3 + 3 * uu**2
-        h11 = uu**3 - uu**2
-        y = h00 * y0 + h10 * f0 + h01 * y1 + h11 * f1
-        d00 = 6 * uu**2 - 6 * uu
-        d10 = 3 * uu**2 - 4 * uu + 1
-        d01 = -6 * uu**2 + 6 * uu
-        d11 = 3 * uu**2 - 2 * uu
-        yd = d00 * y0 + d10 * f0 + d01 * y1 + d11 * f1
+        y, yd = _hermite(u, y0, f0, y1, f1)
         s = (y - tb.seed) @ tb.normal
         sd = yd @ tb.normal
         step = np.where(np.abs(sd) > 1e-14, s / np.where(sd == 0, 1.0, sd), 0.0)
         u = np.clip(u - step, 0.0, 1.0)
+    y, _ = _hermite(u, y0, f0, y1, f1)
+    t_star = t0 + u * (t1 - t0)
+    return t_star, y
+
+
+def _hermite(u, y0, f0, y1, f1):
+    """Cubic Hermite interpolant (y, dy/du) at u in [0, 1] through the rows
+    y0, y1 with scaled slopes f0, f1."""
     uu = u[:, None]
     h00 = 2 * uu**3 - 3 * uu**2 + 1
     h10 = uu**3 - 2 * uu**2 + uu
     h01 = -2 * uu**3 + 3 * uu**2
     h11 = uu**3 - uu**2
-    y = h00 * y0 + h10 * f0 + h01 * y1 + h11 * f1
-    t_star = t0 + u * (t1 - t0)
-    return t_star, y
+    d00 = 6 * uu**2 - 6 * uu
+    d10 = 3 * uu**2 - 4 * uu + 1
+    d01 = -6 * uu**2 + 6 * uu
+    d11 = 3 * uu**2 - 2 * uu
+    return (h00 * y0 + h10 * f0 + h01 * y1 + h11 * f1,
+            d00 * y0 + d10 * f0 + d01 * y1 + d11 * f1)
 
 
 # ---------------------------------------------------------------------------

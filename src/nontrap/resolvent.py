@@ -291,7 +291,7 @@ def power_norm(apply_A: Callable, apply_AH: Callable, n: int,
         if it > 2 and rel <= tol:
             return NormResult(sigma, it, True)
         sigma_old = sigma
-    if hist and abs(hist[-1] - hist[-2]) / max(hist[-1], 1e-300) \
+    if len(hist) >= 2 and abs(hist[-1] - hist[-2]) / max(hist[-1], 1e-300) \
             <= _POWER_FALLBACK_TOL:
         return NormResult(hist[-1], maxiter, False)
     raise ConvergenceError(
@@ -711,22 +711,22 @@ def nonchar_bound(op: DiscreteOperator, psi: Callable, lambda2: float,
                   t_list) -> float:
     """sup over t of ||(Id - psi(P)) (P - lambda2 - i t)^{-1}|| on L^2,
     by spectral mapping on the discrete spectrum."""
-    vals = eigenvalues(op)
-    best = 0.0
-    for t in t_list:
-        best = max(best, float(np.max(
-            np.abs(1.0 - psi(vals)) / np.abs(vals - complex(lambda2, t))
-        )))
-    return best
+    return _spectral_sup(psi, lambda2, t_list, eigenvalues(op))
 
 
 def scalar_spectral_bound(psi: Callable, lambda2: float, t_list,
                           sigma_range) -> float:
     """sup over t and a fine sigma grid of |1 - psi(sigma)| / |sigma - w|."""
     sig = np.linspace(sigma_range[0], sigma_range[1], _SCALAR_SAMPLES)
+    return _spectral_sup(psi, lambda2, t_list, sig)
+
+
+def _spectral_sup(psi, lambda2, t_list, sigma):
+    """max over t in t_list and the points sigma of
+    |1 - psi(sigma)| / |sigma - (lambda2 + i t)|."""
     best = 0.0
     for t in t_list:
         best = max(best, float(np.max(
-            np.abs(1.0 - psi(sig)) / np.abs(sig - complex(lambda2, t))
+            np.abs(1.0 - psi(sigma)) / np.abs(sigma - complex(lambda2, t))
         )))
     return best

@@ -165,102 +165,100 @@ def test_tube_far_point_zero(escape_free):
     assert qv[0] == 0.0 and hv[0] == 0.0
 
 
-def _dense_disc_distance(tb, offsets):
-    """The disc norm as computed from an explicit (1, 2) disc basis and
-    (1,) radius array."""
-    basis, radii = tb.u_p[None, :], np.array([tb.radius])
-    return np.sqrt(np.sum(((offsets @ basis.T) / radii) ** 2, axis=-1))
+def _dense_store(model, z, zeta, t_lo, t_hi):
+    """Reference flow store (RK4 step 0.05, every second step kept):
+    (ts, S) with S[row, col] the state (z, zeta)."""
+    ts_b, zb, cb = fl.batched_flow(model, z, zeta, 0.0, t_lo, 0.05, 2)
+    ts_f, zf, cf = fl.batched_flow(model, z, zeta, 0.0, t_hi, 0.05, 2)
+    ts = np.concatenate([ts_b[::-1], ts_f[1:]])
+    return ts, np.concatenate([np.stack([zb, cb], axis=-1)[::-1],
+                               np.stack([zf, cf], axis=-1)[1:]])
 
 
-def _dense_eval_q_circ(model, coll, z, zeta, dt=0.05, store_stride=2,
-                       chunk=6000, covering_mode=False):
+def _dense_crossings(model, ts, S, tb, w_lo, w_hi, colmask):
+    """Reference crossings (t, sigma, col) of tube tb with t in
+    [w_lo, w_hi]: projects every stored sample of every column onto the
+    hyperplane, then masks by colmask (None keeps every column)."""
+    row = np.flatnonzero((ts >= w_lo - 0.3) & (ts <= w_hi + 0.3))
+    k0, k1 = int(row[0]), int(row[-1])
+    block = S[k0:k1 + 1]
+    sv = (block.reshape(-1, 2) @ tb.normal).reshape(block.shape[:2])
+    sv -= float(tb.seed @ tb.normal)
+    sign_change = np.signbit(sv[:-1]) != np.signbit(sv[1:])
+    if colmask is not None:
+        sign_change &= colmask[None, :]
+    ks, ms = np.nonzero(sign_change)
+    ks = ks + k0
+    near = np.linalg.norm(S[ks, ms, :] - tb.seed, axis=1) \
+        <= tb.radius * 1.5 + 0.2
+    ks, ms = ks[near], ms[near]
+    t_star, s_star = _dense_refine(model, ts, S, ks, ms, tb)
+    # the disc norm from an explicit (1, 2) disc basis and (1,) radius array
+    off = ((s_star - tb.seed) @ tb.u_p[None, :].T) / np.array([tb.radius])
+    sigma = np.sqrt(np.sum(off ** 2, axis=-1))
+    ok = (t_star >= w_lo) & (t_star <= w_hi)
+    return t_star[ok], sigma[ok], ms[ok]
+
+
+def _dense_eval_q_circ(model, coll, z, zeta, chunk=6000):
     """Reference: the dense per-tube scan that projects every stored sample
     of every chunk column onto each hyperplane, then masks by candidates."""
-    n = 1
-    m = z.size
-    qv, hp = np.zeros(m), np.zeros(m)
-    states = np.stack([z, zeta], axis=-1)
-    cand = None if covering_mode else coll.bbox_candidates(states)
-    if covering_mode:
-        t_hi_pt = np.full(m, coll.t_cov + coll.seed_spacing + 0.8)
-        active = np.arange(m)
-    else:
-        active = np.flatnonzero(cand.any(axis=0))
-        t_hi_pt = np.zeros(m)
-        for j, tb in enumerate(coll.tubes):
-            t_hi_pt[cand[j]] = np.maximum(t_hi_pt[cand[j]], tb.T + 2.1)
+    qv, hp, t_hi_pt = np.zeros(z.size), np.zeros(z.size), np.zeros(z.size)
+    cand = coll.bbox_candidates(np.stack([z, zeta], axis=-1))
+    active = np.flatnonzero(cand.any(axis=0))
+    for j, tb in enumerate(coll.tubes):
+        t_hi_pt[cand[j]] = np.maximum(t_hi_pt[cand[j]], tb.T + 2.1)
     order = active[np.argsort(t_hi_pt[active])]
+    phi_shape = falling_step(0.5, 1.0)
     for pos in range(0, order.size, chunk):
         idx = order[pos: pos + chunk]
-        t_hi = float(np.max(t_hi_pt[idx]))
-        t_lo = -(coll.t_cov + 0.1) if covering_mode else -1.1
-        ts_b, zb, cb = fl.batched_flow(model, z[idx], zeta[idx], 0.0, t_lo, dt,
-                                       store_stride=store_stride)
-        ts_f, zf, cf = fl.batched_flow(model, z[idx], zeta[idx], 0.0, t_hi, dt,
-                                       store_stride=store_stride)
-        ts = np.concatenate([ts_b[::-1], ts_f[1:]])
-        S = np.ascontiguousarray(np.concatenate(
-            [np.stack([zb, cb], axis=-1)[::-1],
-             np.stack([zf, cf], axis=-1)[1:]], axis=0))
-        dt_det = dt * store_stride
-        phi_shape = falling_step(0.5, 1.0)
+        ts, S = _dense_store(model, z[idx], zeta[idx], -1.1, np.max(t_hi_pt[idx]))
         for j, tb in enumerate(coll.tubes):
-            colmask = None if covering_mode else cand[j][idx]
-            if colmask is not None and not np.any(colmask):
-                continue
-            if covering_mode:
-                w_lo = -coll.t_cov
-                w_hi = min(tb.T + 0.6, coll.t_cov + coll.seed_spacing + 0.7)
-            else:
-                w_lo, w_hi = tb.window
-            row = np.flatnonzero((ts >= w_lo - 3 * dt_det)
-                                 & (ts <= w_hi + 3 * dt_det))
-            if row.size < 2:
-                continue
-            k0, k1 = int(row[0]), int(row[-1])
-            block = S[k0:k1 + 1]
-            sv = (block.reshape(-1, 2 * n) @ tb.normal).reshape(block.shape[:2])
-            sv -= float(tb.seed @ tb.normal)
-            sign_change = np.signbit(sv[:-1]) != np.signbit(sv[1:])
-            if colmask is not None:
-                sign_change &= colmask[None, :]
-            ks, ms = np.nonzero(sign_change)
-            ks = ks + k0
-            near = np.linalg.norm(S[ks, ms, :] - tb.seed, axis=1) \
-                <= tb.radius * 1.5 + 0.2
-            ks, ms = ks[near], ms[near]
-            if ks.size == 0:
-                continue
-            t_star, s_star = _dense_refine(model, ts, S, ks, ms, tb)
-            sigma = _dense_disc_distance(tb, s_star - tb.seed)
-            rad_lim = 0.5 if covering_mode else 1.0
-            ok = (sigma <= rad_lim) & (t_star >= w_lo) & (t_star <= w_hi)
-            tube_t, pts_idx = t_star[ok], ms[ok]
+            t, sigma, ms = _dense_crossings(model, ts, S, tb, *tb.window,
+                                            cand[j][idx])
+            ok = sigma <= 1.0
             phi = phi_shape(sigma[ok])
-            if covering_mode:
-                np.add.at(qv, idx[pts_idx], 1.0)
-                continue
-            np.add.at(qv, idx[pts_idx], esc._chi_tube(tube_t, tb.T) * phi)
-            np.add.at(hp, idx[pts_idx], -esc._chi_tube_d(tube_t, tb.T) * phi)
+            np.add.at(qv, idx[ms[ok]], esc._chi_tube(t[ok], tb.T) * phi)
+            np.add.at(hp, idx[ms[ok]], -esc._chi_tube_d(t[ok], tb.T) * phi)
     return qv, hp
 
 
+def _dense_certify_covering(model, tubes, consts, spacing):
+    """Reference covering check by the dense scan on the same test points:
+    (n_test, n_uncovered, the first 16 uncovered states)."""
+    z_t, zeta_t = esc._k_region_seeds(model, consts, 0.5 * spacing)
+    offs = np.array([-0.9, 0.0, 0.9]) * model.delta
+    z = np.repeat(z_t, 3)
+    kappa, ok = geo.shell_momentum(model, z, np.tile(model.lambda2 + offs,
+                                                     z_t.size))
+    z, zeta = z[ok], (kappa * np.repeat(np.sign(zeta_t), 3))[ok]
+    t_cov = esc._T_COV
+    ts, S = _dense_store(model, z, zeta, -(t_cov + 0.1), t_cov + spacing + 0.8)
+    hits = np.zeros(z.size)
+    for tb in tubes:
+        w_hi = min(tb.T + 0.6, t_cov + spacing + 0.7)
+        _, sigma, ms = _dense_crossings(model, ts, S, tb, -t_cov, w_hi, None)
+        np.add.at(hits, ms[sigma <= 0.5], 1.0)
+    bad = np.flatnonzero(hits <= 0.0)
+    return z.size, bad.size, np.stack([z[bad[:16]], zeta[bad[:16]]], axis=-1)
+
+
 def _dense_refine(model, ts, S, ks, cols, tb):
-    y0 = S[ks, cols, :]
-    y1 = S[ks + 1, cols, :]
-    t0 = ts[ks]
-    t1 = ts[ks + 1]
+    y0, y1 = S[ks, cols, :], S[ks + 1, cols, :]
+    t0, t1 = ts[ks], ts[ks + 1]
     dt = (t1 - t0)[:, None]
     f0 = np.stack(geo.hamilton_field(model, y0[:, 0], y0[:, 1]), axis=-1) * dt
     f1 = np.stack(geo.hamilton_field(model, y1[:, 0], y1[:, 1]), axis=-1) * dt
     u = np.full(ks.shape, 0.5)
-    for _ in range(12):
+    for it in range(13):  # 12 Newton steps, then the final evaluation
         uu = u[:, None]
         h00 = 2 * uu**3 - 3 * uu**2 + 1
         h10 = uu**3 - 2 * uu**2 + uu
         h01 = -2 * uu**3 + 3 * uu**2
         h11 = uu**3 - uu**2
         y = h00 * y0 + h10 * f0 + h01 * y1 + h11 * f1
+        if it == 12:
+            return t0 + u * (t1 - t0), y
         d00 = 6 * uu**2 - 6 * uu
         d10 = 3 * uu**2 - 4 * uu + 1
         d01 = -6 * uu**2 + 6 * uu
@@ -270,19 +268,12 @@ def _dense_refine(model, ts, S, ks, cols, tb):
         sd = yd @ tb.normal
         step = np.where(np.abs(sd) > 1e-14, s / np.where(sd == 0, 1.0, sd), 0.0)
         u = np.clip(u - step, 0.0, 1.0)
-    uu = u[:, None]
-    h00 = 2 * uu**3 - 3 * uu**2 + 1
-    h10 = uu**3 - 2 * uu**2 + uu
-    h01 = -2 * uu**3 + 3 * uu**2
-    h11 = uu**3 - uu**2
-    y = h00 * y0 + h10 * f0 + h01 * y1 + h11 * f1
-    return t0 + u * (t1 - t0), y
 
 
 @pytest.mark.parametrize("which", ["escape_free", "escape_longrange"])
 def test_q_circ_matches_dense_scan(which, request):
     """The candidate-column locator returns exactly the dense scan's
-    (q_circ, H_p q_circ), over several chunks and in covering mode."""
+    (q_circ, H_p q_circ), over several chunks."""
     e = request.getfixturevalue(which)
     z, zeta = esc.phase_grid(e.model, n_x=120, n_interior=20, n_energy=8)
     n_active = int(e.tubes.bbox_candidates(np.stack([z, zeta], axis=-1))
@@ -293,13 +284,21 @@ def test_q_circ_matches_dense_scan(which, request):
     ref = _dense_eval_q_circ(e.model, e.tubes, z, zeta, chunk=chunk)
     assert np.count_nonzero(ref[0]) > 0
     assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-    sub = slice(None, None, 7)
-    got_c, _ = esc.eval_q_circ(e.model, e.tubes, z[sub], zeta[sub],
-                               covering_mode=True)
-    ref_c, _ = _dense_eval_q_circ(e.model, e.tubes, z[sub], zeta[sub],
-                                  covering_mode=True)
-    assert np.count_nonzero(ref_c) > 0
-    assert np.array_equal(got_c, ref_c)
+
+
+@pytest.mark.parametrize("which", ["escape_free", "escape_longrange"])
+def test_covering_matches_dense_scan(which, request):
+    """The covering check agrees with the dense scan on the full tube list
+    and, with uncovered points, on every second tube."""
+    e = request.getfixturevalue(which)
+    spacing = max(1.0, (4.0 / e.constants.x0) / 40.0)
+    tubes = e.tubes.tubes
+    for subset in (tubes, tubes[::2]):
+        got = esc._certify_covering(e.model, subset, e.constants, spacing)
+        ref = _dense_certify_covering(e.model, subset, e.constants, spacing)
+        assert (got.n_test, got.n_uncovered) == ref[:2]
+        assert np.array_equal(np.reshape(got.uncovered, (-1, 2)), ref[2])
+    assert ref[1] > 0
 
 
 def test_q_circ_order_invariant(escape_longrange):

@@ -248,6 +248,11 @@ def test_power_norm_fallback_not_converged():
                            maxiter=6)
     assert not capped.converged and capped.iterations == 6
     assert capped.value == pytest.approx(1.0, rel=1e-4)
+    # one estimate leaves no last change for the fallback to accept
+    D2 = np.diag([1.0, 0.5]).astype(complex)
+    with pytest.raises(ConvergenceError):
+        rv.power_norm(lambda v: D2 @ v, lambda v: D2 @ v, 2, tol=1e-30,
+                      maxiter=1)
 
 
 def test_helffer_sjostrand_spectral_derivatives(free_1d):
