@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -47,11 +47,18 @@ _T_COV = 0.5            # covering zone starts at tube time -_T_COV
 _MOM_FACTOR = 1.3       # disc radius along grad p, in units of delta / kappa
 _MAX_REFINE = 2         # seed-spacing halvings allowed for the covering
 _MAX_EXTEND = 6         # T extensions allowed for a tube's late portion
-_Q_CIRC_DT = 0.05       # RK4 step of the q_circ flows
-_Q_CIRC_STRIDE = 2      # q_circ keeps every second step
+_Q_CIRC_DT = 0.025      # RK4 step of every orbit store
+_Q_CIRC_STRIDE = 2      # orbit stores keep every second step
+_ORBIT_SEGMENT = 16.0   # forward flow per call until every member is reached
+_NEWTON_TOL = 1e-11     # crossing residual bound, relative to 1 + |level|
+_NEWTON_MAX = 12        # Newton steps allowed per crossing
 _GRID_X_MIN = 1e-3      # innermost x of the phase-space grids
 _GRID_INSET = 0.999     # energies sampled within this fraction of the window
 _MAX_HALVINGS = 60      # halving budget of each cascade stage
+# (w_lo, w_hi, sigma_max) of tube times [w_lo, T + w_hi] and disc distances:
+# the support of chi_j(t) phi(sigma), and the covering check's interior zone
+_SUPPORT_ZONE = (-1.0, 2.0, 1.0)
+_COVER_ZONE = (-_T_COV, 0.6, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +238,11 @@ def eval_boundary_piece(kind, model, consts, cutoffs, eps, z, zeta):
     Hamilton field through the chart (product rule on x^alpha chi(tau)
     rho(x/x0)); the psi(p) factor is flow-invariant and divided out.
     """
-    if kind == "minus":
-        chi, alpha = cutoffs.chi_minus, -eps
-    elif kind == "plus":
-        chi, alpha = cutoffs.chi_plus, +eps
-    elif kind == "partial":
-        chi, alpha = cutoffs.chi_partial, -eps
-    else:
+    kinds = {"minus": (cutoffs.chi_minus, -eps), "plus": (cutoffs.chi_plus, eps),
+             "partial": (cutoffs.chi_partial, -eps)}
+    if kind not in kinds:
         raise ConfigurationError(f"unknown boundary piece {kind!r}")
+    chi, alpha = kinds[kind]
     z, zeta = np.asarray(z, dtype=float), np.asarray(zeta, dtype=float)
     x, tau = geo.scattering_coords(z, zeta)
     x0 = consts.x0
@@ -262,17 +266,6 @@ def eval_boundary_piece(kind, model, consts, cutoffs, eps, z, zeta):
     return val, hpq
 
 
-def eval_boundary_q(kind, model, consts, cutoffs, eps, z, zeta):
-    """(q_kind, H_p q_kind) including the psi(p) factor.
-
-    The certificates work with the psi-stripped eval_boundary_piece; this
-    wrapper is the plain evaluator (H_p psi(p) = 0, so both components just
-    scale by psi)."""
-    val, hpq = eval_boundary_piece(kind, model, consts, cutoffs, eps, z, zeta)
-    psi = cutoffs.psi(geo.symbol_p(model, z, zeta))
-    return val * psi, hpq * psi
-
-
 # ---------------------------------------------------------------------------
 # tubes
 # ---------------------------------------------------------------------------
@@ -281,15 +274,13 @@ def _chi_tube(t, T):
     """Tube time cutoff: supported in (-1, T+2), slope exactly 1 on
     [-1/2, T+2/3] (the covering zone), falling only on (T+2/3, T+2)."""
     t = np.asarray(t, dtype=float)
-    rise = rising_step(-1.0, -0.5)
-    down = falling_step(T + 2.0 / 3.0, T + 2.0)
+    rise, down = rising_step(-1.0, -0.5), falling_step(T + 2.0 / 3.0, T + 2.0)
     return rise(t) * (1.0 + t) * down(t)
 
 
 def _chi_tube_d(t, T):
     t = np.asarray(t, dtype=float)
-    rise = rising_step(-1.0, -0.5)
-    down = falling_step(T + 2.0 / 3.0, T + 2.0)
+    rise, down = rising_step(-1.0, -0.5), falling_step(T + 2.0 / 3.0, T + 2.0)
     lin = 1.0 + t
     return rise.d(t) * lin * down(t) + rise(t) * down(t) + rise(t) * lin * down.d(t)
 
@@ -308,16 +299,6 @@ class Tube:
     normal: np.ndarray        # unit H_p direction at the seed (2,)
     u_p: np.ndarray           # unit grad p direction at the seed (2,)
     radius: float             # disc radius along u_p
-    bbox_lo: Optional[np.ndarray]   # sampled sweep bounding box, inflated
-    bbox_hi: Optional[np.ndarray]
-
-    @property
-    def window(self):
-        return (-1.0, self.T + 2.0)
-
-    def disc_distance(self, offsets):
-        """Disc norm of phase-space offsets (rows)."""
-        return np.abs(offsets @ self.u_p) / self.radius
 
 
 @dataclass
@@ -331,18 +312,11 @@ class CoveringReport:
 class TubeCollection:
     tubes: List[Tube]
     covering: CoveringReport
+    reach: float    # largest padded |z| of the sampled tube sweeps
 
     @property
     def max_T(self):
         return max(t.T for t in self.tubes) if self.tubes else 0.0
-
-    def bbox_candidates(self, states):
-        """Boolean (n_tubes, m): state within each tube's bounding box."""
-        S = np.asarray(states)
-        out = np.empty((len(self.tubes), S.shape[0]), dtype=bool)
-        for j, tb in enumerate(self.tubes):
-            out[j] = np.all((S >= tb.bbox_lo) & (S <= tb.bbox_hi), axis=1)
-        return out
 
 
 def _phase_state(z, zeta):
@@ -350,16 +324,24 @@ def _phase_state(z, zeta):
     return np.stack([z, zeta], axis=-1)
 
 
+def _project(states, v, level=0.0):
+    """states . v - level, elementwise (a row's value is batch-independent)."""
+    return states[..., 0] * v[0] + states[..., 1] * v[1] - level
+
+
+def _k_axis(consts, spacing):
+    """Positions of the K grids: |z| <= 4 / x0 at the given spacing."""
+    r_max = 4.0 / consts.x0
+    return np.arange(-r_max, r_max + 0.5 * spacing, spacing)
+
+
 def _k_region_seeds(model, consts, spacing):
     """Seed grid on K = supp psi(p) & {x >= x0/4} (one seed per position
     cell and momentum branch, at the window center energy).  Returns
     (z, zeta)."""
-    r_max = 4.0 / consts.x0
-    zs = np.arange(-r_max, r_max + 0.5 * spacing, spacing)
-    z = np.repeat(zs, 2)
-    d = np.tile([1.0, -1.0], zs.size)
+    z = np.repeat(_k_axis(consts, spacing), 2)
     kappa, allowed = geo.shell_momentum(model, z, model.lambda2)
-    return z[allowed], kappa[allowed] * d[allowed]
+    return z[allowed], (kappa * np.tile([1.0, -1.0], z.size // 2))[allowed]
 
 
 def _disc_offsets(tube: Tube):
@@ -405,17 +387,16 @@ def build_tubes(model, consts, cutoffs, seed_spacing=1.0,
             n_norm = float(np.linalg.norm(n_vec))
             if n_norm == 0.0:
                 raise ConstructionError(f"stationary seed at {z}, {zeta}")
-            n_vec = n_vec / n_norm
             # grad p = (-zetadot, zdot) spans the transversal
             grad_p = _phase_state(-dzeta, dz)
-            u_p = grad_p / np.linalg.norm(grad_p)
             tubes.append(Tube(seed=_phase_state(z, zeta), T=T,
-                              normal=n_vec, u_p=u_p, radius=r_mom,
-                              bbox_lo=None, bbox_hi=None))
-        _certify_tubes(model, tubes, consts, lam)
-        report = _certify_covering(model, tubes, consts, spacing)
+                              normal=n_vec / n_norm,
+                              u_p=grad_p / np.linalg.norm(grad_p),
+                              radius=r_mom))
+        reach = _certify_tubes(model, tubes, consts, lam)
+        report = _certify_covering(model, tubes, reach, consts, spacing)
         if report.n_uncovered == 0:
-            return TubeCollection(tubes=tubes, covering=report)
+            return TubeCollection(tubes=tubes, covering=report, reach=reach)
         spacing *= 0.5
     raise ConstructionError(
         f"tube covering failed after {_MAX_REFINE} refinements: "
@@ -425,250 +406,279 @@ def build_tubes(model, consts, cutoffs, seed_spacing=1.0,
 
 
 def _certify_tubes(model, tubes: List[Tube], consts, lam):
-    """Sampled disc sweep for every tube in one batched backward flow:
-    bounding boxes over the whole window, and the late-portion
-    disjointness from K' (auto-extending T when the margin check fails)."""
+    """Sampled disc sweep for every tube in one batched backward flow: the
+    late-portion disjointness from K' (auto-extending T when the margin
+    check fails).  Returns the reach R, the largest |z| of the sweeps with
+    each tube's z range padded by radius/4 + 5% of its end magnitudes."""
+    pend, reach = list(tubes), 0.0
     for round_ in range(_MAX_EXTEND + 1):
-        pend = [tb for tb in tubes if tb.bbox_lo is None]
         if not pend:
-            return
-        offs = [tb.seed + _disc_offsets(tb) for tb in pend]
-        counts = [o.shape[0] for o in offs]
-        pts = np.concatenate(offs, axis=0)
+            return reach
+        pts = np.concatenate([tb.seed + _disc_offsets(tb) for tb in pend])
         T_all = max(tb.T for tb in pend)
         ts, zs, cs = fl.batched_flow(model, pts[:, 0], pts[:, 1], 0.0,
                                      -(T_all + 2.2), 0.02, store_stride=5)
-        states = _phase_state(zs, cs)  # (nt, sum counts, 2)
-        start = 0
-        for tb, cnt in zip(pend, counts):
-            sl = states[:, start:start + cnt, :]
-            start += cnt
-            window = (-ts <= tb.T + 2.2)
-            flat = sl[window].reshape(-1, 2)
-            lo, hi = flat.min(axis=0), flat.max(axis=0)
-            pad = 0.25 * tb.radius + 0.05 * (np.abs(lo) + np.abs(hi))
+        failed = []
+        for k, tb in enumerate(pend):
+            zt, ct = (a.reshape(ts.size, len(pend), -1)[:, k] for a in (zs, cs))
+            swept = zt[-ts <= tb.T + 2.2]
+            lo, hi = float(swept.min()), float(swept.max())
+            pad = 0.25 * tb.radius + 0.05 * (abs(lo) + abs(hi))
             late = (-ts >= tb.T + 0.5) & (-ts <= tb.T + 2.0 + 1e-9)
-            tail = sl[late]
-            x, tau = geo.scattering_coords(tail[..., 0].ravel(),
-                                           tail[..., 1].ravel())
+            x, tau = geo.scattering_coords(zt[late].ravel(), ct[late].ravel())
             if np.all(x < consts.x0 / 2.0) and np.all(tau > 2.0 * lam / 3.0):
-                tb.bbox_lo = lo - pad
-                tb.bbox_hi = hi + pad
-            elif round_ < _MAX_EXTEND:
+                reach = max(reach, abs(lo - pad), abs(hi + pad))
+                continue
+            failed.append(tb)
+            if round_ < _MAX_EXTEND:
                 tb.T += max(1.0, 0.1 * tb.T)  # retry with a longer segment
-    bad = [tb for tb in tubes if tb.bbox_lo is None]
-    if bad:
-        raise ConstructionError(
-            f"late tube portion not disjoint from K' after extending T to "
-            f"{bad[0].T}; increase the time margin"
-        )
+        pend = failed
+    raise ConstructionError(
+        f"late tube portion not disjoint from K' after extending T to "
+        f"{pend[0].T}; increase the time margin"
+    )
 
 
-def _certify_covering(model, tubes: List[Tube], consts, spacing):
-    """Every point of a 2x finer K grid, widened across the window, must
-    lie in some tube's interior zone: a crossing with disc distance <= 1/2
-    and t in [-_T_COV, T_j + 0.6], where the time cutoff has slope one and
-    value at least 1/2.  The test points are flowed only to
-    _T_COV + spacing + 0.8, so the zone is also cut at _T_COV + spacing + 0.7.
-    """
-    z_t, zeta_t = _k_region_seeds(model, consts, 0.5 * spacing)
-    offs = np.array([-0.9, 0.0, 0.9])
-    z = np.repeat(z_t, offs.size)
-    d = np.repeat(np.sign(zeta_t), offs.size)
-    energy = np.tile(model.lambda2 + offs * model.delta, z_t.size)
-    kappa, allowed = geo.shell_momentum(model, z, energy)
-    z0 = z[allowed]
-    c0 = kappa[allowed] * d[allowed]
-    ts, comps, bufs = _flow_store(model, z0, c0, -(_T_COV + 0.1),
-                                  _T_COV + spacing + 0.8)
-    covered = np.zeros(z0.size, dtype=bool)
-    for tb in tubes:
-        w_hi = min(tb.T + 0.6, _T_COV + spacing + 0.7)
-        _, sigma, col = _tube_crossings(model, ts, comps, bufs, tb, -_T_COV,
-                                        w_hi, None)
-        covered[col[sigma <= 0.5]] = True
+def _certify_covering(model, tubes: List[Tube], reach, consts, spacing):
+    """Every point of a 2x finer K grid at three energies of the window must
+    cross some tube in its interior zone: disc distance <= 1/2 and t in
+    [-_T_COV, T_j + 0.6], where the time cutoff has slope one."""
+    energies = model.lambda2 + model.delta * np.array([-0.9, 0.0, 0.9])
+    z, zeta, shell = _shell_points(model, _k_axis(consts, 0.5 * spacing),
+                                   energies)
+    covered = np.zeros(z.size, dtype=bool)
+    for _, i, _, _ in _tube_passes(model, tubes, reach, z, zeta, shell,
+                                   _COVER_ZONE):
+        covered[i] = True
     bad = np.flatnonzero(~covered)
-    uncovered = [_phase_state(z0[i], c0[i]) for i in bad[:16]]
-    return CoveringReport(n_test=z0.size, n_uncovered=int(bad.size),
+    uncovered = [_phase_state(z[i], zeta[i]) for i in bad[:16]]
+    return CoveringReport(n_test=z.size, n_uncovered=int(bad.size),
                           uncovered=uncovered)
 
 
 # ---------------------------------------------------------------------------
-# tube evaluation (flow coordinates by crossing detection)
+# tube evaluation (crossings read off one flowed orbit per energy shell)
 # ---------------------------------------------------------------------------
 
-def eval_q_circ(model, coll: TubeCollection, z, zeta, chunk=6000):
+def eval_q_circ(model, coll: TubeCollection, z, zeta, shell=None):
     """(q_circ/psi, H_p q_circ/psi) on a batch of points.
 
-    Each point is flowed once over the union of its candidate tube windows;
-    for every tube the crossing times of the transversal hyperplane are
-    located by sign change plus vectorized Newton refinement on the cubic
-    Hermite interpolant, keeping crossings that land inside the disc.
-    Summed contributions are chi_j(t) phi_j(sigma) and -chi'_j(t)
-    phi_j(sigma).
-
-    Points are flowed in chunks of at most `chunk`, taken in order of their
-    flow span t_hi (the latest end of a candidate tube window), and each
-    chunk is integrated to its own largest t_hi.  Within a chunk the points
-    are sorted by their first and last bounding-box candidate tube, so the
-    candidates of tube j lie in one column range [c0, c1) that is usually
-    much narrower than the chunk (see _tube_crossings).
-
-    Reordering within a chunk cannot change a value: chunk membership and
-    the chunk's t_hi (hence every step size) do not depend on it, every
-    operation on a point's trajectory and crossings acts on that point
-    alone, and each point still receives its contributions tube by tube,
-    in increasing crossing time within a tube, whatever the column order.
+    `shell` labels the points by orbit (phase_grid's third output; None
+    makes each point its own orbit).  Each orbit is flowed once, a point
+    gets its time offset s on it, and each tube's crossings (t_c, sigma_c)
+    are found once per orbit.  A point sums chi_j(t_c - s) phi(sigma_c) and
+    -chi_j'(t_c - s) phi(sigma_c) over those with t_c - s in [-1, T_j + 2]
+    and sigma_c <= 1, tube by tube, then by time.  |z| > reach R gives 0.
     """
     z, zeta = np.asarray(z, dtype=float), np.asarray(zeta, dtype=float)
-    m = z.size
-    qv = np.zeros(m)
-    hp = np.zeros(m)
-    cand = coll.bbox_candidates(_phase_state(z, zeta))
-    active = np.flatnonzero(cand.any(axis=0))
-    t_hi_pt = np.zeros(m)
-    for j, tb in enumerate(coll.tubes):
-        sel = cand[j]
-        t_hi_pt[sel] = np.maximum(t_hi_pt[sel], tb.T + 2.0 + 0.1)
-    order = active[np.argsort(t_hi_pt[active])]
+    qv, hp = np.zeros(z.size), np.zeros(z.size)
     phi_shape = falling_step(0.5, 1.0)
-    for pos in range(0, order.size, chunk):
-        idx = order[pos: pos + chunk]
-        cand_c = cand[:, idx]
-        first = np.argmax(cand_c, axis=0)
-        last = cand_c.shape[0] - 1 - np.argmax(cand_c[::-1], axis=0)
-        perm = np.lexsort((last, first))
-        idx, cand_c = idx[perm], cand_c[:, perm]
-        ts, comps, bufs = _flow_store(model, z[idx], zeta[idx], -1.1,
-                                      float(np.max(t_hi_pt[idx])))
-        for j, tb in enumerate(coll.tubes):
-            t, sigma, col = _tube_crossings(model, ts, comps, bufs, tb,
-                                            *tb.window, cand_c[j])
-            ok = sigma <= 1.0
-            phi = phi_shape(sigma[ok])
-            np.add.at(qv, idx[col[ok]], _chi_tube(t[ok], tb.T) * phi)
-            np.add.at(hp, idx[col[ok]], -_chi_tube_d(t[ok], tb.T) * phi)
-        # release this chunk's store before the next chunk is flowed
-        del ts, comps, bufs
+    for tb, i, t, sigma in _tube_passes(model, coll.tubes, coll.reach, z,
+                                        zeta, shell, _SUPPORT_ZONE):
+        phi = phi_shape(sigma)
+        np.add.at(qv, i, _chi_tube(t, tb.T) * phi)
+        np.add.at(hp, i, -_chi_tube_d(t, tb.T) * phi)
     return qv, hp
 
 
-def _flow_store(model, z, zeta, t_lo, t_hi):
-    """Flow the points backward to t_lo and forward to t_hi.
+def _tube_passes(model, tubes, reach, z, zeta, shell, zone):
+    """Per tube, in order: (tb, i, t, sigma) for the points i crossing tb's
+    transversal at time t, in time order per point, inside zone.  Members
+    of a crossing's orbit are found by binary search over the keys o W + s
+    (orbit o, offset s), then tested exactly on t = t_c - s."""
+    if not np.any(np.abs(z) <= reach):
+        return
+    w_lo, w_hi, sigma_max = zone
+    t_tail = max(tb.T for tb in tubes) + w_hi + 0.1
+    ts, comps, pts, orb, s = _shell_orbits(model, z, zeta, shell, reach,
+                                           w_lo - 0.1, t_tail)
+    # a power of two above every |t_c - s| keeps the orbits' key runs apart
+    W = 2.0 ** math.ceil(math.log2(ts[-1] - w_lo + 1.0))
+    key = orb * W + s
+    k0 = int(np.searchsorted(ts, 0.0))
+    p_orbit = geo.symbol_p(model, comps[0][:, k0], comps[1][:, k0])
+    for tb in tubes:
+        # p is conserved, so only orbits at an energy of the disc (sampled,
+        # padded by a tenth of the spread) can cross it
+        p_disc = geo.symbol_p(model, *(tb.seed + _disc_offsets(tb)).T)
+        pad = 0.1 * np.ptp(p_disc)
+        cols = np.flatnonzero((p_orbit >= p_disc.min() - pad)
+                              & (p_orbit <= p_disc.max() + pad))
+        t_c, sigma, col = _tube_crossings(model, ts, comps, cols, tb, w_lo,
+                                          s.max() + tb.T + w_hi, sigma_max)
+        lo = np.searchsorted(key, col * W + (t_c - tb.T - w_hi), "left")
+        n = np.searchsorted(key, col * W + (t_c - w_lo), "right") - lo
+        c = np.repeat(np.arange(n.size), n)
+        j = np.arange(c.size) + np.repeat(lo - np.cumsum(n) + n, n)
+        t = t_c[c] - s[j]
+        ok = (t >= w_lo) & (t <= tb.T + w_hi) & (orb[j] == col[c])
+        yield tb, pts[j[ok]], t[ok], sigma[c[ok]]
 
-    Returns (ts, comps, bufs).  The store is component-major: comps[k][row,
-    col] is coordinate k of the phase-space state (z, zeta) of column col
-    at time ts[row].  bufs are two scratch blocks of the same shape, in
-    which _tube_crossings computes every tube's signed distances, so the
-    tube loops allocate no trajectory-sized array per tube (such per-tube
-    allocations left the peak RSS at the mercy of heap fragmentation)."""
-    ts_b, zb, cb = fl.batched_flow(model, z, zeta, 0.0, t_lo, _Q_CIRC_DT,
-                                   store_stride=_Q_CIRC_STRIDE)
-    ts_f, zf, cf = fl.batched_flow(model, z, zeta, 0.0, t_hi, _Q_CIRC_DT,
-                                   store_stride=_Q_CIRC_STRIDE)
-    ts = np.concatenate([ts_b[::-1], ts_f[1:]])
-    # each flow output is released once copied, so at most three (rows, m)
-    # arrays are alive at a time
-    comps = [np.concatenate([zb[::-1], zf[1:]])]
-    del zb, zf
-    comps.append(np.concatenate([cb[::-1], cf[1:]]))
-    del cb, cf
-    return ts, comps, (np.empty_like(comps[0]), np.empty_like(comps[0]))
+
+def _shell_orbits(model, z, zeta, shell, reach, t_back, t_tail):
+    """(ts, comps, pts, orb, s): the orbit store, comps[k][col, row] being
+    coordinate k of (z, zeta) on orbit col at time ts[row], and the points
+    with |z| <= reach, their orbits and offsets, sorted by orbit, offset.
+
+    One representative per label (per point, with s = 0, if shell is None),
+    the first member along d = sign(zeta), is flowed back to t_back and on
+    past its members, then t_tail further.  s >= 0 is when d z first
+    reaches d z_i: bracketed by the first such sample, refined on z = z_i.
+    A member moving uphill so near its turning point that no sample may
+    fall past it (for about 2 |zeta_i| / V'(z_i)) gets its own orbit."""
+    live = np.flatnonzero(np.abs(z) <= reach)
+    zl, d = z[live], np.sign(zeta[live])
+    orbit = np.arange(live.size)
+    if shell is not None:
+        alone = np.abs(zeta[live]) <= (2.0 * _Q_CIRC_DT * _Q_CIRC_STRIDE * d
+                                       * model.potential.gradient(zl))
+        _, orbit = np.unique(np.where(alone, -1 - orbit, shell[live]),
+                             return_inverse=True)
+    mem = np.argsort(d * zl, kind="stable")
+    mem = mem[np.argsort(orbit[mem], kind="stable")]
+    orb = orbit[mem]
+    first = np.flatnonzero(np.diff(orb, prepend=-1))
+    target = (d * zl)[mem[np.append(first[1:], mem.size) - 1]]
+    rep, dr = live[mem[first]], d[mem[first]]
+    t_b, z_b, c_b = fl.batched_flow(model, z[rep], zeta[rep], 0.0, t_back,
+                                    _Q_CIRC_DT, store_stride=_Q_CIRC_STRIDE)
+    tss, zss, css = [t_b[::-1]], [z_b[::-1]], [c_b[::-1]]
+    t, far, tail = 0.0, dr * z[rep], False
+    while not tail:
+        tail = not np.any(far < target)
+        span = t_tail if tail else _ORBIT_SEGMENT
+        t_f, z_f, c_f = fl.batched_flow(model, zss[-1][-1], css[-1][-1], t,
+                                        t + span, _Q_CIRC_DT,
+                                        store_stride=_Q_CIRC_STRIDE)
+        tss.append(t_f[1:]), zss.append(z_f[1:]), css.append(c_f[1:])
+        t += span
+        far = np.maximum(far, np.max(z_f * dr, axis=0))
+        if np.any((far < target) & (z_f[-1] * dr < far)):
+            raise ConstructionError(
+                "an orbit turned back before reaching a member of its shell")
+    del z_f, c_f
+    # (orbit, time) blocks, built one coordinate at a time to bound the peak
+    ts, comps = np.concatenate(tss), []
+    for parts in (zss, css):
+        comps.append(np.concatenate([a.T for a in parts], axis=1))
+        parts.clear()
+    if shell is None:
+        return ts, comps, live[mem], orb, np.zeros(live.size)
+    k0 = int(np.searchsorted(ts, 0.0))
+    run = np.maximum.accumulate(comps[0][:, k0:] * dr[:, None], axis=1)
+    K = np.empty(mem.size, dtype=np.intp)
+    for o, (a, b) in enumerate(zip(first, np.append(first[1:], mem.size))):
+        K[a:b] = np.searchsorted(run[o], dr[o] * zl[mem[a:b]])
+    s, _ = _refine_crossings(model, ts, comps, k0 + np.maximum(K - 1, 0),
+                             orb, (1.0, 0.0), zl[mem])
+    srt = np.argsort(s, kind="stable")
+    srt = srt[np.argsort(orb[srt], kind="stable")]
+    return ts, comps, live[mem[srt]], orb[srt], s[srt]
 
 
-_NO_CROSSINGS = (np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
-
-
-def _tube_crossings(model, ts, comps, bufs, tb: Tube, w_lo, w_hi, colmask):
-    """(t, sigma, col) of every crossing of tube tb's transversal with t in
-    [w_lo, w_hi]: crossing time, disc distance of the crossing state and
-    store column.  colmask (or None for all columns) selects the columns.
-
-    The tube parameter of a point IS the forward-flow time to the
-    transversal: pt = exp(-t H_p)(sigma)  <=>  exp(+t H_p)(pt) in Sigma.
-    The signed distance to the hyperplane is a sum of scaled views of the
-    store over the window's rows and the column range [c0, c1) of colmask;
-    sign changes are found there and the columns outside colmask dropped."""
-    if colmask is None:
-        c0, c1 = 0, comps[0].shape[1]
-    else:
-        cols = np.flatnonzero(colmask)
-        if cols.size == 0:
-            return _NO_CROSSINGS
-        c0, c1 = int(cols[0]), int(cols[-1]) + 1
+def _tube_crossings(model, ts, comps, cols, tb: Tube, w_lo, w_hi, sigma_max):
+    """(t, sigma, col): time, disc distance and store column of every
+    crossing of tb's transversal by the columns cols with t in [w_lo, w_hi]
+    and sigma <= sigma_max, bracketed by sign changes of the signed distance
+    (pt = exp(-t H_p)(sigma) <=> exp(+t H_p)(pt) in Sigma)."""
     dt_det = _Q_CIRC_DT * _Q_CIRC_STRIDE
-    # both callers flow past either end of the window, so it holds rows
+    # the store extends past either end of the window, so it holds rows
     row = np.flatnonzero((ts >= w_lo - 3 * dt_det) & (ts <= w_hi + 3 * dt_det))
     k0, k1 = int(row[0]), int(row[-1]) + 1
-    blk = (slice(0, k1 - k0), slice(0, c1 - c0))
-    sv = np.multiply(comps[0][k0:k1, c0:c1], tb.normal[0], out=bufs[0][blk])
-    sv += np.multiply(comps[1][k0:k1, c0:c1], tb.normal[1], out=bufs[1][blk])
-    sv -= float(tb.seed @ tb.normal)
+    level = _project(tb.seed, tb.normal)
+    sv = comps[0][cols, k0:k1] * tb.normal[0]
+    sv += comps[1][cols, k0:k1] * tb.normal[1]
+    sv -= level
     neg = np.signbit(sv)
-    ks, ms = np.divmod(np.flatnonzero(neg[:-1] != neg[1:]), c1 - c0)
-    ms += c0
-    if colmask is not None:
-        keep = colmask[ms]
-        ks, ms = ks[keep], ms[keep]
-    ks += k0
+    js, ks = np.divmod(np.flatnonzero(neg[:, :-1] != neg[:, 1:]), k1 - k0 - 1)
+    ks, cols = ks + k0, cols[js]
     # distance prefilter at the bracketing sample
-    near = np.linalg.norm(_gather(comps, ks, ms) - tb.seed, axis=1) \
+    near = np.linalg.norm(_gather(comps, ks, cols) - tb.seed, axis=1) \
         <= tb.radius * 1.5 + 0.2
-    ks, ms = ks[near], ms[near]
-    if ks.size == 0:
-        return _NO_CROSSINGS
-    t_star, s_star = _refine_crossings(model, ts, comps, ks, ms, tb)
-    sigma = tb.disc_distance(s_star - tb.seed)
-    ok = (t_star >= w_lo) & (t_star <= w_hi)
-    return t_star[ok], sigma[ok], ms[ok]
+    ks, cols = ks[near], cols[near]
+    t_star, y = _refine_crossings(model, ts, comps, ks, cols, tb.normal, level)
+    sigma = np.abs(_project(y - tb.seed, tb.u_p)) / tb.radius
+    ok = (t_star >= w_lo) & (t_star <= w_hi) & (sigma <= sigma_max)
+    return t_star[ok], sigma[ok], cols[ok]
 
 
 def _gather(comps, ks, cols):
     """Phase-space states (rows) at the stored samples (ks, cols)."""
-    return np.stack([c[ks, cols] for c in comps], axis=-1)
+    return np.stack([c[cols, ks] for c in comps], axis=-1)
 
 
-def _refine_crossings(model, ts, comps, ks, cols, tb):
-    """Vectorized Newton on the cubic Hermite interpolant of the signed
-    distance over each bracketing interval."""
-    y0 = _gather(comps, ks, cols)
-    y1 = _gather(comps, ks + 1, cols)
-    t0 = ts[ks]
-    t1 = ts[ks + 1]
+def _refine_crossings(model, ts, comps, ks, cols, normal, level):
+    """(t, state) of the crossings of y . normal = level (one level, or one
+    per crossing) in the brackets [ts[k], ts[k+1]] of the columns cols:
+    Newton on the cubic Hermite interpolant, each crossing stopping on its
+    own once its residual is at most _NEWTON_TOL (1 + |level|); one still
+    above that after _NEWTON_MAX steps raises ConstructionError."""
+    y0, y1 = _gather(comps, ks, cols), _gather(comps, ks + 1, cols)
+    t0, t1 = ts[ks], ts[ks + 1]
     dt = (t1 - t0)[:, None]
     f0 = _phase_state(*geo.hamilton_field(model, y0[:, 0], y0[:, 1])) * dt
     f1 = _phase_state(*geo.hamilton_field(model, y1[:, 0], y1[:, 1])) * dt
+    level = np.broadcast_to(level, ks.shape)
+    tol = _NEWTON_TOL * (1.0 + np.abs(level))
     u = np.full(ks.shape, 0.5)
-    for _ in range(12):
-        y, yd = _hermite(u, y0, f0, y1, f1)
-        s = (y - tb.seed) @ tb.normal
-        sd = yd @ tb.normal
+    todo = np.arange(ks.size)
+    for it in range(_NEWTON_MAX + 1):
+        y, yd = _hermite(u[todo], y0[todo], f0[todo], y1[todo], f1[todo])
+        s = _project(y, normal, level[todo])
+        go = np.abs(s) > tol[todo]
+        todo, s, sd = todo[go], s[go], _project(yd[go], normal)
+        if not todo.size:
+            break
+        if it == _NEWTON_MAX:
+            raise ConstructionError(
+                f"crossing refinement left a residual {np.max(np.abs(s)):.3g} "
+                f"after {_NEWTON_MAX} Newton steps")
         step = np.where(np.abs(sd) > 1e-14, s / np.where(sd == 0, 1.0, sd), 0.0)
-        u = np.clip(u - step, 0.0, 1.0)
+        u[todo] = np.clip(u[todo] - step, 0.0, 1.0)
     y, _ = _hermite(u, y0, f0, y1, f1)
-    t_star = t0 + u * (t1 - t0)
-    return t_star, y
+    return t0 + u * (t1 - t0), y
 
 
 def _hermite(u, y0, f0, y1, f1):
     """Cubic Hermite interpolant (y, dy/du) at u in [0, 1] through the rows
     y0, y1 with scaled slopes f0, f1."""
     uu = u[:, None]
-    h00 = 2 * uu**3 - 3 * uu**2 + 1
-    h10 = uu**3 - 2 * uu**2 + uu
-    h01 = -2 * uu**3 + 3 * uu**2
-    h11 = uu**3 - uu**2
-    d00 = 6 * uu**2 - 6 * uu
-    d10 = 3 * uu**2 - 4 * uu + 1
-    d01 = -6 * uu**2 + 6 * uu
-    d11 = 3 * uu**2 - 2 * uu
-    return (h00 * y0 + h10 * f0 + h01 * y1 + h11 * f1,
-            d00 * y0 + d10 * f0 + d01 * y1 + d11 * f1)
+    u2, u3 = uu**2, uu**3
+    return ((2 * u3 - 3 * u2 + 1) * y0 + (u3 - 2 * u2 + uu) * f0
+            + (-2 * u3 + 3 * u2) * y1 + (u3 - u2) * f1,
+            (6 * u2 - 6 * uu) * y0 + (3 * u2 - 4 * uu + 1) * f0
+            + (-6 * u2 + 6 * uu) * y1 + (3 * u2 - 2 * uu) * f1)
 
 
 # ---------------------------------------------------------------------------
 # phase-space grids
 # ---------------------------------------------------------------------------
+
+def _shell_points(model, zs, energies):
+    """(z, zeta, shell) at every position of zs and energy with energy > V,
+    momentum branches +, - (ordered by position, energy, branch).  The
+    label is (energy, allowed run, branch): its points lie on one orbit
+    along which z is monotone.  A run of allowed positions touching neither
+    end of the sorted axis is a trapped shell and raises."""
+    V = model.potential.value(zs)
+    k2 = energies[None, :] - V[:, None]            # (pos, energy)
+    srt = np.argsort(zs, kind="stable")
+    a = k2[srt] > 0
+    run = np.cumsum(a & ~np.vstack([np.zeros_like(a[:1]), a[:-1]]), axis=0)
+    n_runs = run[-1]
+    ends = a[0].astype(int) + a[-1] - ((n_runs == 1) & a[0] & a[-1])
+    if np.any(n_runs > ends):
+        raise ConstructionError(
+            f"bounded allowed region at energy {energies[n_runs > ends][0]!r}:"
+            " a trapped shell, on whose periodic orbits offsets are not unique")
+    side = np.empty(a.shape, dtype=int)
+    side[srt] = (run > 1) | ~a[0]
+    pos, en = np.nonzero(k2 > 0)
+    kap = np.sqrt(k2[pos, en])
+    lab = 2 * (2 * en + side[pos, en])
+    return (np.repeat(zs[pos], 2), np.stack([kap, -kap], axis=-1).reshape(-1),
+            np.stack([lab, lab + 1], axis=-1).reshape(-1))
+
 
 def phase_grid(model, n_x=600, n_interior=80, n_energy=40):
     """Deterministic grid covering supp psi(p) up to x >= 1e-3.
@@ -676,18 +686,13 @@ def phase_grid(model, n_x=600, n_interior=80, n_energy=40):
     Positions combine a log grid in x on each end (resolving the collar
     scales) with a linear interior block; at every position the window is
     sampled at n_energy energies and both momentum branches.  Returns
-    (z, zeta)."""
+    (z, zeta, shell) with _shell_points' orbit labels."""
     lam2, delta = model.lambda2, model.delta
     offsets = _GRID_INSET * np.linspace(-1.0, 1.0, n_energy)
     xs = np.geomspace(_GRID_X_MIN, 0.999, n_x)
     zs_out = 1.0 / xs
     zs = np.concatenate([-zs_out, np.linspace(-0.999, 0.999, n_interior), zs_out])
-    V = model.potential.value(zs)
-    P = lam2 + delta * offsets
-    k2 = P[None, :] - V[:, None]            # (pos, energy)
-    pos, en = np.nonzero(k2 > 0)
-    kap = np.sqrt(k2[pos, en])
-    return np.repeat(zs[pos], 2), np.stack([kap, -kap], axis=-1).reshape(-1)
+    return _shell_points(model, zs, lam2 + delta * offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +734,7 @@ class EscapeFunction:
     c4: float
     cascade: Dict[str, float] = field(default_factory=dict)
 
-    def pieces(self, z, zeta) -> PieceArrays:
+    def pieces(self, z, zeta, shell=None) -> PieceArrays:
         model = self.model
         x, tau = geo.scattering_coords(z, zeta)
         psi = self.cutoffs.psi(geo.symbol_p(model, z, zeta))
@@ -739,7 +744,7 @@ class EscapeFunction:
                                         self.cutoffs, self.eps, z, zeta)
         qd, hd = eval_boundary_piece("partial", model, self.constants,
                                      self.cutoffs, self.eps, z, zeta)
-        qc, hc = eval_q_circ(model, self.tubes, z, zeta)
+        qc, hc = eval_q_circ(model, self.tubes, z, zeta, shell)
         return PieceArrays(x=x, tau=tau, psi=psi, q_minus=qm, hp_minus=hm,
                            q_plus=qp, hp_plus=hplus, q_partial=qd,
                            hp_partial=hd, q_circ=qc, hp_circ=hc)
@@ -799,12 +804,12 @@ def assemble_escape(model, eps, verdict, seed_spacing=1.0) -> EscapeFunction:
     cutoffs = build_cutoffs(model.lam, consts.c1, model.delta)
     tubes = build_tubes(model, consts, cutoffs, seed_spacing=seed_spacing)
 
-    z, zeta = phase_grid(model, n_x=220, n_interior=40, n_energy=14)
+    z, zeta, shell = phase_grid(model, n_x=220, n_interior=40, n_energy=14)
     esc = EscapeFunction(model=model, eps=eps, constants=consts,
                          cutoffs=cutoffs, tubes=tubes,
                          C=1.0, C_prime=1.0, C_dprime=1.0,
                          c2=0.0, c3=0.0, c4=math.inf)
-    pc = esc.pieces(z, zeta)
+    pc = esc.pieces(z, zeta, shell)
     x, tau = pc.x, pc.tau
     lam = model.lam
     x0 = consts.x0
@@ -901,9 +906,9 @@ def verify_proposition(esc: EscapeFunction, n_x=600, n_interior=80,
 
     The default grid has >= 1e5 points over supp psi(p) down to x = 1e-3.
     """
-    z, zeta = phase_grid(esc.model, n_x=n_x, n_interior=n_interior,
-                         n_energy=n_energy)
-    pc = esc.pieces(z, zeta)
+    z, zeta, shell = phase_grid(esc.model, n_x=n_x, n_interior=n_interior,
+                                n_energy=n_energy)
+    pc = esc.pieces(z, zeta, shell)
     q, hp = esc.combine(pc)
     x = pc.x
     eps = esc.eps
@@ -913,17 +918,11 @@ def verify_proposition(esc: EscapeFunction, n_x=600, n_interior=80,
     c_dprime = float(np.min(ratio_h))
     plateau_mask = pc.psi > 0.5
     b = 2.0 * q * (-hp)
-    if np.any(plateau_mask):
-        b_floor = float(np.min(b[plateau_mask] / x[plateau_mask] ** (1.0 + 2 * eps)))
-    else:
-        b_floor = math.inf
-    witnesses = []
-    if c_prime <= 0:
-        witnesses += [_phase_state(z[i], zeta[i])
-                      for i in np.argsort(ratio_q)[:8]]
-    if c_dprime <= 0:
-        witnesses += [_phase_state(z[i], zeta[i])
-                      for i in np.argsort(ratio_h)[:8]]
+    b_floor = float(np.min(b[plateau_mask] / x[plateau_mask] ** (1.0 + 2 * eps),
+                           initial=math.inf))
+    witnesses = [_phase_state(z[i], zeta[i])
+                 for c, ratio in ((c_prime, ratio_q), (c_dprime, ratio_h))
+                 if c <= 0 for i in np.argsort(ratio)[:8]]
     report = VerifyReport(
         c_prime=c_prime, c_dprime=c_dprime, b_floor=b_floor,
         n_points=int(z.size), witnesses=witnesses,

@@ -17,8 +17,8 @@ increasing) carry tau < 0 and incoming ones tau > 0.  The boundary has no
 angular directions, hence no boundary metric term.
 
 The classical symbol is p(z, zeta) = zeta^2 + V(z); in the chart it reads
-tau^2 + O(x^gamma).  Potentials carry a certified decay exponent gamma > 0
-rather than a factored representation.
+tau^2 + O(x^gamma).  Potentials carry a decay exponent gamma > 0 rather
+than a factored representation.
 
 All evaluators are pure and vectorized: a batch of phase points is two
 equal-length 1-D arrays z, zeta of shape (m,), and model data is immutable.
@@ -34,10 +34,6 @@ import numpy as np
 
 from nontrap.errors import ConfigurationError
 from nontrap.smooth import smoothstep, smoothstep_d
-
-#: radius beyond which the chart is exact (x = 1/r)
-CHART_RADIUS = 1.0
-
 
 # ---------------------------------------------------------------------------
 # boundary defining function
@@ -58,23 +54,19 @@ def radius_surrogate_d(r):
     return s + sd * (r - 1.0)
 
 
-def boundary_x(r):
-    """x = 1/theta(r) from the radius; x = 1/r exactly for r >= 1."""
-    return 1.0 / radius_surrogate(r)
-
-
 # ---------------------------------------------------------------------------
 # potentials
 # ---------------------------------------------------------------------------
 
 class Potential:
-    """Long-range potential V(z) with analytic gradient and a certified
-    decay bound |V| <= amplitude * <z>^(-gamma)."""
+    """Long-range potential V(z) with analytic gradient and a decay rate
+    gamma: the collar weights and remainders are measured in powers
+    x^gamma.  amplitude <z>^(-gamma) is not a bound on |V| (double_bump has
+    V(3) = 2.0 against 0.2)."""
 
     name = "base"
     gamma = 1.0
     amplitude = 0.0
-    lower_bound = 0.0  # certified inf of V
 
     def value(self, z):
         raise NotImplementedError
@@ -106,7 +98,6 @@ class PowerLawPotential(Potential):
             raise ConfigurationError(f"decay exponent gamma must be > 0, got {gamma}")
         self.amplitude = float(amplitude)
         self.gamma = float(gamma)
-        self.lower_bound = min(0.0, self.amplitude)
 
     def value(self, z):
         return self.amplitude * (1.0 + z**2) ** (-self.gamma / 2.0)
@@ -126,7 +117,6 @@ class DoubleBumpPotential(Potential):
     def __init__(self, amplitude, separation):
         self.amplitude = float(amplitude)
         self.separation = float(separation)
-        self.lower_bound = min(0.0, self.amplitude)
 
     def value(self, z):
         d = self.separation
@@ -148,7 +138,6 @@ class WellPotential(Potential):
 
     def __init__(self, amplitude):
         self.amplitude = float(amplitude)
-        self.lower_bound = -abs(self.amplitude)
 
     def value(self, z):
         return -self.amplitude * np.exp(-(z**2))
@@ -210,14 +199,6 @@ class ModelProblem:
     def gamma(self):
         return self.potential.gamma
 
-    @property
-    def energy_window(self):
-        return (self.lambda2 - self.delta, self.lambda2 + self.delta)
-
-    def momentum_bound(self, energy):
-        """Certified bound on |zeta| over the sublevel set {p <= energy}."""
-        return math.sqrt(max(energy - self.potential.lower_bound, 0.0))
-
 
 def _as_batch(z, zeta):
     z = np.asarray(z, dtype=float)
@@ -267,29 +248,6 @@ def scattering_coords(z, zeta):
     z, zeta = _as_batch(z, zeta)
     th = radius_surrogate(np.abs(z))
     return 1.0 / th, -(z * zeta) / th
-
-
-def euclidean_coords(x, tau, end):
-    """Inverse chart at the end sign(z) = end (+-1), valid on the exact
-    region x <= 1 (i.e. r >= 1)."""
-    x = float(x)
-    if not 0.0 < x <= 1.0:
-        raise ConfigurationError(
-            f"inverse chart requires 0 < x <= 1 (r >= {CHART_RADIUS}), got x={x}"
-        )
-    if end not in (1, -1):
-        raise ConfigurationError(f"chart end must be +1 or -1, got {end!r}")
-    return end / x, -tau * end
-
-
-def symbol_p_scattering(model: ModelProblem, x, tau, end):
-    """Symbol evaluated from scattering data only: tau^2 + V(end / x).
-
-    Independent arithmetic path from symbol_p; the two agree wherever the
-    chart is exact (this is the chart-consistency certificate)."""
-    x = np.asarray(x, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    return tau**2 + model.potential.value(end / x)
 
 
 @dataclass(frozen=True)

@@ -132,11 +132,6 @@ def quantize(a: Symbol, q: GridQuantization) -> np.ndarray:
     return rows[i[:, None], idx]
 
 
-def apply_separable(fz, gzeta, q: GridQuantization, u):
-    """Fast path Op(f(z) g(zeta)) u = f . ifft(g . fft(u))."""
-    return fz(q.z) * np.fft.ifft(np.asarray(gzeta(q.zeta)) * np.fft.fft(u))
-
-
 def symmetrize(A: np.ndarray) -> np.ndarray:
     """Self-adjoint part (A + A*)/2."""
     return 0.5 * (A + A.conj().T)
@@ -225,9 +220,8 @@ def garding_test_symbols():
 
     Both saturate the -C h lower bound (floors genuinely of order h), so
     |min-eig|/h is a stable constant across the sweep.  Smooth symbols with
-    quadratic zeros (see smooth_example_symbol) do better than the
-    guarantee -- their floors decay like h^2 -- which makes the /h ratio
-    drift downward; they are exercised separately."""
+    quadratic zeros do better than the guarantee -- their floors decay like
+    h^2 -- which makes the /h ratio drift downward."""
     return [
         Symbol(
             fn=lambda z, zeta: np.abs(np.sin(z)) * np.exp(-(zeta**2)),
@@ -238,12 +232,3 @@ def garding_test_symbols():
             name="one_minus_gauss",
         ),
     ]
-
-
-def smooth_example_symbol():
-    """sin(z)^2 exp(-zeta^2): nonnegative with smooth quadratic zeros; its
-    measured floor is negative and o(h) (stronger than the sharp bound)."""
-    return Symbol(
-        fn=lambda z, zeta: np.sin(z) ** 2 * np.exp(-(zeta**2)),
-        name="sin2_gauss",
-    )

@@ -246,15 +246,6 @@ def small_box_operator(model, h, L=60.0, N=512) -> DiscreteOperator:
                             W=None)
 
 
-def solve_shifted(op: DiscreteOperator, w: complex, f):
-    """One-off solve (P - w) u = f (factor + solve + residual check)."""
-    if op.boundary == "dirichlet" and abs(complex(w).imag) == 0.0:
-        raise ConfigurationError(
-            "dirichlet boundary requires a nonreal shift (t != 0)"
-        )
-    return op.shifted_solver(w).solve(f)
-
-
 # ---------------------------------------------------------------------------
 # power iteration for weighted norms
 # ---------------------------------------------------------------------------
@@ -366,14 +357,6 @@ class FreeKernelOperator:
     def apply_adjoint(self, v):
         # kernel is complex symmetric; adjoint = conjugate kernel
         return self.wr * np.conj(self._kernel_apply(np.conj(self.wr * v)))
-
-    def dense_matrix(self):
-        """Explicit weighted kernel matrix (small M only; test oracle)."""
-        if self.M > 4000:
-            raise ConfigurationError("dense_matrix is for small grids")
-        dz = np.abs(self.z[:, None] - self.z[None, :])
-        K = self.pref * np.exp(1j * self.kappa * dz) * self.dzg
-        return self.wr[:, None] * K * self.wr[None, :]
 
     def norm(self) -> NormResult:
         return power_norm(self.apply, self.apply_adjoint, self.M)

@@ -51,9 +51,15 @@ def shell_sample_1d(model, n, rmin=1.5, rmax=30.0, rng_seed=0):
     r = rng.uniform(rmin, rmax, size=n)
     sign = rng.choice([-1.0, 1.0], size=n)
     z = r * sign
-    lo, hi = model.energy_window
+    lo, hi = model.lambda2 - model.delta, model.lambda2 + model.delta
     p = rng.uniform(lo, hi, size=n)
     v = model.potential.value(z)
     keep = p - v > 0
     zeta = rng.choice([-1.0, 1.0], size=n) * np.sqrt(np.clip(p - v, 0, None))
     return z[keep], zeta[keep]
+
+
+def apply_separable(fz, gzeta, q, u):
+    """Op(f(z) g(zeta)) u = f . ifft(g . fft(u)) on a GridQuantization q:
+    the separable fast path, an oracle for the dense quantization."""
+    return fz(q.z) * np.fft.ifft(np.asarray(gzeta(q.zeta)) * np.fft.fft(u))

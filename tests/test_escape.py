@@ -122,8 +122,9 @@ def test_boundary_piece_outside_support():
 def test_boundary_piece_incoming_sign_everywhere(escape_free):
     """x^{-1+eps} H_p q_- <= 0 at every verification grid point."""
     e = escape_free
-    z, zeta = esc.phase_grid(e.model, n_x=250, n_interior=40, n_energy=12)
-    pc = e.pieces(z, zeta)
+    z, zeta, shell = esc.phase_grid(e.model, n_x=250, n_interior=40,
+                                    n_energy=12)
+    pc = e.pieces(z, zeta, shell)
     weighted = pc.x ** (-1.0 + e.eps) * pc.hp_minus
     assert np.max(weighted) <= 1e-12
 
@@ -165,125 +166,111 @@ def test_tube_far_point_zero(escape_free):
     assert qv[0] == 0.0 and hv[0] == 0.0
 
 
-def _dense_store(model, z, zeta, t_lo, t_hi):
-    """Reference flow store (RK4 step 0.05, every second step kept):
-    (ts, S) with S[row, col] the state (z, zeta)."""
-    ts_b, zb, cb = fl.batched_flow(model, z, zeta, 0.0, t_lo, 0.05, 2)
-    ts_f, zf, cf = fl.batched_flow(model, z, zeta, 0.0, t_hi, 0.05, 2)
-    ts = np.concatenate([ts_b[::-1], ts_f[1:]])
-    return ts, np.concatenate([np.stack([zb, cb], axis=-1)[::-1],
-                               np.stack([zf, cf], axis=-1)[1:]])
+def _dense_passes(model, tubes, reach, z, zeta, shell, zone):
+    """Reference for esc._tube_passes on the same orbit store, offsets and
+    crossing step: every tube's crossings come from projecting every stored
+    sample of every orbit onto its hyperplane (all rows and orbits, no
+    window, no energy filter), and each crossing is matched to its orbit's
+    members by a direct zone test."""
+    w_lo, w_hi, sigma_max = zone
+    t_tail = max(tb.T for tb in tubes) + w_hi + 0.1
+    ts, comps, pts, orb, s = esc._shell_orbits(model, z, zeta, shell, reach,
+                                                  w_lo - 0.1, t_tail)
+    S = np.stack(comps, axis=-1)   # (orbit, row, component)
+    for tb in tubes:
+        level = tb.seed[0] * tb.normal[0] + tb.seed[1] * tb.normal[1]
+        sv = S[..., 0] * tb.normal[0] + S[..., 1] * tb.normal[1] - level
+        ks, ms = np.nonzero((np.signbit(sv[:, :-1])
+                             != np.signbit(sv[:, 1:])).T)
+        near = np.linalg.norm(S[ms, ks] - tb.seed, axis=1) \
+            <= tb.radius * 1.5 + 0.2
+        ks, ms = ks[near], ms[near]
+        t_c, y = esc._refine_crossings(model, ts, comps, ks, ms, tb.normal,
+                                       level)
+        sigma = np.abs((y[:, 0] - tb.seed[0]) * tb.u_p[0]
+                       + (y[:, 1] - tb.seed[1]) * tb.u_p[1]) / tb.radius
+        for c in range(t_c.size):
+            t = t_c[c] - s
+            hit = (orb == ms[c]) & (t >= w_lo) & (t <= tb.T + w_hi) \
+                & (sigma[c] <= sigma_max)
+            yield tb, pts[hit], t[hit], np.full(int(hit.sum()), sigma[c])
 
 
-def _dense_crossings(model, ts, S, tb, w_lo, w_hi, colmask):
-    """Reference crossings (t, sigma, col) of tube tb with t in
-    [w_lo, w_hi]: projects every stored sample of every column onto the
-    hyperplane, then masks by colmask (None keeps every column)."""
-    row = np.flatnonzero((ts >= w_lo - 0.3) & (ts <= w_hi + 0.3))
-    k0, k1 = int(row[0]), int(row[-1])
-    block = S[k0:k1 + 1]
-    sv = (block.reshape(-1, 2) @ tb.normal).reshape(block.shape[:2])
-    sv -= float(tb.seed @ tb.normal)
-    sign_change = np.signbit(sv[:-1]) != np.signbit(sv[1:])
-    if colmask is not None:
-        sign_change &= colmask[None, :]
-    ks, ms = np.nonzero(sign_change)
-    ks = ks + k0
-    near = np.linalg.norm(S[ks, ms, :] - tb.seed, axis=1) \
-        <= tb.radius * 1.5 + 0.2
-    ks, ms = ks[near], ms[near]
-    t_star, s_star = _dense_refine(model, ts, S, ks, ms, tb)
-    # the disc norm from an explicit (1, 2) disc basis and (1,) radius array
-    off = ((s_star - tb.seed) @ tb.u_p[None, :].T) / np.array([tb.radius])
-    sigma = np.sqrt(np.sum(off ** 2, axis=-1))
-    ok = (t_star >= w_lo) & (t_star <= w_hi)
-    return t_star[ok], sigma[ok], ms[ok]
-
-
-def _dense_eval_q_circ(model, coll, z, zeta, chunk=6000):
-    """Reference: the dense per-tube scan that projects every stored sample
-    of every chunk column onto each hyperplane, then masks by candidates."""
-    qv, hp, t_hi_pt = np.zeros(z.size), np.zeros(z.size), np.zeros(z.size)
-    cand = coll.bbox_candidates(np.stack([z, zeta], axis=-1))
-    active = np.flatnonzero(cand.any(axis=0))
-    for j, tb in enumerate(coll.tubes):
-        t_hi_pt[cand[j]] = np.maximum(t_hi_pt[cand[j]], tb.T + 2.1)
-    order = active[np.argsort(t_hi_pt[active])]
+def _dense_eval_q_circ(model, coll, z, zeta, shell):
+    """Reference q_circ: the dense passes, summed tube by tube."""
+    qv, hp = np.zeros(z.size), np.zeros(z.size)
     phi_shape = falling_step(0.5, 1.0)
-    for pos in range(0, order.size, chunk):
-        idx = order[pos: pos + chunk]
-        ts, S = _dense_store(model, z[idx], zeta[idx], -1.1, np.max(t_hi_pt[idx]))
-        for j, tb in enumerate(coll.tubes):
-            t, sigma, ms = _dense_crossings(model, ts, S, tb, *tb.window,
-                                            cand[j][idx])
-            ok = sigma <= 1.0
-            phi = phi_shape(sigma[ok])
-            np.add.at(qv, idx[ms[ok]], esc._chi_tube(t[ok], tb.T) * phi)
-            np.add.at(hp, idx[ms[ok]], -esc._chi_tube_d(t[ok], tb.T) * phi)
+    for tb, i, t, sigma in _dense_passes(model, coll.tubes, coll.reach, z,
+                                         zeta, shell, esc._SUPPORT_ZONE):
+        phi = phi_shape(sigma)
+        np.add.at(qv, i, esc._chi_tube(t, tb.T) * phi)
+        np.add.at(hp, i, -esc._chi_tube_d(t, tb.T) * phi)
     return qv, hp
 
 
-def _dense_certify_covering(model, tubes, consts, spacing):
-    """Reference covering check by the dense scan on the same test points:
+def _dense_certify_covering(model, tubes, reach, consts, spacing):
+    """Reference covering check by the dense passes on the same test points:
     (n_test, n_uncovered, the first 16 uncovered states)."""
-    z_t, zeta_t = esc._k_region_seeds(model, consts, 0.5 * spacing)
-    offs = np.array([-0.9, 0.0, 0.9]) * model.delta
-    z = np.repeat(z_t, 3)
-    kappa, ok = geo.shell_momentum(model, z, np.tile(model.lambda2 + offs,
-                                                     z_t.size))
-    z, zeta = z[ok], (kappa * np.repeat(np.sign(zeta_t), 3))[ok]
-    t_cov = esc._T_COV
-    ts, S = _dense_store(model, z, zeta, -(t_cov + 0.1), t_cov + spacing + 0.8)
+    r_max = 4.0 / consts.x0
+    zs = np.arange(-r_max, r_max + 0.25 * spacing, 0.5 * spacing)
+    energies = model.lambda2 + np.array([-0.9, 0.0, 0.9]) * model.delta
+    z, zeta, shell = esc._shell_points(model, zs, energies)
     hits = np.zeros(z.size)
-    for tb in tubes:
-        w_hi = min(tb.T + 0.6, t_cov + spacing + 0.7)
-        _, sigma, ms = _dense_crossings(model, ts, S, tb, -t_cov, w_hi, None)
-        np.add.at(hits, ms[sigma <= 0.5], 1.0)
+    for _, i, _, _ in _dense_passes(model, tubes, reach, z, zeta, shell,
+                                    esc._COVER_ZONE):
+        np.add.at(hits, i, 1.0)
     bad = np.flatnonzero(hits <= 0.0)
     return z.size, bad.size, np.stack([z[bad[:16]], zeta[bad[:16]]], axis=-1)
 
 
-def _dense_refine(model, ts, S, ks, cols, tb):
-    y0, y1 = S[ks, cols, :], S[ks + 1, cols, :]
-    t0, t1 = ts[ks], ts[ks + 1]
-    dt = (t1 - t0)[:, None]
-    f0 = np.stack(geo.hamilton_field(model, y0[:, 0], y0[:, 1]), axis=-1) * dt
-    f1 = np.stack(geo.hamilton_field(model, y1[:, 0], y1[:, 1]), axis=-1) * dt
-    u = np.full(ks.shape, 0.5)
-    for it in range(13):  # 12 Newton steps, then the final evaluation
-        uu = u[:, None]
-        h00 = 2 * uu**3 - 3 * uu**2 + 1
-        h10 = uu**3 - 2 * uu**2 + uu
-        h01 = -2 * uu**3 + 3 * uu**2
-        h11 = uu**3 - uu**2
-        y = h00 * y0 + h10 * f0 + h01 * y1 + h11 * f1
-        if it == 12:
-            return t0 + u * (t1 - t0), y
-        d00 = 6 * uu**2 - 6 * uu
-        d10 = 3 * uu**2 - 4 * uu + 1
-        d01 = -6 * uu**2 + 6 * uu
-        d11 = 3 * uu**2 - 2 * uu
-        yd = d00 * y0 + d10 * f0 + d01 * y1 + d11 * f1
-        s = (y - tb.seed) @ tb.normal
-        sd = yd @ tb.normal
-        step = np.where(np.abs(sd) > 1e-14, s / np.where(sd == 0, 1.0, sd), 0.0)
-        u = np.clip(u - step, 0.0, 1.0)
+@pytest.mark.parametrize("which", ["escape_free", "escape_longrange"])
+def test_q_circ_matches_dense_scan(which, request):
+    """The windowed, energy-filtered crossing scan and the key search over
+    offsets return exactly the dense scan's (q_circ, H_p q_circ) on the
+    orbit store of a labelled grid."""
+    e = request.getfixturevalue(which)
+    z, zeta, shell = esc.phase_grid(e.model, n_x=120, n_interior=20, n_energy=8)
+    got = esc.eval_q_circ(e.model, e.tubes, z, zeta, shell)
+    ref = _dense_eval_q_circ(e.model, e.tubes, z, zeta, shell)
+    assert np.count_nonzero(ref[0]) > 0
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
 @pytest.mark.parametrize("which", ["escape_free", "escape_longrange"])
-def test_q_circ_matches_dense_scan(which, request):
-    """The candidate-column locator returns exactly the dense scan's
-    (q_circ, H_p q_circ), over several chunks."""
+def test_q_circ_unlabelled_matches_dense_scan(which, request):
+    """The same on unlabelled points (each its own orbit) of an (x, tau)
+    plane whose energies reach well outside the window, so that the energy
+    filter drops orbits."""
     e = request.getfixturevalue(which)
-    z, zeta = esc.phase_grid(e.model, n_x=120, n_interior=20, n_energy=8)
-    n_active = int(e.tubes.bbox_candidates(np.stack([z, zeta], axis=-1))
-                   .any(axis=0).sum())
-    chunk = n_active // 3 - 1
-    assert chunk > 0
-    got = esc.eval_q_circ(e.model, e.tubes, z, zeta, chunk=chunk)
-    ref = _dense_eval_q_circ(e.model, e.tubes, z, zeta, chunk=chunk)
+    x, tau = np.meshgrid(np.geomspace(0.005, 0.999, 20),
+                         np.linspace(-1.5, 1.5, 16), indexing="ij")
+    z, zeta = 1.0 / x.ravel(), -tau.ravel()
+    got = esc.eval_q_circ(e.model, e.tubes, z, zeta)
+    ref = _dense_eval_q_circ(e.model, e.tubes, z, zeta, None)
     assert np.count_nonzero(ref[0]) > 0
     assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+# The former per-point evaluation (each point flowed on its own at RK4 step
+# 0.05) changed by at most 1.2e-8 max|q| in q and 1.61e-7 max|H_p q| in
+# H_p q when its step was halved, on escape_longrange's 80/16/6 grid; the
+# grouped result must stay that close to the singletons at half the step.
+_GROUPED_Q_TOL, _GROUPED_HP_TOL = 1.2e-8, 1.61e-7
+
+
+def test_q_circ_grouped_matches_singletons(escape_longrange, monkeypatch):
+    """Shell orbits with offsets against every point flowed on its own at
+    half the RK4 step (same sample spacing)."""
+    e = escape_longrange
+    z, zeta, shell = esc.phase_grid(e.model, n_x=80, n_interior=16, n_energy=6)
+    q, h = esc.eval_q_circ(e.model, e.tubes, z, zeta, shell)
+    monkeypatch.setattr(esc, "_Q_CIRC_DT", 0.5 * esc._Q_CIRC_DT)
+    monkeypatch.setattr(esc, "_Q_CIRC_STRIDE", 2 * esc._Q_CIRC_STRIDE)
+    qs, hs = esc.eval_q_circ(e.model, e.tubes, z, zeta)
+    assert np.count_nonzero(qs) > 0
+    assert np.array_equal(q != 0.0, qs != 0.0)
+    assert np.max(np.abs(q - qs)) <= _GROUPED_Q_TOL * np.max(np.abs(qs))
+    assert np.max(np.abs(h - hs)) <= _GROUPED_HP_TOL * np.max(np.abs(hs))
 
 
 @pytest.mark.parametrize("which", ["escape_free", "escape_longrange"])
@@ -294,23 +281,103 @@ def test_covering_matches_dense_scan(which, request):
     spacing = max(1.0, (4.0 / e.constants.x0) / 40.0)
     tubes = e.tubes.tubes
     for subset in (tubes, tubes[::2]):
-        got = esc._certify_covering(e.model, subset, e.constants, spacing)
-        ref = _dense_certify_covering(e.model, subset, e.constants, spacing)
+        got = esc._certify_covering(e.model, subset, e.tubes.reach,
+                                    e.constants, spacing)
+        ref = _dense_certify_covering(e.model, subset, e.tubes.reach,
+                                      e.constants, spacing)
         assert (got.n_test, got.n_uncovered) == ref[:2]
         assert np.array_equal(np.reshape(got.uncovered, (-1, 2)), ref[2])
     assert ref[1] > 0
 
 
 def test_q_circ_order_invariant(escape_longrange):
-    """Permuting the points of a single-chunk batch permutes the outputs
+    """Permuting the points (and their shell labels) permutes the outputs
     exactly."""
     e = escape_longrange
-    z, zeta = esc.phase_grid(e.model, n_x=80, n_interior=16, n_energy=6)
+    z, zeta, shell = esc.phase_grid(e.model, n_x=80, n_interior=16, n_energy=6)
     perm = np.random.default_rng(3).permutation(z.size)
-    q, h = esc.eval_q_circ(e.model, e.tubes, z, zeta)
-    qp, hpp = esc.eval_q_circ(e.model, e.tubes, z[perm], zeta[perm])
+    q, h = esc.eval_q_circ(e.model, e.tubes, z, zeta, shell)
+    qp, hpp = esc.eval_q_circ(e.model, e.tubes, z[perm], zeta[perm],
+                              shell[perm])
     assert np.count_nonzero(q) > 0
     assert np.array_equal(qp, q[perm]) and np.array_equal(hpp, h[perm])
+
+
+# -- shell labels and offsets ------------------------------------------------
+
+@pytest.mark.parametrize("amplitude", [0.5, 1.5])
+def test_shell_members_on_representative_orbit(amplitude):
+    """Each label's first, middle and last member lie on the flowed orbit
+    of its representative at their offsets: DOP853 (tol 1e-10) from the
+    representative over time s lands within 1e-6 of the member.  Amplitude
+    1.5 puts the barrier top above the window (reflecting orbits)."""
+    model = geo.preset_model("longrange_pow", amplitude=amplitude)
+    z, zeta, shell = esc.phase_grid(model, n_x=60, n_interior=12, n_energy=3)
+    _, _, pts, orb, s = esc._shell_orbits(model, z, zeta, shell, 60.0,
+                                             -1.1, 1.0)
+    assert np.all(s >= 0.0)
+    first = np.flatnonzero(np.diff(orb, prepend=-1))
+    stop = np.append(first[1:], orb.size)
+    assert first.size >= 2 * 3
+    for a, b in zip(first, stop):
+        rep = pts[a]
+        for k in (a + (b - a) // 2, b - 1):
+            if s[k] == 0.0:
+                continue
+            tr = fl.integrate_flow(model, z[rep], zeta[rep], (0.0, s[k]))
+            assert abs(tr.z[-1] - z[pts[k]]) <= 1e-6
+            assert abs(tr.zeta[-1] - zeta[pts[k]]) <= 1e-6
+
+
+def test_shell_orbits_near_turning_points():
+    """The full-size grid on a reflecting barrier has members within about
+    a sample of their turning point; each becomes its own orbit instead of
+    an orbit that turns back before reaching it (which raises)."""
+    model = geo.preset_model("longrange_pow", amplitude=1.5)
+    z, zeta, shell = esc.phase_grid(model)
+    _, _, pts, orb, s = esc._shell_orbits(model, z, zeta, shell, 60.0,
+                                          -1.1, 1.0)
+    assert orb.max() + 1 > np.unique(shell[np.abs(z) <= 60.0]).size
+    assert np.all(s >= 0.0)
+
+
+def test_shell_labels_per_side():
+    """A barrier above the window ({V >= E} one interval) splits every
+    energy and branch into a left and a right label."""
+    model = geo.preset_model("longrange_pow", amplitude=1.5)
+    z, zeta, shell = esc.phase_grid(model, n_x=60, n_interior=12, n_energy=3)
+    labels = np.unique(shell)
+    assert labels.size == 3 * 2 * 2
+    for lab in labels:
+        mem = shell == lab
+        assert np.all(z[mem] < 0) or np.all(z[mem] > 0)
+        assert np.all(zeta[mem] > 0) or np.all(zeta[mem] < 0)
+
+
+def test_shell_labels_trapped(double_bump_1d):
+    """double_bump's well between its barriers is a bounded allowed region
+    at the window energies: no offset along a periodic orbit is unique."""
+    with pytest.raises(ConstructionError, match="trapped"):
+        esc.phase_grid(double_bump_1d, n_x=60, n_interior=12, n_energy=3)
+
+
+def test_refine_crossings_residual(escape_longrange, monkeypatch):
+    """Crossings stop at the stated residual; a cap of one Newton step
+    leaves brackets above it and raises."""
+    e = escape_longrange
+    z, zeta, shell = esc.phase_grid(e.model, n_x=40, n_interior=8, n_energy=4)
+    ts, comps, pts, orb, s = esc._shell_orbits(e.model, z, zeta, shell,
+                                                  e.tubes.reach, -1.1, 1.0)
+    k0 = int(np.searchsorted(ts, 0.0))
+    ks = np.searchsorted(ts, s, side="right") - 1
+    ks = np.clip(ks, k0, ts.size - 2)
+    t, y = esc._refine_crossings(e.model, ts, comps, ks, orb, (1.0, 0.0),
+                                 z[pts])
+    assert np.all(np.abs(y[:, 0] - z[pts])
+                  <= esc._NEWTON_TOL * (1.0 + np.abs(z[pts])))
+    monkeypatch.setattr(esc, "_NEWTON_MAX", 1)
+    with pytest.raises(ConstructionError, match="Newton"):
+        esc._refine_crossings(e.model, ts, comps, ks, orb, (1.0, 0.0), z[pts])
 
 
 def test_tubes_fail_on_trapping(double_bump_1d):
@@ -372,8 +439,9 @@ def test_certificate_refinement_stability(escape_free, report_free):
 
 def test_q_positivity_on_plateau(escape_free):
     e = escape_free
-    z, zeta = esc.phase_grid(e.model, n_x=250, n_interior=40, n_energy=12)
-    pc = e.pieces(z, zeta)
+    z, zeta, shell = esc.phase_grid(e.model, n_x=250, n_interior=40,
+                                    n_energy=12)
+    pc = e.pieces(z, zeta, shell)
     q, _ = e.combine(pc)
     assert np.min(q) >= 0.0
     inner = (pc.psi == 1.0) & (pc.x <= 0.5 * e.constants.x0)
@@ -422,14 +490,3 @@ def test_measured_collar_floors(escape_free):
     lo = 2.0 * e.eps * math.sqrt(e.model.lambda2 - e.model.delta)
     assert e.c2 >= 0.9 * lo
     assert e.c3 >= 0.9 * lo
-
-
-def test_eval_boundary_q_includes_psi():
-    model, consts, cutoffs = _demo_setup()
-    z, zeta = np.array([20.0]), np.array([-0.9])
-    v_psi, h_psi = esc.eval_boundary_q("minus", model, consts, cutoffs, 0.2, z, zeta)
-    v, h = esc.eval_boundary_piece("minus", model, consts, cutoffs, 0.2, z, zeta)
-    p = geo.symbol_p(model, z, zeta)
-    psi = cutoffs.psi(p)
-    assert v_psi[0] == pytest.approx(v[0] * psi[0])
-    assert h_psi[0] == pytest.approx(h[0] * psi[0])

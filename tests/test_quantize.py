@@ -7,12 +7,21 @@ from nontrap import quantize as qz
 from nontrap import resolvent as rv
 from nontrap.errors import ConfigurationError
 
+from conftest import apply_separable
+
 L = 3 * np.pi
 N = 1024
 
 
 def grid(h):
     return qz.GridQuantization(L=L, N=N, h=h)
+
+
+def _smooth_example_symbol():
+    """sin(z)^2 exp(-zeta^2): nonnegative with smooth quadratic zeros; its
+    measured floor is negative and o(h) (stronger than the sharp bound)."""
+    return qz.Symbol(fn=lambda z, zeta: np.sin(z) ** 2 * np.exp(-(zeta**2)),
+                     name="sin2_gauss")
 
 
 def sym_zeta2():
@@ -57,7 +66,7 @@ def test_quantize_separable_fast_path_matches_matrix():
     a = qz.Symbol(fn=lambda z, zeta: np.exp(-(z**2)) * np.exp(-(zeta**2)))
     A = qz.quantize(a, q)
     u = np.exp(-((q.z - 1.0) ** 2)) * np.cos(3 * q.z)
-    fast = qz.apply_separable(
+    fast = apply_separable(
         lambda z: np.exp(-(z**2)), lambda zeta: np.exp(-(zeta**2)), q, u
     )
     assert np.max(np.abs(A @ u - fast)) <= 1e-10
@@ -192,7 +201,7 @@ def test_quantize_odd_or_complex_symbol_stays_complex():
 @pytest.mark.parametrize("h", [0.2, 0.025])
 def test_garding_floor_real_path_matches_hermitian(h):
     q = grid(h)
-    for sym in qz.garding_test_symbols() + [qz.smooth_example_symbol()]:
+    for sym in qz.garding_test_symbols() + [_smooth_example_symbol()]:
         ref = np.linalg.eigvalsh(qz.symmetrize(_complex_quantize(sym, q)))[0]
         assert abs(qz.garding_floor(sym, q) - ref) <= 1e-14, sym.name
 
@@ -207,7 +216,8 @@ def test_garding_floor_smooth_example():
     """The smooth quadratic-zero symbol: floors negative, |floor|/h bounded
     (in fact decaying -- stronger than the sharp Garding guarantee)."""
     hs = [0.2, 0.1, 0.05]
-    floors = np.array([qz.garding_floor(qz.smooth_example_symbol(), grid(h)) for h in hs])
+    floors = np.array([qz.garding_floor(_smooth_example_symbol(), grid(h))
+                       for h in hs])
     assert np.all(floors < 0)
     ratios = np.abs(floors) / hs
     assert np.all(ratios <= ratios[0] * 1.05)  # no upward drift
