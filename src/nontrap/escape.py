@@ -485,25 +485,26 @@ def _tube_passes(model, tubes, reach, z, zeta, shell, zone):
     """Per tube, in order: (tb, i, t, sigma) for the points i crossing tb's
     transversal at time t, in time order per point, inside zone.  Members
     of a crossing's orbit are found by binary search over the keys o W + s
-    (orbit o, offset s), then tested exactly on t = t_c - s."""
-    if not np.any(np.abs(z) <= reach):
-        return
+    (orbit o, offset s), then tested exactly on t = t_c - s.
+
+    p is conserved, so only orbits at an energy of a tube's disc (sampled,
+    padded by a tenth of the spread) can cross it: orbits outside every
+    tube's range are not flowed, and each tube scans only its own."""
     w_lo, w_hi, sigma_max = zone
+    bands = np.array([_disc_energy_band(model, tb) for tb in tubes])
     t_tail = max(tb.T for tb in tubes) + w_hi + 0.1
-    ts, comps, pts, orb, s = _shell_orbits(model, z, zeta, shell, reach,
-                                           w_lo - 0.1, t_tail)
+    store = _shell_orbits(model, z, zeta, shell, reach, w_lo - 0.1, t_tail,
+                          bands)
+    if store is None:
+        return
+    ts, comps, pts, orb, s = store
     # a power of two above every |t_c - s| keeps the orbits' key runs apart
     W = 2.0 ** math.ceil(math.log2(ts[-1] - w_lo + 1.0))
     key = orb * W + s
     k0 = int(np.searchsorted(ts, 0.0))
     p_orbit = geo.symbol_p(model, comps[0][:, k0], comps[1][:, k0])
-    for tb in tubes:
-        # p is conserved, so only orbits at an energy of the disc (sampled,
-        # padded by a tenth of the spread) can cross it
-        p_disc = geo.symbol_p(model, *(tb.seed + _disc_offsets(tb)).T)
-        pad = 0.1 * np.ptp(p_disc)
-        cols = np.flatnonzero((p_orbit >= p_disc.min() - pad)
-                              & (p_orbit <= p_disc.max() + pad))
+    for tb, (p_lo, p_hi) in zip(tubes, bands):
+        cols = np.flatnonzero((p_orbit >= p_lo) & (p_orbit <= p_hi))
         t_c, sigma, col = _tube_crossings(model, ts, comps, cols, tb, w_lo,
                                           s.max() + tb.T + w_hi, sigma_max)
         lo = np.searchsorted(key, col * W + (t_c - tb.T - w_hi), "left")
@@ -515,10 +516,20 @@ def _tube_passes(model, tubes, reach, z, zeta, shell, zone):
         yield tb, pts[j[ok]], t[ok], sigma[c[ok]]
 
 
-def _shell_orbits(model, z, zeta, shell, reach, t_back, t_tail):
+def _disc_energy_band(model, tb: Tube):
+    """(lo, hi): the energies p of tb's sampled disc, padded by a tenth of
+    their spread."""
+    p_disc = geo.symbol_p(model, *(tb.seed + _disc_offsets(tb)).T)
+    pad = 0.1 * np.ptp(p_disc)
+    return p_disc.min() - pad, p_disc.max() + pad
+
+
+def _shell_orbits(model, z, zeta, shell, reach, t_back, t_tail, bands):
     """(ts, comps, pts, orb, s): the orbit store, comps[k][col, row] being
     coordinate k of (z, zeta) on orbit col at time ts[row], and the points
-    with |z| <= reach, their orbits and offsets, sorted by orbit, offset.
+    with |z| <= reach on an orbit whose energy (its representative's p) lies
+    in one of the ranges bands[i] = (lo, hi), their orbits and offsets,
+    sorted by orbit, offset; None if there are no such points.
 
     One representative per label (per point, with s = 0, if shell is None),
     the first member along d = sign(zeta), is flowed back to t_back and on
@@ -537,6 +548,13 @@ def _shell_orbits(model, z, zeta, shell, reach, t_back, t_tail):
     mem = np.argsort(d * zl, kind="stable")
     mem = mem[np.argsort(orbit[mem], kind="stable")]
     orb = orbit[mem]
+    first = np.flatnonzero(np.diff(orb, prepend=-1))
+    rep = live[mem[first]]
+    p_rep = geo.symbol_p(model, z[rep], zeta[rep])[:, None]
+    kept = np.any((p_rep >= bands[:, 0]) & (p_rep <= bands[:, 1]), axis=1)
+    if not kept.any():
+        return None
+    mem, orb = mem[kept[orb]], (np.cumsum(kept) - 1)[orb[kept[orb]]]
     first = np.flatnonzero(np.diff(orb, prepend=-1))
     target = (d * zl)[mem[np.append(first[1:], mem.size) - 1]]
     rep, dr = live[mem[first]], d[mem[first]]
@@ -563,7 +581,7 @@ def _shell_orbits(model, z, zeta, shell, reach, t_back, t_tail):
         comps.append(np.concatenate([a.T for a in parts], axis=1))
         parts.clear()
     if shell is None:
-        return ts, comps, live[mem], orb, np.zeros(live.size)
+        return ts, comps, live[mem], orb, np.zeros(mem.size)
     k0 = int(np.searchsorted(ts, 0.0))
     run = np.maximum.accumulate(comps[0][:, k0:] * dr[:, None], axis=1)
     K = np.empty(mem.size, dtype=np.intp)

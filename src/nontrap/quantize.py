@@ -14,8 +14,8 @@ row kernels come from a real inverse FFT).  In the momentum basis Op(a) is
 the table T = fft_z(a)/N read along diagonals, F Op(a) F^{-1}[m, k] =
 T[(m - k) mod N, k], so the commutator defect is measured there, on the
 momentum band only, with no product of two N x N matrices.  Operator norms
-come from resolvent.power_norm (power iteration on A*A from a fixed start
-vector).
+come from resolvent.power_norm (Lanczos on A*A from a fixed start vector,
+stopped on a Ritz error bound).
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def commutator_defect(a: Symbol, b: Symbol, q: GridQuantization,
 
     The projector is diagonal in the momentum basis, so the sandwiched
     operator is the band block D[b, b] of the defect there, built from two
-    (band x N)(N x band) products.  The power iteration runs on the
+    (band x N)(N x band) products.  The Lanczos norm runs on the
     position-space vector (fft to the band, the block, ifft back), so its
     start vector and stopping rule are those of the dense operator.
     """

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nontrap import cli
 from nontrap import escape as esc
 from nontrap import flow as fl
 from nontrap import geometry as geo
@@ -166,34 +167,42 @@ def test_tube_far_point_zero(escape_free):
     assert qv[0] == 0.0 and hv[0] == 0.0
 
 
+# an energy range holding every orbit: the orbit store without energy filter
+_ANY_ENERGY = np.array([[-np.inf, np.inf]])
+
+
 def _dense_passes(model, tubes, reach, z, zeta, shell, zone):
     """Reference for esc._tube_passes on the same orbit store, offsets and
     crossing step: every tube's crossings come from projecting every stored
     sample of every orbit onto its hyperplane (all rows and orbits, no
     window, no energy filter), and each crossing is matched to its orbit's
-    members by a direct zone test."""
+    members by a direct zone test; one pass per tube, in crossing order."""
     w_lo, w_hi, sigma_max = zone
     t_tail = max(tb.T for tb in tubes) + w_hi + 0.1
     ts, comps, pts, orb, s = esc._shell_orbits(model, z, zeta, shell, reach,
-                                                  w_lo - 0.1, t_tail)
-    S = np.stack(comps, axis=-1)   # (orbit, row, component)
+                                                  w_lo - 0.1, t_tail,
+                                                  _ANY_ENERGY)
     for tb in tubes:
         level = tb.seed[0] * tb.normal[0] + tb.seed[1] * tb.normal[1]
-        sv = S[..., 0] * tb.normal[0] + S[..., 1] * tb.normal[1] - level
-        ks, ms = np.nonzero((np.signbit(sv[:, :-1])
-                             != np.signbit(sv[:, 1:])).T)
-        near = np.linalg.norm(S[ms, ks] - tb.seed, axis=1) \
+        neg = np.signbit(comps[0] * tb.normal[0] + comps[1] * tb.normal[1]
+                         - level)   # (orbit, row)
+        ks, ms = np.nonzero((neg[:, :-1] != neg[:, 1:]).T)
+        near = np.linalg.norm(np.stack([comps[0][ms, ks], comps[1][ms, ks]],
+                                       axis=-1) - tb.seed, axis=1) \
             <= tb.radius * 1.5 + 0.2
         ks, ms = ks[near], ms[near]
         t_c, y = esc._refine_crossings(model, ts, comps, ks, ms, tb.normal,
                                        level)
         sigma = np.abs((y[:, 0] - tb.seed[0]) * tb.u_p[0]
                        + (y[:, 1] - tb.seed[1]) * tb.u_p[1]) / tb.radius
-        for c in range(t_c.size):
-            t = t_c[c] - s
-            hit = (orb == ms[c]) & (t >= w_lo) & (t <= tb.T + w_hi) \
-                & (sigma[c] <= sigma_max)
-            yield tb, pts[hit], t[hit], np.full(int(hit.sum()), sigma[c])
+        hits = [(pts[:0], s[:0], s[:0])]
+        for c, lo, hi in zip(range(t_c.size), np.searchsorted(orb, ms, "left"),
+                             np.searchsorted(orb, ms, "right")):
+            t = t_c[c] - s[lo:hi]
+            hit = (t >= w_lo) & (t <= tb.T + w_hi) & (sigma[c] <= sigma_max)
+            hits.append((pts[lo:hi][hit], t[hit],
+                         np.full(int(hit.sum()), sigma[c])))
+        yield (tb, *(np.concatenate(h) for h in zip(*hits)))
 
 
 def _dense_eval_q_circ(model, coll, z, zeta, shell):
@@ -245,6 +254,27 @@ def test_q_circ_unlabelled_matches_dense_scan(which, request):
     x, tau = np.meshgrid(np.geomspace(0.005, 0.999, 20),
                          np.linspace(-1.5, 1.5, 16), indexing="ij")
     z, zeta = 1.0 / x.ravel(), -tau.ravel()
+    got = esc.eval_q_circ(e.model, e.tubes, z, zeta)
+    ref = _dense_eval_q_circ(e.model, e.tubes, z, zeta, None)
+    assert np.count_nonzero(ref[0]) > 0
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+def test_q_circ_slice_plane_prefilter(escape_longrange):
+    """On the plotted (x, tau) plane of the q_slice report, only orbits at a
+    tube's energy are flowed, yet q_circ equals the dense scan over every
+    orbit bit for bit; every tube's energy range keeps a point."""
+    e = escape_longrange
+    x, tau = np.meshgrid(np.geomspace(1e-3, 0.999, cli._SLICE_NX),
+                         np.linspace(-1.5 * e.model.lam, 1.5 * e.model.lam,
+                                     cli._SLICE_NTAU), indexing="ij")
+    z, zeta = 1.0 / x.ravel(), -tau.ravel()
+    bands = np.array([esc._disc_energy_band(e.model, tb) for tb in e.tubes.tubes])
+    _, _, pts, _, _ = esc._shell_orbits(e.model, z, zeta, None, e.tubes.reach,
+                                        -1.1, 1.0, bands)
+    p = geo.symbol_p(e.model, z[pts], zeta[pts])[:, None]
+    assert pts.size < np.count_nonzero(np.abs(z) <= e.tubes.reach)
+    assert np.all(np.any((p >= bands[:, 0]) & (p <= bands[:, 1]), axis=0))
     got = esc.eval_q_circ(e.model, e.tubes, z, zeta)
     ref = _dense_eval_q_circ(e.model, e.tubes, z, zeta, None)
     assert np.count_nonzero(ref[0]) > 0
@@ -314,7 +344,7 @@ def test_shell_members_on_representative_orbit(amplitude):
     model = geo.preset_model("longrange_pow", amplitude=amplitude)
     z, zeta, shell = esc.phase_grid(model, n_x=60, n_interior=12, n_energy=3)
     _, _, pts, orb, s = esc._shell_orbits(model, z, zeta, shell, 60.0,
-                                             -1.1, 1.0)
+                                             -1.1, 1.0, _ANY_ENERGY)
     assert np.all(s >= 0.0)
     first = np.flatnonzero(np.diff(orb, prepend=-1))
     stop = np.append(first[1:], orb.size)
@@ -336,7 +366,7 @@ def test_shell_orbits_near_turning_points():
     model = geo.preset_model("longrange_pow", amplitude=1.5)
     z, zeta, shell = esc.phase_grid(model)
     _, _, pts, orb, s = esc._shell_orbits(model, z, zeta, shell, 60.0,
-                                          -1.1, 1.0)
+                                          -1.1, 1.0, _ANY_ENERGY)
     assert orb.max() + 1 > np.unique(shell[np.abs(z) <= 60.0]).size
     assert np.all(s >= 0.0)
 
@@ -367,7 +397,8 @@ def test_refine_crossings_residual(escape_longrange, monkeypatch):
     e = escape_longrange
     z, zeta, shell = esc.phase_grid(e.model, n_x=40, n_interior=8, n_energy=4)
     ts, comps, pts, orb, s = esc._shell_orbits(e.model, z, zeta, shell,
-                                                  e.tubes.reach, -1.1, 1.0)
+                                                  e.tubes.reach, -1.1, 1.0,
+                                                  _ANY_ENERGY)
     k0 = int(np.searchsorted(ts, 0.0))
     ks = np.searchsorted(ts, s, side="right") - 1
     ks = np.clip(ks, k0, ts.size - 2)

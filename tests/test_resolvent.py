@@ -1,7 +1,11 @@
 """Discrete operators, shifted solves, weighted norms, functional calculus."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from nontrap import geometry as geo
 from nontrap import quantize as qz
@@ -256,6 +260,76 @@ def test_power_norm_fallback_not_converged():
     with pytest.raises(ConvergenceError):
         rv.power_norm(lambda v: D2 @ v, lambda v: D2 @ v, 2, tol=1e-30,
                       maxiter=1)
+
+
+def _dense_with_singular_values(sigma, rows, seed):
+    """rows x len(sigma) complex matrix with the given singular values."""
+    rng = np.random.default_rng(seed)
+    n = len(sigma)
+    U, _ = np.linalg.qr(rng.standard_normal((rows, n))
+                        + 1j * rng.standard_normal((rows, n)))
+    W, _ = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    return (U * np.asarray(sigma)) @ W.conj().T
+
+
+@pytest.mark.parametrize("sigma_2,rest", [(0.999, 0.9), (1.0 - 1e-6, 0.3)])
+def test_lanczos_norm_near_degenerate(sigma_2, rest):
+    """sigma_2 / sigma_1 = 0.999, where a power iteration's error shrinks
+    by only 0.999^2 per step (its relative-change stop quit 2.7e-4 low);
+    and a pair 1e-6 apart above a far rest, where a gap-aware stop
+    r^2 / (theta_1 - theta_2) <= tol theta_1 quits 3e-7 low after 5 steps,
+    theta_2 being the rest's top while the pair is unresolved.  The norm
+    matches the dense SVD, and the reported residual and sigma_2 are
+    consistent with it."""
+    sigma = np.concatenate([[1.0, sigma_2], np.linspace(rest, 0.0, 118)])
+    M = _dense_with_singular_values(sigma, 150, seed=5)
+    MH = M.conj().T
+    res = rv.power_norm(lambda v: M @ v, lambda v: MH @ v, M.shape[1])
+    svd = np.linalg.norm(M, 2)
+    assert res.converged
+    assert abs(res.value - svd) <= 1e-9 * svd
+    assert 0.0 <= res.residual <= 1e-8 * res.value  # power_norm's tol
+    assert res.sigma_2 <= res.value
+    assert res.sigma_2 == pytest.approx(sigma_2, rel=1e-9)
+
+
+def test_lanczos_norm_matches_eigsh_on_sweep_cell(longrange_1d):
+    """A sweep cell at small N against ARPACK on A^H A (tol 1e-12)."""
+    h, lam2, s = 0.2, 1.0, 0.7
+    op = rv.discretize(longrange_1d, h, L=40.0, N=2**11, boundary="cap")
+    res = rv.weighted_resolvent_norm(op, lam2, 0.0, s)
+    solver = op.shifted_solver(complex(lam2, 0.0))
+    weight = (1.0 + op.grid.z**2) ** (-0.5 * s)
+
+    def gram(v):
+        u = weight * solver.solve_uncertified(weight * v.ravel())
+        return weight * solver.solve_adjoint(weight * u)
+
+    B = LinearOperator((op.size, op.size), matvec=gram, dtype=complex)
+    ref = math.sqrt(eigsh(B, k=1, which="LA", tol=1e-12,
+                          return_eigenvectors=False)[0])
+    assert res.converged
+    assert abs(res.value - ref) <= 1e-8 * ref
+    assert res.residual <= 1e-8 * res.value and res.sigma_2 <= res.value
+
+
+def test_lanczos_basis_bounded():
+    """Past the basis cap the Lanczos norm restarts instead of growing its
+    basis: memory stays near _LANCZOS_BASIS vectors of length n."""
+    n = 4096
+    d = np.linspace(0.0, 1.0, n).astype(complex)
+    maxiter = 3 * rv._LANCZOS_BASIS
+    tracemalloc.start()
+    try:
+        res = rv.power_norm(lambda v: d * v, lambda v: d * v, n, tol=1e-30,
+                            maxiter=maxiter)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not res.converged and res.iterations == maxiter
+    assert res.value == pytest.approx(1.0, rel=1e-4)
+    assert peak <= (rv._LANCZOS_BASIS + 16) * n * 16
 
 
 def test_helffer_sjostrand_spectral_derivatives(free_1d):
