@@ -776,17 +776,6 @@ class EscapeFunction:
         return q, hp
 
 
-def hpq_finite_difference(esc: EscapeFunction, z, zeta, delta=1e-5):
-    """Flow finite difference of q/psi along H_p (equals H_p q / psi since
-    psi(p) is flow-invariant); the oracle for the analytic derivative."""
-    # one RK4 step of size +-delta each
-    _, zp, cp = fl.batched_flow(esc.model, z, zeta, 0.0, delta, delta)
-    _, zm, cm = fl.batched_flow(esc.model, z, zeta, 0.0, -delta, delta)
-    qp, _ = esc.combine(esc.pieces(zp[-1], cp[-1]))
-    qm, _ = esc.combine(esc.pieces(zm[-1], cm[-1]))
-    return (qp - qm) / (2.0 * delta)
-
-
 def _halve(short, C, stage, worst=None):
     """Halve the constant C while short(C) holds; returns (C, halvings).
     Raises ConstructionError after _MAX_HALVINGS halvings, naming the stage

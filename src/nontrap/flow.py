@@ -8,8 +8,8 @@ small x the radial momentum ratio tau/x is monotone along the flow, so these
 conditions persist and the verdict is a certificate rather than a guess.
 An escaped verdict whose energy drift max |p(t) - p(0)| exceeds
 1e-5 (1 + |p0|) raises instead of being accepted; everything undetermined
-by T_max is reported honestly as such.  `integrate_flow` keeps scipy's
-adaptive DOP853 as the reference trajectory.
+by T_max is reported honestly as such.  The trajectory dumps of the
+flow-scan command run on the same integrator.
 
 A batch of phase points is two equal-length 1-D arrays z, zeta; a stored
 batch trajectory is two (n_stored, m) arrays.
@@ -22,16 +22,14 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from nontrap import geometry as geo
-from nontrap.errors import ConfigurationError, IntegrationError
+from nontrap.errors import IntegrationError
 
 CLASSIFY_DT = 0.02      # RK4 step of the verdicts (as in the tube certificate)
 _SEGMENT = 16.0         # flow time per batched_flow call between retirements
 _CLASSIFY_CHUNK = 1000  # points flowed together (bounds the stored samples)
 _DRIFT_BOUND = 1e-5     # relative energy drift that rejects an escaped verdict
-_TRAJ_MAX_SAMPLES = 4000  # cap on integrate_flow's uniform sample grid
 _INCOMING_DT = 0.05     # RK4 step (and sample spacing) of time_to_incoming
 _INCOMING_MARGIN = 2.0  # flow time over which the incoming conditions persist
 
@@ -57,72 +55,6 @@ def halton(n: int) -> np.ndarray:
             idx //= base
         out[:, d] = r
     return out
-
-
-# ---------------------------------------------------------------------------
-# trajectories
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Trajectory:
-    """Time-ordered samples of one integral curve with drift diagnostics."""
-
-    t: np.ndarray
-    z: np.ndarray        # (nt,)
-    zeta: np.ndarray     # (nt,)
-    p0: float
-    energy_drift: float
-
-    def radius(self):
-        return np.abs(self.z)
-
-    def table(self, model) -> Tuple[List[str], np.ndarray]:
-        """CSV dump columns: t, z1, zeta1, x, tau, p."""
-        x, tau = geo.scattering_coords(self.z, self.zeta)
-        p = geo.symbol_p(model, self.z, self.zeta)
-        header = ["t", "z1", "zeta1", "x", "tau", "p"]
-        cols = [self.t, self.z, self.zeta, x, tau, p]
-        return header, np.stack(cols, axis=-1)
-
-
-def _rhs(model):
-    def fun(t, y):
-        dz, dzeta = geo.hamilton_field(model, y[:1], y[1:])
-        return np.concatenate([dz, dzeta])
-
-    return fun
-
-
-def integrate_flow(model, z0, zeta0, t_span, tol=1e-10) -> Trajectory:
-    """Integrate the Hamilton flow of the point (z0, zeta0) over t_span
-    (either time direction).
-
-    Samples are returned on a uniform grid fine enough for drift and
-    monotonicity checks; energy drift is |p(t) - p(0)| over the samples.
-    """
-    if tol <= 0:
-        raise ConfigurationError("tol must be positive")
-    y0 = np.array([z0, zeta0], dtype=float)
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    p0 = geo.symbol_p(model, y0[:1], y0[1:])[0]
-    nt = min(_TRAJ_MAX_SAMPLES, max(200, int(abs(t1 - t0) / 0.25) + 2))
-    t_eval = np.linspace(t0, t1, nt)
-    sol = solve_ivp(
-        _rhs(model),
-        (t0, t1),
-        y0,
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-        t_eval=t_eval,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise IntegrationError(f"flow integration failed: {sol.message}")
-    z, zeta = sol.y
-    p = geo.symbol_p(model, z, zeta)
-    return Trajectory(t=sol.t, z=z, zeta=zeta, p0=float(p0),
-                      energy_drift=float(np.max(np.abs(p - p0))))
 
 
 # ---------------------------------------------------------------------------

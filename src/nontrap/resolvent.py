@@ -20,8 +20,8 @@ The ground-truth oracle for the free line is the explicit kernel
 
     (i / (2 h sqrt(w))) exp(i sqrt(w) |z - z'| / h),   Im sqrt(w) > 0,
 
-applied in O(M) per matvec through one-sided exponential recurrences, with
-a grid-doubling convergence certificate.
+applied in O(M) per matvec through unit-bidiagonal band solves, with a
+grid-doubling convergence certificate.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
-from scipy.signal import lfilter
 
 from nontrap.errors import ConfigurationError, ConvergenceError
 from nontrap.smooth import falling_step
@@ -265,7 +264,9 @@ class NormResult:
     iterations: int
     converged: bool  # False when accepted by power_norm's maxiter fallback
     residual: float = 0.0   # some singular value lies within this of value
-    sigma_2: float = 0.0    # Ritz estimate of sigma_2 (a lower bound)
+    # second Ritz value at the stop: a lower bound on sigma_2, which can
+    # lie far below it (an unresolved top pair); not the gap below value
+    sigma_2: float = 0.0
 
 
 def power_norm(apply_A: Callable, apply_AH: Callable, n: int,
@@ -291,7 +292,11 @@ def power_norm(apply_A: Callable, apply_AH: Callable, n: int,
     deterministic.  At maxiter a residual of at most _NORM_FALLBACK_TOL
     theta_1 is accepted with converged=False, otherwise ConvergenceError is
     raised.  `iterations` counts applications of A^H A; `residual` is the
-    residual bound in units of sigma, r / value, at most tol value."""
+    residual bound in units of sigma, r / value, at most tol value.
+    `sigma_2` is the second Ritz value at the stop, only a lower bound on
+    the second singular value: the residual stop can fire before the
+    Krylov space has found it, so it says nothing about the gap below
+    `value`."""
     rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     basis = np.empty((min(_LANCZOS_BASIS, maxiter), n), dtype=complex)
@@ -353,8 +358,8 @@ def weighted_resolvent_norm(op: DiscreteOperator, lambda2: float, t: float,
 # ---------------------------------------------------------------------------
 
 class FreeKernelOperator:
-    """Weighted free resolvent on a fine grid, applied via one-sided
-    exponential recurrences (O(M) per matvec)."""
+    """Weighted free resolvent on a fine grid, applied via unit-bidiagonal
+    band solves (O(M) per matvec)."""
 
     def __init__(self, lambda2, t, h, s, L=200.0, M=2**16):
         if t <= 0:
@@ -369,24 +374,24 @@ class FreeKernelOperator:
         self.M = int(M)
         self.z = np.linspace(-L, L, self.M)
         self.dzg = self.z[1] - self.z[0]
-        self.q = np.exp(1j * self.kappa * self.dzg)  # |q| < 1
+        q = np.exp(1j * self.kappa * self.dzg)  # |q| < 1
+        # I - q S (S the down shift) in lower band storage; the unit
+        # diagonal row is never read
+        self._band = np.zeros((2, self.M), dtype=complex)
+        self._band[1, :-1] = -q
+        self._tbtrs, = get_lapack_funcs(("tbtrs",), (self._band,))
         self.wr = (1.0 + self.z**2) ** (-0.5 * s)
 
-    def _sum_same(self, u, q):
-        """S_i = sum_{j <= i} q^{i-j} u_j (stable: |q| <= 1)."""
-        return lfilter([1.0], [1.0, -q], u)
-
-    def _sum_above(self, u, q):
-        """S_i = sum_{j > i} q^{j-i} u_j."""
-        rev = u[::-1]
-        acc = lfilter([q], [1.0, -q], rev[:-1])
-        out = np.zeros_like(u)
-        out[:-1] = acc[::-1]
-        return out
+    def _band_solve(self, u, trans):
+        x, info = self._tbtrs(self._band, u, uplo="L", trans=trans, diag="U")
+        if info != 0:
+            raise ConvergenceError(f"tbtrs failed with info={info}")
+        return x
 
     def _kernel_apply(self, u):
-        total = (self._sum_same(u.astype(complex), self.q)
-                 + self._sum_above(u.astype(complex), self.q))
+        """sum_j q^|i-j| u_j = (L^-1 + L^-T - I) u."""
+        u = u.astype(complex)
+        total = self._band_solve(u, "N") + self._band_solve(u, "T") - u
         return self.pref * self.dzg * total
 
     def apply(self, v):

@@ -11,11 +11,12 @@ import numpy as np
 
 from nontrap import cli
 from nontrap import escape as esc
-from nontrap import flow as fl
 from nontrap import geometry as geo
 from nontrap import quantize as qz
 from nontrap import resolvent as rv
 from nontrap.smooth import plateau
+
+from conftest import hpq_finite_difference, integrate_flow
 
 H_SWEEP = (0.2, 0.14, 0.1, 0.07, 0.05)
 S_WEIGHT = 0.7
@@ -113,22 +114,22 @@ def test_criterion_5_hpq_consistency(escape_free):
     p = rng.uniform(0.91, 1.09, n)
     zeta = rng.choice([-1.0, 1.0], n) * np.sqrt(p)
     _, hp = e.combine(e.pieces(z, zeta))
-    fd = esc.hpq_finite_difference(e, z, zeta, delta=1e-5)
+    fd = hpq_finite_difference(e, z, zeta, delta=1e-5)
     rel = float(np.max(np.abs(hp - fd) / (np.abs(hp) + np.abs(fd) + 1e-8)))
     _report(5, rel <= 1e-4, f"H_p q consistency: max rel {rel:.2e} at {n} points")
 
 
 def test_criterion_6_flow_integrity(longrange_1d, double_bump_1d):
-    traj = fl.integrate_flow(longrange_1d, 1.5, 0.8, (0.0, 50.0), tol=1e-10)
-    traj_b = fl.integrate_flow(longrange_1d, 1.5, 0.8, (0.0, -50.0), tol=1e-10)
+    traj = integrate_flow(longrange_1d, 1.5, 0.8, (0.0, 50.0), tol=1e-10)
+    traj_b = integrate_flow(longrange_1d, 1.5, 0.8, (0.0, -50.0), tol=1e-10)
     drift = max(traj.energy_drift, traj_b.energy_drift)
     ok_drift = drift <= 1e-8 * (1 + abs(traj.p0))
-    fwd = fl.integrate_flow(double_bump_1d, 0.3, 0.9, (0.0, 25.0), tol=1e-11)
-    back = fl.integrate_flow(double_bump_1d, fwd.z[-1], fwd.zeta[-1],
-                             (0.0, -25.0), tol=1e-11)
+    fwd = integrate_flow(double_bump_1d, 0.3, 0.9, (0.0, 25.0), tol=1e-11)
+    back = integrate_flow(double_bump_1d, fwd.z[-1], fwd.zeta[-1],
+                          (0.0, -25.0), tol=1e-11)
     rev_err = float(abs(back.z[-1] - 0.3) + abs(back.zeta[-1] - 0.9))
     ok_rev = rev_err <= 1e-6
-    conf = fl.integrate_flow(double_bump_1d, 0.0, 1.0, (0.0, 200.0), tol=1e-10)
+    conf = integrate_flow(double_bump_1d, 0.0, 1.0, (0.0, 200.0), tol=1e-10)
     zmax = float(np.max(np.abs(conf.z)))
     ok_conf = zmax <= 3.5
     ok = ok_drift and ok_rev and ok_conf

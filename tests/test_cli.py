@@ -1,12 +1,20 @@
 """The batch front end: config parsing, commands, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nontrap import cli
+from nontrap import flow as fl
+from nontrap import geometry as geo
 from nontrap.errors import ConfigurationError, ConstructionError
+
+from conftest import integrate_flow
 
 
 def read_bytes_map(outdir: Path):
@@ -164,6 +172,47 @@ def test_flow_scan_trapping_witnesses(tmp_path):
     for row in data[1:]:
         for value in row.split(","):
             float(value)  # plain repr, not 'np.float64(...)'
+
+
+def test_flow_scan_dumps_trajectories(tmp_path):
+    """dump_trajectories = 2 writes the flow over t in [0, 30] from the last
+    point of the 5- and 9-point slab samples; p is conserved and the last
+    state is within 1e-6 of the DOP853 reference."""
+    conf = tmp_path / "c.conf"
+    conf.write_text("flow_samples = 40\nscan_t_max = 40\n"
+                    "dump_trajectories = 2\n")
+    out = tmp_path / "o"
+    assert cli.main(["--preset", "longrange_pow", "flow-scan", "--config",
+                     str(conf), "--out", str(out)]) == 0
+    model = geo.preset_model("longrange_pow")
+    for k in range(2):
+        lines = [ln for ln in (out / f"trajectory_{k:03d}.csv").read_text()
+                 .splitlines() if not ln.startswith("#")]
+        assert lines[0] == "t,z1,zeta1,x,tau,p"
+        t, z, zeta, x, tau, p = np.array(
+            [[float(v) for v in ln.split(",")] for ln in lines[1:]]).T
+        z0, zeta0 = fl.shell_slab_samples(model, 4 * k + 5, 40.0)
+        assert (z[0], zeta[0]) == (z0[-1], zeta0[-1])
+        assert t[0] == 0.0 and t[-1] == pytest.approx(30.0, abs=1e-12)
+        assert np.all(np.diff(t) > 0)
+        assert np.array_equal(np.stack([x, tau]),
+                              np.stack(geo.scattering_coords(z, zeta)))
+        assert np.max(np.abs(p - p[0])) <= 1e-8 * (1 + abs(p[0]))
+        ref = integrate_flow(model, z[0], zeta[0], (0.0, 30.0))
+        assert abs(z[-1] - ref.z[-1]) <= 1e-6
+        assert abs(zeta[-1] - ref.zeta[-1]) <= 1e-6
+
+
+def test_cli_import_loads_only_scipy_linalg():
+    """The package needs numpy and scipy.linalg alone: importing the CLI
+    loads none of scipy's heavier subpackages."""
+    heavy = ("scipy.signal", "scipy.integrate", "scipy.stats", "scipy.special")
+    code = ("import sys, nontrap.cli; "
+            f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == ""
 
 
 def test_provenance_stamps(tmp_path):

@@ -12,6 +12,8 @@ from nontrap import geometry as geo
 from nontrap.errors import ConfigurationError, ConstructionError, IntegrationError
 from nontrap.smooth import falling_step
 
+from conftest import hpq_finite_difference, integrate_flow
+
 
 @pytest.fixture(scope="module")
 def report_free(escape_free):
@@ -354,7 +356,7 @@ def test_shell_members_on_representative_orbit(amplitude):
         for k in (a + (b - a) // 2, b - 1):
             if s[k] == 0.0:
                 continue
-            tr = fl.integrate_flow(model, z[rep], zeta[rep], (0.0, s[k]))
+            tr = integrate_flow(model, z[rep], zeta[rep], (0.0, s[k]))
             assert abs(tr.z[-1] - z[pts[k]]) <= 1e-6
             assert abs(tr.zeta[-1] - zeta[pts[k]]) <= 1e-6
 
@@ -509,7 +511,7 @@ def test_hpq_matches_flow_finite_difference(escape_free):
     zeta = rng.choice([-1.0, 1.0], n) * np.sqrt(p)
     pc = e.pieces(z, zeta)
     _, hp = e.combine(pc)
-    fd = esc.hpq_finite_difference(e, z, zeta, delta=1e-5)
+    fd = hpq_finite_difference(e, z, zeta, delta=1e-5)
     rel = np.abs(hp - fd) / (np.abs(hp) + np.abs(fd) + 1e-8)
     assert np.max(rel) <= 1e-4
 

@@ -6,9 +6,11 @@ import pytest
 from nontrap import flow, geometry as geo
 from nontrap.errors import IntegrationError
 
+from conftest import integrate_flow
+
 
 def test_free_flow_straight_line(free_1d):
-    traj = flow.integrate_flow(free_1d, 0.0, 1.0, (0.0, 10.0))
+    traj = integrate_flow(free_1d, 0.0, 1.0, (0.0, 10.0))
     assert traj.z[-1] == pytest.approx(20.0, abs=1e-8)
     assert traj.zeta[-1] == pytest.approx(1.0, abs=1e-10)
 
@@ -16,39 +18,31 @@ def test_free_flow_straight_line(free_1d):
 def test_double_bump_confinement(double_bump_1d):
     """Turning points where V = 1 exist on both sides; the orbit stays
     inside |z| <= 3 for t in [0, 200]."""
-    traj = flow.integrate_flow(double_bump_1d, 0.0, 1.0, (0.0, 200.0), tol=1e-10)
+    traj = integrate_flow(double_bump_1d, 0.0, 1.0, (0.0, 200.0), tol=1e-10)
     assert np.max(np.abs(traj.z)) <= 3.0
     assert traj.energy_drift <= 1e-8 * (1 + abs(traj.p0))
 
 
 def test_well_escape_asymptotic_speed(well_1d):
     """p(0) = 4 - 2 = 2; the orbit escapes with |zeta| -> sqrt(2)."""
-    traj = flow.integrate_flow(well_1d, 0.0, 2.0, (0.0, 60.0))
+    traj = integrate_flow(well_1d, 0.0, 2.0, (0.0, 60.0))
     assert abs(traj.z[-1]) > 40.0
     assert abs(traj.zeta[-1]) == pytest.approx(np.sqrt(2.0), abs=1e-6)
 
 
 def test_energy_drift_both_directions(longrange_1d):
     for span in [(0.0, 50.0), (0.0, -50.0)]:
-        traj = flow.integrate_flow(longrange_1d, 1.5, 0.8, span, tol=1e-10)
+        traj = integrate_flow(longrange_1d, 1.5, 0.8, span, tol=1e-10)
         assert traj.energy_drift <= 1e-8 * (1 + abs(traj.p0))
 
 
 def test_time_reversal(double_bump_1d):
-    fwd = flow.integrate_flow(double_bump_1d, 0.3, 0.9, (0.0, 25.0), tol=1e-11)
-    back = flow.integrate_flow(
+    fwd = integrate_flow(double_bump_1d, 0.3, 0.9, (0.0, 25.0), tol=1e-11)
+    back = integrate_flow(
         double_bump_1d, fwd.z[-1], fwd.zeta[-1], (0.0, -25.0), tol=1e-11
     )
     assert abs(back.z[-1] - 0.3) <= 1e-6
     assert abs(back.zeta[-1] - 0.9) <= 1e-6
-
-
-def test_trajectory_table(free_1d):
-    traj = flow.integrate_flow(free_1d, 2.0, 1.0, (0.0, 5.0))
-    header, table = traj.table(free_1d)
-    assert header == ["t", "z1", "zeta1", "x", "tau", "p"]
-    assert table.shape == (len(traj.t), 6)
-    assert np.allclose(table[:, 5], 1.0, atol=1e-9)  # p conserved
 
 
 def test_classify_free_escapes(free_1d):
@@ -169,7 +163,7 @@ def test_monotone_incoming_radial_ratio(longrange_1d):
     (numerical form of the radial monotonicity estimate)."""
     z0, zeta0 = 30.0, -np.sqrt(1.0 - 0.5 / np.sqrt(1 + 900.0))
     # outgoing at the right end: backward flow is incoming
-    traj = flow.integrate_flow(longrange_1d, z0, zeta0, (0.0, -30.0), tol=1e-10)
+    traj = integrate_flow(longrange_1d, z0, zeta0, (0.0, -30.0), tol=1e-10)
     x, tau = geo.scattering_coords(traj.z, traj.zeta)
     vals = tau / x
     assert np.all(np.diff(vals) > 0)
@@ -223,7 +217,7 @@ def test_batched_flow_matches_adaptive(longrange_1d):
     zeta0 = np.array([0.9, 1.0, -0.8])
     ts, zs, cs = flow.batched_flow(longrange_1d, z0, zeta0, 0.0, 8.0, dt=0.01)
     for i in range(3):
-        traj = flow.integrate_flow(longrange_1d, z0[i], zeta0[i], (0.0, 8.0), tol=1e-12)
+        traj = integrate_flow(longrange_1d, z0[i], zeta0[i], (0.0, 8.0), tol=1e-12)
         assert abs(zs[-1, i] - traj.z[-1]) <= 1e-6
         assert abs(cs[-1, i] - traj.zeta[-1]) <= 1e-6
 
@@ -252,7 +246,7 @@ def test_batched_flow_store_stride(longrange_1d):
 
 def test_escaped_radius_monotone(longrange_1d):
     """Once escaped (r > R_esc with outward speed), r stays monotone."""
-    traj = flow.integrate_flow(longrange_1d, 1.0, 1.0, (0.0, 60.0))
+    traj = integrate_flow(longrange_1d, 1.0, 1.0, (0.0, 60.0))
     r = traj.radius()
     out = np.flatnonzero(r > 40.0)
     assert out.size > 3
