@@ -62,8 +62,6 @@ _INT_KEYS = {"jobs", "grid_exponent", "flow_samples", "verify_x",
 _FLOAT_KEYS = {"epsilon", "s_weight", "box_half_length", "scan_t_max",
                "r_escape", "seed_spacing", "amplitude", "gamma", "separation",
                "lambda2", "delta"}
-#: size of the (x, tau) slice in q_slice.csv
-_SLICE_NX, _SLICE_NTAU = 80, 60
 #: flow time of each trajectory dump, and RK4 steps per stored row
 _DUMP_T, _DUMP_STRIDE = 30.0, 10
 
@@ -323,16 +321,13 @@ def _assemble(cfg, rep: Reporter, verdict=None):
 
 
 def _dump_q_slice(e, rep: Reporter):
-    """q and H_p q on an (x, tau) slice of the right end (plot data)."""
-    xs = np.geomspace(1e-3, 0.999, _SLICE_NX)
-    lam = e.model.lam
-    taus = np.linspace(-1.5 * lam, 1.5 * lam, _SLICE_NTAU)
-    X, T = np.meshgrid(xs, taus, indexing="ij")
-    x, t = X.ravel(), T.ravel()
-    pc = e.pieces(1.0 / x, -t)
-    qpp, hpp = e.combine(pc)
-    rows = np.stack([x, t, qpp * pc.psi, hpp * pc.psi], axis=-1)
-    rep.write_csv("q_slice.csv", ["x", "tau", "q", "hp_q"], rows.tolist())
+    """q and H_p q on the right end (z >= 1) of the construction grid,
+    read off the pieces assemble_escape evaluated there (plot data)."""
+    pc = e.grid_pieces
+    q, hp = e.combine(pc)
+    rows = np.stack([pc.x, pc.tau, q * pc.psi, hp * pc.psi], axis=-1)
+    rep.write_csv("q_slice.csv", ["x", "tau", "q", "hp_q"],
+                  rows[e.grid[:, 0] >= 1.0].tolist())
 
 
 def cmd_escape_build(cfg, rep: Reporter):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -460,15 +460,16 @@ def _certify_covering(model, tubes: List[Tube], reach, consts, spacing):
 # tube evaluation (crossings read off one flowed orbit per energy shell)
 # ---------------------------------------------------------------------------
 
-def eval_q_circ(model, coll: TubeCollection, z, zeta, shell=None):
+def eval_q_circ(model, coll: TubeCollection, z, zeta, shell):
     """(q_circ/psi, H_p q_circ/psi) on a batch of points.
 
-    `shell` labels the points by orbit (phase_grid's third output; None
-    makes each point its own orbit).  Each orbit is flowed once, a point
-    gets its time offset s on it, and each tube's crossings (t_c, sigma_c)
-    are found once per orbit.  A point sums chi_j(t_c - s) phi(sigma_c) and
-    -chi_j'(t_c - s) phi(sigma_c) over those with t_c - s in [-1, T_j + 2]
-    and sigma_c <= 1, tube by tube, then by time.  |z| > reach R gives 0.
+    `shell` labels the points by orbit (phase_grid's third output;
+    np.arange(z.size) makes each point its own orbit).  Each orbit is
+    flowed once, a point gets its time offset s on it, and each tube's
+    crossings (t_c, sigma_c) are found once per orbit.  A point sums
+    chi_j(t_c - s) phi(sigma_c) and -chi_j'(t_c - s) phi(sigma_c) over
+    those with t_c - s in [-1, T_j + 2] and sigma_c <= 1, tube by tube,
+    then by time.  |z| > reach R gives 0.
     """
     z, zeta = np.asarray(z, dtype=float), np.asarray(zeta, dtype=float)
     qv, hp = np.zeros(z.size), np.zeros(z.size)
@@ -531,20 +532,18 @@ def _shell_orbits(model, z, zeta, shell, reach, t_back, t_tail, bands):
     in one of the ranges bands[i] = (lo, hi), their orbits and offsets,
     sorted by orbit, offset; None if there are no such points.
 
-    One representative per label (per point, with s = 0, if shell is None),
-    the first member along d = sign(zeta), is flowed back to t_back and on
-    past its members, then t_tail further.  s >= 0 is when d z first
-    reaches d z_i: bracketed by the first such sample, refined on z = z_i.
+    One representative per label, the first member along d = sign(zeta),
+    is flowed back to t_back and on past its members, then t_tail further.
+    s >= 0 is when d z first reaches d z_i: bracketed by the first such
+    sample, refined on z = z_i.
     A member moving uphill so near its turning point that no sample may
     fall past it (for about 2 |zeta_i| / V'(z_i)) gets its own orbit."""
     live = np.flatnonzero(np.abs(z) <= reach)
     zl, d = z[live], np.sign(zeta[live])
-    orbit = np.arange(live.size)
-    if shell is not None:
-        alone = np.abs(zeta[live]) <= (2.0 * _Q_CIRC_DT * _Q_CIRC_STRIDE * d
-                                       * model.potential.gradient(zl))
-        _, orbit = np.unique(np.where(alone, -1 - orbit, shell[live]),
-                             return_inverse=True)
+    alone = np.abs(zeta[live]) <= (2.0 * _Q_CIRC_DT * _Q_CIRC_STRIDE * d
+                                   * model.potential.gradient(zl))
+    _, orbit = np.unique(np.where(alone, -1 - np.arange(live.size),
+                                  shell[live]), return_inverse=True)
     mem = np.argsort(d * zl, kind="stable")
     mem = mem[np.argsort(orbit[mem], kind="stable")]
     orb = orbit[mem]
@@ -580,8 +579,6 @@ def _shell_orbits(model, z, zeta, shell, reach, t_back, t_tail, bands):
     for parts in (zss, css):
         comps.append(np.concatenate([a.T for a in parts], axis=1))
         parts.clear()
-    if shell is None:
-        return ts, comps, live[mem], orb, np.zeros(mem.size)
     k0 = int(np.searchsorted(ts, 0.0))
     run = np.maximum.accumulate(comps[0][:, k0:] * dr[:, None], axis=1)
     K = np.empty(mem.size, dtype=np.intp)
@@ -737,7 +734,8 @@ class PieceArrays:
 @dataclass
 class EscapeFunction:
     """q = q_minus + C'' q_partial + C q_circ + C' q_plus with certified
-    constants and batch evaluators."""
+    constants and batch evaluators.  `grid` holds the construction grid's
+    points as rows (z, zeta), and `grid_pieces` the pieces on them."""
 
     model: object
     eps: float
@@ -751,8 +749,10 @@ class EscapeFunction:
     c3: float
     c4: float
     cascade: Dict[str, float] = field(default_factory=dict)
+    grid: Optional[np.ndarray] = None
+    grid_pieces: Optional[PieceArrays] = None
 
-    def pieces(self, z, zeta, shell=None) -> PieceArrays:
+    def pieces(self, z, zeta, shell) -> PieceArrays:
         model = self.model
         x, tau = geo.scattering_coords(z, zeta)
         psi = self.cutoffs.psi(geo.symbol_p(model, z, zeta))
@@ -881,6 +881,7 @@ def assemble_escape(model, eps, verdict, seed_spacing=1.0) -> EscapeFunction:
     esc.C, esc.C_prime, esc.C_dprime = C, Cp, Cpp
     esc.c2, esc.c3, esc.c4 = c2, c3, c4
     esc.cascade = cascade
+    esc.grid, esc.grid_pieces = _phase_state(z, zeta), pc
     return esc
 
 

@@ -108,14 +108,6 @@ class DiscreteOperator:
         diag += 2.0 * c
         return diag, np.full(self.size - 1, -c, dtype=complex)
 
-    def apply(self, u):
-        """Matrix-vector product P u."""
-        return _tridiagonal_apply(*self.diagonals(), u)
-
-    def shifted_solver(self, w: complex) -> "BandedSolver":
-        """LU factorization of (P - w)."""
-        return BandedSolver(self, w)
-
     def real_tridiagonal(self):
         """(diag, offdiag) of the real symmetric operator (dirichlet);
         used by dense spectral routines."""
@@ -341,7 +333,7 @@ def weighted_resolvent_norm(op: DiscreteOperator, lambda2: float, t: float,
     solves on one factorization."""
     if op.boundary == "dirichlet" and t == 0.0:
         raise ConfigurationError("dirichlet boundary requires t != 0")
-    solver = op.shifted_solver(complex(lambda2, t))
+    solver = BandedSolver(op, complex(lambda2, t))
     weight = (1.0 + op.grid.z**2) ** (-0.5 * s)
 
     def apply_A(v):
@@ -583,10 +575,8 @@ def function_of_operator(op: DiscreteOperator, f: Callable, method="eigen",
     _resolvent_sum); with check=True the quadrature is re-run at half
     resolution and must agree.
 
-    Derivatives of f up to order K+1 are taken from `derivatives`
-    (callables, preferred: exact) or by spectral differentiation of samples
-    with a noise-aware low-pass (float rounding amplified by k^(K+1) makes
-    raw spectral derivatives of steep cutoffs meaningless)."""
+    'helffer_sjostrand' takes the derivatives f^(0..K+1) as callables
+    (`derivatives`, e.g. gaussian_bump's); without them it raises."""
     if method == "eigen":
         vals, vecs = _eigendecomposition(op)
         return (vecs * f(vals)[None, :]) @ vecs.T
@@ -594,10 +584,14 @@ def function_of_operator(op: DiscreteOperator, f: Callable, method="eigen",
         raise ConfigurationError(f"unknown method {method!r}")
     if support is None:
         raise ConfigurationError("helffer_sjostrand needs the support of f")
+    if derivatives is None or len(derivatives) < K + 2:
+        raise ConfigurationError(
+            f"helffer_sjostrand needs derivatives up to order {K + 1}"
+        )
 
-    val = _hs_matrix(op, f, support, K, nx, ny, derivatives)
+    val = _hs_matrix(op, derivatives, support, K, nx, ny)
     if check:
-        coarse = _hs_matrix(op, f, support, K, nx // 2, ny // 2, derivatives)
+        coarse = _hs_matrix(op, derivatives, support, K, nx // 2, ny // 2)
         diff = np.linalg.norm(val - coarse, 2)
         if diff > _HS_CHECK_TOL * (1.0 + np.linalg.norm(val, 2)):
             raise ConvergenceError(
@@ -607,48 +601,17 @@ def function_of_operator(op: DiscreteOperator, f: Callable, method="eigen",
     return val
 
 
-def _spectral_derivatives(f, lo, hi, K):
-    """Sampled derivatives f^(0..K+1) with a smooth low-pass at the float
-    noise crossing of the spectrum."""
-    M = 4096
-    xs = np.linspace(lo, hi, M, endpoint=False)
-    dxs = xs[1] - xs[0]
-    fv = f(xs)
-    fhat = np.fft.fft(fv)
-    k = 2.0 * np.pi * np.fft.fftfreq(M, d=dxs)
-    mag = np.abs(fhat)
-    floor = 1e-13 * np.max(mag)
-    above = np.abs(k)[mag > floor]
-    k_cut = np.max(above) if above.size else np.max(np.abs(k))
-    mask = falling_step(0.5 * k_cut, k_cut)(np.abs(k))
-    derivs = [np.real(np.fft.ifft(mask * fhat))]
-    for j in range(1, K + 2):
-        derivs.append(np.real(np.fft.ifft(mask * (1j * k) ** j * fhat)))
-    return xs, dxs, derivs
-
-
-def _hs_nodes(f, support, K, nx, ny, derivatives=None):
+def _hs_nodes(derivatives, support, K, nx, ny):
     """Helffer-Sjostrand quadrature nodes z (Im z > 0) and weights w, such
-    that f(P) = Re sum_m w_m (P - z_m)^{-1} for real f and symmetric P (the
-    conjugate node's contribution is folded into the factor 2 of w)."""
+    that f(P) = Re sum_m w_m (P - z_m)^{-1} for real f = derivatives[0] and
+    symmetric P (the conjugate node's contribution is folded into the
+    factor 2 of w)."""
     a, b = support
     pad = 0.5 * (b - a)
     lo, hi = a - pad, b + pad
-    if derivatives is not None:
-        if len(derivatives) < K + 2:
-            raise ConfigurationError(
-                f"helffer_sjostrand needs derivatives up to order {K + 1}"
-            )
-        x_nodes = lo + (np.arange(nx) + 0.5) * (hi - lo) / nx
-        dx = (hi - lo) / nx
-        dtab = [np.asarray(derivatives[j](x_nodes), dtype=float) for j in range(K + 2)]
-    else:
-        xs, dxs, derivs = _spectral_derivatives(f, lo, hi, K)
-        stride = max(1, len(xs) // nx)
-        sel = np.arange(0, len(xs), stride)
-        x_nodes = xs[sel]
-        dx = dxs * stride
-        dtab = [d[sel] for d in derivs]
+    x_nodes = lo + (np.arange(nx) + 0.5) * (hi - lo) / nx
+    dx = (hi - lo) / nx
+    dtab = [np.asarray(derivatives[j](x_nodes), dtype=float) for j in range(K + 2)]
     y_nodes = (np.arange(ny) + 0.5) * (_HS_Y / ny)
     dy = _HS_Y / ny
     chi = falling_step(0.5 * _HS_Y, _HS_Y)
@@ -671,9 +634,9 @@ def _hs_nodes(f, support, K, nx, ny, derivatives=None):
     return np.concatenate(zs), (2.0 / math.pi) * dx * dy * np.concatenate(ws)
 
 
-def _hs_matrix(op, f, support, K, nx, ny, derivatives=None):
+def _hs_matrix(op, derivatives, support, K, nx, ny):
     diag, off = op.real_tridiagonal()
-    z, w = _hs_nodes(f, support, K, nx, ny, derivatives)
+    z, w = _hs_nodes(derivatives, support, K, nx, ny)
     return _resolvent_sum(diag, off, z, w)
 
 

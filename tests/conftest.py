@@ -121,6 +121,7 @@ def hpq_finite_difference(esc, z, zeta, delta=1e-5):
     # one RK4 step of size +-delta each
     _, zp, cp = flow.batched_flow(esc.model, z, zeta, 0.0, delta, delta)
     _, zm, cm = flow.batched_flow(esc.model, z, zeta, 0.0, -delta, delta)
-    qp, _ = esc.combine(esc.pieces(zp[-1], cp[-1]))
-    qm, _ = esc.combine(esc.pieces(zm[-1], cm[-1]))
+    alone = np.arange(zp[-1].size)
+    qp, _ = esc.combine(esc.pieces(zp[-1], cp[-1], alone))
+    qm, _ = esc.combine(esc.pieces(zm[-1], cm[-1], alone))
     return (qp - qm) / (2.0 * delta)

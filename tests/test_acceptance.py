@@ -113,7 +113,7 @@ def test_criterion_5_hpq_consistency(escape_free):
     z = r * rng.choice([-1.0, 1.0], n)
     p = rng.uniform(0.91, 1.09, n)
     zeta = rng.choice([-1.0, 1.0], n) * np.sqrt(p)
-    _, hp = e.combine(e.pieces(z, zeta))
+    _, hp = e.combine(e.pieces(z, zeta, np.arange(n)))
     fd = hpq_finite_difference(e, z, zeta, delta=1e-5)
     rel = float(np.max(np.abs(hp - fd) / (np.abs(hp) + np.abs(fd) + 1e-8)))
     _report(5, rel <= 1e-4, f"H_p q consistency: max rel {rel:.2e} at {n} points")

@@ -129,6 +129,30 @@ def test_escape_verify_well_certified(tmp_path):
     assert summary["checks"]["escape_certificate"]["passed"]
 
 
+def test_escape_build_writes_construction_slice(tmp_path):
+    """escape-build writes the constants and q_slice.csv but no verify.csv.
+    The slice is the construction grid's right end (220 x values, 14
+    energies, 2 branches): below the provenance stamp, which names the
+    command, it is byte-identical to escape-verify's, and q > 0 on every
+    row."""
+    conf = tmp_path / "c.conf"
+    conf.write_text("verify_x = 60\nverify_interior = 10\nverify_energy = 4\n")
+    data = {}
+    for command in ("escape-build", "escape-verify"):
+        out = tmp_path / command
+        assert cli.main(["--preset", "longrange_pow", command, "--config",
+                         str(conf), "--out", str(out)]) == 0
+        lines = (out / "q_slice.csv").read_bytes().splitlines()
+        data[command] = [ln for ln in lines if not ln.startswith(b"#")]
+    assert sorted(p.name for p in (tmp_path / "escape-build").iterdir()) == [
+        "escape_report.txt", "q_slice.csv", "summary.json"]
+    assert data["escape-build"] == data["escape-verify"]
+    header, *rows = data["escape-build"]
+    assert header == b"x,tau,q,hp_q"
+    assert len(rows) == 220 * 14 * 2
+    assert all(float(row.split(b",")[2]) > 0.0 for row in rows)
+
+
 def test_only_package_errors_become_exit_1(tmp_path, monkeypatch):
     def fail_with(exc):
         def command(cfg, rep):

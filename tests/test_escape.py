@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from nontrap import cli
 from nontrap import escape as esc
 from nontrap import flow as fl
 from nontrap import geometry as geo
@@ -159,13 +158,13 @@ def test_tube_seed_value(escape_free):
     q_circ/psi >= chi(0) phi(0) = 1 there."""
     tb = escape_free.tubes.tubes[3]
     qv, hv = esc.eval_q_circ(escape_free.model, escape_free.tubes,
-                             tb.seed[:1], tb.seed[1:])
+                             tb.seed[:1], tb.seed[1:], np.arange(1))
     assert qv[0] >= 1.0 - 1e-8
 
 
 def test_tube_far_point_zero(escape_free):
     qv, hv = esc.eval_q_circ(escape_free.model, escape_free.tubes,
-                             np.array([900.0]), np.array([1.0]))
+                             np.array([900.0]), np.array([1.0]), np.arange(1))
     assert qv[0] == 0.0 and hv[0] == 0.0
 
 
@@ -249,36 +248,39 @@ def test_q_circ_matches_dense_scan(which, request):
 
 @pytest.mark.parametrize("which", ["escape_free", "escape_longrange"])
 def test_q_circ_unlabelled_matches_dense_scan(which, request):
-    """The same on unlabelled points (each its own orbit) of an (x, tau)
-    plane whose energies reach well outside the window, so that the energy
-    filter drops orbits."""
+    """The same on singleton labels (each point its own orbit) of an
+    (x, tau) plane whose energies reach well outside the window, so that
+    the energy filter drops orbits."""
     e = request.getfixturevalue(which)
     x, tau = np.meshgrid(np.geomspace(0.005, 0.999, 20),
                          np.linspace(-1.5, 1.5, 16), indexing="ij")
     z, zeta = 1.0 / x.ravel(), -tau.ravel()
-    got = esc.eval_q_circ(e.model, e.tubes, z, zeta)
-    ref = _dense_eval_q_circ(e.model, e.tubes, z, zeta, None)
+    alone = np.arange(z.size)
+    got = esc.eval_q_circ(e.model, e.tubes, z, zeta, alone)
+    ref = _dense_eval_q_circ(e.model, e.tubes, z, zeta, alone)
     assert np.count_nonzero(ref[0]) > 0
     assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
 def test_q_circ_slice_plane_prefilter(escape_longrange):
-    """On the plotted (x, tau) plane of the q_slice report, only orbits at a
-    tube's energy are flowed, yet q_circ equals the dense scan over every
-    orbit bit for bit; every tube's energy range keeps a point."""
+    """On an 80 x 60 (x, tau) plane of singleton labels whose energies
+    reach past every tube's energy range, only orbits at a tube's energy
+    are flowed, yet q_circ equals the dense scan over every orbit bit for
+    bit; every tube's energy range keeps a point."""
     e = escape_longrange
-    x, tau = np.meshgrid(np.geomspace(1e-3, 0.999, cli._SLICE_NX),
+    x, tau = np.meshgrid(np.geomspace(1e-3, 0.999, 80),
                          np.linspace(-1.5 * e.model.lam, 1.5 * e.model.lam,
-                                     cli._SLICE_NTAU), indexing="ij")
+                                     60), indexing="ij")
     z, zeta = 1.0 / x.ravel(), -tau.ravel()
+    alone = np.arange(z.size)
     bands = np.array([esc._disc_energy_band(e.model, tb) for tb in e.tubes.tubes])
-    _, _, pts, _, _ = esc._shell_orbits(e.model, z, zeta, None, e.tubes.reach,
+    _, _, pts, _, _ = esc._shell_orbits(e.model, z, zeta, alone, e.tubes.reach,
                                         -1.1, 1.0, bands)
     p = geo.symbol_p(e.model, z[pts], zeta[pts])[:, None]
     assert pts.size < np.count_nonzero(np.abs(z) <= e.tubes.reach)
     assert np.all(np.any((p >= bands[:, 0]) & (p <= bands[:, 1]), axis=0))
-    got = esc.eval_q_circ(e.model, e.tubes, z, zeta)
-    ref = _dense_eval_q_circ(e.model, e.tubes, z, zeta, None)
+    got = esc.eval_q_circ(e.model, e.tubes, z, zeta, alone)
+    ref = _dense_eval_q_circ(e.model, e.tubes, z, zeta, alone)
     assert np.count_nonzero(ref[0]) > 0
     assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
@@ -298,7 +300,7 @@ def test_q_circ_grouped_matches_singletons(escape_longrange, monkeypatch):
     q, h = esc.eval_q_circ(e.model, e.tubes, z, zeta, shell)
     monkeypatch.setattr(esc, "_Q_CIRC_DT", 0.5 * esc._Q_CIRC_DT)
     monkeypatch.setattr(esc, "_Q_CIRC_STRIDE", 2 * esc._Q_CIRC_STRIDE)
-    qs, hs = esc.eval_q_circ(e.model, e.tubes, z, zeta)
+    qs, hs = esc.eval_q_circ(e.model, e.tubes, z, zeta, np.arange(z.size))
     assert np.count_nonzero(qs) > 0
     assert np.array_equal(q != 0.0, qs != 0.0)
     assert np.max(np.abs(q - qs)) <= _GROUPED_Q_TOL * np.max(np.abs(qs))
@@ -509,7 +511,7 @@ def test_hpq_matches_flow_finite_difference(escape_free):
     z = r * sgn
     p = rng.uniform(0.91, 1.09, n)
     zeta = rng.choice([-1.0, 1.0], n) * np.sqrt(p)
-    pc = e.pieces(z, zeta)
+    pc = e.pieces(z, zeta, np.arange(n))
     _, hp = e.combine(pc)
     fd = hpq_finite_difference(e, z, zeta, delta=1e-5)
     rel = np.abs(hp - fd) / (np.abs(hp) + np.abs(fd) + 1e-8)

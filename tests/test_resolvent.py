@@ -49,8 +49,8 @@ def test_solve_shifted_inverse_consistency(longrange_1d):
     rng = np.random.default_rng(3)
     g = rng.standard_normal(op.size) * np.exp(-((op.grid.z / 30.0) ** 2))
     w = complex(1.0, 0.05)
-    f = op.apply(g.astype(complex)) - w * g
-    u = op.shifted_solver(w).solve(f)
+    f = rv._tridiagonal_apply(*op.diagonals(), g.astype(complex)) - w * g
+    u = rv.BandedSolver(op, w).solve(f)
     assert np.linalg.norm(u - g) <= 1e-9 * np.linalg.norm(g)
 
 
@@ -59,8 +59,8 @@ def test_conjugation_symmetry(longrange_1d):
     real V, dirichlet)."""
     op = rv.discretize(longrange_1d, 0.1, L=100.0, N=4096, boundary="dirichlet")
     f = np.exp(-((op.grid.z) ** 2)).astype(complex)
-    up = op.shifted_solver(complex(1.0, 0.02)).solve(f)
-    um = op.shifted_solver(complex(1.0, -0.02)).solve(f)
+    up = rv.BandedSolver(op, complex(1.0, 0.02)).solve(f)
+    um = rv.BandedSolver(op, complex(1.0, -0.02)).solve(f)
     assert np.max(np.abs(um - np.conj(up))) <= 1e-9
 
 
@@ -169,7 +169,8 @@ def test_quantize_cross_check_fd(longrange_1d):
         u = np.exp(-(z**2) / 4.0)
         upp = (z**2 / 4.0 - 0.5) * u
         analytic = -(h**2) * upp + longrange_1d.potential.value(z) * u
-        errs[N] = np.max(np.abs(op.apply(u.astype(complex)).real - analytic))
+        Pu = rv._tridiagonal_apply(*op.diagonals(), u.astype(complex))
+        errs[N] = np.max(np.abs(Pu.real - analytic))
     assert errs[4096] <= errs[2048] / 3.0  # O(dz^2) convergence
     q = qz.GridQuantization(L=50.0, N=2048, h=h, energy_scale=0.3)
     u = np.exp(-(q.z**2) / 4.0)
@@ -223,15 +224,15 @@ def test_helffer_sjostrand_matches_explicit_inverse(double_bump_1d):
     """The semiseparable resolvent sum equals the explicit sum over the
     quadrature nodes of w * inv(P - z)."""
     op = rv.small_box_operator(double_bump_1d, 0.3, L=8.0, N=32)
-    f, derivs = rv.gaussian_bump(1.0, 0.5)
+    _, derivs = rv.gaussian_bump(1.0, 0.5)
     support, K, nx, ny = (-0.5, 2.5), 4, 6, 4
-    z, w = rv._hs_nodes(f, support, K, nx, ny, derivs)
+    z, w = rv._hs_nodes(derivs, support, K, nx, ny)
     diag, off = op.real_tridiagonal()
     assert np.ptp(diag) > 0.1  # the potential is felt, not only the free line
     P = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     eye = np.eye(op.size)
     ref = np.real(sum(wm * np.linalg.inv(P - zm * eye) for zm, wm in zip(z, w)))
-    got = rv._hs_matrix(op, f, support, K, nx, ny, derivs)
+    got = rv._hs_matrix(op, derivs, support, K, nx, ny)
     assert np.linalg.norm(got - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
 
 
@@ -299,7 +300,7 @@ def test_lanczos_norm_matches_eigsh_on_sweep_cell(longrange_1d):
     h, lam2, s = 0.2, 1.0, 0.7
     op = rv.discretize(longrange_1d, h, L=40.0, N=2**11, boundary="cap")
     res = rv.weighted_resolvent_norm(op, lam2, 0.0, s)
-    solver = op.shifted_solver(complex(lam2, 0.0))
+    solver = rv.BandedSolver(op, complex(lam2, 0.0))
     weight = (1.0 + op.grid.z**2) ** (-0.5 * s)
 
     def gram(v):
@@ -332,16 +333,15 @@ def test_lanczos_basis_bounded():
     assert peak <= (rv._LANCZOS_BASIS + 16) * n * 16
 
 
-def test_helffer_sjostrand_spectral_derivatives(free_1d):
-    """The sampled-derivative fallback agrees for a gentle bump."""
+def test_helffer_sjostrand_needs_derivatives(free_1d):
+    """Helffer-Sjostrand without f^(0..K+1) as callables is rejected."""
     op = rv.small_box_operator(free_1d, 0.3, L=40.0, N=256)
-    f, _ = rv.gaussian_bump(1.0, 0.5)
-    A = rv.function_of_operator(op, f, method="eigen")
-    B = rv.function_of_operator(
-        op, f, method="helffer_sjostrand", support=(-0.5, 2.5),
-        K=4, nx=100, ny=50, check=False,
-    )
-    assert np.linalg.norm(A - B, 2) <= 1e-4
+    f, derivs = rv.gaussian_bump(1.0, 0.5)
+    for given in (None, derivs[:5]):
+        with pytest.raises(ConfigurationError, match="order 5"):
+            rv.function_of_operator(op, f, method="helffer_sjostrand",
+                                    support=(-0.5, 2.5), K=4,
+                                    derivatives=given)
 
 
 def test_nonchar_bound_trivial_and_windowed(free_1d):
