@@ -495,7 +495,7 @@ def _tube_passes(model, tubes, reach, z, zeta, shell, zone):
     bands = np.array([_disc_energy_band(model, tb) for tb in tubes])
     t_tail = max(tb.T for tb in tubes) + w_hi + 0.1
     store = _shell_orbits(model, z, zeta, shell, reach, w_lo - 0.1, t_tail,
-                          bands)
+                          bands, _stop_radius(tubes))
     if store is None:
         return
     ts, comps, pts, orb, s = store
@@ -517,6 +517,20 @@ def _tube_passes(model, tubes, reach, z, zeta, shell, zone):
         yield tb, pts[j[ok]], t[ok], sigma[c[ok]]
 
 
+def _near_radius(tb: Tube):
+    """Distance from tb's seed within which a crossing's bracketing sample
+    must lie to be refined (_tube_crossings' prefilter)."""
+    return tb.radius * 1.5 + 0.2
+
+
+def _stop_radius(tubes):
+    """Escape radius past which no orbit can cross a tube near its seed:
+    the larger of flow's escape radius and the largest |z| within
+    _near_radius of a seed."""
+    return max([fl.R_ESCAPE]
+               + [abs(float(tb.seed[0])) + _near_radius(tb) for tb in tubes])
+
+
 def _disc_energy_band(model, tb: Tube):
     """(lo, hi): the energies p of tb's sampled disc, padded by a tenth of
     their spread."""
@@ -525,7 +539,8 @@ def _disc_energy_band(model, tb: Tube):
     return p_disc.min() - pad, p_disc.max() + pad
 
 
-def _shell_orbits(model, z, zeta, shell, reach, t_back, t_tail, bands):
+def _shell_orbits(model, z, zeta, shell, reach, t_back, t_tail, bands,
+                  r_stop):
     """(ts, comps, pts, orb, s): the orbit store, comps[k][col, row] being
     coordinate k of (z, zeta) on orbit col at time ts[row], and the points
     with |z| <= reach on an orbit whose energy (its representative's p) lies
@@ -533,7 +548,9 @@ def _shell_orbits(model, z, zeta, shell, reach, t_back, t_tail, bands):
     sorted by orbit, offset; None if there are no such points.
 
     One representative per label, the first member along d = sign(zeta),
-    is flowed back to t_back and on past its members, then t_tail further.
+    is flowed back to t_back and on past its members, then further until
+    every orbit holds flow's escape certificate at radius r_stop (|z| stays
+    above r_stop from there on), at most t_tail further.
     s >= 0 is when d z first reaches d z_i: bracketed by the first such
     sample, refined on z = z_i.
     A member moving uphill so near its turning point that no sample may
@@ -560,13 +577,18 @@ def _shell_orbits(model, z, zeta, shell, reach, t_back, t_tail, bands):
     t_b, z_b, c_b = fl.batched_flow(model, z[rep], zeta[rep], 0.0, t_back,
                                     _Q_CIRC_DT, store_stride=_Q_CIRC_STRIDE)
     tss, zss, css = [t_b[::-1]], [z_b[::-1]], [c_b[::-1]]
+
+    def escaped(zz, cc):
+        return bool(np.all(fl.escape_certified(model, zz, cc, r_stop)))
+
     t, far, tail = 0.0, dr * z[rep], False
     while not tail:
         tail = not np.any(far < target)
-        span = t_tail if tail else _ORBIT_SEGMENT
+        span, until = (t_tail, escaped) if tail else (_ORBIT_SEGMENT, None)
         t_f, z_f, c_f = fl.batched_flow(model, zss[-1][-1], css[-1][-1], t,
                                         t + span, _Q_CIRC_DT,
-                                        store_stride=_Q_CIRC_STRIDE)
+                                        store_stride=_Q_CIRC_STRIDE,
+                                        until=until)
         tss.append(t_f[1:]), zss.append(z_f[1:]), css.append(c_f[1:])
         t += span
         far = np.maximum(far, np.max(z_f * dr, axis=0))
@@ -609,7 +631,7 @@ def _tube_crossings(model, ts, comps, cols, tb: Tube, w_lo, w_hi, sigma_max):
     ks, cols = ks + k0, cols[js]
     # distance prefilter at the bracketing sample
     near = np.linalg.norm(_gather(comps, ks, cols) - tb.seed, axis=1) \
-        <= tb.radius * 1.5 + 0.2
+        <= _near_radius(tb)
     ks, cols = ks[near], cols[near]
     t_star, y = _refine_crossings(model, ts, comps, ks, cols, tb.normal, level)
     sigma = np.abs(_project(y - tb.seed, tb.u_p)) / tb.radius

@@ -27,6 +27,7 @@ from nontrap import geometry as geo
 from nontrap.errors import IntegrationError
 
 CLASSIFY_DT = 0.02      # RK4 step of the verdicts (as in the tube certificate)
+R_ESCAPE = 40.0         # default escape radius of the verdicts
 _SEGMENT = 16.0         # flow time per batched_flow call between retirements
 _CLASSIFY_CHUNK = 1000  # points flowed together (bounds the stored samples)
 _DRIFT_BOUND = 1e-5     # relative energy drift that rejects an escaped verdict
@@ -71,13 +72,15 @@ def rk4_step(model, z, zeta, dt):
     return zn, cn
 
 
-def batched_flow(model, z0, zeta0, t0, t1, dt, store_stride=1):
+def batched_flow(model, z0, zeta0, t0, t1, dt, store_stride=1, until=None):
     """Fixed-step RK4 flow of a batch of points from t0 to t1.
 
     Returns (ts, zs, zetas) with zs of shape (n_stored, m); index 0 holds
     the initial state at t0, then every store_stride-th step and the last.
     dt carries the sign of (t1 - t0) internally; dt = |t1 - t0| takes
-    exactly one step.
+    exactly one step.  With until(z, zeta) given, the flow ends at the
+    first stored sample after t0 at which it returns True; the samples up
+    to there are those of the full flow.
     """
     span = t1 - t0
     n_steps = max(1, int(math.ceil(abs(span) / dt)))
@@ -94,7 +97,9 @@ def batched_flow(model, z0, zeta0, t0, t1, dt, store_stride=1):
         if k % store_stride == 0 or k == n_steps:
             ts[i], zs[i], cs[i] = t0 + k * step, z, zeta
             i += 1
-    return ts, zs, cs
+            if until is not None and until(z, zeta):
+                break
+    return ts[:i], zs[:i], cs[:i]
 
 
 def _flow_segments(model, z, zeta, t_end, dt, visit):
@@ -132,6 +137,18 @@ class ClassifyResult:
         return np.isfinite(self.escape_time_fwd) & np.isfinite(self.escape_time_bwd)
 
 
+def escape_certified(model, z, zeta, R_esc, sgn=1.0):
+    """The escape certificate at each point, for the flow in the direction
+    sgn of time: |z| > R_esc, |z| growing along the flow (sgn z zdot > 0)
+    and tau^2 >= lambda^2 / 2.  Once it holds, it holds for the rest of the
+    flow (tau/x is monotone for small x), so |z| never falls back to
+    R_esc."""
+    _, tau = geo.scattering_coords(z, zeta)
+    # zdot = 2 zeta, so d|z|/dt has the sign of z zeta
+    return ((np.abs(z) > R_esc) & (sgn * (z * zeta) > 0)
+            & (tau**2 >= 0.5 * model.lambda2))
+
+
 def _escape_times(model, z, zeta, T_end, R_esc):
     """First sampled time of the escape certificate along the flow from 0 to
     T_end (T_end < 0 = backward), NaN if none, and the energy drift over the
@@ -143,12 +160,7 @@ def _escape_times(model, z, zeta, T_end, R_esc):
 
     def visit(rows, ts, zs, cs):
         zf, cf = zs.ravel(), cs.ravel()
-        dz, _ = geo.hamilton_field(model, zf, cf)
-        _, tau = geo.scattering_coords(zf, cf)
-        # d|z|/dt has the sign of z zdot; it must grow along the integration
-        outward = sgn * (zf * dz) > 0
-        escaped = ((np.abs(zf) > R_esc) & outward
-                   & (tau**2 >= 0.5 * model.lambda2)).reshape(zs.shape)
+        escaped = escape_certified(model, zf, cf, R_esc, sgn).reshape(zs.shape)
         hit = escaped.any(axis=0)
         t_esc[rows[hit]] = np.abs(ts[escaped.argmax(axis=0)[hit]])
         dev = np.abs(geo.symbol_p(model, zf, cf).reshape(zs.shape) - p0[rows])
@@ -167,7 +179,8 @@ def _escape_times(model, z, zeta, T_end, R_esc):
     return t_esc, drift
 
 
-def classify_point(model, z0, zeta0, T_max=500.0, R_esc=40.0) -> ClassifyResult:
+def classify_point(model, z0, zeta0, T_max=500.0,
+                   R_esc=R_ESCAPE) -> ClassifyResult:
     """Forward/backward escape verdicts for a batch of points (1-D arrays)
     or one point (scalars): the first sample with |z| > R_esc, outward
     radial speed and tau^2 at least lambda^2/2 gives the escape time |t|.
@@ -215,7 +228,7 @@ def shell_slab_samples(model, n_samples, R_max, delta=None):
     return z[keep], zeta[keep]
 
 
-def nontrapping_scan(model, n_samples=1000, T_max=150.0, R_esc=40.0,
+def nontrapping_scan(model, n_samples=1000, T_max=150.0, R_esc=R_ESCAPE,
                      delta=None) -> NonTrappingVerdict:
     """Classify a deterministic sample of the energy-shell slab.
 

@@ -1,7 +1,8 @@
 """Discretized Schrodinger operators and weighted resolvent norms.
 
-P = h^2 Delta + V is discretized by banded finite differences on a box
-[-L, L] with one of two boundary treatments:
+P = h^2 Delta + V is discretized by second-order finite differences on a
+box [-L, L], a complex symmetric tridiagonal matrix, with one of two
+boundary treatments:
 
 - ``dirichlet``: the literal self-adjoint box operator; shifted solves need
   t != 0 (a finite box has discrete spectrum);
@@ -12,9 +13,10 @@ P = h^2 Delta + V is discretized by banded finite differences on a box
 The weighted norm ||<z>^-s R(lambda^2 + it) <z>^-s|| is the largest
 singular value of the weighted resolvent, computed by Lanczos on A^H A
 (power_norm) to a stated residual, where every application is a
-forward plus adjoint banded solve reusing a single LU factorization (the
-shifted matrix is complex symmetric, so the adjoint solve is a conjugated
-solve).
+forward plus adjoint solve.  Each shift w is factored once, by LAPACK's
+tridiagonal LU with partial pivoting (?gttrf), and every solve reuses those
+factors (?gttrs); the shifted matrix is complex symmetric, so the adjoint
+solve is a conjugated solve.
 
 The ground-truth oracle for the free line is the explicit kernel
 
@@ -129,33 +131,27 @@ def _tridiagonal_apply(diag, off, u):
 
 
 class BandedSolver:
-    """One LU factorization of the shifted banded matrix, reusable for many
-    forward and adjoint solves.
+    """One tridiagonal LU factorization of P - w with partial pivoting
+    (LAPACK ?gttrf), reusable for many forward and adjoint solves (?gttrs);
+    one factorization per shift w.
 
     The matrix is complex symmetric (M^T = M), so M^H = conj(M) and the
-    adjoint solve is conj(solve(conj(rhs))).  The diagonals of P are built
-    once, for the factorization and every refinement residual."""
+    adjoint solve is conj(solve(conj(rhs))).  The diagonals of P - w are
+    built once, for the factorization and every refinement residual."""
 
     def __init__(self, op: DiscreteOperator, w: complex):
         self.w = complex(w)
-        kl = ku = 1
-        diag, off = self._diagonals = op.diagonals()
-        ab = np.zeros((2 * kl + ku + 1, op.size), dtype=complex)
-        # LAPACK banded storage: ab[kl + ku + i - j, j] = M[i, j]
-        ab[kl + ku, :] = diag - self.w
-        ab[kl + ku - 1, 1:] = off      # superdiagonal
-        ab[kl + ku + 1, :-1] = off     # subdiagonal
-        gbtrf, = get_lapack_funcs(("gbtrf",), (ab,))
-        lu, ipiv, info = gbtrf(ab, kl, ku)
+        diag, off = op.diagonals()
+        self._shifted = diag - self.w, off
+        gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag,))
+        *self._lu, info = gttrf(off, self._shifted[0], off)
         if info < 0:
-            raise ConfigurationError(f"gbtrf: illegal argument {-info}")
+            raise ConfigurationError(f"gttrf: illegal argument {-info}")
         if info > 0:
             raise ConvergenceError(
                 f"singular shifted factorization at w={self.w} "
                 "(dirichlet at an eigenvalue? use t != 0 or cap boundary)"
             )
-        self._lu, self._ipiv, self._kl, self._ku = lu, ipiv, kl, ku
-        self._gbtrs, = get_lapack_funcs(("gbtrs",), (ab,))
 
     def solve(self, f):
         """(P - w)^{-1} f with residual verification (<= 1e-10 ||f||).
@@ -186,13 +182,12 @@ class BandedSolver:
 
     def _residual(self, u, f):
         """(P - w) u - f."""
-        return _tridiagonal_apply(*self._diagonals, u) - self.w * u - f
+        return _tridiagonal_apply(*self._shifted, u) - f
 
     def _solve_raw(self, f):
-        b = np.asarray(f, dtype=complex)
-        x, info = self._gbtrs(self._lu, self._kl, self._ku, b, self._ipiv)
+        x, info = self._gttrs(*self._lu, f)
         if info != 0:
-            raise ConvergenceError(f"gbtrs failed with info={info}")
+            raise ConvergenceError(f"gttrs failed with info={info}")
         return x
 
     def solve_adjoint(self, f):

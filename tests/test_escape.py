@@ -177,12 +177,13 @@ def _dense_passes(model, tubes, reach, z, zeta, shell, zone):
     crossing step: every tube's crossings come from projecting every stored
     sample of every orbit onto its hyperplane (all rows and orbits, no
     window, no energy filter), and each crossing is matched to its orbit's
-    members by a direct zone test; one pass per tube, in crossing order."""
+    members by a direct zone test; one pass per tube, in crossing order.
+    Its orbits run the whole tail, not stopping at their escape."""
     w_lo, w_hi, sigma_max = zone
     t_tail = max(tb.T for tb in tubes) + w_hi + 0.1
     ts, comps, pts, orb, s = esc._shell_orbits(model, z, zeta, shell, reach,
-                                                  w_lo - 0.1, t_tail,
-                                                  _ANY_ENERGY)
+                                               w_lo - 0.1, t_tail,
+                                               _ANY_ENERGY, np.inf)
     for tb in tubes:
         level = tb.seed[0] * tb.normal[0] + tb.seed[1] * tb.normal[1]
         neg = np.signbit(comps[0] * tb.normal[0] + comps[1] * tb.normal[1]
@@ -275,7 +276,7 @@ def test_q_circ_slice_plane_prefilter(escape_longrange):
     alone = np.arange(z.size)
     bands = np.array([esc._disc_energy_band(e.model, tb) for tb in e.tubes.tubes])
     _, _, pts, _, _ = esc._shell_orbits(e.model, z, zeta, alone, e.tubes.reach,
-                                        -1.1, 1.0, bands)
+                                        -1.1, 1.0, bands, np.inf)
     p = geo.symbol_p(e.model, z[pts], zeta[pts])[:, None]
     assert pts.size < np.count_nonzero(np.abs(z) <= e.tubes.reach)
     assert np.all(np.any((p >= bands[:, 0]) & (p <= bands[:, 1]), axis=0))
@@ -324,6 +325,51 @@ def test_covering_matches_dense_scan(which, request):
     assert ref[1] > 0
 
 
+@pytest.fixture(scope="module")
+def escape_barrier():
+    """longrange_pow at amplitude 1.5: a barrier above the window reflects
+    every orbit that meets it."""
+    model = geo.preset_model("longrange_pow", amplitude=1.5)
+    return esc.assemble_escape(
+        model, 0.2, fl.nontrapping_scan(model, n_samples=300, T_max=150.0))
+
+
+@pytest.mark.parametrize("which", ["escape_longrange", "escape_barrier"])
+def test_orbit_store_stops_past_every_near_crossing(which, request):
+    """Each orbit store, of the construction grid and of the covering
+    check's points, ends once every orbit holds the escape certificate at
+    the stop radius; flowing every orbit t_tail further crosses no tube's
+    transversal within the prefilter distance of its seed, so the stop
+    drops no crossing."""
+    e = request.getfixturevalue(which)
+    model, tubes = e.model, e.tubes.tubes
+    spacing = max(1.0, (4.0 / e.constants.x0) / 40.0)
+    energies = model.lambda2 + model.delta * np.array([-0.9, 0.0, 0.9])
+    point_sets = (
+        (esc.phase_grid(model, n_x=220, n_interior=40, n_energy=14),
+         esc._SUPPORT_ZONE),
+        (esc._shell_points(model, esc._k_axis(e.constants, 0.5 * spacing),
+                           energies), esc._COVER_ZONE))
+    bands = np.array([esc._disc_energy_band(model, tb) for tb in tubes])
+    r_stop = esc._stop_radius(tubes)
+    for (z, zeta, shell), (w_lo, w_hi, _) in point_sets:
+        t_tail = max(tb.T for tb in tubes) + w_hi + 0.1
+        ts, comps, _, _, _ = esc._shell_orbits(model, z, zeta, shell,
+                                               e.tubes.reach, w_lo - 0.1,
+                                               t_tail, bands, r_stop)
+        z_end, zeta_end = comps[0][:, -1], comps[1][:, -1]
+        assert np.all(fl.escape_certified(model, z_end, zeta_end, r_stop))
+        _, zs, cs = fl.batched_flow(model, z_end, zeta_end, ts[-1],
+                                    ts[-1] + t_tail, esc._Q_CIRC_DT,
+                                    store_stride=esc._Q_CIRC_STRIDE)
+        for tb in tubes:
+            level = tb.seed[0] * tb.normal[0] + tb.seed[1] * tb.normal[1]
+            neg = np.signbit(zs * tb.normal[0] + cs * tb.normal[1] - level)
+            ks, ms = np.nonzero(neg[:-1] != neg[1:])
+            dist = np.hypot(zs[ks, ms] - tb.seed[0], cs[ks, ms] - tb.seed[1])
+            assert np.all(dist > esc._near_radius(tb))
+
+
 def test_q_circ_order_invariant(escape_longrange):
     """Permuting the points (and their shell labels) permutes the outputs
     exactly."""
@@ -348,7 +394,7 @@ def test_shell_members_on_representative_orbit(amplitude):
     model = geo.preset_model("longrange_pow", amplitude=amplitude)
     z, zeta, shell = esc.phase_grid(model, n_x=60, n_interior=12, n_energy=3)
     _, _, pts, orb, s = esc._shell_orbits(model, z, zeta, shell, 60.0,
-                                             -1.1, 1.0, _ANY_ENERGY)
+                                          -1.1, 1.0, _ANY_ENERGY, np.inf)
     assert np.all(s >= 0.0)
     first = np.flatnonzero(np.diff(orb, prepend=-1))
     stop = np.append(first[1:], orb.size)
@@ -370,7 +416,7 @@ def test_shell_orbits_near_turning_points():
     model = geo.preset_model("longrange_pow", amplitude=1.5)
     z, zeta, shell = esc.phase_grid(model)
     _, _, pts, orb, s = esc._shell_orbits(model, z, zeta, shell, 60.0,
-                                          -1.1, 1.0, _ANY_ENERGY)
+                                          -1.1, 1.0, _ANY_ENERGY, np.inf)
     assert orb.max() + 1 > np.unique(shell[np.abs(z) <= 60.0]).size
     assert np.all(s >= 0.0)
 
@@ -401,8 +447,8 @@ def test_refine_crossings_residual(escape_longrange, monkeypatch):
     e = escape_longrange
     z, zeta, shell = esc.phase_grid(e.model, n_x=40, n_interior=8, n_energy=4)
     ts, comps, pts, orb, s = esc._shell_orbits(e.model, z, zeta, shell,
-                                                  e.tubes.reach, -1.1, 1.0,
-                                                  _ANY_ENERGY)
+                                               e.tubes.reach, -1.1, 1.0,
+                                               _ANY_ENERGY, np.inf)
     k0 = int(np.searchsorted(ts, 0.0))
     ks = np.searchsorted(ts, s, side="right") - 1
     ks = np.clip(ks, k0, ts.size - 2)

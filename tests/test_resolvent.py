@@ -64,6 +64,33 @@ def test_conjugation_symmetry(longrange_1d):
     assert np.max(np.abs(um - np.conj(up))) <= 1e-9
 
 
+def test_cap_solves_match_dense(longrange_1d):
+    """On the complex symmetric CAP operator at t = 0, the forward, raw
+    and adjoint solves agree with a dense solve."""
+    op = rv.discretize(longrange_1d, 0.3, L=40.0, N=512, boundary="cap")
+    w = complex(longrange_1d.lambda2, 0.0)
+    diag, off = op.diagonals()
+    M = np.diag(diag - w) + np.diag(off, 1) + np.diag(off, -1)
+    rng = np.random.default_rng(4)
+    f = rng.standard_normal(op.size) + 1j * rng.standard_normal(op.size)
+    solver = rv.BandedSolver(op, w)
+    for u, ref in ((solver.solve(f), np.linalg.solve(M, f)),
+                   (solver.solve_uncertified(f), np.linalg.solve(M, f)),
+                   (solver.solve_adjoint(f), np.linalg.solve(M.conj().T, f))):
+        assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_singular_shift_raises():
+    """An exactly zero pivot is reported, not divided by."""
+
+    class ZeroOperator:
+        def diagonals(self):
+            return np.zeros(16, dtype=complex), np.zeros(15, dtype=complex)
+
+    with pytest.raises(ConvergenceError, match="singular shifted factorization"):
+        rv.BandedSolver(ZeroOperator(), 0.0)
+
+
 def test_adjoint_symmetry_weighted_norm(longrange_1d):
     op = rv.discretize(longrange_1d, 0.1, L=100.0, N=2**14, boundary="dirichlet")
     a = rv.weighted_resolvent_norm(op, 1.0, 0.01, 0.7)
