@@ -2,14 +2,21 @@
 
 The only user surface.  A configuration is a flat key = value file
 ('#' starts a comment); unknown keys and out-of-range values are rejected
-with line diagnostics before anything is written.  Shipped presets cover
-the four example models.  Outputs are deterministic: no wall clock, no
-seedless randomness, floats rendered with repr, and every file embeds the
-version, the config hash and the effective configuration.
+with line diagnostics before anything is written, and the command line's
+overrides go through the same checks.  Shipped presets cover the four
+example models.  Outputs are deterministic: no wall clock, no seedless
+randomness, floats rendered with repr, and every file embeds the version,
+the config hash and the effective configuration.
 
-Exit status: 0 when every requested check passed (a trapping model on a
-sweep is flagged and its non-trapping checks are skipped, not failed),
-1 when a check failed, 2 on configuration errors.
+Every command but calculus-tests runs one non-trapping scan and hands its
+verdict to the stages that need it.  full-report is the model's witness:
+the scan, the escape certificate (skipped on a trapping model) and the
+resolvent sweep.  calculus-tests checks symbol-calculus facts that hold
+whatever the model is, so full-report leaves it out.
+
+Exit status: 0 when every check in summary.json passed (a trapping model
+on a sweep is flagged and its non-trapping checks are skipped, not
+failed), 1 when one failed, 2 on configuration errors.
 """
 
 from __future__ import annotations
@@ -227,7 +234,6 @@ class Reporter:
                 value, (int, float, np.floating)) else value
         if note:
             self.checks[name]["note"] = note
-        return bool(passed)
 
     def summary(self, command):
         data = {
@@ -259,9 +265,7 @@ def _scan(cfg, model):
     )
 
 
-def cmd_flow_scan(cfg, rep: Reporter):
-    model = _model_from(cfg)
-    verdict = _scan(cfg, model)
+def cmd_flow_scan(cfg, rep: Reporter, verdict):
     rep.write_csv("scan_summary.csv",
                   ["window_lo", "window_hi", "sampled", "trapped",
                    "nontrapping"],
@@ -270,11 +274,10 @@ def cmd_flow_scan(cfg, rep: Reporter):
                     int(verdict.is_nontrapping_empirical)]])
     wit_rows = [list(w) for w in verdict.trapped_witnesses]
     rep.write_csv("witnesses.csv", ["z1", "zeta1"], wit_rows)
-    _dump_trajectories(cfg, model, rep)
+    _dump_trajectories(cfg, _model_from(cfg), rep)
     rep.check("flow_scan_completed", True,
               value=len(verdict.trapped_witnesses),
               note="trapping witnesses found" if wit_rows else "non-trapping")
-    return verdict
 
 
 def _dump_trajectories(cfg, model, rep: Reporter):
@@ -299,11 +302,8 @@ def _dump_trajectories(cfg, model, rep: Reporter):
                       ["t", "z1", "zeta1", "x", "tau", "p"], table.tolist())
 
 
-def _assemble(cfg, rep: Reporter, verdict=None):
-    model = _model_from(cfg)
-    if verdict is None:
-        verdict = _scan(cfg, model)
-    e = esc.assemble_escape(model, cfg["epsilon"], verdict,
+def _assemble(cfg, rep: Reporter, verdict):
+    e = esc.assemble_escape(_model_from(cfg), cfg["epsilon"], verdict,
                             seed_spacing=cfg["seed_spacing"])
     body = [
         "escape function constants",
@@ -330,14 +330,13 @@ def _dump_q_slice(e, rep: Reporter):
                   rows[e.grid[:, 0] >= 1.0].tolist())
 
 
-def cmd_escape_build(cfg, rep: Reporter):
-    e = _assemble(cfg, rep)
+def cmd_escape_build(cfg, rep: Reporter, verdict):
+    e = _assemble(cfg, rep, verdict)
     _dump_q_slice(e, rep)
     rep.check("escape_assembled", True, value=e.C_prime)
-    return e
 
 
-def cmd_escape_verify(cfg, rep: Reporter, verdict=None):
+def cmd_escape_verify(cfg, rep: Reporter, verdict):
     e = _assemble(cfg, rep, verdict)
     _dump_q_slice(e, rep)
     report = esc.verify_proposition(
@@ -354,7 +353,6 @@ def cmd_escape_verify(cfg, rep: Reporter, verdict=None):
         rep.write_csv("verify_witnesses.csv",
                       [f"s{i}" for i in range(len(wit[0]))], wit)
     rep.check("escape_certificate", report.passed, value=report.c_dprime)
-    return report
 
 
 def cmd_calculus_tests(cfg, rep: Reporter):
@@ -374,12 +372,10 @@ def cmd_calculus_tests(cfg, rep: Reporter):
         defects.append(d)
         rows.append(["commutator_defect", h, d])
     slope = float(np.polyfit(np.log(hs), np.log(defects), 1)[0])
-    ok_slope = rep.check("commutator_slope", abs(slope - 1.0) <= 0.2, slope)
+    rep.check("commutator_slope", abs(slope - 1.0) <= 0.2, slope)
     ratios = np.array(defects[:-1]) / np.array(defects[1:])
-    ok_halve = rep.check("commutator_halving",
-                         bool(np.all(np.abs(ratios - 2.0) <= 0.3)),
-                         float(np.max(np.abs(ratios - 2.0))))
-    garding_ok = True
+    rep.check("commutator_halving", bool(np.all(np.abs(ratios - 2.0) <= 0.3)),
+              float(np.max(np.abs(ratios - 2.0))))
     for sym in qz.garding_test_symbols():
         vals = []
         for h in hs:
@@ -388,24 +384,19 @@ def cmd_calculus_tests(cfg, rep: Reporter):
             vals.append(abs(f) / h)
             rows.append([f"garding_{sym.name}", h, f])
         drift = (max(vals) - min(vals)) / max(vals)
-        garding_ok &= rep.check(f"garding_drift_{sym.name}", drift <= 0.5, drift)
+        rep.check(f"garding_drift_{sym.name}", drift <= 0.5, drift)
     qg = qz.GridQuantization(L=L, N=N, h=0.1)
     ident = qz.quantize(qz.Symbol(fn=lambda z, zeta: np.ones_like(z)), qg)
-    ok_id = rep.check("quantize_identity",
-                      float(np.max(np.abs(ident - np.eye(N)))) <= 1e-12)
+    rep.check("quantize_identity",
+              float(np.max(np.abs(ident - np.eye(N)))) <= 1e-12)
     u = np.exp(-(qg.z**2))
-    ok_norm = rep.check(
-        "weighted_norm_l2",
-        abs(qz.weighted_norm(u, 0, 0, qg) - qg.norm(u)) <= 1e-12,
-    )
+    rep.check("weighted_norm_l2",
+              abs(qz.weighted_norm(u, 0, 0, qg) - qg.norm(u)) <= 1e-12)
     rep.write_csv("calculus.csv", ["check", "h", "value"], rows)
-    return ok_slope and ok_halve and garding_ok and ok_id and ok_norm
 
 
-def cmd_resolvent_sweep(cfg, rep: Reporter, verdict=None):
+def cmd_resolvent_sweep(cfg, rep: Reporter, verdict):
     model = _model_from(cfg)
-    if verdict is None:
-        verdict = _scan(cfg, model)
     trapping = not verdict.is_nontrapping_empirical
     report = rv.h_sweep(
         model, h_list=cfg["h_list"], t_rule=cfg["t_rule"], s=cfg["s_weight"],
@@ -433,13 +424,10 @@ def cmd_resolvent_sweep(cfg, rep: Reporter, verdict=None):
                       [[h_min, sup, arg]])
         rep.check("trapping_flagged", True, value=sup,
                   note="non-trapping slope check skipped (expected-trapping)")
-        return True
-    ok_slope = rep.check("sweep_slope", 0.85 <= report.slope <= 1.15,
-                         report.slope)
-    ok_unif = rep.check("sweep_uniformity",
-                        report.max_uniformity_ratio <= 3.0,
-                        report.max_uniformity_ratio)
-    ok_oracle = True
+        return
+    rep.check("sweep_slope", 0.85 <= report.slope <= 1.15, report.slope)
+    rep.check("sweep_uniformity", report.max_uniformity_ratio <= 3.0,
+              report.max_uniformity_ratio)
     if cfg["potential"] == "zero":
         h_ref = cfg["h_list"][len(cfg["h_list"]) // 2]
         op = rv.discretize(model, h_ref, L=cfg["box_half_length"],
@@ -454,22 +442,19 @@ def cmd_resolvent_sweep(cfg, rep: Reporter, verdict=None):
         rel = abs(got - want) / want
         rep.write_csv("oracle.csv", ["h", "discrete", "oracle", "rel_err"],
                       [[h_ref, got, want, rel]])
-        ok_oracle = rep.check("oracle_agreement", rel <= 0.02, rel)
-    return ok_slope and ok_unif and ok_oracle
+        rep.check("oracle_agreement", rel <= 0.02, rel)
 
 
-def cmd_full_report(cfg, rep: Reporter):
-    verdict = cmd_flow_scan(cfg, rep)
-    ok = True
+def cmd_full_report(cfg, rep: Reporter, verdict):
+    """The model's witness: the scan's reports, the escape certificate
+    (skipped on a trapping model) and the resolvent sweep."""
+    cmd_flow_scan(cfg, rep, verdict)
     if verdict.is_nontrapping_empirical:
-        report = cmd_escape_verify(cfg, rep, verdict)
-        ok &= report.passed
+        cmd_escape_verify(cfg, rep, verdict)
     else:
         rep.check("escape_certificate", True,
                   note="skipped: model is trapping")
-    ok &= cmd_calculus_tests(cfg, rep)
-    ok &= cmd_resolvent_sweep(cfg, rep, verdict=verdict)
-    return ok
+    cmd_resolvent_sweep(cfg, rep, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -478,32 +463,29 @@ def cmd_full_report(cfg, rep: Reporter):
 
 def run(params, out_override=None, command_override=None, jobs_override=None):
     """Execute one experiment configuration; returns the exit status."""
-    if command_override:
-        params = dict(params, command=command_override)
-    cfg = effective_config(params)
-    if out_override:
-        cfg["out"] = out_override
-    if jobs_override:
-        cfg["jobs"] = int(jobs_override)
+    overrides = {"command": command_override, "out": out_override,
+                 "jobs": jobs_override}
+    cfg = effective_config(dict(params, **{k: v for k, v in overrides.items()
+                                           if v is not None}))
     command = cfg["command"]
-    _model_from(cfg)  # validate the model block before touching the disk
+    model = _model_from(cfg)  # validate the model block before touching the disk
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     rep = Reporter(outdir, cfg)
-    if command == "flow-scan":
-        cmd_flow_scan(cfg, rep)
-        ok = True
-    elif command == "escape-build":
-        cmd_escape_build(cfg, rep)
-        ok = True
-    elif command == "escape-verify":
-        ok = cmd_escape_verify(cfg, rep).passed
-    elif command == "calculus-tests":
-        ok = cmd_calculus_tests(cfg, rep)
-    elif command == "resolvent-sweep":
-        ok = cmd_resolvent_sweep(cfg, rep)
+    if command == "calculus-tests":
+        cmd_calculus_tests(cfg, rep)
     else:
-        ok = cmd_full_report(cfg, rep)
+        verdict = _scan(cfg, model)
+        if command == "flow-scan":
+            cmd_flow_scan(cfg, rep, verdict)
+        elif command == "escape-build":
+            cmd_escape_build(cfg, rep, verdict)
+        elif command == "escape-verify":
+            cmd_escape_verify(cfg, rep, verdict)
+        elif command == "resolvent-sweep":
+            cmd_resolvent_sweep(cfg, rep, verdict)
+        else:
+            cmd_full_report(cfg, rep, verdict)
     data = rep.summary(command)
     for name in sorted(data["checks"]):
         entry = data["checks"][name]
@@ -511,7 +493,7 @@ def run(params, out_override=None, command_override=None, jobs_override=None):
         extra = f" value={entry.get('value')!r}" if "value" in entry else ""
         note = f" ({entry['note']})" if "note" in entry else ""
         print(f"[{status}] {name}{extra}{note}")
-    return 0 if data["all_passed"] and ok else 1
+    return 0 if data["all_passed"] else 1
 
 
 def main(argv=None):

@@ -39,7 +39,6 @@ from nontrap.smooth import SmoothFn, falling_step, plateau, rising_step
 # normalization point of the intermediate cutoff's exponential profile;
 # balances the two halving budgets of the assembly cascade
 _TAU_REF_FACTOR = 0.125
-_SLOPE_SAMPLES = 4000   # band samples of partial_slope_margin
 _COLLAR_X_MIN = 1e-4    # innermost x of the collar grids
 _COLLAR_NX = 40         # collar grid size (x, tau) at refine = 1
 _COLLAR_NTAU = 41
@@ -121,15 +120,6 @@ def build_cutoffs(lam: float, c1: float, delta: float) -> CutoffFamily:
         chi_partial=SmoothFn(chi_partial, chi_partial_d),
         rho=rho, psi=psi, slope=k,
     )
-
-
-def partial_slope_margin(cutoffs: CutoffFamily) -> float:
-    """min of chi'_partial - (6 lam / c1) chi_partial over the enforced
-    band (must be >= 0; equals e^{k(t-ref)} u'(t) analytically)."""
-    lam = cutoffs.lam
-    t = np.linspace(-7 * lam / 8, 3 * lam / 4, _SLOPE_SAMPLES)
-    gap = cutoffs.chi_partial.d(t) - cutoffs.slope * cutoffs.chi_partial(t)
-    return float(np.min(gap))
 
 
 # ---------------------------------------------------------------------------

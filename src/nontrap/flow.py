@@ -7,9 +7,11 @@ with |z| > R_esc, d|z|/dt > 0 and tau^2 at least half the shell energy; for
 small x the radial momentum ratio tau/x is monotone along the flow, so these
 conditions persist and the verdict is a certificate rather than a guess.
 An escaped verdict whose energy drift max |p(t) - p(0)| exceeds
-1e-5 (1 + |p0|) raises instead of being accepted; everything undetermined
-by T_max is reported honestly as such.  The trajectory dumps of the
-flow-scan command run on the same integrator.
+1e-5 (1 + |p0|) raises instead of being accepted.  A point left
+undetermined by T_max (no escape seen in one direction) is not told apart
+from a trapped one: nontrapping_scan counts it among the trapped
+witnesses, so a slow or low-energy orbit can read as trapping.  The
+trajectory dumps of the flow-scan command run on the same integrator.
 
 A batch of phase points is two equal-length 1-D arrays z, zeta; a stored
 batch trajectory is two (n_stored, m) arrays.

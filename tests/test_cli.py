@@ -107,6 +107,16 @@ def test_unrunnable_values_rejected_before_output(tmp_path, line, commands):
         assert not out.exists(), command
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_override_validated_before_output(tmp_path, jobs):
+    """--jobs goes through the same range check as the config key."""
+    out = tmp_path / "o"
+    code = cli.main(["--preset", "zero", "flow-scan", "--jobs", jobs,
+                     "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
 def test_library_config_unknown_key_rejected_before_output(tmp_path):
     """Keys reach cli.run from library callers without parse_config_text;
     they are checked there too."""
@@ -167,6 +177,46 @@ def test_only_package_errors_become_exit_1(tmp_path, monkeypatch):
                         fail_with(KeyError("not a package error")))
     with pytest.raises(KeyError):
         cli.main(args)
+
+
+@pytest.mark.parametrize("passed, code", [(True, 0), (False, 1)])
+def test_exit_status_follows_summary(tmp_path, monkeypatch, passed, code):
+    """The exit status is 0 exactly when summary.json's all_passed holds."""
+    def command(cfg, rep):
+        rep.check("always_passes", True)
+        rep.check("stub_check", passed)
+
+    monkeypatch.setattr(cli, "cmd_calculus_tests", command)
+    out = tmp_path / "o"
+    assert cli.main(["--preset", "zero", "calculus-tests",
+                     "--out", str(out)]) == code
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["all_passed"] is passed
+
+
+#: the checks calculus-tests records, and full-report does not
+_CALCULUS_CHECKS = ("commutator_slope", "commutator_halving",
+                    "garding_drift_abs_sin_gauss",
+                    "garding_drift_one_minus_gauss", "quantize_identity",
+                    "weighted_norm_l2")
+
+
+def test_calculus_tests_command(tmp_path):
+    """calculus-tests writes 4 commutator defects and 4 floors for each of
+    the 2 Garding symbols, and all 6 of its checks pass."""
+    out = tmp_path / "o"
+    assert cli.main(["--preset", "zero", "calculus-tests",
+                     "--out", str(out)]) == 0
+    lines = [ln for ln in (out / "calculus.csv").read_text().splitlines()
+             if not ln.startswith("#")]
+    assert lines[0] == "check,h,value"
+    names = [ln.split(",")[0] for ln in lines[1:]]
+    assert names == (["commutator_defect"] * 4
+                     + ["garding_abs_sin_gauss"] * 4
+                     + ["garding_one_minus_gauss"] * 4)
+    summary = json.loads((out / "summary.json").read_text())
+    assert sorted(summary["checks"]) == sorted(_CALCULUS_CHECKS)
+    assert all(c["passed"] for c in summary["checks"].values())
 
 
 def test_flow_scan_free_deterministic(tmp_path):
@@ -284,7 +334,8 @@ def test_resolvent_sweep_free_checks(tmp_path):
 
 
 def test_full_report_free_reduced(tmp_path):
-    """full-report on the free preset: all checks pass, exit 0."""
+    """full-report on the free preset: all checks pass, exit 0, and the
+    model-independent calculus checks are not run."""
     out = tmp_path / "full"
     conf = tmp_path / "c.conf"
     conf.write_text(
@@ -298,7 +349,9 @@ def test_full_report_free_reduced(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["all_passed"]
     for name in ("flow_scan_completed", "escape_certificate",
-                 "commutator_slope", "sweep_slope", "oracle_agreement"):
+                 "sweep_slope", "oracle_agreement"):
         assert summary["checks"][name]["passed"], name
+    assert not set(_CALCULUS_CHECKS) & set(summary["checks"])
+    assert not (out / "calculus.csv").exists()
     assert (out / "q_slice.csv").exists()
     assert (out / "escape_report.txt").exists()
