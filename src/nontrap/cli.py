@@ -156,9 +156,9 @@ def effective_config(params):
                 f"field {key!r}: value {v} outside documented range [{lo}, {hi}]"
             )
     if cfg["command"] in ("resolvent-sweep", "full-report"):
-        # the sweep's grid, checked before any output; the finest h needs
-        # the most points per wavelength
-        rv.check_resolution(_model_from(cfg), min(cfg["h_list"]),
+        # the sweep's h and grid, checked before any output; the finest h
+        # needs the most points per wavelength
+        rv.check_resolution(_model_from(cfg), rv.sweep_hs(cfg["h_list"])[-1],
                             cfg["box_half_length"], 2 ** cfg["grid_exponent"])
     return cfg
 
@@ -348,10 +348,9 @@ def cmd_escape_verify(cfg, rep: Reporter, verdict):
     rep.write_csv("verify.csv",
                   ["c_prime", "c_dprime", "b_floor", "n_points", "passed"],
                   rows)
-    wit = [list(w) for w in report.witnesses]
-    if wit:
-        rep.write_csv("verify_witnesses.csv",
-                      [f"s{i}" for i in range(len(wit[0]))], wit)
+    if report.witnesses:
+        rep.write_csv("verify_witnesses.csv", ["z1", "zeta1"],
+                      [list(w) for w in report.witnesses])
     rep.check("escape_certificate", report.passed, value=report.c_dprime)
 
 

@@ -221,39 +221,38 @@ def boundary_constants(model, refine=1) -> BoundaryConstants:
 # boundary pieces
 # ---------------------------------------------------------------------------
 
-def eval_boundary_piece(kind, model, consts, cutoffs, eps, z, zeta):
-    """(q/psi, H_p q/psi) for one boundary piece on a batch of points.
-
-    kind in {'minus', 'plus', 'partial'}.  The derivative uses the exact
-    Hamilton field through the chart (product rule on x^alpha chi(tau)
-    rho(x/x0)); the psi(p) factor is flow-invariant and divided out.
+def boundary_pieces(model, consts, cutoffs, eps, z, zeta):
+    """(q/psi, H_p q/psi) of the pieces x^alpha chi(tau) rho(x/x0) on a
+    batch of points: incoming (chi_minus, alpha = -eps), outgoing
+    (chi_plus, eps) and intermediate (chi_partial, -eps).  The derivative
+    uses the exact Hamilton field through the chart (product rule), once
+    on the union of the supports (rho(x/x0) = 0 at z = 0); the psi(p)
+    factor is flow-invariant and divided out.
     """
-    kinds = {"minus": (cutoffs.chi_minus, -eps), "plus": (cutoffs.chi_plus, eps),
-             "partial": (cutoffs.chi_partial, -eps)}
-    if kind not in kinds:
-        raise ConfigurationError(f"unknown boundary piece {kind!r}")
-    chi, alpha = kinds[kind]
     z, zeta = np.asarray(z, dtype=float), np.asarray(zeta, dtype=float)
     x, tau = geo.scattering_coords(z, zeta)
     x0 = consts.x0
-    rho_v = cutoffs.rho(x / x0)
-    chi_v = chi(tau)
-    val = x**alpha * chi_v * rho_v
-    hpq = np.zeros_like(val)
-    # the derivative is supported wherever any factor or its derivative is
-    live = (chi_v != 0.0) | (chi.d(tau) != 0.0)
-    live &= (rho_v != 0.0) | (cutoffs.rho.d(x / x0) != 0.0)
-    if np.any(live):
-        vel = geo.hamilton_field_scattering(model, z[live], zeta[live])
-        xl, taul = x[live], tau[live]
-        rv, rd = cutoffs.rho(xl / x0), cutoffs.rho.d(xl / x0)
-        cv, cd = chi(taul), chi.d(taul)
+    rv, rd = cutoffs.rho(x / x0), cutoffs.rho.d(x / x0)
+    chis = [(alpha, chi(tau), chi.d(tau)) for chi, alpha in (
+        (cutoffs.chi_minus, -eps), (cutoffs.chi_plus, eps),
+        (cutoffs.chi_partial, -eps))]
+    # a derivative is supported wherever any factor or its derivative is
+    near = (rv != 0.0) | (rd != 0.0)
+    lives = [near & ((cv != 0.0) | (cd != 0.0)) for _, cv, cd in chis]
+    union = np.any(lives, axis=0)
+    vel = geo.hamilton_field_scattering(model, z[union], zeta[union])
+    out = []
+    for (alpha, cv, cd), live in zip(chis, lives):
+        val = x**alpha * cv * rv
+        hpq = np.zeros_like(val)
+        xl, u, cl, rl = x[live], live[union], cv[live], rv[live]
         hpq[live] = (
-            alpha * xl ** (alpha - 1.0) * vel.xdot * cv * rv
-            + xl**alpha * cd * vel.taudot * rv
-            + xl**alpha * cv * rd * vel.xdot / x0
+            alpha * xl ** (alpha - 1.0) * vel.xdot[u] * cl * rl
+            + xl**alpha * cd[live] * vel.taudot[u] * rl
+            + xl**alpha * cl * rd[live] * vel.xdot[u] / x0
         )
-    return val, hpq
+        out.append((val, hpq))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +260,13 @@ def eval_boundary_piece(kind, model, consts, cutoffs, eps, z, zeta):
 # ---------------------------------------------------------------------------
 
 def _chi_tube(t, T):
-    """Tube time cutoff: supported in (-1, T+2), slope exactly 1 on
-    [-1/2, T+2/3] (the covering zone), falling only on (T+2/3, T+2)."""
+    """Tube time cutoff and its derivative (chi_j, chi_j'): supported in
+    (-1, T+2), slope exactly 1 on [-1/2, T+2/3] (the covering zone),
+    falling only on (T+2/3, T+2)."""
     t = np.asarray(t, dtype=float)
     rise, down = rising_step(-1.0, -0.5), falling_step(T + 2.0 / 3.0, T + 2.0)
-    return rise(t) * (1.0 + t) * down(t)
-
-
-def _chi_tube_d(t, T):
-    t = np.asarray(t, dtype=float)
-    rise, down = rising_step(-1.0, -0.5), falling_step(T + 2.0 / 3.0, T + 2.0)
-    lin = 1.0 + t
-    return rise.d(t) * lin * down(t) + rise(t) * down(t) + rise(t) * lin * down.d(t)
+    r, lin, dn = rise(t), 1.0 + t, down(t)
+    return r * lin * dn, rise.d(t) * lin * dn + r * dn + r * lin * down.d(t)
 
 
 @dataclass
@@ -467,8 +461,9 @@ def eval_q_circ(model, coll: TubeCollection, z, zeta, shell):
     for tb, i, t, sigma in _tube_passes(model, coll.tubes, coll.reach, z,
                                         zeta, shell, _SUPPORT_ZONE):
         phi = phi_shape(sigma)
-        np.add.at(qv, i, _chi_tube(t, tb.T) * phi)
-        np.add.at(hp, i, -_chi_tube_d(t, tb.T) * phi)
+        chi, chi_d = _chi_tube(t, tb.T)
+        np.add.at(qv, i, chi * phi)
+        np.add.at(hp, i, -chi_d * phi)
     return qv, hp
 
 
@@ -768,12 +763,8 @@ class EscapeFunction:
         model = self.model
         x, tau = geo.scattering_coords(z, zeta)
         psi = self.cutoffs.psi(geo.symbol_p(model, z, zeta))
-        qm, hm = eval_boundary_piece("minus", model, self.constants,
-                                     self.cutoffs, self.eps, z, zeta)
-        qp, hplus = eval_boundary_piece("plus", model, self.constants,
-                                        self.cutoffs, self.eps, z, zeta)
-        qd, hd = eval_boundary_piece("partial", model, self.constants,
-                                     self.cutoffs, self.eps, z, zeta)
+        (qm, hm), (qp, hplus), (qd, hd) = boundary_pieces(
+            model, self.constants, self.cutoffs, self.eps, z, zeta)
         qc, hc = eval_q_circ(model, self.tubes, z, zeta, shell)
         return PieceArrays(x=x, tau=tau, psi=psi, q_minus=qm, hp_minus=hm,
                            q_plus=qp, hp_plus=hplus, q_partial=qd,

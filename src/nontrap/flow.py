@@ -1,11 +1,13 @@
 """Hamiltonian flow: integration, escape classification, non-trapping scans.
 
 Escape verdicts and the tubes' incoming times come from one integrator,
-`batched_flow` (fixed-step RK4 over a batch), run in segments so that
-decided points retire.  A point is certified as escaped at the first sample
-with |z| > R_esc, d|z|/dt > 0 and tau^2 at least half the shell energy; for
-small x the radial momentum ratio tau/x is monotone along the flow, so these
-conditions persist and the verdict is a certificate rather than a guess.
+`batched_flow` (fixed-step RK4 over a batch), run forward in segments so
+that decided points retire: as p(z, -zeta) = p(z, zeta), backward verdicts
+and incoming times are forward flows of (z, -zeta), bit for bit.  A point
+is certified as escaped at the first sample with |z| > R_esc, d|z|/dt > 0
+and tau^2 at least half the shell energy; for small x the radial momentum
+ratio tau/x is monotone along the flow, so these conditions persist and the
+verdict is a certificate rather than a guess.
 An escaped verdict whose energy drift max |p(t) - p(0)| exceeds
 1e-5 (1 + |p0|) raises instead of being accepted.  A point left
 undetermined by T_max (no escape seen in one direction) is not told apart
@@ -105,17 +107,16 @@ def batched_flow(model, z0, zeta0, t0, t1, dt, store_stride=1, until=None):
 
 
 def _flow_segments(model, z, zeta, t_end, dt, visit):
-    """Flow the points (z, zeta) from t = 0 to t_end (either sign) with
+    """Flow the points (z, zeta) forward from t = 0 to t_end with
     batched_flow, _SEGMENT time units per call.  visit(rows, ts, zs, cs)
     gets the live points' indices and the segment's new samples (the first
     segment's include t = 0) and returns a mask of decided points, which
     retire."""
     rows = np.arange(z.size)
-    sgn = math.copysign(1.0, t_end)
     done, first = 0.0, 0
-    while rows.size and done < abs(t_end):
-        nxt = min(done + _SEGMENT, abs(t_end))
-        ts, zs, cs = batched_flow(model, z, zeta, sgn * done, sgn * nxt, dt)
+    while rows.size and done < t_end:
+        nxt = min(done + _SEGMENT, t_end)
+        ts, zs, cs = batched_flow(model, z, zeta, done, nxt, dt)
         keep = ~visit(rows, ts[first:], zs[first:], cs[first:])
         rows, z, zeta = rows[keep], zs[-1, keep], cs[-1, keep]
         done, first = nxt, 1
@@ -139,46 +140,46 @@ class ClassifyResult:
         return np.isfinite(self.escape_time_fwd) & np.isfinite(self.escape_time_bwd)
 
 
-def escape_certified(model, z, zeta, R_esc, sgn=1.0):
-    """The escape certificate at each point, for the flow in the direction
-    sgn of time: |z| > R_esc, |z| growing along the flow (sgn z zdot > 0)
-    and tau^2 >= lambda^2 / 2.  Once it holds, it holds for the rest of the
+def escape_certified(model, z, zeta, R_esc):
+    """The escape certificate at each point, for the forward flow:
+    |z| > R_esc, |z| growing along the flow (z zdot > 0) and
+    tau^2 >= lambda^2 / 2.  Once it holds, it holds for the rest of the
     flow (tau/x is monotone for small x), so |z| never falls back to
     R_esc."""
     _, tau = geo.scattering_coords(z, zeta)
     # zdot = 2 zeta, so d|z|/dt has the sign of z zeta
-    return ((np.abs(z) > R_esc) & (sgn * (z * zeta) > 0)
+    return ((np.abs(z) > R_esc) & (z * zeta > 0)
             & (tau**2 >= 0.5 * model.lambda2))
 
 
-def _escape_times(model, z, zeta, T_end, R_esc):
-    """First sampled time of the escape certificate along the flow from 0 to
-    T_end (T_end < 0 = backward), NaN if none, and the energy drift over the
-    samples flowed.  An escape that drifted past the bound raises."""
-    sgn = math.copysign(1.0, T_end)
-    p0 = geo.symbol_p(model, z, zeta)
-    t_esc = np.full(z.size, np.nan)
-    drift = np.zeros(z.size)
+def _escape_times(model, z, zeta, T_max, R_esc):
+    """Escape times within T_max (NaN if none) forward and, flowing the
+    mirrors (z, -zeta) in the same batch, backward; and each point's energy
+    drift over both.  An escape that drifted past the bound raises."""
+    m = z.size
+    zz, cc = np.concatenate([z, z]), np.concatenate([zeta, -zeta])
+    p0 = geo.symbol_p(model, zz, cc)
+    t_esc, drift = np.full(2 * m, np.nan), np.zeros(2 * m)
 
     def visit(rows, ts, zs, cs):
         zf, cf = zs.ravel(), cs.ravel()
-        escaped = escape_certified(model, zf, cf, R_esc, sgn).reshape(zs.shape)
+        escaped = escape_certified(model, zf, cf, R_esc).reshape(zs.shape)
         hit = escaped.any(axis=0)
-        t_esc[rows[hit]] = np.abs(ts[escaped.argmax(axis=0)[hit]])
+        t_esc[rows[hit]] = ts[escaped.argmax(axis=0)[hit]]
         dev = np.abs(geo.symbol_p(model, zf, cf).reshape(zs.shape) - p0[rows])
         drift[rows] = np.maximum(drift[rows], dev.max(axis=0))
         return hit
 
-    _flow_segments(model, z, zeta, T_end, CLASSIFY_DT, visit)
+    _flow_segments(model, zz, cc, T_max, CLASSIFY_DT, visit)
     bad = np.flatnonzero(np.isfinite(t_esc)
                          & (drift > _DRIFT_BOUND * (1.0 + np.abs(p0))))
     if bad.size:
-        i = bad[0]
+        i = bad[0] % m
         raise IntegrationError(
             f"escaped verdict at z={z[i]!r}, zeta={zeta[i]!r} drifted "
-            f"{drift[i]:.3g} in energy; step {CLASSIFY_DT} is too coarse"
+            f"{drift[bad[0]]:.3g} in energy; step {CLASSIFY_DT} is too coarse"
         )
-    return t_esc, drift
+    return t_esc.reshape(2, m), np.maximum(drift[:m], drift[m:])
 
 
 def classify_point(model, z0, zeta0, T_max=500.0,
@@ -189,12 +190,12 @@ def classify_point(model, z0, zeta0, T_max=500.0,
     IntegrationError when an escaped verdict drifted more than
     1e-5 (1 + |p0|) in energy."""
     z0, zeta0 = np.atleast_1d(z0, zeta0)
-    out = np.empty((4, z0.size))  # time and drift, forward then backward
-    for c in range(0, z0.size, _CLASSIFY_CHUNK):
-        sl = slice(c, c + _CLASSIFY_CHUNK)
-        out[:2, sl] = _escape_times(model, z0[sl], zeta0[sl], T_max, R_esc)
-        out[2:, sl] = _escape_times(model, z0[sl], zeta0[sl], -T_max, R_esc)
-    return ClassifyResult(out[0], out[2], np.maximum(out[1], out[3]))
+    out = np.empty((3, z0.size))  # forward time, backward time, drift
+    for c in range(0, z0.size, _CLASSIFY_CHUNK // 2):  # mirrors included
+        sl = slice(c, c + _CLASSIFY_CHUNK // 2)
+        out[:2, sl], out[2, sl] = _escape_times(model, z0[sl], zeta0[sl],
+                                                T_max, R_esc)
+    return ClassifyResult(*out)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +260,7 @@ def time_to_incoming(model, z0, zeta0, x_target, tau_target,
     """Per point (1-D arrays, or scalars for one point): the smallest
     sampled T <= T_max with tau(exp(-T H_p) xi) > tau_target and
     x < x_target, certified to persist over [T, T + 2].  Samples are the
-    RK4 steps of size 0.05.
+    RK4 steps of size 0.05 (of (z, -zeta) forward, where tau reads -tau).
 
     Raises IntegrationError when a point has no such time by T_max
     (trapping, or T_max too small)."""
@@ -271,8 +272,8 @@ def time_to_incoming(model, z0, zeta0, x_target, tau_target,
     def visit(rows, ts, zs, cs):
         x, tau = geo.scattering_coords(zs.ravel(), cs.ravel())
         ok = np.zeros((ts.size, m), dtype=bool)
-        ok[:, rows] = ((tau > tau_target) & (x < x_target)).reshape(ts.size, -1)
-        t_hist.append(-ts)  # backward flow: T = -t
+        ok[:, rows] = ((-tau > tau_target) & (x < x_target)).reshape(ts.size, -1)
+        t_hist.append(ts)
         ok_hist.append(ok)
         t = np.concatenate(t_hist)
         oks = np.concatenate(ok_hist)[:, rows]
@@ -285,7 +286,7 @@ def time_to_incoming(model, z0, zeta0, x_target, tau_target,
         T_in[rows[hit]] = t[good.argmax(axis=0)[hit]]
         return hit
 
-    _flow_segments(model, z0, zeta0, -(T_max + _INCOMING_MARGIN), _INCOMING_DT,
+    _flow_segments(model, z0, -zeta0, T_max + _INCOMING_MARGIN, _INCOMING_DT,
                    visit)
     missing = np.flatnonzero(np.isnan(T_in))
     if missing.size:

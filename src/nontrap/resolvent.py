@@ -455,6 +455,14 @@ def _sweep_cell(model, h, lam2, t_rule, s, L, N) -> SweepCell:
                      iterations=res.iterations, mode=boundary)
 
 
+def sweep_hs(h_list):
+    """The sweep's distinct h, largest first: two at least (a slope fit)."""
+    hs = sorted(set(float(h) for h in h_list), reverse=True)
+    if len(hs) < 2:
+        raise ConfigurationError(f"h_list needs two distinct h, got {h_list}")
+    return hs
+
+
 def h_sweep(model, h_list=(0.2, 0.14, 0.1, 0.07, 0.05), t_rule="cap",
             s=0.7, L=200.0, N=2**15, jobs=1) -> ScalingReport:
     """Sweep h, fit the scaling exponent, probe uniformity in lambda^2.
@@ -464,7 +472,7 @@ def h_sweep(model, h_list=(0.2, 0.14, 0.1, 0.07, 0.05), t_rule="cap",
     max/min ratio is the uniformity certificate.
     """
     lam2 = model.lambda2
-    h_list = sorted(set(float(h) for h in h_list), reverse=True)
+    h_list = sweep_hs(h_list)
     half = 0.5 * model.delta
     lambda_probes = [lam2 - half, lam2, lam2 + half]
     tasks = [(h, l2) for h in h_list for l2 in lambda_probes]

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from nontrap import cli
+from nontrap import escape as esc
 from nontrap import flow as fl
 from nontrap import geometry as geo
+from nontrap import resolvent as rv
 from nontrap.errors import ConfigurationError, ConstructionError
 
 from conftest import integrate_flow
@@ -19,6 +21,12 @@ from conftest import integrate_flow
 
 def read_bytes_map(outdir: Path):
     return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
+def _csv_rows(path):
+    """The header and data rows of a report CSV, below its stamp."""
+    return [ln.split(",") for ln in path.read_text().splitlines()
+            if not ln.startswith("#")]
 
 
 def test_parse_config_roundtrip():
@@ -90,7 +98,9 @@ _UNRUNNABLE = [(line, ("flow-scan",)) for line in (
     # sweep grids that cannot resolve the finest h (< 10 points per
     # wavelength); only the sweeping commands use them
     (line, ("resolvent-sweep", "full-report"))
-    for line in ("h_list = 0.2, 0.001", "grid_exponent = 8")
+    for line in ("h_list = 0.2, 0.001", "grid_exponent = 8",
+                 # a slope needs two distinct h
+                 "h_list = 0.1", "h_list = 0.1, 0.1")
 ]
 
 
@@ -137,6 +147,23 @@ def test_escape_verify_well_certified(tmp_path):
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["checks"]["escape_certificate"]["passed"]
+
+
+def test_failed_certificate_lists_witnesses(tmp_path, monkeypatch):
+    """A failed certificate exits 1 and writes its witnesses as (z1, zeta1)
+    rows, the columns of witnesses.csv."""
+    witnesses = [np.array([2.5, -0.75]), np.array([-3.0, 1.0])]
+
+    def failing(e, **kwargs):
+        return esc.VerifyReport(c_prime=-1.0, c_dprime=0.5, b_floor=0.1,
+                                n_points=10, witnesses=witnesses)
+
+    monkeypatch.setattr(esc, "verify_proposition", failing)
+    out = tmp_path / "o"
+    assert cli.main(["--preset", "zero", "escape-verify",
+                     "--out", str(out)]) == 1
+    assert _csv_rows(out / "verify_witnesses.csv") == [
+        ["z1", "zeta1"], ["2.5", "-0.75"], ["-3.0", "1.0"]]
 
 
 def test_escape_build_writes_construction_slice(tmp_path):
@@ -301,12 +328,27 @@ def test_provenance_stamps(tmp_path):
     assert "# flow_samples = 30" in text  # config echoed into the output
 
 
-def test_resolvent_sweep_trapping_mode(tmp_path):
+@pytest.fixture(scope="module")
+def double_bump_window_row():
+    """trapping_row.csv's data row for the sweep below, from a direct
+    window_sup_norm call (absorbing profile, t = 0)."""
+    sup, arg = rv.window_sup_norm(geo.preset_model("double_bump"), 0.1,
+                                  s=0.7, n_scan=5, L=100.0, N=2**13)
+    return [repr(0.1), repr(sup), repr(arg)]
+
+
+@pytest.mark.parametrize("t_rule", ["cap", "dirichlet"])
+def test_resolvent_sweep_trapping_mode(tmp_path, t_rule,
+                                       double_bump_window_row):
+    """A trapping model is flagged, its window sup row is the absorbing
+    profile's at t = 0 whatever t_rule is, and the sweep's cells follow
+    t_rule."""
     out = tmp_path / "db"
     conf = tmp_path / "c.conf"
     conf.write_text(
         "h_list = 0.2, 0.1\ngrid_exponent = 13\nbox_half_length = 100\n"
         "flow_samples = 40\nscan_t_max = 40\ncontrast_scan = 5\n"
+        f"t_rule = {t_rule}\n"
     )
     code = cli.main(["--preset", "double_bump", "resolvent-sweep",
                      "--config", str(conf), "--out", str(out)])
@@ -314,7 +356,12 @@ def test_resolvent_sweep_trapping_mode(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["checks"]["trapping_flagged"]["passed"]
     assert "skipped" in summary["checks"]["trapping_flagged"]["note"]
-    assert (out / "trapping_row.csv").exists()
+    header, *rows = _csv_rows(out / "trapping_row.csv")
+    assert header == ["h", "window_sup_norm", "argmax_lambda2"]
+    assert rows == [double_bump_window_row]
+    header, *rows = _csv_rows(out / "sweep.csv")
+    assert len(rows) == 6
+    assert {row[header.index("mode")] for row in rows} == {t_rule}
 
 
 def test_resolvent_sweep_free_checks(tmp_path):

@@ -106,7 +106,7 @@ def test_boundary_piece_plateau_value():
     x^(-0.2) ~= 1.8206."""
     model, consts, cutoffs = _demo_setup()
     z, zeta = np.array([20.0]), np.array([-0.9])
-    val, hpq = esc.eval_boundary_piece("minus", model, consts, cutoffs, 0.2, z, zeta)
+    val, hpq = esc.boundary_pieces(model, consts, cutoffs, 0.2, z, zeta)[0]
     assert val[0] == pytest.approx(0.05 ** (-0.2), rel=1e-12)
     assert val[0] == pytest.approx(1.8206, abs=2e-4)
     assert hpq[0] < 0.0
@@ -117,11 +117,11 @@ def test_boundary_piece_plateau_value():
 def test_boundary_piece_flow_finite_difference():
     model, consts, cutoffs = _demo_setup()
     z, zeta = np.array([20.0]), np.array([-0.9])
-    val, hpq = esc.eval_boundary_piece("minus", model, consts, cutoffs, 0.2, z, zeta)
+    val, hpq = esc.boundary_pieces(model, consts, cutoffs, 0.2, z, zeta)[0]
     d = 1e-6
     _, zs, cs = fl.batched_flow(model, z, zeta, 0.0, d, d)
-    vp, _ = esc.eval_boundary_piece("minus", model, consts, cutoffs, 0.2,
-                                    zs[-1], cs[-1])
+    vp, _ = esc.boundary_pieces(model, consts, cutoffs, 0.2,
+                                zs[-1], cs[-1])[0]
     fd = (vp[0] - val[0]) / d
     assert abs(fd - hpq[0]) <= 1e-5 * (1 + abs(hpq[0]))
 
@@ -129,8 +129,55 @@ def test_boundary_piece_flow_finite_difference():
 def test_boundary_piece_outside_support():
     model, consts, cutoffs = _demo_setup()
     z, zeta = np.array([20.0]), np.array([0.0])  # tau = 0
-    val, hpq = esc.eval_boundary_piece("minus", model, consts, cutoffs, 0.2, z, zeta)
+    val, hpq = esc.boundary_pieces(model, consts, cutoffs, 0.2, z, zeta)[0]
     assert val[0] == 0.0 and hpq[0] == 0.0
+
+
+def _per_piece_reference(chi, alpha, model, consts, cutoffs, z, zeta):
+    """Reference: one boundary piece x^alpha chi(tau) rho(x/x0) on its own,
+    its chart field evaluated on its own support."""
+    x, tau = geo.scattering_coords(z, zeta)
+    x0 = consts.x0
+    rho_v = cutoffs.rho(x / x0)
+    chi_v = chi(tau)
+    val = x**alpha * chi_v * rho_v
+    hpq = np.zeros_like(val)
+    live = (chi_v != 0.0) | (chi.d(tau) != 0.0)
+    live &= (rho_v != 0.0) | (cutoffs.rho.d(x / x0) != 0.0)
+    if np.any(live):
+        vel = geo.hamilton_field_scattering(model, z[live], zeta[live])
+        xl, taul = x[live], tau[live]
+        rv, rd = cutoffs.rho(xl / x0), cutoffs.rho.d(xl / x0)
+        cv, cd = chi(taul), chi.d(taul)
+        hpq[live] = (
+            alpha * xl ** (alpha - 1.0) * vel.xdot * cv * rv
+            + xl**alpha * cd * vel.taudot * rv
+            + xl**alpha * cv * rd * vel.xdot / x0
+        )
+    return val, hpq
+
+
+@pytest.mark.parametrize("grid", [dict(n_x=220, n_interior=40, n_energy=14),
+                                  dict(n_x=120, n_interior=21, n_energy=8)],
+                         ids=["construction", "odd_interior"])
+def test_boundary_pieces_match_per_piece_reference(escape_longrange, grid):
+    """One pass over the three pieces gives the per-piece values bit for
+    bit, also where the grid holds z = 0 (odd n_interior)."""
+    e = escape_longrange
+    cut = e.cutoffs
+    z, zeta, _ = esc.phase_grid(e.model, **grid)
+    if grid["n_interior"] % 2:
+        assert np.any(z == 0.0)
+    got = esc.boundary_pieces(e.model, e.constants, cut, e.eps, z, zeta)
+    for (chi, alpha), (val, hpq) in zip(
+            ((cut.chi_minus, -e.eps), (cut.chi_plus, e.eps),
+             (cut.chi_partial, -e.eps)), got):
+        want_val, want_hpq = _per_piece_reference(chi, alpha, e.model,
+                                                  e.constants, cut, z, zeta)
+        assert np.array_equal(val, want_val)
+        assert np.array_equal(hpq, want_hpq)
+    # the window's collar has |tau| near lam, outside the intermediate band
+    assert np.any(got[0][1] != 0.0) and np.any(got[1][1] != 0.0)
 
 
 def test_boundary_piece_incoming_sign_everywhere(escape_free):
@@ -148,8 +195,7 @@ def test_boundary_piece_incoming_sign_everywhere(escape_free):
 def test_tube_time_cutoff_shape():
     T = 7.0
     t = np.linspace(-1.5, T + 2.5, 2000)
-    v = esc._chi_tube(t, T)
-    d = esc._chi_tube_d(t, T)
+    v, d = esc._chi_tube(t, T)
     assert np.all(v >= 0)
     assert np.all(v[(t <= -1.0) | (t >= T + 2.0)] == 0.0)
     grow = (t >= -1.0) & (t <= T + 2.0 / 3.0)
@@ -226,8 +272,9 @@ def _dense_eval_q_circ(model, coll, z, zeta, shell):
     for tb, i, t, sigma in _dense_passes(model, coll.tubes, coll.reach, z,
                                          zeta, shell, esc._SUPPORT_ZONE):
         phi = phi_shape(sigma)
-        np.add.at(qv, i, esc._chi_tube(t, tb.T) * phi)
-        np.add.at(hp, i, -esc._chi_tube_d(t, tb.T) * phi)
+        chi, chi_d = esc._chi_tube(t, tb.T)
+        np.add.at(qv, i, chi * phi)
+        np.add.at(hp, i, -chi_d * phi)
     return qv, hp
 
 

@@ -45,6 +45,21 @@ def test_time_reversal(double_bump_1d):
     assert abs(back.zeta[-1] - 0.9) <= 1e-6
 
 
+@pytest.mark.parametrize("preset", ["longrange_pow", "double_bump", "well"])
+def test_backward_flow_is_forward_flow_of_mirror(preset):
+    """exp(-t H_p)(z, zeta) is exp(t H_p)(z, -zeta) with zeta negated, bit
+    for bit on the RK4 samples (the verdicts' backward flows rely on it)."""
+    model = geo.preset_model(preset)
+    z, zeta = flow.shell_slab_samples(model, 40, 10.0)
+    tf, zf, cf = flow.batched_flow(model, z, -zeta, 0.0, 30.0, 0.02,
+                                   store_stride=3)
+    tb, zb, cb = flow.batched_flow(model, z, zeta, 0.0, -30.0, 0.02,
+                                   store_stride=3)
+    assert np.array_equal(tf, -tb)
+    assert np.array_equal(zf, zb)
+    assert np.array_equal(cf, -cb)
+
+
 def test_classify_free_escapes(free_1d):
     res = flow.classify_point(free_1d, 0.0, 1.0, T_max=100.0)
     assert res.escaped_both.tolist() == [True]

@@ -415,6 +415,13 @@ def test_h_sweep_dirichlet_rule(free_1d):
     assert 0.8 <= rep.slope <= 1.2
 
 
+@pytest.mark.parametrize("h_list", [(0.1,), (0.1, 0.1)])
+def test_h_sweep_needs_two_distinct_h(free_1d, h_list):
+    """A slope through one h is meaningless: rejected before any cell."""
+    with pytest.raises(ConfigurationError, match="two distinct h"):
+        rv.h_sweep(free_1d, h_list=h_list, L=200.0, N=2**13)
+
+
 def test_h_sweep_parallel_matches_serial(free_1d):
     a = rv.h_sweep(free_1d, h_list=(0.2, 0.1), L=200.0, N=2**13, jobs=1)
     b = rv.h_sweep(free_1d, h_list=(0.2, 0.1), L=200.0, N=2**13, jobs=2)
