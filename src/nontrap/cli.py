@@ -308,8 +308,8 @@ def _assemble(cfg, rep: Reporter, verdict):
     body = [
         "escape function constants",
         f"epsilon = {e.eps!r}",
-        f"C = {e.C!r}", f"C_prime = {e.C_prime!r}", f"C_dprime = {e.C_dprime!r}",
-        f"c2 = {e.c2!r}", f"c3 = {e.c3!r}", f"c4 = {e.c4!r}",
+        f"C = {e.C!r}", f"C_prime = {e.C_prime!r}",
+        f"c2 = {e.c2!r}", f"c3 = {e.c3!r}",
         e.constants.describe(),
         f"tubes = {len(e.tubes.tubes)} (max T = {e.tubes.max_T!r})",
         f"covering: {e.tubes.covering.n_uncovered} uncovered of "

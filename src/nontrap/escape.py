@@ -2,14 +2,14 @@
 
 Given an empirically non-trapping model, this module assembles
 
-    q = q_minus + C'' q_partial + C q_circ + C' q_plus,
+    q = q_minus + C q_circ + C' q_plus,
 
 where the boundary pieces are x^{-+eps} chi(tau) psi(p) rho(x/x0) localized
-to the incoming (tau > lam/3), outgoing (tau < -lam/3) and intermediate
-bands near infinity, and q_circ is a finite sum of flow tubes covering the
-compact region.  The three constants are chosen by a halving cascade so
-that q >= 0 everywhere and -H_p q admits a positive weighted floor; the
-final certificate
+to the incoming (tau > lam/3) and outgoing (tau < -lam/3) bands near
+infinity, and q_circ is a finite sum of flow tubes covering the compact
+region.  The two constants are chosen by a halving cascade so that
+q >= 0 everywhere and -H_p q admits a positive weighted floor; the final
+certificate
 
     q >= c' x^eps psi(p),   -H_p q >= c'' x^{1+eps} psi(p)
 
@@ -17,6 +17,11 @@ is measured on a deterministic phase-space grid.  All evaluators return the
 quantities divided by psi(p) (every piece carries that factor, and H_p
 psi(p) vanishes identically), which keeps the grid ratios finite through
 the window edge where psi underflows.
+
+The n-dimensional construction also has an intermediate piece on the band
+|tau| < 7 lam/8 near infinity, which orbits with angular momentum reach.
+In 1D the collar has tau^2 = p - V, and on the window's shell that band is
+empty, so the piece is identically zero and is left out.
 
 The verifier is a sampled certificate, not a proof: margins (a 1.5 safety
 factor on the remainder sup, the halving floors) absorb off-grid
@@ -36,9 +41,6 @@ from nontrap import geometry as geo
 from nontrap.errors import ConfigurationError, ConstructionError
 from nontrap.smooth import SmoothFn, falling_step, plateau, rising_step
 
-# normalization point of the intermediate cutoff's exponential profile;
-# balances the two halving budgets of the assembly cascade
-_TAU_REF_FACTOR = 0.125
 _COLLAR_X_MIN = 1e-4    # innermost x of the collar grids
 _COLLAR_NX = 40         # collar grid size (x, tau) at refine = 1
 _COLLAR_NTAU = 41
@@ -70,8 +72,6 @@ class CutoffFamily:
 
     chi_minus: 0 below lam/3, 1 above 2 lam/3 (incoming band);
     chi_plus:  its mirror image (outgoing band);
-    chi_partial: supported in (-7 lam/8, 7 lam/8), shaped so that
-        chi' >= (6 lam / c1) chi on (-7 lam/8, 3 lam/4);
     rho: 1 on [0, 1/2], supported in [0, 1);
     psi: energy window cutoff, 1 on the half-window plateau.
     """
@@ -79,47 +79,23 @@ class CutoffFamily:
     lam: float
     chi_minus: SmoothFn
     chi_plus: SmoothFn
-    chi_partial: SmoothFn
     rho: SmoothFn
     psi: SmoothFn
-    slope: float
 
 
-def build_cutoffs(lam: float, c1: float, delta: float) -> CutoffFamily:
-    if lam <= 0 or c1 <= 0:
-        raise ConfigurationError("build_cutoffs needs lam > 0 and c1 > 0")
+def build_cutoffs(lam: float, delta: float) -> CutoffFamily:
+    if lam <= 0:
+        raise ConfigurationError("build_cutoffs needs lam > 0")
     lam2 = lam * lam
     if not 0 < delta < lam2:
         raise ConfigurationError(f"delta must lie in (0, lam^2), got {delta}")
-    k = 6.0 * lam / c1
-    # overflow guard for the exponential profile over the band
-    if k * 2.0 * lam > 600.0:
-        raise ConstructionError(
-            f"intermediate cutoff slope {k:.1f} too steep for float64 "
-            "(c1 too small); reduce the energy window"
-        )
-    tau_ref = _TAU_REF_FACTOR * lam
-    u = plateau(-7 * lam / 8, -3 * lam / 4, 3 * lam / 4, 7 * lam / 8)
-
-    def chi_partial(t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(k * (t - tau_ref)) * u(t)
-
-    def chi_partial_d(t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(k * (t - tau_ref)) * (k * u(t) + u.d(t))
-
     chi_minus = rising_step(lam / 3.0, 2.0 * lam / 3.0)
-    up = rising_step(lam / 3.0, 2.0 * lam / 3.0)
-    chi_plus = SmoothFn(lambda t: up(-np.asarray(t, float)),
-                        lambda t: -up.d(-np.asarray(t, float)))
+    chi_plus = SmoothFn(lambda t: chi_minus(-np.asarray(t, float)),
+                        lambda t: -chi_minus.d(-np.asarray(t, float)))
     rho = falling_step(0.5, 1.0)
     psi = plateau(lam2 - delta, lam2 - 0.5 * delta, lam2 + 0.5 * delta, lam2 + delta)
-    return CutoffFamily(
-        lam=lam, chi_minus=chi_minus, chi_plus=chi_plus,
-        chi_partial=SmoothFn(chi_partial, chi_partial_d),
-        rho=rho, psi=psi, slope=k,
-    )
+    return CutoffFamily(lam=lam, chi_minus=chi_minus, chi_plus=chi_plus,
+                        rho=rho, psi=psi)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +107,7 @@ class BoundaryConstants:
     """Certified constants of the near-boundary construction."""
 
     M: float          # 1.5x grid sup of the collar remainders |a| + |b|
-    c1: float         # intermediate-band lower bound (radial surrogate)
+    c1: float         # radial surrogate bound; enters x0 and eps1 only
     eps1: float       # collar threshold
     x0: float         # working collar width
     delta1: float     # energy width certificate (> delta)
@@ -158,8 +134,10 @@ def boundary_constants(model, refine=1) -> BoundaryConstants:
     """Estimate the collar constants from dense deterministic grids.
 
     The remainder sup M is inflated by a 1.5 safety factor; c1 is the
-    surrogate solving the self-consistent radial bound on the intermediate
-    band, with a 5% margin.
+    surrogate solving the self-consistent radial bound on the n-dimensional
+    construction's intermediate band, with a 5% margin.  That band is empty
+    in 1D (see the module docstring), so here c1 only bounds the collar
+    width x0 (and eps1), on which every reported number depends.
     """
     lam, lam2, gamma = model.lam, model.lambda2, model.gamma
     delta1 = 1.25 * model.delta
@@ -193,7 +171,7 @@ def boundary_constants(model, refine=1) -> BoundaryConstants:
             "decrease eps1 (stronger potential decay needed)"
         )
 
-    # on the intermediate band -x^{-1} H_p tau equals
+    # on the intermediate band |tau| < 3 lam/4 -x^{-1} H_p tau equals
     # 2(p - tau^2) - x^gamma(remainder) >= 2 A - M x0^gamma with
     # A = (15/64) lam^2 - delta1; the x0 formula gives
     # M x0^gamma = M c1 / (2(M+1)), and solving the self-consistent
@@ -221,21 +199,18 @@ def boundary_constants(model, refine=1) -> BoundaryConstants:
 # boundary pieces
 # ---------------------------------------------------------------------------
 
-def boundary_pieces(model, consts, cutoffs, eps, z, zeta):
+def boundary_pieces(model, consts, cutoffs, eps, z, zeta, x, tau):
     """(q/psi, H_p q/psi) of the pieces x^alpha chi(tau) rho(x/x0) on a
-    batch of points: incoming (chi_minus, alpha = -eps), outgoing
-    (chi_plus, eps) and intermediate (chi_partial, -eps).  The derivative
-    uses the exact Hamilton field through the chart (product rule), once
-    on the union of the supports (rho(x/x0) = 0 at z = 0); the psi(p)
-    factor is flow-invariant and divided out.
+    batch of points (z, zeta) with scattering coordinates (x, tau):
+    incoming (chi_minus, alpha = -eps) and outgoing (chi_plus, eps).  The
+    derivative uses the exact Hamilton field through the chart (product
+    rule), once on the union of the supports (rho(x/x0) = 0 at z = 0); the
+    psi(p) factor is flow-invariant and divided out.
     """
-    z, zeta = np.asarray(z, dtype=float), np.asarray(zeta, dtype=float)
-    x, tau = geo.scattering_coords(z, zeta)
     x0 = consts.x0
     rv, rd = cutoffs.rho(x / x0), cutoffs.rho.d(x / x0)
     chis = [(alpha, chi(tau), chi.d(tau)) for chi, alpha in (
-        (cutoffs.chi_minus, -eps), (cutoffs.chi_plus, eps),
-        (cutoffs.chi_partial, -eps))]
+        (cutoffs.chi_minus, -eps), (cutoffs.chi_plus, eps))]
     # a derivative is supported wherever any factor or its derivative is
     near = (rv != 0.0) | (rd != 0.0)
     lives = [near & ((cv != 0.0) | (cd != 0.0)) for _, cv, cd in chis]
@@ -732,17 +707,15 @@ class PieceArrays:
     hp_minus: np.ndarray
     q_plus: np.ndarray
     hp_plus: np.ndarray
-    q_partial: np.ndarray
-    hp_partial: np.ndarray
     q_circ: np.ndarray
     hp_circ: np.ndarray
 
 
 @dataclass
 class EscapeFunction:
-    """q = q_minus + C'' q_partial + C q_circ + C' q_plus with certified
-    constants and batch evaluators.  `grid` holds the construction grid's
-    points as rows (z, zeta), and `grid_pieces` the pieces on them."""
+    """q = q_minus + C q_circ + C' q_plus with certified constants and
+    batch evaluators.  `grid` holds the construction grid's points as rows
+    (z, zeta), and `grid_pieces` the pieces on them."""
 
     model: object
     eps: float
@@ -751,10 +724,8 @@ class EscapeFunction:
     tubes: TubeCollection
     C: float
     C_prime: float
-    C_dprime: float
     c2: float
     c3: float
-    c4: float
     cascade: Dict[str, float] = field(default_factory=dict)
     grid: Optional[np.ndarray] = None
     grid_pieces: Optional[PieceArrays] = None
@@ -763,19 +734,16 @@ class EscapeFunction:
         model = self.model
         x, tau = geo.scattering_coords(z, zeta)
         psi = self.cutoffs.psi(geo.symbol_p(model, z, zeta))
-        (qm, hm), (qp, hplus), (qd, hd) = boundary_pieces(
-            model, self.constants, self.cutoffs, self.eps, z, zeta)
+        (qm, hm), (qp, hplus) = boundary_pieces(
+            model, self.constants, self.cutoffs, self.eps, z, zeta, x, tau)
         qc, hc = eval_q_circ(model, self.tubes, z, zeta, shell)
         return PieceArrays(x=x, tau=tau, psi=psi, q_minus=qm, hp_minus=hm,
-                           q_plus=qp, hp_plus=hplus, q_partial=qd,
-                           hp_partial=hd, q_circ=qc, hp_circ=hc)
+                           q_plus=qp, hp_plus=hplus, q_circ=qc, hp_circ=hc)
 
     def combine(self, pc: PieceArrays):
         """(q/psi, H_p q/psi) from piece arrays."""
-        q = (pc.q_minus + self.C_dprime * pc.q_partial
-             + self.C * pc.q_circ + self.C_prime * pc.q_plus)
-        hp = (pc.hp_minus + self.C_dprime * pc.hp_partial
-              + self.C * pc.hp_circ + self.C_prime * pc.hp_plus)
+        q = pc.q_minus + self.C * pc.q_circ + self.C_prime * pc.q_plus
+        hp = pc.hp_minus + self.C * pc.hp_circ + self.C_prime * pc.hp_plus
         return q, hp
 
 
@@ -811,14 +779,13 @@ def assemble_escape(model, eps, verdict, seed_spacing=1.0) -> EscapeFunction:
             f"({len(verdict.trapped_witnesses)} witnesses); no escape function"
         )
     consts = boundary_constants(model)
-    cutoffs = build_cutoffs(model.lam, consts.c1, model.delta)
+    cutoffs = build_cutoffs(model.lam, model.delta)
     tubes = build_tubes(model, consts, cutoffs, seed_spacing=seed_spacing)
 
     z, zeta, shell = phase_grid(model, n_x=220, n_interior=40, n_energy=14)
     esc = EscapeFunction(model=model, eps=eps, constants=consts,
                          cutoffs=cutoffs, tubes=tubes,
-                         C=1.0, C_prime=1.0, C_dprime=1.0,
-                         c2=0.0, c3=0.0, c4=math.inf)
+                         C=1.0, C_prime=1.0, c2=0.0, c3=0.0)
     pc = esc.pieces(z, zeta, shell)
     x, tau = pc.x, pc.tau
     lam = model.lam
@@ -827,14 +794,11 @@ def assemble_escape(model, eps, verdict, seed_spacing=1.0) -> EscapeFunction:
     ws = x ** (-1.0 - eps)
     A_minus = -wm * pc.hp_minus
     A_circ = -wm * pc.hp_circ
-    A_partial = -wm * pc.hp_partial
     A_plus = -ws * pc.hp_plus
 
     D1 = (x <= 0.5 * x0) & (tau >= 2.0 * lam / 3.0)
     D2pos = (x >= 0.5 * x0) | D1
-    D2full = (x >= 0.5 * x0) | ((x <= 0.5 * x0) & (tau >= -0.75 * lam))
     D3 = (x <= 0.5 * x0) & (tau <= -2.0 * lam / 3.0)
-    D4 = (x <= 0.5 * x0) & (np.abs(tau) < 0.75 * lam)
 
     if not np.any(D1):
         raise ConstructionError("construction grid misses the incoming collar")
@@ -842,9 +806,8 @@ def assemble_escape(model, eps, verdict, seed_spacing=1.0) -> EscapeFunction:
     if c2 <= 0:
         raise ConstructionError(f"incoming floor c2 = {c2:.3g} <= 0")
     c3 = float(np.min(A_plus[D3])) if np.any(D3) else math.inf
-    c4 = float(np.min(A_partial[D4])) if np.any(D4) else math.inf
 
-    cascade = {"c2": c2, "c3": c3, "c4": c4}
+    cascade = {"c2": c2, "c3": c3}
 
     C, cascade["halvings_C"] = _halve(
         lambda C: np.min(A_minus[D1] + C * A_circ[D1]) < 0.5 * c2,
@@ -861,28 +824,13 @@ def assemble_escape(model, eps, verdict, seed_spacing=1.0) -> EscapeFunction:
         )
     cascade["floor2"] = floor2
 
-    Cpp, cascade["halvings_Cpp"] = _halve(
-        lambda Cpp: np.min(A_minus[D2pos] + C * A_circ[D2pos]
-                           + Cpp * A_partial[D2pos]) < 0.5 * floor2,
-        1.0, "intermediate")
-
-    three = A_minus + C * A_circ + Cpp * A_partial
-    floor3 = float(np.min(three[D2full]))
-    if floor3 <= 0:
-        raise ConstructionError(
-            f"no positive floor through the intermediate band ({floor3:.3g})"
-        )
-    cascade["floor3"] = floor3
-
     # final stage: the outgoing piece enters with the stronger weight
-    base = x ** (-2.0 * eps) * three
+    base = x ** (-2.0 * eps) * (A_minus + C * A_circ)
     Cp, cascade["halvings_Cp"] = _halve(
-        lambda Cp: np.min(base + Cp * A_plus) <= 0.0,
-        min(1.0, Cpp), "outgoing")
+        lambda Cp: np.min(base + Cp * A_plus) <= 0.0, 1.0, "outgoing")
     cascade["c_dprime_construction"] = float(np.min(base + Cp * A_plus))
 
-    esc.C, esc.C_prime, esc.C_dprime = C, Cp, Cpp
-    esc.c2, esc.c3, esc.c4 = c2, c3, c4
+    esc.C, esc.C_prime, esc.c2, esc.c3 = C, Cp, c2, c3
     esc.cascade = cascade
     esc.grid, esc.grid_pieces = _phase_state(z, zeta), pc
     return esc

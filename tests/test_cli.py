@@ -401,4 +401,11 @@ def test_full_report_free_reduced(tmp_path):
     assert not set(_CALCULUS_CHECKS) & set(summary["checks"])
     assert not (out / "calculus.csv").exists()
     assert (out / "q_slice.csv").exists()
-    assert (out / "escape_report.txt").exists()
+    # the cascade line is strict JSON: no infinite constant is reported
+    cascade, = [ln for ln in (out / "escape_report.txt").read_text()
+                .splitlines() if ln.startswith("cascade: ")]
+
+    def reject(name):
+        raise ValueError(f"non-finite {name} in the cascade line")
+
+    assert json.loads(cascade[len("cascade: "):], parse_constant=reject)

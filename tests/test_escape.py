@@ -45,7 +45,7 @@ def test_boundary_constants_refinement_stability():
 # -- cutoffs -----------------------------------------------------------------
 
 def test_cutoff_values():
-    cut = esc.build_cutoffs(1.0, 15.0 / 64.0, 0.25)
+    cut = esc.build_cutoffs(1.0, 0.25)
     assert cut.chi_minus(0.2) == 0.0
     assert cut.chi_minus(0.9) == 1.0
     assert cut.chi_plus(-0.9) == 1.0
@@ -56,39 +56,13 @@ def test_cutoff_values():
     assert cut.psi(0.7) == 0.0 and cut.psi(1.3) == 0.0
 
 
-_SLOPE_SAMPLES = 4000   # band samples of partial_slope_margin
-
-
-def partial_slope_margin(cutoffs):
-    """min of chi'_partial - (6 lam / c1) chi_partial over the enforced
-    band (must be >= 0; equals e^{k(t-ref)} u'(t) analytically)."""
-    lam = cutoffs.lam
-    t = np.linspace(-7 * lam / 8, 3 * lam / 4, _SLOPE_SAMPLES)
-    gap = cutoffs.chi_partial.d(t) - cutoffs.slope * cutoffs.chi_partial(t)
-    return float(np.min(gap))
-
-
-def test_cutoff_partial_slope_inequality():
-    cut = esc.build_cutoffs(1.0, 15.0 / 64.0, 0.25)
-    assert partial_slope_margin(cut) >= 0.0
-    assert cut.chi_partial(-0.75) > 0.0
-    # supported in (-7/8, 7/8)
-    assert cut.chi_partial(-0.88) == 0.0
-    assert cut.chi_partial(0.88) == 0.0
-
-
 def test_cutoff_monotonicity():
-    cut = esc.build_cutoffs(1.0, 0.2, 0.1)
+    cut = esc.build_cutoffs(1.0, 0.1)
     t = np.linspace(-2, 2, 801)
     assert np.all(cut.chi_minus.d(t) >= 0)
     assert np.all(cut.chi_plus.d(t) <= 0)
     s = np.linspace(0, 2, 401)
     assert np.all(cut.rho.d(s) <= 0)
-
-
-def test_cutoff_slope_overflow_guard():
-    with pytest.raises(ConstructionError):
-        esc.build_cutoffs(1.0, 1e-3, 0.1)
 
 
 # -- boundary pieces ---------------------------------------------------------
@@ -97,8 +71,15 @@ def _demo_setup():
     model = geo.preset_model("zero", delta=0.5)
     consts = esc.BoundaryConstants(M=0.0, c1=0.4, eps1=0.5,
                                    x0=1.0 / 6.0, delta1=0.625, c0=1.0)
-    cutoffs = esc.build_cutoffs(1.0, consts.c1, 0.5)
+    cutoffs = esc.build_cutoffs(1.0, 0.5)
     return model, consts, cutoffs
+
+
+def _incoming_piece(model, consts, cutoffs, z, zeta):
+    """boundary_pieces' incoming piece at eps = 0.2, on the chart of
+    (z, zeta)."""
+    return esc.boundary_pieces(model, consts, cutoffs, 0.2, z, zeta,
+                               *geo.scattering_coords(z, zeta))[0]
 
 
 def test_boundary_piece_plateau_value():
@@ -106,7 +87,7 @@ def test_boundary_piece_plateau_value():
     x^(-0.2) ~= 1.8206."""
     model, consts, cutoffs = _demo_setup()
     z, zeta = np.array([20.0]), np.array([-0.9])
-    val, hpq = esc.boundary_pieces(model, consts, cutoffs, 0.2, z, zeta)[0]
+    val, hpq = _incoming_piece(model, consts, cutoffs, z, zeta)
     assert val[0] == pytest.approx(0.05 ** (-0.2), rel=1e-12)
     assert val[0] == pytest.approx(1.8206, abs=2e-4)
     assert hpq[0] < 0.0
@@ -117,11 +98,10 @@ def test_boundary_piece_plateau_value():
 def test_boundary_piece_flow_finite_difference():
     model, consts, cutoffs = _demo_setup()
     z, zeta = np.array([20.0]), np.array([-0.9])
-    val, hpq = esc.boundary_pieces(model, consts, cutoffs, 0.2, z, zeta)[0]
+    val, hpq = _incoming_piece(model, consts, cutoffs, z, zeta)
     d = 1e-6
     _, zs, cs = fl.batched_flow(model, z, zeta, 0.0, d, d)
-    vp, _ = esc.boundary_pieces(model, consts, cutoffs, 0.2,
-                                zs[-1], cs[-1])[0]
+    vp, _ = _incoming_piece(model, consts, cutoffs, zs[-1], cs[-1])
     fd = (vp[0] - val[0]) / d
     assert abs(fd - hpq[0]) <= 1e-5 * (1 + abs(hpq[0]))
 
@@ -129,7 +109,7 @@ def test_boundary_piece_flow_finite_difference():
 def test_boundary_piece_outside_support():
     model, consts, cutoffs = _demo_setup()
     z, zeta = np.array([20.0]), np.array([0.0])  # tau = 0
-    val, hpq = esc.boundary_pieces(model, consts, cutoffs, 0.2, z, zeta)[0]
+    val, hpq = _incoming_piece(model, consts, cutoffs, z, zeta)
     assert val[0] == 0.0 and hpq[0] == 0.0
 
 
@@ -161,23 +141,46 @@ def _per_piece_reference(chi, alpha, model, consts, cutoffs, z, zeta):
                                   dict(n_x=120, n_interior=21, n_energy=8)],
                          ids=["construction", "odd_interior"])
 def test_boundary_pieces_match_per_piece_reference(escape_longrange, grid):
-    """One pass over the three pieces gives the per-piece values bit for
+    """One pass over the two pieces gives the per-piece values bit for
     bit, also where the grid holds z = 0 (odd n_interior)."""
     e = escape_longrange
     cut = e.cutoffs
     z, zeta, _ = esc.phase_grid(e.model, **grid)
     if grid["n_interior"] % 2:
         assert np.any(z == 0.0)
-    got = esc.boundary_pieces(e.model, e.constants, cut, e.eps, z, zeta)
+    got = esc.boundary_pieces(e.model, e.constants, cut, e.eps, z, zeta,
+                              *geo.scattering_coords(z, zeta))
+    assert len(got) == 2
     for (chi, alpha), (val, hpq) in zip(
-            ((cut.chi_minus, -e.eps), (cut.chi_plus, e.eps),
-             (cut.chi_partial, -e.eps)), got):
+            ((cut.chi_minus, -e.eps), (cut.chi_plus, e.eps)), got):
         want_val, want_hpq = _per_piece_reference(chi, alpha, e.model,
                                                   e.constants, cut, z, zeta)
         assert np.array_equal(val, want_val)
         assert np.array_equal(hpq, want_hpq)
-    # the window's collar has |tau| near lam, outside the intermediate band
     assert np.any(got[0][1] != 0.0) and np.any(got[1][1] != 0.0)
+
+
+@pytest.mark.parametrize("preset, overrides", [
+    ("zero", {}), ("longrange_pow", {}), ("well", {}),
+    ("longrange_pow", {"delta": 0.183})],
+    ids=["zero", "longrange_pow", "well", "longrange_pow_wide"])
+def test_intermediate_band_misses_the_grids(preset, overrides):
+    """No grid point near infinity (x < x0) has |tau| < 7 lam/8, the band
+    of the n-dimensional construction's intermediate piece, which the 1D
+    construction therefore leaves out.  In 1D tau^2 = p - V on the collar,
+    and p >= lam^2 - delta > 0.8125 lam^2 (c1 > 0 needs delta below
+    0.1875 lam^2) keeps tau^2 above (7 lam/8)^2 wherever V < 0.047 lam^2.
+    Checked on the construction grid, the CLI's default verification grid
+    and verify_proposition's default grid; double_bump's window is trapped
+    and phase_grid rejects it."""
+    model = geo.preset_model(preset, **overrides)
+    x0 = esc.boundary_constants(model).x0
+    for grid in ((220, 40, 14), (300, 40, 16), (600, 80, 40)):
+        z, zeta, _ = esc.phase_grid(model, *grid)
+        x, tau = geo.scattering_coords(z, zeta)
+        collar = x < x0
+        assert np.any(collar)
+        assert not np.any(collar & (np.abs(tau) < 7.0 * model.lam / 8.0))
 
 
 def test_boundary_piece_incoming_sign_everywhere(escape_free):
@@ -523,7 +526,7 @@ def test_refine_crossings_residual(escape_longrange, monkeypatch):
 def test_tubes_fail_on_trapping(double_bump_1d):
     consts = esc.BoundaryConstants(M=0.0, c1=0.2, eps1=0.5,
                                    x0=0.1, delta1=0.125, c0=1.0)
-    cutoffs = esc.build_cutoffs(1.0, 0.2, 0.1)
+    cutoffs = esc.build_cutoffs(1.0, 0.1)
     with pytest.raises(IntegrationError):
         esc.build_tubes(double_bump_1d, consts, cutoffs, T_max=60.0)
 
@@ -549,9 +552,8 @@ def test_assemble_rejects_trapping(double_bump_1d):
 
 def test_assembled_constants_positive(escape_free):
     e = escape_free
-    assert e.C > 0 and e.C_prime > 0 and e.C_dprime > 0
+    assert e.C > 0 and e.C_prime > 0
     assert e.c2 > 0 and e.c3 > 0
-    assert e.c4 == math.inf  # 1D: the intermediate band misses the shell
     assert e.cascade["halvings_C"] <= 60
     assert e.cascade["halvings_Cp"] <= 60
 
