@@ -51,26 +51,20 @@ RUN_DEFAULTS = {
     "h_list": (0.2, 0.14, 0.1, 0.07, 0.05),
     "box_half_length": 200.0,
     "grid_exponent": 15,
-    "t_rule": "cap",
     "flow_samples": 300,
     "scan_t_max": 150.0,
     "r_escape": 40.0,
     "verify_x": 300,
     "verify_interior": 40,
     "verify_energy": 16,
-    "seed_spacing": 1.0,
-    "dump_trajectories": 0,
     "contrast_scan": 21,
 }
 
 _INT_KEYS = {"jobs", "grid_exponent", "flow_samples", "verify_x",
-             "verify_interior", "verify_energy", "dump_trajectories",
-             "contrast_scan"}
+             "verify_interior", "verify_energy", "contrast_scan"}
 _FLOAT_KEYS = {"epsilon", "s_weight", "box_half_length", "scan_t_max",
-               "r_escape", "seed_spacing", "amplitude", "gamma", "separation",
-               "lambda2", "delta"}
-#: flow time of each trajectory dump, and RK4 steps per stored row
-_DUMP_T, _DUMP_STRIDE = 30.0, 10
+               "r_escape", "amplitude", "gamma", "separation", "lambda2",
+               "delta"}
 
 _RANGES = {
     "jobs": (1, 64),
@@ -81,8 +75,6 @@ _RANGES = {
     "flow_samples": (1, 100000),
     "scan_t_max": (1.0, 1e5),
     "r_escape": (1.0, 1e4),  # the chart is exact from radius 1
-    "seed_spacing": (1e-3, 1e3),
-    "dump_trajectories": (0, 1000),
     "verify_x": (10, 100000),
     "verify_interior": (2, 100000),
     "verify_energy": (2, 10000),
@@ -125,7 +117,7 @@ def _coerce(key, val):
         return int(val)
     if key in _FLOAT_KEYS:
         return _finite(val)
-    return val  # command, out, t_rule, potential
+    return val  # command, out, potential
 
 
 def _finite(val):
@@ -147,8 +139,6 @@ def effective_config(params):
         raise ConfigurationError(
             f"unknown command {cfg['command']!r}; expected one of {COMMANDS}"
         )
-    if cfg["t_rule"] not in ("cap", "dirichlet"):
-        raise ConfigurationError("t_rule must be 'cap' or 'dirichlet'")
     for key, (lo, hi) in _RANGES.items():
         v = cfg[key]
         if not lo <= v <= hi:
@@ -274,37 +264,13 @@ def cmd_flow_scan(cfg, rep: Reporter, verdict):
                     int(verdict.is_nontrapping_empirical)]])
     wit_rows = [list(w) for w in verdict.trapped_witnesses]
     rep.write_csv("witnesses.csv", ["z1", "zeta1"], wit_rows)
-    _dump_trajectories(cfg, _model_from(cfg), rep)
     rep.check("flow_scan_completed", True,
               value=len(verdict.trapped_witnesses),
               note="trapping witnesses found" if wit_rows else "non-trapping")
 
 
-def _dump_trajectories(cfg, model, rep: Reporter):
-    """trajectory_<k>.csv: the flow over [0, _DUMP_T] from the last kept
-    point of the (4k + 5)-point slab sample, all starts in one batch."""
-    starts = {}
-    for k in range(cfg["dump_trajectories"]):
-        z, zeta = fl.shell_slab_samples(model, 4 * k + 5, cfg["r_escape"])
-        if z.size:
-            starts[k] = (z[-1], zeta[-1])
-    if not starts:
-        return
-    z0, zeta0 = np.array(list(starts.values())).T
-    ts, zs, cs = fl.batched_flow(model, z0, zeta0, 0.0, _DUMP_T,
-                                 fl.CLASSIFY_DT, store_stride=_DUMP_STRIDE)
-    for i, k in enumerate(starts):
-        z, zeta = zs[:, i], cs[:, i]
-        x, tau = geo.scattering_coords(z, zeta)
-        table = np.column_stack([ts, z, zeta, x, tau,
-                                 geo.symbol_p(model, z, zeta)])
-        rep.write_csv(f"trajectory_{k:03d}.csv",
-                      ["t", "z1", "zeta1", "x", "tau", "p"], table.tolist())
-
-
 def _assemble(cfg, rep: Reporter, verdict):
-    e = esc.assemble_escape(_model_from(cfg), cfg["epsilon"], verdict,
-                            seed_spacing=cfg["seed_spacing"])
+    e = esc.assemble_escape(_model_from(cfg), cfg["epsilon"], verdict)
     body = [
         "escape function constants",
         f"epsilon = {e.eps!r}",
@@ -341,7 +307,7 @@ def cmd_escape_verify(cfg, rep: Reporter, verdict):
     _dump_q_slice(e, rep)
     report = esc.verify_proposition(
         e, n_x=cfg["verify_x"], n_interior=cfg["verify_interior"],
-        n_energy=cfg["verify_energy"], raise_on_failure=False,
+        n_energy=cfg["verify_energy"],
     )
     rows = [[report.c_prime, report.c_dprime, report.b_floor,
              report.n_points, int(report.passed)]]
@@ -398,7 +364,7 @@ def cmd_resolvent_sweep(cfg, rep: Reporter, verdict):
     model = _model_from(cfg)
     trapping = not verdict.is_nontrapping_empirical
     report = rv.h_sweep(
-        model, h_list=cfg["h_list"], t_rule=cfg["t_rule"], s=cfg["s_weight"],
+        model, h_list=cfg["h_list"], s=cfg["s_weight"],
         L=cfg["box_half_length"], N=2 ** cfg["grid_exponent"],
         jobs=cfg["jobs"],
     )

@@ -12,8 +12,7 @@ An escaped verdict whose energy drift max |p(t) - p(0)| exceeds
 1e-5 (1 + |p0|) raises instead of being accepted.  A point left
 undetermined by T_max (no escape seen in one direction) is not told apart
 from a trapped one: nontrapping_scan counts it among the trapped
-witnesses, so a slow or low-energy orbit can read as trapping.  The
-trajectory dumps of the flow-scan command run on the same integrator.
+witnesses, so a slow or low-energy orbit can read as trapping.
 
 A batch of phase points is two equal-length 1-D arrays z, zeta; a stored
 batch trajectory is two (n_stored, m) arrays.

@@ -438,21 +438,11 @@ class ScalingReport:
         return max(self.uniformity.values()) if self.uniformity else math.inf
 
 
-def _t_for(t_rule, h):
-    if t_rule == "cap":
-        return 0.0
-    if t_rule == "dirichlet":
-        return h / 10.0
-    raise ConfigurationError(f"unknown t_rule {t_rule!r} (cap|dirichlet)")
-
-
-def _sweep_cell(model, h, lam2, t_rule, s, L, N) -> SweepCell:
-    boundary = "cap" if t_rule == "cap" else "dirichlet"
-    t = _t_for(t_rule, h)
-    op = discretize(model, h, L=L, N=N, boundary=boundary)
-    res = weighted_resolvent_norm(op, lam2, t, s)
-    return SweepCell(h=h, lambda2=lam2, t=t, s=s, norm=res.value,
-                     iterations=res.iterations, mode=boundary)
+def _sweep_cell(model, h, lam2, s, L, N) -> SweepCell:
+    op = discretize(model, h, L=L, N=N, boundary="cap")
+    res = weighted_resolvent_norm(op, lam2, 0.0, s)
+    return SweepCell(h=h, lambda2=lam2, t=0.0, s=s, norm=res.value,
+                     iterations=res.iterations, mode=op.boundary)
 
 
 def sweep_hs(h_list):
@@ -463,13 +453,15 @@ def sweep_hs(h_list):
     return hs
 
 
-def h_sweep(model, h_list=(0.2, 0.14, 0.1, 0.07, 0.05), t_rule="cap",
-            s=0.7, L=200.0, N=2**15, jobs=1) -> ScalingReport:
+def h_sweep(model, h_list=(0.2, 0.14, 0.1, 0.07, 0.05), s=0.7, L=200.0,
+            N=2**15, jobs=1) -> ScalingReport:
     """Sweep h, fit the scaling exponent, probe uniformity in lambda^2.
 
-    The fitted slope is of log(norm) against log(1/h) at the window center;
-    the probes are three energies across the window plateau and the per-h
-    max/min ratio is the uniformity certificate.
+    Every cell is a norm on the absorbing-profile operator at t = 0, which
+    emulates the limiting resolvent R(lambda^2 +- i0).  The fitted slope
+    is of log(norm) against log(1/h) at the window center; the probes are
+    three energies across the window plateau and the per-h max/min ratio
+    is the uniformity certificate.
     """
     lam2 = model.lambda2
     h_list = sweep_hs(h_list)
@@ -481,12 +473,12 @@ def h_sweep(model, h_list=(0.2, 0.14, 0.1, 0.07, 0.05), t_rule="cap",
 
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             futs = [
-                ex.submit(_sweep_cell, model, h, l2, t_rule, s, L, N)
+                ex.submit(_sweep_cell, model, h, l2, s, L, N)
                 for (h, l2) in tasks
             ]
             cells = [f.result() for f in futs]
     else:
-        cells = [_sweep_cell(model, h, l2, t_rule, s, L, N) for (h, l2) in tasks]
+        cells = [_sweep_cell(model, h, l2, s, L, N) for (h, l2) in tasks]
     by_h = {}
     for c in cells:
         by_h.setdefault(c.h, []).append(c.norm)

@@ -11,12 +11,9 @@ import pytest
 
 from nontrap import cli
 from nontrap import escape as esc
-from nontrap import flow as fl
 from nontrap import geometry as geo
 from nontrap import resolvent as rv
 from nontrap.errors import ConfigurationError, ConstructionError
-
-from conftest import integrate_flow
 
 
 def read_bytes_map(outdir: Path):
@@ -76,11 +73,13 @@ def test_unknown_preset_rejected(tmp_path):
 
 
 def test_dimension_2_sweep_rejected_before_output(tmp_path):
-    """The removed model keys are unknown keys on every command, whatever
-    their value."""
+    """The removed model and run keys are unknown keys on every command,
+    whatever their value."""
     for line in ("dimension = 2", "boundary_metric = one",
-                 "metric_amplitude = 0.0", "metric_mode = 2"):
-        conf = tmp_path / f"{line.split()[0]}.conf"
+                 "metric_amplitude = 0.0", "metric_mode = 2",
+                 "t_rule = cap", "seed_spacing = 1.0", "seed_spacing = 0",
+                 "dump_trajectories = 0", "dump_trajectories = -1"):
+        conf = tmp_path / f"{line.replace(' ', '')}.conf"
         conf.write_text(f"{line}\nflow_samples = 5\nscan_t_max = 10\n")
         for command in cli.COMMANDS:
             out = tmp_path / f"{conf.stem}-{command}"
@@ -92,8 +91,7 @@ def test_dimension_2_sweep_rejected_before_output(tmp_path):
 
 _UNRUNNABLE = [(line, ("flow-scan",)) for line in (
     "scan_t_max = 0", "scan_t_max = -5", "r_escape = 0", "amplitude = nan",
-    "lambda2 = inf", "h_list = 0.2, inf", "seed_spacing = 0",
-    "dump_trajectories = -1",
+    "lambda2 = inf", "h_list = 0.2, inf",
 )] + [
     # sweep grids that cannot resolve the finest h (< 10 points per
     # wavelength); only the sweeping commands use them
@@ -275,35 +273,6 @@ def test_flow_scan_trapping_witnesses(tmp_path):
             float(value)  # plain repr, not 'np.float64(...)'
 
 
-def test_flow_scan_dumps_trajectories(tmp_path):
-    """dump_trajectories = 2 writes the flow over t in [0, 30] from the last
-    point of the 5- and 9-point slab samples; p is conserved and the last
-    state is within 1e-6 of the DOP853 reference."""
-    conf = tmp_path / "c.conf"
-    conf.write_text("flow_samples = 40\nscan_t_max = 40\n"
-                    "dump_trajectories = 2\n")
-    out = tmp_path / "o"
-    assert cli.main(["--preset", "longrange_pow", "flow-scan", "--config",
-                     str(conf), "--out", str(out)]) == 0
-    model = geo.preset_model("longrange_pow")
-    for k in range(2):
-        lines = [ln for ln in (out / f"trajectory_{k:03d}.csv").read_text()
-                 .splitlines() if not ln.startswith("#")]
-        assert lines[0] == "t,z1,zeta1,x,tau,p"
-        t, z, zeta, x, tau, p = np.array(
-            [[float(v) for v in ln.split(",")] for ln in lines[1:]]).T
-        z0, zeta0 = fl.shell_slab_samples(model, 4 * k + 5, 40.0)
-        assert (z[0], zeta[0]) == (z0[-1], zeta0[-1])
-        assert t[0] == 0.0 and t[-1] == pytest.approx(30.0, abs=1e-12)
-        assert np.all(np.diff(t) > 0)
-        assert np.array_equal(np.stack([x, tau]),
-                              np.stack(geo.scattering_coords(z, zeta)))
-        assert np.max(np.abs(p - p[0])) <= 1e-8 * (1 + abs(p[0]))
-        ref = integrate_flow(model, z[0], zeta[0], (0.0, 30.0))
-        assert abs(z[-1] - ref.z[-1]) <= 1e-6
-        assert abs(zeta[-1] - ref.zeta[-1]) <= 1e-6
-
-
 def test_cli_import_loads_only_scipy_linalg():
     """The package needs numpy and scipy.linalg alone: importing the CLI
     loads none of scipy's heavier subpackages."""
@@ -337,18 +306,14 @@ def double_bump_window_row():
     return [repr(0.1), repr(sup), repr(arg)]
 
 
-@pytest.mark.parametrize("t_rule", ["cap", "dirichlet"])
-def test_resolvent_sweep_trapping_mode(tmp_path, t_rule,
-                                       double_bump_window_row):
+def test_resolvent_sweep_trapping_mode(tmp_path, double_bump_window_row):
     """A trapping model is flagged, its window sup row is the absorbing
-    profile's at t = 0 whatever t_rule is, and the sweep's cells follow
-    t_rule."""
+    profile's at t = 0, and so is every sweep cell."""
     out = tmp_path / "db"
     conf = tmp_path / "c.conf"
     conf.write_text(
         "h_list = 0.2, 0.1\ngrid_exponent = 13\nbox_half_length = 100\n"
         "flow_samples = 40\nscan_t_max = 40\ncontrast_scan = 5\n"
-        f"t_rule = {t_rule}\n"
     )
     code = cli.main(["--preset", "double_bump", "resolvent-sweep",
                      "--config", str(conf), "--out", str(out)])
@@ -361,7 +326,8 @@ def test_resolvent_sweep_trapping_mode(tmp_path, t_rule,
     assert rows == [double_bump_window_row]
     header, *rows = _csv_rows(out / "sweep.csv")
     assert len(rows) == 6
-    assert {row[header.index("mode")] for row in rows} == {t_rule}
+    assert {(row[header.index("t")], row[header.index("mode")])
+            for row in rows} == {("0.0", "cap")}
 
 
 def test_resolvent_sweep_free_checks(tmp_path):

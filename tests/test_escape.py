@@ -16,12 +16,18 @@ from conftest import hpq_finite_difference, integrate_flow
 
 @pytest.fixture(scope="module")
 def report_free(escape_free):
-    return esc.verify_proposition(escape_free, n_x=300, n_interior=40, n_energy=16)
+    report = esc.verify_proposition(escape_free, n_x=300, n_interior=40,
+                                    n_energy=16)
+    assert report.passed
+    return report
 
 
 @pytest.fixture(scope="module")
 def report_longrange(escape_longrange):
-    return esc.verify_proposition(escape_longrange, n_x=300, n_interior=40, n_energy=16)
+    report = esc.verify_proposition(escape_longrange, n_x=300, n_interior=40,
+                                    n_energy=16)
+    assert report.passed
+    return report
 
 
 # -- boundary constants ------------------------------------------------------
@@ -526,9 +532,8 @@ def test_refine_crossings_residual(escape_longrange, monkeypatch):
 def test_tubes_fail_on_trapping(double_bump_1d):
     consts = esc.BoundaryConstants(M=0.0, c1=0.2, eps1=0.5,
                                    x0=0.1, delta1=0.125, c0=1.0)
-    cutoffs = esc.build_cutoffs(1.0, 0.1)
     with pytest.raises(IntegrationError):
-        esc.build_tubes(double_bump_1d, consts, cutoffs, T_max=60.0)
+        esc.build_tubes(double_bump_1d, consts, T_max=60.0)
 
 
 # -- assembly and certificate ------------------------------------------------
@@ -575,6 +580,7 @@ def test_certificate_longrange_vs_free(report_free, report_longrange):
 def test_certificate_refinement_stability(escape_free, report_free):
     fine = esc.verify_proposition(escape_free, n_x=424, n_interior=56,
                                   n_energy=23)
+    assert fine.passed
     assert abs(fine.c_prime - report_free.c_prime) <= 0.2 * report_free.c_prime
     assert abs(fine.c_dprime - report_free.c_dprime) <= 0.2 * report_free.c_dprime
 
@@ -595,10 +601,7 @@ def test_sabotaged_outgoing_constant_fails(escape_free):
     c_prime = e.C_prime
     e.C_prime = c_prime * 1e6
     try:
-        with pytest.raises(ConstructionError):
-            esc.verify_proposition(e, n_x=200, n_interior=30, n_energy=10)
-        rep = esc.verify_proposition(e, n_x=200, n_interior=30, n_energy=10,
-                                     raise_on_failure=False)
+        rep = esc.verify_proposition(e, n_x=200, n_interior=30, n_energy=10)
         assert not rep.passed
         taus = np.array([geo.scattering_coords(w[:1], w[1:])[1]
                          for w in rep.witnesses])

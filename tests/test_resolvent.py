@@ -408,13 +408,6 @@ def test_cap_vs_dirichlet_cross_mode(free_1d):
     assert 0.5 <= n_cap / n_dir <= 2.0
 
 
-def test_h_sweep_dirichlet_rule(free_1d):
-    rep = rv.h_sweep(free_1d, h_list=(0.2, 0.14, 0.1), t_rule="dirichlet",
-                     L=200.0, N=2**14)
-    assert all(c.mode == "dirichlet" and c.t == pytest.approx(c.h / 10) for c in rep.cells)
-    assert 0.8 <= rep.slope <= 1.2
-
-
 @pytest.mark.parametrize("h_list", [(0.1,), (0.1, 0.1)])
 def test_h_sweep_needs_two_distinct_h(free_1d, h_list):
     """A slope through one h is meaningless: rejected before any cell."""
