@@ -145,10 +145,11 @@ def effective_config(params):
             raise ConfigurationError(
                 f"field {key!r}: value {v} outside documented range [{lo}, {hi}]"
             )
+    model = _model_from(cfg)  # rejects keys the potential never reads
     if cfg["command"] in ("resolvent-sweep", "full-report"):
         # the sweep's h and grid, checked before any output; the finest h
         # needs the most points per wavelength
-        rv.check_resolution(_model_from(cfg), rv.sweep_hs(cfg["h_list"])[-1],
+        rv.check_resolution(model, rv.sweep_hs(cfg["h_list"])[-1],
                             cfg["box_half_length"], 2 ** cfg["grid_exponent"])
     return cfg
 
@@ -433,7 +434,7 @@ def run(params, out_override=None, command_override=None, jobs_override=None):
     cfg = effective_config(dict(params, **{k: v for k, v in overrides.items()
                                            if v is not None}))
     command = cfg["command"]
-    model = _model_from(cfg)  # validate the model block before touching the disk
+    model = _model_from(cfg)
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     rep = Reporter(outdir, cfg)

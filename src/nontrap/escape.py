@@ -51,6 +51,8 @@ _MAX_EXTEND = 6         # T extensions allowed for a tube's late portion
 _Q_CIRC_DT = 0.025      # RK4 step of every orbit store
 _Q_CIRC_STRIDE = 2      # orbit stores keep every second step
 _ORBIT_SEGMENT = 16.0   # forward flow per call until every member is reached
+_CANDIDATE_SAMPLES = 2**13  # orbit-store samples per crossing candidate search
+_PAIR_CHUNK = 2**12     # (crossing, member) pairs per q_circ / covering chunk
 _NEWTON_TOL = 1e-11     # crossing residual bound, relative to 1 + |level|
 _NEWTON_MAX = 12        # Newton steps allowed per crossing
 _GRID_X_MIN = 1e-3      # innermost x of the phase-space grids
@@ -236,7 +238,7 @@ def boundary_pieces(model, consts, cutoffs, eps, z, zeta, x, tau):
 def _chi_tube(t, T):
     """Tube time cutoff and its derivative (chi_j, chi_j'): supported in
     (-1, T+2), slope exactly 1 on [-1/2, T+2/3] (the covering zone),
-    falling only on (T+2/3, T+2)."""
+    falling only on (T+2/3, T+2).  T is one tube time or one per point."""
     t = np.asarray(t, dtype=float)
     rise, down = rising_step(-1.0, -0.5), falling_step(T + 2.0 / 3.0, T + 2.0)
     r, lin, dn = rise(t), 1.0 + t, down(t)
@@ -283,8 +285,9 @@ def _phase_state(z, zeta):
 
 
 def _project(states, v, level=0.0):
-    """states . v - level, elementwise (a row's value is batch-independent)."""
-    return states[..., 0] * v[0] + states[..., 1] * v[1] - level
+    """states . v - level, elementwise, for one v (2,) or one per row (a
+    row's value is batch-independent)."""
+    return states[..., 0] * v[..., 0] + states[..., 1] * v[..., 1] - level
 
 
 def _k_axis(consts, spacing):
@@ -423,62 +426,106 @@ def eval_q_circ(model, coll: TubeCollection, z, zeta, shell):
 
     `shell` labels the points by orbit (phase_grid's third output;
     np.arange(z.size) makes each point its own orbit).  Each orbit is
-    flowed once, a point gets its time offset s on it, and each tube's
-    crossings (t_c, sigma_c) are found once per orbit.  A point sums
-    chi_j(t_c - s) phi(sigma_c) and -chi_j'(t_c - s) phi(sigma_c) over
-    those with t_c - s in [-1, T_j + 2] and sigma_c <= 1, tube by tube,
-    then by time.  |z| > reach R gives 0.
+    flowed once, a point gets its time offset s on it, and every tube's
+    crossings (t_c, sigma_c) are found in one pass over the orbits.  A
+    point sums chi_j(t_c - s) phi(sigma_c) and -chi_j'(t_c - s) phi(sigma_c)
+    over those with t_c - s in [-1, T_j + 2] and sigma_c <= 1, chunk by
+    chunk in the pass's order: tube by tube, then by time.  |z| > reach R
+    gives 0.
     """
     z, zeta = np.asarray(z, dtype=float), np.asarray(zeta, dtype=float)
     qv, hp = np.zeros(z.size), np.zeros(z.size)
     phi_shape = falling_step(0.5, 1.0)
-    for tb, i, t, sigma in _tube_passes(model, coll.tubes, coll.reach, z,
-                                        zeta, shell, _SUPPORT_ZONE):
+    T = np.array([tb.T for tb in coll.tubes])
+    for j, i, t, sigma in _tube_passes(model, coll.tubes, coll.reach, z,
+                                       zeta, shell, _SUPPORT_ZONE):
         phi = phi_shape(sigma)
-        chi, chi_d = _chi_tube(t, tb.T)
+        chi, chi_d = _chi_tube(t, T[j])
         np.add.at(qv, i, chi * phi)
         np.add.at(hp, i, -chi_d * phi)
     return qv, hp
 
 
+@dataclass(frozen=True)
+class _TubeArrays:
+    """The tubes of a pass as arrays, tube j in row j: seed, normal and u_p
+    (n, 2), radius, T and level = seed . normal (n,), and the disc energy
+    band (n, 2)."""
+
+    seed: np.ndarray
+    normal: np.ndarray
+    u_p: np.ndarray
+    radius: np.ndarray
+    T: np.ndarray
+    level: np.ndarray
+    band: np.ndarray
+
+    @classmethod
+    def of(cls, model, tubes):
+        seed = np.array([tb.seed for tb in tubes])
+        normal = np.array([tb.normal for tb in tubes])
+        return cls(seed=seed, normal=normal,
+                   u_p=np.array([tb.u_p for tb in tubes]),
+                   radius=np.array([tb.radius for tb in tubes]),
+                   T=np.array([tb.T for tb in tubes]),
+                   level=_project(seed, normal),
+                   band=np.array([_disc_energy_band(model, tb)
+                                  for tb in tubes]))
+
+
 def _tube_passes(model, tubes, reach, z, zeta, shell, zone):
-    """Per tube, in order: (tb, i, t, sigma) for the points i crossing tb's
-    transversal at time t, in time order per point, inside zone.  Members
-    of a crossing's orbit are found by binary search over the keys o W + s
-    (orbit o, offset s), then tested exactly on t = t_c - s.
+    """Chunks (j, i, t, sigma): the points i crossing the transversal of
+    tubes[j] at time t and disc distance sigma, inside zone.  One pass finds
+    every tube's crossings (_crossings); the chunks follow its order (tube,
+    then orbit, then crossing time), so each point meets its crossings tube
+    by tube, then in time order.  Members of a crossing's orbit are found by
+    binary search over the keys o W + s (orbit o, offset s), then tested
+    exactly on t = t_c - s; a chunk expands at most _PAIR_CHUNK of these
+    (crossing, member) pairs, or one crossing's members.
 
     p is conserved, so only orbits at an energy of a tube's disc (sampled,
     padded by a tenth of the spread) can cross it: orbits outside every
-    tube's range are not flowed, and each tube scans only its own."""
+    tube's range are not flowed, and a tube keeps only crossings on its
+    own."""
     w_lo, w_hi, sigma_max = zone
-    bands = np.array([_disc_energy_band(model, tb) for tb in tubes])
-    t_tail = max(tb.T for tb in tubes) + w_hi + 0.1
+    tb = _TubeArrays.of(model, tubes)
+    t_tail = float(tb.T.max()) + w_hi + 0.1
     store = _shell_orbits(model, z, zeta, shell, reach, w_lo - 0.1, t_tail,
-                          bands, _stop_radius(tubes))
+                          tb.band, _stop_radius(tubes))
     if store is None:
         return
     ts, comps, pts, orb, s = store
     # a power of two above every |t_c - s| keeps the orbits' key runs apart
     W = 2.0 ** math.ceil(math.log2(ts[-1] - w_lo + 1.0))
     key = orb * W + s
-    k0 = int(np.searchsorted(ts, 0.0))
-    p_orbit = geo.symbol_p(model, comps[0][:, k0], comps[1][:, k0])
-    for tb, (p_lo, p_hi) in zip(tubes, bands):
-        cols = np.flatnonzero((p_orbit >= p_lo) & (p_orbit <= p_hi))
-        t_c, sigma, col = _tube_crossings(model, ts, comps, cols, tb, w_lo,
-                                          s.max() + tb.T + w_hi, sigma_max)
-        lo = np.searchsorted(key, col * W + (t_c - tb.T - w_hi), "left")
-        n = np.searchsorted(key, col * W + (t_c - w_lo), "right") - lo
-        c = np.repeat(np.arange(n.size), n)
-        j = np.arange(c.size) + np.repeat(lo - np.cumsum(n) + n, n)
-        t = t_c[c] - s[j]
-        ok = (t >= w_lo) & (t <= tb.T + w_hi) & (orb[j] == col[c])
-        yield tb, pts[j[ok]], t[ok], sigma[c[ok]]
+    j, t_c, sigma, col = _crossings(model, ts, comps, tb, w_lo,
+                                    s.max() + tb.T + w_hi, sigma_max)
+    T = tb.T[j]
+    lo = np.searchsorted(key, col * W + (t_c - T - w_hi), "left")
+    n = np.searchsorted(key, col * W + (t_c - w_lo), "right") - lo
+    upto = np.cumsum(n)
+    a = 0
+    while a < n.size:
+        b = max(a + 1, int(np.searchsorted(upto, upto[a] - n[a] + _PAIR_CHUNK,
+                                           "right")))
+        c, m = _ranges(lo[a:b], n[a:b])
+        c += a
+        t = t_c[c] - s[m]
+        ok = (t >= w_lo) & (t <= T[c] + w_hi) & (orb[m] == col[c])
+        yield j[c[ok]], pts[m[ok]], t[ok], sigma[c[ok]]
+        a = b
+
+
+def _ranges(lo, n):
+    """(c, k): k runs over lo[c], ..., lo[c] + n[c] - 1 for each c in turn."""
+    c = np.repeat(np.arange(n.size), n)
+    return c, np.arange(c.size) + np.repeat(lo - np.cumsum(n) + n, n)
 
 
 def _near_radius(tb: Tube):
     """Distance from tb's seed within which a crossing's bracketing sample
-    must lie to be refined (_tube_crossings' prefilter)."""
+    must lie to be refined (_crossings' prefilter); elementwise over the
+    rows of a _TubeArrays."""
     return tb.radius * 1.5 + 0.2
 
 
@@ -572,30 +619,56 @@ def _shell_orbits(model, z, zeta, shell, reach, t_back, t_tail, bands,
     return ts, comps, live[mem[srt]], orb[srt], s[srt]
 
 
-def _tube_crossings(model, ts, comps, cols, tb: Tube, w_lo, w_hi, sigma_max):
-    """(t, sigma, col): time, disc distance and store column of every
-    crossing of tb's transversal by the columns cols with t in [w_lo, w_hi]
-    and sigma <= sigma_max, bracketed by sign changes of the signed distance
-    (pt = exp(-t H_p)(sigma) <=> exp(+t H_p)(pt) in Sigma)."""
+def _crossings(model, ts, comps, tb: _TubeArrays, w_lo, w_hi, sigma_max):
+    """(j, t, sigma, col): tube, time, disc distance and store column of
+    every crossing of tube j's transversal with t in [w_lo, w_hi[j]] and
+    sigma <= sigma_max, sorted by tube, column, time.  A crossing is a sign
+    change of the signed distance between stored samples k, k+1 of a column
+    at tube j's energy (pt = exp(-t H_p)(sigma) <=> exp(+t H_p)(pt) in
+    Sigma) whose sample k lies within _near_radius of the seed.
+
+    The samples within the largest _near_radius in z of a seed are the
+    candidates, searched against the sorted seed positions a group of at
+    most _CANDIDATE_SAMPLES samples at a time; all crossings are refined
+    together."""
     dt_det = _Q_CIRC_DT * _Q_CIRC_STRIDE
-    # the store extends past either end of the window, so it holds rows
-    row = np.flatnonzero((ts >= w_lo - 3 * dt_det) & (ts <= w_hi + 3 * dt_det))
-    k0, k1 = int(row[0]), int(row[-1]) + 1
-    level = _project(tb.seed, tb.normal)
-    sv = comps[0][cols, k0:k1] * tb.normal[0]
-    sv += comps[1][cols, k0:k1] * tb.normal[1]
-    sv -= level
-    neg = np.signbit(sv)
-    js, ks = np.divmod(np.flatnonzero(neg[:, :-1] != neg[:, 1:]), k1 - k0 - 1)
-    ks, cols = ks + k0, cols[js]
-    # distance prefilter at the bracketing sample
-    near = np.linalg.norm(_gather(comps, ks, cols) - tb.seed, axis=1) \
-        <= _near_radius(tb)
-    ks, cols = ks[near], cols[near]
-    t_star, y = _refine_crossings(model, ts, comps, ks, cols, tb.normal, level)
-    sigma = np.abs(_project(y - tb.seed, tb.u_p)) / tb.radius
-    ok = (t_star >= w_lo) & (t_star <= w_hi) & (sigma <= sigma_max)
-    return t_star[ok], sigma[ok], cols[ok]
+    # rows each tube reads: the store extends past either end of the window
+    k_lo = int(np.searchsorted(ts, w_lo - 3 * dt_det, "left"))
+    k_end = np.searchsorted(ts, w_hi + 3 * dt_det, "right") - 1
+    n_rows = int(k_end.max()) - k_lo   # bracket starts k_lo ... k_end - 1
+    near = _near_radius(tb)
+    by_z = np.argsort(tb.seed[:, 0], kind="stable")
+    z_seed = tb.seed[by_z, 0]
+    r = 1.01 * float(near.max())     # the pad absorbs rounding in z -+ r
+    k0 = int(np.searchsorted(ts, 0.0))
+    p_orbit = geo.symbol_p(model, comps[0][:, k0], comps[1][:, k0])
+    n_cols = comps[0].shape[0]
+    per = max(1, _CANDIDATE_SAMPLES // max(n_rows, 1))
+    found = []
+    for g in range(0, n_cols, per):
+        zk = comps[0][g:g + per, k_lo:k_lo + n_rows]
+        a = np.searchsorted(z_seed, zk - r, "left").ravel()
+        f, j = _ranges(a, np.searchsorted(z_seed, zk + r, "right").ravel() - a)
+        j = by_z[j]
+        o, k = np.divmod(f, n_rows)
+        o, k = o + g, k + k_lo
+        ok = ((k < k_end[j]) & (p_orbit[o] >= tb.band[j, 0])
+              & (p_orbit[o] <= tb.band[j, 1]))
+        j, o, k = j[ok], o[ok], k[ok]
+        y = _gather(comps, k, o)
+        ok = ((np.signbit(_project(y, tb.normal[j], tb.level[j]))
+               != np.signbit(_project(_gather(comps, k + 1, o), tb.normal[j],
+                                      tb.level[j])))
+              & (np.linalg.norm(y - tb.seed[j], axis=1) <= near[j]))
+        found.append((j[ok], o[ok], k[ok]))
+    j, o, k = (np.concatenate(parts) for parts in zip(*found))
+    srt = np.lexsort((k, o, j))
+    j, o, k = j[srt], o[srt], k[srt]
+    t_star, y = _refine_crossings(model, ts, comps, k, o, tb.normal[j],
+                                  tb.level[j])
+    sigma = np.abs(_project(y - tb.seed[j], tb.u_p[j])) / tb.radius[j]
+    ok = (t_star >= w_lo) & (t_star <= w_hi[j]) & (sigma <= sigma_max)
+    return j[ok], t_star[ok], sigma[ok], o[ok]
 
 
 def _gather(comps, ks, cols):
@@ -604,25 +677,29 @@ def _gather(comps, ks, cols):
 
 
 def _refine_crossings(model, ts, comps, ks, cols, normal, level):
-    """(t, state) of the crossings of y . normal = level (one level, or one
-    per crossing) in the brackets [ts[k], ts[k+1]] of the columns cols:
-    Newton on the cubic Hermite interpolant, each crossing stopping on its
-    own once its residual is at most _NEWTON_TOL (1 + |level|); one still
-    above that after _NEWTON_MAX steps raises ConstructionError."""
+    """(t, state) of the crossings of y . normal = level (one normal and
+    level, or one per crossing) in the brackets [ts[k], ts[k+1]] of the
+    columns cols: Newton on the cubic Hermite interpolant, each crossing
+    stopping on its own once its residual is at most
+    _NEWTON_TOL (1 + |level|); one still above that after _NEWTON_MAX steps
+    raises ConstructionError.  A crossing's result does not depend on the
+    others in the batch."""
     y0, y1 = _gather(comps, ks, cols), _gather(comps, ks + 1, cols)
     t0, t1 = ts[ks], ts[ks + 1]
     dt = (t1 - t0)[:, None]
     f0 = _phase_state(*geo.hamilton_field(model, y0[:, 0], y0[:, 1])) * dt
     f1 = _phase_state(*geo.hamilton_field(model, y1[:, 0], y1[:, 1])) * dt
+    normal = np.broadcast_to(np.asarray(normal, dtype=float), ks.shape + (2,))
     level = np.broadcast_to(level, ks.shape)
     tol = _NEWTON_TOL * (1.0 + np.abs(level))
     u = np.full(ks.shape, 0.5)
     todo = np.arange(ks.size)
     for it in range(_NEWTON_MAX + 1):
         y, yd = _hermite(u[todo], y0[todo], f0[todo], y1[todo], f1[todo])
-        s = _project(y, normal, level[todo])
+        s = _project(y, normal[todo], level[todo])
         go = np.abs(s) > tol[todo]
-        todo, s, sd = todo[go], s[go], _project(yd[go], normal)
+        todo, s = todo[go], s[go]
+        sd = _project(yd[go], normal[todo])
         if not todo.size:
             break
         if it == _NEWTON_MAX:

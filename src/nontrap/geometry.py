@@ -147,7 +147,15 @@ class WellPotential(Potential):
         return -2.0 * v * z
 
 
-POTENTIAL_PRESETS = ("zero", "longrange_pow", "double_bump", "well")
+#: the shape keys each potential reads (every model reads potential,
+#: lambda2 and delta)
+POTENTIAL_KEYS = {
+    "zero": ("gamma",),
+    "longrange_pow": ("amplitude", "gamma"),
+    "double_bump": ("amplitude", "separation"),
+    "well": ("amplitude",),
+}
+POTENTIAL_PRESETS = tuple(POTENTIAL_KEYS)
 
 
 def make_potential(name, amplitude=0.0, gamma=1.0, separation=3.0):
@@ -323,13 +331,22 @@ PRESETS = {
 
 def build_model(params: Optional[dict] = None) -> ModelProblem:
     """Build a ModelProblem from a flat key-value mapping (see
-    MODEL_DEFAULTS for the schema and defaults)."""
+    MODEL_DEFAULTS for the schema and defaults).  A shape key that the
+    potential never reads (POTENTIAL_KEYS) must be absent or at its default;
+    any other value would be silently ignored, so it is rejected."""
     merged = dict(MODEL_DEFAULTS)
     merged.update(params or {})
     known = set(MODEL_DEFAULTS)
     unknown = set(merged) - known
     if unknown:
         raise ConfigurationError(f"unknown model keys: {sorted(unknown)}")
+    name = merged["potential"]
+    for key in ("amplitude", "gamma", "separation"):
+        if (name in POTENTIAL_KEYS and key not in POTENTIAL_KEYS[name]
+                and float(merged[key]) != MODEL_DEFAULTS[key]):
+            raise ConfigurationError(
+                f"model key {key!r} = {merged[key]!r} is not read by potential "
+                f"{name!r}, which reads {', '.join(POTENTIAL_KEYS[name])}")
     pot = make_potential(
         merged["potential"],
         amplitude=float(merged["amplitude"]),

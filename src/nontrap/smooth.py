@@ -91,9 +91,10 @@ def rising_step(lo: float, hi: float) -> SmoothFn:
     )
 
 
-def falling_step(lo: float, hi: float) -> SmoothFn:
-    """1 on (-inf, lo], 0 on [hi, inf), monotone decreasing."""
-    if not hi > lo:
+def falling_step(lo, hi) -> SmoothFn:
+    """1 on (-inf, lo], 0 on [hi, inf), monotone decreasing.  lo and hi may
+    be arrays, one pair per point s."""
+    if not np.all(np.greater(hi, lo)):
         raise ValueError(f"falling_step needs hi > lo, got [{lo}, {hi}]")
     w = hi - lo
     return SmoothFn(

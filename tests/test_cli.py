@@ -92,6 +92,8 @@ def test_dimension_2_sweep_rejected_before_output(tmp_path):
 _UNRUNNABLE = [(line, ("flow-scan",)) for line in (
     "scan_t_max = 0", "scan_t_max = -5", "r_escape = 0", "amplitude = nan",
     "lambda2 = inf", "h_list = 0.2, inf",
+    # shape keys the zero potential never reads
+    "amplitude = 1.0", "separation = 2.0",
     # removed keys: unknown whatever their value
     "seed_spacing = 0", "dump_trajectories = -1",
 )] + [

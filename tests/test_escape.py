@@ -1,6 +1,7 @@
 """Escape-function construction: constants, cutoffs, tubes, certificates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,12 @@ def test_tube_time_cutoff_shape():
     assert np.all(d[grow] >= -1e-12)
     core = (t >= -0.5) & (t <= T + 2.0 / 3.0)
     assert np.allclose(d[core], 1.0)
+    # one T per point gives each point its scalar-T value exactly
+    Ts = np.array([0.5, T, 79.7])[np.arange(t.size) % 3]
+    v_arr, d_arr = esc._chi_tube(t, Ts)
+    want = np.array([esc._chi_tube(t[k:k + 1], Ts[k]) for k in range(t.size)])
+    assert np.array_equal(v_arr, want[:, 0, 0])
+    assert np.array_equal(d_arr, want[:, 1, 0])
 
 
 def test_tubes_cover_and_certify(escape_free):
@@ -374,6 +381,37 @@ def test_q_circ_grouped_matches_singletons(escape_longrange, monkeypatch):
     assert np.array_equal(q != 0.0, qs != 0.0)
     assert np.max(np.abs(q - qs)) <= _GROUPED_Q_TOL * np.max(np.abs(qs))
     assert np.max(np.abs(h - hs)) <= _GROUPED_HP_TOL * np.max(np.abs(hs))
+
+
+# eval_q_circ's tracemalloc peak above its orbit store's bytes: about 4 MiB
+# on the construction grid (the store's own assembly; a candidate group and
+# a pair chunk stay below that); expanding every (crossing, member) pair at
+# once peaks about 71 MiB above the store there
+_Q_CIRC_PEAK_BUDGET = 8 * 2**20
+
+
+def test_q_circ_memory_bounded(escape_longrange):
+    """On the construction grid the crossing pass stays within a fixed
+    budget above the orbit store: the candidate search runs a group of
+    orbit columns at a time, and members are expanded in chunks."""
+    e = escape_longrange
+    model, tubes = e.model, e.tubes.tubes
+    z, zeta, shell = esc.phase_grid(model, n_x=220, n_interior=40, n_energy=14)
+    w_lo, w_hi, _ = esc._SUPPORT_ZONE
+    bands = np.array([esc._disc_energy_band(model, tb) for tb in tubes])
+    ts, comps, *rest = esc._shell_orbits(
+        model, z, zeta, shell, e.tubes.reach, w_lo - 0.1,
+        max(tb.T for tb in tubes) + w_hi + 0.1, bands, esc._stop_radius(tubes))
+    store_bytes = sum(a.nbytes for a in (ts, *comps, *rest))
+    del ts, comps, rest
+    tracemalloc.start()
+    try:
+        q, _ = esc.eval_q_circ(model, e.tubes, z, zeta, shell)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(q) > 0
+    assert peak - store_bytes <= _Q_CIRC_PEAK_BUDGET
 
 
 @pytest.mark.parametrize("which", ["escape_free", "escape_longrange"])

@@ -182,6 +182,20 @@ def test_model_validation_errors():
         geo.build_model({"gamma": -1.0, "potential": "longrange_pow", "amplitude": 1.0})
 
 
+@pytest.mark.parametrize("potential, key, value", [
+    ("double_bump", "gamma", 0.3), ("zero", "amplitude", 1.0),
+    ("longrange_pow", "separation", 2.0), ("well", "gamma", 2.0)])
+def test_unread_model_key_rejected(potential, key, value):
+    """A shape key the potential never reads is rejected, naming the key
+    and the potential, unless it holds its default value."""
+    with pytest.raises(ConfigurationError,
+                       match=f"'{key}' = {value}.*'{potential}'"):
+        geo.build_model({"potential": potential, key: value})
+    m = geo.build_model({"potential": potential,
+                         key: geo.MODEL_DEFAULTS[key]})
+    assert m.potential.name == potential
+
+
 def test_presets_cover_spec_examples():
     lr = geo.preset_model("longrange_pow")
     assert lr.potential.amplitude == 0.5 and lr.potential.gamma == 1.0
