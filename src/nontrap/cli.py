@@ -4,9 +4,11 @@ The only user surface.  A configuration is a flat key = value file
 ('#' starts a comment); unknown keys and out-of-range values are rejected
 with line diagnostics before anything is written, and the command line's
 overrides go through the same checks.  Shipped presets cover the four
-example models.  Outputs are deterministic: no wall clock, no seedless
-randomness, floats rendered with repr, and every file embeds the version,
-the config hash and the effective configuration.
+example models.  Outputs are deterministic at a fixed BLAS thread count
+(the sweep's norms go through BLAS, whose sums change order with the
+thread count): no wall clock, no seedless randomness, floats rendered
+with repr, and every file embeds the version, the config hash and the
+effective configuration.
 
 Every command but calculus-tests runs one non-trapping scan and hands its
 verdict to the stages that need it.  full-report is the model's witness:
@@ -270,8 +272,9 @@ def cmd_flow_scan(cfg, rep: Reporter, verdict):
               note="trapping witnesses found" if wit_rows else "non-trapping")
 
 
-def _assemble(cfg, rep: Reporter, verdict):
-    e = esc.assemble_escape(_model_from(cfg), cfg["epsilon"], verdict)
+def _assemble(cfg, rep: Reporter, verdict, verify_grid=None):
+    e = esc.assemble_escape(_model_from(cfg), cfg["epsilon"], verdict,
+                            verify_grid)
     body = [
         "escape function constants",
         f"epsilon = {e.eps!r}",
@@ -304,12 +307,12 @@ def cmd_escape_build(cfg, rep: Reporter, verdict):
 
 
 def cmd_escape_verify(cfg, rep: Reporter, verdict):
-    e = _assemble(cfg, rep, verdict)
+    # the verification grid goes through the construction grid's q_circ pass
+    sizes = {"n_x": cfg["verify_x"], "n_interior": cfg["verify_interior"],
+             "n_energy": cfg["verify_energy"]}
+    e = _assemble(cfg, rep, verdict, tuple(sizes.values()))
     _dump_q_slice(e, rep)
-    report = esc.verify_proposition(
-        e, n_x=cfg["verify_x"], n_interior=cfg["verify_interior"],
-        n_energy=cfg["verify_energy"],
-    )
+    report = esc.verify_proposition(e, **sizes)
     rows = [[report.c_prime, report.c_dprime, report.b_floor,
              report.n_points, int(report.passed)]]
     rep.write_csv("verify.csv",

@@ -25,14 +25,17 @@ empty, so the piece is identically zero and is left out.
 
 The verifier is a sampled certificate, not a proof: margins (a 1.5 safety
 factor on the remainder sup, the halving floors) absorb off-grid
-excursions, and refinement stability is the honesty check.
+excursions, and refinement stability is the honesty check.  Given the
+verification grid's sizes, assemble_escape evaluates q_circ on both grids
+in one pass (one orbit store) and keeps the verification pieces for
+verify_proposition.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -558,7 +561,7 @@ def _shell_orbits(model, z, zeta, shell, reach, t_back, t_tail, bands,
     every orbit holds flow's escape certificate at radius r_stop (|z| stays
     above r_stop from there on), at most t_tail further.
     s >= 0 is when d z first reaches d z_i: bracketed by the first such
-    sample, refined on z = z_i.
+    sample, refined on z = z_i (_PAIR_CHUNK members at a time).
     A member moving uphill so near its turning point that no sample may
     fall past it (for about 2 |zeta_i| / V'(z_i)) gets its own orbit."""
     live = np.flatnonzero(np.abs(z) <= reach)
@@ -608,12 +611,17 @@ def _shell_orbits(model, z, zeta, shell, reach, t_back, t_tail, bands,
         comps.append(np.concatenate([a.T for a in parts], axis=1))
         parts.clear()
     k0 = int(np.searchsorted(ts, 0.0))
-    run = np.maximum.accumulate(comps[0][:, k0:] * dr[:, None], axis=1)
     K = np.empty(mem.size, dtype=np.intp)
     for o, (a, b) in enumerate(zip(first, np.append(first[1:], mem.size))):
-        K[a:b] = np.searchsorted(run[o], dr[o] * zl[mem[a:b]])
-    s, _ = _refine_crossings(model, ts, comps, k0 + np.maximum(K - 1, 0),
-                             orb, (1.0, 0.0), zl[mem])
+        run = np.maximum.accumulate(comps[0][o, k0:] * dr[o])
+        K[a:b] = np.searchsorted(run, dr[o] * zl[mem[a:b]])
+    # _PAIR_CHUNK members at a time (a member's result is batch-independent)
+    # bound the refinement's temporaries
+    s = np.concatenate([
+        _refine_crossings(model, ts, comps, k0 + np.maximum(K[c] - 1, 0),
+                          orb[c], (1.0, 0.0), zl[mem[c]])[0]
+        for c in (slice(a, a + _PAIR_CHUNK)
+                  for a in range(0, mem.size, _PAIR_CHUNK))])
     srt = np.argsort(s, kind="stable")
     srt = srt[np.argsort(orb[srt], kind="stable")]
     return ts, comps, live[mem[srt]], orb[srt], s[srt]
@@ -742,7 +750,8 @@ def _shell_points(model, zs, energies):
     ends = a[0].astype(int) + a[-1] - ((n_runs == 1) & a[0] & a[-1])
     if np.any(n_runs > ends):
         raise ConstructionError(
-            f"bounded allowed region at energy {energies[n_runs > ends][0]!r}:"
+            f"bounded allowed region at energy "
+            f"{float(energies[n_runs > ends][0])!r}:"
             " a trapped shell, on whose periodic orbits offsets are not unique")
     side = np.empty(a.shape, dtype=int)
     side[srt] = (run > 1) | ~a[0]
@@ -786,12 +795,22 @@ class PieceArrays:
     q_circ: np.ndarray
     hp_circ: np.ndarray
 
+    def split(self, n):
+        """The pieces of the first n points and of the rest."""
+        def part(sl):
+            return PieceArrays(**{f.name: getattr(self, f.name)[sl]
+                                  for f in fields(self)})
+        return part(slice(None, n)), part(slice(n, None))
+
 
 @dataclass
 class EscapeFunction:
     """q = q_minus + C q_circ + C' q_plus with certified constants and
     batch evaluators.  `grid` holds the construction grid's points as rows
-    (z, zeta), and `grid_pieces` the pieces on them."""
+    (z, zeta), and `grid_pieces` the pieces on them; `verify_grid` and
+    `verify_pieces` do the same for the verification grid of sizes
+    `verify_sizes` (n_x, n_interior, n_energy) when assemble_escape was
+    given them."""
 
     model: object
     eps: float
@@ -805,6 +824,9 @@ class EscapeFunction:
     cascade: Dict[str, float] = field(default_factory=dict)
     grid: Optional[np.ndarray] = None
     grid_pieces: Optional[PieceArrays] = None
+    verify_sizes: Optional[Tuple[int, int, int]] = None
+    verify_grid: Optional[np.ndarray] = None
+    verify_pieces: Optional[PieceArrays] = None
 
     def pieces(self, z, zeta, shell) -> PieceArrays:
         model = self.model
@@ -837,13 +859,22 @@ def _halve(short, C, stage, worst=None):
     return C, halvings
 
 
-def assemble_escape(model, eps, verdict) -> EscapeFunction:
+def assemble_escape(model, eps, verdict, verify_grid=None) -> EscapeFunction:
     """Build the escape function by the halving cascade.
 
     eps must lie in (0, 1/4).  Non-trapping is a precondition: `verdict`
     is the model's flow.nontrapping_scan result, and a trapping verdict is
     rejected.  The cascade floors are measured on a construction grid;
     verify_proposition re-certifies on the finer verification grid.
+
+    With verify_grid = (n_x, n_interior, n_energy), phase_grid's points of
+    those sizes are evaluated with the construction grid in one pass (one
+    orbit store; their orbit labels follow the construction grid's) and
+    kept for verify_proposition.  A point's q_circ sums only its own
+    orbit's crossings, tube by tube and then in time order, so the pieces
+    are those of two separate passes, bit for bit, as long as both grids'
+    orbits reach their farthest members within the same number of
+    _ORBIT_SEGMENT flow segments (true of the shipped presets).
     """
     if not 0.0 < eps < 0.25:
         raise ConfigurationError(
@@ -862,7 +893,15 @@ def assemble_escape(model, eps, verdict) -> EscapeFunction:
     esc = EscapeFunction(model=model, eps=eps, constants=consts,
                          cutoffs=cutoffs, tubes=tubes,
                          C=1.0, C_prime=1.0, c2=0.0, c3=0.0)
-    pc = esc.pieces(z, zeta, shell)
+    if verify_grid is None:
+        pc = esc.pieces(z, zeta, shell)
+    else:
+        zv, zetav, shellv = phase_grid(model, *verify_grid)
+        pc, esc.verify_pieces = esc.pieces(
+            np.concatenate([z, zv]), np.concatenate([zeta, zetav]),
+            np.concatenate([shell, shellv + shell.max() + 1])).split(z.size)
+        esc.verify_sizes = tuple(verify_grid)
+        esc.verify_grid = _phase_state(zv, zetav)
     x, tau = pc.x, pc.tau
     lam = model.lam
     x0 = consts.x0
@@ -936,10 +975,15 @@ def verify_proposition(esc: EscapeFunction, n_x=600, n_interior=80,
     form b = -2 q H_p q / psi^2 >= b_floor x^{1+2 eps} where psi > 1/2.
 
     The default grid has >= 1e5 points over supp psi(p) down to x = 1e-3.
+    A grid of the sizes assemble_escape was given as verify_grid is read
+    off the pieces it kept; any other is evaluated here.
     """
-    z, zeta, shell = phase_grid(esc.model, n_x=n_x, n_interior=n_interior,
-                                n_energy=n_energy)
-    pc = esc.pieces(z, zeta, shell)
+    if esc.verify_sizes == (n_x, n_interior, n_energy):
+        pts, pc = esc.verify_grid, esc.verify_pieces
+    else:
+        z, zeta, shell = phase_grid(esc.model, n_x=n_x, n_interior=n_interior,
+                                    n_energy=n_energy)
+        pts, pc = _phase_state(z, zeta), esc.pieces(z, zeta, shell)
     q, hp = esc.combine(pc)
     x = pc.x
     eps = esc.eps
@@ -951,10 +995,10 @@ def verify_proposition(esc: EscapeFunction, n_x=600, n_interior=80,
     b = 2.0 * q * (-hp)
     b_floor = float(np.min(b[plateau_mask] / x[plateau_mask] ** (1.0 + 2 * eps),
                            initial=math.inf))
-    witnesses = [_phase_state(z[i], zeta[i])
+    witnesses = [pts[i]
                  for c, ratio in ((c_prime, ratio_q), (c_dprime, ratio_h))
                  if c <= 0 for i in np.argsort(ratio)[:8]]
     return VerifyReport(
         c_prime=c_prime, c_dprime=c_dprime, b_floor=b_floor,
-        n_points=int(z.size), witnesses=witnesses,
+        n_points=int(pts.shape[0]), witnesses=witnesses,
     )

@@ -65,16 +65,6 @@ def halton(n: int) -> np.ndarray:
 # batched fixed-step integration
 # ---------------------------------------------------------------------------
 
-def rk4_step(model, z, zeta, dt):
-    k1z, k1c = geo.hamilton_field(model, z, zeta)
-    k2z, k2c = geo.hamilton_field(model, z + 0.5 * dt * k1z, zeta + 0.5 * dt * k1c)
-    k3z, k3c = geo.hamilton_field(model, z + 0.5 * dt * k2z, zeta + 0.5 * dt * k2c)
-    k4z, k4c = geo.hamilton_field(model, z + dt * k3z, zeta + dt * k3c)
-    zn = z + dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z)
-    cn = zeta + dt / 6.0 * (k1c + 2 * k2c + 2 * k3c + k4c)
-    return zn, cn
-
-
 def batched_flow(model, z0, zeta0, t0, t1, dt, store_stride=1, until=None):
     """Fixed-step RK4 flow of a batch of points from t0 to t1.
 
@@ -83,24 +73,46 @@ def batched_flow(model, z0, zeta0, t0, t1, dt, store_stride=1, until=None):
     dt carries the sign of (t1 - t0) internally; dt = |t1 - t0| takes
     exactly one step.  With until(z, zeta) given, the flow ends at the
     first stored sample after t0 at which it returns True; the samples up
-    to there are those of the full flow.
+    to there are those of the full flow.  until gets views of the live
+    state, which the next step overwrites.
+
+    The state (z, zeta) is stepped in place as one (2, m) array, each stage
+    field geo.hamilton_field copied into a preallocated buffer; every
+    element sees the operations of y + (dt/2) k, y + dt k3 and
+    y + (dt/6)(((k1 + 2 k2) + 2 k3) + k4) in that order, so a column's
+    samples do not depend on the rest of the batch.
     """
     span = t1 - t0
     n_steps = max(1, int(math.ceil(abs(span) / dt)))
     step = span / n_steps
-    z = np.asarray(z0, dtype=float)
-    zeta = np.asarray(zeta0, dtype=float)
+    half, sixth = 0.5 * step, step / 6.0
+    y = np.array([z0, zeta0], dtype=float)
+    k1, k2, k3, k4, yk = (np.empty_like(y) for _ in range(5))
+
+    def field(state, out):
+        out[0], out[1] = geo.hamilton_field(model, state[0], state[1])
+
     ts = np.empty(1 + n_steps // store_stride + (n_steps % store_stride > 0))
-    zs = np.empty((ts.size,) + z.shape)
+    zs = np.empty((ts.size,) + y[0].shape)
     cs = np.empty_like(zs)
-    ts[0], zs[0], cs[0] = t0, z, zeta
+    ts[0], zs[0], cs[0] = t0, y[0], y[1]
     i = 1
     for k in range(1, n_steps + 1):
-        z, zeta = rk4_step(model, z, zeta, step)
+        field(y, k1)
+        np.add(y, np.multiply(k1, half, out=yk), out=yk)
+        field(yk, k2)
+        np.add(y, np.multiply(k2, half, out=yk), out=yk)
+        field(yk, k3)
+        np.add(y, np.multiply(k3, step, out=yk), out=yk)
+        field(yk, k4)
+        np.add(k1, np.multiply(k2, 2, out=k2), out=k1)
+        np.add(k1, np.multiply(k3, 2, out=k3), out=k1)
+        np.add(k1, k4, out=k1)
+        np.add(y, np.multiply(k1, sixth, out=k1), out=y)
         if k % store_stride == 0 or k == n_steps:
-            ts[i], zs[i], cs[i] = t0 + k * step, z, zeta
+            ts[i], zs[i], cs[i] = t0 + k * step, y[0], y[1]
             i += 1
-            if until is not None and until(z, zeta):
+            if until is not None and until(y[0], y[1]):
                 break
     return ts[:i], zs[:i], cs[:i]
 
@@ -175,8 +187,9 @@ def _escape_times(model, z, zeta, T_max, R_esc):
     if bad.size:
         i = bad[0] % m
         raise IntegrationError(
-            f"escaped verdict at z={z[i]!r}, zeta={zeta[i]!r} drifted "
-            f"{drift[bad[0]]:.3g} in energy; step {CLASSIFY_DT} is too coarse"
+            f"escaped verdict at z={float(z[i])!r}, zeta={float(zeta[i])!r} "
+            f"drifted {drift[bad[0]]:.3g} in energy; step {CLASSIFY_DT} is "
+            "too coarse"
         )
     return t_esc.reshape(2, m), np.maximum(drift[:m], drift[m:])
 
@@ -292,6 +305,7 @@ def time_to_incoming(model, z0, zeta0, x_target, tau_target,
         i = missing[0]
         raise IntegrationError(
             f"incoming conditions never certified by T_max={T_max} for "
-            f"{missing.size} of {m} points (first z={z0[i]!r}, zeta="
-            f"{zeta0[i]!r}); the model may be trapping or T_max too small")
+            f"{missing.size} of {m} points (first z={float(z0[i])!r}, zeta="
+            f"{float(zeta0[i])!r}); the model may be trapping or T_max too "
+            "small")
     return T_in

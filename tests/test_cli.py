@@ -168,6 +168,28 @@ def test_failed_certificate_lists_witnesses(tmp_path, monkeypatch):
         ["z1", "zeta1"], ["2.5", "-0.75"], ["-3.0", "1.0"]]
 
 
+def test_escape_verify_one_q_circ_pass(tmp_path, monkeypatch):
+    """escape-verify evaluates q_circ once, on the construction and the
+    verification grid together."""
+    calls = []
+    real = esc.eval_q_circ
+
+    def counting(model, coll, z, zeta, shell):
+        calls.append(z.size)
+        return real(model, coll, z, zeta, shell)
+
+    monkeypatch.setattr(esc, "eval_q_circ", counting)
+    conf = tmp_path / "c.conf"
+    conf.write_text("verify_x = 60\nverify_interior = 10\nverify_energy = 4\n")
+    out = tmp_path / "o"
+    assert cli.main(["--preset", "longrange_pow", "escape-verify", "--config",
+                     str(conf), "--out", str(out)]) == 0
+    model = geo.preset_model("longrange_pow")
+    n_build = esc.phase_grid(model, n_x=220, n_interior=40, n_energy=14)[0].size
+    n_verify = int(_csv_rows(out / "verify.csv")[1][3])
+    assert calls == [n_build + n_verify]
+
+
 def test_escape_build_writes_construction_slice(tmp_path):
     """escape-build writes the constants and q_slice.csv but no verify.csv.
     The slice is the construction grid's right end (220 x values, 14

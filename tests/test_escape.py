@@ -1,5 +1,6 @@
 """Escape-function construction: constants, cutoffs, tubes, certificates."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -383,6 +384,46 @@ def test_q_circ_grouped_matches_singletons(escape_longrange, monkeypatch):
     assert np.max(np.abs(h - hs)) <= _GROUPED_HP_TOL * np.max(np.abs(hs))
 
 
+def test_q_circ_one_pass_over_two_grids(escape_longrange):
+    """eval_q_circ over the construction grid and a verification grid in one
+    pass, the verification labels offset past the construction ones, equals
+    the two separate passes bit for bit."""
+    e = escape_longrange
+    grids = [esc.phase_grid(e.model, n_x=220, n_interior=40, n_energy=14),
+             esc.phase_grid(e.model, n_x=120, n_interior=20, n_energy=8)]
+    (z, zeta, shell), (zv, zetav, shellv) = grids
+    q, hp = esc.eval_q_circ(e.model, e.tubes, np.concatenate([z, zv]),
+                            np.concatenate([zeta, zetav]),
+                            np.concatenate([shell, shellv + shell.max() + 1]))
+    parts = [esc.eval_q_circ(e.model, e.tubes, *g) for g in grids]
+    assert np.count_nonzero(q) > 0
+    assert np.array_equal(q, np.concatenate([p[0] for p in parts]))
+    assert np.array_equal(hp, np.concatenate([p[1] for p in parts]))
+
+
+def test_kept_verification_pieces(escape_longrange):
+    """assemble_escape given the verification grid's sizes keeps the same
+    constants and construction pieces, and verify_proposition reads the
+    kept pieces at those sizes to the report of its own evaluation."""
+    e = escape_longrange
+    sizes = (120, 20, 8)
+    verdict = fl.nontrapping_scan(e.model, n_samples=300, T_max=150.0)
+    kept = esc.assemble_escape(e.model, e.eps, verdict, verify_grid=sizes)
+    assert (kept.C, kept.C_prime, kept.cascade) == (e.C, e.C_prime, e.cascade)
+    assert kept.verify_sizes == sizes and e.verify_sizes is None
+    assert np.array_equal(kept.grid, e.grid)
+    z, zeta, shell = esc.phase_grid(e.model, *sizes)
+    assert np.array_equal(kept.verify_grid, np.stack([z, zeta], axis=-1))
+    fresh = e.pieces(z, zeta, shell)
+    for f in dataclasses.fields(esc.PieceArrays):
+        assert np.array_equal(getattr(kept.grid_pieces, f.name),
+                              getattr(e.grid_pieces, f.name))
+        assert np.array_equal(getattr(kept.verify_pieces, f.name),
+                              getattr(fresh, f.name))
+    assert esc.verify_proposition(kept, *sizes) == \
+        esc.verify_proposition(e, *sizes)
+
+
 # eval_q_circ's tracemalloc peak above its orbit store's bytes: about 4 MiB
 # on the construction grid (the store's own assembly; a candidate group and
 # a pair chunk stay below that); expanding every (crossing, member) pair at
@@ -545,6 +586,25 @@ def test_shell_labels_trapped(double_bump_1d):
     at the window energies: no offset along a periodic orbit is unique."""
     with pytest.raises(ConstructionError, match="trapped"):
         esc.phase_grid(double_bump_1d, n_x=60, n_interior=12, n_energy=3)
+
+
+def test_error_messages_print_plain_floats(double_bump_1d, monkeypatch):
+    """Points and energies in error messages read as plain floats, not as
+    numpy scalar reprs."""
+    model = geo.preset_model("longrange_pow")
+    with pytest.raises(IntegrationError, match="never certified") as info:
+        fl.time_to_incoming(model, [0.0], [1.0], 0.01, 0.6, T_max=1.0)
+    assert "first z=0.0, zeta=1.0)" in str(info.value)
+    with pytest.raises(ConstructionError, match="trapped") as shell_info:
+        esc._shell_points(double_bump_1d, np.linspace(-10.0, 10.0, 201),
+                          np.array([1.0]))
+    assert "at energy 1.0:" in str(shell_info.value)
+    monkeypatch.setattr(fl, "_DRIFT_BOUND", 0.0)
+    with pytest.raises(IntegrationError, match="drifted") as drift_info:
+        fl.classify_point(model, 5.0, 0.9, T_max=100.0)
+    assert "at z=5.0, zeta=0.9 drifted" in str(drift_info.value)
+    for e in (info, shell_info, drift_info):
+        assert "np.float64" not in str(e.value)
 
 
 def test_refine_crossings_residual(escape_longrange, monkeypatch):

@@ -259,6 +259,61 @@ def test_batched_flow_store_stride(longrange_1d):
     assert np.array_equal(zs3, zs[keep]) and np.array_equal(cs3, cs[keep])
 
 
+def _two_array_flow(model, z0, zeta0, t0, t1, dt, store_stride=1,
+                    until=None):
+    """The RK4 flow with z and zeta stepped as two arrays by a separate
+    step function, each step's arrays freshly allocated: the bit-identity
+    oracle of batched_flow's in-place step."""
+    def rk4_step(z, zeta, dt):
+        k1z, k1c = geo.hamilton_field(model, z, zeta)
+        k2z, k2c = geo.hamilton_field(model, z + 0.5 * dt * k1z,
+                                      zeta + 0.5 * dt * k1c)
+        k3z, k3c = geo.hamilton_field(model, z + 0.5 * dt * k2z,
+                                      zeta + 0.5 * dt * k2c)
+        k4z, k4c = geo.hamilton_field(model, z + dt * k3z, zeta + dt * k3c)
+        return (z + dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z),
+                zeta + dt / 6.0 * (k1c + 2 * k2c + 2 * k3c + k4c))
+
+    span = t1 - t0
+    n_steps = max(1, int(np.ceil(abs(span) / dt)))
+    step = span / n_steps
+    z, zeta = np.asarray(z0, dtype=float), np.asarray(zeta0, dtype=float)
+    ts, zs, cs = [t0], [z], [zeta]
+    for k in range(1, n_steps + 1):
+        z, zeta = rk4_step(z, zeta, step)
+        if k % store_stride == 0 or k == n_steps:
+            ts.append(t0 + k * step), zs.append(z), cs.append(zeta)
+            if until is not None and until(z, zeta):
+                break
+    return np.array(ts), np.array(zs), np.array(cs)
+
+
+@pytest.mark.parametrize("width", [1, 6, 810])
+@pytest.mark.parametrize("stride", [1, 2, 5])
+@pytest.mark.parametrize("t0, t1", [(0.0, 3.1), (0.5, -2.6)])
+@pytest.mark.parametrize("stop", [False, True])
+def test_batched_flow_matches_two_array_rk4(longrange_1d, width, stride, t0,
+                                            t1, stop):
+    """The in-place step reproduces the two-array RK4 exactly, forward and
+    backward, at every store stride, and with an until that ends the flow
+    mid-run."""
+    rng = np.random.default_rng(width)
+    z0 = rng.uniform(-30.0, 30.0, width)
+    zeta0 = rng.choice([-1.0, 1.0], width) * rng.uniform(0.6, 1.4, width)
+    args = (longrange_1d, z0, zeta0, t0, t1, 0.05, stride)
+    until = None
+    if stop:
+        _, zs_full, _ = _two_array_flow(*args)
+        z_mid = np.max(zs_full[zs_full.shape[0] // 2])
+        until = lambda z, zeta: bool(np.max(z) >= z_mid)  # noqa: E731
+    want = _two_array_flow(*args, until=until)
+    got = flow.batched_flow(*args, until=until)
+    if stop:
+        assert 1 < want[0].size < zs_full.shape[0]
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
 def test_escaped_radius_monotone(longrange_1d):
     """Once escaped (r > R_esc with outward speed), r stays monotone."""
     traj = integrate_flow(longrange_1d, 1.0, 1.0, (0.0, 60.0))
