@@ -281,7 +281,8 @@ def _assemble(cfg, rep: Reporter, verdict, verify_grid=None):
         f"C = {e.C!r}", f"C_prime = {e.C_prime!r}",
         f"c2 = {e.c2!r}", f"c3 = {e.c3!r}",
         e.constants.describe(),
-        f"tubes = {len(e.tubes.tubes)} (max T = {e.tubes.max_T!r})",
+        f"tubes = {len(e.tubes.tubes)} "
+        f"(max T = {float(e.tubes.tubes.T.max())!r})",
         f"covering: {e.tubes.covering.n_uncovered} uncovered of "
         f"{e.tubes.covering.n_test}",
         "cascade: " + json.dumps(e.cascade, sort_keys=True),
@@ -400,7 +401,7 @@ def cmd_resolvent_sweep(cfg, rep: Reporter, verdict):
     if cfg["potential"] == "zero":
         h_ref = cfg["h_list"][len(cfg["h_list"]) // 2]
         op = rv.discretize(model, h_ref, L=cfg["box_half_length"],
-                           N=2 ** cfg["grid_exponent"], boundary="cap")
+                           N=2 ** cfg["grid_exponent"])
         got = rv.weighted_resolvent_norm(op, model.lambda2,
                                          1e-3, cfg["s_weight"]).value
         want = rv.analytic_free_resolvent_norm(

@@ -7,7 +7,9 @@ Given an empirically non-trapping model, this module assembles
 where the boundary pieces are x^{-+eps} chi(tau) psi(p) rho(x/x0) localized
 to the incoming (tau > lam/3) and outgoing (tau < -lam/3) bands near
 infinity, and q_circ is a finite sum of flow tubes covering the compact
-region.  The two constants are chosen by a halving cascade so that
+region.  The tube family is one set of row-aligned arrays (Tubes), built
+once for all seeds, and every pass over it (the crossings, the covering
+check, q_circ) reads those arrays.  The two constants are chosen by a halving cascade so that
 q >= 0 everywhere and -H_p q admits a positive weighted floor; the final
 certificate
 
@@ -248,20 +250,27 @@ def _chi_tube(t, T):
     return r * lin * dn, rise.d(t) * lin * dn + r * dn + r * lin * down.d(t)
 
 
-@dataclass
-class Tube:
-    """One flow tube: a transversal disc through the seed swept by the
-    backward flow over (-1, T+2).
+@dataclass(frozen=True)
+class Tubes:
+    """The tube family, tube j in row j.  Tube j is a transversal disc
+    through seed[j] swept by the backward flow over (-1, T[j]+2).
 
     The transversal line is spanned by the energy gradient (grad p is
     orthogonal to H_p), and the disc must stay inside the escaping-energy
-    region, so its radius along grad p is sized by the window width."""
+    region, so its radius along grad p is sized by the window width.
+    level and band are fixed at construction: the transversal is
+    {y . normal = level}, and p on the disc lies in band."""
 
-    seed: np.ndarray          # phase-space point (z, zeta)
-    T: float
-    normal: np.ndarray        # unit H_p direction at the seed (2,)
-    u_p: np.ndarray           # unit grad p direction at the seed (2,)
-    radius: float             # disc radius along u_p
+    seed: np.ndarray          # (n, 2) phase-space points (z, zeta)
+    normal: np.ndarray        # (n, 2) unit H_p directions at the seeds
+    u_p: np.ndarray           # (n, 2) unit grad p directions at the seeds
+    radius: np.ndarray        # (n,) disc radii along u_p
+    T: np.ndarray             # (n,)
+    level: np.ndarray         # (n,) seed . normal
+    band: np.ndarray          # (n, 2) energies of the sampled disc, padded
+
+    def __len__(self):
+        return self.T.size
 
 
 @dataclass
@@ -273,13 +282,9 @@ class CoveringReport:
 
 @dataclass
 class TubeCollection:
-    tubes: List[Tube]
+    tubes: Tubes
     covering: CoveringReport
     reach: float    # largest padded |z| of the sampled tube sweeps
-
-    @property
-    def max_T(self):
-        return max(t.T for t in self.tubes) if self.tubes else 0.0
 
 
 def _phase_state(z, zeta):
@@ -308,24 +313,32 @@ def _k_region_seeds(model, consts, spacing):
     return z[allowed], (kappa * np.tile([1.0, -1.0], z.size // 2))[allowed]
 
 
-def _disc_offsets(tube: Tube):
-    """Sample offsets across the transversal disc: the center, and half and
+def _unit(v):
+    """The rows of v (n, 2) scaled to unit length.  np.vecdot takes each
+    row's dot product as np.linalg.norm does for one vector, so every row
+    is the one-vector result bit for bit (an axis=1 norm is not)."""
+    return v / np.sqrt(np.vecdot(v, v))[:, None]
+
+
+def _disc_points(seed, u_p, radius):
+    """(n, 5, 2) samples of each transversal disc: the seed, and half and
     full radius either way along u_p."""
-    half, full = 0.5 * tube.radius * tube.u_p, tube.radius * tube.u_p
-    return np.stack([np.zeros(2), half, -half, full, -full])
+    half, full = (0.5 * radius)[:, None] * u_p, radius[:, None] * u_p
+    return seed[:, None] + np.stack([np.zeros_like(half), half, -half, full,
+                                     -full], axis=1)
 
 
 def build_tubes(model, consts, T_max=500.0) -> TubeCollection:
     """Tubes along backward bicharacteristic segments seeded on a grid of K.
 
-    Per seed: T from the first certified incoming time (inflated for the
-    slowest disc member), a transversal line normal to H_p, a disc along
-    grad p whose half-size images cover K (certified on a 2x finer test
-    grid), and a sampled certificate that the late tube portion
-    [T+1/2, T+2] stays inside {x < x0/2, tau > 2 lam/3}.
+    For every seed at once: T from the first certified incoming time
+    (inflated for the slowest disc member), a transversal line normal to
+    H_p, a disc along grad p whose half-size images cover K (certified on a
+    2x finer test grid), and a sampled certificate that the late tube
+    portion [T+1/2, T+2] stays inside {x < x0/2, tau > 2 lam/3}.  The
+    family is built once, as Tubes, after the certificate has fixed T.
     """
-    lam = model.lam
-    tau_target = 2.0 * lam / 3.0
+    tau_target = 2.0 * model.lam / 3.0
     x_target = consts.x0 / 2.0
     # a seed spacing of at least 1, and coarser for a wide collar, keeps
     # the tube count roughly collar-independent
@@ -334,30 +347,24 @@ def build_tubes(model, consts, T_max=500.0) -> TubeCollection:
         z_s, zeta_s = _k_region_seeds(model, consts, spacing)
         if not z_s.size:
             raise ConstructionError("no seeds found on K; check the window")
-        kappa_min = float(np.min(np.abs(zeta_s)))
-        if kappa_min <= 0:
-            raise ConstructionError("seed with vanishing momentum on K")
-        r_mom = _MOM_FACTOR * model.delta / kappa_min
-        T_in = fl.time_to_incoming(model, z_s, zeta_s, x_target, tau_target,
-                                   T_max=T_max)
-        dZ, dC = geo.hamilton_field(model, z_s, zeta_s)
-        tubes = []
-        for z, zeta, T, dz, dzeta in zip(z_s, zeta_s, T_in.tolist(), dZ, dC):
-            # the slowest disc member (lowest shell energy on the disc)
-            # lags the center trajectory; size the segment for it
-            kappa = abs(float(zeta))
-            T = T * (1.0 + 2.0 * _MOM_FACTOR * model.delta / kappa**2) + 0.5
-            n_vec = _phase_state(dz, dzeta)
-            n_norm = float(np.linalg.norm(n_vec))
-            if n_norm == 0.0:
-                raise ConstructionError(f"stationary seed at {z}, {zeta}")
-            # grad p = (-zetadot, zdot) spans the transversal
-            grad_p = _phase_state(-dzeta, dz)
-            tubes.append(Tube(seed=_phase_state(z, zeta), T=T,
-                              normal=n_vec / n_norm,
-                              u_p=grad_p / np.linalg.norm(grad_p),
-                              radius=r_mom))
-        reach = _certify_tubes(model, tubes, consts, lam)
+        kappa = np.abs(zeta_s)
+        radius = np.full(z_s.size, _MOM_FACTOR * model.delta / kappa.min())
+        # the slowest disc member (lowest shell energy on the disc) lags
+        # the center trajectory; size the segment for it
+        T = fl.time_to_incoming(model, z_s, zeta_s, x_target, tau_target,
+                                T_max=T_max)
+        T = T * (1.0 + 2.0 * _MOM_FACTOR * model.delta / kappa**2) + 0.5
+        dz, dzeta = geo.hamilton_field(model, z_s, zeta_s)
+        seed, normal = _phase_state(z_s, zeta_s), _unit(_phase_state(dz, dzeta))
+        # grad p = (-zetadot, zdot) spans the transversal
+        u_p = _unit(_phase_state(-dzeta, dz))
+        disc = _disc_points(seed, u_p, radius)
+        T, reach = _certify_tubes(model, disc, radius, T, consts)
+        p = geo.symbol_p(model, *disc.reshape(-1, 2).T).reshape(-1, 5)
+        pad = 0.1 * np.ptp(p, axis=1)
+        band = np.stack([p.min(axis=1) - pad, p.max(axis=1) + pad], axis=1)
+        tubes = Tubes(seed=seed, normal=normal, u_p=u_p, radius=radius, T=T,
+                      level=_project(seed, normal), band=band)
         report = _certify_covering(model, tubes, reach, consts, spacing)
         if report.n_uncovered == 0:
             return TubeCollection(tubes=tubes, covering=report, reach=reach)
@@ -369,41 +376,46 @@ def build_tubes(model, consts, T_max=500.0) -> TubeCollection:
     )
 
 
-def _certify_tubes(model, tubes: List[Tube], consts, lam):
-    """Sampled disc sweep for every tube in one batched backward flow: the
-    late-portion disjointness from K' (auto-extending T when the margin
-    check fails).  Returns the reach R, the largest |z| of the sweeps with
-    each tube's z range padded by radius/4 + 5% of its end magnitudes."""
-    pend, reach = list(tubes), 0.0
+def _certify_tubes(model, disc, radius, T, consts):
+    """Sampled disc sweep (disc: _disc_points) of every pending tube in one
+    batched backward flow per round: the late-portion disjointness from K',
+    T extended for each tube whose margin check fails.  Returns (T, reach),
+    reach R being the largest |z| of the sweeps with each tube's z range
+    padded by radius/4 + 5% of its end magnitudes."""
+    T, pend, reach = T.copy(), np.arange(T.size), 0.0
     for round_ in range(_MAX_EXTEND + 1):
-        if not pend:
-            return reach
-        pts = np.concatenate([tb.seed + _disc_offsets(tb) for tb in pend])
-        T_all = max(tb.T for tb in pend)
+        if not pend.size:
+            return T, reach
+        pts = disc[pend].reshape(-1, 2)
         ts, zs, cs = fl.batched_flow(model, pts[:, 0], pts[:, 1], 0.0,
-                                     -(T_all + 2.2), 0.02, store_stride=5)
-        failed = []
-        for k, tb in enumerate(pend):
-            zt, ct = (a.reshape(ts.size, len(pend), -1)[:, k] for a in (zs, cs))
-            swept = zt[-ts <= tb.T + 2.2]
-            lo, hi = float(swept.min()), float(swept.max())
-            pad = 0.25 * tb.radius + 0.05 * (abs(lo) + abs(hi))
-            late = (-ts >= tb.T + 0.5) & (-ts <= tb.T + 2.0 + 1e-9)
-            x, tau = geo.scattering_coords(zt[late].ravel(), ct[late].ravel())
-            if np.all(x < consts.x0 / 2.0) and np.all(tau > 2.0 * lam / 3.0):
-                reach = max(reach, abs(lo - pad), abs(hi + pad))
-                continue
-            failed.append(tb)
-            if round_ < _MAX_EXTEND:
-                tb.T += max(1.0, 0.1 * tb.T)  # retry with a longer segment
-        pend = failed
+                                     -(T[pend].max() + 2.2), 0.02,
+                                     store_stride=5)
+        # (sample, tube, disc point)
+        zs, cs = (a.reshape(ts.size, pend.size, -1) for a in (zs, cs))
+        back, Tp = -ts[:, None], T[pend]
+        swept = (back <= Tp + 2.2)[..., None]
+        lo = zs.min(axis=(0, 2), where=swept, initial=np.inf)
+        hi = zs.max(axis=(0, 2), where=swept, initial=-np.inf)
+        pad = 0.25 * radius[pend] + 0.05 * (np.abs(lo) + np.abs(hi))
+        # the chart on the late samples only: the whole sweep would be a
+        # second store-sized temporary
+        k, j = np.nonzero((back >= Tp + 0.5) & (back <= Tp + 2.0 + 1e-9))
+        x, tau = geo.scattering_coords(zs[k, j].ravel(), cs[k, j].ravel())
+        inside = (x < consts.x0 / 2.0) & (tau > 2.0 * model.lam / 3.0)
+        failed = np.zeros(pend.size, dtype=bool)
+        failed[j[~inside.reshape(k.size, -1).all(axis=1)]] = True
+        reach = float(np.max(np.abs([lo - pad, hi + pad])[:, ~failed],
+                             initial=reach))
+        pend = pend[failed]
+        if round_ < _MAX_EXTEND:
+            T[pend] += np.maximum(1.0, 0.1 * T[pend])  # retry longer
     raise ConstructionError(
         f"late tube portion not disjoint from K' after extending T to "
-        f"{pend[0].T}; increase the time margin"
+        f"{float(T[pend[0]])}; increase the time margin"
     )
 
 
-def _certify_covering(model, tubes: List[Tube], reach, consts, spacing):
+def _certify_covering(model, tubes: Tubes, reach, consts, spacing):
     """Every point of a 2x finer K grid at three energies of the window must
     cross some tube in its interior zone: disc distance <= 1/2 and t in
     [-_T_COV, T_j + 0.6], where the time cutoff has slope one."""
@@ -439,46 +451,18 @@ def eval_q_circ(model, coll: TubeCollection, z, zeta, shell):
     z, zeta = np.asarray(z, dtype=float), np.asarray(zeta, dtype=float)
     qv, hp = np.zeros(z.size), np.zeros(z.size)
     phi_shape = falling_step(0.5, 1.0)
-    T = np.array([tb.T for tb in coll.tubes])
     for j, i, t, sigma in _tube_passes(model, coll.tubes, coll.reach, z,
                                        zeta, shell, _SUPPORT_ZONE):
         phi = phi_shape(sigma)
-        chi, chi_d = _chi_tube(t, T[j])
+        chi, chi_d = _chi_tube(t, coll.tubes.T[j])
         np.add.at(qv, i, chi * phi)
         np.add.at(hp, i, -chi_d * phi)
     return qv, hp
 
 
-@dataclass(frozen=True)
-class _TubeArrays:
-    """The tubes of a pass as arrays, tube j in row j: seed, normal and u_p
-    (n, 2), radius, T and level = seed . normal (n,), and the disc energy
-    band (n, 2)."""
-
-    seed: np.ndarray
-    normal: np.ndarray
-    u_p: np.ndarray
-    radius: np.ndarray
-    T: np.ndarray
-    level: np.ndarray
-    band: np.ndarray
-
-    @classmethod
-    def of(cls, model, tubes):
-        seed = np.array([tb.seed for tb in tubes])
-        normal = np.array([tb.normal for tb in tubes])
-        return cls(seed=seed, normal=normal,
-                   u_p=np.array([tb.u_p for tb in tubes]),
-                   radius=np.array([tb.radius for tb in tubes]),
-                   T=np.array([tb.T for tb in tubes]),
-                   level=_project(seed, normal),
-                   band=np.array([_disc_energy_band(model, tb)
-                                  for tb in tubes]))
-
-
-def _tube_passes(model, tubes, reach, z, zeta, shell, zone):
+def _tube_passes(model, tb: Tubes, reach, z, zeta, shell, zone):
     """Chunks (j, i, t, sigma): the points i crossing the transversal of
-    tubes[j] at time t and disc distance sigma, inside zone.  One pass finds
+    tube j at time t and disc distance sigma, inside zone.  One pass finds
     every tube's crossings (_crossings); the chunks follow its order (tube,
     then orbit, then crossing time), so each point meets its crossings tube
     by tube, then in time order.  Members of a crossing's orbit are found by
@@ -486,15 +470,13 @@ def _tube_passes(model, tubes, reach, z, zeta, shell, zone):
     exactly on t = t_c - s; a chunk expands at most _PAIR_CHUNK of these
     (crossing, member) pairs, or one crossing's members.
 
-    p is conserved, so only orbits at an energy of a tube's disc (sampled,
-    padded by a tenth of the spread) can cross it: orbits outside every
-    tube's range are not flowed, and a tube keeps only crossings on its
-    own."""
+    p is conserved, so only orbits at an energy of a tube's disc (tb.band)
+    can cross it: orbits outside every tube's band are not flowed, and a
+    tube keeps only crossings on its own."""
     w_lo, w_hi, sigma_max = zone
-    tb = _TubeArrays.of(model, tubes)
     t_tail = float(tb.T.max()) + w_hi + 0.1
     store = _shell_orbits(model, z, zeta, shell, reach, w_lo - 0.1, t_tail,
-                          tb.band, _stop_radius(tubes))
+                          tb.band, _stop_radius(tb))
     if store is None:
         return
     ts, comps, pts, orb, s = store
@@ -525,27 +507,18 @@ def _ranges(lo, n):
     return c, np.arange(c.size) + np.repeat(lo - np.cumsum(n) + n, n)
 
 
-def _near_radius(tb: Tube):
-    """Distance from tb's seed within which a crossing's bracketing sample
-    must lie to be refined (_crossings' prefilter); elementwise over the
-    rows of a _TubeArrays."""
+def _near_radius(tb: Tubes):
+    """Distance from each seed within which a crossing's bracketing sample
+    must lie to be refined (_crossings' prefilter)."""
     return tb.radius * 1.5 + 0.2
 
 
-def _stop_radius(tubes):
+def _stop_radius(tb: Tubes):
     """Escape radius past which no orbit can cross a tube near its seed:
     the larger of flow's escape radius and the largest |z| within
     _near_radius of a seed."""
-    return max([fl.R_ESCAPE]
-               + [abs(float(tb.seed[0])) + _near_radius(tb) for tb in tubes])
-
-
-def _disc_energy_band(model, tb: Tube):
-    """(lo, hi): the energies p of tb's sampled disc, padded by a tenth of
-    their spread."""
-    p_disc = geo.symbol_p(model, *(tb.seed + _disc_offsets(tb)).T)
-    pad = 0.1 * np.ptp(p_disc)
-    return p_disc.min() - pad, p_disc.max() + pad
+    return float(np.max(np.abs(tb.seed[:, 0]) + _near_radius(tb),
+                        initial=fl.R_ESCAPE))
 
 
 def _shell_orbits(model, z, zeta, shell, reach, t_back, t_tail, bands,
@@ -627,7 +600,7 @@ def _shell_orbits(model, z, zeta, shell, reach, t_back, t_tail, bands,
     return ts, comps, live[mem[srt]], orb[srt], s[srt]
 
 
-def _crossings(model, ts, comps, tb: _TubeArrays, w_lo, w_hi, sigma_max):
+def _crossings(model, ts, comps, tb: Tubes, w_lo, w_hi, sigma_max):
     """(j, t, sigma, col): tube, time, disc distance and store column of
     every crossing of tube j's transversal with t in [w_lo, w_hi[j]] and
     sigma <= sigma_max, sorted by tube, column, time.  A crossing is a sign

@@ -4,11 +4,12 @@ P = h^2 Delta + V is discretized by second-order finite differences on a
 box [-L, L], a complex symmetric tridiagonal matrix, with one of two
 boundary treatments:
 
-- ``dirichlet``: the literal self-adjoint box operator; shifted solves need
-  t != 0 (a finite box has discrete spectrum);
-- ``cap``: a complex absorbing profile -i W(z) supported in the outer 20%
-  of the box emulates the limiting resolvent at t = 0 and avoids box
-  resonances.
+- ``dirichlet`` (small_box_operator): the literal self-adjoint box
+  operator; shifted solves need t != 0 (a finite box has discrete
+  spectrum);
+- ``cap`` (discretize): a complex absorbing profile -i W(z) supported in
+  the outer 20% of the box emulates the limiting resolvent at t = 0 and
+  avoids box resonances.
 
 The weighted norm ||<z>^-s R(lambda^2 + it) <z>^-s|| is the largest
 singular value of the weighted resolvent, computed by Lanczos on A^H A
@@ -208,24 +209,21 @@ def check_resolution(model, h, L, N):
         )
 
 
-def discretize(model, h, L=200.0, N=2**15, boundary="cap") -> DiscreteOperator:
-    """Banded discretization of P.
+def discretize(model, h, L=200.0, N=2**15) -> DiscreteOperator:
+    """Banded discretization of P with the absorbing cap profile.
 
     Guards (configuration errors, never silent): the grid must resolve the
     h-oscillation at the shell (check_resolution) and the box must contain
     the weight's mass (L >= 40; the cap then starts at |z| >= 32, where the
     weight <z>^-1 is below 0.05).
     """
-    if boundary not in ("dirichlet", "cap"):
-        raise ConfigurationError(f"unknown boundary treatment {boundary!r}")
     if L < 40.0:
         raise ConfigurationError(f"box must contain the weight's mass: L >= 40, got {L}")
     check_resolution(model, h, L, N)
     grid = Grid1D(L=float(L), N=int(N))
     V = model.potential.value(grid.z)
-    W = default_cap_profile(grid, model.lambda2) if boundary == "cap" else None
-    return DiscreteOperator(grid=grid, h=float(h), V=V, boundary=boundary,
-                            W=W)
+    return DiscreteOperator(grid=grid, h=float(h), V=V, boundary="cap",
+                            W=default_cap_profile(grid, model.lambda2))
 
 
 def small_box_operator(model, h, L=60.0, N=512) -> DiscreteOperator:
@@ -439,7 +437,7 @@ class ScalingReport:
 
 
 def _sweep_cell(model, h, lam2, s, L, N) -> SweepCell:
-    op = discretize(model, h, L=L, N=N, boundary="cap")
+    op = discretize(model, h, L=L, N=N)
     res = weighted_resolvent_norm(op, lam2, 0.0, s)
     return SweepCell(h=h, lambda2=lam2, t=0.0, s=s, norm=res.value,
                      iterations=res.iterations, mode=op.boundary)
@@ -505,7 +503,7 @@ def window_sup_norm(model, h, s=0.7, n_scan=81, L=200.0,
     Returns (sup_norm, argmax_lambda2)."""
     lam2 = model.lambda2
     half = 0.5 * model.delta
-    op = discretize(model, h, L=L, N=N, boundary="cap")
+    op = discretize(model, h, L=L, N=N)
     best, arg = -math.inf, lam2
     for l2 in np.linspace(lam2 - half, lam2 + half, n_scan):
         res = weighted_resolvent_norm(op, float(l2), 0.0, s)

@@ -34,7 +34,7 @@ def test_criterion_1_oracle_equivalence(free_1d):
     t_shift = 1e-3
     errs = {}
     for h in H_SWEEP:
-        op = rv.discretize(free_1d, h, L=200.0, N=2**15, boundary="cap")
+        op = rv.discretize(free_1d, h, L=200.0, N=2**15)
         got = rv.weighted_resolvent_norm(op, 1.0, t_shift, S_WEIGHT).value
         want = rv.analytic_free_resolvent_norm(
             1.0, t_shift, h, S_WEIGHT, L=200.0, M=2**15, certify=(h == 0.1)

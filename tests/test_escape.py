@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -231,9 +232,9 @@ def test_tubes_cover_and_certify(escape_free):
 def test_tube_seed_value(escape_free):
     """At a tube seed the flow coordinates are (t, sigma) = (0, 0), so
     q_circ/psi >= chi(0) phi(0) = 1 there."""
-    tb = escape_free.tubes.tubes[3]
+    seed = escape_free.tubes.tubes.seed[3]
     qv, hv = esc.eval_q_circ(escape_free.model, escape_free.tubes,
-                             tb.seed[:1], tb.seed[1:], np.arange(1))
+                             seed[:1], seed[1:], np.arange(1))
     assert qv[0] >= 1.0 - 1e-8
 
 
@@ -247,6 +248,19 @@ def test_tube_far_point_zero(escape_free):
 _ANY_ENERGY = np.array([[-np.inf, np.inf]])
 
 
+def _tube_rows(tubes):
+    """The tubes one at a time, each as a namespace of its row's values."""
+    for j in range(len(tubes)):
+        yield types.SimpleNamespace(**{f.name: getattr(tubes, f.name)[j]
+                                       for f in dataclasses.fields(tubes)})
+
+
+def _every_second(tubes):
+    """The tube family's rows 0, 2, 4, ..."""
+    return dataclasses.replace(tubes, **{f.name: getattr(tubes, f.name)[::2]
+                                         for f in dataclasses.fields(tubes)})
+
+
 def _dense_passes(model, tubes, reach, z, zeta, shell, zone):
     """Reference for esc._tube_passes on the same orbit store, offsets and
     crossing step: every tube's crossings come from projecting every stored
@@ -255,11 +269,11 @@ def _dense_passes(model, tubes, reach, z, zeta, shell, zone):
     members by a direct zone test; one pass per tube, in crossing order.
     Its orbits run the whole tail, not stopping at their escape."""
     w_lo, w_hi, sigma_max = zone
-    t_tail = max(tb.T for tb in tubes) + w_hi + 0.1
+    t_tail = tubes.T.max() + w_hi + 0.1
     ts, comps, pts, orb, s = esc._shell_orbits(model, z, zeta, shell, reach,
                                                w_lo - 0.1, t_tail,
                                                _ANY_ENERGY, np.inf)
-    for tb in tubes:
+    for tb in _tube_rows(tubes):
         level = tb.seed[0] * tb.normal[0] + tb.seed[1] * tb.normal[1]
         neg = np.signbit(comps[0] * tb.normal[0] + comps[1] * tb.normal[1]
                          - level)   # (orbit, row)
@@ -350,7 +364,7 @@ def test_q_circ_slice_plane_prefilter(escape_longrange):
                                      60), indexing="ij")
     z, zeta = 1.0 / x.ravel(), -tau.ravel()
     alone = np.arange(z.size)
-    bands = np.array([esc._disc_energy_band(e.model, tb) for tb in e.tubes.tubes])
+    bands = e.tubes.tubes.band
     _, _, pts, _, _ = esc._shell_orbits(e.model, z, zeta, alone, e.tubes.reach,
                                         -1.1, 1.0, bands, np.inf)
     p = geo.symbol_p(e.model, z[pts], zeta[pts])[:, None]
@@ -439,10 +453,9 @@ def test_q_circ_memory_bounded(escape_longrange):
     model, tubes = e.model, e.tubes.tubes
     z, zeta, shell = esc.phase_grid(model, n_x=220, n_interior=40, n_energy=14)
     w_lo, w_hi, _ = esc._SUPPORT_ZONE
-    bands = np.array([esc._disc_energy_band(model, tb) for tb in tubes])
     ts, comps, *rest = esc._shell_orbits(
         model, z, zeta, shell, e.tubes.reach, w_lo - 0.1,
-        max(tb.T for tb in tubes) + w_hi + 0.1, bands, esc._stop_radius(tubes))
+        tubes.T.max() + w_hi + 0.1, tubes.band, esc._stop_radius(tubes))
     store_bytes = sum(a.nbytes for a in (ts, *comps, *rest))
     del ts, comps, rest
     tracemalloc.start()
@@ -462,7 +475,7 @@ def test_covering_matches_dense_scan(which, request):
     e = request.getfixturevalue(which)
     spacing = max(1.0, (4.0 / e.constants.x0) / 40.0)
     tubes = e.tubes.tubes
-    for subset in (tubes, tubes[::2]):
+    for subset in (tubes, _every_second(tubes)):
         got = esc._certify_covering(e.model, subset, e.tubes.reach,
                                     e.constants, spacing)
         ref = _dense_certify_covering(e.model, subset, e.tubes.reach,
@@ -497,24 +510,126 @@ def test_orbit_store_stops_past_every_near_crossing(which, request):
          esc._SUPPORT_ZONE),
         (esc._shell_points(model, esc._k_axis(e.constants, 0.5 * spacing),
                            energies), esc._COVER_ZONE))
-    bands = np.array([esc._disc_energy_band(model, tb) for tb in tubes])
     r_stop = esc._stop_radius(tubes)
     for (z, zeta, shell), (w_lo, w_hi, _) in point_sets:
-        t_tail = max(tb.T for tb in tubes) + w_hi + 0.1
+        t_tail = tubes.T.max() + w_hi + 0.1
         ts, comps, _, _, _ = esc._shell_orbits(model, z, zeta, shell,
                                                e.tubes.reach, w_lo - 0.1,
-                                               t_tail, bands, r_stop)
+                                               t_tail, tubes.band, r_stop)
         z_end, zeta_end = comps[0][:, -1], comps[1][:, -1]
         assert np.all(fl.escape_certified(model, z_end, zeta_end, r_stop))
         _, zs, cs = fl.batched_flow(model, z_end, zeta_end, ts[-1],
                                     ts[-1] + t_tail, esc._Q_CIRC_DT,
                                     store_stride=esc._Q_CIRC_STRIDE)
-        for tb in tubes:
+        for tb in _tube_rows(tubes):
             level = tb.seed[0] * tb.normal[0] + tb.seed[1] * tb.normal[1]
             neg = np.signbit(zs * tb.normal[0] + cs * tb.normal[1] - level)
             ks, ms = np.nonzero(neg[:-1] != neg[1:])
             dist = np.hypot(zs[ks, ms] - tb.seed[0], cs[ks, ms] - tb.seed[1])
             assert np.all(dist > esc._near_radius(tb))
+
+
+def _loop_disc_points(tb):
+    """One tube's disc samples: the seed, and half and full radius either
+    way along u_p."""
+    half, full = 0.5 * tb.radius * tb.u_p, tb.radius * tb.u_p
+    return tb.seed + np.stack([np.zeros(2), half, -half, full, -full])
+
+
+def _loop_certify_tubes(model, tubes, consts):
+    """Reference late-portion certificate, tube by tube over one batched
+    flow per round, extending each failing tube's T in place: (reach,
+    rounds), rounds counting the flows."""
+    pend, reach = list(tubes), 0.0
+    for round_ in range(esc._MAX_EXTEND + 1):
+        if not pend:
+            return reach, round_
+        pts = np.concatenate([_loop_disc_points(tb) for tb in pend])
+        T_all = max(tb.T for tb in pend)
+        ts, zs, cs = fl.batched_flow(model, pts[:, 0], pts[:, 1], 0.0,
+                                     -(T_all + 2.2), 0.02, store_stride=5)
+        failed = []
+        for k, tb in enumerate(pend):
+            zt, ct = (a.reshape(ts.size, len(pend), -1)[:, k] for a in (zs, cs))
+            swept = zt[-ts <= tb.T + 2.2]
+            lo, hi = float(swept.min()), float(swept.max())
+            pad = 0.25 * tb.radius + 0.05 * (abs(lo) + abs(hi))
+            late = (-ts >= tb.T + 0.5) & (-ts <= tb.T + 2.0 + 1e-9)
+            x, tau = geo.scattering_coords(zt[late].ravel(), ct[late].ravel())
+            if (np.all(x < consts.x0 / 2.0)
+                    and np.all(tau > 2.0 * model.lam / 3.0)):
+                reach = max(reach, abs(lo - pad), abs(hi + pad))
+                continue
+            failed.append(tb)
+            if round_ < esc._MAX_EXTEND:
+                tb.T += max(1.0, 0.1 * tb.T)
+        pend = failed
+    raise ConstructionError("late tube portion not disjoint from K'")
+
+
+def _loop_build_tubes(model, consts):
+    """Reference construction, seed by seed: (Tubes, reach, rounds) at the
+    first seed spacing whose tubes pass the covering check."""
+    spacing = max(1.0, (4.0 / consts.x0) / 40.0)
+    for _ in range(esc._MAX_REFINE + 1):
+        z_s, zeta_s = esc._k_region_seeds(model, consts, spacing)
+        r_mom = esc._MOM_FACTOR * model.delta / float(np.min(np.abs(zeta_s)))
+        T_in = fl.time_to_incoming(model, z_s, zeta_s, consts.x0 / 2.0,
+                                   2.0 * model.lam / 3.0, T_max=500.0)
+        dZ, dC = geo.hamilton_field(model, z_s, zeta_s)
+        tubes = []
+        for z, zeta, T, dz, dzeta in zip(z_s, zeta_s, T_in.tolist(), dZ, dC):
+            kappa = abs(float(zeta))
+            T = T * (1.0 + 2.0 * esc._MOM_FACTOR * model.delta / kappa**2) + 0.5
+            n_vec, grad_p = np.array([dz, dzeta]), np.array([-dzeta, dz])
+            tubes.append(types.SimpleNamespace(
+                seed=np.array([z, zeta]), T=T, radius=r_mom,
+                normal=n_vec / np.linalg.norm(n_vec),
+                u_p=grad_p / np.linalg.norm(grad_p)))
+        reach, rounds = _loop_certify_tubes(model, tubes, consts)
+        bands = []
+        for tb in tubes:
+            p = geo.symbol_p(model, *_loop_disc_points(tb).T)
+            bands.append((p.min() - 0.1 * np.ptp(p), p.max() + 0.1 * np.ptp(p)))
+        seed, normal = (np.array([tb.seed for tb in tubes]),
+                        np.array([tb.normal for tb in tubes]))
+        family = esc.Tubes(seed=seed, normal=normal,
+                           u_p=np.array([tb.u_p for tb in tubes]),
+                           radius=np.array([tb.radius for tb in tubes]),
+                           T=np.array([tb.T for tb in tubes]),
+                           level=seed[:, 0] * normal[:, 0]
+                           + seed[:, 1] * normal[:, 1],
+                           band=np.array(bands))
+        report = esc._certify_covering(model, family, reach, consts, spacing)
+        if report.n_uncovered == 0:
+            return family, reach, rounds
+        spacing *= 0.5
+    raise ConstructionError("tube covering failed")
+
+
+@pytest.fixture(scope="module")
+def tubes_well(well_1d):
+    """well's tube family as assemble_escape builds it."""
+    consts = esc.boundary_constants(well_1d)
+    return types.SimpleNamespace(model=well_1d, constants=consts,
+                                 tubes=esc.build_tubes(well_1d, consts))
+
+
+@pytest.mark.parametrize("which, extended", [
+    ("escape_longrange", False), ("tubes_well", True),
+    ("escape_barrier", True)])
+def test_build_tubes_matches_per_seed_loop(which, extended, request):
+    """The vectorized construction equals the seed-by-seed one bit for bit:
+    every row of the family and the reach.  well and the barrier run the
+    certificate's T extension (the barrier after one covering refinement);
+    a last-bit change in u_p's normalization fails here."""
+    e = request.getfixturevalue(which)
+    want, reach, rounds = _loop_build_tubes(e.model, e.constants)
+    assert (rounds > 1) == extended
+    for f in dataclasses.fields(esc.Tubes):
+        assert np.array_equal(getattr(e.tubes.tubes, f.name),
+                              getattr(want, f.name)), f.name
+    assert e.tubes.reach == reach
 
 
 def test_q_circ_order_invariant(escape_longrange):

@@ -17,7 +17,7 @@ from conftest import apply_separable
 
 
 def test_dispersion_free_operator(free_1d):
-    op = rv.discretize(free_1d, 0.1, L=100.0, N=4096, boundary="dirichlet")
+    op = rv.small_box_operator(free_1d, 0.1, L=100.0, N=4096)
     diag, off = op.real_tridiagonal()
     vals = np.sort(rv.eigenvalues(op))
     N = op.grid.N
@@ -28,8 +28,8 @@ def test_dispersion_free_operator(free_1d):
 
 
 def test_potential_adds_diagonal(free_1d, longrange_1d):
-    op0 = rv.discretize(free_1d, 0.1, L=100.0, N=4096, boundary="dirichlet")
-    op1 = rv.discretize(longrange_1d, 0.1, L=100.0, N=4096, boundary="dirichlet")
+    op0 = rv.small_box_operator(free_1d, 0.1, L=100.0, N=4096)
+    op1 = rv.small_box_operator(longrange_1d, 0.1, L=100.0, N=4096)
     d0, o0 = op0.real_tridiagonal()
     d1, o1 = op1.real_tridiagonal()
     V = longrange_1d.potential.value(op0.grid.z)
@@ -45,7 +45,7 @@ def test_resolution_guard(free_1d):
 
 
 def test_solve_shifted_inverse_consistency(longrange_1d):
-    op = rv.discretize(longrange_1d, 0.1, L=100.0, N=4096, boundary="dirichlet")
+    op = rv.small_box_operator(longrange_1d, 0.1, L=100.0, N=4096)
     rng = np.random.default_rng(3)
     g = rng.standard_normal(op.size) * np.exp(-((op.grid.z / 30.0) ** 2))
     w = complex(1.0, 0.05)
@@ -57,7 +57,7 @@ def test_solve_shifted_inverse_consistency(longrange_1d):
 def test_conjugation_symmetry(longrange_1d):
     """t < 0 solution is the complex conjugate of the t > 0 one (real f,
     real V, dirichlet)."""
-    op = rv.discretize(longrange_1d, 0.1, L=100.0, N=4096, boundary="dirichlet")
+    op = rv.small_box_operator(longrange_1d, 0.1, L=100.0, N=4096)
     f = np.exp(-((op.grid.z) ** 2)).astype(complex)
     up = rv.BandedSolver(op, complex(1.0, 0.02)).solve(f)
     um = rv.BandedSolver(op, complex(1.0, -0.02)).solve(f)
@@ -67,7 +67,7 @@ def test_conjugation_symmetry(longrange_1d):
 def test_cap_solves_match_dense(longrange_1d):
     """On the complex symmetric CAP operator at t = 0, the forward, raw
     and adjoint solves agree with a dense solve."""
-    op = rv.discretize(longrange_1d, 0.3, L=40.0, N=512, boundary="cap")
+    op = rv.discretize(longrange_1d, 0.3, L=40.0, N=512)
     w = complex(longrange_1d.lambda2, 0.0)
     diag, off = op.diagonals()
     M = np.diag(diag - w) + np.diag(off, 1) + np.diag(off, -1)
@@ -92,7 +92,7 @@ def test_singular_shift_raises():
 
 
 def test_adjoint_symmetry_weighted_norm(longrange_1d):
-    op = rv.discretize(longrange_1d, 0.1, L=100.0, N=2**14, boundary="dirichlet")
+    op = rv.small_box_operator(longrange_1d, 0.1, L=100.0, N=2**14)
     a = rv.weighted_resolvent_norm(op, 1.0, 0.01, 0.7)
     b = rv.weighted_resolvent_norm(op, 1.0, -0.01, 0.7)
     assert a.value == pytest.approx(b.value, rel=1e-4)
@@ -146,7 +146,7 @@ def test_oracle_monotone_in_t():
 def test_weighted_norm_matches_oracle(free_1d):
     """Criterion-1 midpoint: cap-mode discrete norm within 2% of the
     analytic kernel value at h = 0.1, s = 0.7."""
-    op = rv.discretize(free_1d, 0.1, L=200.0, N=2**15, boundary="cap")
+    op = rv.discretize(free_1d, 0.1, L=200.0, N=2**15)
     got = rv.weighted_resolvent_norm(op, 1.0, 1e-3, 0.7).value
     want = rv.analytic_free_resolvent_norm(1.0, 1e-3, 0.1, 0.7, L=200.0, M=2**15)
     assert abs(got - want) <= 0.02 * want
@@ -163,7 +163,7 @@ def test_unweighted_dirichlet_blowup(free_1d):
 
 
 def test_large_t_resolvent_bound(free_1d):
-    op = rv.discretize(free_1d, 0.1, L=200.0, N=2**15, boundary="dirichlet")
+    op = rv.small_box_operator(free_1d, 0.1, L=200.0, N=2**15)
     n = rv.weighted_resolvent_norm(op, 1.0, 1.0, 0.7).value
     assert n <= 1.0 / 1.0 * 1.05
 
@@ -191,7 +191,7 @@ def test_quantize_cross_check_fd(longrange_1d):
     h = 0.2
     errs = {}
     for N in (2048, 4096):
-        op = rv.discretize(longrange_1d, h, L=100.0, N=N, boundary="dirichlet")
+        op = rv.small_box_operator(longrange_1d, h, L=100.0, N=N)
         z = op.grid.z
         u = np.exp(-(z**2) / 4.0)
         upp = (z**2 / 4.0 - 0.5) * u
@@ -325,7 +325,7 @@ def test_lanczos_norm_near_degenerate(sigma_2, rest):
 def test_lanczos_norm_matches_eigsh_on_sweep_cell(longrange_1d):
     """A sweep cell at small N against ARPACK on A^H A (tol 1e-12)."""
     h, lam2, s = 0.2, 1.0, 0.7
-    op = rv.discretize(longrange_1d, h, L=40.0, N=2**11, boundary="cap")
+    op = rv.discretize(longrange_1d, h, L=40.0, N=2**11)
     res = rv.weighted_resolvent_norm(op, lam2, 0.0, s)
     solver = rv.BandedSolver(op, complex(lam2, 0.0))
     weight = (1.0 + op.grid.z**2) ** (-0.5 * s)
@@ -401,8 +401,8 @@ def test_nonchar_bound_h_drift(free_1d):
 def test_cap_vs_dirichlet_cross_mode(free_1d):
     """Cap-mode t=0 and dirichlet t=h/10 norms agree within a factor 2."""
     h = 0.1
-    op_cap = rv.discretize(free_1d, h, L=200.0, N=2**14, boundary="cap")
-    op_dir = rv.discretize(free_1d, h, L=200.0, N=2**14, boundary="dirichlet")
+    op_cap = rv.discretize(free_1d, h, L=200.0, N=2**14)
+    op_dir = rv.small_box_operator(free_1d, h, L=200.0, N=2**14)
     n_cap = rv.weighted_resolvent_norm(op_cap, 1.0, 0.0, 0.7).value
     n_dir = rv.weighted_resolvent_norm(op_dir, 1.0, h / 10.0, 0.7).value
     assert 0.5 <= n_cap / n_dir <= 2.0
