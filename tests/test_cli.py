@@ -302,7 +302,8 @@ def test_flow_scan_trapping_witnesses(tmp_path):
 def test_cli_import_loads_only_scipy_linalg():
     """The package needs numpy and scipy.linalg alone: importing the CLI
     loads none of scipy's heavier subpackages."""
-    heavy = ("scipy.signal", "scipy.integrate", "scipy.stats", "scipy.special")
+    heavy = ("scipy.signal", "scipy.integrate", "scipy.stats", "scipy.special",
+             "scipy.sparse")
     code = ("import sys, nontrap.cli; "
             f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

@@ -65,8 +65,9 @@ def test_conjugation_symmetry(longrange_1d):
 
 
 def test_cap_solves_match_dense(longrange_1d):
-    """On the complex symmetric CAP operator at t = 0, the forward, raw
-    and adjoint solves agree with a dense solve."""
+    """On the complex symmetric CAP operator at t = 0, the certified
+    solve, the raw LU solve (the norm's forward solve, unrefined) and the
+    adjoint solve agree with a dense solve."""
     op = rv.discretize(longrange_1d, 0.3, L=40.0, N=512)
     w = complex(longrange_1d.lambda2, 0.0)
     diag, off = op.diagonals()
@@ -340,6 +341,52 @@ def test_lanczos_norm_matches_eigsh_on_sweep_cell(longrange_1d):
     assert res.converged
     assert abs(res.value - ref) <= 1e-8 * ref
     assert res.residual <= 1e-8 * res.value and res.sigma_2 <= res.value
+
+
+@pytest.mark.parametrize("name,at_peak", [("longrange_pow", False),
+                                          ("double_bump", False),
+                                          ("double_bump", True)])
+def test_weighted_norm_matches_dense_reference(name, at_peak):
+    """The norm from unrefined LU solves against np.linalg.norm(W (P -
+    w)^{-1} W, 2) from a dense solve of the whole CAP matrix, within 1e-9
+    relative: at the window centre, and at the peak of double_bump's
+    21-point window scan (norm ~830, near a resonance)."""
+    h, s, L, N = 0.14, 0.7, 40.0, 2**10
+    model = geo.preset_model(name)
+    op = rv.discretize(model, h, L=L, N=N)
+    lam2 = model.lambda2
+    if at_peak:
+        value, lam2 = rv.window_sup_norm(model, h, s=s, n_scan=21, L=L, N=N)
+        assert lam2 != model.lambda2
+    else:
+        value = rv.weighted_resolvent_norm(op, lam2, 0.0, s).value
+    diag, off = op.diagonals()
+    M = np.diag(diag - lam2) + np.diag(off, 1) + np.diag(off, -1)
+    W = np.diag((1.0 + op.grid.z**2) ** (-0.5 * s))
+    ref = np.linalg.norm(W @ np.linalg.solve(M, W), 2)
+    assert abs(value - ref) <= 1e-9 * ref
+
+
+def test_weighted_norm_two_raw_solves_per_step(longrange_1d, monkeypatch):
+    """One weighted norm is one factorization and two raw LU solves per
+    Lanczos step, one forward and one adjoint, with no refinement."""
+    counts = {"factor": 0, "raw": 0}
+    init, raw = rv.BandedSolver.__init__, rv.BandedSolver._solve_raw
+
+    def counting_init(self, *args):
+        counts["factor"] += 1
+        init(self, *args)
+
+    def counting_raw(self, f):
+        counts["raw"] += 1
+        return raw(self, f)
+
+    monkeypatch.setattr(rv.BandedSolver, "__init__", counting_init)
+    monkeypatch.setattr(rv.BandedSolver, "_solve_raw", counting_raw)
+    op = rv.discretize(longrange_1d, 0.2, L=40.0, N=2**11)
+    res = rv.weighted_resolvent_norm(op, longrange_1d.lambda2, 0.0, 0.7)
+    assert res.iterations > 1
+    assert counts == {"factor": 1, "raw": 2 * res.iterations}
 
 
 def test_lanczos_basis_bounded():
