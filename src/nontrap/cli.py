@@ -308,7 +308,8 @@ def cmd_escape_build(cfg, rep: Reporter, verdict):
 
 
 def cmd_escape_verify(cfg, rep: Reporter, verdict):
-    # the verification grid goes through the construction grid's q_circ pass
+    # the verification grid joins the construction grid's q_circ pass, which
+    # build_tubes' covering check runs
     sizes = {"n_x": cfg["verify_x"], "n_interior": cfg["verify_interior"],
              "n_energy": cfg["verify_energy"]}
     e = _assemble(cfg, rep, verdict, tuple(sizes.values()))

@@ -9,7 +9,8 @@ to the incoming (tau > lam/3) and outgoing (tau < -lam/3) bands near
 infinity, and q_circ is a finite sum of flow tubes covering the compact
 region.  The tube family is one set of row-aligned arrays (Tubes), built
 once for all seeds, and every pass over it (the crossings, the covering
-check, q_circ) reads those arrays.  The two constants are chosen by a halving cascade so that
+check, q_circ) reads those arrays.  The two constants are chosen by a
+halving cascade so that
 q >= 0 everywhere and -H_p q admits a positive weighted floor; the final
 certificate
 
@@ -27,9 +28,10 @@ empty, so the piece is identically zero and is left out.
 
 The verifier is a sampled certificate, not a proof: margins (a 1.5 safety
 factor on the remainder sup, the halving floors) absorb off-grid
-excursions, and refinement stability is the honesty check.  Given the
-verification grid's sizes, assemble_escape evaluates q_circ on both grids
-in one pass (one orbit store) and keeps the verification pieces for
+excursions, and refinement stability is the honesty check.  The covering
+check that accepts the tube family and q_circ on the construction grid
+(and, given its sizes, on the verification grid) share one pass over one
+orbit store; assemble_escape keeps the verification pieces for
 verify_proposition.
 """
 
@@ -57,7 +59,7 @@ _Q_CIRC_DT = 0.025      # RK4 step of every orbit store
 _Q_CIRC_STRIDE = 2      # orbit stores keep every second step
 _ORBIT_SEGMENT = 16.0   # forward flow per call until every member is reached
 _CANDIDATE_SAMPLES = 2**13  # orbit-store samples per crossing candidate search
-_PAIR_CHUNK = 2**12     # (crossing, member) pairs per q_circ / covering chunk
+_PAIR_CHUNK = 2**12     # (crossing, member) pairs per chunk of the q_circ pass
 _NEWTON_TOL = 1e-11     # crossing residual bound, relative to 1 + |level|
 _NEWTON_MAX = 12        # Newton steps allowed per crossing
 _GRID_X_MIN = 1e-3      # innermost x of the phase-space grids
@@ -285,6 +287,8 @@ class TubeCollection:
     tubes: Tubes
     covering: CoveringReport
     reach: float    # largest padded |z| of the sampled tube sweeps
+    # (q_circ/psi, H_p q_circ/psi) on the grid build_tubes was given
+    grid_q_circ: Tuple[np.ndarray, np.ndarray]
 
 
 def _phase_state(z, zeta):
@@ -328,7 +332,7 @@ def _disc_points(seed, u_p, radius):
                                      -full], axis=1)
 
 
-def build_tubes(model, consts, T_max=500.0) -> TubeCollection:
+def build_tubes(model, consts, T_max=500.0, grid=None) -> TubeCollection:
     """Tubes along backward bicharacteristic segments seeded on a grid of K.
 
     For every seed at once: T from the first certified incoming time
@@ -337,6 +341,12 @@ def build_tubes(model, consts, T_max=500.0) -> TubeCollection:
     2x finer test grid), and a sampled certificate that the late tube
     portion [T+1/2, T+2] stays inside {x < x0/2, tau > 2 lam/3}.  The
     family is built once, as Tubes, after the certificate has fixed T.
+
+    grid = (z, zeta, shell) (phase_grid's output) rides on the covering
+    check's q_circ pass, so the accepted family's pass also gives q_circ on
+    the grid (grid_q_circ), bit for bit as eval_q_circ would (see
+    assemble_escape for the condition).  A covering that fails refines the
+    seed spacing and flows the pass again.
     """
     tau_target = 2.0 * model.lam / 3.0
     x_target = consts.x0 / 2.0
@@ -365,9 +375,11 @@ def build_tubes(model, consts, T_max=500.0) -> TubeCollection:
         band = np.stack([p.min(axis=1) - pad, p.max(axis=1) + pad], axis=1)
         tubes = Tubes(seed=seed, normal=normal, u_p=u_p, radius=radius, T=T,
                       level=_project(seed, normal), band=band)
-        report = _certify_covering(model, tubes, reach, consts, spacing)
+        report, q_circ = _certify_covering(model, tubes, reach, consts,
+                                           spacing, grid)
         if report.n_uncovered == 0:
-            return TubeCollection(tubes=tubes, covering=report, reach=reach)
+            return TubeCollection(tubes=tubes, covering=report, reach=reach,
+                                  grid_q_circ=q_circ)
         spacing *= 0.5
     raise ConstructionError(
         f"tube covering failed after {_MAX_REFINE} refinements: "
@@ -415,21 +427,23 @@ def _certify_tubes(model, disc, radius, T, consts):
     )
 
 
-def _certify_covering(model, tubes: Tubes, reach, consts, spacing):
+def _certify_covering(model, tubes: Tubes, reach, consts, spacing,
+                      grid=None):
     """Every point of a 2x finer K grid at three energies of the window must
-    cross some tube in its interior zone: disc distance <= 1/2 and t in
-    [-_T_COV, T_j + 0.6], where the time cutoff has slope one."""
+    cross some tube in its interior zone (_COVER_ZONE): disc distance
+    <= 1/2 and t in [-_T_COV, T_j + 0.6], where the time cutoff has slope
+    one.  The test points join the grid points (z, zeta, shell), if any,
+    in one _q_circ_pass, labelled past the grid's labels.  Returns
+    (CoveringReport, (q_circ/psi, H_p q_circ/psi) on the grid)."""
     energies = model.lambda2 + model.delta * np.array([-0.9, 0.0, 0.9])
-    z, zeta, shell = _shell_points(model, _k_axis(consts, 0.5 * spacing),
-                                   energies)
-    covered = np.zeros(z.size, dtype=bool)
-    for _, i, _, _ in _tube_passes(model, tubes, reach, z, zeta, shell,
-                                   _COVER_ZONE):
-        covered[i] = True
-    bad = np.flatnonzero(~covered)
+    test = _shell_points(model, _k_axis(consts, 0.5 * spacing), energies)
+    n = 0 if grid is None else grid[0].size
+    z, zeta, shell = test if grid is None else _join_points(grid, test)
+    qv, hp, covered = _q_circ_pass(model, tubes, reach, z, zeta, shell, n)
+    bad = n + np.flatnonzero(~covered)
     uncovered = [_phase_state(z[i], zeta[i]) for i in bad[:16]]
-    return CoveringReport(n_test=z.size, n_uncovered=int(bad.size),
-                          uncovered=uncovered)
+    return CoveringReport(n_test=covered.size, n_uncovered=int(bad.size),
+                          uncovered=uncovered), (qv, hp)
 
 
 # ---------------------------------------------------------------------------
@@ -449,31 +463,48 @@ def eval_q_circ(model, coll: TubeCollection, z, zeta, shell):
     gives 0.
     """
     z, zeta = np.asarray(z, dtype=float), np.asarray(zeta, dtype=float)
-    qv, hp = np.zeros(z.size), np.zeros(z.size)
-    phi_shape = falling_step(0.5, 1.0)
-    for j, i, t, sigma in _tube_passes(model, coll.tubes, coll.reach, z,
-                                       zeta, shell, _SUPPORT_ZONE):
-        phi = phi_shape(sigma)
-        chi, chi_d = _chi_tube(t, coll.tubes.T[j])
-        np.add.at(qv, i, chi * phi)
-        np.add.at(hp, i, -chi_d * phi)
+    qv, hp, _ = _q_circ_pass(model, coll.tubes, coll.reach, z, zeta, shell,
+                             z.size)
     return qv, hp
 
 
-def _tube_passes(model, tb: Tubes, reach, z, zeta, shell, zone):
+def _q_circ_pass(model, tb: Tubes, reach, z, zeta, shell, n_grid):
+    """One _tube_passes pass in _SUPPORT_ZONE over a batch whose first
+    n_grid points are grid points and the rest covering test points (no
+    orbit shared between the two): (q_circ/psi, H_p q_circ/psi) on the grid
+    points, summed as eval_q_circ describes, and whether each test point
+    has a crossing inside _COVER_ZONE."""
+    qv, hp = np.zeros(n_grid), np.zeros(n_grid)
+    covered = np.zeros(z.size - n_grid, dtype=bool)
+    w_lo, w_hi, sigma_max = _COVER_ZONE
+    phi_shape = falling_step(0.5, 1.0)
+    for j, i, t, sigma in _tube_passes(model, tb, reach, z, zeta, shell):
+        g = i < n_grid
+        phi = phi_shape(sigma[g])
+        chi, chi_d = _chi_tube(t[g], tb.T[j[g]])
+        np.add.at(qv, i[g], chi * phi)
+        np.add.at(hp, i[g], -chi_d * phi)
+        inside = (~g & (t >= w_lo) & (t <= tb.T[j] + w_hi)
+                  & (sigma <= sigma_max))
+        covered[i[inside] - n_grid] = True
+    return qv, hp, covered
+
+
+def _tube_passes(model, tb: Tubes, reach, z, zeta, shell):
     """Chunks (j, i, t, sigma): the points i crossing the transversal of
-    tube j at time t and disc distance sigma, inside zone.  One pass finds
-    every tube's crossings (_crossings); the chunks follow its order (tube,
-    then orbit, then crossing time), so each point meets its crossings tube
-    by tube, then in time order.  Members of a crossing's orbit are found by
-    binary search over the keys o W + s (orbit o, offset s), then tested
-    exactly on t = t_c - s; a chunk expands at most _PAIR_CHUNK of these
-    (crossing, member) pairs, or one crossing's members.
+    tube j at time t and disc distance sigma, inside _SUPPORT_ZONE.  One
+    pass finds every tube's crossings (_crossings); the chunks follow its
+    order (tube, then orbit, then crossing time), so each point meets its
+    crossings tube by tube, then in time order.  Members of a crossing's
+    orbit are found by binary search over the keys o W + s (orbit o,
+    offset s), then tested exactly on t = t_c - s; a chunk expands at most
+    _PAIR_CHUNK of these (crossing, member) pairs, or one crossing's
+    members.
 
     p is conserved, so only orbits at an energy of a tube's disc (tb.band)
     can cross it: orbits outside every tube's band are not flowed, and a
     tube keeps only crossings on its own."""
-    w_lo, w_hi, sigma_max = zone
+    w_lo, w_hi, sigma_max = _SUPPORT_ZONE
     t_tail = float(tb.T.max()) + w_hi + 0.1
     store = _shell_orbits(model, z, zeta, shell, reach, w_lo - 0.1, t_tail,
                           tb.band, _stop_radius(tb))
@@ -735,6 +766,17 @@ def _shell_points(model, zs, energies):
             np.stack([lab, lab + 1], axis=-1).reshape(-1))
 
 
+def _join_points(*batches):
+    """One (z, zeta, shell) batch from several, each batch's labels offset
+    past those of the batches before it, so that no orbit is shared."""
+    shells, off = [], 0
+    for _, _, shell in batches:
+        shells.append(shell + off)
+        off += int(shell.max()) + 1 if shell.size else 0
+    return (np.concatenate([b[0] for b in batches]),
+            np.concatenate([b[1] for b in batches]), np.concatenate(shells))
+
+
 def phase_grid(model, n_x=600, n_interior=80, n_energy=40):
     """Deterministic grid covering supp psi(p) up to x >= 1e-3.
 
@@ -801,13 +843,16 @@ class EscapeFunction:
     verify_grid: Optional[np.ndarray] = None
     verify_pieces: Optional[PieceArrays] = None
 
-    def pieces(self, z, zeta, shell) -> PieceArrays:
+    def pieces(self, z, zeta, shell, q_circ=None) -> PieceArrays:
+        """The pieces on a batch; q_circ = (q_circ/psi, H_p q_circ/psi) on
+        it when already evaluated, else eval_q_circ evaluates them."""
         model = self.model
         x, tau = geo.scattering_coords(z, zeta)
         psi = self.cutoffs.psi(geo.symbol_p(model, z, zeta))
         (qm, hm), (qp, hplus) = boundary_pieces(
             model, self.constants, self.cutoffs, self.eps, z, zeta, x, tau)
-        qc, hc = eval_q_circ(model, self.tubes, z, zeta, shell)
+        qc, hc = (eval_q_circ(model, self.tubes, z, zeta, shell)
+                  if q_circ is None else q_circ)
         return PieceArrays(x=x, tau=tau, psi=psi, q_minus=qm, hp_minus=hm,
                            q_plus=qp, hp_plus=hplus, q_circ=qc, hp_circ=hc)
 
@@ -840,13 +885,15 @@ def assemble_escape(model, eps, verdict, verify_grid=None) -> EscapeFunction:
     rejected.  The cascade floors are measured on a construction grid;
     verify_proposition re-certifies on the finer verification grid.
 
-    With verify_grid = (n_x, n_interior, n_energy), phase_grid's points of
-    those sizes are evaluated with the construction grid in one pass (one
-    orbit store; their orbit labels follow the construction grid's) and
-    kept for verify_proposition.  A point's q_circ sums only its own
-    orbit's crossings, tube by tube and then in time order, so the pieces
-    are those of two separate passes, bit for bit, as long as both grids'
-    orbits reach their farthest members within the same number of
+    q_circ on the construction grid comes from build_tubes: the grid's
+    points join the covering check's test points in one pass (one orbit
+    store).  With verify_grid = (n_x, n_interior, n_energy), phase_grid's
+    points of those sizes join that pass too (their orbit labels follow
+    the construction grid's) and are kept for verify_proposition.  A
+    point's q_circ sums only its own orbit's crossings, tube by tube and
+    then in time order, so the pieces are those of eval_q_circ on each
+    grid alone, bit for bit, as long as the grids' orbits and the covering
+    shells' orbits reach their farthest members within the same number of
     _ORBIT_SEGMENT flow segments (true of the shipped presets).
     """
     if not 0.0 < eps < 0.25:
@@ -860,21 +907,20 @@ def assemble_escape(model, eps, verdict, verify_grid=None) -> EscapeFunction:
         )
     consts = boundary_constants(model)
     cutoffs = build_cutoffs(model.lam, model.delta)
-    tubes = build_tubes(model, consts)
-
     z, zeta, shell = phase_grid(model, n_x=220, n_interior=40, n_energy=14)
+    grid = (z, zeta, shell)
+    if verify_grid is not None:
+        grid = _join_points(grid, phase_grid(model, *verify_grid))
+    tubes = build_tubes(model, consts, grid=grid)
+
     esc = EscapeFunction(model=model, eps=eps, constants=consts,
                          cutoffs=cutoffs, tubes=tubes,
                          C=1.0, C_prime=1.0, c2=0.0, c3=0.0)
-    if verify_grid is None:
-        pc = esc.pieces(z, zeta, shell)
-    else:
-        zv, zetav, shellv = phase_grid(model, *verify_grid)
-        pc, esc.verify_pieces = esc.pieces(
-            np.concatenate([z, zv]), np.concatenate([zeta, zetav]),
-            np.concatenate([shell, shellv + shell.max() + 1])).split(z.size)
+    pc = esc.pieces(*grid, q_circ=tubes.grid_q_circ)
+    if verify_grid is not None:
+        pc, esc.verify_pieces = pc.split(z.size)
         esc.verify_sizes = tuple(verify_grid)
-        esc.verify_grid = _phase_state(zv, zetav)
+        esc.verify_grid = _phase_state(grid[0][z.size:], grid[1][z.size:])
     x, tau = pc.x, pc.tau
     lam = model.lam
     x0 = consts.x0

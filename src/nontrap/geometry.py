@@ -208,7 +208,9 @@ class ModelProblem:
         return self.potential.gamma
 
 
-def _as_batch(z, zeta):
+def as_batch(z, zeta):
+    """(z, zeta) as float arrays; raises unless they are two equal-length
+    1-D arrays, the shape of a phase point batch."""
     z = np.asarray(z, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
     if z.ndim != 1 or zeta.shape != z.shape:
@@ -225,7 +227,7 @@ def _as_batch(z, zeta):
 
 def symbol_p(model: ModelProblem, z, zeta):
     """Classical symbol p = zeta^2 + V(z), vectorized."""
-    z, zeta = _as_batch(z, zeta)
+    z, zeta = as_batch(z, zeta)
     return zeta**2 + model.potential.value(z)
 
 
@@ -242,7 +244,7 @@ def shell_momentum(model: ModelProblem, z, energy):
 def hamilton_field(model: ModelProblem, z, zeta):
     """Hamilton vector field of p in the Euclidean chart:
     zdot = dp/dzeta, zetadot = -dp/dz, vectorized over the batch."""
-    z, zeta = _as_batch(z, zeta)
+    z, zeta = as_batch(z, zeta)
     return 2.0 * zeta, -model.potential.gradient(z)
 
 
@@ -253,7 +255,7 @@ def hamilton_field(model: ModelProblem, z, zeta):
 def scattering_coords(z, zeta):
     """(x, tau) from Euclidean data (exact for |z| >= 1, smooth surrogate
     inside); the end is sign(z)."""
-    z, zeta = _as_batch(z, zeta)
+    z, zeta = as_batch(z, zeta)
     th = radius_surrogate(np.abs(z))
     return 1.0 / th, -(z * zeta) / th
 
@@ -273,7 +275,7 @@ def hamilton_field_scattering(model: ModelProblem, z, zeta) -> ScatteringVelocit
     obtained by differentiating the global chart formulas along the
     Euclidean field (no expansion in x is used); the end sign(z) has zero
     derivative."""
-    z, zeta = _as_batch(z, zeta)
+    z, zeta = as_batch(z, zeta)
     dz, dzeta = hamilton_field(model, z, zeta)
     r = np.abs(z)
     if np.any(r <= 0):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -168,17 +169,17 @@ def test_failed_certificate_lists_witnesses(tmp_path, monkeypatch):
         ["z1", "zeta1"], ["2.5", "-0.75"], ["-3.0", "1.0"]]
 
 
-def test_escape_verify_one_q_circ_pass(tmp_path, monkeypatch):
-    """escape-verify evaluates q_circ once, on the construction and the
-    verification grid together."""
-    calls = []
-    real = esc.eval_q_circ
+def test_escape_verify_one_orbit_store(tmp_path, monkeypatch):
+    """escape-verify flows one orbit store: the construction grid, the
+    verification grid and the covering check's test points in one pass."""
+    stores = []
+    real = esc._shell_orbits
 
-    def counting(model, coll, z, zeta, shell):
-        calls.append(z.size)
-        return real(model, coll, z, zeta, shell)
+    def counting(model, z, *args):
+        stores.append(z.size)
+        return real(model, z, *args)
 
-    monkeypatch.setattr(esc, "eval_q_circ", counting)
+    monkeypatch.setattr(esc, "_shell_orbits", counting)
     conf = tmp_path / "c.conf"
     conf.write_text("verify_x = 60\nverify_interior = 10\nverify_energy = 4\n")
     out = tmp_path / "o"
@@ -187,7 +188,9 @@ def test_escape_verify_one_q_circ_pass(tmp_path, monkeypatch):
     model = geo.preset_model("longrange_pow")
     n_build = esc.phase_grid(model, n_x=220, n_interior=40, n_energy=14)[0].size
     n_verify = int(_csv_rows(out / "verify.csv")[1][3])
-    assert calls == [n_build + n_verify]
+    covering = re.search(r"covering: 0 uncovered of (\d+)",
+                         (out / "escape_report.txt").read_text())
+    assert stores == [n_build + n_verify + int(covering.group(1))]
 
 
 def test_escape_build_writes_construction_slice(tmp_path):

@@ -261,49 +261,73 @@ def _every_second(tubes):
                                          for f in dataclasses.fields(tubes)})
 
 
+# tubes whose (tube, near sample) pairs the dense reference expands at once
+_DENSE_TUBE_CHUNK = 8
+
+
 def _dense_passes(model, tubes, reach, z, zeta, shell, zone):
     """Reference for esc._tube_passes on the same orbit store, offsets and
-    crossing step: every tube's crossings come from projecting every stored
-    sample of every orbit onto its hyperplane (all rows and orbits, no
-    window, no energy filter), and each crossing is matched to its orbit's
-    members by a direct zone test; one pass per tube, in crossing order.
-    Its orbits run the whole tail, not stopping at their escape."""
+    crossing step: chunks (j, i, t, sigma) in the order tube, crossing
+    time, orbit.  Every stored sample of every orbit (all rows and orbits,
+    no window, no energy filter) that lies within 1.5 radius + 0.2 of a
+    tube's seed is projected onto that tube's hyperplane; a sign change by
+    the next sample is a crossing, and each crossing is matched to its
+    orbit's members by a direct zone test.  The near samples of a chunk of
+    tubes are found at once by binary search over the samples sorted by z
+    (a sample within that distance of a seed is within it in z).  Its
+    orbits run the whole tail, not stopping at their escape."""
     w_lo, w_hi, sigma_max = zone
     t_tail = tubes.T.max() + w_hi + 0.1
     ts, comps, pts, orb, s = esc._shell_orbits(model, z, zeta, shell, reach,
                                                w_lo - 0.1, t_tail,
                                                _ANY_ENERGY, np.inf)
-    for tb in _tube_rows(tubes):
-        level = tb.seed[0] * tb.normal[0] + tb.seed[1] * tb.normal[1]
-        neg = np.signbit(comps[0] * tb.normal[0] + comps[1] * tb.normal[1]
-                         - level)   # (orbit, row)
-        ks, ms = np.nonzero((neg[:, :-1] != neg[:, 1:]).T)
-        near = np.linalg.norm(np.stack([comps[0][ms, ks], comps[1][ms, ks]],
-                                       axis=-1) - tb.seed, axis=1) \
-            <= tb.radius * 1.5 + 0.2
-        ks, ms = ks[near], ms[near]
-        t_c, y = esc._refine_crossings(model, ts, comps, ks, ms, tb.normal,
-                                       level)
-        sigma = np.abs((y[:, 0] - tb.seed[0]) * tb.u_p[0]
-                       + (y[:, 1] - tb.seed[1]) * tb.u_p[1]) / tb.radius
-        hits = [(pts[:0], s[:0], s[:0])]
-        for c, lo, hi in zip(range(t_c.size), np.searchsorted(orb, ms, "left"),
-                             np.searchsorted(orb, ms, "right")):
-            t = t_c[c] - s[lo:hi]
-            hit = (t >= w_lo) & (t <= tb.T + w_hi) & (sigma[c] <= sigma_max)
-            hits.append((pts[lo:hi][hit], t[hit],
-                         np.full(int(hit.sum()), sigma[c])))
-        yield (tb, *(np.concatenate(h) for h in zip(*hits)))
+    n_rows = ts.size - 1    # samples that start a bracket, per orbit
+    z_start = comps[0][:, :-1].ravel()
+    by_z = np.argsort(z_start, kind="stable")
+    z_sorted = z_start[by_z]
+    level = tubes.seed[:, 0] * tubes.normal[:, 0] \
+        + tubes.seed[:, 1] * tubes.normal[:, 1]
+    near = tubes.radius * 1.5 + 0.2
+    for a in range(0, len(tubes), _DENSE_TUBE_CHUNK):
+        tj = np.arange(a, min(a + _DENSE_TUBE_CHUNK, len(tubes)))
+        lo = np.searchsorted(z_sorted, tubes.seed[tj, 0] - 1.01 * near[tj])
+        n = np.searchsorted(z_sorted, tubes.seed[tj, 0] + 1.01 * near[tj],
+                            "right") - lo
+        j = np.repeat(tj, n)
+        ms, ks = np.divmod(by_z[np.repeat(lo - np.cumsum(n) + n, n)
+                                + np.arange(j.size)], n_rows)
+        y = np.stack([comps[0][ms, ks], comps[1][ms, ks]], axis=-1)
+        nrm = tubes.normal[j]
+        neg0 = np.signbit(y[:, 0] * nrm[:, 0] + y[:, 1] * nrm[:, 1] - level[j])
+        neg1 = np.signbit(comps[0][ms, ks + 1] * nrm[:, 0]
+                          + comps[1][ms, ks + 1] * nrm[:, 1] - level[j])
+        hit = (neg0 != neg1) & (np.linalg.norm(y - tubes.seed[j], axis=1)
+                                <= near[j])
+        srt = np.lexsort((ms[hit], ks[hit], j[hit]))
+        j, ms, ks = j[hit][srt], ms[hit][srt], ks[hit][srt]
+        t_c, y = esc._refine_crossings(model, ts, comps, ks, ms,
+                                       tubes.normal[j], level[j])
+        sigma = np.abs((y[:, 0] - tubes.seed[j, 0]) * tubes.u_p[j, 0]
+                       + (y[:, 1] - tubes.seed[j, 1]) * tubes.u_p[j, 1]) \
+            / tubes.radius[j]
+        lo = np.searchsorted(orb, ms, "left")
+        n = np.searchsorted(orb, ms, "right") - lo
+        c = np.repeat(np.arange(n.size), n)
+        m = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(c.size)
+        t = t_c[c] - s[m]
+        ok = ((t >= w_lo) & (t <= tubes.T[j[c]] + w_hi)
+              & (sigma[c] <= sigma_max))
+        yield j[c[ok]], pts[m[ok]], t[ok], sigma[c[ok]]
 
 
 def _dense_eval_q_circ(model, coll, z, zeta, shell):
     """Reference q_circ: the dense passes, summed tube by tube."""
     qv, hp = np.zeros(z.size), np.zeros(z.size)
     phi_shape = falling_step(0.5, 1.0)
-    for tb, i, t, sigma in _dense_passes(model, coll.tubes, coll.reach, z,
-                                         zeta, shell, esc._SUPPORT_ZONE):
+    for j, i, t, sigma in _dense_passes(model, coll.tubes, coll.reach, z,
+                                        zeta, shell, esc._SUPPORT_ZONE):
         phi = phi_shape(sigma)
-        chi, chi_d = esc._chi_tube(t, tb.T)
+        chi, chi_d = esc._chi_tube(t, coll.tubes.T[j])
         np.add.at(qv, i, chi * phi)
         np.add.at(hp, i, -chi_d * phi)
     return qv, hp
@@ -470,19 +494,33 @@ def test_q_circ_memory_bounded(escape_longrange):
 
 @pytest.mark.parametrize("which", ["escape_free", "escape_longrange"])
 def test_covering_matches_dense_scan(which, request):
-    """The covering check agrees with the dense scan on the full tube list
-    and, with uncovered points, on every second tube."""
+    """The covering check, its test points sharing one q_circ pass with a
+    grid's points, agrees with the dense scan on the full tube list and,
+    with uncovered points, on every second tube and on zero-length tubes
+    of half the radius, where crossings inside the pass's zone but outside
+    the covering zone (disc distance in (1/2, 1], tube time in [-1, -1/2)
+    or (T + 0.6, T + 2]) must not cover; the grid's pieces from that pass
+    equal eval_q_circ's bit for bit."""
     e = request.getfixturevalue(which)
     spacing = max(1.0, (4.0 / e.constants.x0) / 40.0)
     tubes = e.tubes.tubes
-    for subset in (tubes, _every_second(tubes)):
-        got = esc._certify_covering(e.model, subset, e.tubes.reach,
-                                    e.constants, spacing)
+    short = dataclasses.replace(tubes, radius=0.5 * tubes.radius,
+                                T=np.zeros_like(tubes.T))
+    grid = esc.phase_grid(e.model, n_x=120, n_interior=20, n_energy=8)
+    missed = []
+    for subset in (tubes, _every_second(tubes), short):
+        got, (q, hp) = esc._certify_covering(e.model, subset, e.tubes.reach,
+                                             e.constants, spacing, grid)
         ref = _dense_certify_covering(e.model, subset, e.tubes.reach,
                                       e.constants, spacing)
         assert (got.n_test, got.n_uncovered) == ref[:2]
         assert np.array_equal(np.reshape(got.uncovered, (-1, 2)), ref[2])
-    assert ref[1] > 0
+        coll = types.SimpleNamespace(tubes=subset, reach=e.tubes.reach)
+        q_ref, hp_ref = esc.eval_q_circ(e.model, coll, *grid)
+        assert np.count_nonzero(q_ref) > 0
+        assert np.array_equal(q, q_ref) and np.array_equal(hp, hp_ref)
+        missed.append(ref[1])
+    assert missed[0] == 0 and missed[1] > 0 and missed[2] > 0
 
 
 @pytest.fixture(scope="module")
@@ -496,37 +534,71 @@ def escape_barrier():
 
 @pytest.mark.parametrize("which", ["escape_longrange", "escape_barrier"])
 def test_orbit_store_stops_past_every_near_crossing(which, request):
-    """Each orbit store, of the construction grid and of the covering
-    check's points, ends once every orbit holds the escape certificate at
-    the stop radius; flowing every orbit t_tail further crosses no tube's
-    transversal within the prefilter distance of its seed, so the stop
-    drops no crossing."""
+    """The orbit store shared by the construction grid and the covering
+    check's points (labelled past the grid's) ends once every orbit holds
+    the escape certificate at the stop radius; flowing every orbit t_tail
+    further crosses no tube's transversal within the prefilter distance of
+    its seed, so the stop drops no crossing."""
     e = request.getfixturevalue(which)
     model, tubes = e.model, e.tubes.tubes
     spacing = max(1.0, (4.0 / e.constants.x0) / 40.0)
+    # the accepted family's seed spacing
+    while esc._k_region_seeds(model, e.constants, spacing)[0].size < len(tubes):
+        spacing *= 0.5
     energies = model.lambda2 + model.delta * np.array([-0.9, 0.0, 0.9])
-    point_sets = (
-        (esc.phase_grid(model, n_x=220, n_interior=40, n_energy=14),
-         esc._SUPPORT_ZONE),
-        (esc._shell_points(model, esc._k_axis(e.constants, 0.5 * spacing),
-                           energies), esc._COVER_ZONE))
+    z, zeta, shell = esc._join_points(
+        esc.phase_grid(model, n_x=220, n_interior=40, n_energy=14),
+        esc._shell_points(model, esc._k_axis(e.constants, 0.5 * spacing),
+                          energies))
+    w_lo, w_hi, _ = esc._SUPPORT_ZONE
     r_stop = esc._stop_radius(tubes)
-    for (z, zeta, shell), (w_lo, w_hi, _) in point_sets:
-        t_tail = tubes.T.max() + w_hi + 0.1
-        ts, comps, _, _, _ = esc._shell_orbits(model, z, zeta, shell,
-                                               e.tubes.reach, w_lo - 0.1,
-                                               t_tail, tubes.band, r_stop)
-        z_end, zeta_end = comps[0][:, -1], comps[1][:, -1]
-        assert np.all(fl.escape_certified(model, z_end, zeta_end, r_stop))
-        _, zs, cs = fl.batched_flow(model, z_end, zeta_end, ts[-1],
-                                    ts[-1] + t_tail, esc._Q_CIRC_DT,
-                                    store_stride=esc._Q_CIRC_STRIDE)
-        for tb in _tube_rows(tubes):
-            level = tb.seed[0] * tb.normal[0] + tb.seed[1] * tb.normal[1]
-            neg = np.signbit(zs * tb.normal[0] + cs * tb.normal[1] - level)
-            ks, ms = np.nonzero(neg[:-1] != neg[1:])
-            dist = np.hypot(zs[ks, ms] - tb.seed[0], cs[ks, ms] - tb.seed[1])
-            assert np.all(dist > esc._near_radius(tb))
+    t_tail = tubes.T.max() + w_hi + 0.1
+    ts, comps, _, _, _ = esc._shell_orbits(model, z, zeta, shell,
+                                           e.tubes.reach, w_lo - 0.1,
+                                           t_tail, tubes.band, r_stop)
+    z_end, zeta_end = comps[0][:, -1], comps[1][:, -1]
+    assert np.all(fl.escape_certified(model, z_end, zeta_end, r_stop))
+    _, zs, cs = fl.batched_flow(model, z_end, zeta_end, ts[-1],
+                                ts[-1] + t_tail, esc._Q_CIRC_DT,
+                                store_stride=esc._Q_CIRC_STRIDE)
+    for tb in _tube_rows(tubes):
+        level = tb.seed[0] * tb.normal[0] + tb.seed[1] * tb.normal[1]
+        neg = np.signbit(zs * tb.normal[0] + cs * tb.normal[1] - level)
+        ks, ms = np.nonzero(neg[:-1] != neg[1:])
+        dist = np.hypot(zs[ks, ms] - tb.seed[0], cs[ks, ms] - tb.seed[1])
+        assert np.all(dist > esc._near_radius(tb))
+
+
+def test_barrier_covering_refined_in_shared_pass(escape_barrier, monkeypatch):
+    """On the barrier the first seed spacing leaves test points uncovered,
+    and the next spacing flows the store again.  The accepted family (320
+    tubes) equals a build without grid points, and the construction grid's
+    q_circ from the shared pass equals eval_q_circ's, bit for bit, so the
+    cascade is that of separate passes."""
+    e = escape_barrier
+    stores = []
+    real = esc._shell_orbits
+
+    def counting(model, z, *args):
+        stores.append(z.size)
+        return real(model, z, *args)
+
+    monkeypatch.setattr(esc, "_shell_orbits", counting)
+    alone = esc.build_tubes(e.model, e.constants)
+    assert len(stores) == 2 and stores[0] < stores[1]
+    assert len(alone.tubes) == len(e.tubes.tubes) == 320
+    for f in dataclasses.fields(esc.Tubes):
+        assert np.array_equal(getattr(alone.tubes, f.name),
+                              getattr(e.tubes.tubes, f.name)), f.name
+    assert alone.reach == e.tubes.reach
+    assert alone.covering.n_test == e.tubes.covering.n_test == stores[1]
+    assert alone.covering.n_uncovered == e.tubes.covering.n_uncovered == 0
+    z, zeta, shell = esc.phase_grid(e.model, n_x=220, n_interior=40,
+                                    n_energy=14)
+    q, hp = esc.eval_q_circ(e.model, alone, z, zeta, shell)
+    assert np.count_nonzero(q) > 0
+    assert np.array_equal(q, e.grid_pieces.q_circ)
+    assert np.array_equal(hp, e.grid_pieces.hp_circ)
 
 
 def _loop_disc_points(tb):
@@ -600,7 +672,8 @@ def _loop_build_tubes(model, consts):
                            level=seed[:, 0] * normal[:, 0]
                            + seed[:, 1] * normal[:, 1],
                            band=np.array(bands))
-        report = esc._certify_covering(model, family, reach, consts, spacing)
+        report, _ = esc._certify_covering(model, family, reach, consts,
+                                          spacing)
         if report.n_uncovered == 0:
             return family, reach, rounds
         spacing *= 0.5

@@ -292,26 +292,29 @@ def _two_array_flow(model, z0, zeta0, t0, t1, dt, store_stride=1,
 @pytest.mark.parametrize("stride", [1, 2, 5])
 @pytest.mark.parametrize("t0, t1", [(0.0, 3.1), (0.5, -2.6)])
 @pytest.mark.parametrize("stop", [False, True])
-def test_batched_flow_matches_two_array_rk4(longrange_1d, width, stride, t0,
-                                            t1, stop):
-    """The in-place step reproduces the two-array RK4 exactly, forward and
-    backward, at every store stride, and with an until that ends the flow
-    mid-run."""
+def test_batched_flow_matches_two_array_rk4(request, width, stride, t0, t1,
+                                            stop):
+    """The in-place step, its field evaluated into the stage buffers,
+    reproduces the two-array RK4 on geo.hamilton_field exactly for every
+    potential, forward and backward, at every store stride, and with an
+    until that ends the flow mid-run."""
     rng = np.random.default_rng(width)
     z0 = rng.uniform(-30.0, 30.0, width)
     zeta0 = rng.choice([-1.0, 1.0], width) * rng.uniform(0.6, 1.4, width)
-    args = (longrange_1d, z0, zeta0, t0, t1, 0.05, stride)
-    until = None
-    if stop:
-        _, zs_full, _ = _two_array_flow(*args)
-        z_mid = np.max(zs_full[zs_full.shape[0] // 2])
-        until = lambda z, zeta: bool(np.max(z) >= z_mid)  # noqa: E731
-    want = _two_array_flow(*args, until=until)
-    got = flow.batched_flow(*args, until=until)
-    if stop:
-        assert 1 < want[0].size < zs_full.shape[0]
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and np.array_equal(g, w)
+    for name in ("free_1d", "longrange_1d", "double_bump_1d", "well_1d"):
+        args = (request.getfixturevalue(name), z0, zeta0, t0, t1, 0.05,
+                stride)
+        until = None
+        if stop:
+            _, zs_full, _ = _two_array_flow(*args)
+            z_mid = np.max(zs_full[zs_full.shape[0] // 2])
+            until = lambda z, zeta: bool(np.max(z) >= z_mid)  # noqa: E731
+        want = _two_array_flow(*args, until=until)
+        got = flow.batched_flow(*args, until=until)
+        if stop:
+            assert 1 < want[0].size < zs_full.shape[0], name
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w), name
 
 
 def test_escaped_radius_monotone(longrange_1d):
