@@ -55,18 +55,15 @@ RUN_DEFAULTS = {
     "grid_exponent": 15,
     "flow_samples": 300,
     "scan_t_max": 150.0,
-    "r_escape": 40.0,
     "verify_x": 300,
     "verify_interior": 40,
     "verify_energy": 16,
     "contrast_scan": 21,
 }
 
-_INT_KEYS = {"jobs", "grid_exponent", "flow_samples", "verify_x",
-             "verify_interior", "verify_energy", "contrast_scan"}
-_FLOAT_KEYS = {"epsilon", "s_weight", "box_half_length", "scan_t_max",
-               "r_escape", "amplitude", "gamma", "separation", "lambda2",
-               "delta"}
+#: every key with its default; a key's value takes its default's type
+#: (h_list: a tuple of floats)
+_DEFAULTS = {**RUN_DEFAULTS, **geo.MODEL_DEFAULTS}
 
 _RANGES = {
     "jobs": (1, 64),
@@ -76,7 +73,6 @@ _RANGES = {
     "box_half_length": (40.0, 10000.0),
     "flow_samples": (1, 100000),
     "scan_t_max": (1.0, 1e5),
-    "r_escape": (1.0, 1e4),  # the chart is exact from radius 1
     "verify_x": (10, 100000),
     "verify_interior": (2, 100000),
     "verify_energy": (2, 10000),
@@ -87,7 +83,6 @@ _RANGES = {
 def parse_config_text(text, source="<config>"):
     """Parse a key = value config; raises ConfigurationError with
     line/field diagnostics."""
-    known = set(RUN_DEFAULTS) | set(geo.MODEL_DEFAULTS)
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -98,7 +93,7 @@ def parse_config_text(text, source="<config>"):
                 f"{source}:{lineno}: expected 'key = value', got {raw!r}"
             )
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in known:
+        if key not in _DEFAULTS:
             raise ConfigurationError(f"{source}:{lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigurationError(f"{source}:{lineno}: duplicate key {key!r}")
@@ -110,16 +105,21 @@ def parse_config_text(text, source="<config>"):
 
 
 def _coerce(key, val):
+    """A key's value, config text or a library value, typed as its default
+    is; a library value for an int key must be integral."""
     if key == "h_list":
-        items = tuple(_finite(v) for v in val.replace(",", " ").split())
+        if isinstance(val, str):
+            val = val.replace(",", " ").split()
+        items = tuple(_finite(v) for v in val)
         if not items or any(h <= 0 for h in items):
             raise ValueError("h_list needs positive floats")
         return items
-    if key in _INT_KEYS:
-        return int(val)
-    if key in _FLOAT_KEYS:
+    kind = type(_DEFAULTS[key])
+    if kind is float:
         return _finite(val)
-    return val  # command, out, potential
+    if kind is int and not isinstance(val, str) and val != int(val):
+        raise ValueError(f"value {val!r} is not an integer")
+    return kind(val)
 
 
 def _finite(val):
@@ -130,13 +130,17 @@ def _finite(val):
 
 
 def effective_config(params):
-    """Merge defaults, validate keys and ranges, split model/run parts."""
-    unknown = sorted(set(params) - set(RUN_DEFAULTS) - set(geo.MODEL_DEFAULTS))
+    """Merge defaults, type each value as its default, validate keys and
+    ranges."""
+    unknown = sorted(set(params) - set(_DEFAULTS))
     if unknown:
         raise ConfigurationError(f"unknown key(s) {unknown}")
-    cfg = dict(RUN_DEFAULTS)
-    cfg.update({k: geo.MODEL_DEFAULTS[k] for k in geo.MODEL_DEFAULTS})
-    cfg.update(params)
+    cfg = dict(_DEFAULTS)
+    for key, val in params.items():
+        try:
+            cfg[key] = _coerce(key, val)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ConfigurationError(f"field {key!r}: {e}")
     if cfg["command"] not in COMMANDS:
         raise ConfigurationError(
             f"unknown command {cfg['command']!r}; expected one of {COMMANDS}"
@@ -252,10 +256,8 @@ def _model_from(cfg):
 
 def _scan(cfg, model):
     """The run's one non-trapping verdict, from the scan keys."""
-    return fl.nontrapping_scan(
-        model, n_samples=cfg["flow_samples"], T_max=cfg["scan_t_max"],
-        R_esc=cfg["r_escape"],
-    )
+    return fl.nontrapping_scan(model, n_samples=cfg["flow_samples"],
+                               T_max=cfg["scan_t_max"])
 
 
 def cmd_flow_scan(cfg, rep: Reporter, verdict):

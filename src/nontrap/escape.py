@@ -507,7 +507,7 @@ def _tube_passes(model, tb: Tubes, reach, z, zeta, shell):
     w_lo, w_hi, sigma_max = _SUPPORT_ZONE
     t_tail = float(tb.T.max()) + w_hi + 0.1
     store = _shell_orbits(model, z, zeta, shell, reach, w_lo - 0.1, t_tail,
-                          tb.band, _stop_radius(tb))
+                          tb.band, _stop_radius(model, tb))
     if store is None:
         return
     ts, comps, pts, orb, s = store
@@ -544,12 +544,12 @@ def _near_radius(tb: Tubes):
     return tb.radius * 1.5 + 0.2
 
 
-def _stop_radius(tb: Tubes):
+def _stop_radius(model, tb: Tubes):
     """Escape radius past which no orbit can cross a tube near its seed:
     the larger of flow's escape radius and the largest |z| within
     _near_radius of a seed."""
     return float(np.max(np.abs(tb.seed[:, 0]) + _near_radius(tb),
-                        initial=fl.R_ESCAPE))
+                        initial=fl.escape_radius(model)))
 
 
 def _shell_orbits(model, z, zeta, shell, reach, t_back, t_tail, bands,
@@ -563,7 +563,8 @@ def _shell_orbits(model, z, zeta, shell, reach, t_back, t_tail, bands,
     One representative per label, the first member along d = sign(zeta),
     is flowed back to t_back and on past its members, then further until
     every orbit holds flow's escape certificate at radius r_stop (|z| stays
-    above r_stop from there on), at most t_tail further.
+    above r_stop from there on), at most t_tail further (r_stop = inf: the
+    whole t_tail, with no certificate to test).
     s >= 0 is when d z first reaches d z_i: bracketed by the first such
     sample, refined on z = z_i (_PAIR_CHUNK members at a time).
     A member moving uphill so near its turning point that no sample may
@@ -594,10 +595,11 @@ def _shell_orbits(model, z, zeta, shell, reach, t_back, t_tail, bands,
     def escaped(zz, cc):
         return bool(np.all(fl.escape_certified(model, zz, cc, r_stop)))
 
+    stop = escaped if np.isfinite(r_stop) else None
     t, far, tail = 0.0, dr * z[rep], False
     while not tail:
         tail = not np.any(far < target)
-        span, until = (t_tail, escaped) if tail else (_ORBIT_SEGMENT, None)
+        span, until = (t_tail, stop) if tail else (_ORBIT_SEGMENT, None)
         t_f, z_f, c_f = fl.batched_flow(model, zss[-1][-1], css[-1][-1], t,
                                         t + span, _Q_CIRC_DT,
                                         store_stride=_Q_CIRC_STRIDE,

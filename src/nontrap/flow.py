@@ -4,10 +4,10 @@ Escape verdicts and the tubes' incoming times come from one integrator,
 `batched_flow` (fixed-step RK4 over a batch), run forward in segments so
 that decided points retire: as p(z, -zeta) = p(z, zeta), backward verdicts
 and incoming times are forward flows of (z, -zeta), bit for bit.  A point
-is certified as escaped at the first sample with |z| > R_esc, d|z|/dt > 0
-and tau^2 at least half the shell energy; for small x the radial momentum
-ratio tau/x is monotone along the flow, so these conditions persist and the
-verdict is a certificate rather than a guess.
+is certified as escaped at the first sample with |z| > escape_radius(model),
+d|z|/dt > 0 and tau^2 at least half the shell energy: past that radius the
+potential rises by less than lambda^2/2 along any outward path, so the orbit
+never turns back and the verdict is a certificate rather than a guess.
 An escaped verdict whose energy drift max |p(t) - p(0)| exceeds
 1e-5 (1 + |p0|) raises instead of being accepted.  A point left
 undetermined by T_max (no escape seen in one direction) is not told apart
@@ -30,7 +30,7 @@ from nontrap import geometry as geo
 from nontrap.errors import IntegrationError
 
 CLASSIFY_DT = 0.02      # RK4 step of the verdicts (as in the tube certificate)
-R_ESCAPE = 40.0         # default escape radius of the verdicts
+R_ESCAPE = 40.0         # least escape radius of the verdicts
 _SEGMENT = 16.0         # flow time per batched_flow call between retirements
 _CLASSIFY_CHUNK = 1000  # points flowed together (bounds the stored samples)
 _DRIFT_BOUND = 1e-5     # relative energy drift that rejects an escaped verdict
@@ -155,11 +155,19 @@ class ClassifyResult:
         return np.isfinite(self.escape_time_fwd) & np.isfinite(self.escape_time_bwd)
 
 
+def escape_radius(model):
+    """The verdicts' escape radius: R_ESCAPE, or farther out while the
+    potential still rises by lambda^2/2 along an outward path (a
+    double_bump's bumps, say); past it an outward orbit with
+    tau^2 >= lambda^2/2 keeps zeta^2 > 0, so it never turns back."""
+    return max(R_ESCAPE, model.potential.rise_radius(0.5 * model.lambda2))
+
+
 def escape_certified(model, z, zeta, R_esc):
     """The escape certificate at each point, for the forward flow:
     |z| > R_esc, |z| growing along the flow (z zdot > 0) and
-    tau^2 >= lambda^2 / 2.  Once it holds, it holds for the rest of the
-    flow (tau/x is monotone for small x), so |z| never falls back to
+    tau^2 >= lambda^2 / 2.  For R_esc >= escape_radius(model), once it
+    holds |z| grows for the rest of the flow, so it never falls back to
     R_esc."""
     _, tau = geo.scattering_coords(z, zeta)
     # zdot = 2 zeta, so d|z|/dt has the sign of z zeta
@@ -167,7 +175,7 @@ def escape_certified(model, z, zeta, R_esc):
             & (tau**2 >= 0.5 * model.lambda2))
 
 
-def _escape_times(model, z, zeta, T_max, R_esc):
+def _escape_times(model, z, zeta, T_max):
     """Escape times within T_max (NaN if none) forward and, flowing the
     mirrors (z, -zeta) in the same batch, backward; and each point's energy
     drift over both.  An escape that drifted past the bound raises."""
@@ -175,10 +183,11 @@ def _escape_times(model, z, zeta, T_max, R_esc):
     zz, cc = np.concatenate([z, z]), np.concatenate([zeta, -zeta])
     p0 = geo.symbol_p(model, zz, cc)
     t_esc, drift = np.full(2 * m, np.nan), np.zeros(2 * m)
+    r_esc = escape_radius(model)
 
     def visit(rows, ts, zs, cs):
         zf, cf = zs.ravel(), cs.ravel()
-        escaped = escape_certified(model, zf, cf, R_esc).reshape(zs.shape)
+        escaped = escape_certified(model, zf, cf, r_esc).reshape(zs.shape)
         hit = escaped.any(axis=0)
         t_esc[rows[hit]] = ts[escaped.argmax(axis=0)[hit]]
         dev = np.abs(geo.symbol_p(model, zf, cf).reshape(zs.shape) - p0[rows])
@@ -198,11 +207,11 @@ def _escape_times(model, z, zeta, T_max, R_esc):
     return t_esc.reshape(2, m), np.maximum(drift[:m], drift[m:])
 
 
-def classify_point(model, z0, zeta0, T_max=500.0,
-                   R_esc=R_ESCAPE) -> ClassifyResult:
+def classify_point(model, z0, zeta0, T_max=500.0) -> ClassifyResult:
     """Forward/backward escape verdicts for a batch of points (1-D arrays)
-    or one point (scalars): the first sample with |z| > R_esc, outward
-    radial speed and tau^2 at least lambda^2/2 gives the escape time |t|.
+    or one point (scalars): the first sample with |z| > escape_radius,
+    outward radial speed and tau^2 at least lambda^2/2 gives the escape
+    time |t|.
     IntegrationError when an escaped verdict drifted more than
     1e-5 (1 + |p0|) in energy."""
     z0, zeta0 = np.atleast_1d(z0, zeta0)
@@ -210,7 +219,7 @@ def classify_point(model, z0, zeta0, T_max=500.0,
     for c in range(0, z0.size, _CLASSIFY_CHUNK // 2):  # mirrors included
         sl = slice(c, c + _CLASSIFY_CHUNK // 2)
         out[:2, sl], out[2, sl] = _escape_times(model, z0[sl], zeta0[sl],
-                                                T_max, R_esc)
+                                                T_max)
     return ClassifyResult(*out)
 
 
@@ -230,14 +239,13 @@ class NonTrappingVerdict:
         return len(self.trapped_witnesses) == 0
 
 
-def shell_slab_samples(model, n_samples, R_max, delta=None):
-    """Deterministic Halton sample of {p in window, |z| <= R_max}.
+def shell_slab_samples(model, n_samples, R_max):
+    """Deterministic Halton sample of {p in the model's window, |z| <= R_max}.
 
     Returns (z, zeta) arrays; points where the requested energy is below the
     potential (classically forbidden) are dropped.
     """
-    lam2 = model.lambda2
-    dlt = model.delta if delta is None else delta
+    lam2, dlt = model.lambda2, model.delta
     u = halton(n_samples)
     z = (2.0 * u[:, 0] - 1.0) * R_max
     direction = np.where(u[:, 2] >= 0.5, 1.0, -1.0)
@@ -247,19 +255,17 @@ def shell_slab_samples(model, n_samples, R_max, delta=None):
     return z[keep], zeta[keep]
 
 
-def nontrapping_scan(model, n_samples=1000, T_max=150.0, R_esc=R_ESCAPE,
-                     delta=None) -> NonTrappingVerdict:
-    """Classify a deterministic sample of the energy-shell slab.
+def nontrapping_scan(model, n_samples=1000, T_max=150.0) -> NonTrappingVerdict:
+    """Classify a deterministic sample of the model's energy-shell slab.
 
-    Outside the compact scan region escape is automatic (tau/x is monotone
-    for small x), so the sample covers |z| <= R_esc only.
+    A small enough neighbourhood of infinity is non-trapping: past
+    escape_radius(model) an outward orbit escapes, so the sample covers
+    |z| <= escape_radius(model) only.
     """
-    lam2 = model.lambda2
-    dlt = model.delta if delta is None else delta
-    z, zeta = shell_slab_samples(model, n_samples, R_esc, dlt)
-    res = classify_point(model, z, zeta, T_max=T_max, R_esc=R_esc)
+    z, zeta = shell_slab_samples(model, n_samples, escape_radius(model))
+    res = classify_point(model, z, zeta, T_max=T_max)
     return NonTrappingVerdict(
-        window=(lam2 - dlt, lam2 + dlt),
+        window=(model.lambda2 - model.delta, model.lambda2 + model.delta),
         sampled_points=int(z.size),
         trapped_witnesses=[(float(z[i]), float(zeta[i]))
                            for i in np.flatnonzero(~res.escaped_both)],

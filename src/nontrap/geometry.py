@@ -74,6 +74,12 @@ class Potential:
     def gradient(self, z):
         raise NotImplementedError
 
+    def rise_radius(self, rise):
+        """A radius R beyond which V rises by less than rise along any
+        outward path: V(z1) - V(z0) < rise whenever R <= |z0| <= |z1| and
+        z0 z1 > 0 (math.inf if no float radius will do)."""
+        raise NotImplementedError
+
 
 class ZeroPotential(Potential):
     name = "zero"
@@ -86,6 +92,9 @@ class ZeroPotential(Potential):
 
     def gradient(self, z):
         return np.zeros(np.shape(z))
+
+    def rise_radius(self, rise):
+        return 0.0
 
 
 class PowerLawPotential(Potential):
@@ -105,6 +114,17 @@ class PowerLawPotential(Potential):
     def gradient(self, z):
         coef = -self.amplitude * self.gamma * (1.0 + z**2) ** (-self.gamma / 2.0 - 1.0)
         return coef * z
+
+    def rise_radius(self, rise):
+        # A >= 0: V falls outward; A < 0: V rises to 0, by less than
+        # |A| <R>^(-gamma) past R
+        if self.amplitude >= -rise:
+            return 0.0
+        try:
+            return math.sqrt((-self.amplitude / rise) ** (2.0 / self.gamma)
+                             - 1.0)
+        except OverflowError:
+            return math.inf
 
 
 class DoubleBumpPotential(Potential):
@@ -129,6 +149,14 @@ class DoubleBumpPotential(Potential):
             - 2.0 * (z + d) * np.exp(-((z + d) ** 2))
         )
 
+    def rise_radius(self, rise):
+        # past the bumps' centres V falls outward when A >= 0; when A < 0 it
+        # rises to 0, by less than 2 |A| exp(-(R - |d|)^2) past R
+        d = abs(self.separation)
+        if self.amplitude >= -0.5 * rise:
+            return d
+        return d + math.sqrt(math.log(-2.0 * self.amplitude / rise))
+
 
 class WellPotential(Potential):
     """V = -A exp(-|z|^2), an attractive well (p can dip below zero)."""
@@ -145,6 +173,13 @@ class WellPotential(Potential):
     def gradient(self, z):
         v = self.value(z)  # dV/dz = -2 z V
         return -2.0 * v * z
+
+    def rise_radius(self, rise):
+        # A <= 0: V falls outward; A > 0: V rises to 0, by less than
+        # A exp(-R^2) past R
+        if self.amplitude <= rise:
+            return 0.0
+        return math.sqrt(math.log(self.amplitude / rise))
 
 
 #: the shape keys each potential reads (every model reads potential,
@@ -198,6 +233,10 @@ class ModelProblem:
             )
         if self.potential.gamma <= 0:
             raise ConfigurationError("potential decay exponent must be positive")
+        if not math.isfinite(self.potential.rise_radius(0.5 * self.lambda2)):
+            raise ConfigurationError(
+                "the potential rises by lambda2/2 along outward paths "
+                "beyond any float radius: no escape radius")
 
     @property
     def lam(self):

@@ -46,6 +46,63 @@ def test_parse_config_roundtrip():
     assert cfg["jobs"] == 1
 
 
+@pytest.mark.parametrize("preset", [None, *sorted(geo.PRESETS)])
+def test_config_echo_parses_back_typed_as_defaults(preset):
+    """Each key's type is its default's: the echo of the defaults and of
+    every preset parses back to the same values with the same types."""
+    cfg = cli.effective_config(dict(geo.PRESETS.get(preset, {})))
+    echo = cli.config_lines(cfg)
+    params = cli.parse_config_text("\n".join(echo))
+    assert len(params) == len(echo)
+    for key, value in params.items():
+        assert value == cfg[key], key
+        kind = type(cli.RUN_DEFAULTS.get(key, geo.MODEL_DEFAULTS.get(key)))
+        assert type(value) is type(cfg[key]) is kind, key
+        if key == "h_list":
+            assert all(type(h) is float for h in value)
+        else:
+            assert kind in (int, float, str), key
+
+
+def test_library_values_typed_as_defaults():
+    """Library params take their defaults' types too: an int key refuses a
+    non-integral value, and amplitude 2 is the model amplitude 2.0."""
+    for key, value in (("flow_samples", 5.5), ("jobs", float("inf")),
+                       ("h_list", (0.2, float("nan"))), ("epsilon", "x")):
+        with pytest.raises(ConfigurationError, match=key):
+            cli.effective_config({key: value})
+    cfg = cli.effective_config({"flow_samples": 5.0, "h_list": [0.2, 1]})
+    assert type(cfg["flow_samples"]) is int
+    assert cfg["h_list"] == (0.2, 1.0) and type(cfg["h_list"][1]) is float
+    as_int, as_float = (cli.effective_config(
+        {"potential": "double_bump", "amplitude": a}) for a in (2, 2.0))
+    assert type(as_int["amplitude"]) is float
+    assert cli.config_hash(as_int) == cli.config_hash(as_float)
+
+
+def _readme_config_keys():
+    """The keys that README's configuration tables name, one per row; the
+    row 'verify_x / _interior / _energy' names three."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schema = text.split("### Configuration schema", 1)[1].split("\n###", 1)[0]
+    keys = []
+    for line in schema.splitlines():
+        cell = line.split("|")[1].strip() if line.startswith("|") else ""
+        if cell in ("", "key") or set(cell) == {"-"}:
+            continue
+        first, *rest = cell.split(" / ")
+        keys += [first] + [first.rsplit("_", 1)[0] + r for r in rest]
+    return keys
+
+
+def test_readme_tables_name_every_key_once():
+    """README's model and run tables name every config key, and no other,
+    so a removed key cannot linger in the docs."""
+    keys = _readme_config_keys()
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(cli.RUN_DEFAULTS) | set(geo.MODEL_DEFAULTS)
+
+
 def test_parse_config_diagnostics():
     with pytest.raises(ConfigurationError, match=":2"):
         cli.parse_config_text("command = flow-scan\nnot a kv line")
@@ -79,7 +136,8 @@ def test_dimension_2_sweep_rejected_before_output(tmp_path):
     for line in ("dimension = 2", "boundary_metric = one",
                  "metric_amplitude = 0.0", "metric_mode = 2",
                  "t_rule = cap", "seed_spacing = 1.0",
-                 "dump_trajectories = 0"):
+                 "dump_trajectories = 0", "r_escape = 1.5",
+                 "r_escape = 40.0"):
         conf = tmp_path / f"{line.replace(' ', '')}.conf"
         conf.write_text(f"{line}\nflow_samples = 5\nscan_t_max = 10\n")
         for command in cli.COMMANDS:
@@ -91,12 +149,12 @@ def test_dimension_2_sweep_rejected_before_output(tmp_path):
 
 
 _UNRUNNABLE = [(line, ("flow-scan",)) for line in (
-    "scan_t_max = 0", "scan_t_max = -5", "r_escape = 0", "amplitude = nan",
+    "scan_t_max = 0", "scan_t_max = -5", "amplitude = nan",
     "lambda2 = inf", "h_list = 0.2, inf",
     # shape keys the zero potential never reads
     "amplitude = 1.0", "separation = 2.0",
     # removed keys: unknown whatever their value
-    "seed_spacing = 0", "dump_trajectories = -1",
+    "seed_spacing = 0", "dump_trajectories = -1", "r_escape = 0",
 )] + [
     # sweep grids that cannot resolve the finest h (< 10 points per
     # wavelength); only the sweeping commands use them

@@ -248,13 +248,6 @@ def test_tube_far_point_zero(escape_free):
 _ANY_ENERGY = np.array([[-np.inf, np.inf]])
 
 
-def _tube_rows(tubes):
-    """The tubes one at a time, each as a namespace of its row's values."""
-    for j in range(len(tubes)):
-        yield types.SimpleNamespace(**{f.name: getattr(tubes, f.name)[j]
-                                       for f in dataclasses.fields(tubes)})
-
-
 def _every_second(tubes):
     """The tube family's rows 0, 2, 4, ..."""
     return dataclasses.replace(tubes, **{f.name: getattr(tubes, f.name)[::2]
@@ -265,6 +258,23 @@ def _every_second(tubes):
 _DENSE_TUBE_CHUNK = 8
 
 
+def _near_in_z(z_flat, seed_z, near):
+    """Chunks (j, idx), _DENSE_TUBE_CHUNK tubes at a time: each tube j
+    repeated once per sample of z_flat within 1.01 near[j] of seed_z[j] in
+    z, and idx those samples' flat indices, found by binary search over the
+    samples sorted by z.  A sample within near of a seed in the plane is
+    within it in z, so it is among them."""
+    by_z = np.argsort(z_flat, kind="stable")
+    z_sorted = z_flat[by_z]
+    for a in range(0, seed_z.size, _DENSE_TUBE_CHUNK):
+        tj = np.arange(a, min(a + _DENSE_TUBE_CHUNK, seed_z.size))
+        lo = np.searchsorted(z_sorted, seed_z[tj] - 1.01 * near[tj])
+        n = np.searchsorted(z_sorted, seed_z[tj] + 1.01 * near[tj],
+                            "right") - lo
+        c, k = esc._ranges(lo, n)
+        yield tj[c], by_z[k]
+
+
 def _dense_passes(model, tubes, reach, z, zeta, shell, zone):
     """Reference for esc._tube_passes on the same orbit store, offsets and
     crossing step: chunks (j, i, t, sigma) in the order tube, crossing
@@ -273,29 +283,20 @@ def _dense_passes(model, tubes, reach, z, zeta, shell, zone):
     tube's seed is projected onto that tube's hyperplane; a sign change by
     the next sample is a crossing, and each crossing is matched to its
     orbit's members by a direct zone test.  The near samples of a chunk of
-    tubes are found at once by binary search over the samples sorted by z
-    (a sample within that distance of a seed is within it in z).  Its
-    orbits run the whole tail, not stopping at their escape."""
+    tubes are found at once (_near_in_z).  Its orbits run the whole tail,
+    not stopping at their escape."""
     w_lo, w_hi, sigma_max = zone
     t_tail = tubes.T.max() + w_hi + 0.1
     ts, comps, pts, orb, s = esc._shell_orbits(model, z, zeta, shell, reach,
                                                w_lo - 0.1, t_tail,
                                                _ANY_ENERGY, np.inf)
     n_rows = ts.size - 1    # samples that start a bracket, per orbit
-    z_start = comps[0][:, :-1].ravel()
-    by_z = np.argsort(z_start, kind="stable")
-    z_sorted = z_start[by_z]
     level = tubes.seed[:, 0] * tubes.normal[:, 0] \
         + tubes.seed[:, 1] * tubes.normal[:, 1]
     near = tubes.radius * 1.5 + 0.2
-    for a in range(0, len(tubes), _DENSE_TUBE_CHUNK):
-        tj = np.arange(a, min(a + _DENSE_TUBE_CHUNK, len(tubes)))
-        lo = np.searchsorted(z_sorted, tubes.seed[tj, 0] - 1.01 * near[tj])
-        n = np.searchsorted(z_sorted, tubes.seed[tj, 0] + 1.01 * near[tj],
-                            "right") - lo
-        j = np.repeat(tj, n)
-        ms, ks = np.divmod(by_z[np.repeat(lo - np.cumsum(n) + n, n)
-                                + np.arange(j.size)], n_rows)
+    for j, idx in _near_in_z(comps[0][:, :-1].ravel(), tubes.seed[:, 0],
+                             near):
+        ms, ks = np.divmod(idx, n_rows)
         y = np.stack([comps[0][ms, ks], comps[1][ms, ks]], axis=-1)
         nrm = tubes.normal[j]
         neg0 = np.signbit(y[:, 0] * nrm[:, 0] + y[:, 1] * nrm[:, 1] - level[j])
@@ -479,7 +480,7 @@ def test_q_circ_memory_bounded(escape_longrange):
     w_lo, w_hi, _ = esc._SUPPORT_ZONE
     ts, comps, *rest = esc._shell_orbits(
         model, z, zeta, shell, e.tubes.reach, w_lo - 0.1,
-        tubes.T.max() + w_hi + 0.1, tubes.band, esc._stop_radius(tubes))
+        tubes.T.max() + w_hi + 0.1, tubes.band, esc._stop_radius(model, tubes))
     store_bytes = sum(a.nbytes for a in (ts, *comps, *rest))
     del ts, comps, rest
     tracemalloc.start()
@@ -551,7 +552,7 @@ def test_orbit_store_stops_past_every_near_crossing(which, request):
         esc._shell_points(model, esc._k_axis(e.constants, 0.5 * spacing),
                           energies))
     w_lo, w_hi, _ = esc._SUPPORT_ZONE
-    r_stop = esc._stop_radius(tubes)
+    r_stop = esc._stop_radius(model, tubes)
     t_tail = tubes.T.max() + w_hi + 0.1
     ts, comps, _, _, _ = esc._shell_orbits(model, z, zeta, shell,
                                            e.tubes.reach, w_lo - 0.1,
@@ -561,12 +562,22 @@ def test_orbit_store_stops_past_every_near_crossing(which, request):
     _, zs, cs = fl.batched_flow(model, z_end, zeta_end, ts[-1],
                                 ts[-1] + t_tail, esc._Q_CIRC_DT,
                                 store_stride=esc._Q_CIRC_STRIDE)
-    for tb in _tube_rows(tubes):
-        level = tb.seed[0] * tb.normal[0] + tb.seed[1] * tb.normal[1]
-        neg = np.signbit(zs * tb.normal[0] + cs * tb.normal[1] - level)
-        ks, ms = np.nonzero(neg[:-1] != neg[1:])
-        dist = np.hypot(zs[ks, ms] - tb.seed[0], cs[ks, ms] - tb.seed[1])
-        assert np.all(dist > esc._near_radius(tb))
+    level = tubes.seed[:, 0] * tubes.normal[:, 0] \
+        + tubes.seed[:, 1] * tubes.normal[:, 1]
+    near = esc._near_radius(tubes)
+    # a bracket start farther than near from a seed in z is farther in the
+    # plane, so only the near samples need the crossing test
+    for j, idx in _near_in_z(zs[:-1].ravel(), tubes.seed[:, 0], near):
+        ks, ms = np.divmod(idx, zs.shape[1])
+        nrm = tubes.normal[j]
+        neg0 = np.signbit(zs[ks, ms] * nrm[:, 0] + cs[ks, ms] * nrm[:, 1]
+                          - level[j])
+        neg1 = np.signbit(zs[ks + 1, ms] * nrm[:, 0]
+                          + cs[ks + 1, ms] * nrm[:, 1] - level[j])
+        dist = np.hypot(zs[ks, ms] - tubes.seed[j, 0],
+                        cs[ks, ms] - tubes.seed[j, 1])
+        cross = neg0 != neg1
+        assert np.all(dist[cross] > near[j[cross]])
 
 
 def test_barrier_covering_refined_in_shared_pass(escape_barrier, monkeypatch):

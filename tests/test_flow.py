@@ -136,10 +136,9 @@ def test_classify_rejects_drifting_escape(monkeypatch):
         flow.classify_point(model, 5.0, 0.9, T_max=100.0)
 
 
-def test_nontrapping_scan_free(free_1d):
-    verdict = flow.nontrapping_scan(
-        free_1d, n_samples=1000, T_max=100.0, delta=0.25
-    )
+def test_nontrapping_scan_free():
+    verdict = flow.nontrapping_scan(geo.preset_model("zero", delta=0.25),
+                                    n_samples=1000, T_max=100.0)
     assert verdict.sampled_points > 900
     assert verdict.is_nontrapping_empirical
     assert verdict.window == (0.75, 1.25)
@@ -171,6 +170,26 @@ def test_nontrapping_scan_double_bump_witnesses_between_bumps(double_bump_scan):
     zs = np.array(_witness_zs(double_bump_scan))
     assert zs.size > 0
     assert np.all(np.abs(zs) < 3.0)
+
+
+def test_escape_radius_is_the_floor_for_every_preset():
+    """The shipped models settle well inside R_ESCAPE, so their verdicts
+    use it."""
+    for name in geo.PRESETS:
+        assert flow.escape_radius(geo.preset_model(name)) == flow.R_ESCAPE
+
+
+def test_nontrapping_scan_bumps_past_the_floor():
+    """Bumps at +-50 trap the orbits between them: the escape radius moves
+    out to the bumps, and the scan finds witnesses there.  At radius 40
+    every sample would cross |z| = 40 outward and read as escaped."""
+    model = geo.preset_model("double_bump", separation=50.0)
+    assert flow.escape_radius(model) == 50.0
+    verdict = flow.nontrapping_scan(model, n_samples=60, T_max=100.0)
+    zs = np.array(_witness_zs(verdict))
+    assert zs.size > 0
+    assert np.any(np.abs(zs) > flow.R_ESCAPE)
+    assert np.all(np.abs(zs) < 50.0)
 
 
 def test_monotone_incoming_radial_ratio(longrange_1d):
@@ -318,7 +337,7 @@ def test_batched_flow_matches_two_array_rk4(request, width, stride, t0, t1,
 
 
 def test_escaped_radius_monotone(longrange_1d):
-    """Once escaped (r > R_esc with outward speed), r stays monotone."""
+    """Once escaped (r > R_ESCAPE with outward speed), r stays monotone."""
     traj = integrate_flow(longrange_1d, 1.0, 1.0, (0.0, 60.0))
     r = traj.radius()
     out = np.flatnonzero(r > 40.0)

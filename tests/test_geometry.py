@@ -196,6 +196,38 @@ def test_unread_model_key_rejected(potential, key, value):
     assert m.potential.name == potential
 
 
+@pytest.mark.parametrize("potential, params", [
+    ("zero", {}),
+    ("longrange_pow", {"amplitude": 0.5, "gamma": 1.0}),
+    ("longrange_pow", {"amplitude": -3.0, "gamma": 0.5}),
+    ("double_bump", {"amplitude": 2.0, "separation": 3.0}),
+    ("double_bump", {"amplitude": -2.0, "separation": 10.0}),
+    ("double_bump", {"amplitude": 0.1, "separation": -4.0}),
+    ("well", {"amplitude": 2.0}),
+    ("well", {"amplitude": -2.0}),
+])
+def test_rise_radius_bounds_every_outward_rise(potential, params):
+    """Past rise_radius(r), V rises by less than r from any |z0| >= R to
+    any farther |z1| on the same side (on a fine grid; a tail rising to 0
+    comes to r in floats only where exp underflows)."""
+    pot = geo.build_model(dict(params, potential=potential)).potential
+    rise = 0.5
+    R = pot.rise_radius(rise)
+    r = R + np.linspace(0.0, 60.0, 60001)
+    for side in (1.0, -1.0):
+        v = pot.value(side * r)
+        ahead = np.maximum.accumulate(v[::-1])[::-1]  # max over |z1| >= |z0|
+        assert np.max(ahead - v) <= rise
+
+
+def test_no_finite_escape_radius_rejected():
+    """An attractive tail decaying too slowly rises by lambda2/2 beyond
+    any float radius."""
+    with pytest.raises(ConfigurationError, match="escape radius"):
+        geo.build_model({"potential": "longrange_pow", "amplitude": -1.0,
+                         "gamma": 1e-3})
+
+
 def test_presets_cover_spec_examples():
     lr = geo.preset_model("longrange_pow")
     assert lr.potential.amplitude == 0.5 and lr.potential.gamma == 1.0
