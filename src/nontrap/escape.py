@@ -9,8 +9,10 @@ to the incoming (tau > lam/3) and outgoing (tau < -lam/3) bands near
 infinity, and q_circ is a finite sum of flow tubes covering the compact
 region.  The tube family is one set of row-aligned arrays (Tubes), built
 once for all seeds, and every pass over it (the crossings, the covering
-check, q_circ) reads those arrays.  The two constants are chosen by a
-halving cascade so that
+check, q_circ) reads those arrays.  One backward flow of the seeds' discs
+per seed spacing gives every tube its time T (from the seed's incoming
+time) and certifies its late portion, on the same samples.  The two
+constants are chosen by a halving cascade so that
 q >= 0 everywhere and -H_p q admits a positive weighted floor; the final
 certificate
 
@@ -59,7 +61,8 @@ _Q_CIRC_DT = 0.025      # RK4 step of every orbit store
 _Q_CIRC_STRIDE = 2      # orbit stores keep every second step
 _ORBIT_SEGMENT = 16.0   # forward flow per call until every member is reached
 _CANDIDATE_SAMPLES = 2**13  # orbit-store samples per crossing candidate search
-_PAIR_CHUNK = 2**12     # (crossing, member) pairs per chunk of the q_circ pass
+_PAIR_CHUNK = 2**12     # (crossing, member) pairs per chunk of the q_circ pass,
+                        # and chart points per chunk of the tube sweep
 _NEWTON_TOL = 1e-11     # crossing residual bound, relative to 1 + |level|
 _NEWTON_MAX = 12        # Newton steps allowed per crossing
 _GRID_X_MIN = 1e-3      # innermost x of the phase-space grids
@@ -335,21 +338,21 @@ def _disc_points(seed, u_p, radius):
 def build_tubes(model, consts, T_max=500.0, grid=None) -> TubeCollection:
     """Tubes along backward bicharacteristic segments seeded on a grid of K.
 
-    For every seed at once: T from the first certified incoming time
-    (inflated for the slowest disc member), a transversal line normal to
-    H_p, a disc along grad p whose half-size images cover K (certified on a
-    2x finer test grid), and a sampled certificate that the late tube
-    portion [T+1/2, T+2] stays inside {x < x0/2, tau > 2 lam/3}.  The
-    family is built once, as Tubes, after the certificate has fixed T.
+    For every seed at once: a transversal line normal to H_p, a disc along
+    grad p whose half-size images cover K (certified on a 2x finer test
+    grid), and one backward sweep of every disc point (_sweep_tubes) that
+    gives T from the seed's first certified incoming time (inflated for the
+    slowest disc member) and certifies on the same samples that the late
+    tube portion [T+1/2, T+2] stays inside {x < x0/2, tau > 2 lam/3},
+    extending T where it does not.  The family is built once, as Tubes,
+    after the sweep has fixed T.
 
     grid = (z, zeta, shell) (phase_grid's output) rides on the covering
     check's q_circ pass, so the accepted family's pass also gives q_circ on
     the grid (grid_q_circ), bit for bit as eval_q_circ would (see
     assemble_escape for the condition).  A covering that fails refines the
-    seed spacing and flows the pass again.
+    seed spacing and sweeps again.
     """
-    tau_target = 2.0 * model.lam / 3.0
-    x_target = consts.x0 / 2.0
     # a seed spacing of at least 1, and coarser for a wide collar, keeps
     # the tube count roughly collar-independent
     spacing = max(1.0, (4.0 / consts.x0) / 40.0)
@@ -359,17 +362,15 @@ def build_tubes(model, consts, T_max=500.0, grid=None) -> TubeCollection:
             raise ConstructionError("no seeds found on K; check the window")
         kappa = np.abs(zeta_s)
         radius = np.full(z_s.size, _MOM_FACTOR * model.delta / kappa.min())
-        # the slowest disc member (lowest shell energy on the disc) lags
-        # the center trajectory; size the segment for it
-        T = fl.time_to_incoming(model, z_s, zeta_s, x_target, tau_target,
-                                T_max=T_max)
-        T = T * (1.0 + 2.0 * _MOM_FACTOR * model.delta / kappa**2) + 0.5
         dz, dzeta = geo.hamilton_field(model, z_s, zeta_s)
         seed, normal = _phase_state(z_s, zeta_s), _unit(_phase_state(dz, dzeta))
         # grad p = (-zetadot, zdot) spans the transversal
         u_p = _unit(_phase_state(-dzeta, dz))
         disc = _disc_points(seed, u_p, radius)
-        T, reach = _certify_tubes(model, disc, radius, T, consts)
+        # the slowest disc member (lowest shell energy on the disc) lags
+        # the center trajectory; size the segment for it
+        grow = 1.0 + 2.0 * _MOM_FACTOR * model.delta / kappa**2
+        T, reach = _sweep_tubes(model, consts, disc, radius, grow, T_max)
         p = geo.symbol_p(model, *disc.reshape(-1, 2).T).reshape(-1, 5)
         pad = 0.1 * np.ptp(p, axis=1)
         band = np.stack([p.min(axis=1) - pad, p.max(axis=1) + pad], axis=1)
@@ -388,43 +389,107 @@ def build_tubes(model, consts, T_max=500.0, grid=None) -> TubeCollection:
     )
 
 
-def _certify_tubes(model, disc, radius, T, consts):
-    """Sampled disc sweep (disc: _disc_points) of every pending tube in one
-    batched backward flow per round: the late-portion disjointness from K',
-    T extended for each tube whose margin check fails.  Returns (T, reach),
-    reach R being the largest |z| of the sweeps with each tube's z range
-    padded by radius/4 + 5% of its end magnitudes."""
-    T, pend, reach = T.copy(), np.arange(T.size), 0.0
-    for round_ in range(_MAX_EXTEND + 1):
-        if not pend.size:
-            return T, reach
-        pts = disc[pend].reshape(-1, 2)
-        ts, zs, cs = fl.batched_flow(model, pts[:, 0], pts[:, 1], 0.0,
-                                     -(T[pend].max() + 2.2), 0.02,
-                                     store_stride=5)
-        # (sample, tube, disc point)
-        zs, cs = (a.reshape(ts.size, pend.size, -1) for a in (zs, cs))
-        back, Tp = -ts[:, None], T[pend]
-        swept = (back <= Tp + 2.2)[..., None]
-        lo = zs.min(axis=(0, 2), where=swept, initial=np.inf)
-        hi = zs.max(axis=(0, 2), where=swept, initial=-np.inf)
-        pad = 0.25 * radius[pend] + 0.05 * (np.abs(lo) + np.abs(hi))
-        # the chart on the late samples only: the whole sweep would be a
-        # second store-sized temporary
-        k, j = np.nonzero((back >= Tp + 0.5) & (back <= Tp + 2.0 + 1e-9))
-        x, tau = geo.scattering_coords(zs[k, j].ravel(), cs[k, j].ravel())
-        inside = (x < consts.x0 / 2.0) & (tau > 2.0 * model.lam / 3.0)
-        failed = np.zeros(pend.size, dtype=bool)
-        failed[j[~inside.reshape(k.size, -1).all(axis=1)]] = True
-        reach = float(np.max(np.abs([lo - pad, hi + pad])[:, ~failed],
-                             initial=reach))
-        pend = pend[failed]
-        if round_ < _MAX_EXTEND:
-            T[pend] += np.maximum(1.0, 0.1 * T[pend])  # retry longer
-    raise ConstructionError(
-        f"late tube portion not disjoint from K' after extending T to "
-        f"{float(T[pend[0]])}; increase the time margin"
-    )
+def _sweep_tubes(model, consts, disc, radius, grow, T_max):
+    """One backward flow of every disc point (disc: _disc_points, seed
+    first), as (z, -zeta) forward through flow_segments at INCOMING_DT.
+    Returns (T, reach).
+
+    The seeds' samples feed the incoming rule (flow.IncomingTimes), so
+    T_in is time_to_incoming's bit for bit (a column's samples do not
+    depend on the batch) whenever time_to_incoming's last, shorter segment
+    also steps by INCOMING_DT, as at T_max = 500; then T = T_in grow + 1/2.
+    On the same samples, once a tube's five columns reach the first sample
+    at or past T + 2.2, its late window [T + 1/2, T + 2] must lie inside
+    {x < x0/2, tau > 2 lam/3} at every sample: the tube then retires with
+    its z range up to that sample; otherwise T grows by max(1, T/10) and
+    the tube flows on.  reach R is the largest |z| of the sweeps, each
+    tube's range padded by radius/4 + 5% of its end magnitudes.
+
+    A seed without an incoming time by T_max raises time_to_incoming's
+    IntegrationError; else a tube still failing after _MAX_EXTEND
+    extensions raises ConstructionError.
+
+    Streamed: only the running z ranges, the last 2 time units of late
+    flags (where every carried tube's next window starts) and the incoming
+    rule's recent history outlive a segment."""
+    n = radius.size
+    incoming = fl.IncomingTimes(n, consts.x0 / 2.0, 2.0 * model.lam / 3.0,
+                                T_max)
+    T, extended = np.full(n, np.nan), np.zeros(n, dtype=int)
+    lo, hi = np.full(n, np.inf), np.full(n, -np.inf)
+    failed = np.zeros(n, dtype=bool)
+    t_late, ok_late = np.empty(0), np.zeros((0, n), dtype=bool)
+
+    def inside(z3, c3, want):
+        """(sample, tube) flags on the pairs in want: every disc point of z3
+        inside, _PAIR_CHUNK points at a time (bounds the chart's
+        temporaries)."""
+        ok = np.zeros(want.shape, dtype=bool)
+        k, i = np.nonzero(want)
+        per = _PAIR_CHUNK // z3.shape[2]
+        for a in range(0, k.size, per):
+            ka, ia = k[a:a + per], i[a:a + per]
+            ok[ka, ia] = incoming.inside(z3[ka, ia].ravel(), c3[ka, ia].ravel()
+                                         ).reshape(ka.size, -1).all(axis=1)
+        return ok
+
+    def visit(rows, ts, zs, cs):
+        nonlocal t_late, ok_late
+        j = rows[::5] // 5  # live columns come in whole tubes
+        z3, c3 = (a.reshape(ts.size, j.size, 5) for a in (zs, cs))
+        new = np.isnan(T[j])
+        seeds = inside(z3[..., :1], c3[..., :1],
+                       np.broadcast_to(new, z3.shape[:2]))
+        gone = np.zeros(j.size, dtype=bool)
+        gone[new] = incoming.visit(j[new], ts, seeds[:, new])
+        T[j[new]] = incoming.T_in[j[new]] * grow[j[new]] + 0.5
+        out = gone & np.isnan(T[j])  # never timed
+        # the late windows of the tubes whose first sample at or past T + 2.2
+        # has come, each read from the carried flags and this segment's
+        t = np.concatenate([t_late, ts])
+        Tj = T[j]
+        due = ts[-1] >= Tj + 2.2
+        while due.any():
+            win = (due & (t[:, None] >= Tj + 0.5)
+                   & (t[:, None] <= Tj + 2.0 + 1e-9))
+            ok = np.concatenate([ok_late[:, j],
+                                 inside(z3, c3, win[t_late.size:])])
+            bad = due & (win & ~ok).any(axis=0)
+            out |= due & ~bad
+            extended[j[bad]] += 1
+            spent = bad & (extended[j] > _MAX_EXTEND)
+            failed[j[spent]], out[spent] = True, True
+            retry = bad & ~spent
+            Tj[retry] += np.maximum(1.0, 0.1 * Tj[retry])  # retry longer
+            due = retry & (ts[-1] >= Tj + 2.2)
+        T[j] = Tj
+        # z ranges up to the first sample at or past T + 2.2 of the tubes
+        # certified here, over the whole segment for the rest
+        cut = np.where(out, np.searchsorted(ts, Tj + 2.2), ts.size - 1)
+        swept = np.repeat(np.arange(ts.size)[:, None] <= cut, 5, axis=1)
+        # column by column, then over each disc (a masked reduction over
+        # both axes of z3 copies it)
+        lo[j] = np.minimum(lo[j], zs.min(axis=0, where=swept, initial=np.inf
+                                         ).reshape(-1, 5).min(axis=1))
+        hi[j] = np.maximum(hi[j], zs.max(axis=0, where=swept, initial=-np.inf
+                                         ).reshape(-1, 5).max(axis=1))
+        # a tube flowing on has its next window within the last 2 time units
+        # (T + 0.5 > ts[-1] - 1.7; untimed, T_in > ts[-1] - 2), which lie in
+        # this segment: segments are longer than 2
+        recent = ts >= ts[-1] - 2.0
+        t_late, ok_late = ts[recent], np.zeros((recent.sum(), n), dtype=bool)
+        ok_late[:, j] = inside(z3, c3, recent[:, None] & ~out)[recent]
+        return np.repeat(out, 5)
+
+    z, zeta = disc.reshape(-1, 2).T
+    fl.flow_segments(model, z, -zeta, np.inf, fl.INCOMING_DT, visit)
+    incoming.result(disc[:, 0, 0], disc[:, 0, 1])
+    if failed.any():
+        raise ConstructionError(
+            f"late tube portion not disjoint from K' after extending T to "
+            f"{float(T[np.argmax(failed)])}; increase the time margin")
+    pad = 0.25 * radius + 0.05 * (np.abs(lo) + np.abs(hi))
+    return T, float(np.max(np.abs([lo - pad, hi + pad]), initial=0.0))
 
 
 def _certify_covering(model, tubes: Tubes, reach, consts, spacing,

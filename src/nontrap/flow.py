@@ -2,8 +2,9 @@
 
 Escape verdicts and the tubes' incoming times come from one integrator,
 `batched_flow` (fixed-step RK4 over a batch), run forward in segments so
-that decided points retire: as p(z, -zeta) = p(z, zeta), backward verdicts
-and incoming times are forward flows of (z, -zeta), bit for bit.  A point
+that decided points retire (flow_segments, which the tube sweep in escape
+drives too): as p(z, -zeta) = p(z, zeta), backward verdicts and incoming
+times are forward flows of (z, -zeta), bit for bit.  A point
 is certified as escaped at the first sample with |z| > escape_radius(model),
 d|z|/dt > 0 and tau^2 at least half the shell energy: past that radius the
 potential rises by less than lambda^2/2 along any outward path, so the orbit
@@ -29,12 +30,13 @@ import numpy as np
 from nontrap import geometry as geo
 from nontrap.errors import IntegrationError
 
-CLASSIFY_DT = 0.02      # RK4 step of the verdicts (as in the tube certificate)
+CLASSIFY_DT = 0.02      # RK4 step of the verdicts
 R_ESCAPE = 40.0         # least escape radius of the verdicts
 _SEGMENT = 16.0         # flow time per batched_flow call between retirements
 _CLASSIFY_CHUNK = 1000  # points flowed together (bounds the stored samples)
 _DRIFT_BOUND = 1e-5     # relative energy drift that rejects an escaped verdict
-_INCOMING_DT = 0.05     # RK4 step (and sample spacing) of time_to_incoming
+INCOMING_DT = 0.05      # RK4 step (and sample spacing) of the incoming times
+                        # and of the tube sweep that reads them
 _INCOMING_MARGIN = 2.0  # flow time over which the incoming conditions persist
 
 
@@ -121,12 +123,13 @@ def batched_flow(model, z0, zeta0, t0, t1, dt, store_stride=1, until=None):
     return ts[:i], zs[:i], cs[:i]
 
 
-def _flow_segments(model, z, zeta, t_end, dt, visit):
-    """Flow the points (z, zeta) forward from t = 0 to t_end with
-    batched_flow, _SEGMENT time units per call.  visit(rows, ts, zs, cs)
-    gets the live points' indices and the segment's new samples (the first
-    segment's include t = 0) and returns a mask of decided points, which
-    retire."""
+def flow_segments(model, z, zeta, t_end, dt, visit):
+    """Flow the points (z, zeta) forward from t = 0 to t_end (inf: until
+    every point is decided) with batched_flow, _SEGMENT time units per
+    call.  visit(rows, ts, zs, cs) gets the live points' indices and the
+    segment's new samples (the first segment's include t = 0) and returns a
+    mask of decided points, which retire.  Only one segment's samples are
+    held at a time: visit must copy what it keeps."""
     rows = np.arange(z.size)
     done, first = 0.0, 0
     while rows.size and done < t_end:
@@ -134,6 +137,7 @@ def _flow_segments(model, z, zeta, t_end, dt, visit):
         ts, zs, cs = batched_flow(model, z, zeta, done, nxt, dt)
         keep = ~visit(rows, ts[first:], zs[first:], cs[first:])
         rows, z, zeta = rows[keep], zs[-1, keep], cs[-1, keep]
+        del ts, zs, cs  # freed before the next segment is allocated
         done, first = nxt, 1
 
 
@@ -194,7 +198,7 @@ def _escape_times(model, z, zeta, T_max):
         drift[rows] = np.maximum(drift[rows], dev.max(axis=0))
         return hit
 
-    _flow_segments(model, zz, cc, T_max, CLASSIFY_DT, visit)
+    flow_segments(model, zz, cc, T_max, CLASSIFY_DT, visit)
     bad = np.flatnonzero(np.isfinite(t_esc)
                          & (drift > _DRIFT_BOUND * (1.0 + np.abs(p0))))
     if bad.size:
@@ -277,45 +281,81 @@ def nontrapping_scan(model, n_samples=1000, T_max=150.0) -> NonTrappingVerdict:
 # first incoming time (the tube construction's T_xi)
 # ---------------------------------------------------------------------------
 
+class IncomingTimes:
+    """The incoming rule, streamed over flow_segments' samples of the
+    mirrored flow (z, -zeta) forward at step INCOMING_DT: a point's incoming
+    time is the smallest sampled T <= T_max with tau(exp(-T H_p) xi) >
+    tau_target and x < x_target (inside), certified to persist over
+    [T, T + 2].  T_in holds each point's time (NaN while it has none).
+
+    Only the samples a later segment can still need are kept: those past
+    the last sample minus 2, where every earlier start has its whole window
+    in hand and, not being a time, never becomes one."""
+
+    def __init__(self, m, x_target, tau_target, T_max):
+        self.x_target, self.tau_target = x_target, tau_target
+        self.T_max = T_max
+        self.T_in = np.full(m, np.nan)
+        self._t, self._ok = np.empty(0), np.zeros((0, m), dtype=bool)
+
+    def inside(self, z, zeta):
+        """The incoming conditions at mirrored states (z, zeta): 1-D
+        arrays, where tau reads -tau."""
+        x, tau = geo.scattering_coords(z, zeta)
+        return (-tau > self.tau_target) & (x < self.x_target)
+
+    def visit(self, rows, ts, inside):
+        """Feed one segment of the points rows, which have no time yet: the
+        sample times ts and the (len(ts), len(rows)) flags inside at them.
+        Returns the mask of rows decided: timed, or left without a time once
+        the samples reach T_max + 2."""
+        ok = np.zeros((ts.size, self.T_in.size), dtype=bool)
+        ok[:, rows] = inside
+        t = np.concatenate([self._t, ts])
+        ok = np.concatenate([self._ok, ok])
+        oks = ok[:, rows]
+        # samples [i, end[i]) of the history are the window [t_i, t_i + 2]
+        end = np.searchsorted(t, t + _INCOMING_MARGIN, side="right")
+        bad = np.pad(np.cumsum(~oks, axis=0), ((1, 0), (0, 0)))
+        complete = (t <= self.T_max) & (t[-1] >= t + _INCOMING_MARGIN)
+        good = complete[:, None] & (bad[end] == bad[:-1])
+        hit = good.any(axis=0)
+        self.T_in[rows[hit]] = t[good.argmax(axis=0)[hit]]
+        recent = t + _INCOMING_MARGIN > t[-1]
+        self._t, self._ok = t[recent], ok[recent]
+        return hit | (t[-1] >= self.T_max + _INCOMING_MARGIN)
+
+    def result(self, z0, zeta0):
+        """T_in, once the flow has ended; IntegrationError naming the first
+        of the points (z0, zeta0) left without a time."""
+        missing = np.flatnonzero(np.isnan(self.T_in))
+        if missing.size:
+            i = missing[0]
+            raise IntegrationError(
+                f"incoming conditions never certified by T_max={self.T_max} "
+                f"for {missing.size} of {self.T_in.size} points (first "
+                f"z={float(z0[i])!r}, zeta={float(zeta0[i])!r}); the model "
+                "may be trapping or T_max too small")
+        return self.T_in
+
+
 def time_to_incoming(model, z0, zeta0, x_target, tau_target,
                      T_max=500.0) -> np.ndarray:
     """Per point (1-D arrays, or scalars for one point): the smallest
     sampled T <= T_max with tau(exp(-T H_p) xi) > tau_target and
-    x < x_target, certified to persist over [T, T + 2].  Samples are the
-    RK4 steps of size 0.05 (of (z, -zeta) forward, where tau reads -tau).
+    x < x_target, certified to persist over [T, T + 2] (IncomingTimes).
+    Samples are the RK4 steps of size INCOMING_DT (of (z, -zeta) forward,
+    where tau reads -tau).
 
     Raises IntegrationError when a point has no such time by T_max
     (trapping, or T_max too small)."""
     z0, zeta0 = np.atleast_1d(z0, zeta0)
-    m = z0.size
-    T_in = np.full(m, np.nan)
-    t_hist, ok_hist = [], []  # all points flow on the same time grid
+    incoming = IncomingTimes(z0.size, x_target, tau_target, T_max)
 
     def visit(rows, ts, zs, cs):
-        x, tau = geo.scattering_coords(zs.ravel(), cs.ravel())
-        ok = np.zeros((ts.size, m), dtype=bool)
-        ok[:, rows] = ((-tau > tau_target) & (x < x_target)).reshape(ts.size, -1)
-        t_hist.append(ts)
-        ok_hist.append(ok)
-        t = np.concatenate(t_hist)
-        oks = np.concatenate(ok_hist)[:, rows]
-        # samples [i, end[i]) of the history are the window [t_i, t_i + 2]
-        end = np.searchsorted(t, t + _INCOMING_MARGIN, side="right")
-        bad = np.pad(np.cumsum(~oks, axis=0), ((1, 0), (0, 0)))
-        complete = (t <= T_max) & (t[-1] >= t + _INCOMING_MARGIN)
-        good = complete[:, None] & (bad[end] == bad[:-1])
-        hit = good.any(axis=0)
-        T_in[rows[hit]] = t[good.argmax(axis=0)[hit]]
-        return hit
+        inside = incoming.inside(zs.ravel(), cs.ravel())
+        return incoming.visit(rows, ts, inside.reshape(zs.shape))
 
-    _flow_segments(model, z0, -zeta0, T_max + _INCOMING_MARGIN, _INCOMING_DT,
-                   visit)
-    missing = np.flatnonzero(np.isnan(T_in))
-    if missing.size:
-        i = missing[0]
-        raise IntegrationError(
-            f"incoming conditions never certified by T_max={T_max} for "
-            f"{missing.size} of {m} points (first z={float(z0[i])!r}, zeta="
-            f"{float(zeta0[i])!r}); the model may be trapping or T_max too "
-            "small")
-    return T_in
+    flow_segments(model, z0, -zeta0, T_max + _INCOMING_MARGIN, INCOMING_DT,
+                  visit)
+    return incoming.result(z0, zeta0)

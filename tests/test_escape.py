@@ -619,40 +619,63 @@ def _loop_disc_points(tb):
     return tb.seed + np.stack([np.zeros(2), half, -half, full, -full])
 
 
-def _loop_certify_tubes(model, tubes, consts):
-    """Reference late-portion certificate, tube by tube over one batched
-    flow per round, extending each failing tube's T in place: (reach,
-    rounds), rounds counting the flows."""
-    pend, reach = list(tubes), 0.0
-    for round_ in range(esc._MAX_EXTEND + 1):
-        if not pend:
-            return reach, round_
-        pts = np.concatenate([_loop_disc_points(tb) for tb in pend])
-        T_all = max(tb.T for tb in pend)
-        ts, zs, cs = fl.batched_flow(model, pts[:, 0], pts[:, 1], 0.0,
-                                     -(T_all + 2.2), 0.02, store_stride=5)
-        failed = []
-        for k, tb in enumerate(pend):
-            zt, ct = (a.reshape(ts.size, len(pend), -1)[:, k] for a in (zs, cs))
-            swept = zt[-ts <= tb.T + 2.2]
-            lo, hi = float(swept.min()), float(swept.max())
-            pad = 0.25 * tb.radius + 0.05 * (abs(lo) + abs(hi))
-            late = (-ts >= tb.T + 0.5) & (-ts <= tb.T + 2.0 + 1e-9)
-            x, tau = geo.scattering_coords(zt[late].ravel(), ct[late].ravel())
-            if (np.all(x < consts.x0 / 2.0)
-                    and np.all(tau > 2.0 * model.lam / 3.0)):
-                reach = max(reach, abs(lo - pad), abs(hi + pad))
-                continue
-            failed.append(tb)
-            if round_ < esc._MAX_EXTEND:
+_LOOP_GROUP = 64  # tubes flowed together by the reference sweep
+
+
+def _loop_certify_group(model, group, consts):
+    """Reference sweep of a few tubes, tube by tube: their disc points
+    flowed as (z, -zeta) forward in flow's segments at the incoming step,
+    every column to the end, the whole history kept.  A tube is decided
+    once the history holds its first sample at or past T + 2.2: every
+    sample of [T + 1/2, T + 2] inside the collar band, or T extended in
+    place.  Returns (reach, extensions)."""
+    pts = np.concatenate([_loop_disc_points(tb) for tb in group])
+    z0, c0 = pts[None, :, 0], -pts[None, :, 1]
+    hist_t, hist_z, hist_c = [np.zeros(1)], [z0], [c0]
+    reach, pending, t0 = 0.0, list(range(len(group))), 0.0
+    extended = [0] * len(group)
+    while pending:
+        ts, zs, cs = fl.batched_flow(model, hist_z[-1][-1], hist_c[-1][-1],
+                                     t0, t0 + fl._SEGMENT, fl.INCOMING_DT)
+        hist_t.append(ts[1:]), hist_z.append(zs[1:]), hist_c.append(cs[1:])
+        t0 += fl._SEGMENT
+        t = np.concatenate(hist_t)
+        zt_all, ct_all = np.concatenate(hist_z), np.concatenate(hist_c)
+        for k in list(pending):
+            tb, cols = group[k], slice(5 * k, 5 * k + 5)
+            while t[-1] >= tb.T + 2.2:
+                late = (t >= tb.T + 0.5) & (t <= tb.T + 2.0 + 1e-9)
+                x, tau = geo.scattering_coords(zt_all[late, cols].ravel(),
+                                               ct_all[late, cols].ravel())
+                if (np.all(x < consts.x0 / 2.0)
+                        and np.all(-tau > 2.0 * model.lam / 3.0)):
+                    cut = int(np.searchsorted(t, tb.T + 2.2)) + 1
+                    lo = float(zt_all[:cut, cols].min())
+                    hi = float(zt_all[:cut, cols].max())
+                    pad = 0.25 * tb.radius + 0.05 * (abs(lo) + abs(hi))
+                    reach = max(reach, abs(lo - pad), abs(hi + pad))
+                    pending.remove(k)
+                    break
+                extended[k] += 1
+                if extended[k] > esc._MAX_EXTEND:
+                    raise ConstructionError("late tube portion not disjoint")
                 tb.T += max(1.0, 0.1 * tb.T)
-        pend = failed
-    raise ConstructionError("late tube portion not disjoint from K'")
+    return reach, sum(extended)
+
+
+def _loop_certify_tubes(model, tubes, consts):
+    """Reference late-portion certificate, tube by tube over one reference
+    sweep per group of _LOOP_GROUP tubes: (reach, extensions)."""
+    reach, extensions = 0.0, 0
+    for a in range(0, len(tubes), _LOOP_GROUP):
+        r, n = _loop_certify_group(model, tubes[a:a + _LOOP_GROUP], consts)
+        reach, extensions = max(reach, r), extensions + n
+    return reach, extensions
 
 
 def _loop_build_tubes(model, consts):
-    """Reference construction, seed by seed: (Tubes, reach, rounds) at the
-    first seed spacing whose tubes pass the covering check."""
+    """Reference construction, seed by seed: (Tubes, reach, extensions) at
+    the first seed spacing whose tubes pass the covering check."""
     spacing = max(1.0, (4.0 / consts.x0) / 40.0)
     for _ in range(esc._MAX_REFINE + 1):
         z_s, zeta_s = esc._k_region_seeds(model, consts, spacing)
@@ -669,7 +692,7 @@ def _loop_build_tubes(model, consts):
                 seed=np.array([z, zeta]), T=T, radius=r_mom,
                 normal=n_vec / np.linalg.norm(n_vec),
                 u_p=grad_p / np.linalg.norm(grad_p)))
-        reach, rounds = _loop_certify_tubes(model, tubes, consts)
+        reach, extensions = _loop_certify_tubes(model, tubes, consts)
         bands = []
         for tb in tubes:
             p = geo.symbol_p(model, *_loop_disc_points(tb).T)
@@ -686,7 +709,7 @@ def _loop_build_tubes(model, consts):
         report, _ = esc._certify_covering(model, family, reach, consts,
                                           spacing)
         if report.n_uncovered == 0:
-            return family, reach, rounds
+            return family, reach, extensions
         spacing *= 0.5
     raise ConstructionError("tube covering failed")
 
@@ -708,12 +731,79 @@ def test_build_tubes_matches_per_seed_loop(which, extended, request):
     certificate's T extension (the barrier after one covering refinement);
     a last-bit change in u_p's normalization fails here."""
     e = request.getfixturevalue(which)
-    want, reach, rounds = _loop_build_tubes(e.model, e.constants)
-    assert (rounds > 1) == extended
+    want, reach, extensions = _loop_build_tubes(e.model, e.constants)
+    assert (extensions > 0) == extended
     for f in dataclasses.fields(esc.Tubes):
         assert np.array_equal(getattr(e.tubes.tubes, f.name),
                               getattr(want, f.name)), f.name
     assert e.tubes.reach == reach
+
+
+def test_sweep_carries_late_flags_across_segments(tubes_well, monkeypatch):
+    """With 3-unit flow segments most late windows start in the segment
+    before the one that decides them, so they read the flags carried over
+    from it; the family still equals the reference's on the same segments
+    bit for bit, extensions included."""
+    monkeypatch.setattr(fl, "_SEGMENT", 3.0)
+    e = tubes_well
+    got = esc.build_tubes(e.model, e.constants)
+    want, reach, extensions = _loop_build_tubes(e.model, e.constants)
+    assert extensions > 0
+    for f in dataclasses.fields(esc.Tubes):
+        assert np.array_equal(getattr(got.tubes, f.name),
+                              getattr(want, f.name)), f.name
+    assert got.reach == reach
+
+
+@pytest.mark.parametrize("which", ["escape_longrange", "tubes_well",
+                                   "escape_barrier"])
+def test_tube_times_are_incoming_times(which, request):
+    """Each tube's T is time_to_incoming on its seed, inflated by
+    1 + 2 _MOM_FACTOR delta / kappa^2, plus 1/2 and then the certificate's
+    extensions (T grows by max(1, T/10)), bit for bit: the sweep reads the
+    seeds' incoming times off its own samples."""
+    e = request.getfixturevalue(which)
+    tb = e.tubes.tubes
+    T_in = fl.time_to_incoming(e.model, tb.seed[:, 0], tb.seed[:, 1],
+                               e.constants.x0 / 2.0, 2.0 * e.model.lam / 3.0)
+    kappa = np.abs(tb.seed[:, 1])
+    T = T_in * (1.0 + 2.0 * esc._MOM_FACTOR * e.model.delta / kappa**2) + 0.5
+    for _ in range(esc._MAX_EXTEND):
+        short = T < tb.T
+        T[short] += np.maximum(1.0, 0.1 * T[short])
+    assert np.array_equal(T, tb.T)
+
+
+def test_build_tubes_flows_once_per_spacing(escape_longrange, monkeypatch):
+    """build_tubes flows its backward orbits once, segment by segment at
+    the incoming step: no flow at the old certificate's step 0.02, and none
+    at the incoming step longer than one 16-unit segment.  The sweep's
+    tracemalloc peak stays within 6 MB: one segment's samples of the 810
+    disc columns (2 x 321 x 810 x 8 B = 4.2 MB) and the seeds' chart."""
+    e = escape_longrange
+    calls, peaks = [], []
+    real_flow, real_sweep = fl.batched_flow, esc._sweep_tubes
+
+    def spy(model, z0, zeta0, t0, t1, dt, **kw):
+        calls.append((dt, abs(t1 - t0)))
+        return real_flow(model, z0, zeta0, t0, t1, dt, **kw)
+
+    def measured(*args):
+        tracemalloc.start()
+        try:
+            return real_sweep(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(fl, "batched_flow", spy)
+    monkeypatch.setattr(esc, "_sweep_tubes", measured)
+    coll = esc.build_tubes(e.model, e.constants)
+    assert np.array_equal(coll.tubes.T, e.tubes.tubes.T)
+    assert not [c for c in calls if c[0] == 0.02]
+    incoming = [span for dt, span in calls if dt == fl.INCOMING_DT]
+    assert incoming and max(incoming) <= 16.0
+    assert len(peaks) == 1 and peaks[0] <= 6e6
 
 
 def test_q_circ_order_invariant(escape_longrange):
