@@ -402,9 +402,11 @@ def cmd_resolvent_sweep(cfg, rep: Reporter, verdict):
     rep.check("sweep_uniformity", report.max_uniformity_ratio <= 3.0,
               report.max_uniformity_ratio)
     if cfg["potential"] == "zero":
+        # the discrete norm on the sweep's own grid at h_ref
         h_ref = cfg["h_list"][len(cfg["h_list"]) // 2]
         op = rv.discretize(model, h_ref, L=cfg["box_half_length"],
-                           N=2 ** cfg["grid_exponent"])
+                           N=rv.sweep_grid(2 ** cfg["grid_exponent"],
+                                           min(cfg["h_list"]), h_ref))
         got = rv.weighted_resolvent_norm(op, model.lambda2,
                                          1e-3, cfg["s_weight"]).value
         want = rv.analytic_free_resolvent_norm(

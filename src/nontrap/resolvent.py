@@ -15,14 +15,18 @@ The weighted norm ||<z>^-s R(lambda^2 + it) <z>^-s|| is the largest
 singular value of the weighted resolvent, computed by Lanczos on A^H A
 (power_norm) to a stated residual.  Each shift w is factored once, by
 LAPACK's tridiagonal LU with partial pivoting (?gttrf), and each Lanczos
-step is one forward and one adjoint ?gttrs solve on those factors; the
-shifted matrix is complex symmetric, so the adjoint solve is a conjugated
-solve.  The norm's solves are not refined: tridiagonal LU with partial
+step is one forward and one adjoint ?gttrs solve on those factors (the
+adjoint one with trans='C'), both in place on one work vector.  The
+norm's solves are not refined: tridiagonal LU with partial
 pivoting is normwise backward stable (growth factor at most 2), and a
 refinement step in the same precision does not take the forward error
 below cond * eps (Higham, Accuracy and Stability of Numerical Algorithms,
 2nd ed., sections 9.6 and 12.1); against solves with one refinement step,
 every sweep norm agrees within 1.4e-13 relative.
+
+The h sweep gives each h its own grid, ceil(N h_min / h) intervals for N
+at the smallest h, so that the stencil's dispersion error, a function of
+dz / h, is the same in every cell instead of tilting the fitted slope.
 
 The ground-truth oracle for the free line is the explicit kernel
 
@@ -34,12 +38,14 @@ grid-doubling convergence certificate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
+from scipy.linalg.blas import zgemv
 
 from nontrap.errors import ConfigurationError, ConvergenceError
 from nontrap.smooth import falling_step
@@ -141,11 +147,12 @@ class BandedSolver:
     (LAPACK ?gttrf), reusable for many forward and adjoint solves (?gttrs);
     one factorization per shift w.
 
-    The matrix is complex symmetric (M^T = M), so M^H = conj(M) and the
-    adjoint solve is conj(solve(conj(rhs))).  solve_uncertified and
-    solve_adjoint are one ?gttrs each, backward stable with no residual
-    contract; only the certified solve computes residuals, from the
-    diagonals of P - w built once here."""
+    solve_uncertified and solve_adjoint are one ?gttrs each (trans='N' and
+    trans='C' on the same factors), backward stable with no residual
+    contract; with overwrite_f=True a complex vector is solved in place,
+    otherwise the right-hand side is left unchanged.  Only the certified
+    solve computes residuals, from the diagonals of P - w built once
+    here."""
 
     def __init__(self, op: DiscreteOperator, w: complex):
         self.w = complex(w)
@@ -182,27 +189,26 @@ class BandedSolver:
             )
         return u
 
-    def solve_uncertified(self, f):
+    def solve_uncertified(self, f, overwrite_f=False):
         """(P - w)^{-1} f by one raw LU solve, with no residual contract:
         normwise backward stable, and not refined, since a refinement step
         in the same precision would not take the forward error below
         cond * eps (module docstring)."""
-        return self._solve_raw(np.asarray(f, dtype=complex))
+        return self._solve_raw(np.asarray(f, dtype=complex), "N", overwrite_f)
+
+    def solve_adjoint(self, f, overwrite_f=False):
+        """(P - w)^{-H} f by one raw LU solve with trans='C'."""
+        return self._solve_raw(np.asarray(f, dtype=complex), "C", overwrite_f)
 
     def _residual(self, u, f):
         """(P - w) u - f."""
         return _tridiagonal_apply(*self._shifted, u) - f
 
-    def _solve_raw(self, f):
-        x, info = self._gttrs(*self._lu, f)
+    def _solve_raw(self, f, trans="N", overwrite=False):
+        x, info = self._gttrs(*self._lu, f, trans=trans, overwrite_b=overwrite)
         if info != 0:
             raise ConvergenceError(f"gttrs failed with info={info}")
         return x
-
-    def solve_adjoint(self, f):
-        """(P - w)^{-H} f via the complex-symmetric identity."""
-        u = self.solve_uncertified(np.conj(np.asarray(f, dtype=complex)))
-        return np.conj(u, out=u)
 
 
 def check_resolution(model, h, L, N):
@@ -263,6 +269,17 @@ class NormResult:
     sigma_2: float = 0.0
 
 
+@functools.lru_cache(maxsize=4)
+def _start_vector(n):
+    """power_norm's unit start vector of length n, drawn from _POWER_SEED
+    once per n and shared by every call, hence read-only."""
+    rng = np.random.default_rng(_POWER_SEED)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
+
+
 def power_norm(apply_A: Callable, apply_AH: Callable, n: int,
                tol=1e-8, maxiter=500) -> NormResult:
     """Largest singular value of A by Lanczos on A^H A.
@@ -271,9 +288,14 @@ def power_norm(apply_A: Callable, apply_AH: Callable, n: int,
     vectors (Golub and Kahan 1965): every step applies A^H A once and
     orthogonalizes the new vector twice against the whole basis, which
     keeps at most _LANCZOS_BASIS vectors of length n and then restarts from
-    the top Ritz vector.  It stops once the top Ritz pair (theta_1, y) of
-    the tridiagonal projection has residual r = |A^H A y - theta_1 y| <=
-    tol theta_1, so that an eigenvalue of A^H A lies within r of theta_1.
+    the top Ritz vector.  Each orthogonalization pass is two zgemv calls on
+    the basis (the coefficients, then the update of the new vector in
+    place), and the first pass's last coefficient is the step's diagonal
+    entry.  power_norm owns the vector that apply_AH returns and overwrites
+    it; apply_A must leave its argument, a basis row, unchanged.  It stops
+    once the top Ritz pair (theta_1, y) of the tridiagonal projection has
+    residual r = |A^H A y - theta_1 y| <= tol theta_1, so that an
+    eigenvalue of A^H A lies within r of theta_1.
 
     The stop is on r itself, not on the gap bound r^2 / (theta_1 -
     theta_2): with a near-double top singular value (an even potential at
@@ -291,17 +313,17 @@ def power_norm(apply_A: Callable, apply_AH: Callable, n: int,
     the second singular value: the residual stop can fire before the
     Krylov space has found it, so it says nothing about the gap below
     `value`."""
-    rng = np.random.default_rng(_POWER_SEED)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     basis = np.empty((min(_LANCZOS_BASIS, maxiter), n), dtype=complex)
-    basis[0] = v / np.linalg.norm(v)
+    basis[0] = _start_vector(n)
     alpha, beta, k = [], [], 0
     for it in range(1, maxiter + 1):
         w = apply_AH(apply_A(basis[k]))
-        alpha.append(float(np.vdot(basis[k], w).real))
-        V = basis[:k + 1]
-        for _ in range(2):
-            w -= np.conj(V @ np.conj(w)) @ V
+        VT = basis[:k + 1].T
+        for gs_pass in range(2):
+            c = zgemv(1.0, VT, w, trans=2)
+            if gs_pass == 0:
+                alpha.append(float(c[k].real))
+            w = zgemv(-1.0, VT, c, beta=1.0, y=w, overwrite_y=1)
         beta.append(float(np.linalg.norm(w)))
         theta, S = eigh_tridiagonal(np.array(alpha), np.array(beta[:-1]))
         top = max(float(theta[-1]), 0.0)
@@ -309,10 +331,10 @@ def power_norm(apply_A: Callable, apply_AH: Callable, n: int,
         if r <= tol * top:
             break
         if k + 1 < basis.shape[0]:
-            basis[k + 1] = w / beta[-1]
+            np.divide(w, beta[-1], out=basis[k + 1])
             k += 1
         else:  # restart from the top Ritz vector
-            v = S[:, -1] @ V
+            v = S[:, -1] @ basis[:k + 1]
             basis[0] = v / np.linalg.norm(v)
             alpha, beta, k = [], [], 0
     value = math.sqrt(top)
@@ -332,21 +354,24 @@ def weighted_resolvent_norm(op: DiscreteOperator, lambda2: float, t: float,
                             s: float) -> NormResult:
     """|| <z>^-s R(lambda2 + it) <z>^-s || by power_norm's Lanczos (the
     symmetric weight of the uniform estimate): each Lanczos step is one
-    forward and one adjoint raw LU solve on one factorization, and the
-    weight scales each solve's output in place (one vector fewer to
-    allocate per application)."""
+    forward and one adjoint raw LU solve on one factorization.  Both
+    applications weight into one work vector, solve it in place and scale
+    it by the weight again, so a step allocates no vector."""
     if op.boundary == "dirichlet" and t == 0.0:
         raise ConfigurationError("dirichlet boundary requires t != 0")
     solver = BandedSolver(op, complex(lambda2, t))
     weight = (1.0 + op.grid.z**2) ** (-0.5 * s)
+    work = np.empty(weight.shape[0], dtype=complex)
 
     def apply_A(v):
-        u = solver.solve_uncertified(weight * v)
+        u = solver.solve_uncertified(np.multiply(weight, v, out=work),
+                                     overwrite_f=True)
         u *= weight
         return u
 
     def apply_AH(v):
-        u = solver.solve_adjoint(weight * v)
+        u = solver.solve_adjoint(np.multiply(weight, v, out=work),
+                                 overwrite_f=True)
         u *= weight
         return u
 
@@ -466,32 +491,45 @@ def sweep_hs(h_list):
     return hs
 
 
+def sweep_grid(N, h_min, h):
+    """Grid intervals of the sweep cell at h: ceil(N h_min / h), so that
+    every cell has at least the points per wavelength that N gives at the
+    smallest h, h_min (check_resolution).  The ratio is taken first, so
+    that the cell at h_min keeps exactly N."""
+    return math.ceil(N * (h_min / h))
+
+
 def h_sweep(model, h_list=(0.2, 0.14, 0.1, 0.07, 0.05), s=0.7, L=200.0,
             N=2**15, jobs=1) -> ScalingReport:
     """Sweep h, fit the scaling exponent, probe uniformity in lambda^2.
 
     Every cell is a norm on the absorbing-profile operator at t = 0, which
-    emulates the limiting resolvent R(lambda^2 +- i0).  The fitted slope
-    is of log(norm) against log(1/h) at the window center; the probes are
-    three energies across the window plateau and the per-h max/min ratio
-    is the uniformity certificate.
+    emulates the limiting resolvent R(lambda^2 +- i0).  N is the grid at
+    the smallest h; the cell at h is built on sweep_grid(N, h_min, h)
+    intervals, so the stencil's dispersion error, which grows with dz / h,
+    is the same in every cell and does not tilt the slope.  The fitted
+    slope is of log(norm) against log(1/h) at the window center; the
+    probes are three energies across the window plateau and the per-h
+    max/min ratio is the uniformity certificate.
     """
     lam2 = model.lambda2
     h_list = sweep_hs(h_list)
     half = 0.5 * model.delta
     lambda_probes = [lam2 - half, lam2, lam2 + half]
-    tasks = [(h, l2) for h in h_list for l2 in lambda_probes]
+    tasks = [(h, l2, sweep_grid(N, h_list[-1], h))
+             for h in h_list for l2 in lambda_probes]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             futs = [
-                ex.submit(_sweep_cell, model, h, l2, s, L, N)
-                for (h, l2) in tasks
+                ex.submit(_sweep_cell, model, h, l2, s, L, N_h)
+                for (h, l2, N_h) in tasks
             ]
             cells = [f.result() for f in futs]
     else:
-        cells = [_sweep_cell(model, h, l2, s, L, N) for (h, l2) in tasks]
+        cells = [_sweep_cell(model, h, l2, s, L, N_h)
+                 for (h, l2, N_h) in tasks]
     by_h = {}
     for c in cells:
         by_h.setdefault(c.h, []).append(c.norm)

@@ -67,18 +67,26 @@ def test_conjugation_symmetry(longrange_1d):
 def test_cap_solves_match_dense(longrange_1d):
     """On the complex symmetric CAP operator at t = 0, the certified
     solve, the raw LU solve (the norm's forward solve, unrefined) and the
-    adjoint solve agree with a dense solve."""
+    adjoint solve (one ?gttrs with trans='C') agree with a dense solve and
+    leave the right-hand side unchanged; with overwrite_f=True the raw
+    solves run in place, to the same bits."""
     op = rv.discretize(longrange_1d, 0.3, L=40.0, N=512)
     w = complex(longrange_1d.lambda2, 0.0)
     diag, off = op.diagonals()
     M = np.diag(diag - w) + np.diag(off, 1) + np.diag(off, -1)
     rng = np.random.default_rng(4)
     f = rng.standard_normal(op.size) + 1j * rng.standard_normal(op.size)
+    f0 = f.copy()
     solver = rv.BandedSolver(op, w)
     for u, ref in ((solver.solve(f), np.linalg.solve(M, f)),
                    (solver.solve_uncertified(f), np.linalg.solve(M, f)),
                    (solver.solve_adjoint(f), np.linalg.solve(M.conj().T, f))):
         assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.array_equal(f, f0)
+    for solve in (solver.solve_uncertified, solver.solve_adjoint):
+        work = f.copy()
+        u = solve(work, overwrite_f=True)
+        assert np.shares_memory(u, work) and np.array_equal(u, solve(f))
 
 
 def test_singular_shift_raises():
@@ -377,9 +385,9 @@ def test_weighted_norm_two_raw_solves_per_step(longrange_1d, monkeypatch):
         counts["factor"] += 1
         init(self, *args)
 
-    def counting_raw(self, f):
+    def counting_raw(self, f, *args):
         counts["raw"] += 1
-        return raw(self, f)
+        return raw(self, f, *args)
 
     monkeypatch.setattr(rv.BandedSolver, "__init__", counting_init)
     monkeypatch.setattr(rv.BandedSolver, "_solve_raw", counting_raw)
@@ -468,3 +476,47 @@ def test_h_sweep_parallel_matches_serial(free_1d):
     na = sorted((c.h, c.lambda2, c.norm) for c in a.cells)
     nb = sorted((c.h, c.lambda2, c.norm) for c in b.cells)
     assert na == nb
+    # a worker gets its cell's own grid, not the grid at the smallest h
+    op = rv.discretize(free_1d, 0.2, L=200.0, N=2**12)
+    want = rv.weighted_resolvent_norm(op, free_1d.lambda2, 0.0, 0.7).value
+    assert [c.norm for c in b.cells
+            if (c.h, c.lambda2) == (0.2, free_1d.lambda2)] == [want]
+
+
+def test_h_sweep_grid_per_h(free_1d, monkeypatch):
+    """Each cell's grid is ceil(N h_min / h) intervals: N at the smallest
+    h, and the same points per wavelength at every other h."""
+    grids = []
+    discretize = rv.discretize
+
+    def recording(model, h, L, N):
+        grids.append((h, N))
+        return discretize(model, h, L=L, N=N)
+
+    monkeypatch.setattr(rv, "discretize", recording)
+    N, hs = 2**13, (0.14, 0.1, 0.2)
+    rv.h_sweep(free_1d, h_list=hs, L=200.0, N=N)
+    assert sorted(set(grids)) == sorted(
+        (h, math.ceil(N * 0.1 / h)) for h in hs)
+    assert dict(grids)[0.1] == N and dict(grids)[0.2] == 2**12
+    assert len(grids) == 3 * len(hs)
+    # N h / h can round above N; the cell at the smallest h keeps N
+    assert rv.sweep_grid(1000, 0.07, 0.07) == 1000
+
+
+# slopes of the default sweep on per-h grids with N = 2^15 at h = 0.05;
+# at N = 2^16 they read 0.99884, 0.99590 and 0.99884 (converged), where one
+# shared 2^15 grid read 1.00371, 0.99957 and 1.00560
+_SWEEP_SLOPES = {"zero": 0.99884, "longrange_pow": 0.99592, "well": 0.99885}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_SLOPES))
+def test_h_sweep_slope_without_grid_bias(name):
+    """On the per-h grid the default sweep's slope is the converged one
+    within 1e-4, and on zero doubling N moves it by at most 5e-5 (on one
+    shared grid doubling N moved it by 3e-3 to 5e-3)."""
+    model = geo.preset_model(name)
+    slope = rv.h_sweep(model, N=2**15).slope
+    assert abs(slope - _SWEEP_SLOPES[name]) <= 1e-4
+    if name == "zero":
+        assert abs(rv.h_sweep(model, N=2**16).slope - slope) <= 5e-5
