@@ -274,9 +274,8 @@ def cmd_flow_scan(cfg, rep: Reporter, verdict):
               note="trapping witnesses found" if wit_rows else "non-trapping")
 
 
-def _assemble(cfg, rep: Reporter, verdict, verify_grid=None):
-    e = esc.assemble_escape(_model_from(cfg), cfg["epsilon"], verdict,
-                            verify_grid)
+def _assemble(cfg, rep: Reporter, model, verdict, verify_grid=None):
+    e = esc.assemble_escape(model, cfg["epsilon"], verdict, verify_grid)
     body = [
         "escape function constants",
         f"epsilon = {e.eps!r}",
@@ -303,18 +302,18 @@ def _dump_q_slice(e, rep: Reporter):
                   rows[e.grid[:, 0] >= 1.0].tolist())
 
 
-def cmd_escape_build(cfg, rep: Reporter, verdict):
-    e = _assemble(cfg, rep, verdict)
+def cmd_escape_build(cfg, rep: Reporter, model, verdict):
+    e = _assemble(cfg, rep, model, verdict)
     _dump_q_slice(e, rep)
     rep.check("escape_assembled", True, value=e.C_prime)
 
 
-def cmd_escape_verify(cfg, rep: Reporter, verdict):
+def cmd_escape_verify(cfg, rep: Reporter, model, verdict):
     # the verification grid joins the construction grid's q_circ pass, which
     # build_tubes' covering check runs
     sizes = {"n_x": cfg["verify_x"], "n_interior": cfg["verify_interior"],
              "n_energy": cfg["verify_energy"]}
-    e = _assemble(cfg, rep, verdict, tuple(sizes.values()))
+    e = _assemble(cfg, rep, model, verdict, tuple(sizes.values()))
     _dump_q_slice(e, rep)
     report = esc.verify_proposition(e, **sizes)
     rows = [[report.c_prime, report.c_dprime, report.b_floor,
@@ -368,8 +367,7 @@ def cmd_calculus_tests(cfg, rep: Reporter):
     rep.write_csv("calculus.csv", ["check", "h", "value"], rows)
 
 
-def cmd_resolvent_sweep(cfg, rep: Reporter, verdict):
-    model = _model_from(cfg)
+def cmd_resolvent_sweep(cfg, rep: Reporter, model, verdict):
     trapping = not verdict.is_nontrapping_empirical
     report = rv.h_sweep(
         model, h_list=cfg["h_list"], s=cfg["s_weight"],
@@ -420,16 +418,16 @@ def cmd_resolvent_sweep(cfg, rep: Reporter, verdict):
         rep.check("oracle_agreement", rel <= 0.02, rel)
 
 
-def cmd_full_report(cfg, rep: Reporter, verdict):
+def cmd_full_report(cfg, rep: Reporter, model, verdict):
     """The model's witness: the scan's reports, the escape certificate
     (skipped on a trapping model) and the resolvent sweep."""
     cmd_flow_scan(cfg, rep, verdict)
     if verdict.is_nontrapping_empirical:
-        cmd_escape_verify(cfg, rep, verdict)
+        cmd_escape_verify(cfg, rep, model, verdict)
     else:
         rep.check("escape_certificate", True,
                   note="skipped: model is trapping")
-    cmd_resolvent_sweep(cfg, rep, verdict)
+    cmd_resolvent_sweep(cfg, rep, model, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +452,13 @@ def run(params, out_override=None, command_override=None, jobs_override=None):
         if command == "flow-scan":
             cmd_flow_scan(cfg, rep, verdict)
         elif command == "escape-build":
-            cmd_escape_build(cfg, rep, verdict)
+            cmd_escape_build(cfg, rep, model, verdict)
         elif command == "escape-verify":
-            cmd_escape_verify(cfg, rep, verdict)
+            cmd_escape_verify(cfg, rep, model, verdict)
         elif command == "resolvent-sweep":
-            cmd_resolvent_sweep(cfg, rep, verdict)
+            cmd_resolvent_sweep(cfg, rep, model, verdict)
         else:
-            cmd_full_report(cfg, rep, verdict)
+            cmd_full_report(cfg, rep, model, verdict)
     data = rep.summary(command)
     for name in sorted(data["checks"]):
         entry = data["checks"][name]

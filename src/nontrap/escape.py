@@ -611,10 +611,10 @@ def _near_radius(tb: Tubes):
 
 def _stop_radius(model, tb: Tubes):
     """Escape radius past which no orbit can cross a tube near its seed:
-    the larger of flow's escape radius and the largest |z| within
+    the larger of the model's escape radius and the largest |z| within
     _near_radius of a seed."""
     return float(np.max(np.abs(tb.seed[:, 0]) + _near_radius(tb),
-                        initial=fl.escape_radius(model)))
+                        initial=model.escape_radius))
 
 
 def _shell_orbits(model, z, zeta, shell, reach, t_back, t_tail, bands,

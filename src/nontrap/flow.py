@@ -5,10 +5,11 @@ Escape verdicts and the tubes' incoming times come from one integrator,
 that decided points retire (flow_segments, which the tube sweep in escape
 drives too): as p(z, -zeta) = p(z, zeta), backward verdicts and incoming
 times are forward flows of (z, -zeta), bit for bit.  A point
-is certified as escaped at the first sample with |z| > escape_radius(model),
-d|z|/dt > 0 and tau^2 at least half the shell energy: past that radius the
-potential rises by less than lambda^2/2 along any outward path, so the orbit
-never turns back and the verdict is a certificate rather than a guess.
+is certified as escaped at the first sample with |z| > model.escape_radius,
+d|z|/dt > 0 and tau^2 >= model.escape_energy: past that radius the
+potential rises by less than the escape energy along any outward path, so
+the orbit never turns back and the verdict is a certificate rather than a
+guess.
 An escaped verdict whose energy drift max |p(t) - p(0)| exceeds
 1e-5 (1 + |p0|) raises instead of being accepted.  A point left
 undetermined by T_max (no escape seen in one direction) is not told apart
@@ -31,7 +32,6 @@ from nontrap import geometry as geo
 from nontrap.errors import IntegrationError
 
 CLASSIFY_DT = 0.02      # RK4 step of the verdicts
-R_ESCAPE = 40.0         # least escape radius of the verdicts
 _SEGMENT = 16.0         # flow time per batched_flow call between retirements
 _CLASSIFY_CHUNK = 1000  # points flowed together (bounds the stored samples)
 _DRIFT_BOUND = 1e-5     # relative energy drift that rejects an escaped verdict
@@ -159,24 +159,16 @@ class ClassifyResult:
         return np.isfinite(self.escape_time_fwd) & np.isfinite(self.escape_time_bwd)
 
 
-def escape_radius(model):
-    """The verdicts' escape radius: R_ESCAPE, or farther out while the
-    potential still rises by lambda^2/2 along an outward path (a
-    double_bump's bumps, say); past it an outward orbit with
-    tau^2 >= lambda^2/2 keeps zeta^2 > 0, so it never turns back."""
-    return max(R_ESCAPE, model.potential.rise_radius(0.5 * model.lambda2))
-
-
 def escape_certified(model, z, zeta, R_esc):
     """The escape certificate at each point, for the forward flow:
     |z| > R_esc, |z| growing along the flow (z zdot > 0) and
-    tau^2 >= lambda^2 / 2.  For R_esc >= escape_radius(model), once it
-    holds |z| grows for the rest of the flow, so it never falls back to
+    tau^2 >= model.escape_energy.  For R_esc >= model.escape_radius, once
+    it holds |z| grows for the rest of the flow, so it never falls back to
     R_esc."""
     _, tau = geo.scattering_coords(z, zeta)
     # zdot = 2 zeta, so d|z|/dt has the sign of z zeta
     return ((np.abs(z) > R_esc) & (z * zeta > 0)
-            & (tau**2 >= 0.5 * model.lambda2))
+            & (tau**2 >= model.escape_energy))
 
 
 def _escape_times(model, z, zeta, T_max):
@@ -187,7 +179,7 @@ def _escape_times(model, z, zeta, T_max):
     zz, cc = np.concatenate([z, z]), np.concatenate([zeta, -zeta])
     p0 = geo.symbol_p(model, zz, cc)
     t_esc, drift = np.full(2 * m, np.nan), np.zeros(2 * m)
-    r_esc = escape_radius(model)
+    r_esc = model.escape_radius
 
     def visit(rows, ts, zs, cs):
         zf, cf = zs.ravel(), cs.ravel()
@@ -213,8 +205,8 @@ def _escape_times(model, z, zeta, T_max):
 
 def classify_point(model, z0, zeta0, T_max=500.0) -> ClassifyResult:
     """Forward/backward escape verdicts for a batch of points (1-D arrays)
-    or one point (scalars): the first sample with |z| > escape_radius,
-    outward radial speed and tau^2 at least lambda^2/2 gives the escape
+    or one point (scalars): the first sample with |z| > model.escape_radius,
+    outward radial speed and tau^2 >= model.escape_energy gives the escape
     time |t|.
     IntegrationError when an escaped verdict drifted more than
     1e-5 (1 + |p0|) in energy."""
@@ -263,10 +255,10 @@ def nontrapping_scan(model, n_samples=1000, T_max=150.0) -> NonTrappingVerdict:
     """Classify a deterministic sample of the model's energy-shell slab.
 
     A small enough neighbourhood of infinity is non-trapping: past
-    escape_radius(model) an outward orbit escapes, so the sample covers
-    |z| <= escape_radius(model) only.
+    model.escape_radius an outward orbit escapes, so the sample covers
+    |z| <= model.escape_radius only.
     """
-    z, zeta = shell_slab_samples(model, n_samples, escape_radius(model))
+    z, zeta = shell_slab_samples(model, n_samples, model.escape_radius)
     res = classify_point(model, z, zeta, T_max=T_max)
     return NonTrappingVerdict(
         window=(model.lambda2 - model.delta, model.lambda2 + model.delta),

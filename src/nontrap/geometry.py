@@ -18,7 +18,11 @@ angular directions, hence no boundary metric term.
 
 The classical symbol is p(z, zeta) = zeta^2 + V(z); in the chart it reads
 tau^2 + O(x^gamma).  Potentials carry a decay exponent gamma > 0 rather
-than a factored representation.
+than a factored representation, and each names the model keys it reads
+(Potential.keys); build_model picks one by name from POTENTIALS.  The
+ModelProblem owns every decision that follows from the model alone,
+including the escape radius that the flow verdicts and the escape
+construction share.
 
 All evaluators are pure and vectorized: a batch of phase points is two
 equal-length 1-D arrays z, zeta of shape (m,), and model data is immutable.
@@ -62,9 +66,11 @@ class Potential:
     """Long-range potential V(z) with analytic gradient and a decay rate
     gamma: the collar weights and remainders are measured in powers
     x^gamma.  amplitude <z>^(-gamma) is not a bound on |V| (double_bump has
-    V(3) = 2.0 against 0.2)."""
+    V(3) = 2.0 against 0.2).  keys are the model keys the constructor
+    takes, by name (MODEL_DEFAULTS)."""
 
     name = "base"
+    keys = ()
     gamma = 1.0
     amplitude = 0.0
 
@@ -83,8 +89,9 @@ class Potential:
 
 class ZeroPotential(Potential):
     name = "zero"
+    keys = ("gamma",)
 
-    def __init__(self, gamma=1.0):
+    def __init__(self, gamma):
         self.gamma = float(gamma)
 
     def value(self, z):
@@ -101,10 +108,9 @@ class PowerLawPotential(Potential):
     """V = A <z>^(-gamma), the long-range power-law preset."""
 
     name = "longrange_pow"
+    keys = ("amplitude", "gamma")
 
     def __init__(self, amplitude, gamma):
-        if gamma <= 0:
-            raise ConfigurationError(f"decay exponent gamma must be > 0, got {gamma}")
         self.amplitude = float(amplitude)
         self.gamma = float(gamma)
 
@@ -132,6 +138,7 @@ class DoubleBumpPotential(Potential):
     interior well at suitable energies."""
 
     name = "double_bump"
+    keys = ("amplitude", "separation")
     gamma = 2.0  # gaussian tails beat any power; certificate uses gamma=2
 
     def __init__(self, amplitude, separation):
@@ -162,6 +169,7 @@ class WellPotential(Potential):
     """V = -A exp(-|z|^2), an attractive well (p can dip below zero)."""
 
     name = "well"
+    keys = ("amplitude",)
     gamma = 2.0
 
     def __init__(self, amplitude):
@@ -182,29 +190,9 @@ class WellPotential(Potential):
         return math.sqrt(math.log(self.amplitude / rise))
 
 
-#: the shape keys each potential reads (every model reads potential,
-#: lambda2 and delta)
-POTENTIAL_KEYS = {
-    "zero": ("gamma",),
-    "longrange_pow": ("amplitude", "gamma"),
-    "double_bump": ("amplitude", "separation"),
-    "well": ("amplitude",),
-}
-POTENTIAL_PRESETS = tuple(POTENTIAL_KEYS)
-
-
-def make_potential(name, amplitude=0.0, gamma=1.0, separation=3.0):
-    if name == "zero":
-        return ZeroPotential(gamma=gamma)
-    if name == "longrange_pow":
-        return PowerLawPotential(amplitude, gamma)
-    if name == "double_bump":
-        return DoubleBumpPotential(amplitude, separation)
-    if name == "well":
-        return WellPotential(amplitude)
-    raise ConfigurationError(
-        f"unknown potential preset {name!r}; expected one of {POTENTIAL_PRESETS}"
-    )
+#: every potential by name, the model key that selects it
+POTENTIALS = {cls.name: cls for cls in (ZeroPotential, PowerLawPotential,
+                                        DoubleBumpPotential, WellPotential)}
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +213,16 @@ class ModelProblem:
     delta: float
 
     def __post_init__(self):
+        if self.potential.gamma <= 0:
+            raise ConfigurationError(
+                f"decay exponent gamma must be > 0, got {self.potential.gamma}")
         if self.lambda2 <= 0:
             raise ConfigurationError(f"lambda2 must be > 0, got {self.lambda2}")
         if not (0.0 < self.delta < self.lambda2):
             raise ConfigurationError(
                 f"delta must lie in (0, lambda2), got delta={self.delta}"
             )
-        if self.potential.gamma <= 0:
-            raise ConfigurationError("potential decay exponent must be positive")
-        if not math.isfinite(self.potential.rise_radius(0.5 * self.lambda2)):
+        if not math.isfinite(self.escape_radius):
             raise ConfigurationError(
                 "the potential rises by lambda2/2 along outward paths "
                 "beyond any float radius: no escape radius")
@@ -245,6 +234,20 @@ class ModelProblem:
     @property
     def gamma(self):
         return self.potential.gamma
+
+    @property
+    def escape_energy(self):
+        """The least tau^2 of an escaped point, lambda2/2."""
+        return 0.5 * self.lambda2
+
+    @property
+    def escape_radius(self):
+        """40, or farther out while the potential still rises by
+        escape_energy along an outward path (a double_bump's bumps, say).
+        A small enough neighbourhood of infinity is non-trapping: past this
+        radius an outward orbit with tau^2 >= escape_energy keeps
+        zeta^2 > 0, so it never turns back."""
+        return max(40.0, self.potential.rise_radius(self.escape_energy))
 
 
 def as_batch(z, zeta):
@@ -373,8 +376,9 @@ PRESETS = {
 def build_model(params: Optional[dict] = None) -> ModelProblem:
     """Build a ModelProblem from a flat key-value mapping (see
     MODEL_DEFAULTS for the schema and defaults).  A shape key that the
-    potential never reads (POTENTIAL_KEYS) must be absent or at its default;
-    any other value would be silently ignored, so it is rejected."""
+    potential never reads (not in its keys) must be absent or at its
+    default; any other value would be silently ignored, so it is
+    rejected."""
     merged = dict(MODEL_DEFAULTS)
     merged.update(params or {})
     known = set(MODEL_DEFAULTS)
@@ -382,20 +386,18 @@ def build_model(params: Optional[dict] = None) -> ModelProblem:
     if unknown:
         raise ConfigurationError(f"unknown model keys: {sorted(unknown)}")
     name = merged["potential"]
+    if name not in POTENTIALS:
+        raise ConfigurationError(
+            f"unknown potential preset {name!r}; expected one of "
+            f"{tuple(POTENTIALS)}")
+    cls = POTENTIALS[name]
     for key in ("amplitude", "gamma", "separation"):
-        if (name in POTENTIAL_KEYS and key not in POTENTIAL_KEYS[name]
-                and float(merged[key]) != MODEL_DEFAULTS[key]):
+        if key not in cls.keys and float(merged[key]) != MODEL_DEFAULTS[key]:
             raise ConfigurationError(
                 f"model key {key!r} = {merged[key]!r} is not read by potential "
-                f"{name!r}, which reads {', '.join(POTENTIAL_KEYS[name])}")
-    pot = make_potential(
-        merged["potential"],
-        amplitude=float(merged["amplitude"]),
-        gamma=float(merged["gamma"]),
-        separation=float(merged["separation"]),
-    )
+                f"{name!r}, which reads {', '.join(cls.keys)}")
     return ModelProblem(
-        potential=pot,
+        potential=cls(**{key: float(merged[key]) for key in cls.keys}),
         lambda2=float(merged["lambda2"]),
         delta=float(merged["delta"]),
     )

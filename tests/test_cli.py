@@ -178,6 +178,26 @@ def test_unrunnable_values_rejected_before_output(tmp_path, line, commands):
         assert not out.exists(), command
 
 
+@pytest.mark.parametrize("line, message", [
+    ("potential = nope", "unknown potential preset 'nope'; expected one of "
+     "('zero', 'longrange_pow', 'double_bump', 'well')"),
+    ("separation = 2.0", "model key 'separation' = 2.0 is not read by "
+     "potential 'longrange_pow', which reads amplitude, gamma"),
+])
+def test_model_errors_exit_2_with_their_message(tmp_path, capsys, line,
+                                                message):
+    """An unknown potential and a shape key its potential never reads exit
+    2 with one line naming them, before anything is written."""
+    conf = tmp_path / "c.conf"
+    conf.write_text(line + "\n")
+    out = tmp_path / "o"
+    code = cli.main(["--preset", "longrange_pow", "flow-scan", "--config",
+                     str(conf), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_override_validated_before_output(tmp_path, jobs):
     """--jobs goes through the same range check as the config key."""

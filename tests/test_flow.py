@@ -173,10 +173,10 @@ def test_nontrapping_scan_double_bump_witnesses_between_bumps(double_bump_scan):
 
 
 def test_escape_radius_is_the_floor_for_every_preset():
-    """The shipped models settle well inside R_ESCAPE, so their verdicts
-    use it."""
+    """The shipped models settle well inside the floor radius 40, so their
+    verdicts use it."""
     for name in geo.PRESETS:
-        assert flow.escape_radius(geo.preset_model(name)) == flow.R_ESCAPE
+        assert geo.preset_model(name).escape_radius == 40.0
 
 
 def test_nontrapping_scan_bumps_past_the_floor():
@@ -184,11 +184,11 @@ def test_nontrapping_scan_bumps_past_the_floor():
     out to the bumps, and the scan finds witnesses there.  At radius 40
     every sample would cross |z| = 40 outward and read as escaped."""
     model = geo.preset_model("double_bump", separation=50.0)
-    assert flow.escape_radius(model) == 50.0
+    assert model.escape_radius == 50.0
     verdict = flow.nontrapping_scan(model, n_samples=60, T_max=100.0)
     zs = np.array(_witness_zs(verdict))
     assert zs.size > 0
-    assert np.any(np.abs(zs) > flow.R_ESCAPE)
+    assert np.any(np.abs(zs) > 40.0)
     assert np.all(np.abs(zs) < 50.0)
 
 
@@ -337,7 +337,7 @@ def test_batched_flow_matches_two_array_rk4(request, width, stride, t0, t1,
 
 
 def test_escaped_radius_monotone(longrange_1d):
-    """Once escaped (r > R_ESCAPE with outward speed), r stays monotone."""
+    """Once escaped (r > 40 with outward speed), r stays monotone."""
     traj = integrate_flow(longrange_1d, 1.0, 1.0, (0.0, 60.0))
     r = traj.radius()
     out = np.flatnonzero(r > 40.0)

@@ -1,5 +1,7 @@
 """Charts, symbol and Hamilton field of the model problems."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,16 @@ def test_model_validation_errors():
         geo.build_model({"potential": "nope"})
     with pytest.raises(ConfigurationError):
         geo.build_model({"gamma": -1.0, "potential": "longrange_pow", "amplitude": 1.0})
+
+
+@pytest.mark.parametrize("name", sorted(geo.POTENTIALS))
+def test_potential_keys_are_its_constructor_parameters(name):
+    """A potential's keys are what build_model passes its constructor, and
+    every model key it reads (so no key is read without being declared)."""
+    cls = geo.POTENTIALS[name]
+    assert cls.name == name
+    assert cls.keys == tuple(inspect.signature(cls).parameters)
+    assert set(cls.keys) <= set(geo.MODEL_DEFAULTS)
 
 
 @pytest.mark.parametrize("potential, key, value", [
