@@ -6,10 +6,11 @@ that decided points retire (flow_segments, which the tube sweep in escape
 drives too): as p(z, -zeta) = p(z, zeta), backward verdicts and incoming
 times are forward flows of (z, -zeta), bit for bit.  A point
 is certified as escaped at the first sample with |z| > model.escape_radius,
-d|z|/dt > 0 and tau^2 >= model.escape_energy: past that radius the
-potential rises by less than the escape energy along any outward path, so
-the orbit never turns back and the verdict is a certificate rather than a
-guess.
+d|z|/dt > 0 and tau^2 >= model.escape_energy, half the window's lowest
+energy: past that radius the potential rises by less than the escape
+energy along any outward path, so the orbit never turns back and the
+verdict is a certificate rather than a guess.  tau^2 tends to the shell
+energy at infinity, so every escaping orbit of the window meets the test.
 An escaped verdict whose energy drift max |p(t) - p(0)| exceeds
 1e-5 (1 + |p0|) raises instead of being accepted.  A point left
 undetermined by T_max (no escape seen in one direction) is not told apart

@@ -224,8 +224,8 @@ class ModelProblem:
             )
         if not math.isfinite(self.escape_radius):
             raise ConfigurationError(
-                "the potential rises by lambda2/2 along outward paths "
-                "beyond any float radius: no escape radius")
+                "the potential rises by (lambda2 - delta)/2 along outward "
+                "paths beyond any float radius: no escape radius")
 
     @property
     def lam(self):
@@ -237,8 +237,10 @@ class ModelProblem:
 
     @property
     def escape_energy(self):
-        """The least tau^2 of an escaped point, lambda2/2."""
-        return 0.5 * self.lambda2
+        """The least tau^2 of an escaped point: half the window's lowest
+        energy, (lambda2 - delta)/2, so that every window shell reaches it
+        (tau^2 tends to the shell energy at infinity)."""
+        return 0.5 * (self.lambda2 - self.delta)
 
     @property
     def escape_radius(self):

@@ -454,6 +454,22 @@ def test_resolvent_sweep_free_checks(tmp_path):
     assert summary["checks"]["oracle_agreement"]["passed"]
 
 
+def test_full_report_wide_window_is_not_flagged_trapping(tmp_path, capsys):
+    """The free line with the window [0.1, 1.9] is non-trapping: the scan
+    finds no witness, so the run goes on to the escape stage, whose band
+    bound rejects the window (exit 1), instead of flagging it trapping."""
+    out = tmp_path / "wide"
+    conf = tmp_path / "c.conf"
+    conf.write_text("delta = 0.9\nflow_samples = 60\n")
+    code = cli.main(["--preset", "zero", "full-report", "--config", str(conf),
+                     "--out", str(out)])
+    assert code == 1
+    assert "energy window too wide" in capsys.readouterr().err
+    header, row = _csv_rows(out / "scan_summary.csv")
+    assert row[header.index("trapped")] == "0"
+    assert not (out / "trapping_row.csv").exists()
+
+
 def test_full_report_free_reduced(tmp_path):
     """full-report on the free preset: all checks pass, exit 0, and the
     model-independent calculus checks are not run."""

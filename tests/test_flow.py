@@ -144,6 +144,16 @@ def test_nontrapping_scan_free():
     assert verdict.window == (0.75, 1.25)
 
 
+def test_nontrapping_scan_wide_window_free():
+    """The window reaches down to lambda2 - delta = 0.1: every free orbit
+    escapes, with tau^2 = p >= 0.1 above the escape energy 0.05 (a
+    threshold of lambda2/2 held none of the shells below 0.5)."""
+    verdict = flow.nontrapping_scan(geo.preset_model("zero", delta=0.9),
+                                    n_samples=300, T_max=150.0)
+    assert verdict.sampled_points == 300
+    assert verdict.trapped_witnesses == []
+
+
 def test_nontrapping_scan_double_bump(double_bump_1d):
     verdict = flow.nontrapping_scan(double_bump_1d, n_samples=150, T_max=60.0)
     assert not verdict.is_nontrapping_empirical

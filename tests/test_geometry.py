@@ -1,6 +1,7 @@
 """Charts, symbol and Hamilton field of the model problems."""
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -233,11 +234,23 @@ def test_rise_radius_bounds_every_outward_rise(potential, params):
 
 
 def test_no_finite_escape_radius_rejected():
-    """An attractive tail decaying too slowly rises by lambda2/2 beyond
-    any float radius."""
+    """An attractive tail decaying too slowly rises by the escape energy
+    (lambda2 - delta)/2 beyond any float radius.  A wide window lowers
+    that energy, and with it the slowest decay that still has a radius:
+    gamma = 5e-3 has one at delta = 0.1 and none at delta = 0.9."""
+    tail = {"potential": "longrange_pow", "amplitude": -1.0}
     with pytest.raises(ConfigurationError, match="escape radius"):
-        geo.build_model({"potential": "longrange_pow", "amplitude": -1.0,
-                         "gamma": 1e-3})
+        geo.build_model(dict(tail, gamma=1e-3))
+    assert math.isfinite(geo.build_model(dict(tail, gamma=5e-3))
+                         .escape_radius)
+    with pytest.raises(ConfigurationError, match="escape radius"):
+        geo.build_model(dict(tail, gamma=5e-3, delta=0.9))
+
+
+def test_escape_energy_is_half_the_lowest_window_energy():
+    model = geo.preset_model("well", lambda2=2.0, delta=0.5)
+    assert model.escape_energy == 0.75
+    assert model.escape_radius == 40.0
 
 
 def test_presets_cover_spec_examples():
