@@ -384,8 +384,9 @@ def cmd_resolvent_sweep(cfg, rep: Reporter, model, verdict):
     rep.write_csv("sweep_summary.csv",
                   ["slope", "intercept", "residual", "max_uniformity",
                    "trapping_flagged"], summary_rows)
+    hs = rv.sweep_hs(cfg["h_list"])
+    h_min = hs[-1]
     if trapping:
-        h_min = min(cfg["h_list"])
         sup, arg = rv.window_sup_norm(
             model, h_min, s=cfg["s_weight"], n_scan=cfg["contrast_scan"],
             L=cfg["box_half_length"], N=2 ** cfg["grid_exponent"],
@@ -400,11 +401,11 @@ def cmd_resolvent_sweep(cfg, rep: Reporter, model, verdict):
     rep.check("sweep_uniformity", report.max_uniformity_ratio <= 3.0,
               report.max_uniformity_ratio)
     if cfg["potential"] == "zero":
-        # the discrete norm on the sweep's own grid at h_ref
-        h_ref = cfg["h_list"][len(cfg["h_list"]) // 2]
+        # the discrete norm on the sweep's own grid at its middle h
+        h_ref = hs[len(hs) // 2]
         op = rv.discretize(model, h_ref, L=cfg["box_half_length"],
                            N=rv.sweep_grid(2 ** cfg["grid_exponent"],
-                                           min(cfg["h_list"]), h_ref))
+                                           h_min, h_ref))
         got = rv.weighted_resolvent_norm(op, model.lambda2,
                                          1e-3, cfg["s_weight"]).value
         want = rv.analytic_free_resolvent_norm(
@@ -494,7 +495,14 @@ def main(argv=None):
                 )
             params.update(geo.PRESETS[args.preset])
         if args.config is not None:
-            text = args.config.read_text()
+            try:
+                text = args.config.read_text(encoding="utf-8")
+            except OSError as e:
+                raise ConfigurationError(f"{args.config}: {e.strerror or e}")
+            except UnicodeDecodeError as e:
+                raise ConfigurationError(
+                    f"{args.config}: not UTF-8 text ({e.reason} at byte "
+                    f"{e.start})")
             params.update(parse_config_text(text, source=str(args.config)))
         if not params and args.preset is None and args.config is None:
             ap.error("need --config and/or --preset")

@@ -198,6 +198,27 @@ def test_model_errors_exit_2_with_their_message(tmp_path, capsys, line,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda path: None, "No such file or directory"),
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(b"lambda2 = 1.0 # \xe9t\xe9\n"),
+     "not UTF-8 text (invalid continuation byte at byte 16)"),
+], ids=["missing", "directory", "latin-1"])
+def test_unreadable_config_rejected_before_output(tmp_path, capsys, make,
+                                                  message):
+    """A config file that cannot be read exits 2 with one line naming it,
+    before anything is written."""
+    conf = tmp_path / "c.conf"
+    make(conf)
+    out = tmp_path / "o"
+    code = cli.main(["--preset", "zero", "flow-scan", "--config", str(conf),
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {conf}: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_override_validated_before_output(tmp_path, jobs):
     """--jobs goes through the same range check as the config key."""
@@ -468,6 +489,22 @@ def test_full_report_wide_window_is_not_flagged_trapping(tmp_path, capsys):
     header, row = _csv_rows(out / "scan_summary.csv")
     assert row[header.index("trapped")] == "0"
     assert not (out / "trapping_row.csv").exists()
+
+
+def test_oracle_h_ref_follows_the_sweep_not_the_list_order(tmp_path):
+    """The zero oracle's h is the middle of the sweep's distinct h, largest
+    first, whatever order h_list gives them in."""
+    h_list = (0.1, 0.14, 0.2, 0.28)
+    refs = []
+    for order in (h_list, h_list[::-1]):
+        out = tmp_path / f"o{len(refs)}"
+        cli.run({"potential": "zero", "command": "resolvent-sweep",
+                 "h_list": order, "grid_exponent": 13,
+                 "box_half_length": 100.0, "flow_samples": 20,
+                 "scan_t_max": 40.0}, out_override=str(out))
+        header, row = _csv_rows(out / "oracle.csv")
+        refs.append(float(row[header.index("h")]))
+    assert refs == [0.14, 0.14]
 
 
 def test_full_report_free_reduced(tmp_path):
