@@ -497,12 +497,8 @@ def main(argv=None):
         if args.config is not None:
             try:
                 text = args.config.read_text(encoding="utf-8")
-            except OSError as e:
-                raise ConfigurationError(f"{args.config}: {e.strerror or e}")
-            except UnicodeDecodeError as e:
-                raise ConfigurationError(
-                    f"{args.config}: not UTF-8 text ({e.reason} at byte "
-                    f"{e.start})")
+            except (OSError, UnicodeDecodeError) as e:
+                raise ConfigurationError(f"cannot read {args.config}: {e}")
             params.update(parse_config_text(text, source=str(args.config)))
         if not params and args.preset is None and args.config is None:
             ap.error("need --config and/or --preset")

@@ -19,10 +19,7 @@ angular directions, hence no boundary metric term.
 The classical symbol is p(z, zeta) = zeta^2 + V(z); in the chart it reads
 tau^2 + O(x^gamma).  Potentials carry a decay exponent gamma > 0 rather
 than a factored representation, and each names the model keys it reads
-(Potential.keys); build_model picks one by name from POTENTIALS.  The
-ModelProblem owns every decision that follows from the model alone,
-including the escape radius that the flow verdicts and the escape
-construction share.
+(Potential.keys).  ModelProblem owns the escape energy and radius.
 
 All evaluators are pure and vectorized: a batch of phase points is two
 equal-length 1-D arrays z, zeta of shape (m,), and model data is immutable.
@@ -214,8 +211,8 @@ class ModelProblem:
 
     def __post_init__(self):
         if self.potential.gamma <= 0:
-            raise ConfigurationError(
-                f"decay exponent gamma must be > 0, got {self.potential.gamma}")
+            raise ConfigurationError("decay exponent gamma must be > 0, "
+                                     f"got {self.potential.gamma}")
         if self.lambda2 <= 0:
             raise ConfigurationError(f"lambda2 must be > 0, got {self.lambda2}")
         if not (0.0 < self.delta < self.lambda2):
