@@ -152,12 +152,30 @@ def effective_config(params):
                 f"field {key!r}: value {v} outside documented range [{lo}, {hi}]"
             )
     model = _model_from(cfg)  # rejects keys the potential never reads
+    if cfg["command"] != "calculus-tests":
+        _check_scan_reach(cfg, model)
+    if cfg["command"] in ("escape-build", "escape-verify"):
+        esc.check_constructible(model)
     if cfg["command"] in ("resolvent-sweep", "full-report"):
         # the sweep's h and grid, checked before any output; the finest h
         # needs the most points per wavelength
         rv.check_resolution(model, rv.sweep_hs(cfg["h_list"])[-1],
                             cfg["box_half_length"], 2 ** cfg["grid_exponent"])
     return cfg
+
+
+def _check_scan_reach(cfg, model):
+    """The scan samples |z| <= model.escape_radius; an orbit at the window's
+    lowest speed at infinity, |dz/dt| = 2 sqrt(lambda2 - delta), needs
+    R / (2 sqrt(lambda2 - delta)) to get from the origin to that radius.
+    A scan_t_max below that decides no sample, each a false witness."""
+    need = model.escape_radius / (2.0 * math.sqrt(model.lambda2 - model.delta))
+    if need > cfg["scan_t_max"]:
+        raise ConfigurationError(
+            f"escape radius {model.escape_radius:.6g} takes "
+            f"{need:.6g} time units to reach at the window's lowest speed, "
+            f"more than scan_t_max = {cfg['scan_t_max']!r}: the scan cannot "
+            "decide any sample")
 
 
 #: execution details that do not affect results (left out of the echo so a
@@ -282,10 +300,9 @@ def _assemble(cfg, rep: Reporter, model, verdict, verify_grid=None):
         f"C = {e.C!r}", f"C_prime = {e.C_prime!r}",
         f"c2 = {e.c2!r}", f"c3 = {e.c3!r}",
         e.constants.describe(),
-        f"tubes = {len(e.tubes.tubes)} "
-        f"(max T = {float(e.tubes.tubes.T.max())!r})",
-        f"covering: {e.tubes.covering.n_uncovered} uncovered of "
-        f"{e.tubes.covering.n_test}",
+        f"T_K = {e.T_K!r}",
+        f"chi: 1 on |z| <= {2.0 / e.constants.x0!r}, "
+        f"0 on |z| >= {4.0 / e.constants.x0!r}",
         "cascade: " + json.dumps(e.cascade, sort_keys=True),
     ]
     rep.write_text("escape_report.txt", "\n".join(body))
@@ -309,8 +326,7 @@ def cmd_escape_build(cfg, rep: Reporter, model, verdict):
 
 
 def cmd_escape_verify(cfg, rep: Reporter, model, verdict):
-    # the verification grid joins the construction grid's q_circ pass, which
-    # build_tubes' covering check runs
+    # assemble_escape keeps the verification grid's pieces
     sizes = {"n_x": cfg["verify_x"], "n_interior": cfg["verify_interior"],
              "n_energy": cfg["verify_energy"]}
     e = _assemble(cfg, rep, model, verdict, tuple(sizes.values()))
@@ -443,23 +459,24 @@ def run(params, out_override=None, command_override=None, jobs_override=None):
                                            if v is not None}))
     command = cfg["command"]
     model = _model_from(cfg)
+    verdict = None if command == "calculus-tests" else _scan(cfg, model)
+    if command == "full-report" and verdict.is_nontrapping_empirical:
+        esc.check_constructible(model)  # the escape stage will run
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     rep = Reporter(outdir, cfg)
     if command == "calculus-tests":
         cmd_calculus_tests(cfg, rep)
+    elif command == "flow-scan":
+        cmd_flow_scan(cfg, rep, verdict)
+    elif command == "escape-build":
+        cmd_escape_build(cfg, rep, model, verdict)
+    elif command == "escape-verify":
+        cmd_escape_verify(cfg, rep, model, verdict)
+    elif command == "resolvent-sweep":
+        cmd_resolvent_sweep(cfg, rep, model, verdict)
     else:
-        verdict = _scan(cfg, model)
-        if command == "flow-scan":
-            cmd_flow_scan(cfg, rep, verdict)
-        elif command == "escape-build":
-            cmd_escape_build(cfg, rep, model, verdict)
-        elif command == "escape-verify":
-            cmd_escape_verify(cfg, rep, model, verdict)
-        elif command == "resolvent-sweep":
-            cmd_resolvent_sweep(cfg, rep, model, verdict)
-        else:
-            cmd_full_report(cfg, rep, model, verdict)
+        cmd_full_report(cfg, rep, model, verdict)
     data = rep.summary(command)
     for name in sorted(data["checks"]):
         entry = data["checks"][name]

@@ -6,15 +6,16 @@ Given an empirically non-trapping model, this module assembles
 
 where the boundary pieces are x^{-+eps} chi(tau) psi(p) rho(x/x0) localized
 to the incoming (tau > lam/3) and outgoing (tau < -lam/3) bands near
-infinity, and q_circ is a finite sum of flow tubes covering the compact
-region.  The tube family is one set of row-aligned arrays (Tubes), built
-once for all seeds, and every pass over it (the crossings, the covering
-check, q_circ) reads those arrays.  One backward flow of the seeds' discs
-per seed spacing gives every tube its time T (from the seed's incoming
-time) and certifies its late portion, on the same samples.  The two
-constants are chosen by a halving cascade so that
-q >= 0 everywhere and -H_p q admits a positive weighted floor; the final
-certificate
+infinity, and q_circ = psi(p) (F + T_K + 1) averages the flow over the
+compact region: with chi(z) = 1 on |z| <= 2/x0 and 0 on |z| >= 4/x0, F is
+the chi-weighted time an orbit spends ahead of a point minus the time
+behind it, so -H_p F = 2 chi wherever the orbit leaves supp chi both ways
+(non-trapping), and T_K bounds |F| (dwell_times, dwell_bound).  In 1D an
+orbit is a level set zeta = +-sqrt(E - V), so F is one cumulative
+Gauss-Legendre quadrature of chi / (2 sqrt(E - V)) dz per orbit label,
+substituted z = z_t -+ u^2 next to a turning point z_t.  The two constants
+are chosen by a halving cascade so that q >= 0 everywhere and -H_p q
+admits a positive weighted floor; the final certificate
 
     q >= c' x^eps psi(p),   -H_p q >= c'' x^{1+eps} psi(p)
 
@@ -30,11 +31,11 @@ empty, so the piece is identically zero and is left out.
 
 The verifier is a sampled certificate, not a proof: margins (a 1.5 safety
 factor on the remainder sup, the halving floors) absorb off-grid
-excursions, and refinement stability is the honesty check.  The covering
-check that accepts the tube family and q_circ on the construction grid
-(and, given its sizes, on the verification grid) share one pass over one
-orbit store; assemble_escape keeps the verification pieces for
-verify_proposition.
+excursions, and refinement stability is the honesty check.
+
+build_tubes and eval_q_circ (with their orbit store and covering check)
+build a q_circ from flow tubes covering the compact region instead; no
+command runs them, and their tests pin them until they are deleted.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ _NEWTON_TOL = 1e-11     # crossing residual bound, relative to 1 + |level|
 _NEWTON_MAX = 12        # Newton steps allowed per crossing
 _GRID_X_MIN = 1e-3      # innermost x of the phase-space grids
 _GRID_INSET = 0.999     # energies sampled within this fraction of the window
+_CONSTRUCTION_GRID = (220, 40, 14)  # phase_grid sizes of the cascade's grid
 _MAX_HALVINGS = 60      # halving budget of each cascade stage
 # (w_lo, w_hi, sigma_max) of tube times [w_lo, T + w_hi] and disc distances:
 # the support of chi_j(t) phi(sigma), and the covering check's interior zone
@@ -349,9 +351,11 @@ def build_tubes(model, consts, T_max=500.0, grid=None) -> TubeCollection:
 
     grid = (z, zeta, shell) (phase_grid's output) rides on the covering
     check's q_circ pass, so the accepted family's pass also gives q_circ on
-    the grid (grid_q_circ), bit for bit as eval_q_circ would (see
-    assemble_escape for the condition).  A covering that fails refines the
-    seed spacing and sweeps again.
+    the grid (grid_q_circ), bit for bit as eval_q_circ would as long as the
+    grid's orbits and the covering shells' orbits reach their farthest
+    members within the same number of _ORBIT_SEGMENT flow segments (true of
+    the shipped presets).  A covering that fails refines the seed spacing
+    and sweeps again.
     """
     # a seed spacing of at least 1, and coarser for a wide collar, keeps
     # the tube count roughly collar-independent
@@ -851,12 +855,236 @@ def phase_grid(model, n_x=600, n_interior=80, n_energy=40):
     scales) with a linear interior block; at every position the window is
     sampled at n_energy energies and both momentum branches.  Returns
     (z, zeta, shell) with _shell_points' orbit labels."""
-    lam2, delta = model.lambda2, model.delta
-    offsets = _GRID_INSET * np.linspace(-1.0, 1.0, n_energy)
     xs = np.geomspace(_GRID_X_MIN, 0.999, n_x)
     zs_out = 1.0 / xs
     zs = np.concatenate([-zs_out, np.linspace(-0.999, 0.999, n_interior), zs_out])
-    return _shell_points(model, zs, lam2 + delta * offsets)
+    return _shell_points(model, zs, _grid_energies(model, n_energy))
+
+
+def _grid_energies(model, n_energy):
+    """The n_energy energies phase_grid samples the window at."""
+    offsets = _GRID_INSET * np.linspace(-1.0, 1.0, n_energy)
+    return model.lambda2 + model.delta * offsets
+
+
+def check_constructible(model):
+    """Raise ConfigurationError when the escape stage cannot run on the
+    model, whatever its flow: a window with delta >= 0.1875 lambda2, where
+    the band bound c1 of boundary_constants is not positive (a closed form),
+    or a collar x <= x0/2 that lies beyond the phase-space grids' innermost
+    x = _GRID_X_MIN, so that no grid point is an incoming collar point."""
+    lam2, delta = model.lambda2, model.delta
+    if (15.0 / 64.0) * lam2 - 1.25 * delta <= 0.0:
+        raise ConfigurationError(
+            f"delta = {delta!r} >= 0.1875 lambda2 = {0.1875 * lam2!r}: the "
+            "escape function's band bound c1 is not positive; reduce delta")
+    x0 = boundary_constants(model).x0
+    if 0.5 * x0 < _GRID_X_MIN:
+        raise ConfigurationError(
+            f"collar width x0 = {x0:.3g}: the incoming collar starts at "
+            f"|z| = 2/x0 = {2.0 / x0:.6g}, beyond the phase-space grids' "
+            f"reach |z| = {1.0 / _GRID_X_MIN:.6g}; the potential decays too "
+            "slowly (raise gamma)")
+
+
+# ---------------------------------------------------------------------------
+# q_circ by flow averaging: chi-weighted dwell times along the orbits
+# ---------------------------------------------------------------------------
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_ASINH_STEP = 0.5       # breakpoint steps in asinh(z) off the fall of chi
+_FALL_PANELS = 8        # panels across each fall of chi
+_PANEL_CHUNK = 2048     # panels of 16 nodes evaluated together
+
+
+def dwell_cutoff(consts) -> SmoothFn:
+    """chi as a function of |z|: 1 on |z| <= 2/x0, where every boundary
+    piece's rho(x/x0) may fall, and 0 on |z| >= 4/x0."""
+    return falling_step(2.0 / consts.x0, 4.0 / consts.x0)
+
+
+def _breakpoints(model, consts):
+    """Sorted positions z: uniform in asinh(z) (steps <= _ASINH_STEP) on
+    |z| <= 2/x0 and from 4/x0 out to the escape radius, and _FALL_PANELS
+    even steps across each fall of chi.  The ones in supp chi are the
+    quadrature's panel ends; all of them bracket the turning points."""
+    r1, r2 = 2.0 / consts.x0, 4.0 / consts.x0
+
+    def asinh_steps(a, b):
+        n = max(1, math.ceil((math.asinh(b) - math.asinh(a)) / _ASINH_STEP))
+        pts = np.sinh(np.linspace(math.asinh(a), math.asinh(b), n + 1))
+        pts[-1] = b
+        return pts
+
+    pos = [asinh_steps(0.0, r1), np.linspace(r1, r2, _FALL_PANELS + 1)[1:]]
+    if model.escape_radius > r2:
+        pos.append(asinh_steps(r2, model.escape_radius)[1:])
+    pos = np.concatenate(pos)
+    return np.concatenate([-pos[:0:-1], pos])
+
+
+def _bisect(model, E, out, inn):
+    """The allowed end of each bracket [out, inn] of V = E (V(out) >= E >
+    V(inn)), halved until no float lies inside."""
+    while True:
+        mid = out + 0.5 * (inn - out)
+        live = (mid != out) & (mid != inn)
+        if not live.any():
+            return inn
+        high = model.potential.value(mid) >= E
+        out = np.where(live & high, mid, out)
+        inn = np.where(live & ~high, mid, inn)
+
+
+def _turning_points(model, grid, v_grid, E, z):
+    """(a, b): the ends of the allowed interval {V < E} around each z
+    (V(z) < E), each the root of V = E bracketed by the last forbidden
+    point of grid on that side and bisected, or -inf / inf where grid has
+    no forbidden point on that side (past the escape radius no window orbit
+    turns back).  A root between two grid points that share a side is not
+    seen."""
+    idx = np.arange(grid.size)
+    forbidden = v_grid >= E[:, None]
+    before = idx < np.searchsorted(grid, z)[:, None]
+    after = idx >= np.searchsorted(grid, z, "right")[:, None]
+    left = np.max(np.where(forbidden & before, idx, -1), axis=1)
+    right = np.min(np.where(forbidden & after, idx, grid.size), axis=1)
+    ext = np.concatenate([[-np.inf], grid, [np.inf]])  # ext[k + 1] = grid[k]
+    a, b = np.full(z.size, -np.inf), np.full(z.size, np.inf)
+    i = np.flatnonzero(left >= 0)
+    a[i] = _bisect(model, E[i], grid[left[i]],
+                   np.minimum(ext[left[i] + 2], z[i]))
+    i = np.flatnonzero(right < grid.size)
+    b[i] = _bisect(model, E[i], grid[right[i]],
+                   np.maximum(ext[right[i]], z[i]))
+    return a, b
+
+
+def _panel_integrals(model, consts, E, a, b, anchored):
+    """The integral of w = chi(|z|) / (2 sqrt(E - V(z))) from a to b on each
+    panel, by 16-point Gauss-Legendre.  A panel anchored at a turning point
+    a is integrated in u, z = a + sign(b - a) u^2, where the integrand
+    chi u / sqrt(E - V) is smooth."""
+    s = np.sign(b - a)[:, None]
+    half = 0.5 * np.where(anchored, np.sqrt(np.abs(b - a)), b - a)[:, None]
+    t = half * (1.0 + _GL_NODES)
+    anc = anchored[:, None]
+    z = a[:, None] + np.where(anc, s * t * t, t)
+    gap = E[:, None] - model.potential.value(z)
+    if not np.all(gap > 0.0):
+        raise ConstructionError(
+            "V >= E between the turning points bracketed on the breakpoints: "
+            "a barrier narrower than their spacing")
+    vals = np.where(anc, 2.0 * s * t, 1.0) / (2.0 * np.sqrt(gap))
+    fall = np.abs(z) > 2.0 / consts.x0     # chi = 1 elsewhere
+    vals[fall] *= dwell_cutoff(consts)(np.abs(z[fall]))
+    return half[:, 0] * (vals * _GL_WEIGHTS).sum(axis=1)
+
+
+def dwell_times(model, consts, z, zeta, shell):
+    """(F, total) at each point of a batch labelled by orbit (shell, as
+    phase_grid gives it; np.arange(z.size) makes each point its own orbit).
+
+    F is the chi-weighted time the point's orbit spends ahead of it minus
+    the time behind it, total the orbit's whole chi-weighted time, so
+    |F| <= total and, where the orbit leaves supp chi both ways,
+    -H_p F = 2 chi.  On the allowed interval (a, b) around the orbit (ends
+    at turning points, else at infinity; r_a, r_b = 1 at a turning point),
+    with W(z) = int_a^z chi / (2 sqrt(E - V)) and Wt = W(b):
+
+        F = sign(zeta) (Wt (1 + r_b - r_a) - 2 W(z)),
+        total = Wt (1 + r_a + r_b).
+
+    Each label's energy and interval are its first member's.  W is one
+    cumulative quadrature per label, over fixed panels between its interval
+    and _breakpoints (a panel ending at a turning point at least half a
+    grid step long), and from a member's panel start to the member.  A
+    label's results depend on its own members only.  Labels go through
+    _PANEL_CHUNK panels at a time, members _PANEL_CHUNK at a time.
+
+    A point with zeta^2 = 0 to rounding sits at its turning point, where
+    F = 0.  A bounded allowed interval is a trapped orbit: at a window
+    energy it raises ConstructionError, and off the window, where psi(p)
+    vanishes, its points keep F = total = 0."""
+    z, zeta = geo.as_batch(z, zeta)
+    grid = _breakpoints(model, consts)
+    v_grid = model.potential.value(grid)
+    r2 = 4.0 / consts.x0
+    B = grid[np.abs(grid) <= r2]
+    V = model.potential.value(z)
+    p = zeta**2 + V
+    F, total = np.zeros(z.size), np.zeros(z.size)
+    live = np.flatnonzero(V < p)
+    order = live[np.argsort(shell[live], kind="stable")]
+    first = np.flatnonzero(np.diff(shell[order], prepend=-np.inf))
+    ends = np.append(first[1:], order.size)
+    per = max(1, _PANEL_CHUNK // B.size)  # a label has < B.size panels
+    for c in range(0, first.size, per):
+        starts, stops = first[c:c + per], ends[c:c + per]
+        anchor = order[starts]
+        E = p[anchor]
+        a, b = _turning_points(model, grid, v_grid, E, z[anchor])
+        bounded = np.isfinite(a) & np.isfinite(b)
+        window = np.abs(E - model.lambda2) <= model.delta
+        if np.any(bounded & window):
+            k = np.argmax(bounded & window)
+            raise ConstructionError(
+                f"bounded allowed region ({float(a[k])!r}, {float(b[k])!r}) "
+                f"at energy {float(E[k])!r}: a trapped orbit, whose dwell "
+                "time is infinite")
+        lo, hi = np.maximum(a, -r2), np.minimum(b, r2)
+        t_lo, t_hi = a > -r2, b < r2    # an end at a turning point
+        j1 = np.searchsorted(B, lo, "right")
+        j2 = np.searchsorted(B, hi, "left")
+        # a u-panel spans at least half the grid step it starts in (B[j1 - 1]
+        # <= lo < B[j1] and B[j2 - 1] < hi <= B[j2] where j1 < j2)
+        nxt, prv = B[np.minimum(j1, B.size - 1)], B[j2 - 1]
+        j1 = j1 + (t_lo & (j1 < j2) & (nxt - lo < 0.5 * (nxt - B[j1 - 1])))
+        j2 = j2 - (t_hi & (j1 < j2) & (hi - prv < 0.5 * (B[j2] - prv)))
+        n = np.where((lo < hi) & ~bounded, j2 - j1 + 1, 0)
+        # the labels' panels, label by label
+        lab, k = _ranges(np.zeros_like(n), n)
+        last = k == n[lab] - 1
+        left = np.where(k == 0, lo[lab], B[j1[lab] + k - 1])
+        right = np.where(last, hi[lab], B[j1[lab] + k])
+        anc_lo, anc_hi = (k == 0) & t_lo[lab], last & t_hi[lab]
+        P = np.where(anc_hi, -1.0, 1.0) * _panel_integrals(
+            model, consts, E[lab], np.where(anc_hi, right, left),
+            np.where(anc_hi, left, right), anc_lo | anc_hi)
+        cum = np.zeros((starts.size, int(n.max(initial=0)) + 1))
+        cum[lab, k + 1] = P
+        cum = np.cumsum(cum, axis=1)    # cum[i, k]: W at label i's edge k
+        Wt = cum[np.arange(starts.size), n]
+        r_a, r_b = np.isfinite(a), np.isfinite(b)
+        for m0 in range(starts[0], stops[-1], _PANEL_CHUNK):
+            m = np.arange(m0, min(m0 + _PANEL_CHUNK, stops[-1]))
+            i = np.searchsorted(starts, m, "right") - 1
+            pts, i = order[m[n[i] > 0]], i[n[i] > 0]
+            zc = np.clip(z[pts], lo[i], hi[i])
+            k = np.clip(np.searchsorted(B, zc, "right") - j1[i], 0, n[i] - 1)
+            anc_lo = (k == 0) & t_lo[i]
+            anc_hi = (k == n[i] - 1) & t_hi[i] & ~anc_lo
+            start = np.where(anc_hi, hi[i],
+                             np.where(k == 0, lo[i], B[j1[i] + k - 1]))
+            W = cum[i, k + anc_hi] + _panel_integrals(
+                model, consts, E[i], start, zc, anc_lo | anc_hi)
+            F[pts] = np.sign(zeta[pts]) * (
+                Wt[i] * (1.0 + r_b[i] - r_a[i]) - 2.0 * W)
+            total[pts] = Wt[i] * (1.0 + r_a[i] + r_b[i])
+    return F, total
+
+
+def dwell_bound(model, consts):
+    """T_K: the largest total chi-weighted time (dwell_times) over the
+    orbits at the construction grid's energies and both window edges, one
+    orbit per allowed run of _breakpoints at each energy."""
+    energies = np.append(_grid_energies(model, _CONSTRUCTION_GRID[2]),
+                         model.lambda2 + model.delta * np.array([-1.0, 1.0]))
+    z, zeta, shell = _shell_points(model, _breakpoints(model, consts),
+                                   energies)
+    rep = np.unique(shell, return_index=True)[1]
+    _, total = dwell_times(model, consts, z[rep], zeta[rep], shell[rep])
+    return float(np.max(total, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +1116,9 @@ class PieceArrays:
 @dataclass
 class EscapeFunction:
     """q = q_minus + C q_circ + C' q_plus with certified constants and
-    batch evaluators.  `grid` holds the construction grid's points as rows
+    batch evaluators.  q_circ/psi = F + T_K + 1 with F from dwell_times, so
+    q_circ/psi >= 1 where |F| <= T_K, and H_p q_circ/psi = -2 chi(|z|)
+    (dwell_cutoff).  `grid` holds the construction grid's points as rows
     (z, zeta), and `grid_pieces` the pieces on them; `verify_grid` and
     `verify_pieces` do the same for the verification grid of sizes
     `verify_sizes` (n_x, n_interior, n_energy) when assemble_escape was
@@ -898,7 +1128,7 @@ class EscapeFunction:
     eps: float
     constants: BoundaryConstants
     cutoffs: CutoffFamily
-    tubes: TubeCollection
+    T_K: float
     C: float
     C_prime: float
     c2: float
@@ -910,18 +1140,17 @@ class EscapeFunction:
     verify_grid: Optional[np.ndarray] = None
     verify_pieces: Optional[PieceArrays] = None
 
-    def pieces(self, z, zeta, shell, q_circ=None) -> PieceArrays:
-        """The pieces on a batch; q_circ = (q_circ/psi, H_p q_circ/psi) on
-        it when already evaluated, else eval_q_circ evaluates them."""
-        model = self.model
+    def pieces(self, z, zeta, shell) -> PieceArrays:
+        """The pieces on a batch labelled by orbit (dwell_times)."""
+        model, consts = self.model, self.constants
         x, tau = geo.scattering_coords(z, zeta)
         psi = self.cutoffs.psi(geo.symbol_p(model, z, zeta))
         (qm, hm), (qp, hplus) = boundary_pieces(
-            model, self.constants, self.cutoffs, self.eps, z, zeta, x, tau)
-        qc, hc = (eval_q_circ(model, self.tubes, z, zeta, shell)
-                  if q_circ is None else q_circ)
+            model, consts, self.cutoffs, self.eps, z, zeta, x, tau)
+        F, _ = dwell_times(model, consts, z, zeta, shell)
         return PieceArrays(x=x, tau=tau, psi=psi, q_minus=qm, hp_minus=hm,
-                           q_plus=qp, hp_plus=hplus, q_circ=qc, hp_circ=hc)
+                           q_plus=qp, hp_plus=hplus, q_circ=F + self.T_K + 1.0,
+                           hp_circ=-2.0 * dwell_cutoff(consts)(np.abs(z)))
 
     def combine(self, pc: PieceArrays):
         """(q/psi, H_p q/psi) from piece arrays."""
@@ -950,18 +1179,15 @@ def assemble_escape(model, eps, verdict, verify_grid=None) -> EscapeFunction:
     eps must lie in (0, 1/4).  Non-trapping is a precondition: `verdict`
     is the model's flow.nontrapping_scan result, and a trapping verdict is
     rejected.  The cascade floors are measured on a construction grid;
-    verify_proposition re-certifies on the finer verification grid.
+    verify_proposition re-certifies on the finer verification grid.  With
+    verify_grid = (n_x, n_interior, n_energy), phase_grid's points of those
+    sizes are evaluated too (their orbit labels follow the construction
+    grid's; a label's pieces depend on its own members only) and kept for
+    verify_proposition.
 
-    q_circ on the construction grid comes from build_tubes: the grid's
-    points join the covering check's test points in one pass (one orbit
-    store).  With verify_grid = (n_x, n_interior, n_energy), phase_grid's
-    points of those sizes join that pass too (their orbit labels follow
-    the construction grid's) and are kept for verify_proposition.  A
-    point's q_circ sums only its own orbit's crossings, tube by tube and
-    then in time order, so the pieces are those of eval_q_circ on each
-    grid alone, bit for bit, as long as the grids' orbits and the covering
-    shells' orbits reach their farthest members within the same number of
-    _ORBIT_SEGMENT flow segments (true of the shipped presets).
+    q_circ is the flow average F + T_K + 1 (dwell_times, dwell_bound):
+    H_p q_circ = -2 chi has no positive part, so the q_circ stage of the
+    cascade needs no halving where the incoming floor holds.
     """
     if not 0.0 < eps < 0.25:
         raise ConfigurationError(
@@ -974,16 +1200,15 @@ def assemble_escape(model, eps, verdict, verify_grid=None) -> EscapeFunction:
         )
     consts = boundary_constants(model)
     cutoffs = build_cutoffs(model.lam, model.delta)
-    z, zeta, shell = phase_grid(model, n_x=220, n_interior=40, n_energy=14)
+    z, zeta, shell = phase_grid(model, *_CONSTRUCTION_GRID)
     grid = (z, zeta, shell)
     if verify_grid is not None:
         grid = _join_points(grid, phase_grid(model, *verify_grid))
-    tubes = build_tubes(model, consts, grid=grid)
 
     esc = EscapeFunction(model=model, eps=eps, constants=consts,
-                         cutoffs=cutoffs, tubes=tubes,
+                         cutoffs=cutoffs, T_K=dwell_bound(model, consts),
                          C=1.0, C_prime=1.0, c2=0.0, c3=0.0)
-    pc = esc.pieces(*grid, q_circ=tubes.grid_q_circ)
+    pc = esc.pieces(*grid)
     if verify_grid is not None:
         pc, esc.verify_pieces = pc.split(z.size)
         esc.verify_sizes = tuple(verify_grid)
@@ -1012,16 +1237,15 @@ def assemble_escape(model, eps, verdict, verify_grid=None) -> EscapeFunction:
 
     C, cascade["halvings_C"] = _halve(
         lambda C: np.min(A_minus[D1] + C * A_circ[D1]) < 0.5 * c2,
-        1.0, "tube",
+        1.0, "q_circ",
         worst=lambda C: z[D1][np.argsort(A_minus[D1] + C * A_circ[D1])[:8]])
 
     floor2 = float(np.min(A_minus[D2pos] + C * A_circ[D2pos]))
     if floor2 <= 0:
         worst = np.argmin(A_minus[D2pos] + C * A_circ[D2pos])
         raise ConstructionError(
-            "no positive floor on the covered region after the tube stage "
-            f"(floor {floor2:.3g}); covering margin too thin near "
-            f"{z[D2pos][worst]}"
+            "no positive floor on x >= x0/2 and the incoming collar after "
+            f"the q_circ stage (floor {floor2:.3g}) near {z[D2pos][worst]}"
         )
     cascade["floor2"] = floor2
 

@@ -1,10 +1,13 @@
 """Hamiltonian flow: integration, escape classification, non-trapping scans.
 
-Escape verdicts and the tubes' incoming times come from one integrator,
-`batched_flow` (fixed-step RK4 over a batch), run forward in segments so
-that decided points retire (flow_segments, which the tube sweep in escape
-drives too): as p(z, -zeta) = p(z, zeta), backward verdicts and incoming
-times are forward flows of (z, -zeta), bit for bit.  A point
+Escape verdicts come from one integrator, `batched_flow` (fixed-step RK4
+over a batch), run forward in segments so that decided points retire
+(flow_segments): as p(z, -zeta) = p(z, zeta), backward verdicts are
+forward flows of (z, -zeta), bit for bit.  The non-trapping scan is the
+only command-line stage that integrates; the escape function's q_circ is a
+quadrature along the orbits' level sets (escape.dwell_times).  The
+incoming times (IncomingTimes, time_to_incoming) serve only the former
+tube construction in escape, which no command runs.  A point
 is certified as escaped at the first sample with |z| > model.escape_radius,
 d|z|/dt > 0 and tau^2 >= model.escape_energy, half the window's lowest
 energy: past that radius the potential rises by less than the escape

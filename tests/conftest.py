@@ -1,3 +1,4 @@
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,25 @@ def escape_free(free_1d, verdict_free):
 @pytest.fixture(scope="session")
 def escape_longrange(longrange_1d):
     return escape.assemble_escape(longrange_1d, 0.2, _scan(longrange_1d))
+
+
+def tube_family(model, grid=None):
+    """The model's tube family (escape.build_tubes) with the boundary
+    constants it was built on; grid rides on its covering check's pass."""
+    consts = escape.boundary_constants(model)
+    return types.SimpleNamespace(
+        model=model, constants=consts,
+        tubes=escape.build_tubes(model, consts, grid=grid))
+
+
+@pytest.fixture(scope="session")
+def tubes_free(free_1d):
+    return tube_family(free_1d)
+
+
+@pytest.fixture(scope="session")
+def tubes_longrange(longrange_1d):
+    return tube_family(longrange_1d)
 
 
 def shell_sample_1d(model, n, rmin=1.5, rmax=30.0, rng_seed=0):

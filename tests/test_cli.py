@@ -2,7 +2,6 @@
 
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +11,7 @@ import pytest
 
 from nontrap import cli
 from nontrap import escape as esc
+from nontrap import flow as fl
 from nontrap import geometry as geo
 from nontrap import resolvent as rv
 from nontrap.errors import ConfigurationError, ConstructionError
@@ -269,28 +269,51 @@ def test_failed_certificate_lists_witnesses(tmp_path, monkeypatch):
         ["z1", "zeta1"], ["2.5", "-0.75"], ["-3.0", "1.0"]]
 
 
-def test_escape_verify_one_orbit_store(tmp_path, monkeypatch):
-    """escape-verify flows one orbit store: the construction grid, the
-    verification grid and the covering check's test points in one pass."""
-    stores = []
-    real = esc._shell_orbits
-
-    def counting(model, z, *args):
-        stores.append(z.size)
-        return real(model, z, *args)
-
-    monkeypatch.setattr(esc, "_shell_orbits", counting)
+def test_escape_verify_runs_no_orbit_store(tmp_path, monkeypatch):
+    """escape-verify builds no tube family and flows no orbit store: its
+    report's T_K is dwell_bound's, and its chi line gives dwell_cutoff's
+    radii 2/x0 and 4/x0."""
+    calls = []
+    for name in ("_shell_orbits", "build_tubes"):
+        monkeypatch.setattr(esc, name, lambda *a, name=name, **k:
+                            calls.append(name))
     conf = tmp_path / "c.conf"
     conf.write_text("verify_x = 60\nverify_interior = 10\nverify_energy = 4\n")
     out = tmp_path / "o"
     assert cli.main(["--preset", "longrange_pow", "escape-verify", "--config",
                      str(conf), "--out", str(out)]) == 0
+    assert calls == []
     model = geo.preset_model("longrange_pow")
-    n_build = esc.phase_grid(model, n_x=220, n_interior=40, n_energy=14)[0].size
-    n_verify = int(_csv_rows(out / "verify.csv")[1][3])
-    covering = re.search(r"covering: 0 uncovered of (\d+)",
-                         (out / "escape_report.txt").read_text())
-    assert stores == [n_build + n_verify + int(covering.group(1))]
+    consts = esc.boundary_constants(model)
+    lines = (out / "escape_report.txt").read_text().splitlines()
+    assert f"T_K = {esc.dwell_bound(model, consts)!r}" in lines
+    assert (f"chi: 1 on |z| <= {2.0 / consts.x0!r}, "
+            f"0 on |z| >= {4.0 / consts.x0!r}") in lines
+    assert not [ln for ln in lines if ln.startswith(("tubes", "covering"))]
+
+
+def test_full_report_flows_only_the_scan(tmp_path, monkeypatch):
+    """full-report on longrange_pow integrates the flow only in its scan:
+    every batched_flow call steps at CLASSIFY_DT, and build_tubes never
+    runs."""
+    steps, built = [], []
+    real = fl.batched_flow
+
+    def spy(model, z0, zeta0, t0, t1, dt, **kw):
+        steps.append(dt)
+        return real(model, z0, zeta0, t0, t1, dt, **kw)
+
+    monkeypatch.setattr(fl, "batched_flow", spy)
+    monkeypatch.setattr(esc, "build_tubes", lambda *a, **k: built.append(a))
+    conf = tmp_path / "c.conf"
+    conf.write_text(
+        "h_list = 0.2, 0.14, 0.1\ngrid_exponent = 14\nflow_samples = 60\n"
+        "verify_x = 60\nverify_interior = 10\nverify_energy = 4\n")
+    out = tmp_path / "o"
+    assert cli.main(["--preset", "longrange_pow", "full-report", "--config",
+                     str(conf), "--out", str(out)]) == 0
+    assert steps and set(steps) == {fl.CLASSIFY_DT}
+    assert built == []
 
 
 def test_escape_build_writes_construction_slice(tmp_path):
@@ -477,19 +500,89 @@ def test_resolvent_sweep_free_checks(tmp_path):
 
 
 def test_full_report_wide_window_is_not_flagged_trapping(tmp_path, capsys):
-    """The free line with the window [0.1, 1.9] is non-trapping: the scan
-    finds no witness, so the run goes on to the escape stage, whose band
-    bound rejects the window (exit 1), instead of flagging it trapping."""
-    out = tmp_path / "wide"
+    """The free line with the window [0.1, 1.9] is non-trapping: flow-scan
+    finds no witness.  So full-report goes on to the escape stage, which
+    cannot run at delta >= 0.1875 lambda2, and exits 2 before writing
+    anything, instead of flagging the model trapping."""
     conf = tmp_path / "c.conf"
     conf.write_text("delta = 0.9\nflow_samples = 60\n")
+    scan = tmp_path / "scan"
+    assert cli.main(["--preset", "zero", "flow-scan", "--config", str(conf),
+                     "--out", str(scan)]) == 0
+    header, row = _csv_rows(scan / "scan_summary.csv")
+    assert row[header.index("trapped")] == "0"
+    capsys.readouterr()
+    out = tmp_path / "wide"
     code = cli.main(["--preset", "zero", "full-report", "--config", str(conf),
                      "--out", str(out)])
-    assert code == 1
-    assert "energy window too wide" in capsys.readouterr().err
-    header, row = _csv_rows(out / "scan_summary.csv")
-    assert row[header.index("trapped")] == "0"
-    assert not (out / "trapping_row.csv").exists()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "configuration error: delta = 0.9 >= 0.1875 lambda2 = 0.1875: the "
+        "escape function's band bound c1 is not positive; reduce delta\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset, lines, message", [
+    ("longrange_pow", "delta = 0.2\n",
+     "delta = 0.2 >= 0.1875 lambda2 = 0.1875"),
+    ("longrange_pow", "gamma = 0.35\n",
+     "collar width x0 = 0.0006: the incoming collar starts at "
+     "|z| = 2/x0 = 3331.06, beyond the phase-space grids' reach |z| = 1000"),
+], ids=["band_bound", "collar_beyond_grids"])
+def test_unconstructible_escape_rejected_before_output(tmp_path, capsys,
+                                                       preset, lines, message):
+    """A model whose escape stage cannot run exits 2 with the value in the
+    message and nothing written: escape-build and escape-verify from the
+    config alone, full-report once its scan finds no witness.  flow-scan,
+    which builds no escape function, still runs."""
+    conf = tmp_path / "c.conf"
+    conf.write_text(lines + "flow_samples = 20\n")
+    for command in ("escape-build", "escape-verify", "full-report"):
+        out = tmp_path / command
+        code = cli.main(["--preset", preset, command, "--config", str(conf),
+                         "--out", str(out)])
+        assert code == 2, command
+        assert message in capsys.readouterr().err, command
+        assert not out.exists(), command
+    assert cli.main(["--preset", preset, "flow-scan", "--config", str(conf),
+                     "--out", str(tmp_path / "scan")]) == 0
+
+
+def test_escape_radius_beyond_scan_reach_rejected(tmp_path, capsys):
+    """longrange_pow at amplitude -1, gamma 0.005 has an escape radius of
+    2.3e69, which no scan orbit reaches: every scanning command exits 2
+    with the radius and scan_t_max in the message.  On the free line (radius
+    40, lowest speed 2 sqrt(0.9)) the bound falls between scan_t_max 21 and
+    22."""
+    conf = tmp_path / "c.conf"
+    conf.write_text("amplitude = -1.0\ngamma = 0.005\nflow_samples = 20\n")
+    radius = geo.preset_model("longrange_pow", amplitude=-1.0,
+                              gamma=0.005).escape_radius
+    assert 2e69 < radius < 3e69
+    for command in ("flow-scan", "escape-build", "resolvent-sweep"):
+        out = tmp_path / command
+        assert cli.main(["--preset", "longrange_pow", command, "--config",
+                         str(conf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"escape radius {radius:.6g} takes" in err
+        assert "scan_t_max = 150.0" in err
+        assert not out.exists()
+    for t_max, code in (("21", 2), ("22", 0)):
+        conf.write_text(f"scan_t_max = {t_max}\nflow_samples = 20\n")
+        assert cli.main(["--preset", "zero", "flow-scan", "--config",
+                         str(conf), "--out", str(tmp_path / t_max)]) == code
+
+
+def test_escape_build_slow_decay_certified(tmp_path):
+    """longrange_pow at gamma = 0.5 (collar from |z| = 2/x0 = 452) builds
+    its escape function: the flow average needs no incoming time."""
+    conf = tmp_path / "c.conf"
+    conf.write_text("gamma = 0.5\nflow_samples = 60\n")
+    out = tmp_path / "o"
+    assert cli.main(["--preset", "longrange_pow", "escape-build", "--config",
+                     str(conf), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"]["escape_assembled"]["passed"]
 
 
 def test_oracle_h_ref_follows_the_sweep_not_the_list_order(tmp_path):

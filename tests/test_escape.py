@@ -1,4 +1,5 @@
-"""Escape-function construction: constants, cutoffs, tubes, certificates."""
+"""Escape-function construction: constants, cutoffs, tubes, dwell times,
+certificates."""
 
 import dataclasses
 import math
@@ -14,7 +15,7 @@ from nontrap import geometry as geo
 from nontrap.errors import ConfigurationError, ConstructionError, IntegrationError
 from nontrap.smooth import falling_step
 
-from conftest import hpq_finite_difference, integrate_flow
+from conftest import hpq_finite_difference, integrate_flow, tube_family
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +205,14 @@ def test_boundary_piece_incoming_sign_everywhere(escape_free):
 
 # -- tubes -------------------------------------------------------------------
 
+# The tube machinery (build_tubes, eval_q_circ) builds a q_circ from flow
+# tubes; no command reaches it, and these tests pin it until it is deleted.
+# Their ids name each model by its escape fixture, and each runs on that
+# model's tube family.
+_TUBES = {"escape_free": "tubes_free", "escape_longrange": "tubes_longrange",
+          "escape_barrier": "escape_barrier", "tubes_well": "tubes_well"}
+
+
 def test_tube_time_cutoff_shape():
     T = 7.0
     t = np.linspace(-1.5, T + 2.5, 2000)
@@ -222,24 +231,24 @@ def test_tube_time_cutoff_shape():
     assert np.array_equal(d_arr, want[:, 1, 0])
 
 
-def test_tubes_cover_and_certify(escape_free):
-    tubes = escape_free.tubes
+def test_tubes_cover_and_certify(tubes_free):
+    tubes = tubes_free.tubes
     assert tubes.covering.n_uncovered == 0
     assert tubes.covering.n_test > 0
     assert len(tubes.tubes) > 50
 
 
-def test_tube_seed_value(escape_free):
+def test_tube_seed_value(tubes_free):
     """At a tube seed the flow coordinates are (t, sigma) = (0, 0), so
     q_circ/psi >= chi(0) phi(0) = 1 there."""
-    seed = escape_free.tubes.tubes.seed[3]
-    qv, hv = esc.eval_q_circ(escape_free.model, escape_free.tubes,
+    seed = tubes_free.tubes.tubes.seed[3]
+    qv, hv = esc.eval_q_circ(tubes_free.model, tubes_free.tubes,
                              seed[:1], seed[1:], np.arange(1))
     assert qv[0] >= 1.0 - 1e-8
 
 
-def test_tube_far_point_zero(escape_free):
-    qv, hv = esc.eval_q_circ(escape_free.model, escape_free.tubes,
+def test_tube_far_point_zero(tubes_free):
+    qv, hv = esc.eval_q_circ(tubes_free.model, tubes_free.tubes,
                              np.array([900.0]), np.array([1.0]), np.arange(1))
     assert qv[0] == 0.0 and hv[0] == 0.0
 
@@ -354,7 +363,7 @@ def test_q_circ_matches_dense_scan(which, request):
     """The windowed, energy-filtered crossing scan and the key search over
     offsets return exactly the dense scan's (q_circ, H_p q_circ) on the
     orbit store of a labelled grid."""
-    e = request.getfixturevalue(which)
+    e = request.getfixturevalue(_TUBES[which])
     z, zeta, shell = esc.phase_grid(e.model, n_x=120, n_interior=20, n_energy=8)
     got = esc.eval_q_circ(e.model, e.tubes, z, zeta, shell)
     ref = _dense_eval_q_circ(e.model, e.tubes, z, zeta, shell)
@@ -367,7 +376,7 @@ def test_q_circ_unlabelled_matches_dense_scan(which, request):
     """The same on singleton labels (each point its own orbit) of an
     (x, tau) plane whose energies reach well outside the window, so that
     the energy filter drops orbits."""
-    e = request.getfixturevalue(which)
+    e = request.getfixturevalue(_TUBES[which])
     x, tau = np.meshgrid(np.geomspace(0.005, 0.999, 20),
                          np.linspace(-1.5, 1.5, 16), indexing="ij")
     z, zeta = 1.0 / x.ravel(), -tau.ravel()
@@ -378,12 +387,12 @@ def test_q_circ_unlabelled_matches_dense_scan(which, request):
     assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
-def test_q_circ_slice_plane_prefilter(escape_longrange):
+def test_q_circ_slice_plane_prefilter(tubes_longrange):
     """On an 80 x 60 (x, tau) plane of singleton labels whose energies
     reach past every tube's energy range, only orbits at a tube's energy
     are flowed, yet q_circ equals the dense scan over every orbit bit for
     bit; every tube's energy range keeps a point."""
-    e = escape_longrange
+    e = tubes_longrange
     x, tau = np.meshgrid(np.geomspace(1e-3, 0.999, 80),
                          np.linspace(-1.5 * e.model.lam, 1.5 * e.model.lam,
                                      60), indexing="ij")
@@ -403,15 +412,15 @@ def test_q_circ_slice_plane_prefilter(escape_longrange):
 
 # The former per-point evaluation (each point flowed on its own at RK4 step
 # 0.05) changed by at most 1.2e-8 max|q| in q and 1.61e-7 max|H_p q| in
-# H_p q when its step was halved, on escape_longrange's 80/16/6 grid; the
+# H_p q when its step was halved, on longrange_pow's 80/16/6 grid; the
 # grouped result must stay that close to the singletons at half the step.
 _GROUPED_Q_TOL, _GROUPED_HP_TOL = 1.2e-8, 1.61e-7
 
 
-def test_q_circ_grouped_matches_singletons(escape_longrange, monkeypatch):
+def test_q_circ_grouped_matches_singletons(tubes_longrange, monkeypatch):
     """Shell orbits with offsets against every point flowed on its own at
     half the RK4 step (same sample spacing)."""
-    e = escape_longrange
+    e = tubes_longrange
     z, zeta, shell = esc.phase_grid(e.model, n_x=80, n_interior=16, n_energy=6)
     q, h = esc.eval_q_circ(e.model, e.tubes, z, zeta, shell)
     monkeypatch.setattr(esc, "_Q_CIRC_DT", 0.5 * esc._Q_CIRC_DT)
@@ -423,11 +432,11 @@ def test_q_circ_grouped_matches_singletons(escape_longrange, monkeypatch):
     assert np.max(np.abs(h - hs)) <= _GROUPED_HP_TOL * np.max(np.abs(hs))
 
 
-def test_q_circ_one_pass_over_two_grids(escape_longrange):
+def test_q_circ_one_pass_over_two_grids(tubes_longrange):
     """eval_q_circ over the construction grid and a verification grid in one
     pass, the verification labels offset past the construction ones, equals
     the two separate passes bit for bit."""
-    e = escape_longrange
+    e = tubes_longrange
     grids = [esc.phase_grid(e.model, n_x=220, n_interior=40, n_energy=14),
              esc.phase_grid(e.model, n_x=120, n_interior=20, n_energy=8)]
     (z, zeta, shell), (zv, zetav, shellv) = grids
@@ -470,11 +479,11 @@ def test_kept_verification_pieces(escape_longrange):
 _Q_CIRC_PEAK_BUDGET = 8 * 2**20
 
 
-def test_q_circ_memory_bounded(escape_longrange):
+def test_q_circ_memory_bounded(tubes_longrange):
     """On the construction grid the crossing pass stays within a fixed
     budget above the orbit store: the candidate search runs a group of
     orbit columns at a time, and members are expanded in chunks."""
-    e = escape_longrange
+    e = tubes_longrange
     model, tubes = e.model, e.tubes.tubes
     z, zeta, shell = esc.phase_grid(model, n_x=220, n_interior=40, n_energy=14)
     w_lo, w_hi, _ = esc._SUPPORT_ZONE
@@ -502,7 +511,7 @@ def test_covering_matches_dense_scan(which, request):
     the covering zone (disc distance in (1/2, 1], tube time in [-1, -1/2)
     or (T + 0.6, T + 2]) must not cover; the grid's pieces from that pass
     equal eval_q_circ's bit for bit."""
-    e = request.getfixturevalue(which)
+    e = request.getfixturevalue(_TUBES[which])
     spacing = max(1.0, (4.0 / e.constants.x0) / 40.0)
     tubes = e.tubes.tubes
     short = dataclasses.replace(tubes, radius=0.5 * tubes.radius,
@@ -524,13 +533,14 @@ def test_covering_matches_dense_scan(which, request):
     assert missed[0] == 0 and missed[1] > 0 and missed[2] > 0
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture(scope="session")
 def escape_barrier():
-    """longrange_pow at amplitude 1.5: a barrier above the window reflects
-    every orbit that meets it."""
+    """The tube family of longrange_pow at amplitude 1.5, where a barrier
+    above the window reflects every orbit that meets it, built with the
+    construction grid on its covering check's pass."""
     model = geo.preset_model("longrange_pow", amplitude=1.5)
-    return esc.assemble_escape(
-        model, 0.2, fl.nontrapping_scan(model, n_samples=300, T_max=150.0))
+    return tube_family(model, grid=esc.phase_grid(model, n_x=220,
+                                                  n_interior=40, n_energy=14))
 
 
 @pytest.mark.parametrize("which", ["escape_longrange", "escape_barrier"])
@@ -540,7 +550,7 @@ def test_orbit_store_stops_past_every_near_crossing(which, request):
     the escape certificate at the stop radius; flowing every orbit t_tail
     further crosses no tube's transversal within the prefilter distance of
     its seed, so the stop drops no crossing."""
-    e = request.getfixturevalue(which)
+    e = request.getfixturevalue(_TUBES[which])
     model, tubes = e.model, e.tubes.tubes
     spacing = max(1.0, (4.0 / e.constants.x0) / 40.0)
     # the accepted family's seed spacing
@@ -585,7 +595,7 @@ def test_barrier_covering_refined_in_shared_pass(escape_barrier, monkeypatch):
     and the next spacing flows the store again.  The accepted family (320
     tubes) equals a build without grid points, and the construction grid's
     q_circ from the shared pass equals eval_q_circ's, bit for bit, so the
-    cascade is that of separate passes."""
+    shared pass gives the values of separate passes."""
     e = escape_barrier
     stores = []
     real = esc._shell_orbits
@@ -608,8 +618,8 @@ def test_barrier_covering_refined_in_shared_pass(escape_barrier, monkeypatch):
                                     n_energy=14)
     q, hp = esc.eval_q_circ(e.model, alone, z, zeta, shell)
     assert np.count_nonzero(q) > 0
-    assert np.array_equal(q, e.grid_pieces.q_circ)
-    assert np.array_equal(hp, e.grid_pieces.hp_circ)
+    assert np.array_equal(q, e.tubes.grid_q_circ[0])
+    assert np.array_equal(hp, e.tubes.grid_q_circ[1])
 
 
 def _loop_disc_points(tb):
@@ -714,12 +724,10 @@ def _loop_build_tubes(model, consts):
     raise ConstructionError("tube covering failed")
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture(scope="session")
 def tubes_well(well_1d):
-    """well's tube family as assemble_escape builds it."""
-    consts = esc.boundary_constants(well_1d)
-    return types.SimpleNamespace(model=well_1d, constants=consts,
-                                 tubes=esc.build_tubes(well_1d, consts))
+    """well's tube family."""
+    return tube_family(well_1d)
 
 
 @pytest.mark.parametrize("which, extended", [
@@ -730,7 +738,7 @@ def test_build_tubes_matches_per_seed_loop(which, extended, request):
     every row of the family and the reach.  well and the barrier run the
     certificate's T extension (the barrier after one covering refinement);
     a last-bit change in u_p's normalization fails here."""
-    e = request.getfixturevalue(which)
+    e = request.getfixturevalue(_TUBES[which])
     want, reach, extensions = _loop_build_tubes(e.model, e.constants)
     assert (extensions > 0) == extended
     for f in dataclasses.fields(esc.Tubes):
@@ -762,7 +770,7 @@ def test_tube_times_are_incoming_times(which, request):
     1 + 2 _MOM_FACTOR delta / kappa^2, plus 1/2 and then the certificate's
     extensions (T grows by max(1, T/10)), bit for bit: the sweep reads the
     seeds' incoming times off its own samples."""
-    e = request.getfixturevalue(which)
+    e = request.getfixturevalue(_TUBES[which])
     tb = e.tubes.tubes
     T_in = fl.time_to_incoming(e.model, tb.seed[:, 0], tb.seed[:, 1],
                                e.constants.x0 / 2.0, 2.0 * e.model.lam / 3.0)
@@ -774,13 +782,13 @@ def test_tube_times_are_incoming_times(which, request):
     assert np.array_equal(T, tb.T)
 
 
-def test_build_tubes_flows_once_per_spacing(escape_longrange, monkeypatch):
+def test_build_tubes_flows_once_per_spacing(tubes_longrange, monkeypatch):
     """build_tubes flows its backward orbits once, segment by segment at
     the incoming step: no flow at the old certificate's step 0.02, and none
     at the incoming step longer than one 16-unit segment.  The sweep's
     tracemalloc peak stays within 6 MB: one segment's samples of the 810
     disc columns (2 x 321 x 810 x 8 B = 4.2 MB) and the seeds' chart."""
-    e = escape_longrange
+    e = tubes_longrange
     calls, peaks = [], []
     real_flow, real_sweep = fl.batched_flow, esc._sweep_tubes
 
@@ -806,10 +814,10 @@ def test_build_tubes_flows_once_per_spacing(escape_longrange, monkeypatch):
     assert len(peaks) == 1 and peaks[0] <= 6e6
 
 
-def test_q_circ_order_invariant(escape_longrange):
+def test_q_circ_order_invariant(tubes_longrange):
     """Permuting the points (and their shell labels) permutes the outputs
     exactly."""
-    e = escape_longrange
+    e = tubes_longrange
     z, zeta, shell = esc.phase_grid(e.model, n_x=80, n_interior=16, n_energy=6)
     perm = np.random.default_rng(3).permutation(z.size)
     q, h = esc.eval_q_circ(e.model, e.tubes, z, zeta, shell)
@@ -896,10 +904,10 @@ def test_error_messages_print_plain_floats(double_bump_1d, monkeypatch):
         assert "np.float64" not in str(e.value)
 
 
-def test_refine_crossings_residual(escape_longrange, monkeypatch):
+def test_refine_crossings_residual(tubes_longrange, monkeypatch):
     """Crossings stop at the stated residual; a cap of one Newton step
     leaves brackets above it and raises."""
-    e = escape_longrange
+    e = tubes_longrange
     z, zeta, shell = esc.phase_grid(e.model, n_x=40, n_interior=8, n_energy=4)
     ts, comps, pts, orb, s = esc._shell_orbits(e.model, z, zeta, shell,
                                                e.tubes.reach, -1.1, 1.0,
@@ -1022,3 +1030,194 @@ def test_measured_collar_floors(escape_free):
     lo = 2.0 * e.eps * math.sqrt(e.model.lambda2 - e.model.delta)
     assert e.c2 >= 0.9 * lo
     assert e.c3 >= 0.9 * lo
+
+
+# -- q_circ by flow averaging ------------------------------------------------
+
+_DWELL_MODELS = {
+    "zero": ("zero", {}), "longrange_pow": ("longrange_pow", {}),
+    "well": ("well", {}),
+    # a barrier above the window: orbits turn, F has turning points
+    "barrier": ("longrange_pow", {"amplitude": 1.5}),
+    # the collar starts at |z| = 452, T_K = 731
+    "slow_decay": ("longrange_pow", {"gamma": 0.5}),
+}
+
+
+def _dwell_model(name):
+    preset, overrides = _DWELL_MODELS[name]
+    model = geo.preset_model(preset, **overrides)
+    return model, esc.boundary_constants(model)
+
+
+# Stated before the change: -H_p F = 2 chi holds exactly, so a central
+# difference of F along one RK4 step of 1e-5 each way differs from -2 chi
+# only by F's rounding (|F| <= 731, about 1.6e-8 after dividing by 2e-5) and
+# by the quadrature's jitter between nearby orbits; a prototype read 4.2e-8.
+_DWELL_FD_TOL = 1e-6
+
+
+@pytest.mark.parametrize("name", sorted(_DWELL_MODELS))
+def test_dwell_time_derivative_along_flow(name):
+    """-H_p F = 2 chi(|z|): F's central difference along the RK4 flow at
+    every point of a small grid, each point and each flowed point its own
+    orbit, through chi's plateau and fall (and, on the barrier, next to the
+    turning points)."""
+    model, consts = _dwell_model(name)
+    z, zeta, _ = esc.phase_grid(model, n_x=120, n_interior=20, n_energy=8)
+    d, alone = 1e-5, np.arange(z.size)
+    F = []
+    for sign in (1.0, -1.0):
+        _, zs, cs = fl.batched_flow(model, z, zeta, 0.0, sign * d, d)
+        F.append(esc.dwell_times(model, consts, zs[-1], cs[-1], alone)[0])
+    chi = esc.dwell_cutoff(consts)(np.abs(z))
+    assert np.any(chi == 1.0) and np.any((chi > 0.0) & (chi < 1.0))
+    if name == "barrier":
+        gap = geo.symbol_p(model, z, zeta) - model.potential.value(z)
+        assert np.min(gap) < 1e-2
+    assert np.max(np.abs((F[0] - F[1]) / (2.0 * d) + 2.0 * chi)) \
+        <= _DWELL_FD_TOL
+
+
+@pytest.mark.parametrize("name", ["longrange_pow", "barrier"])
+def test_dwell_times_match_their_definition(name):
+    """F and the total against chi(|z(t)|) integrated along the flow
+    itself (DOP853, tol 1e-11, all points in one system) forward and
+    backward until every orbit has left supp chi: F = I(T) + I(-T)
+    and total = I(T) - I(-T), within 1e-7 (stated before the change), at
+    32 grid points, on the barrier's reflected orbits too."""
+    from scipy.integrate import solve_ivp
+
+    model, consts = _dwell_model(name)
+    z, zeta, shell = esc.phase_grid(model, n_x=40, n_interior=8, n_energy=4)
+    pick = np.random.default_rng(7).choice(z.size, 32, replace=False)
+    z, zeta, shell = z[pick], zeta[pick], shell[pick]
+    chi = esc.dwell_cutoff(consts)
+    n = z.size
+
+    def rhs(t, y):
+        return np.concatenate([2.0 * y[n:2 * n],
+                               -model.potential.gradient(y[:n]),
+                               chi(np.abs(y[:n]))])
+
+    # out to the farthest point and back across supp chi, at the window's
+    # lowest speed at infinity
+    reach = np.max(np.abs(z)) + 4.0 / consts.x0
+    T = 2.0 * reach / (2.0 * math.sqrt(model.lambda2 - model.delta)) + 20.0
+    y0 = np.concatenate([z, zeta, np.zeros(n)])
+    I = [solve_ivp(rhs, (0.0, t), y0, method="DOP853", rtol=1e-11,
+                   atol=1e-11).y[2 * n:, -1] for t in (T, -T)]
+    F, total = esc.dwell_times(model, consts, z, zeta, shell)
+    assert np.max(np.abs(F - (I[0] + I[1]))) <= 1e-7
+    assert np.max(np.abs(total - (I[0] - I[1]))) <= 1e-7
+    if name == "barrier":  # V(0) above the window: every orbit reflects
+        assert model.potential.value(np.zeros(1))[0] > model.lambda2 \
+            + model.delta
+
+
+def test_dwell_times_free_closed_form(free_1d):
+    """On the free line F = (int_z^inf chi - int_-inf^z chi) / (2 zeta) and
+    the whole weighted time is int chi / (2 |zeta|), with chi's integrals by
+    adaptive quadrature, to 1e-10 (stated before the change): on a
+    labelled grid and on each of its points alone."""
+    from scipy.integrate import quad
+
+    consts = esc.boundary_constants(free_1d)
+    chi = esc.dwell_cutoff(consts)
+    r1, r2 = 2.0 / consts.x0, 4.0 / consts.x0
+    z, zeta, shell = esc.phase_grid(free_1d, n_x=60, n_interior=12,
+                                    n_energy=5)
+
+    def integral(a, b):
+        return quad(lambda y: float(chi(abs(y))), a, b, epsabs=1e-13,
+                    epsrel=1e-13, limit=200,
+                    points=[y for y in (-r1, r1) if a < y < b])[0]
+
+    pos, inv = np.unique(np.clip(z, -r2, r2), return_inverse=True)
+    behind = np.array([integral(-r2, y) for y in pos])[inv]
+    whole = integral(-r2, r2)
+    want = (whole - 2.0 * behind) / (2.0 * zeta)
+    for labels in (shell, np.arange(z.size)):
+        F, total = esc.dwell_times(free_1d, consts, z, zeta, labels)
+        assert np.max(np.abs(F - want)) <= 1e-10
+        assert np.max(np.abs(total - whole / (2.0 * np.abs(zeta)))) <= 1e-10
+
+
+def test_dwell_times_edge_cases(longrange_1d, well_1d, double_bump_1d):
+    """Points dwell_times leaves at F = total = 0: at a turning point
+    (zeta = 0), on an orbit whose turning point lies outside supp chi (a
+    low energy far out, past the breakpoints), and on a bounded orbit
+    below the window (the well at E < 0).  A bounded orbit at a window
+    energy (between double_bump's barriers) raises."""
+    for model, z, zeta in ((longrange_1d, [5.0, 1000.0], [0.0, 0.01]),
+                           (well_1d, [0.0], [0.5])):
+        consts = esc.boundary_constants(model)
+        z, zeta = np.array(z), np.array(zeta)
+        F, total = esc.dwell_times(model, consts, z, zeta, np.arange(z.size))
+        assert np.all(F == 0.0) and np.all(total == 0.0)
+    consts = esc.BoundaryConstants(M=0.0, c1=0.2, eps1=0.5, x0=0.1,
+                                   delta1=0.125, c0=1.0)
+    with pytest.raises(ConstructionError, match="trapped orbit"):
+        esc.dwell_times(double_bump_1d, consts, np.zeros(1), np.ones(1),
+                        np.arange(1))
+
+
+@pytest.mark.parametrize("name", sorted(_DWELL_MODELS))
+def test_q_circ_at_least_one_on_every_grid(name):
+    """|F| <= total <= T_K (dwell_bound), so q_circ = F + T_K + 1 >= 1, on
+    the construction grid, the CLI's default verification grid and
+    criterion 4's two grids."""
+    model, consts = _dwell_model(name)
+    T_K = esc.dwell_bound(model, consts)
+    for sizes in ((220, 40, 14), (300, 40, 16), (600, 80, 40),
+                  (850, 110, 56)):
+        F, total = esc.dwell_times(model, consts,
+                                   *esc.phase_grid(model, *sizes))
+        assert np.all(np.abs(F) <= total) and np.all(total <= T_K)
+        assert np.min(F + T_K + 1.0) >= 1.0
+
+
+@pytest.mark.parametrize("name", ["zero", "longrange_pow", "well", "barrier"])
+def test_cascade_takes_no_halving(name, request):
+    """H_p q_circ = -2 chi has no positive part: neither cascade stage
+    halves its constant, and the escape function certifies on the CLI's
+    default verification grid with c'' at least half the incoming floor."""
+    fixture = {"zero": "escape_free", "longrange_pow": "escape_longrange"}
+    if name in fixture:
+        e = request.getfixturevalue(fixture[name])
+    else:
+        model, _ = _dwell_model(name)
+        e = esc.assemble_escape(
+            model, 0.2, fl.nontrapping_scan(model, n_samples=300, T_max=150.0))
+    assert e.cascade["halvings_C"] == 0 and e.cascade["halvings_Cp"] == 0
+    assert e.C == 1.0 and e.C_prime == 1.0
+    report = esc.verify_proposition(e, n_x=300, n_interior=40, n_energy=16)
+    assert report.passed and report.c_dprime >= 0.5 * e.c2
+
+
+# dwell_times keeps about eight node arrays of one chunk alive (_PANEL_CHUNK
+# panels x 16 nodes x 8 B = 256 KiB each), pieces about 40 arrays of one
+# float per point; evaluating every panel of 20,000 singleton orbits at
+# once would need 20,000 x 34 x 16 x 8 B = 87 MB per node array
+def _pieces_peak_budget(n):
+    return 16 * esc._PANEL_CHUNK * 16 * 8 + 40 * 8 * n
+
+
+def test_pieces_memory_bounded_on_singletons(escape_longrange):
+    """EscapeFunction.pieces on 20,000 points, each its own orbit, stays
+    within a tracemalloc budget set by the panel chunk."""
+    e = escape_longrange
+    n = 20000
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-100.0, 100.0, n)
+    p = rng.uniform(e.model.lambda2 - e.model.delta,
+                    e.model.lambda2 + e.model.delta, n)
+    zeta = rng.choice([-1.0, 1.0], n) * np.sqrt(p - e.model.potential.value(z))
+    tracemalloc.start()
+    try:
+        pc = e.pieces(z, zeta, np.arange(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.min(pc.q_circ) >= 1.0
+    assert peak <= _pieces_peak_budget(n)
