@@ -10,11 +10,14 @@ thread count): no wall clock, no seedless randomness, floats rendered
 with repr, and every file embeds the version, the config hash and the
 effective configuration.
 
-Every command but calculus-tests runs one non-trapping scan and hands its
-verdict to the stages that need it.  full-report is the model's witness:
-the scan, the escape certificate (skipped on a trapping model) and the
-resolvent sweep.  calculus-tests checks symbol-calculus facts that hold
-whatever the model is, so full-report leaves it out.
+Every command but calculus-tests computes one non-trapping verdict,
+geometry.trapping_verdict, exact in 1D and free of any flow, and hands it
+to the stages that need it.  full-report is the model's witness: the
+verdict, the escape certificate (skipped on a trapping model) and the
+resolvent sweep; it integrates no orbit.  flow-scan also runs the sampled
+scan (flow.nontrapping_scan, the keys flow_samples and scan_t_max) as a
+cross-check in files of its own.  calculus-tests checks symbol-calculus
+facts that hold whatever the model is, so full-report leaves it out.
 
 Exit status: 0 when every check in summary.json passed (a trapping model
 on a sweep is flagged and its non-trapping checks are skipped, not
@@ -152,7 +155,7 @@ def effective_config(params):
                 f"field {key!r}: value {v} outside documented range [{lo}, {hi}]"
             )
     model = _model_from(cfg)  # rejects keys the potential never reads
-    if cfg["command"] != "calculus-tests":
+    if cfg["command"] == "flow-scan":
         _check_scan_reach(cfg, model)
     if cfg["command"] in ("escape-build", "escape-verify"):
         esc.check_constructible(model)
@@ -272,24 +275,36 @@ def _model_from(cfg):
 # command implementations
 # ---------------------------------------------------------------------------
 
-def _scan(cfg, model):
-    """The run's one non-trapping verdict, from the scan keys."""
-    return fl.nontrapping_scan(model, n_samples=cfg["flow_samples"],
-                               T_max=cfg["scan_t_max"])
-
-
-def cmd_flow_scan(cfg, rep: Reporter, verdict):
+def _write_verdict(rep: Reporter, verdict):
+    """The verdict's reports and the flow_scan_completed check, whose value
+    is the number of witnesses."""
     rep.write_csv("scan_summary.csv",
+                  ["window_lo", "window_hi", "critical_below",
+                   "critical_above", "components", "nontrapping"],
+                  [[verdict.window[0], verdict.window[1],
+                    verdict.critical_below, verdict.critical_above,
+                    verdict.components, int(verdict.nontrapping)]])
+    rep.write_csv("witnesses.csv", ["z1", "zeta1"],
+                  [list(w) for w in verdict.witnesses])
+    rep.check("flow_scan_completed", True, value=len(verdict.witnesses),
+              note="non-trapping" if verdict.nontrapping
+              else "trapping witnesses found")
+
+
+def cmd_flow_scan(cfg, rep: Reporter, model, verdict):
+    """The verdict's reports, and the sampled scan's cross-check in
+    flow_scan.csv and flow_witnesses.csv."""
+    _write_verdict(rep, verdict)
+    scan = fl.nontrapping_scan(model, n_samples=cfg["flow_samples"],
+                               T_max=cfg["scan_t_max"])
+    rep.write_csv("flow_scan.csv",
                   ["window_lo", "window_hi", "sampled", "trapped",
                    "nontrapping"],
-                  [[verdict.window[0], verdict.window[1],
-                    verdict.sampled_points, len(verdict.trapped_witnesses),
-                    int(verdict.is_nontrapping_empirical)]])
-    wit_rows = [list(w) for w in verdict.trapped_witnesses]
-    rep.write_csv("witnesses.csv", ["z1", "zeta1"], wit_rows)
-    rep.check("flow_scan_completed", True,
-              value=len(verdict.trapped_witnesses),
-              note="trapping witnesses found" if wit_rows else "non-trapping")
+                  [[scan.window[0], scan.window[1], scan.sampled_points,
+                    len(scan.trapped_witnesses),
+                    int(scan.is_nontrapping_empirical)]])
+    rep.write_csv("flow_witnesses.csv", ["z1", "zeta1"],
+                  [list(w) for w in scan.trapped_witnesses])
 
 
 def _assemble(cfg, rep: Reporter, model, verdict, verify_grid=None):
@@ -384,7 +399,7 @@ def cmd_calculus_tests(cfg, rep: Reporter):
 
 
 def cmd_resolvent_sweep(cfg, rep: Reporter, model, verdict):
-    trapping = not verdict.is_nontrapping_empirical
+    trapping = not verdict.nontrapping
     report = rv.h_sweep(
         model, h_list=cfg["h_list"], s=cfg["s_weight"],
         L=cfg["box_half_length"], N=2 ** cfg["grid_exponent"],
@@ -436,10 +451,10 @@ def cmd_resolvent_sweep(cfg, rep: Reporter, model, verdict):
 
 
 def cmd_full_report(cfg, rep: Reporter, model, verdict):
-    """The model's witness: the scan's reports, the escape certificate
+    """The model's witness: the verdict's reports, the escape certificate
     (skipped on a trapping model) and the resolvent sweep."""
-    cmd_flow_scan(cfg, rep, verdict)
-    if verdict.is_nontrapping_empirical:
+    _write_verdict(rep, verdict)
+    if verdict.nontrapping:
         cmd_escape_verify(cfg, rep, model, verdict)
     else:
         rep.check("escape_certificate", True,
@@ -459,8 +474,9 @@ def run(params, out_override=None, command_override=None, jobs_override=None):
                                            if v is not None}))
     command = cfg["command"]
     model = _model_from(cfg)
-    verdict = None if command == "calculus-tests" else _scan(cfg, model)
-    if command == "full-report" and verdict.is_nontrapping_empirical:
+    verdict = (None if command == "calculus-tests"
+               else geo.trapping_verdict(model))
+    if command == "full-report" and verdict.nontrapping:
         esc.check_constructible(model)  # the escape stage will run
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -468,7 +484,7 @@ def run(params, out_override=None, command_override=None, jobs_override=None):
     if command == "calculus-tests":
         cmd_calculus_tests(cfg, rep)
     elif command == "flow-scan":
-        cmd_flow_scan(cfg, rep, verdict)
+        cmd_flow_scan(cfg, rep, model, verdict)
     elif command == "escape-build":
         cmd_escape_build(cfg, rep, model, verdict)
     elif command == "escape-verify":

@@ -1,6 +1,7 @@
 """Construction and grid certification of an escape function.
 
-Given an empirically non-trapping model, this module assembles
+Given a non-trapping model (geometry.trapping_verdict), this module
+assembles
 
     q = q_minus + C q_circ + C' q_plus,
 
@@ -1177,7 +1178,7 @@ def assemble_escape(model, eps, verdict, verify_grid=None) -> EscapeFunction:
     """Build the escape function by the halving cascade.
 
     eps must lie in (0, 1/4).  Non-trapping is a precondition: `verdict`
-    is the model's flow.nontrapping_scan result, and a trapping verdict is
+    is the model's geometry.trapping_verdict, and a trapping verdict is
     rejected.  The cascade floors are measured on a construction grid;
     verify_proposition re-certifies on the finer verification grid.  With
     verify_grid = (n_x, n_interior, n_energy), phase_grid's points of those
@@ -1193,11 +1194,10 @@ def assemble_escape(model, eps, verdict, verify_grid=None) -> EscapeFunction:
         raise ConfigurationError(
             f"escape weight eps must lie in (0, 1/4), got {eps}"
         )
-    if not verdict.is_nontrapping_empirical:
+    if not verdict.nontrapping:
         raise ConstructionError(
-            f"model is empirically trapping "
-            f"({len(verdict.trapped_witnesses)} witnesses); no escape function"
-        )
+            f"model is trapping ({len(verdict.witnesses)} witnesses); no "
+            "escape function")
     consts = boundary_constants(model)
     cutoffs = build_cutoffs(model.lam, model.delta)
     z, zeta, shell = phase_grid(model, *_CONSTRUCTION_GRID)

@@ -3,22 +3,28 @@
 Escape verdicts come from one integrator, `batched_flow` (fixed-step RK4
 over a batch), run forward in segments so that decided points retire
 (flow_segments): as p(z, -zeta) = p(z, zeta), backward verdicts are
-forward flows of (z, -zeta), bit for bit.  The non-trapping scan is the
-only command-line stage that integrates; the escape function's q_circ is a
-quadrature along the orbits' level sets (escape.dwell_times).  The
-incoming times (IncomingTimes, time_to_incoming) serve only the former
-tube construction in escape, which no command runs.  A point
-is certified as escaped at the first sample with |z| > model.escape_radius,
-d|z|/dt > 0 and tau^2 >= model.escape_energy, half the window's lowest
-energy: past that radius the potential rises by less than the escape
-energy along any outward path, so the orbit never turns back and the
-verdict is a certificate rather than a guess.  tau^2 tends to the shell
+forward flows of (z, -zeta), bit for bit.  The sampled non-trapping scan
+is the only command-line stage that integrates, and only flow-scan runs
+it, as a cross-check: every verdict a command acts on is
+geometry.trapping_verdict, from the critical values of V, and the escape
+function's q_circ is a quadrature along the orbits' level sets
+(escape.dwell_times).  The incoming times (IncomingTimes,
+time_to_incoming) serve only the former tube construction in escape,
+which no command runs.  A point is certified as escaped at the first
+sample with |z| > model.escape_radius, d|z|/dt > 0 and
+tau^2 >= model.escape_energy, half the window's lowest energy: past that
+radius the potential rises by less than the escape energy along any
+outward path, so the orbit never turns back and the verdict is a
+certificate rather than a guess.  tau^2 tends to the shell
 energy at infinity, so every escaping orbit of the window meets the test.
 An escaped verdict whose energy drift max |p(t) - p(0)| exceeds
 1e-5 (1 + |p0|) raises instead of being accepted.  A point left
 undetermined by T_max (no escape seen in one direction) is not told apart
 from a trapped one: nontrapping_scan counts it among the trapped
-witnesses, so a slow or low-energy orbit can read as trapping.
+witnesses, so a slow or low-energy orbit can read as trapping, and a
+trapped set of measure zero (a barrier top's separatrix) goes unseen.
+The escape test and the drift are evaluated _SAMPLE_BLOCK samples at a
+time, so a segment of many points needs no temporaries of its full size.
 
 A batch of phase points is two equal-length 1-D arrays z, zeta; a stored
 batch trajectory is two (n_stored, m) arrays.
@@ -39,6 +45,7 @@ CLASSIFY_DT = 0.02      # RK4 step of the verdicts
 _SEGMENT = 16.0         # flow time per batched_flow call between retirements
 _CLASSIFY_CHUNK = 1000  # points flowed together (bounds the stored samples)
 _DRIFT_BOUND = 1e-5     # relative energy drift that rejects an escaped verdict
+_SAMPLE_BLOCK = 64      # samples per evaluation of the escape test and drift
 INCOMING_DT = 0.05      # RK4 step (and sample spacing) of the incoming times
                         # and of the tube sweep that reads them
 _INCOMING_MARGIN = 2.0  # flow time over which the incoming conditions persist
@@ -186,12 +193,21 @@ def _escape_times(model, z, zeta, T_max):
     r_esc = model.escape_radius
 
     def visit(rows, ts, zs, cs):
-        zf, cf = zs.ravel(), cs.ravel()
-        escaped = escape_certified(model, zf, cf, r_esc).reshape(zs.shape)
-        hit = escaped.any(axis=0)
-        t_esc[rows[hit]] = ts[escaped.argmax(axis=0)[hit]]
-        dev = np.abs(geo.symbol_p(model, zf, cf).reshape(zs.shape) - p0[rows])
-        drift[rows] = np.maximum(drift[rows], dev.max(axis=0))
+        # _SAMPLE_BLOCK samples at a time: the first escape and the drift's
+        # maximum combine exactly across blocks
+        hit, first = np.zeros(rows.size, dtype=bool), np.zeros(rows.size, int)
+        dev = drift[rows]
+        for k in range(0, ts.size, _SAMPLE_BLOCK):
+            zb, cb = zs[k:k + _SAMPLE_BLOCK], cs[k:k + _SAMPLE_BLOCK]
+            zf, cf = zb.ravel(), cb.ravel()
+            escaped = escape_certified(model, zf, cf, r_esc).reshape(zb.shape)
+            new = escaped.any(axis=0) & ~hit
+            first[new] = k + escaped.argmax(axis=0)[new]
+            hit |= new
+            p = geo.symbol_p(model, zf, cf).reshape(zb.shape)
+            np.maximum(dev, np.abs(p - p0[rows]).max(axis=0), out=dev)
+        t_esc[rows[hit]] = ts[first[hit]]
+        drift[rows] = dev
         return hit
 
     flow_segments(model, zz, cc, T_max, CLASSIFY_DT, visit)

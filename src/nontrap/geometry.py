@@ -21,6 +21,13 @@ tau^2 + O(x^gamma).  Potentials carry a decay exponent gamma > 0 rather
 than a factored representation, and each names the model keys it reads
 (Potential.keys).  ModelProblem owns the escape energy and radius.
 
+trapping_verdict decides whether the energy window traps, exactly in 1D
+and without a flow: from the critical values of V and the components of
+{V >= lambda2}, certified on cells by each potential's closed-form bounds
+on V' and V'' (slope_bounds) out to the radius where |V| falls below the
+window (level_radius).  The bounds are floating-point evaluations, and
+their rounding is not bounded.
+
 All evaluators are pure and vectorized: a batch of phase points is two
 equal-length 1-D arrays z, zeta of shape (m,), and model data is immutable.
 """
@@ -29,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -83,6 +90,34 @@ class Potential:
         z0 z1 > 0 (math.inf if no float radius will do)."""
         raise NotImplementedError
 
+    def level_radius(self, level):
+        """A radius R beyond which |V| < level: |V(z)| < level whenever
+        |z| > R (math.inf if no float radius will do)."""
+        raise NotImplementedError
+
+    def slope_bounds(self, a, b):
+        """(M1, M2), bounds on |V'| and |V''| over each cell [a, b]
+        (arrays, a <= b), in closed form."""
+        raise NotImplementedError
+
+
+def _abs_range(a, b):
+    """The least and the greatest |z| over each cell [a, b]."""
+    far = np.maximum(np.abs(a), np.abs(b))
+    near = np.where((a <= 0.0) & (b >= 0.0), 0.0, np.minimum(np.abs(a),
+                                                            np.abs(b)))
+    return near, far
+
+
+def _gauss_bounds(a, b):
+    """Bounds on |g'| and |g''| of g(s) = exp(-s^2) over each cell [a, b]
+    of s: g' = -2 s g and g'' = (4 s^2 - 2) g, with g <= exp(-near^2),
+    |g'| <= sqrt(2/e) and |g''| <= 2 everywhere."""
+    near, far = _abs_range(a, b)
+    g = np.exp(-near**2)
+    return (np.minimum(2.0 * far * g, math.sqrt(2.0 / math.e)),
+            np.minimum(np.maximum(2.0, 4.0 * far**2 - 2.0) * g, 2.0))
+
 
 class ZeroPotential(Potential):
     name = "zero"
@@ -99,6 +134,12 @@ class ZeroPotential(Potential):
 
     def rise_radius(self, rise):
         return 0.0
+
+    def level_radius(self, level):
+        return 0.0
+
+    def slope_bounds(self, a, b):
+        return np.zeros(np.shape(a)), np.zeros(np.shape(a))
 
 
 class PowerLawPotential(Potential):
@@ -128,6 +169,27 @@ class PowerLawPotential(Potential):
                              - 1.0)
         except OverflowError:
             return math.inf
+
+    def level_radius(self, level):
+        # |V| = |A| <z>^(-gamma) falls outward
+        if abs(self.amplitude) < level:
+            return 0.0
+        try:
+            return math.sqrt((abs(self.amplitude) / level)
+                             ** (2.0 / self.gamma) - 1.0)
+        except OverflowError:
+            return math.inf
+
+    def slope_bounds(self, a, b):
+        # V' = -A gamma z w^(-gamma/2 - 1), V'' = -A gamma w^(-gamma/2 - 2)
+        # (1 - (gamma + 1) z^2) with w = 1 + z^2 >= 1 + near^2; written in
+        # ratios so that no factor overflows on the far tail's cells
+        near, far = _abs_range(a, b)
+        w = 1.0 + near**2
+        scale = abs(self.amplitude) * self.gamma * w ** (-self.gamma / 2.0)
+        return (scale * (far / w),
+                scale / w * np.maximum(1.0 / w,
+                                       (self.gamma + 1.0) * far * (far / w)))
 
 
 class DoubleBumpPotential(Potential):
@@ -161,6 +223,19 @@ class DoubleBumpPotential(Potential):
             return d
         return d + math.sqrt(math.log(-2.0 * self.amplitude / rise))
 
+    def level_radius(self, level):
+        # past |d|, |V| < 2 |A| exp(-(|z| - |d|)^2); |V| <= 2 |A| everywhere
+        if 2.0 * abs(self.amplitude) < level:
+            return 0.0
+        return (abs(self.separation)
+                + math.sqrt(math.log(2.0 * abs(self.amplitude) / level)))
+
+    def slope_bounds(self, a, b):
+        d, amp = self.separation, abs(self.amplitude)
+        m1, m2 = _gauss_bounds(a - d, b - d)
+        n1, n2 = _gauss_bounds(a + d, b + d)
+        return amp * (m1 + n1), amp * (m2 + n2)
+
 
 class WellPotential(Potential):
     """V = -A exp(-|z|^2), an attractive well (p can dip below zero)."""
@@ -185,6 +260,16 @@ class WellPotential(Potential):
         if self.amplitude <= rise:
             return 0.0
         return math.sqrt(math.log(self.amplitude / rise))
+
+    def level_radius(self, level):
+        # |V| = |A| exp(-z^2) falls outward
+        if abs(self.amplitude) < level:
+            return 0.0
+        return math.sqrt(math.log(abs(self.amplitude) / level))
+
+    def slope_bounds(self, a, b):
+        m1, m2 = _gauss_bounds(a, b)
+        return abs(self.amplitude) * m1, abs(self.amplitude) * m2
 
 
 #: every potential by name, the model key that selects it
@@ -247,6 +332,134 @@ class ModelProblem:
         radius an outward orbit with tau^2 >= escape_energy keeps
         zeta^2 > 0, so it never turns back."""
         return max(40.0, self.potential.rise_radius(self.escape_energy))
+
+
+# ---------------------------------------------------------------------------
+# the non-trapping verdict, from the critical values of V
+# ---------------------------------------------------------------------------
+
+_CELL_STEP = 1.0 / 32.0  # the verdict's base cells, uniform in asinh(z)
+_MAX_SPLITS = 40         # halvings of a cell the verdict may take
+_MAX_OPEN = 1024         # unsettled cells beyond which no more are halved
+_BISECT_STEPS = 200      # bisection steps, a cap (each halves a bracket)
+
+
+@dataclass(frozen=True)
+class TrappingVerdict:
+    """Whether the window [lambda2 - delta, lambda2 + delta] traps.
+
+    critical_below and critical_above are the critical values of V on the
+    verdict's cells nearest to lambda2, at or below it and above it (nan:
+    none); components counts those of {V >= lambda2}.  Each witness is a
+    phase point (z, zeta) whose orbit stays bounded: (z_c, 0) at a critical
+    point whose value the cells do not separate from the window, or
+    (z, sqrt(lambda2 - V(z))) in a bounded allowed interval between two
+    components."""
+
+    window: Tuple[float, float]
+    critical_below: float
+    critical_above: float
+    components: int
+    witnesses: Tuple[Tuple[float, float], ...]
+
+    @property
+    def nontrapping(self):
+        return not self.witnesses
+
+
+def trapping_verdict(model: ModelProblem) -> TrappingVerdict:
+    """The exact 1D verdict: E > 0 is non-trapping if and only if E is not
+    a critical value of V and {V >= E} is empty or one interval.  With no
+    critical value in the closed window, {V >= E} has the same topology
+    at every window energy, so lambda2 decides.
+
+    Past R = potential.level_radius(lambda2 - delta), |V| is below the
+    window, so every critical value there lies below it and {V >= E} lies
+    inside [-R, R].  The cells cover [-R, R] uniformly in asinh(z), and
+    a cell is settled when its bounds V(c) +- M1 r miss the window or
+    |V'(c)| > M2 r (V is monotone on it), with M1, M2 the potential's
+    slope_bounds, c the cell's centre and r its half-width.  An unsettled
+    cell is halved, up to _MAX_SPLITS times while at most _MAX_OPEN are
+    unsettled (at a degenerate critical point they multiply), and a cell
+    left unsettled makes the verdict trapping.  On settled cells
+    {V >= lambda2} changes at most once per cell, so the signs of
+    V - lambda2 at the cell ends count its components.  The critical
+    points reported are the cell ends where V' = 0 and a bisection of each
+    sign change of V' between neighbouring ends."""
+    pot = model.potential
+    lam2 = model.lambda2
+    lo, hi = lam2 - model.delta, lam2 + model.delta
+    radius = pot.level_radius(lo)
+    if not math.isfinite(radius):
+        raise ConfigurationError(
+            "|V| stays at or above lambda2 - delta beyond any float radius: "
+            "no non-trapping verdict")
+    s_max = max(math.asinh(radius), _CELL_STEP)
+    half = np.sinh(np.linspace(0.0, s_max, int(math.ceil(s_max / _CELL_STEP))
+                               + 1))
+    ends = np.concatenate([-half[:0:-1], half])
+
+    def unsettled(a, b):
+        c, r = 0.5 * (a + b), 0.5 * (b - a)
+        m1, m2 = pot.slope_bounds(a, b)
+        v = pot.value(c)
+        meets = (v - m1 * r <= hi) & (v + m1 * r >= lo)
+        return meets & (np.abs(pot.gradient(c)) <= m2 * r)
+
+    a, b = ends[:-1], ends[1:]
+    settled = []
+    open_ = unsettled(a, b)
+    for _ in range(_MAX_SPLITS):
+        if not 0 < np.count_nonzero(open_) <= _MAX_OPEN:
+            break
+        settled.append(a[~open_])
+        a, b = a[open_], b[open_]
+        mid = 0.5 * (a + b)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        open_ = unsettled(a, b)
+    x = np.sort(np.concatenate(settled + [a, ends[-1:]]))
+    v, dv = pot.value(x), pot.gradient(x)
+
+    sign = np.sign(dv)
+    change = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    zc = np.unique(np.concatenate([
+        x[sign == 0], _bisect(pot.gradient, x[change], x[change + 1])]))
+    vc = pot.value(zc)
+    below, above = vc[vc <= lam2], vc[vc > lam2]
+    in_window = (vc >= lo) & (vc <= hi)
+    witnesses = [(float(z), 0.0) for z in zc[in_window]]
+    if open_.any() and not in_window.any():
+        # no sign change in the unsettled cells: a critical point of even
+        # order, at the unsettled centre where |V'| is least
+        c = 0.5 * (a[open_] + b[open_])
+        witnesses.append((float(c[np.argmin(np.abs(pot.gradient(c)))]), 0.0))
+
+    up = v >= lam2
+    comp = np.cumsum(up & ~np.concatenate([[False], up[:-1]]))
+    n_comp = int(comp[-1])
+    gap = np.flatnonzero(~up & (comp >= 1) & (comp < n_comp))
+    order = gap[np.lexsort((v[gap], comp[gap]))]
+    _, first = np.unique(comp[order], return_index=True)
+    witnesses += [(float(x[i]), math.sqrt(lam2 - v[i])) for i in order[first]]
+    return TrappingVerdict(
+        window=(lo, hi),
+        critical_below=float(below.max()) if below.size else math.nan,
+        critical_above=float(above.min()) if above.size else math.nan,
+        components=n_comp, witnesses=tuple(witnesses))
+
+
+def _bisect(f, lo, hi):
+    """Roots of f, one in each bracket [lo, hi] where f changes sign,
+    bisected until the brackets stop shrinking; each root is the bracket
+    end where |f| is smaller."""
+    f_lo = np.sign(f(lo))
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        right = np.sign(f(mid)) == f_lo
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    return np.where(np.abs(f(lo)) <= np.abs(f(hi)), lo, hi)
 
 
 def as_batch(z, zeta):

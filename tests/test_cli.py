@@ -292,18 +292,13 @@ def test_escape_verify_runs_no_orbit_store(tmp_path, monkeypatch):
     assert not [ln for ln in lines if ln.startswith(("tubes", "covering"))]
 
 
-def test_full_report_flows_only_the_scan(tmp_path, monkeypatch):
-    """full-report on longrange_pow integrates the flow only in its scan:
-    every batched_flow call steps at CLASSIFY_DT, and build_tubes never
-    runs."""
-    steps, built = [], []
-    real = fl.batched_flow
-
-    def spy(model, z0, zeta0, t0, t1, dt, **kw):
-        steps.append(dt)
-        return real(model, z0, zeta0, t0, t1, dt, **kw)
-
-    monkeypatch.setattr(fl, "batched_flow", spy)
+def test_full_report_integrates_no_orbit(tmp_path, monkeypatch):
+    """full-report on longrange_pow integrates no orbit: its verdict comes
+    from V's critical values, so a batched_flow spy sees no call at all,
+    and build_tubes never runs."""
+    calls, built = [], []
+    monkeypatch.setattr(fl, "batched_flow",
+                        lambda *a, **k: calls.append(a))
     monkeypatch.setattr(esc, "build_tubes", lambda *a, **k: built.append(a))
     conf = tmp_path / "c.conf"
     conf.write_text(
@@ -312,8 +307,50 @@ def test_full_report_flows_only_the_scan(tmp_path, monkeypatch):
     out = tmp_path / "o"
     assert cli.main(["--preset", "longrange_pow", "full-report", "--config",
                      str(conf), "--out", str(out)]) == 0
-    assert steps and set(steps) == {fl.CLASSIFY_DT}
+    assert calls == []
     assert built == []
+
+
+@pytest.mark.parametrize("command", ["escape-build", "escape-verify",
+                                     "resolvent-sweep", "full-report"])
+def test_only_flow_scan_runs_the_sampled_scan(tmp_path, monkeypatch, command):
+    """Every command but flow-scan takes the exact verdict: none calls
+    flow.nontrapping_scan."""
+    def scan(*args, **kwargs):
+        raise AssertionError(f"{command} ran the sampled scan")
+
+    monkeypatch.setattr(fl, "nontrapping_scan", scan)
+    conf = tmp_path / "c.conf"
+    conf.write_text(
+        "h_list = 0.2, 0.1\ngrid_exponent = 13\nbox_half_length = 100\n"
+        "verify_x = 60\nverify_interior = 10\nverify_energy = 4\n")
+    assert cli.main(["--preset", "well", command, "--config", str(conf),
+                     "--out", str(tmp_path / "o")]) == 0
+
+
+def test_full_report_flags_the_barrier_top(tmp_path):
+    """longrange_pow at amplitude 1.0 has max V = 1 inside the window [0.9,
+    1.1], at the unstable equilibrium (0, 0): full-report flags it trapping,
+    with that point as its witness, and writes no escape certificate."""
+    conf = tmp_path / "c.conf"
+    conf.write_text(
+        "amplitude = 1.0\nh_list = 0.2, 0.1\ngrid_exponent = 13\n"
+        "box_half_length = 100\ncontrast_scan = 5\n")
+    out = tmp_path / "o"
+    assert cli.main(["--preset", "longrange_pow", "full-report", "--config",
+                     str(conf), "--out", str(out)]) == 0
+    assert _csv_rows(out / "scan_summary.csv") == [
+        ["window_lo", "window_hi", "critical_below", "critical_above",
+         "components", "nontrapping"],
+        ["0.9", "1.1", "1.0", "nan", "1", "0"]]
+    assert _csv_rows(out / "witnesses.csv") == [["z1", "zeta1"],
+                                                ["0.0", "0.0"]]
+    checks = json.loads((out / "summary.json").read_text())["checks"]
+    assert checks["flow_scan_completed"]["value"] == 1.0
+    assert checks["trapping_flagged"]["passed"]
+    assert checks["escape_certificate"]["note"] == "skipped: model is trapping"
+    assert not (out / "escape_report.txt").exists()
+    assert not (out / "verify.csv").exists()
 
 
 def test_escape_build_writes_construction_slice(tmp_path):
@@ -429,7 +466,7 @@ def test_cli_import_loads_only_scipy_linalg():
     """The package needs numpy and scipy.linalg alone: importing the CLI
     loads none of scipy's heavier subpackages."""
     heavy = ("scipy.signal", "scipy.integrate", "scipy.stats", "scipy.special",
-             "scipy.sparse")
+             "scipy.sparse", "scipy.optimize")
     code = ("import sys, nontrap.cli; "
             f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -501,15 +538,17 @@ def test_resolvent_sweep_free_checks(tmp_path):
 
 def test_full_report_wide_window_is_not_flagged_trapping(tmp_path, capsys):
     """The free line with the window [0.1, 1.9] is non-trapping: flow-scan
-    finds no witness.  So full-report goes on to the escape stage, which
-    cannot run at delta >= 0.1875 lambda2, and exits 2 before writing
-    anything, instead of flagging the model trapping."""
+    finds no witness, exact or sampled.  So full-report goes on to the
+    escape stage, which cannot run at delta >= 0.1875 lambda2, and exits 2
+    before writing anything, instead of flagging the model trapping."""
     conf = tmp_path / "c.conf"
     conf.write_text("delta = 0.9\nflow_samples = 60\n")
     scan = tmp_path / "scan"
     assert cli.main(["--preset", "zero", "flow-scan", "--config", str(conf),
                      "--out", str(scan)]) == 0
     header, row = _csv_rows(scan / "scan_summary.csv")
+    assert row[header.index("nontrapping")] == "1"
+    header, row = _csv_rows(scan / "flow_scan.csv")
     assert row[header.index("trapped")] == "0"
     capsys.readouterr()
     out = tmp_path / "wide"
@@ -550,23 +589,35 @@ def test_unconstructible_escape_rejected_before_output(tmp_path, capsys,
 
 def test_escape_radius_beyond_scan_reach_rejected(tmp_path, capsys):
     """longrange_pow at amplitude -1, gamma 0.005 has an escape radius of
-    2.3e69, which no scan orbit reaches: every scanning command exits 2
-    with the radius and scan_t_max in the message.  On the free line (radius
-    40, lowest speed 2 sqrt(0.9)) the bound falls between scan_t_max 21 and
-    22."""
+    2.3e69, which no scan orbit reaches: flow-scan, the one command that
+    runs the sampled scan, exits 2 with the radius and scan_t_max in the
+    message.  The model is non-trapping (zeta^2 = E - V > 0 everywhere), and
+    the other commands take the exact verdict: resolvent-sweep runs and does
+    not flag it, and escape-build exits 2 on its collar, which starts beyond
+    the grids.  On the free line (radius 40, lowest speed 2 sqrt(0.9)) the
+    bound falls between scan_t_max 21 and 22."""
     conf = tmp_path / "c.conf"
-    conf.write_text("amplitude = -1.0\ngamma = 0.005\nflow_samples = 20\n")
+    conf.write_text("amplitude = -1.0\ngamma = 0.005\nflow_samples = 20\n"
+                    "h_list = 0.2, 0.1\ngrid_exponent = 13\n"
+                    "box_half_length = 100\n")
     radius = geo.preset_model("longrange_pow", amplitude=-1.0,
                               gamma=0.005).escape_radius
     assert 2e69 < radius < 3e69
-    for command in ("flow-scan", "escape-build", "resolvent-sweep"):
-        out = tmp_path / command
-        assert cli.main(["--preset", "longrange_pow", command, "--config",
-                         str(conf), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"escape radius {radius:.6g} takes" in err
-        assert "scan_t_max = 150.0" in err
-        assert not out.exists()
+    args = ["--preset", "longrange_pow", "--config", str(conf), "--out"]
+    out = tmp_path / "flow-scan"
+    assert cli.main(["flow-scan"] + args + [str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"escape radius {radius:.6g} takes" in err
+    assert "scan_t_max = 150.0" in err
+    assert not out.exists()
+    out = tmp_path / "escape-build"
+    assert cli.main(["escape-build"] + args + [str(out)]) == 2
+    assert "the incoming collar starts at |z| = 2/x0" in capsys.readouterr().err
+    assert not out.exists()
+    out = tmp_path / "resolvent-sweep"
+    assert cli.main(["resolvent-sweep"] + args + [str(out)]) == 0
+    header, row = _csv_rows(out / "sweep_summary.csv")
+    assert row[header.index("trapping_flagged")] == "0"
     for t_max, code in (("21", 2), ("22", 0)):
         conf.write_text(f"scan_t_max = {t_max}\nflow_samples = 20\n")
         assert cli.main(["--preset", "zero", "flow-scan", "--config",

@@ -455,7 +455,7 @@ def test_kept_verification_pieces(escape_longrange):
     kept pieces at those sizes to the report of its own evaluation."""
     e = escape_longrange
     sizes = (120, 20, 8)
-    verdict = fl.nontrapping_scan(e.model, n_samples=300, T_max=150.0)
+    verdict = geo.trapping_verdict(e.model)
     kept = esc.assemble_escape(e.model, e.eps, verdict, verify_grid=sizes)
     assert (kept.C, kept.C_prime, kept.cascade) == (e.C, e.C_prime, e.cascade)
     assert kept.verify_sizes == sizes and e.verify_sizes is None
@@ -946,7 +946,7 @@ def test_assemble_rejects_trapping(double_bump_1d):
     with pytest.raises(ConstructionError):
         esc.assemble_escape(
             double_bump_1d, 0.2,
-            verdict=fl.nontrapping_scan(double_bump_1d, n_samples=60, T_max=40.0),
+            verdict=geo.trapping_verdict(double_bump_1d),
         )
 
 
@@ -1188,7 +1188,7 @@ def test_cascade_takes_no_halving(name, request):
     else:
         model, _ = _dwell_model(name)
         e = esc.assemble_escape(
-            model, 0.2, fl.nontrapping_scan(model, n_samples=300, T_max=150.0))
+            model, 0.2, geo.trapping_verdict(model))
     assert e.cascade["halvings_C"] == 0 and e.cascade["halvings_Cp"] == 0
     assert e.C == 1.0 and e.C_prime == 1.0
     report = esc.verify_proposition(e, n_x=300, n_interior=40, n_energy=16)

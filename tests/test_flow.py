@@ -1,5 +1,7 @@
 """Flow integration, escape classification, scans and incoming times."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -353,3 +355,23 @@ def test_escaped_radius_monotone(longrange_1d):
     out = np.flatnonzero(r > 40.0)
     assert out.size > 3
     assert np.all(np.diff(r[out[0]:]) > 0)
+
+
+def test_classify_memory_bounded_by_sample_blocks():
+    """The escape test and the drift run on _SAMPLE_BLOCK samples at a time:
+    a segment of 500 points and their mirrors (801 samples of 1000 columns)
+    peaks below its two sample arrays plus 16 block-sized temporaries
+    (tracemalloc).  Evaluating the whole segment at once peaked at 50 MB."""
+    model = geo.preset_model("zero")
+    rng = np.random.default_rng(0)
+    z = rng.uniform(-40.0, 40.0, 500)
+    zeta = rng.choice([-1.0, 1.0], 500)
+    samples = int(round(flow._SEGMENT / flow.CLASSIFY_DT)) + 1
+    budget = 8 * 1000 * (2 * samples + 16 * flow._SAMPLE_BLOCK)
+    tracemalloc.start()
+    try:
+        flow.classify_point(model, z, zeta, T_max=flow._SEGMENT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget

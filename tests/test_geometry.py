@@ -2,10 +2,12 @@
 
 import inspect
 import math
+import time
 
 import numpy as np
 import pytest
 
+from nontrap import flow
 from nontrap import geometry as geo
 from nontrap.errors import ConfigurationError
 
@@ -260,3 +262,184 @@ def test_presets_cover_spec_examples():
     assert db.potential.amplitude == 2.0 and db.potential.separation == 3.0
     w = geo.preset_model("well")
     assert w.potential.amplitude == 2.0
+
+
+# ---------------------------------------------------------------------------
+# the exact non-trapping verdict
+# ---------------------------------------------------------------------------
+
+#: name -> (preset, overrides); the verdict tests' models
+_VERDICT_MODELS = {
+    "zero": ("zero", {}),
+    "longrange_pow": ("longrange_pow", {}),
+    "double_bump": ("double_bump", {}),
+    "well": ("well", {}),
+    "double_bump_sep50": ("double_bump", {"separation": 50.0}),
+    "barrier_top": ("longrange_pow", {"amplitude": 1.0}),
+    "barrier": ("longrange_pow", {"amplitude": 1.5}),
+    "barrier_edge": ("longrange_pow", {"amplitude": 1.1}),
+    "zero_wide": ("zero", {"delta": 0.9}),
+    "zero_low": ("zero", {"lambda2": 0.05, "delta": 0.01}),
+    "slow_tail": ("longrange_pow", {"amplitude": -1.0, "gamma": 0.005}),
+    # the bumps merge into one flat top, V' ~ z^3 at 0, with V(0) = 1.05
+    "flat_top": ("double_bump", {"separation": math.sqrt(0.5),
+                                 "amplitude": 0.525 * math.exp(0.5)}),
+}
+
+
+def _verdict_model(name):
+    preset, overrides = _VERDICT_MODELS[name]
+    return geo.preset_model(preset, **overrides)
+
+
+@pytest.mark.parametrize("name", ["zero", "longrange_pow", "double_bump",
+                                  "well", "double_bump_sep50"])
+def test_trapping_verdict_agrees_with_the_flow(name):
+    """The verdict agrees with the batched-flow scan on the presets and on
+    double_bump with its bumps past the escape floor."""
+    model = _verdict_model(name)
+    scan = flow.nontrapping_scan(model, n_samples=100, T_max=150.0)
+    assert geo.trapping_verdict(model).nontrapping \
+        == scan.is_nontrapping_empirical
+
+
+@pytest.mark.parametrize("name, nontrapping, below, above, components", [
+    ("zero", True, 0.0, math.nan, 0),
+    ("longrange_pow", True, 0.5, math.nan, 0),
+    ("well", True, -2.0, math.nan, 0),
+    ("barrier_top", False, 1.0, math.nan, 1),
+    ("barrier", True, math.nan, 1.5, 1),
+    ("barrier_edge", False, math.nan, 1.1, 1),
+    ("zero_wide", True, 0.0, math.nan, 0),
+    ("zero_low", True, 0.0, math.nan, 0),
+    ("slow_tail", True, -1.0, math.nan, 0),
+])
+def test_trapping_verdict_critical_values(name, nontrapping, below, above,
+                                          components):
+    """The barrier top (max V = 1 inside the window) and a window whose
+    upper edge is max V = 1.1 trap; a barrier above the window does not,
+    nor does the free line at a wide or a low window.  The critical values
+    nearest to lambda2 are V's at its critical points (V = 0 is critical
+    everywhere on the free line)."""
+    v = geo.trapping_verdict(_verdict_model(name))
+    assert v.nontrapping is nontrapping
+    np.testing.assert_array_equal([v.critical_below, v.critical_above],
+                                  [below, above])
+    assert v.components == components
+    assert v.witnesses == (() if nontrapping else ((0.0, 0.0),))
+
+
+def test_trapping_verdict_double_bump():
+    """double_bump traps between its bumps: {V >= 1} has two components,
+    the critical values nearest to the window are the well's floor
+    4 exp(-9) and the bumps' tops, and the witness sits at the floor on
+    the shell E = 1."""
+    v = geo.trapping_verdict(_verdict_model("double_bump"))
+    assert not v.nontrapping and v.components == 2
+    assert v.critical_below == pytest.approx(4.0 * math.exp(-9.0), rel=1e-12)
+    assert v.critical_above == pytest.approx(2.0, rel=1e-12)
+    (z, zeta), = v.witnesses
+    assert z == 0.0 and zeta == pytest.approx(math.sqrt(1.0 - v.critical_below))
+
+
+@pytest.mark.parametrize("name", ["double_bump", "double_bump_sep50",
+                                  "barrier_top", "barrier_edge"])
+def test_trapping_verdict_witnesses_stay_bounded(name):
+    """Each witness's orbit stays bounded under RK4 (step 0.02 for 200 time
+    units, several bounces between double_bump's bumps) at its energy,
+    which lies in the window."""
+    model = _verdict_model(name)
+    v = geo.trapping_verdict(model)
+    z, zeta = (np.array(c) for c in zip(*v.witnesses))
+    energy = geo.symbol_p(model, z, zeta)
+    assert np.all((energy >= v.window[0]) & (energy <= v.window[1]))
+    _, zs, _ = flow.batched_flow(model, z, zeta, 0.0, 200.0, 0.02,
+                                 store_stride=10)
+    reach = model.potential.level_radius(v.window[0])
+    assert np.all(np.abs(zs) < reach)
+
+
+def test_trapping_verdict_flat_top():
+    """At a degenerate top (V' ~ z^3) the bounds on V'' are not local, and
+    the cells left unsettled near it grow with each halving; the cap on
+    them stops the halving, and the verdict traps at (0, 0)."""
+    model = _verdict_model("flat_top")
+    v = geo.trapping_verdict(model)
+    assert v.witnesses == ((0.0, 0.0),)
+    assert v.critical_above == model.potential.value(np.zeros(1))[0]
+
+
+class _Inflection(geo.Potential):
+    """V = 1 + (z - 0.3)^3 on [-0.6, 0.6], all the verdict reads: an
+    inflection point with critical value 1, where V' does not change
+    sign."""
+
+    def value(self, z):
+        return 1.0 + (z - 0.3) ** 3
+
+    def gradient(self, z):
+        return 3.0 * (z - 0.3) ** 2
+
+    def rise_radius(self, rise):
+        return 0.0
+
+    def level_radius(self, level):
+        return 0.6
+
+    def slope_bounds(self, a, b):
+        far = np.maximum(np.abs(a - 0.3), np.abs(b - 0.3))
+        return 3.0 * far**2, 6.0 * far
+
+
+def test_trapping_verdict_even_order_critical_point():
+    """A critical value in the window where V' keeps its sign leaves cells
+    unsettled: the verdict traps, with the unsettled centre of least |V'|
+    as its witness."""
+    v = geo.trapping_verdict(geo.ModelProblem(_Inflection(), 1.0, 0.1))
+    (z, zeta), = v.witnesses
+    assert not v.nontrapping
+    assert abs(z - 0.3) < 1e-9 and zeta == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(_VERDICT_MODELS))
+def test_trapping_verdict_takes_under_10_ms(name):
+    """The verdict is a few numpy passes over at most a few thousand cells,
+    on slowly decaying tails too (slow_tail's cells reach |z| = 1.4e9)."""
+    model = _verdict_model(name)
+    best = math.inf
+    for _ in range(5):
+        t0 = time.perf_counter()
+        geo.trapping_verdict(model)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.01
+
+
+def test_level_radius_bounds_the_potential():
+    """|V| < level past level_radius, on a geometric sample out to 1e6
+    times the radius."""
+    for preset, overrides in _VERDICT_MODELS.values():
+        pot = geo.preset_model(preset, **overrides).potential
+        for level in (0.04, 0.9, 1.3):
+            r = pot.level_radius(level)
+            if not math.isfinite(r):
+                continue
+            z = r * np.geomspace(1.0 + 1e-9, 1e6, 2000) + 1e-9
+            for s in (1.0, -1.0):
+                assert np.all(np.abs(pot.value(s * z)) < level), (preset,
+                                                                  level)
+
+
+@pytest.mark.parametrize("name", ["longrange_pow", "double_bump", "well",
+                                  "barrier", "slow_tail"])
+def test_slope_bounds_bound_the_derivatives(name):
+    """M1 and M2 bound |V'| and a finite-difference |V''| at 64 points of
+    each of 200 cells."""
+    pot = _verdict_model(name).potential
+    ends = np.sinh(np.linspace(-6.0, 6.0, 201))
+    a, b = ends[:-1], ends[1:]
+    m1, m2 = pot.slope_bounds(a, b)
+    z = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 64)
+    d = 1e-5 * (1.0 + np.abs(z))
+    curvature = (pot.gradient(z + d) - pot.gradient(z - d)) / (2.0 * d)
+    assert np.all(np.abs(pot.gradient(z)) <= m1[:, None] * (1 + 1e-12))
+    assert np.all(np.abs(curvature) <= m2[:, None] * (1 + 1e-6) + 1e-9)
