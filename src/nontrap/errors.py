@@ -13,9 +13,9 @@ class ConstructionError(RuntimeError):
     """Raised when a certified construction step fails.
 
     Examples: the intermediate-band lower bound comes out non-positive,
-    a tube covering cannot be certified after refinement, or a constant
-    cascade exhausts its halving budget.  The message lists the violating
-    data (witness points, uncovered samples) where available.
+    an orbit at a window energy is trapped (its dwell time is infinite),
+    or a constant cascade exhausts its halving budget.  The message lists
+    the violating data (witness points, energies) where available.
     """
 
 

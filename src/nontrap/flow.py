@@ -9,10 +9,10 @@ it, as a cross-check: every verdict a command acts on is
 geometry.trapping_verdict, from the critical values of V, and the escape
 function's q_circ is a quadrature along the orbits' level sets
 (escape.dwell_times).  The incoming times (IncomingTimes,
-time_to_incoming) serve only the former tube construction in escape,
-which no command runs.  A point is certified as escaped at the first
-sample with |z| > model.escape_radius, d|z|/dt > 0 and
-tau^2 >= model.escape_energy, half the window's lowest energy: past that
+time_to_incoming) are called by nothing in the package; they stay while
+perfbench's tracer wraps time_to_incoming.  A point is certified as
+escaped at the first sample with |z| > model.escape_radius, d|z|/dt > 0
+and tau^2 >= model.escape_energy, half the window's lowest energy: past that
 radius the potential rises by less than the escape energy along any
 outward path, so the orbit never turns back and the verdict is a
 certificate rather than a guess.  tau^2 tends to the shell
@@ -47,7 +47,6 @@ _CLASSIFY_CHUNK = 1000  # points flowed together (bounds the stored samples)
 _DRIFT_BOUND = 1e-5     # relative energy drift that rejects an escaped verdict
 _SAMPLE_BLOCK = 64      # samples per evaluation of the escape test and drift
 INCOMING_DT = 0.05      # RK4 step (and sample spacing) of the incoming times
-                        # and of the tube sweep that reads them
 _INCOMING_MARGIN = 2.0  # flow time over which the incoming conditions persist
 
 
@@ -290,7 +289,7 @@ def nontrapping_scan(model, n_samples=1000, T_max=150.0) -> NonTrappingVerdict:
 
 
 # ---------------------------------------------------------------------------
-# first incoming time (the tube construction's T_xi)
+# first incoming time T_xi (no caller in the package)
 # ---------------------------------------------------------------------------
 
 class IncomingTimes:

@@ -342,6 +342,10 @@ _CELL_STEP = 1.0 / 32.0  # the verdict's base cells, uniform in asinh(z)
 _MAX_SPLITS = 40         # halvings of a cell the verdict may take
 _MAX_OPEN = 1024         # unsettled cells beyond which no more are halved
 _BISECT_STEPS = 200      # bisection steps, a cap (each halves a bracket)
+# a gap between components of {V >= lambda2} whose least V is within this
+# many ulps of lambda2 is V's rounding around a critical point (V(1e-4)
+# rounds to lambda2 at a top V = lambda2 - c z^4), not a gap
+_GAP_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -383,7 +387,9 @@ def trapping_verdict(model: ModelProblem) -> TrappingVerdict:
     unsettled (at a degenerate critical point they multiply), and a cell
     left unsettled makes the verdict trapping.  On settled cells
     {V >= lambda2} changes at most once per cell, so the signs of
-    V - lambda2 at the cell ends count its components.  The critical
+    V - lambda2 at the cell ends count its components, less the gaps whose
+    least V is within _GAP_ULPS ulps of lambda2: such a gap holds a
+    critical point in the window, already a witness.  The critical
     points reported are the cell ends where V' = 0 and a bisection of each
     sign change of V' between neighbouring ends."""
     pot = model.potential
@@ -440,12 +446,15 @@ def trapping_verdict(model: ModelProblem) -> TrappingVerdict:
     gap = np.flatnonzero(~up & (comp >= 1) & (comp < n_comp))
     order = gap[np.lexsort((v[gap], comp[gap]))]
     _, first = np.unique(comp[order], return_index=True)
-    witnesses += [(float(x[i]), math.sqrt(lam2 - v[i])) for i in order[first]]
+    least = order[first]    # each gap's least V
+    deep = least[v[least] < lam2 - _GAP_ULPS * np.spacing(lam2)]
+    witnesses += [(float(x[i]), math.sqrt(lam2 - v[i])) for i in deep]
     return TrappingVerdict(
         window=(lo, hi),
         critical_below=float(below.max()) if below.size else math.nan,
         critical_above=float(above.min()) if above.size else math.nan,
-        components=n_comp, witnesses=tuple(witnesses))
+        components=n_comp - (least.size - deep.size),
+        witnesses=tuple(witnesses))
 
 
 def _bisect(f, lo, hi):

@@ -270,13 +270,11 @@ def test_failed_certificate_lists_witnesses(tmp_path, monkeypatch):
 
 
 def test_escape_verify_runs_no_orbit_store(tmp_path, monkeypatch):
-    """escape-verify builds no tube family and flows no orbit store: its
+    """escape-verify flows no orbit: a batched_flow spy sees no call, its
     report's T_K is dwell_bound's, and its chi line gives dwell_cutoff's
     radii 2/x0 and 4/x0."""
     calls = []
-    for name in ("_shell_orbits", "build_tubes"):
-        monkeypatch.setattr(esc, name, lambda *a, name=name, **k:
-                            calls.append(name))
+    monkeypatch.setattr(fl, "batched_flow", lambda *a, **k: calls.append(a))
     conf = tmp_path / "c.conf"
     conf.write_text("verify_x = 60\nverify_interior = 10\nverify_energy = 4\n")
     out = tmp_path / "o"
@@ -294,12 +292,10 @@ def test_escape_verify_runs_no_orbit_store(tmp_path, monkeypatch):
 
 def test_full_report_integrates_no_orbit(tmp_path, monkeypatch):
     """full-report on longrange_pow integrates no orbit: its verdict comes
-    from V's critical values, so a batched_flow spy sees no call at all,
-    and build_tubes never runs."""
-    calls, built = [], []
+    from V's critical values, so a batched_flow spy sees no call at all."""
+    calls = []
     monkeypatch.setattr(fl, "batched_flow",
                         lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(esc, "build_tubes", lambda *a, **k: built.append(a))
     conf = tmp_path / "c.conf"
     conf.write_text(
         "h_list = 0.2, 0.14, 0.1\ngrid_exponent = 14\nflow_samples = 60\n"
@@ -308,7 +304,6 @@ def test_full_report_integrates_no_orbit(tmp_path, monkeypatch):
     assert cli.main(["--preset", "longrange_pow", "full-report", "--config",
                      str(conf), "--out", str(out)]) == 0
     assert calls == []
-    assert built == []
 
 
 @pytest.mark.parametrize("command", ["escape-build", "escape-verify",

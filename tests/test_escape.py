@@ -1,10 +1,9 @@
-"""Escape-function construction: constants, cutoffs, tubes, dwell times,
-certificates."""
+"""Escape-function construction: constants, cutoffs, shell labels, dwell
+times, q_circ's evaluator, certificates."""
 
 import dataclasses
 import math
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -13,9 +12,8 @@ from nontrap import escape as esc
 from nontrap import flow as fl
 from nontrap import geometry as geo
 from nontrap.errors import ConfigurationError, ConstructionError, IntegrationError
-from nontrap.smooth import falling_step
 
-from conftest import hpq_finite_difference, integrate_flow, tube_family
+from conftest import hpq_finite_difference, integrate_flow
 
 
 @pytest.fixture(scope="module")
@@ -203,666 +201,42 @@ def test_boundary_piece_incoming_sign_everywhere(escape_free):
     assert np.max(weighted) <= 1e-12
 
 
-# -- tubes -------------------------------------------------------------------
+# -- shell labels ------------------------------------------------------------
 
-# The tube machinery (build_tubes, eval_q_circ) builds a q_circ from flow
-# tubes; no command reaches it, and these tests pin it until it is deleted.
-# Their ids name each model by its escape fixture, and each runs on that
-# model's tube family.
-_TUBES = {"escape_free": "tubes_free", "escape_longrange": "tubes_longrange",
-          "escape_barrier": "escape_barrier", "tubes_well": "tubes_well"}
+# Stated before the change: the same DOP853 tolerance (1e-10) as the
+# reference flows elsewhere, and F's quadrature error (about 1e-13 relative)
+# moves the landing point by far less than this.
+_MEMBER_TOL = 1e-6
 
-
-def test_tube_time_cutoff_shape():
-    T = 7.0
-    t = np.linspace(-1.5, T + 2.5, 2000)
-    v, d = esc._chi_tube(t, T)
-    assert np.all(v >= 0)
-    assert np.all(v[(t <= -1.0) | (t >= T + 2.0)] == 0.0)
-    grow = (t >= -1.0) & (t <= T + 2.0 / 3.0)
-    assert np.all(d[grow] >= -1e-12)
-    core = (t >= -0.5) & (t <= T + 2.0 / 3.0)
-    assert np.allclose(d[core], 1.0)
-    # one T per point gives each point its scalar-T value exactly
-    Ts = np.array([0.5, T, 79.7])[np.arange(t.size) % 3]
-    v_arr, d_arr = esc._chi_tube(t, Ts)
-    want = np.array([esc._chi_tube(t[k:k + 1], Ts[k]) for k in range(t.size)])
-    assert np.array_equal(v_arr, want[:, 0, 0])
-    assert np.array_equal(d_arr, want[:, 1, 0])
-
-
-def test_tubes_cover_and_certify(tubes_free):
-    tubes = tubes_free.tubes
-    assert tubes.covering.n_uncovered == 0
-    assert tubes.covering.n_test > 0
-    assert len(tubes.tubes) > 50
-
-
-def test_tube_seed_value(tubes_free):
-    """At a tube seed the flow coordinates are (t, sigma) = (0, 0), so
-    q_circ/psi >= chi(0) phi(0) = 1 there."""
-    seed = tubes_free.tubes.tubes.seed[3]
-    qv, hv = esc.eval_q_circ(tubes_free.model, tubes_free.tubes,
-                             seed[:1], seed[1:], np.arange(1))
-    assert qv[0] >= 1.0 - 1e-8
-
-
-def test_tube_far_point_zero(tubes_free):
-    qv, hv = esc.eval_q_circ(tubes_free.model, tubes_free.tubes,
-                             np.array([900.0]), np.array([1.0]), np.arange(1))
-    assert qv[0] == 0.0 and hv[0] == 0.0
-
-
-# an energy range holding every orbit: the orbit store without energy filter
-_ANY_ENERGY = np.array([[-np.inf, np.inf]])
-
-
-def _every_second(tubes):
-    """The tube family's rows 0, 2, 4, ..."""
-    return dataclasses.replace(tubes, **{f.name: getattr(tubes, f.name)[::2]
-                                         for f in dataclasses.fields(tubes)})
-
-
-# tubes whose (tube, near sample) pairs the dense reference expands at once
-_DENSE_TUBE_CHUNK = 8
-
-
-def _near_in_z(z_flat, seed_z, near):
-    """Chunks (j, idx), _DENSE_TUBE_CHUNK tubes at a time: each tube j
-    repeated once per sample of z_flat within 1.01 near[j] of seed_z[j] in
-    z, and idx those samples' flat indices, found by binary search over the
-    samples sorted by z.  A sample within near of a seed in the plane is
-    within it in z, so it is among them."""
-    by_z = np.argsort(z_flat, kind="stable")
-    z_sorted = z_flat[by_z]
-    for a in range(0, seed_z.size, _DENSE_TUBE_CHUNK):
-        tj = np.arange(a, min(a + _DENSE_TUBE_CHUNK, seed_z.size))
-        lo = np.searchsorted(z_sorted, seed_z[tj] - 1.01 * near[tj])
-        n = np.searchsorted(z_sorted, seed_z[tj] + 1.01 * near[tj],
-                            "right") - lo
-        c, k = esc._ranges(lo, n)
-        yield tj[c], by_z[k]
-
-
-def _dense_passes(model, tubes, reach, z, zeta, shell, zone):
-    """Reference for esc._tube_passes on the same orbit store, offsets and
-    crossing step: chunks (j, i, t, sigma) in the order tube, crossing
-    time, orbit.  Every stored sample of every orbit (all rows and orbits,
-    no window, no energy filter) that lies within 1.5 radius + 0.2 of a
-    tube's seed is projected onto that tube's hyperplane; a sign change by
-    the next sample is a crossing, and each crossing is matched to its
-    orbit's members by a direct zone test.  The near samples of a chunk of
-    tubes are found at once (_near_in_z).  Its orbits run the whole tail,
-    not stopping at their escape."""
-    w_lo, w_hi, sigma_max = zone
-    t_tail = tubes.T.max() + w_hi + 0.1
-    ts, comps, pts, orb, s = esc._shell_orbits(model, z, zeta, shell, reach,
-                                               w_lo - 0.1, t_tail,
-                                               _ANY_ENERGY, np.inf)
-    n_rows = ts.size - 1    # samples that start a bracket, per orbit
-    level = tubes.seed[:, 0] * tubes.normal[:, 0] \
-        + tubes.seed[:, 1] * tubes.normal[:, 1]
-    near = tubes.radius * 1.5 + 0.2
-    for j, idx in _near_in_z(comps[0][:, :-1].ravel(), tubes.seed[:, 0],
-                             near):
-        ms, ks = np.divmod(idx, n_rows)
-        y = np.stack([comps[0][ms, ks], comps[1][ms, ks]], axis=-1)
-        nrm = tubes.normal[j]
-        neg0 = np.signbit(y[:, 0] * nrm[:, 0] + y[:, 1] * nrm[:, 1] - level[j])
-        neg1 = np.signbit(comps[0][ms, ks + 1] * nrm[:, 0]
-                          + comps[1][ms, ks + 1] * nrm[:, 1] - level[j])
-        hit = (neg0 != neg1) & (np.linalg.norm(y - tubes.seed[j], axis=1)
-                                <= near[j])
-        srt = np.lexsort((ms[hit], ks[hit], j[hit]))
-        j, ms, ks = j[hit][srt], ms[hit][srt], ks[hit][srt]
-        t_c, y = esc._refine_crossings(model, ts, comps, ks, ms,
-                                       tubes.normal[j], level[j])
-        sigma = np.abs((y[:, 0] - tubes.seed[j, 0]) * tubes.u_p[j, 0]
-                       + (y[:, 1] - tubes.seed[j, 1]) * tubes.u_p[j, 1]) \
-            / tubes.radius[j]
-        lo = np.searchsorted(orb, ms, "left")
-        n = np.searchsorted(orb, ms, "right") - lo
-        c = np.repeat(np.arange(n.size), n)
-        m = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(c.size)
-        t = t_c[c] - s[m]
-        ok = ((t >= w_lo) & (t <= tubes.T[j[c]] + w_hi)
-              & (sigma[c] <= sigma_max))
-        yield j[c[ok]], pts[m[ok]], t[ok], sigma[c[ok]]
-
-
-def _dense_eval_q_circ(model, coll, z, zeta, shell):
-    """Reference q_circ: the dense passes, summed tube by tube."""
-    qv, hp = np.zeros(z.size), np.zeros(z.size)
-    phi_shape = falling_step(0.5, 1.0)
-    for j, i, t, sigma in _dense_passes(model, coll.tubes, coll.reach, z,
-                                        zeta, shell, esc._SUPPORT_ZONE):
-        phi = phi_shape(sigma)
-        chi, chi_d = esc._chi_tube(t, coll.tubes.T[j])
-        np.add.at(qv, i, chi * phi)
-        np.add.at(hp, i, -chi_d * phi)
-    return qv, hp
-
-
-def _dense_certify_covering(model, tubes, reach, consts, spacing):
-    """Reference covering check by the dense passes on the same test points:
-    (n_test, n_uncovered, the first 16 uncovered states)."""
-    r_max = 4.0 / consts.x0
-    zs = np.arange(-r_max, r_max + 0.25 * spacing, 0.5 * spacing)
-    energies = model.lambda2 + np.array([-0.9, 0.0, 0.9]) * model.delta
-    z, zeta, shell = esc._shell_points(model, zs, energies)
-    hits = np.zeros(z.size)
-    for _, i, _, _ in _dense_passes(model, tubes, reach, z, zeta, shell,
-                                    esc._COVER_ZONE):
-        np.add.at(hits, i, 1.0)
-    bad = np.flatnonzero(hits <= 0.0)
-    return z.size, bad.size, np.stack([z[bad[:16]], zeta[bad[:16]]], axis=-1)
-
-
-@pytest.mark.parametrize("which", ["escape_free", "escape_longrange"])
-def test_q_circ_matches_dense_scan(which, request):
-    """The windowed, energy-filtered crossing scan and the key search over
-    offsets return exactly the dense scan's (q_circ, H_p q_circ) on the
-    orbit store of a labelled grid."""
-    e = request.getfixturevalue(_TUBES[which])
-    z, zeta, shell = esc.phase_grid(e.model, n_x=120, n_interior=20, n_energy=8)
-    got = esc.eval_q_circ(e.model, e.tubes, z, zeta, shell)
-    ref = _dense_eval_q_circ(e.model, e.tubes, z, zeta, shell)
-    assert np.count_nonzero(ref[0]) > 0
-    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-
-
-@pytest.mark.parametrize("which", ["escape_free", "escape_longrange"])
-def test_q_circ_unlabelled_matches_dense_scan(which, request):
-    """The same on singleton labels (each point its own orbit) of an
-    (x, tau) plane whose energies reach well outside the window, so that
-    the energy filter drops orbits."""
-    e = request.getfixturevalue(_TUBES[which])
-    x, tau = np.meshgrid(np.geomspace(0.005, 0.999, 20),
-                         np.linspace(-1.5, 1.5, 16), indexing="ij")
-    z, zeta = 1.0 / x.ravel(), -tau.ravel()
-    alone = np.arange(z.size)
-    got = esc.eval_q_circ(e.model, e.tubes, z, zeta, alone)
-    ref = _dense_eval_q_circ(e.model, e.tubes, z, zeta, alone)
-    assert np.count_nonzero(ref[0]) > 0
-    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-
-
-def test_q_circ_slice_plane_prefilter(tubes_longrange):
-    """On an 80 x 60 (x, tau) plane of singleton labels whose energies
-    reach past every tube's energy range, only orbits at a tube's energy
-    are flowed, yet q_circ equals the dense scan over every orbit bit for
-    bit; every tube's energy range keeps a point."""
-    e = tubes_longrange
-    x, tau = np.meshgrid(np.geomspace(1e-3, 0.999, 80),
-                         np.linspace(-1.5 * e.model.lam, 1.5 * e.model.lam,
-                                     60), indexing="ij")
-    z, zeta = 1.0 / x.ravel(), -tau.ravel()
-    alone = np.arange(z.size)
-    bands = e.tubes.tubes.band
-    _, _, pts, _, _ = esc._shell_orbits(e.model, z, zeta, alone, e.tubes.reach,
-                                        -1.1, 1.0, bands, np.inf)
-    p = geo.symbol_p(e.model, z[pts], zeta[pts])[:, None]
-    assert pts.size < np.count_nonzero(np.abs(z) <= e.tubes.reach)
-    assert np.all(np.any((p >= bands[:, 0]) & (p <= bands[:, 1]), axis=0))
-    got = esc.eval_q_circ(e.model, e.tubes, z, zeta, alone)
-    ref = _dense_eval_q_circ(e.model, e.tubes, z, zeta, alone)
-    assert np.count_nonzero(ref[0]) > 0
-    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-
-
-# The former per-point evaluation (each point flowed on its own at RK4 step
-# 0.05) changed by at most 1.2e-8 max|q| in q and 1.61e-7 max|H_p q| in
-# H_p q when its step was halved, on longrange_pow's 80/16/6 grid; the
-# grouped result must stay that close to the singletons at half the step.
-_GROUPED_Q_TOL, _GROUPED_HP_TOL = 1.2e-8, 1.61e-7
-
-
-def test_q_circ_grouped_matches_singletons(tubes_longrange, monkeypatch):
-    """Shell orbits with offsets against every point flowed on its own at
-    half the RK4 step (same sample spacing)."""
-    e = tubes_longrange
-    z, zeta, shell = esc.phase_grid(e.model, n_x=80, n_interior=16, n_energy=6)
-    q, h = esc.eval_q_circ(e.model, e.tubes, z, zeta, shell)
-    monkeypatch.setattr(esc, "_Q_CIRC_DT", 0.5 * esc._Q_CIRC_DT)
-    monkeypatch.setattr(esc, "_Q_CIRC_STRIDE", 2 * esc._Q_CIRC_STRIDE)
-    qs, hs = esc.eval_q_circ(e.model, e.tubes, z, zeta, np.arange(z.size))
-    assert np.count_nonzero(qs) > 0
-    assert np.array_equal(q != 0.0, qs != 0.0)
-    assert np.max(np.abs(q - qs)) <= _GROUPED_Q_TOL * np.max(np.abs(qs))
-    assert np.max(np.abs(h - hs)) <= _GROUPED_HP_TOL * np.max(np.abs(hs))
-
-
-def test_q_circ_one_pass_over_two_grids(tubes_longrange):
-    """eval_q_circ over the construction grid and a verification grid in one
-    pass, the verification labels offset past the construction ones, equals
-    the two separate passes bit for bit."""
-    e = tubes_longrange
-    grids = [esc.phase_grid(e.model, n_x=220, n_interior=40, n_energy=14),
-             esc.phase_grid(e.model, n_x=120, n_interior=20, n_energy=8)]
-    (z, zeta, shell), (zv, zetav, shellv) = grids
-    q, hp = esc.eval_q_circ(e.model, e.tubes, np.concatenate([z, zv]),
-                            np.concatenate([zeta, zetav]),
-                            np.concatenate([shell, shellv + shell.max() + 1]))
-    parts = [esc.eval_q_circ(e.model, e.tubes, *g) for g in grids]
-    assert np.count_nonzero(q) > 0
-    assert np.array_equal(q, np.concatenate([p[0] for p in parts]))
-    assert np.array_equal(hp, np.concatenate([p[1] for p in parts]))
-
-
-def test_kept_verification_pieces(escape_longrange):
-    """assemble_escape given the verification grid's sizes keeps the same
-    constants and construction pieces, and verify_proposition reads the
-    kept pieces at those sizes to the report of its own evaluation."""
-    e = escape_longrange
-    sizes = (120, 20, 8)
-    verdict = geo.trapping_verdict(e.model)
-    kept = esc.assemble_escape(e.model, e.eps, verdict, verify_grid=sizes)
-    assert (kept.C, kept.C_prime, kept.cascade) == (e.C, e.C_prime, e.cascade)
-    assert kept.verify_sizes == sizes and e.verify_sizes is None
-    assert np.array_equal(kept.grid, e.grid)
-    z, zeta, shell = esc.phase_grid(e.model, *sizes)
-    assert np.array_equal(kept.verify_grid, np.stack([z, zeta], axis=-1))
-    fresh = e.pieces(z, zeta, shell)
-    for f in dataclasses.fields(esc.PieceArrays):
-        assert np.array_equal(getattr(kept.grid_pieces, f.name),
-                              getattr(e.grid_pieces, f.name))
-        assert np.array_equal(getattr(kept.verify_pieces, f.name),
-                              getattr(fresh, f.name))
-    assert esc.verify_proposition(kept, *sizes) == \
-        esc.verify_proposition(e, *sizes)
-
-
-# eval_q_circ's tracemalloc peak above its orbit store's bytes: about 4 MiB
-# on the construction grid (the store's own assembly; a candidate group and
-# a pair chunk stay below that); expanding every (crossing, member) pair at
-# once peaks about 71 MiB above the store there
-_Q_CIRC_PEAK_BUDGET = 8 * 2**20
-
-
-def test_q_circ_memory_bounded(tubes_longrange):
-    """On the construction grid the crossing pass stays within a fixed
-    budget above the orbit store: the candidate search runs a group of
-    orbit columns at a time, and members are expanded in chunks."""
-    e = tubes_longrange
-    model, tubes = e.model, e.tubes.tubes
-    z, zeta, shell = esc.phase_grid(model, n_x=220, n_interior=40, n_energy=14)
-    w_lo, w_hi, _ = esc._SUPPORT_ZONE
-    ts, comps, *rest = esc._shell_orbits(
-        model, z, zeta, shell, e.tubes.reach, w_lo - 0.1,
-        tubes.T.max() + w_hi + 0.1, tubes.band, esc._stop_radius(model, tubes))
-    store_bytes = sum(a.nbytes for a in (ts, *comps, *rest))
-    del ts, comps, rest
-    tracemalloc.start()
-    try:
-        q, _ = esc.eval_q_circ(model, e.tubes, z, zeta, shell)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.count_nonzero(q) > 0
-    assert peak - store_bytes <= _Q_CIRC_PEAK_BUDGET
-
-
-@pytest.mark.parametrize("which", ["escape_free", "escape_longrange"])
-def test_covering_matches_dense_scan(which, request):
-    """The covering check, its test points sharing one q_circ pass with a
-    grid's points, agrees with the dense scan on the full tube list and,
-    with uncovered points, on every second tube and on zero-length tubes
-    of half the radius, where crossings inside the pass's zone but outside
-    the covering zone (disc distance in (1/2, 1], tube time in [-1, -1/2)
-    or (T + 0.6, T + 2]) must not cover; the grid's pieces from that pass
-    equal eval_q_circ's bit for bit."""
-    e = request.getfixturevalue(_TUBES[which])
-    spacing = max(1.0, (4.0 / e.constants.x0) / 40.0)
-    tubes = e.tubes.tubes
-    short = dataclasses.replace(tubes, radius=0.5 * tubes.radius,
-                                T=np.zeros_like(tubes.T))
-    grid = esc.phase_grid(e.model, n_x=120, n_interior=20, n_energy=8)
-    missed = []
-    for subset in (tubes, _every_second(tubes), short):
-        got, (q, hp) = esc._certify_covering(e.model, subset, e.tubes.reach,
-                                             e.constants, spacing, grid)
-        ref = _dense_certify_covering(e.model, subset, e.tubes.reach,
-                                      e.constants, spacing)
-        assert (got.n_test, got.n_uncovered) == ref[:2]
-        assert np.array_equal(np.reshape(got.uncovered, (-1, 2)), ref[2])
-        coll = types.SimpleNamespace(tubes=subset, reach=e.tubes.reach)
-        q_ref, hp_ref = esc.eval_q_circ(e.model, coll, *grid)
-        assert np.count_nonzero(q_ref) > 0
-        assert np.array_equal(q, q_ref) and np.array_equal(hp, hp_ref)
-        missed.append(ref[1])
-    assert missed[0] == 0 and missed[1] > 0 and missed[2] > 0
-
-
-@pytest.fixture(scope="session")
-def escape_barrier():
-    """The tube family of longrange_pow at amplitude 1.5, where a barrier
-    above the window reflects every orbit that meets it, built with the
-    construction grid on its covering check's pass."""
-    model = geo.preset_model("longrange_pow", amplitude=1.5)
-    return tube_family(model, grid=esc.phase_grid(model, n_x=220,
-                                                  n_interior=40, n_energy=14))
-
-
-@pytest.mark.parametrize("which", ["escape_longrange", "escape_barrier"])
-def test_orbit_store_stops_past_every_near_crossing(which, request):
-    """The orbit store shared by the construction grid and the covering
-    check's points (labelled past the grid's) ends once every orbit holds
-    the escape certificate at the stop radius; flowing every orbit t_tail
-    further crosses no tube's transversal within the prefilter distance of
-    its seed, so the stop drops no crossing."""
-    e = request.getfixturevalue(_TUBES[which])
-    model, tubes = e.model, e.tubes.tubes
-    spacing = max(1.0, (4.0 / e.constants.x0) / 40.0)
-    # the accepted family's seed spacing
-    while esc._k_region_seeds(model, e.constants, spacing)[0].size < len(tubes):
-        spacing *= 0.5
-    energies = model.lambda2 + model.delta * np.array([-0.9, 0.0, 0.9])
-    z, zeta, shell = esc._join_points(
-        esc.phase_grid(model, n_x=220, n_interior=40, n_energy=14),
-        esc._shell_points(model, esc._k_axis(e.constants, 0.5 * spacing),
-                          energies))
-    w_lo, w_hi, _ = esc._SUPPORT_ZONE
-    r_stop = esc._stop_radius(model, tubes)
-    t_tail = tubes.T.max() + w_hi + 0.1
-    ts, comps, _, _, _ = esc._shell_orbits(model, z, zeta, shell,
-                                           e.tubes.reach, w_lo - 0.1,
-                                           t_tail, tubes.band, r_stop)
-    z_end, zeta_end = comps[0][:, -1], comps[1][:, -1]
-    assert np.all(fl.escape_certified(model, z_end, zeta_end, r_stop))
-    _, zs, cs = fl.batched_flow(model, z_end, zeta_end, ts[-1],
-                                ts[-1] + t_tail, esc._Q_CIRC_DT,
-                                store_stride=esc._Q_CIRC_STRIDE)
-    level = tubes.seed[:, 0] * tubes.normal[:, 0] \
-        + tubes.seed[:, 1] * tubes.normal[:, 1]
-    near = esc._near_radius(tubes)
-    # a bracket start farther than near from a seed in z is farther in the
-    # plane, so only the near samples need the crossing test
-    for j, idx in _near_in_z(zs[:-1].ravel(), tubes.seed[:, 0], near):
-        ks, ms = np.divmod(idx, zs.shape[1])
-        nrm = tubes.normal[j]
-        neg0 = np.signbit(zs[ks, ms] * nrm[:, 0] + cs[ks, ms] * nrm[:, 1]
-                          - level[j])
-        neg1 = np.signbit(zs[ks + 1, ms] * nrm[:, 0]
-                          + cs[ks + 1, ms] * nrm[:, 1] - level[j])
-        dist = np.hypot(zs[ks, ms] - tubes.seed[j, 0],
-                        cs[ks, ms] - tubes.seed[j, 1])
-        cross = neg0 != neg1
-        assert np.all(dist[cross] > near[j[cross]])
-
-
-def test_barrier_covering_refined_in_shared_pass(escape_barrier, monkeypatch):
-    """On the barrier the first seed spacing leaves test points uncovered,
-    and the next spacing flows the store again.  The accepted family (320
-    tubes) equals a build without grid points, and the construction grid's
-    q_circ from the shared pass equals eval_q_circ's, bit for bit, so the
-    shared pass gives the values of separate passes."""
-    e = escape_barrier
-    stores = []
-    real = esc._shell_orbits
-
-    def counting(model, z, *args):
-        stores.append(z.size)
-        return real(model, z, *args)
-
-    monkeypatch.setattr(esc, "_shell_orbits", counting)
-    alone = esc.build_tubes(e.model, e.constants)
-    assert len(stores) == 2 and stores[0] < stores[1]
-    assert len(alone.tubes) == len(e.tubes.tubes) == 320
-    for f in dataclasses.fields(esc.Tubes):
-        assert np.array_equal(getattr(alone.tubes, f.name),
-                              getattr(e.tubes.tubes, f.name)), f.name
-    assert alone.reach == e.tubes.reach
-    assert alone.covering.n_test == e.tubes.covering.n_test == stores[1]
-    assert alone.covering.n_uncovered == e.tubes.covering.n_uncovered == 0
-    z, zeta, shell = esc.phase_grid(e.model, n_x=220, n_interior=40,
-                                    n_energy=14)
-    q, hp = esc.eval_q_circ(e.model, alone, z, zeta, shell)
-    assert np.count_nonzero(q) > 0
-    assert np.array_equal(q, e.tubes.grid_q_circ[0])
-    assert np.array_equal(hp, e.tubes.grid_q_circ[1])
-
-
-def _loop_disc_points(tb):
-    """One tube's disc samples: the seed, and half and full radius either
-    way along u_p."""
-    half, full = 0.5 * tb.radius * tb.u_p, tb.radius * tb.u_p
-    return tb.seed + np.stack([np.zeros(2), half, -half, full, -full])
-
-
-_LOOP_GROUP = 64  # tubes flowed together by the reference sweep
-
-
-def _loop_certify_group(model, group, consts):
-    """Reference sweep of a few tubes, tube by tube: their disc points
-    flowed as (z, -zeta) forward in flow's segments at the incoming step,
-    every column to the end, the whole history kept.  A tube is decided
-    once the history holds its first sample at or past T + 2.2: every
-    sample of [T + 1/2, T + 2] inside the collar band, or T extended in
-    place.  Returns (reach, extensions)."""
-    pts = np.concatenate([_loop_disc_points(tb) for tb in group])
-    z0, c0 = pts[None, :, 0], -pts[None, :, 1]
-    hist_t, hist_z, hist_c = [np.zeros(1)], [z0], [c0]
-    reach, pending, t0 = 0.0, list(range(len(group))), 0.0
-    extended = [0] * len(group)
-    while pending:
-        ts, zs, cs = fl.batched_flow(model, hist_z[-1][-1], hist_c[-1][-1],
-                                     t0, t0 + fl._SEGMENT, fl.INCOMING_DT)
-        hist_t.append(ts[1:]), hist_z.append(zs[1:]), hist_c.append(cs[1:])
-        t0 += fl._SEGMENT
-        t = np.concatenate(hist_t)
-        zt_all, ct_all = np.concatenate(hist_z), np.concatenate(hist_c)
-        for k in list(pending):
-            tb, cols = group[k], slice(5 * k, 5 * k + 5)
-            while t[-1] >= tb.T + 2.2:
-                late = (t >= tb.T + 0.5) & (t <= tb.T + 2.0 + 1e-9)
-                x, tau = geo.scattering_coords(zt_all[late, cols].ravel(),
-                                               ct_all[late, cols].ravel())
-                if (np.all(x < consts.x0 / 2.0)
-                        and np.all(-tau > 2.0 * model.lam / 3.0)):
-                    cut = int(np.searchsorted(t, tb.T + 2.2)) + 1
-                    lo = float(zt_all[:cut, cols].min())
-                    hi = float(zt_all[:cut, cols].max())
-                    pad = 0.25 * tb.radius + 0.05 * (abs(lo) + abs(hi))
-                    reach = max(reach, abs(lo - pad), abs(hi + pad))
-                    pending.remove(k)
-                    break
-                extended[k] += 1
-                if extended[k] > esc._MAX_EXTEND:
-                    raise ConstructionError("late tube portion not disjoint")
-                tb.T += max(1.0, 0.1 * tb.T)
-    return reach, sum(extended)
-
-
-def _loop_certify_tubes(model, tubes, consts):
-    """Reference late-portion certificate, tube by tube over one reference
-    sweep per group of _LOOP_GROUP tubes: (reach, extensions)."""
-    reach, extensions = 0.0, 0
-    for a in range(0, len(tubes), _LOOP_GROUP):
-        r, n = _loop_certify_group(model, tubes[a:a + _LOOP_GROUP], consts)
-        reach, extensions = max(reach, r), extensions + n
-    return reach, extensions
-
-
-def _loop_build_tubes(model, consts):
-    """Reference construction, seed by seed: (Tubes, reach, extensions) at
-    the first seed spacing whose tubes pass the covering check."""
-    spacing = max(1.0, (4.0 / consts.x0) / 40.0)
-    for _ in range(esc._MAX_REFINE + 1):
-        z_s, zeta_s = esc._k_region_seeds(model, consts, spacing)
-        r_mom = esc._MOM_FACTOR * model.delta / float(np.min(np.abs(zeta_s)))
-        T_in = fl.time_to_incoming(model, z_s, zeta_s, consts.x0 / 2.0,
-                                   2.0 * model.lam / 3.0, T_max=500.0)
-        dZ, dC = geo.hamilton_field(model, z_s, zeta_s)
-        tubes = []
-        for z, zeta, T, dz, dzeta in zip(z_s, zeta_s, T_in.tolist(), dZ, dC):
-            kappa = abs(float(zeta))
-            T = T * (1.0 + 2.0 * esc._MOM_FACTOR * model.delta / kappa**2) + 0.5
-            n_vec, grad_p = np.array([dz, dzeta]), np.array([-dzeta, dz])
-            tubes.append(types.SimpleNamespace(
-                seed=np.array([z, zeta]), T=T, radius=r_mom,
-                normal=n_vec / np.linalg.norm(n_vec),
-                u_p=grad_p / np.linalg.norm(grad_p)))
-        reach, extensions = _loop_certify_tubes(model, tubes, consts)
-        bands = []
-        for tb in tubes:
-            p = geo.symbol_p(model, *_loop_disc_points(tb).T)
-            bands.append((p.min() - 0.1 * np.ptp(p), p.max() + 0.1 * np.ptp(p)))
-        seed, normal = (np.array([tb.seed for tb in tubes]),
-                        np.array([tb.normal for tb in tubes]))
-        family = esc.Tubes(seed=seed, normal=normal,
-                           u_p=np.array([tb.u_p for tb in tubes]),
-                           radius=np.array([tb.radius for tb in tubes]),
-                           T=np.array([tb.T for tb in tubes]),
-                           level=seed[:, 0] * normal[:, 0]
-                           + seed[:, 1] * normal[:, 1],
-                           band=np.array(bands))
-        report, _ = esc._certify_covering(model, family, reach, consts,
-                                          spacing)
-        if report.n_uncovered == 0:
-            return family, reach, extensions
-        spacing *= 0.5
-    raise ConstructionError("tube covering failed")
-
-
-@pytest.fixture(scope="session")
-def tubes_well(well_1d):
-    """well's tube family."""
-    return tube_family(well_1d)
-
-
-@pytest.mark.parametrize("which, extended", [
-    ("escape_longrange", False), ("tubes_well", True),
-    ("escape_barrier", True)])
-def test_build_tubes_matches_per_seed_loop(which, extended, request):
-    """The vectorized construction equals the seed-by-seed one bit for bit:
-    every row of the family and the reach.  well and the barrier run the
-    certificate's T extension (the barrier after one covering refinement);
-    a last-bit change in u_p's normalization fails here."""
-    e = request.getfixturevalue(_TUBES[which])
-    want, reach, extensions = _loop_build_tubes(e.model, e.constants)
-    assert (extensions > 0) == extended
-    for f in dataclasses.fields(esc.Tubes):
-        assert np.array_equal(getattr(e.tubes.tubes, f.name),
-                              getattr(want, f.name)), f.name
-    assert e.tubes.reach == reach
-
-
-def test_sweep_carries_late_flags_across_segments(tubes_well, monkeypatch):
-    """With 3-unit flow segments most late windows start in the segment
-    before the one that decides them, so they read the flags carried over
-    from it; the family still equals the reference's on the same segments
-    bit for bit, extensions included."""
-    monkeypatch.setattr(fl, "_SEGMENT", 3.0)
-    e = tubes_well
-    got = esc.build_tubes(e.model, e.constants)
-    want, reach, extensions = _loop_build_tubes(e.model, e.constants)
-    assert extensions > 0
-    for f in dataclasses.fields(esc.Tubes):
-        assert np.array_equal(getattr(got.tubes, f.name),
-                              getattr(want, f.name)), f.name
-    assert got.reach == reach
-
-
-@pytest.mark.parametrize("which", ["escape_longrange", "tubes_well",
-                                   "escape_barrier"])
-def test_tube_times_are_incoming_times(which, request):
-    """Each tube's T is time_to_incoming on its seed, inflated by
-    1 + 2 _MOM_FACTOR delta / kappa^2, plus 1/2 and then the certificate's
-    extensions (T grows by max(1, T/10)), bit for bit: the sweep reads the
-    seeds' incoming times off its own samples."""
-    e = request.getfixturevalue(_TUBES[which])
-    tb = e.tubes.tubes
-    T_in = fl.time_to_incoming(e.model, tb.seed[:, 0], tb.seed[:, 1],
-                               e.constants.x0 / 2.0, 2.0 * e.model.lam / 3.0)
-    kappa = np.abs(tb.seed[:, 1])
-    T = T_in * (1.0 + 2.0 * esc._MOM_FACTOR * e.model.delta / kappa**2) + 0.5
-    for _ in range(esc._MAX_EXTEND):
-        short = T < tb.T
-        T[short] += np.maximum(1.0, 0.1 * T[short])
-    assert np.array_equal(T, tb.T)
-
-
-def test_build_tubes_flows_once_per_spacing(tubes_longrange, monkeypatch):
-    """build_tubes flows its backward orbits once, segment by segment at
-    the incoming step: no flow at the old certificate's step 0.02, and none
-    at the incoming step longer than one 16-unit segment.  The sweep's
-    tracemalloc peak stays within 6 MB: one segment's samples of the 810
-    disc columns (2 x 321 x 810 x 8 B = 4.2 MB) and the seeds' chart."""
-    e = tubes_longrange
-    calls, peaks = [], []
-    real_flow, real_sweep = fl.batched_flow, esc._sweep_tubes
-
-    def spy(model, z0, zeta0, t0, t1, dt, **kw):
-        calls.append((dt, abs(t1 - t0)))
-        return real_flow(model, z0, zeta0, t0, t1, dt, **kw)
-
-    def measured(*args):
-        tracemalloc.start()
-        try:
-            return real_sweep(*args)
-        finally:
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
-
-    monkeypatch.setattr(fl, "batched_flow", spy)
-    monkeypatch.setattr(esc, "_sweep_tubes", measured)
-    coll = esc.build_tubes(e.model, e.constants)
-    assert np.array_equal(coll.tubes.T, e.tubes.tubes.T)
-    assert not [c for c in calls if c[0] == 0.02]
-    incoming = [span for dt, span in calls if dt == fl.INCOMING_DT]
-    assert incoming and max(incoming) <= 16.0
-    assert len(peaks) == 1 and peaks[0] <= 6e6
-
-
-def test_q_circ_order_invariant(tubes_longrange):
-    """Permuting the points (and their shell labels) permutes the outputs
-    exactly."""
-    e = tubes_longrange
-    z, zeta, shell = esc.phase_grid(e.model, n_x=80, n_interior=16, n_energy=6)
-    perm = np.random.default_rng(3).permutation(z.size)
-    q, h = esc.eval_q_circ(e.model, e.tubes, z, zeta, shell)
-    qp, hpp = esc.eval_q_circ(e.model, e.tubes, z[perm], zeta[perm],
-                              shell[perm])
-    assert np.count_nonzero(q) > 0
-    assert np.array_equal(qp, q[perm]) and np.array_equal(hpp, h[perm])
-
-
-# -- shell labels and offsets ------------------------------------------------
 
 @pytest.mark.parametrize("amplitude", [0.5, 1.5])
 def test_shell_members_on_representative_orbit(amplitude):
-    """Each label's first, middle and last member lie on the flowed orbit
-    of its representative at their offsets: DOP853 (tol 1e-10) from the
-    representative over time s lands within 1e-6 of the member.  Amplitude
-    1.5 puts the barrier top above the window (reflecting orbits)."""
+    """Each label's members lie on one orbit, and q_circ's differences are
+    the times between them: where chi = 1 along the way, -H_p F = 2 makes
+    the flow time from the label's first member to another (q_0 - q_k)/2,
+    and DOP853 (tol 1e-10) from the first member over that time lands on
+    the member (its middle and last among those with |z| <= 2/x0).
+    Amplitude 1.5 puts the barrier top above the window (reflecting
+    orbits)."""
     model = geo.preset_model("longrange_pow", amplitude=amplitude)
+    consts = esc.boundary_constants(model)
     z, zeta, shell = esc.phase_grid(model, n_x=60, n_interior=12, n_energy=3)
-    _, _, pts, orb, s = esc._shell_orbits(model, z, zeta, shell, 60.0,
-                                          -1.1, 1.0, _ANY_ENERGY, np.inf)
-    assert np.all(s >= 0.0)
-    first = np.flatnonzero(np.diff(orb, prepend=-1))
-    stop = np.append(first[1:], orb.size)
-    assert first.size >= 2 * 3
-    for a, b in zip(first, stop):
-        rep = pts[a]
-        for k in (a + (b - a) // 2, b - 1):
-            if s[k] == 0.0:
-                continue
-            tr = integrate_flow(model, z[rep], zeta[rep], (0.0, s[k]))
-            assert abs(tr.z[-1] - z[pts[k]]) <= 1e-6
-            assert abs(tr.zeta[-1] - zeta[pts[k]]) <= 1e-6
-
-
-def test_shell_orbits_near_turning_points():
-    """The full-size grid on a reflecting barrier has members within about
-    a sample of their turning point; each becomes its own orbit instead of
-    an orbit that turns back before reaching it (which raises)."""
-    model = geo.preset_model("longrange_pow", amplitude=1.5)
-    z, zeta, shell = esc.phase_grid(model)
-    _, _, pts, orb, s = esc._shell_orbits(model, z, zeta, shell, 60.0,
-                                          -1.1, 1.0, _ANY_ENERGY, np.inf)
-    assert orb.max() + 1 > np.unique(shell[np.abs(z) <= 60.0]).size
-    assert np.all(s >= 0.0)
+    q, _ = esc.eval_q_circ(model, consts, esc.dwell_bound(model, consts),
+                           z, zeta, shell)
+    inner = np.abs(z) <= 2.0 / consts.x0
+    checked = 0
+    for lab in np.unique(shell):
+        mem = np.flatnonzero((shell == lab) & inner)
+        if mem.size < 2:
+            continue
+        rep = mem[0]
+        for k in (mem[mem.size // 2], mem[-1]):
+            tr = integrate_flow(model, z[rep], zeta[rep],
+                                (0.0, 0.5 * (q[rep] - q[k])))
+            assert abs(tr.z[-1] - z[k]) <= _MEMBER_TOL
+            assert abs(tr.zeta[-1] - zeta[k]) <= _MEMBER_TOL
+            checked += 1
+    assert checked >= 2 * 3 * 2
 
 
 def test_shell_labels_per_side():
@@ -902,33 +276,6 @@ def test_error_messages_print_plain_floats(double_bump_1d, monkeypatch):
     assert "at z=5.0, zeta=0.9 drifted" in str(drift_info.value)
     for e in (info, shell_info, drift_info):
         assert "np.float64" not in str(e.value)
-
-
-def test_refine_crossings_residual(tubes_longrange, monkeypatch):
-    """Crossings stop at the stated residual; a cap of one Newton step
-    leaves brackets above it and raises."""
-    e = tubes_longrange
-    z, zeta, shell = esc.phase_grid(e.model, n_x=40, n_interior=8, n_energy=4)
-    ts, comps, pts, orb, s = esc._shell_orbits(e.model, z, zeta, shell,
-                                               e.tubes.reach, -1.1, 1.0,
-                                               _ANY_ENERGY, np.inf)
-    k0 = int(np.searchsorted(ts, 0.0))
-    ks = np.searchsorted(ts, s, side="right") - 1
-    ks = np.clip(ks, k0, ts.size - 2)
-    t, y = esc._refine_crossings(e.model, ts, comps, ks, orb, (1.0, 0.0),
-                                 z[pts])
-    assert np.all(np.abs(y[:, 0] - z[pts])
-                  <= esc._NEWTON_TOL * (1.0 + np.abs(z[pts])))
-    monkeypatch.setattr(esc, "_NEWTON_MAX", 1)
-    with pytest.raises(ConstructionError, match="Newton"):
-        esc._refine_crossings(e.model, ts, comps, ks, orb, (1.0, 0.0), z[pts])
-
-
-def test_tubes_fail_on_trapping(double_bump_1d):
-    consts = esc.BoundaryConstants(M=0.0, c1=0.2, eps1=0.5,
-                                   x0=0.1, delta1=0.125, c0=1.0)
-    with pytest.raises(IntegrationError):
-        esc.build_tubes(double_bump_1d, consts, T_max=60.0)
 
 
 # -- assembly and certificate ------------------------------------------------
@@ -1221,3 +568,146 @@ def test_pieces_memory_bounded_on_singletons(escape_longrange):
         tracemalloc.stop()
     assert np.min(pc.q_circ) >= 1.0
     assert peak <= _pieces_peak_budget(n)
+
+# -- q_circ's evaluator ------------------------------------------------------
+
+# Stated before the change: each label's energy and interval are its first
+# member's, so a point alone differs from its label only by the rounding of
+# p; the panel sums agree with adaptive quadrature to about 1e-13 relative,
+# and |F| <= T_K <= 731 on these models.
+_SINGLETON_TOL = 1e-10
+
+
+def test_q_circ_grouped_matches_singletons():
+    """eval_q_circ on orbit labels against every point as its own orbit, on
+    every dwell-time model: q_circ within _SINGLETON_TOL, H_p q_circ =
+    -2 chi(|z|) bit for bit."""
+    for name in sorted(_DWELL_MODELS):
+        model, consts = _dwell_model(name)
+        T_K = esc.dwell_bound(model, consts)
+        z, zeta, shell = esc.phase_grid(model, n_x=80, n_interior=16,
+                                        n_energy=6)
+        q, h = esc.eval_q_circ(model, consts, T_K, z, zeta, shell)
+        qs, hs = esc.eval_q_circ(model, consts, T_K, z, zeta,
+                                 np.arange(z.size))
+        assert np.min(qs) >= 1.0
+        assert np.max(np.abs(q - qs)) <= _SINGLETON_TOL, name
+        assert np.array_equal(h, hs)
+
+
+def test_q_circ_one_pass_over_two_grids(escape_longrange):
+    """eval_q_circ over the construction grid and a verification grid in one
+    pass, the verification labels offset past the construction ones, equals
+    the two separate passes bit for bit."""
+    e = escape_longrange
+    grids = [esc.phase_grid(e.model, n_x=220, n_interior=40, n_energy=14),
+             esc.phase_grid(e.model, n_x=120, n_interior=20, n_energy=8)]
+    (z, zeta, shell), (zv, zetav, shellv) = grids
+    q, hp = esc.eval_q_circ(e.model, e.constants, e.T_K,
+                            np.concatenate([z, zv]),
+                            np.concatenate([zeta, zetav]),
+                            np.concatenate([shell, shellv + shell.max() + 1]))
+    parts = [esc.eval_q_circ(e.model, e.constants, e.T_K, *g) for g in grids]
+    assert np.array_equal(q, np.concatenate([p[0] for p in parts]))
+    assert np.array_equal(hp, np.concatenate([p[1] for p in parts]))
+
+
+def test_assemble_evaluates_q_circ_once(escape_longrange, monkeypatch):
+    """assemble_escape with a verification grid calls eval_q_circ once, on
+    the construction grid's and the verification grid's points together,
+    and keeps its values as both grids' q_circ pieces."""
+    e = escape_longrange
+    sizes = (60, 10, 4)
+    calls = []
+    real = esc.eval_q_circ
+
+    def spy(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(esc, "eval_q_circ", spy)
+    kept = esc.assemble_escape(e.model, e.eps, geo.trapping_verdict(e.model),
+                               verify_grid=sizes)
+    (q, hp), = calls
+    n = esc.phase_grid(e.model, *esc._CONSTRUCTION_GRID)[0].size
+    assert q.size == n + esc.phase_grid(e.model, *sizes)[0].size
+    assert np.array_equal(q, np.concatenate([kept.grid_pieces.q_circ,
+                                             kept.verify_pieces.q_circ]))
+    assert np.array_equal(hp, np.concatenate([kept.grid_pieces.hp_circ,
+                                              kept.verify_pieces.hp_circ]))
+
+
+def test_kept_verification_pieces(escape_longrange):
+    """assemble_escape given the verification grid's sizes keeps the same
+    constants and construction pieces, and verify_proposition reads the
+    kept pieces at those sizes to the report of its own evaluation."""
+    e = escape_longrange
+    sizes = (120, 20, 8)
+    verdict = geo.trapping_verdict(e.model)
+    kept = esc.assemble_escape(e.model, e.eps, verdict, verify_grid=sizes)
+    assert (kept.C, kept.C_prime, kept.cascade) == (e.C, e.C_prime, e.cascade)
+    assert kept.verify_sizes == sizes and e.verify_sizes is None
+    assert np.array_equal(kept.grid, e.grid)
+    z, zeta, shell = esc.phase_grid(e.model, *sizes)
+    assert np.array_equal(kept.verify_grid, np.stack([z, zeta], axis=-1))
+    fresh = e.pieces(z, zeta, shell)
+    for f in dataclasses.fields(esc.PieceArrays):
+        assert np.array_equal(getattr(kept.grid_pieces, f.name),
+                              getattr(e.grid_pieces, f.name))
+        assert np.array_equal(getattr(kept.verify_pieces, f.name),
+                              getattr(fresh, f.name))
+    assert esc.verify_proposition(kept, *sizes) == \
+        esc.verify_proposition(e, *sizes)
+
+
+# dwell_times keeps about eight node arrays of one 2,048-member chunk alive
+# (256 KiB each) and eval_q_circ a few arrays of one float per point (105 KiB
+# each on the construction grid); it peaked at 2.9 MB there, and evaluating
+# every member at once (no member chunks) peaks at 14.9 MB
+_Q_CIRC_PEAK_BUDGET = 6 * 2**20
+
+
+def test_q_circ_memory_bounded(escape_longrange):
+    """eval_q_circ on the construction grid (28 labels of about 480
+    members) stays within a tracemalloc budget set by the member chunk."""
+    e = escape_longrange
+    z, zeta, shell = esc.phase_grid(e.model, *esc._CONSTRUCTION_GRID)
+    tracemalloc.start()
+    try:
+        q, _ = esc.eval_q_circ(e.model, e.constants, e.T_K, z, zeta, shell)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.min(q) >= 1.0
+    assert peak <= _Q_CIRC_PEAK_BUDGET
+
+
+def test_q_circ_order_invariant(escape_longrange):
+    """Permuting the points (and their shell labels) so that each label's
+    members keep their order permutes the outputs exactly; any permutation
+    does so within _SINGLETON_TOL (a label's first member sets its
+    energy)."""
+    e = escape_longrange
+    z, zeta, shell = esc.phase_grid(e.model, n_x=80, n_interior=16, n_energy=6)
+    perm = np.random.default_rng(3).permutation(z.size)
+    kept = perm.copy()
+    kept[np.argsort(shell[perm], kind="stable")] = np.argsort(shell,
+                                                              kind="stable")
+
+    def permuted(p):
+        return esc.eval_q_circ(e.model, e.constants, e.T_K, z[p], zeta[p],
+                               shell[p])
+
+    q, h = esc.eval_q_circ(e.model, e.constants, e.T_K, z, zeta, shell)
+    qk, hk = permuted(kept)
+    assert np.array_equal(qk, q[kept]) and np.array_equal(hk, h[kept])
+    qp, hp = permuted(perm)
+    assert np.array_equal(hp, h[perm])
+    assert np.max(np.abs(qp - q[perm])) <= _SINGLETON_TOL
+
+
+def test_build_tubes_is_a_stub(free_1d):
+    """build_tubes is only a name for the benchmark's tracer: calling it
+    raises, naming q_circ's evaluator."""
+    with pytest.raises(ConstructionError, match="eval_q_circ"):
+        esc.build_tubes(free_1d, esc.boundary_constants(free_1d))

@@ -284,6 +284,9 @@ _VERDICT_MODELS = {
     # the bumps merge into one flat top, V' ~ z^3 at 0, with V(0) = 1.05
     "flat_top": ("double_bump", {"separation": math.sqrt(0.5),
                                  "amplitude": 0.525 * math.exp(0.5)}),
+    # the same flat top at V(0) = lambda2 = 1, to rounding
+    "flat_top_lambda2": ("double_bump", {"separation": math.sqrt(0.5),
+                                         "amplitude": 0.5 * math.exp(0.5)}),
 }
 
 
@@ -367,6 +370,20 @@ def test_trapping_verdict_flat_top():
     v = geo.trapping_verdict(model)
     assert v.witnesses == ((0.0, 0.0),)
     assert v.critical_above == model.potential.value(np.zeros(1))[0]
+
+
+def test_trapping_verdict_flat_top_at_lambda2():
+    """A flat top whose V(0) rounds one ulp below lambda2 while V(1e-4)
+    rounds to lambda2: the verdict's cell ends see a gap between two
+    components of {V >= lambda2}, whose least V lies within the verdict's
+    few ulps of lambda2.  That is no gap: one component, and the critical
+    point at 0 is the only witness."""
+    model = _verdict_model("flat_top_lambda2")
+    v = geo.trapping_verdict(model)
+    assert model.potential.value(np.array([1e-4]))[0] == model.lambda2
+    assert v.components == 1
+    assert v.witnesses == ((0.0, 0.0),)
+    assert abs(v.critical_below - model.lambda2) <= 4 * np.spacing(1.0)
 
 
 class _Inflection(geo.Potential):
