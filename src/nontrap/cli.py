@@ -204,6 +204,8 @@ def config_hash(cfg):
 
 
 def _fmt(v):
+    if type(v) is float:
+        return repr(v)
     # np.float64 subclasses float, and its repr under numpy 2 is
     # 'np.float64(...)': render every float through the builtin
     if isinstance(v, (float, np.floating)):
@@ -234,7 +236,7 @@ class Reporter:
                 fh.write(ln + "\n")
             fh.write(",".join(columns) + "\n")
             for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+                fh.write(",".join(map(_fmt, row)) + "\n")
         return path
 
     def write_text(self, name, body):

@@ -13,16 +13,19 @@ boundary treatments:
 
 The weighted norm ||<z>^-s R(lambda^2 + it) <z>^-s|| is the largest
 singular value of the weighted resolvent, computed by Lanczos on A^H A
-(power_norm) to a stated residual.  Each shift w is factored once, by
-LAPACK's tridiagonal LU with partial pivoting (?gttrf), and each Lanczos
-step is one forward and one adjoint ?gttrs solve on those factors (the
-adjoint one with trans='C'), both in place on one work vector.  The
-norm's solves are not refined: tridiagonal LU with partial
-pivoting is normwise backward stable (growth factor at most 2), and a
-refinement step in the same precision does not take the forward error
-below cond * eps (Higham, Accuracy and Stability of Numerical Algorithms,
-2nd ed., sections 9.6 and 12.1); against solves with one refinement step,
-every sweep norm agrees within 1.4e-13 relative.
+(power_norm) to a stated residual.  The weight is folded into the
+factorization: W (P - w)^{-1} W, W = <z>^-s, is the inverse of the
+tridiagonal W^{-1} (P - w) W^{-1}, which each shift w factors once by
+LAPACK's tridiagonal LU with partial pivoting (?gttrf).  A Lanczos step
+is one forward ?gttrs solve into a new vector and one adjoint solve
+(trans='C') in place on it, and that vector becomes the next basis row;
+the basis holds only the rows built so far.  The norm's solves are not
+refined: tridiagonal LU with partial pivoting is normwise backward stable
+(growth factor at most 2), and a refinement step in the same precision
+does not take the forward error below cond * eps (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., sections 9.6 and 12.1);
+against solves with one refinement step, every sweep norm of the four
+presets agrees within 2.5e-14 relative.
 
 The h sweep gives each h its own grid, ceil(N h_min / h) intervals for N
 at the smallest h, so that the stencil's dispersion error, a function of
@@ -45,7 +48,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
-from scipy.linalg.blas import zgemv
+from scipy.linalg.blas import zaxpy
 
 from nontrap.errors import ConfigurationError, ConvergenceError
 from nontrap.smooth import falling_step
@@ -143,23 +146,34 @@ def _tridiagonal_apply(diag, off, u):
 
 
 class BandedSolver:
-    """One tridiagonal LU factorization of P - w with partial pivoting
-    (LAPACK ?gttrf), reusable for many forward and adjoint solves (?gttrs);
-    one factorization per shift w.
+    """One tridiagonal LU factorization with partial pivoting (LAPACK
+    ?gttrf), reusable for many forward and adjoint solves (?gttrs); one
+    factorization per shift w.
+
+    Without s the factored matrix is P - w.  Given the weight exponent s it
+    is W^{-1} (P - w) W^{-1} with W = <z>^-s, which is still tridiagonal
+    and whose inverse is the weighted resolvent W (P - w)^{-1} W: every
+    solve then carries the weight, with no multiplication by W.
 
     solve_uncertified and solve_adjoint are one ?gttrs each (trans='N' and
     trans='C' on the same factors), backward stable with no residual
     contract; with overwrite_f=True a complex vector is solved in place,
     otherwise the right-hand side is left unchanged.  Only the certified
-    solve computes residuals, from the diagonals of P - w built once
-    here."""
+    solve computes residuals, from the diagonals of the factored matrix
+    built once here."""
 
-    def __init__(self, op: DiscreteOperator, w: complex):
+    def __init__(self, op: DiscreteOperator, w: complex,
+                 s: Optional[float] = None):
         self.w = complex(w)
         diag, off = op.diagonals()
-        self._shifted = diag - self.w, off
+        diag -= self.w
+        if s is not None:
+            inv_weight = (1.0 + op.grid.z**2) ** (0.5 * s)
+            diag *= inv_weight**2
+            off *= inv_weight[:-1] * inv_weight[1:]
+        self._matrix = diag, off
         gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag,))
-        *self._lu, info = gttrf(off, self._shifted[0], off)
+        *self._lu, info = gttrf(off, diag, off)
         if info < 0:
             raise ConfigurationError(f"gttrf: illegal argument {-info}")
         if info > 0:
@@ -169,7 +183,8 @@ class BandedSolver:
             )
 
     def solve(self, f):
-        """(P - w)^{-1} f with residual verification (<= 1e-10 ||f||).
+        """(P - w)^{-1} f (W (P - w)^{-1} W f given s) with residual
+        verification (<= 1e-10 ||f||).
 
         Certified solves are not attainable arbitrarily close to a discrete
         eigenvalue (conditioning); use solve_uncertified inside norm
@@ -190,19 +205,20 @@ class BandedSolver:
         return u
 
     def solve_uncertified(self, f, overwrite_f=False):
-        """(P - w)^{-1} f by one raw LU solve, with no residual contract:
-        normwise backward stable, and not refined, since a refinement step
-        in the same precision would not take the forward error below
-        cond * eps (module docstring)."""
+        """(P - w)^{-1} f (W (P - w)^{-1} W f given s) by one raw LU solve,
+        with no residual contract: normwise backward stable, and not
+        refined, since a refinement step in the same precision would not
+        take the forward error below cond * eps (module docstring)."""
         return self._solve_raw(np.asarray(f, dtype=complex), "N", overwrite_f)
 
     def solve_adjoint(self, f, overwrite_f=False):
-        """(P - w)^{-H} f by one raw LU solve with trans='C'."""
+        """(P - w)^{-H} f (W (P - w)^{-H} W f given s) by one raw LU solve
+        with trans='C'."""
         return self._solve_raw(np.asarray(f, dtype=complex), "C", overwrite_f)
 
     def _residual(self, u, f):
-        """(P - w) u - f."""
-        return _tridiagonal_apply(*self._shifted, u) - f
+        """M u - f for the factored matrix M."""
+        return _tridiagonal_apply(*self._matrix, u) - f
 
     def _solve_raw(self, f, trans="N", overwrite=False):
         x, info = self._gttrs(*self._lu, f, trans=trans, overwrite_b=overwrite)
@@ -272,7 +288,8 @@ class NormResult:
 @functools.lru_cache(maxsize=4)
 def _start_vector(n):
     """power_norm's unit start vector of length n, drawn from _POWER_SEED
-    once per n and shared by every call, hence read-only."""
+    once per n and shared by every call as its first basis row, hence
+    read-only."""
     rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -286,16 +303,22 @@ def power_norm(apply_A: Callable, apply_AH: Callable, n: int,
 
     This is the Golub-Kahan bidiagonalization seen from the right singular
     vectors (Golub and Kahan 1965): every step applies A^H A once and
-    orthogonalizes the new vector twice against the whole basis, which
-    keeps at most _LANCZOS_BASIS vectors of length n and then restarts from
-    the top Ritz vector.  Each orthogonalization pass is two zgemv calls on
-    the basis (the coefficients, then the update of the new vector in
-    place), and the first pass's last coefficient is the step's diagonal
-    entry.  power_norm owns the vector that apply_AH returns and overwrites
-    it; apply_A must leave its argument, a basis row, unchanged.  It stops
-    once the top Ritz pair (theta_1, y) of the tridiagonal projection has
-    residual r = |A^H A y - theta_1 y| <= tol theta_1, so that an
-    eigenvalue of A^H A lies within r of theta_1.
+    orthogonalizes the new vector twice against the whole basis.  The basis
+    holds only the rows built so far, one more per step, up to
+    _LANCZOS_BASIS vectors of length n, and then restarts from the top Ritz
+    vector.  Each orthogonalization pass is classical Gram-Schmidt: the
+    coefficients against every row (zdotc), then the update of the new
+    vector in place (zaxpy), and the first pass's last coefficient is the
+    step's diagonal entry.
+
+    Ownership: the array that apply_AH returns is orthogonalized and
+    normalized in place and kept as the next basis row, so it must be a new
+    array, shared with nothing; apply_A must leave its argument, a basis
+    row, unchanged.
+
+    It stops once the top Ritz pair (theta_1, y) of the tridiagonal
+    projection has residual r = |A^H A y - theta_1 y| <= tol theta_1, so
+    that an eigenvalue of A^H A lies within r of theta_1.
 
     The stop is on r itself, not on the gap bound r^2 / (theta_1 -
     theta_2): with a near-double top singular value (an even potential at
@@ -313,30 +336,31 @@ def power_norm(apply_A: Callable, apply_AH: Callable, n: int,
     the second singular value: the residual stop can fire before the
     Krylov space has found it, so it says nothing about the gap below
     `value`."""
-    basis = np.empty((min(_LANCZOS_BASIS, maxiter), n), dtype=complex)
-    basis[0] = _start_vector(n)
-    alpha, beta, k = [], [], 0
+    basis = [_start_vector(n)]
+    alpha, beta = [], []
     for it in range(1, maxiter + 1):
-        w = apply_AH(apply_A(basis[k]))
-        VT = basis[:k + 1].T
+        w = apply_AH(apply_A(basis[-1]))
         for gs_pass in range(2):
-            c = zgemv(1.0, VT, w, trans=2)
+            c = [np.vdot(v, w) for v in basis]
             if gs_pass == 0:
-                alpha.append(float(c[k].real))
-            w = zgemv(-1.0, VT, c, beta=1.0, y=w, overwrite_y=1)
+                alpha.append(float(c[-1].real))
+            for v, cj in zip(basis, c):
+                w = zaxpy(v, w, a=-cj)
         beta.append(float(np.linalg.norm(w)))
         theta, S = eigh_tridiagonal(np.array(alpha), np.array(beta[:-1]))
         top = max(float(theta[-1]), 0.0)
         r = beta[-1] * float(abs(S[-1, -1]))
         if r <= tol * top:
             break
-        if k + 1 < basis.shape[0]:
-            np.divide(w, beta[-1], out=basis[k + 1])
-            k += 1
+        if len(basis) < _LANCZOS_BASIS:
+            w /= beta[-1]
+            basis.append(w)
         else:  # restart from the top Ritz vector
-            v = S[:, -1] @ basis[:k + 1]
-            basis[0] = v / np.linalg.norm(v)
-            alpha, beta, k = [], [], 0
+            v = S[0, -1] * basis[0]
+            for y, row in zip(S[1:, -1], basis[1:]):
+                v = zaxpy(row, v, a=y)
+            v /= np.linalg.norm(v)
+            basis, alpha, beta = [v], [], []
     value = math.sqrt(top)
     result = NormResult(
         value, it, r <= tol * top,
@@ -353,29 +377,17 @@ def power_norm(apply_A: Callable, apply_AH: Callable, n: int,
 def weighted_resolvent_norm(op: DiscreteOperator, lambda2: float, t: float,
                             s: float) -> NormResult:
     """|| <z>^-s R(lambda2 + it) <z>^-s || by power_norm's Lanczos (the
-    symmetric weight of the uniform estimate): each Lanczos step is one
-    forward and one adjoint raw LU solve on one factorization.  Both
-    applications weight into one work vector, solve it in place and scale
-    it by the weight again, so a step allocates no vector."""
+    symmetric weight of the uniform estimate), on one factorization of the
+    weighted tridiagonal whose inverse is that operator (BandedSolver with
+    s).  A Lanczos step is one forward raw solve into a new vector and one
+    adjoint raw solve in place on it, so the step's one vector is the next
+    basis row."""
     if op.boundary == "dirichlet" and t == 0.0:
         raise ConfigurationError("dirichlet boundary requires t != 0")
-    solver = BandedSolver(op, complex(lambda2, t))
-    weight = (1.0 + op.grid.z**2) ** (-0.5 * s)
-    work = np.empty(weight.shape[0], dtype=complex)
-
-    def apply_A(v):
-        u = solver.solve_uncertified(np.multiply(weight, v, out=work),
-                                     overwrite_f=True)
-        u *= weight
-        return u
-
-    def apply_AH(v):
-        u = solver.solve_adjoint(np.multiply(weight, v, out=work),
-                                 overwrite_f=True)
-        u *= weight
-        return u
-
-    return power_norm(apply_A, apply_AH, weight.shape[0])
+    solver = BandedSolver(op, complex(lambda2, t), s)
+    return power_norm(solver.solve_uncertified,
+                      functools.partial(solver.solve_adjoint, overwrite_f=True),
+                      op.size)
 
 
 # ---------------------------------------------------------------------------
@@ -759,9 +771,9 @@ def scalar_spectral_bound(psi: Callable, lambda2: float, t_list,
 def _spectral_sup(psi, lambda2, t_list, sigma):
     """max over t in t_list and the points sigma of
     |1 - psi(sigma)| / |sigma - (lambda2 + i t)|."""
+    off_char = np.abs(1.0 - psi(sigma))
     best = 0.0
     for t in t_list:
         best = max(best, float(np.max(
-            np.abs(1.0 - psi(sigma)) / np.abs(sigma - complex(lambda2, t))
-        )))
+            off_char / np.abs(sigma - complex(lambda2, t)))))
     return best

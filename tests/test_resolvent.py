@@ -89,6 +89,27 @@ def test_cap_solves_match_dense(longrange_1d):
         assert np.shares_memory(u, work) and np.array_equal(u, solve(f))
 
 
+def test_weighted_solves_match_dense(longrange_1d):
+    """Given the weight exponent s, BandedSolver factors W^{-1} (P - w)
+    W^{-1}: its forward and adjoint solves are W (P - w)^{-1} W f and W
+    (P - w)^{-H} W f of a dense solve, and the certified solve is the
+    forward one."""
+    op = rv.discretize(longrange_1d, 0.3, L=40.0, N=512)
+    w, s = complex(longrange_1d.lambda2, 0.0), 0.7
+    diag, off = op.diagonals()
+    M = np.diag(diag - w) + np.diag(off, 1) + np.diag(off, -1)
+    weight = (1.0 + op.grid.z**2) ** (-0.5 * s)
+    rng = np.random.default_rng(6)
+    f = rng.standard_normal(op.size) + 1j * rng.standard_normal(op.size)
+    forward = weight * np.linalg.solve(M, weight * f)
+    adjoint = weight * np.linalg.solve(M.conj().T, weight * f)
+    solver = rv.BandedSolver(op, w, s)
+    for u, ref in ((solver.solve(f), forward),
+                   (solver.solve_uncertified(f), forward),
+                   (solver.solve_adjoint(f), adjoint)):
+        assert np.linalg.norm(u - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
 def test_singular_shift_raises():
     """An exactly zero pivot is reported, not divided by."""
 
@@ -413,6 +434,25 @@ def test_lanczos_basis_bounded():
     assert not res.converged and res.iterations == maxiter
     assert res.value == pytest.approx(1.0, rel=1e-4)
     assert peak <= (rv._LANCZOS_BASIS + 16) * n * 16
+
+
+def test_weighted_norm_memory_follows_iterations(longrange_1d):
+    """One weighted norm at N = 2^15 holds the basis rows it builds, one
+    per Lanczos step, and the factorization: its traced peak stays within
+    iterations + 12 vectors of length n, not a whole _LANCZOS_BASIS
+    basis."""
+    op = rv.discretize(longrange_1d, 0.2, L=200.0, N=2**15)
+    n = op.size
+    first = rv.weighted_resolvent_norm(op, longrange_1d.lambda2, 0.0, 0.7)
+    tracemalloc.start()  # after the first call has drawn the start vector
+    try:
+        res = rv.weighted_resolvent_norm(op, longrange_1d.lambda2, 0.0, 0.7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.converged and res.iterations == first.iterations
+    assert res.iterations + 12 < rv._LANCZOS_BASIS
+    assert peak <= (res.iterations + 12) * 16 * n
 
 
 def test_helffer_sjostrand_needs_derivatives(free_1d):
